@@ -11,7 +11,7 @@ BENCH_ROUTER = 'BenchmarkRouterAccess|BenchmarkDirectAccess'
 
 FUZZTIME ?= 30s
 
-.PHONY: build test short race vet lint bench bench-ci bench-serve bench-update cover cover-update docs-lint fuzz ci
+.PHONY: build test short race vet lint bench bench-build bench-ci bench-serve bench-update cover cover-update docs-lint fuzz ci
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,15 @@ vet:
 lint: vet
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
+
+## bench-build: compile the frozen benchmark against this tree. bench/ is its
+## own module, so `go build ./... && go test ./...` at the root never sees
+## bench/surface.go — an API refactor could break the benchmark while CI
+## stays green. This vets it and runs its host-independent unit tests (the
+## BENCHMARK.json/Go-table consistency check and the comparison maths), not
+## the timed workloads.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test -run 'TestBenchmarkJSONInStep|TestJudge|TestPercentile|TestQuartiles' ./...
 
 ## bench: the parallel-engine benchmark grid recorded in BENCH_par.json
 bench:
@@ -136,4 +145,4 @@ cover-update:
 	$(GO) tool cover -func=coverage.out > coverage-func.txt
 	$(GO) run ./cmd/dart-covercheck -write -baseline COVERAGE.txt coverage-func.txt
 
-ci: vet build test race docs-lint
+ci: vet build test race bench-build docs-lint

@@ -198,28 +198,16 @@ func main() {
 		if err != nil {
 			fatalf("online learner: %v", err)
 		}
-		for _, skip := range learner.Store().Skipped {
-			fmt.Printf("checkpoint skipped: %s\n", skip)
-		}
-		fmt.Printf("online learner ready: serving v%d (checkpoints: %s, swap interval %v)\n",
-			learner.Serving().Version, orNone(*ckptDir), *swapInterval)
-		if learner.HasStudent() {
-			for _, skip := range learner.StudentStore().Skipped {
-				fmt.Printf("student checkpoint skipped: %s\n", skip)
+		fmt.Printf("online learner ready (checkpoints: %s; intervals: swap %v, distill %v, tabularize %v; A/B %v)\n",
+			orNone(*ckptDir), *swapInterval, *distillInterval, *tabularizeInterval, *shadowCompare)
+		for _, c := range learner.Classes() {
+			for _, skip := range c.Skipped() {
+				fmt.Printf("%s checkpoint skipped: %s\n", c.Name(), skip)
 			}
-			fmt.Printf("student tier ready: serving student v%d (distill interval %v, A/B %v)\n",
-				learner.StudentServing().Version, *distillInterval, *shadowCompare)
-		}
-		if learner.HasDart() {
-			for _, skip := range learner.DartStore().Skipped {
-				fmt.Printf("dart checkpoint skipped: %s\n", skip)
-			}
-			if tab := learner.DartServing(); tab != nil {
-				fmt.Printf("dart tier ready: serving table v%d (tabularize interval %v)\n",
-					tab.Version, *tabularizeInterval)
+			if c.Version() == 0 {
+				fmt.Printf("%s class ready: %s fallback until the first publish\n", c.Name(), c.Source().Name())
 			} else {
-				fmt.Printf("dart tier ready: student fallback until the first tabularization (interval %v)\n",
-					*tabularizeInterval)
+				fmt.Printf("%s class ready: serving v%d\n", c.Name(), c.Version())
 			}
 		}
 		if pol := learner.Policy(); pol != nil {
@@ -294,14 +282,13 @@ func main() {
 		}
 	}()
 	extras := ""
-	if cfg.Model != nil || (learner != nil && learner.HasDart()) {
-		extras += " dart"
-	}
 	if learner != nil {
-		extras += " online"
-		if learner.HasStudent() {
-			extras += " student"
+		for _, c := range learner.Classes() {
+			extras += " " + c.Prefetcher()
 		}
+	}
+	if cfg.Model != nil && !strings.Contains(extras, " dart") {
+		extras += " dart"
 	}
 	fmt.Printf("dart-serve listening on %s (prefetchers: none bo isb stride%s)\n", ln.Addr(), extras)
 	if err := srv.Serve(ln); err != nil {
@@ -459,8 +446,12 @@ func buildLearner(art *core.Artifacts, dir string, swapInterval time.Duration, s
 // prefetcher — the online model changes under training, but delivery must
 // not.
 func runReplay(spec serve.ReplaySpec, learner *online.Learner, sessions, n int, soak time.Duration, jsonOut string) {
-	versioned := spec.Prefetcher == "online" || spec.Prefetcher == "student" ||
-		(spec.Prefetcher == "dart" && learner != nil && learner.HasDart())
+	versioned := false
+	if learner != nil {
+		for _, c := range learner.Classes() {
+			versioned = versioned || c.Prefetcher() == spec.Prefetcher
+		}
+	}
 	if versioned && spec.Verify {
 		fmt.Println("verify: versioned classes hot-swap under training; checking completeness instead of bit-identity")
 		spec.Verify = false
@@ -517,15 +508,16 @@ func printLearner(l *online.Learner) {
 		st.Version, st.Published, st.Ingested, st.PerSec, st.Dropped, st.Useful, st.Late)
 	fmt.Printf("online: examples %d  trained %d (%d steps)  loss %.4f (trend %+.4f)\n",
 		st.Examples, st.Trained, st.Steps, st.Loss, st.LossTrend)
-	if l.HasStudent() {
+	if _, err := l.Class(online.StudentClass); err == nil {
 		fmt.Printf("student: v%d (%d published)  distilled %d (%d steps)  kd-loss %.4f (trend %+.4f)\n",
 			st.StudentVersion, st.StudentPublished, st.Distilled, st.DistillSteps,
 			st.DistillLoss, st.DistillTrend)
 	}
-	if l.HasDart() {
+	if c, err := l.Class(online.DartClass); err == nil {
+		latency, storage := c.Cost()
 		fmt.Printf("dart: v%d (%d published)  tabularized %d (%.0f ms total)  attempts %d skips %d  latency %d cycles  storage %d B\n",
 			st.DartVersion, st.DartPublished, st.Tabularized, st.TabularizeMs,
-			st.DartAttempts, st.DartSkips, l.DartLatency(), l.DartStorageBytes())
+			st.DartAttempts, st.DartSkips, latency, storage)
 	}
 	if pol := l.Policy(); pol != nil {
 		ps := pol.Stats()

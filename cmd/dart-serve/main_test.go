@@ -15,6 +15,25 @@ import (
 	"dart/internal/serve"
 )
 
+// classNames lists the serving classes a learner runs, in table order.
+func classNames(l *online.Learner) string {
+	var names []string
+	for _, c := range l.Classes() {
+		names = append(names, c.Name())
+	}
+	return strings.Join(names, " ")
+}
+
+// class returns the learner's named serving class.
+func class(t *testing.T, l *online.Learner, name string) *online.Class {
+	t.Helper()
+	c, err := l.Class(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestBuildLearnerTiers pins the daemon's learner wiring: the flag
 // combinations map onto the expected serving classes, and the dart tier
 // rides on the student tier.
@@ -23,8 +42,8 @@ func TestBuildLearnerTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if teacherOnly.HasStudent() || teacherOnly.HasDart() {
-		t.Fatal("teacher-only learner grew extra tiers")
+	if got := classNames(teacherOnly); got != "teacher" {
+		t.Fatalf("teacher-only learner runs classes %q", got)
 	}
 
 	dir := t.TempDir()
@@ -32,13 +51,13 @@ func TestBuildLearnerTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !full.HasStudent() || !full.HasDart() {
-		t.Fatal("dart learner is missing a tier")
+	if got := classNames(full); got != "teacher student dart" {
+		t.Fatalf("dart learner runs classes %q", got)
 	}
-	if full.Serving() == nil || full.StudentServing() == nil {
+	if class(t, full, online.TeacherClass).Version() == 0 || class(t, full, online.StudentClass).Version() == 0 {
 		t.Fatal("model classes not published at construction")
 	}
-	if full.DartServing() != nil {
+	if class(t, full, online.DartClass).Version() != 0 {
 		t.Fatal("a table served before any tabularization")
 	}
 	// The daemon's serving kernel is the configuration the CI bench gate
@@ -53,8 +72,8 @@ func TestBuildLearnerTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Serving().Version != full.Serving().Version ||
-		again.StudentServing().Version != full.StudentServing().Version {
+	if class(t, again, online.TeacherClass).Version() != class(t, full, online.TeacherClass).Version() ||
+		class(t, again, online.StudentClass).Version() != class(t, full, online.StudentClass).Version() {
 		t.Fatal("restart did not recover the published classes")
 	}
 }
@@ -94,8 +113,8 @@ func TestBuildLearnerPolicySpec(t *testing.T) {
 	if gated.Policy() == nil {
 		t.Fatal("-policy did not attach the policy engine")
 	}
-	if !gated.HasStudent() || !gated.HasDart() {
-		t.Fatal("gated learner is missing a tier")
+	if got := classNames(gated); got != "teacher student dart" {
+		t.Fatalf("gated learner runs classes %q", got)
 	}
 
 	// A budgeted spec routes the student architecture through the
@@ -115,11 +134,12 @@ func TestBuildLearnerPolicySpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := budgeted.StudentLatency(), config.NNLatency(cand.Model); got != want {
-		t.Fatalf("budgeted student latency %d, want configurator candidate %d", got, want)
+	latency, storage := class(t, budgeted, online.StudentClass).Cost()
+	if want := config.NNLatency(cand.Model); latency != want {
+		t.Fatalf("budgeted student latency %d, want configurator candidate %d", latency, want)
 	}
-	if got, want := budgeted.StudentStorageBytes(), config.NNStorageBits(cand.Model, 32)/8; got != want {
-		t.Fatalf("budgeted student storage %d, want configurator candidate %d", got, want)
+	if want := config.NNStorageBits(cand.Model, 32) / 8; storage != want {
+		t.Fatalf("budgeted student storage %d, want configurator candidate %d", storage, want)
 	}
 }
 

@@ -42,11 +42,13 @@
 //	internal/core      the end-to-end DART pipeline and evaluation sweeps
 //	internal/serve     online multi-session serving engine: sharded session
 //	                   map, per-session actors with bounded inboxes and
-//	                   backpressure, admission batchers coalescing model
-//	                   queries across sessions (Hierarchy.QueryBatch for the
-//	                   static tables, a versioned nn forward pass for the
-//	                   online model) with weighted-round-robin fair-share
-//	                   admission across tenants, a dual-protocol wire server
+//	                   backpressure, one table of model classes (the static
+//	                   tables plus every row of the learner's class table)
+//	                   each given its admission batcher by one constructor —
+//	                   queries coalesced across sessions, one version per
+//	                   batch, source-class fallback and shadow-compare —
+//	                   with weighted-round-robin fair-share admission
+//	                   across tenants, a dual-protocol wire server
 //	                   (line-JSON for debugging, DARTWIRE1 binary framing
 //	                   with a zero-alloc hot path for production — see
 //	                   docs/PROTOCOL.md), a synchronous client for both
@@ -60,8 +62,11 @@
 //	                   teacher→student distiller (kd.Loss over the same
 //	                   stream), a duty-cycled tabularizer re-tabularizing
 //	                   the published student into hot-swappable table
-//	                   hierarchies (the "dart" class), and a generic
-//	                   versioned store with independent serving classes
+//	                   hierarchies (the "dart" class), one class table
+//	                   (Learner.Classes: teacher → student → dart handles
+//	                   with per-class swap/rollback) that the wire verbs,
+//	                   the policy engine and the serving engine all work on,
+//	                   and a generic versioned store with independent classes
 //	                   (atomic snapshots, CRC-validated checkpoints for nn
 //	                   parameters and serialized table hierarchies alike)
 //	                   hot-swapped into serving with no batch ever mixing

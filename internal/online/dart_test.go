@@ -57,49 +57,48 @@ func TestLearnerTabularizesDart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.HasDart() {
+	if !hasClass(l, DartClass) {
 		t.Fatal("dart tier not enabled")
 	}
-	if l.DartServing() != nil {
+	dart := class(t, l, DartClass)
+	if dart.Tables().Load() != nil {
 		t.Fatal("a table served before anything was tabularized")
 	}
 	// Before the first publish the dart cost model falls back to the
 	// student's numbers.
-	if l.DartLatency() != l.StudentLatency() || l.DartStorageBytes() != l.StudentStorageBytes() {
-		t.Fatalf("pre-publish dart cost (%d, %d) is not the student fallback (%d, %d)",
-			l.DartLatency(), l.DartStorageBytes(), l.StudentLatency(), l.StudentStorageBytes())
+	dl, ds := dart.Cost()
+	if sl, ss := dart.Source().Cost(); dl != sl || ds != ss {
+		t.Fatalf("pre-publish dart cost (%d, %d) is not the student fallback (%d, %d)", dl, ds, sl, ss)
 	}
 
 	ring := l.Attach("s0")
 	l.Start()
 	streamExamples(t, l, ring, 64)
 
-	tab, err := l.SwapDart()
-	if err != nil {
-		t.Fatal(err)
+	if v, err := l.SwapDart(); err != nil || v != 1 {
+		t.Fatalf("first swap: v%d, %v", v, err)
 	}
-	if tab.Version != 1 || tab.Meta.Class != DartClass {
-		t.Fatalf("published %+v, want v1 class %q", tab.Meta, DartClass)
+	tab := dart.Tables().Load()
+	if tab == nil || tab.Version != 1 || tab.Meta.Class != DartClass {
+		t.Fatalf("serving %+v after swap, want v1 class %q", tab, DartClass)
 	}
-	if want := l.StudentServing().Version; tab.Meta.Source != want {
+	if want := class(t, l, StudentClass).Version(); tab.Meta.Source != want {
 		t.Fatalf("table source v%d, want published student v%d", tab.Meta.Source, want)
 	}
-	if got := l.DartServing(); got == nil || got.Version != 1 {
-		t.Fatalf("serving %+v after swap", got)
-	}
 	// The analytic cost of the published hierarchy replaces the fallback.
-	if c := tab.H.Cost(); l.DartLatency() != c.LatencyCycles || l.DartStorageBytes() != c.StorageBytes() {
+	dl, ds = dart.Cost()
+	if c := tab.H.Cost(); dl != c.LatencyCycles || ds != c.StorageBytes() {
 		t.Fatalf("dart cost (%d, %d) != published hierarchy cost (%d, %d)",
-			l.DartLatency(), l.DartStorageBytes(), c.LatencyCycles, c.StorageBytes())
+			dl, ds, c.LatencyCycles, c.StorageBytes())
 	}
 	st := l.Stats()
 	if st.DartVersion != 1 || st.DartPublished != 1 || st.Tabularized != 1 || st.TabularizeMs <= 0 {
 		t.Fatalf("dart stats did not move: %+v", st)
 	}
 	// Teacher and student sequences are untouched by table publishes.
-	if l.Serving().Version != 1 || l.StudentServing().Version != 1 {
+	if class(t, l, TeacherClass).Version() != 1 || class(t, l, StudentClass).Version() != 1 {
 		t.Fatalf("model classes moved on a table publish: teacher v%d student v%d",
-			l.Serving().Version, l.StudentServing().Version)
+			class(t, l, TeacherClass).Version(), class(t, l, StudentClass).Version())
 	}
 
 	// Classes lists all three tiers with their versions.
@@ -107,27 +106,25 @@ func TestLearnerTabularizesDart(t *testing.T) {
 	if len(classes) != 3 {
 		t.Fatalf("classes %+v, want 3 entries", classes)
 	}
-	byName := map[string]ClassInfo{}
-	for _, c := range classes {
-		byName[c.Class] = c
+	for i, want := range []string{TeacherClass, StudentClass, DartClass} {
+		if c := classes[i]; c.Name() != want || c.Version() != 1 {
+			t.Fatalf("class row %d is %s v%d, want %s v1", i, c.Name(), c.Version(), want)
+		}
 	}
-	if byName["teacher"].Version != 1 || byName[StudentClass].Version != 1 || byName[DartClass].Version != 1 {
-		t.Fatalf("class versions %+v", byName)
-	}
-	if byName[DartClass].Published != 1 || len(byName[DartClass].Versions) != 1 {
-		t.Fatalf("dart class row %+v", byName[DartClass])
+	if dart.Published() != 1 || len(dart.Versions()) != 1 {
+		t.Fatalf("dart class row: published %d, versions %v", dart.Published(), dart.Versions())
 	}
 
 	// A second swap publishes v2; rollback reverts to v1.
-	if tab2, err := l.SwapDart(); err != nil || tab2.Version != 2 {
-		t.Fatalf("second swap: %+v, %v", tab2, err)
+	if v, err := l.SwapDart(); err != nil || v != 2 {
+		t.Fatalf("second swap: v%d, %v", v, err)
 	}
-	back, err := l.RollbackDart()
+	back, err := dart.Rollback()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Version != 1 || l.DartServing().Version != 1 {
-		t.Fatalf("rollback landed on v%d", back.Version)
+	if back != 1 || dart.Version() != 1 {
+		t.Fatalf("rollback landed on v%d", back)
 	}
 
 	l.Detach("s0")
@@ -143,16 +140,16 @@ func TestLearnerTabularizesDart(t *testing.T) {
 	if got == nil || got.Version != 1 {
 		t.Fatalf("recovered %+v, want v1", got)
 	}
-	sameTableBatches(t, l.DartServing().H, got.H)
+	sameTableBatches(t, class(t, l, DartClass).Tables().Load().H, got.H)
 
 	l2, err := NewLearner(dartLearnerConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.DartServing() == nil || l2.DartServing().Version != 1 {
-		t.Fatalf("restarted learner serves %+v, want table v1", l2.DartServing())
+	if class(t, l2, DartClass).Tables().Load() == nil || class(t, l2, DartClass).Version() != 1 {
+		t.Fatalf("restarted learner serves %+v, want table v1", class(t, l2, DartClass).Tables().Load())
 	}
-	sameTableBatches(t, l.DartServing().H, l2.DartServing().H)
+	sameTableBatches(t, class(t, l, DartClass).Tables().Load().H, class(t, l2, DartClass).Tables().Load().H)
 }
 
 // TestDartAutoTabularizeDutyCycle: with a tiny interval, the loop publishes
@@ -177,14 +174,14 @@ func TestDartAutoTabularizeDutyCycle(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	v1 := l.DartServing()
-	if v1.Meta.Source != l.StudentServing().Version {
-		t.Fatalf("auto table source v%d, student v%d", v1.Meta.Source, l.StudentServing().Version)
+	v1 := class(t, l, DartClass).Tables().Load()
+	if v1.Meta.Source != class(t, l, StudentClass).Version() {
+		t.Fatalf("auto table source v%d, student v%d", v1.Meta.Source, class(t, l, StudentClass).Version())
 	}
 
 	// Unchanged student: the duty cycle must idle rather than republish.
 	time.Sleep(20 * time.Millisecond)
-	if got := l.DartServing().Version; got != v1.Version {
+	if got := class(t, l, DartClass).Version(); got != v1.Version {
 		t.Fatalf("duty cycle republished an unchanged student (v%d -> v%d)", v1.Version, got)
 	}
 
@@ -192,14 +189,14 @@ func TestDartAutoTabularizeDutyCycle(t *testing.T) {
 	if _, err := l.SwapStudent(); err != nil {
 		t.Fatal(err)
 	}
-	for l.DartServing().Version == v1.Version {
+	for class(t, l, DartClass).Version() == v1.Version {
 		if time.Now().After(deadline) {
 			t.Fatalf("duty cycle never picked up the new student: %+v", l.Stats())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := l.DartServing(); got.Meta.Source != l.StudentServing().Version {
-		t.Fatalf("re-tabularized from student v%d, want v%d", got.Meta.Source, l.StudentServing().Version)
+	if got := class(t, l, DartClass).Tables().Load(); got.Meta.Source != class(t, l, StudentClass).Version() {
+		t.Fatalf("re-tabularized from student v%d, want v%d", got.Meta.Source, class(t, l, StudentClass).Version())
 	}
 	l.Detach("s0")
 }
@@ -267,14 +264,11 @@ func TestDartConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if noTier.HasDart() || noTier.DartServing() != nil || noTier.DartStore() != nil {
-		t.Fatal("dart tier reported on a learner without one")
+	if c, err := noTier.Class(DartClass); err == nil || c != nil || len(noTier.Classes()) != 1 {
+		t.Fatalf("dart tier reported on a learner without one: %v, %v", c, err)
 	}
 	if _, err := noTier.SwapDart(); err == nil {
 		t.Fatal("SwapDart succeeded without a tier")
-	}
-	if _, err := noTier.RollbackDart(); err == nil {
-		t.Fatal("RollbackDart succeeded without a tier")
 	}
 
 	empty, err := NewLearner(dartLearnerConfig(""))

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,9 +161,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// StudentClass names the distilled-student model class in the versioned
-// store (checkpoint files, metadata, and the wire protocol's class selector).
-const StudentClass = "student"
+// lossTrend tracks a training loss as two EWMAs; fast minus slow is negative
+// while the loss is improving.
+type lossTrend struct {
+	fast, slow float64 // alpha 0.2 and 0.02
+	seeded     bool
+}
+
+func (t *lossTrend) observe(loss float64) {
+	if !t.seeded {
+		*t = lossTrend{fast: loss, slow: loss, seeded: true}
+		return
+	}
+	t.fast += 0.2 * (loss - t.fast)
+	t.slow += 0.02 * (loss - t.slow)
+}
 
 // sessionTap is one attached session: its event ring and example builder.
 type sessionTap struct {
@@ -177,6 +190,11 @@ type Learner struct {
 	cfg   Config
 	store *Store
 
+	// classes is the serving-class table, in pipeline order: the teacher row
+	// always, then the student and dart rows when those tiers are configured.
+	// Immutable once NewLearner returns.
+	classes []*Class
+
 	tapMu sync.Mutex
 	taps  map[string]*sessionTap
 
@@ -186,9 +204,7 @@ type Learner struct {
 	shadow     nn.Layer
 	tr         *nn.Trainer
 	rng        *rand.Rand
-	lossFast   float64 // EWMA, alpha 0.2
-	lossSlow   float64 // EWMA, alpha 0.02
-	lossSeeded bool
+	loss       lossTrend
 	lastPub    time.Time
 	stepsAtPub uint64
 
@@ -202,9 +218,7 @@ type Learner struct {
 	sopt           nn.Optimizer
 	distTeacher    nn.Layer
 	distTeacherVer uint64
-	distLossFast   float64
-	distLossSlow   float64
-	distSeeded     bool
+	distLoss       lossTrend
 	lastStuPub     time.Time
 	distAtPub      uint64
 
@@ -303,6 +317,18 @@ func NewLearner(cfg Config) (*Learner, error) {
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	teacher := l.addClass(&Class{
+		name: TeacherClass, prefetcher: "online", store: store, hist: store.c,
+		published: &l.published,
+		cost:      func() (int, int) { return cfg.Latency, cfg.StorageBytes },
+		infer:     store.infer,
+		publish:   l.locked(l.publishLocked),
+		revert: func() (uint64, error) {
+			return l.revertNN(store, l.shadow, func() {
+				l.tr = nn.NewTrainer(l.shadow, nn.NewAdam(cfg.LR), cfg.BatchSize, l.rng)
+			})
+		},
+	})
 	l.shadow = cfg.New()
 	if m := store.Load(); m != nil {
 		if err := nn.CopyParams(l.shadow, m.Net); err != nil {
@@ -320,7 +346,7 @@ func NewLearner(cfg Config) (*Learner, error) {
 	}
 	l.tr = nn.NewTrainer(l.shadow, nn.NewAdam(cfg.LR), cfg.BatchSize, l.rng)
 	if cfg.Student != nil {
-		if err := l.initStudent(); err != nil {
+		if err := l.initStudent(teacher); err != nil {
 			return nil, err
 		}
 	}
@@ -333,31 +359,16 @@ func NewLearner(cfg Config) (*Learner, error) {
 		if err := cfg.Policy.Validate(); err != nil {
 			return nil, err
 		}
-		var classes []string
-		if l.studentStore != nil {
-			classes = append(classes, StudentClass)
+		// Every class with a source is gated against it; the teacher has
+		// none, so its publishes are ungated.
+		derived := l.classes[1:]
+		names := make([]string, len(derived))
+		for i, c := range derived {
+			names[i] = c.name
 		}
-		if l.dartStore != nil {
-			classes = append(classes, DartClass)
-		}
-		l.pol = NewPolicy(*cfg.Policy, classes...)
-		if l.studentStore != nil {
-			l.pol.RegisterRollback(StudentClass, func() (uint64, error) {
-				m, err := l.rollbackStudent()
-				if err != nil {
-					return 0, err
-				}
-				return m.Version, nil
-			})
-		}
-		if l.dartStore != nil {
-			l.pol.RegisterRollback(DartClass, func() (uint64, error) {
-				t, err := l.rollbackDart()
-				if err != nil {
-					return 0, err
-				}
-				return t.Version, nil
-			})
+		l.pol = NewPolicy(*cfg.Policy, names...)
+		for _, c := range derived {
+			l.pol.RegisterRollback(c.name, c.revert)
 		}
 		l.evalRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed9e3779b97f4a))
 	}
@@ -372,9 +383,10 @@ func NewLearner(cfg Config) (*Learner, error) {
 // mirror the tabularizer reads from. No table is published at construction
 // when the store starts empty — tabularization needs streamed examples to
 // fit kernels on, so the serve side falls back to the student until the
-// first duty cycle (or SwapDart) publishes one.
+// first duty cycle (or a forced Swap) publishes one.
 func (l *Learner) initDart() error {
-	if l.studentStore == nil {
+	student, err := l.Class(StudentClass)
+	if err != nil {
 		return fmt.Errorf("online: the dart tier re-tabularizes the published student; Config.Dart requires Config.Student")
 	}
 	l.dartStudent = l.cfg.Student()
@@ -386,6 +398,18 @@ func (l *Learner) initDart() error {
 		return err
 	}
 	l.dartStore = store
+	l.addClass(&Class{
+		name: DartClass, prefetcher: "dart", source: student, tables: store, hist: store.c,
+		published: &l.dartPublished,
+		cost:      l.dartCostNow,
+		infer:     store.infer,
+		publish: func() (uint64, error) {
+			l.tabMu.Lock()
+			defer l.tabMu.Unlock()
+			return l.tabularizeLocked(false)
+		},
+		revert: l.revertDart,
+	})
 	if t := store.Load(); t != nil {
 		c := t.H.Cost()
 		l.dartCost.Store(&c)
@@ -401,12 +425,22 @@ func (l *Learner) initDart() error {
 // initStudent wires the distilled-student tier: its class store (recovering
 // the newest good student checkpoint when one exists), the student shadow,
 // its own optimizer, and the private teacher clone distillation reads from.
-func (l *Learner) initStudent() error {
+func (l *Learner) initStudent(teacher *Class) error {
 	store, err := NewClassStore(l.cfg.Student, l.cfg.Dir, StudentClass)
 	if err != nil {
 		return err
 	}
 	l.studentStore = store
+	l.addClass(&Class{
+		name: StudentClass, prefetcher: "student", source: teacher, store: store, hist: store.c,
+		published: &l.studentPublished,
+		cost:      func() (int, int) { return l.cfg.StudentLatency, l.cfg.StudentStorageBytes },
+		infer:     store.infer,
+		publish:   l.locked(l.publishStudentLocked),
+		revert: func() (uint64, error) {
+			return l.revertNN(store, l.student, func() { l.sopt = nn.NewAdam(l.distillLR()) })
+		},
+	})
 	l.student = l.cfg.Student()
 	l.distTeacher = l.cfg.New()
 	if m := store.Load(); m != nil {
@@ -423,99 +457,80 @@ func (l *Learner) initStudent() error {
 			return err
 		}
 	}
-	lr := l.cfg.Distill.LR
-	if lr == 0 {
-		lr = l.cfg.LR
-	}
-	l.sopt = nn.NewAdam(lr)
+	l.sopt = nn.NewAdam(l.distillLR())
 	return nil
+}
+
+// distillLR is the student optimizer's learning rate: Distill.LR, or the
+// teacher's when unset.
+func (l *Learner) distillLR() float64 {
+	if lr := l.cfg.Distill.LR; lr != 0 {
+		return lr
+	}
+	return l.cfg.LR
+}
+
+// addClass appends one row to the serving-class table.
+func (l *Learner) addClass(c *Class) *Class {
+	c.l = l
+	l.classes = append(l.classes, c)
+	return c
+}
+
+// locked runs a trainer-state step under trainMu, for the forced verbs that
+// arrive from outside the loop goroutine.
+func (l *Learner) locked(step func() (uint64, error)) func() (uint64, error) {
+	return func() (uint64, error) {
+		l.trainMu.Lock()
+		defer l.trainMu.Unlock()
+		return step()
+	}
 }
 
 // Data returns the input/label construction config sessions must share.
 func (l *Learner) Data() dataprep.Config { return l.cfg.Data }
-
-// Latency is the modelled inference latency of the online prefetcher.
-func (l *Learner) Latency() int { return l.cfg.Latency }
-
-// StorageBytes is the modelled storage of the online prefetcher.
-func (l *Learner) StorageBytes() int { return l.cfg.StorageBytes }
-
-// Store exposes the versioned model store (the serving path calls Load on
-// it once per inference batch).
-func (l *Learner) Store() *Store { return l.store }
-
-// Serving returns the current published model version. Never nil once
-// NewLearner has returned.
-func (l *Learner) Serving() *Model { return l.store.Load() }
-
-// HasStudent reports whether the distilled-student tier is enabled.
-func (l *Learner) HasStudent() bool { return l.studentStore != nil }
-
-// StudentStore exposes the student class of the versioned store; nil when
-// the tier is disabled.
-func (l *Learner) StudentStore() *Store { return l.studentStore }
-
-// StudentServing returns the current published student version, or nil when
-// the tier is disabled. With the tier enabled it is never nil once
-// NewLearner has returned.
-func (l *Learner) StudentServing() *Model {
-	if l.studentStore == nil {
-		return nil
-	}
-	return l.studentStore.Load()
-}
-
-// StudentLatency is the modelled inference latency of the student prefetcher.
-func (l *Learner) StudentLatency() int { return l.cfg.StudentLatency }
-
-// StudentStorageBytes is the modelled storage of the student prefetcher.
-func (l *Learner) StudentStorageBytes() int { return l.cfg.StudentStorageBytes }
-
-// HasDart reports whether the tabularized (dart) serving class is enabled.
-func (l *Learner) HasDart() bool { return l.dartStore != nil }
 
 // Policy returns the promotion policy engine, or nil when disabled. The
 // serving engine feeds its shadow-compared batches into it (ObserveLive) and
 // the `policy` wire verb reads its decision log.
 func (l *Learner) Policy() *Policy { return l.pol }
 
-// DartStore exposes the dart class of the versioned store; nil when the
-// tier is disabled.
-func (l *Learner) DartStore() *TableStore { return l.dartStore }
+// Classes lists the serving classes this learner runs, in pipeline order.
+func (l *Learner) Classes() []*Class { return l.classes }
 
-// DartServing returns the currently published table version, or nil while
-// none exists yet (before the first tabularization cycle of an empty store)
-// — the serve side falls back to the student class until then.
-func (l *Learner) DartServing() *Table {
-	if l.dartStore == nil {
-		return nil
+// Class looks a serving class up by name; "" selects the teacher, as on the
+// wire. It fails for a tier this learner does not run.
+func (l *Learner) Class(name string) (*Class, error) {
+	if name == "" {
+		name = TeacherClass
 	}
-	return l.dartStore.Load()
+	for _, c := range l.classes {
+		if c.name == name {
+			return c, nil
+		}
+	}
+	have := make([]string, len(l.classes))
+	for i, c := range l.classes {
+		have[i] = c.name
+	}
+	return nil, fmt.Errorf("online: no %q serving class configured (have %s)", name, strings.Join(have, ", "))
 }
 
-// DartLatency is the modelled inference latency of the dart prefetcher: the
-// config override when set, else the analytic latency (Sec. V-C) of the
-// published hierarchy, else the student's while no table exists yet.
-func (l *Learner) DartLatency() int {
+// dartCostNow is the modelled cost of the dart prefetcher: the config
+// override when set, else the analytic cost (Sec. V-C) of the published
+// hierarchy, else the student's while no table exists yet.
+func (l *Learner) dartCostNow() (latency, storageBytes int) {
+	latency, storageBytes = l.cfg.StudentLatency, l.cfg.StudentStorageBytes
+	if c := l.dartCost.Load(); c != nil {
+		latency, storageBytes = c.LatencyCycles, c.StorageBytes()
+	}
 	if l.cfg.DartLatency > 0 {
-		return l.cfg.DartLatency
+		latency = l.cfg.DartLatency
 	}
-	if c := l.dartCost.Load(); c != nil {
-		return c.LatencyCycles
-	}
-	return l.cfg.StudentLatency
-}
-
-// DartStorageBytes is the modelled storage of the dart prefetcher, resolved
-// like DartLatency.
-func (l *Learner) DartStorageBytes() int {
 	if l.cfg.DartStorageBytes > 0 {
-		return l.cfg.DartStorageBytes
+		storageBytes = l.cfg.DartStorageBytes
 	}
-	if c := l.dartCost.Load(); c != nil {
-		return c.StorageBytes()
-	}
-	return l.cfg.StudentStorageBytes
+	return latency, storageBytes
 }
 
 // Attach registers a session and returns the ring its actor pushes events
@@ -641,13 +656,13 @@ func (l *Learner) maybeTrain() {
 		time.Since(l.lastPub) >= l.cfg.SwapInterval &&
 		l.steps.Load() > l.stepsAtPub
 	if auto {
-		m, err := l.publishLocked() // on failure serving keeps the previous version
+		v, err := l.publishLocked() // on failure serving keeps the previous version
 		if err == nil && l.pol != nil {
 			// The teacher has no source class to shadow-compare against, so
 			// its publishes are ungated — but they still land in the decision
 			// log so the `policy` verb covers every class publish.
 			l.pol.record(Decision{
-				Class: "teacher", Action: ActionAdmit, Version: m.Version,
+				Class: TeacherClass, Action: ActionAdmit, Version: v,
 				Reason: "teacher: ungated (no source class)",
 			})
 		}
@@ -669,22 +684,9 @@ func (l *Learner) maybeTrain() {
 // shadow. Caller holds trainMu.
 func (l *Learner) trainStepLocked() {
 	b := l.cfg.BatchSize
-	din := l.cfg.Data.InputDim()
-	bx := mat.NewTensor(b, l.cfg.Data.History, din)
-	by := mat.NewTensor(b, 1, l.cfg.Data.OutputDim())
-	for i := 0; i < b; i++ {
-		ex := l.buf[l.rng.Intn(l.bufN)]
-		copy(bx.Sample(i).Data, ex.x)
-		copy(by.Sample(i).Data, ex.y)
-	}
+	bx, by := l.sampleBatchLocked(l.rng)
 	l.fresh = 0
-	loss := l.tr.TrainEpoch(bx, by, nn.BCEWithLogits)
-	if !l.lossSeeded {
-		l.lossFast, l.lossSlow, l.lossSeeded = loss, loss, true
-	} else {
-		l.lossFast += 0.2 * (loss - l.lossFast)
-		l.lossSlow += 0.02 * (loss - l.lossSlow)
-	}
+	l.loss.observe(l.tr.TrainEpoch(bx, by, nn.BCEWithLogits))
 	l.trained.Add(uint64(b))
 	l.steps.Add(1)
 }
@@ -702,76 +704,67 @@ func (l *Learner) distillStepLocked() {
 		}
 	}
 	b := l.cfg.BatchSize
-	din := l.cfg.Data.InputDim()
-	bx := mat.NewTensor(b, l.cfg.Data.History, din)
-	by := mat.NewTensor(b, 1, l.cfg.Data.OutputDim())
-	for i := 0; i < b; i++ {
-		ex := l.buf[l.rng.Intn(l.bufN)]
-		copy(bx.Sample(i).Data, ex.x)
-		copy(by.Sample(i).Data, ex.y)
-	}
+	bx, by := l.sampleBatchLocked(l.rng)
 	teacherLogits := l.distTeacher.Forward(bx)
 	studentLogits := l.student.Forward(bx)
 	loss, grad := kd.Loss(studentLogits, teacherLogits, by,
 		l.cfg.Distill.Lambda, l.cfg.Distill.Temperature)
 	l.student.Backward(grad)
 	l.sopt.Step(l.student.Params())
-	if !l.distSeeded {
-		l.distLossFast, l.distLossSlow, l.distSeeded = loss, loss, true
-	} else {
-		l.distLossFast += 0.2 * (loss - l.distLossFast)
-		l.distLossSlow += 0.02 * (loss - l.distLossSlow)
-	}
+	l.distLoss.observe(loss)
 	l.distilled.Add(uint64(b))
 	l.distSteps.Add(1)
 }
 
 // publishLocked snapshots the shadow into the store. Caller holds trainMu
 // (or is the NewLearner constructor, before any concurrency exists).
-func (l *Learner) publishLocked() (*Model, error) {
+func (l *Learner) publishLocked() (uint64, error) {
 	m, err := l.store.Publish(l.shadow, nn.CheckpointMeta{
 		Examples: l.assembled.Load(),
 		Steps:    l.steps.Load(),
-		Loss:     l.lossFast,
+		Loss:     l.loss.fast,
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	l.published.Add(1)
 	l.stepsAtPub = l.steps.Load()
 	l.lastPub = time.Now()
-	return m, nil
+	return m.Version, nil
 }
 
 // publishStudentLocked snapshots the student shadow into the student class
 // store. Caller holds trainMu (or is the constructor).
-func (l *Learner) publishStudentLocked() (*Model, error) {
+func (l *Learner) publishStudentLocked() (uint64, error) {
 	m, err := l.studentStore.Publish(l.student, nn.CheckpointMeta{
 		Examples: l.distilled.Load(),
 		Steps:    l.distSteps.Load(),
-		Loss:     l.distLossFast,
+		Loss:     l.distLoss.fast,
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	l.studentPublished.Add(1)
 	l.distAtPub = l.distSteps.Load()
 	l.lastStuPub = time.Now()
-	return m, nil
+	return m.Version, nil
 }
 
-// evalBatchLocked samples one shadow-evaluation minibatch of inputs from the
-// reservoir using the gate's dedicated RNG — never the training RNG, so
-// admission evaluation cannot perturb the training stream. Caller holds
-// trainMu.
-func (l *Learner) evalBatchLocked() *mat.Tensor {
+// sampleBatchLocked draws one minibatch of inputs and labels from the
+// reservoir. The optimizer steps draw with the training RNG; the admission
+// gate's shadow-evaluation batches draw with its dedicated evalRng — never
+// the training RNG, so admission evaluation cannot perturb the training
+// stream. Caller holds trainMu.
+func (l *Learner) sampleBatchLocked(rng *rand.Rand) (bx, by *mat.Tensor) {
 	b := l.cfg.BatchSize
-	bx := mat.NewTensor(b, l.cfg.Data.History, l.cfg.Data.InputDim())
+	bx = mat.NewTensor(b, l.cfg.Data.History, l.cfg.Data.InputDim())
+	by = mat.NewTensor(b, 1, l.cfg.Data.OutputDim())
 	for i := 0; i < b; i++ {
-		ex := l.buf[l.evalRng.Intn(l.bufN)]
+		ex := l.buf[rng.Intn(l.bufN)]
 		copy(bx.Sample(i).Data, ex.x)
+		copy(by.Sample(i).Data, ex.y)
 	}
-	return bx
+	return bx, by
 }
 
 // gateStudentLocked advances the student candidate's admission window by one
@@ -792,37 +785,24 @@ func (l *Learner) gateStudentLocked() {
 			l.distTeacherVer = m.Version
 		}
 	}
-	bx := l.evalBatchLocked()
-	match, total := agreementCount(l.student.Forward(bx), l.distTeacher.Forward(bx))
+	bx, _ := l.sampleBatchLocked(l.evalRng)
+	match, total := Agreement(l.student.Forward(bx), l.distTeacher.Forward(bx))
 	if !l.pol.observeCandidate(StudentClass, match, total) {
 		return // window not full: more shadow batches on later ticks
 	}
-	agree, batches, labels, ok := l.pol.admitVerdict(StudentClass)
-	d := Decision{
-		Class: StudentClass, Agreement: agree, Batches: batches, Labels: labels,
-		LatencyCycles: l.cfg.StudentLatency, StorageBytes: l.cfg.StudentStorageBytes,
-	}
-	if bok, reason := l.pol.budgetCheck(StudentClass, l.cfg.StudentLatency, l.cfg.StudentStorageBytes); !bok {
-		d.Action, d.Reason = ActionHold, "budget: "+reason
+	d, admit := l.pol.decide(Decision{
+		Class: StudentClass, LatencyCycles: l.cfg.StudentLatency, StorageBytes: l.cfg.StudentStorageBytes,
+	})
+	if !admit {
 		l.pol.record(d)
 		l.lastStuPub = time.Now()
 		return
 	}
-	if !ok {
-		d.Action = ActionHold
-		d.Reason = fmt.Sprintf("agreement %.3f < %.2f over %d shadow batches",
-			agree, l.pol.cfg.AdmitThreshold, batches)
-		l.pol.record(d)
-		l.lastStuPub = time.Now()
-		return
-	}
-	m, err := l.publishStudentLocked()
+	v, err := l.publishStudentLocked()
 	if err != nil {
 		return // serving keeps the previous version; evidence already reset
 	}
-	d.Action, d.Version = ActionAdmit, m.Version
-	d.Reason = fmt.Sprintf("agreement %.3f >= %.2f over %d shadow batches",
-		agree, l.pol.cfg.AdmitThreshold, batches)
+	d.Version = v
 	l.pol.record(d)
 }
 
@@ -843,44 +823,37 @@ func (l *Learner) maybeTabularize() {
 		return
 	}
 	sm := l.studentStore.Load()
-	if sm.Version == l.dartSrcVer {
-		// Student unchanged: the table would come out identical-ish. Count
-		// the skipped attempt once per idle period (the cadence stamp stays
-		// put so a fresh student publish fires on the next tick) so
-		// operators can tell an idle tabularizer from a stuck one.
-		if sm.Version != l.lastSkipVer {
-			l.tabAttempts.Add(1)
-			l.tabSkips.Add(1)
-			l.lastSkipVer = sm.Version
-			if l.pol != nil {
-				l.pol.record(Decision{
-					Class: DartClass, Action: ActionSkip,
-					Reason: fmt.Sprintf("student v%d unchanged since last build", sm.Version),
-				})
-			}
-		}
-		return
-	}
+	// Student unchanged: the table would come out identical-ish.
+	unchanged := sm.Version == l.dartSrcVer
 	// Incremental re-tabularization: when the policy engine is configured
 	// with a minimum source delta, a student version whose parameters moved
 	// less than that (relative L2, cumulative since the mirrored build) is
 	// not worth the most expensive background step in the system.
-	if l.pol != nil && l.pol.cfg.MinSourceDelta > 0 && l.dartMirrorVer != 0 {
-		if delta := paramDelta(sm.Net, l.dartStudent); delta < l.pol.cfg.MinSourceDelta {
-			if sm.Version != l.lastSkipVer {
-				l.tabAttempts.Add(1)
-				l.tabSkips.Add(1)
-				l.lastSkipVer = sm.Version
-				l.pol.record(Decision{
-					Class: DartClass, Action: ActionSkip,
-					Reason: fmt.Sprintf("student v%d param delta %.4f < %.4f: rebuild not worth it",
-						sm.Version, delta, l.pol.cfg.MinSourceDelta),
-				})
-			}
-			return
-		}
+	delta := math.Inf(1)
+	if !unchanged && l.pol != nil && l.pol.cfg.MinSourceDelta > 0 && l.dartMirrorVer != 0 {
+		delta = paramDelta(sm.Net, l.dartStudent)
 	}
-	_, _ = l.tabularizeLocked(l.pol != nil) // on failure serving keeps the previous table
+	if !unchanged && (l.pol == nil || delta >= l.pol.cfg.MinSourceDelta) {
+		_, _ = l.tabularizeLocked(l.pol != nil) // on failure serving keeps the previous table
+		return
+	}
+	// Count the skipped attempt once per idle period (the cadence stamp
+	// stays put so a fresh student publish fires on the next tick) so
+	// operators can tell an idle tabularizer from a stuck one.
+	if sm.Version == l.lastSkipVer {
+		return
+	}
+	l.tabAttempts.Add(1)
+	l.tabSkips.Add(1)
+	l.lastSkipVer = sm.Version
+	if l.pol != nil {
+		reason := fmt.Sprintf("student v%d unchanged since last build", sm.Version)
+		if !unchanged {
+			reason = fmt.Sprintf("student v%d param delta %.4f < %.4f: rebuild not worth it",
+				sm.Version, delta, l.pol.cfg.MinSourceDelta)
+		}
+		l.pol.record(Decision{Class: DartClass, Action: ActionSkip, Reason: reason})
+	}
 }
 
 // fitSnapshot copies the newest DartSamples reservoir examples into a
@@ -902,29 +875,28 @@ func (l *Learner) fitSnapshot() (*mat.Tensor, float64, error) {
 	for i := 0; i < n; i++ {
 		copy(fit.Sample(i).Data, l.buf[(start+i)%len(l.buf)].x)
 	}
-	return fit, l.distLossFast, nil
+	return fit, l.distLoss.fast, nil
 }
 
 // gateDartEvidence evaluates a candidate hierarchy against its source — the
 // private student mirror it was tabularized from — over AdmitWindow shadow
-// batches drawn from the reservoir, and returns the closed window's verdict.
+// batches drawn from the reservoir, filling the class's admission window.
 // Caller holds tabMu (which guards the mirror); trainMu is taken briefly per
 // batch to sample inputs.
-func (l *Learner) gateDartEvidence(h *tabular.Hierarchy) (agree float64, batches int, labels uint64, ok bool) {
+func (l *Learner) gateDartEvidence(h *tabular.Hierarchy) {
 	for {
 		l.trainMu.Lock()
 		if l.bufN < l.cfg.BatchSize {
 			l.trainMu.Unlock()
 			break
 		}
-		bx := l.evalBatchLocked()
+		bx, _ := l.sampleBatchLocked(l.evalRng)
 		l.trainMu.Unlock()
-		match, total := agreementCount(h.QueryBatch(bx), l.dartStudent.Forward(bx))
+		match, total := Agreement(h.QueryBatch(bx), l.dartStudent.Forward(bx))
 		if l.pol.observeCandidate(DartClass, match, total) {
 			break
 		}
 	}
-	return l.pol.admitVerdict(DartClass)
 }
 
 // tabularizeLocked runs one tabularization cycle: refresh the private
@@ -937,10 +909,10 @@ func (l *Learner) gateDartEvidence(h *tabular.Hierarchy) (agree float64, batches
 // shadow-batch window, and the class budget against its analytic cost —
 // before it publishes; a held candidate is dropped and the next interval
 // builds a fresh one. Caller holds tabMu.
-func (l *Learner) tabularizeLocked(gated bool) (*Table, error) {
+func (l *Learner) tabularizeLocked(gated bool) (uint64, error) {
 	fit, loss, err := l.fitSnapshot()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	l.tabAttempts.Add(1)
 	// Stamp the cadence before the expensive work, not after a successful
@@ -953,7 +925,7 @@ func (l *Learner) tabularizeLocked(gated bool) (*Table, error) {
 	sm := l.studentStore.Load()
 	if sm.Version != l.dartMirrorVer {
 		if err := nn.CopyParams(l.dartStudent, sm.Net); err != nil {
-			return nil, fmt.Errorf("online: student mirror: %w", err)
+			return 0, fmt.Errorf("online: student mirror: %w", err)
 		}
 		l.dartMirrorVer = sm.Version
 	}
@@ -964,27 +936,16 @@ func (l *Learner) tabularizeLocked(gated bool) (*Table, error) {
 	cost := res.Hierarchy.Cost()
 	var admit Decision
 	if gated {
-		agree, batches, labels, ok := l.gateDartEvidence(res.Hierarchy)
-		admit = Decision{
-			Class: DartClass, Agreement: agree, Batches: batches, Labels: labels,
-			Cosine: meanCosine(res.Cosine), LatencyCycles: cost.LatencyCycles,
-			StorageBytes: cost.StorageBytes(),
-		}
-		if bok, reason := l.pol.budgetCheck(DartClass, cost.LatencyCycles, cost.StorageBytes()); !bok {
-			admit.Action, admit.Reason = ActionHold, "budget: "+reason
-			l.pol.record(admit)
-			return nil, fmt.Errorf("online: dart candidate held: %s", admit.Reason)
-		}
+		l.gateDartEvidence(res.Hierarchy)
+		var ok bool
+		admit, ok = l.pol.decide(Decision{
+			Class: DartClass, Cosine: meanCosine(res.Cosine),
+			LatencyCycles: cost.LatencyCycles, StorageBytes: cost.StorageBytes(),
+		})
 		if !ok {
-			admit.Action = ActionHold
-			admit.Reason = fmt.Sprintf("agreement %.3f < %.2f over %d shadow batches",
-				agree, l.pol.cfg.AdmitThreshold, batches)
 			l.pol.record(admit)
-			return nil, fmt.Errorf("online: dart candidate held: %s", admit.Reason)
+			return 0, fmt.Errorf("online: dart candidate held: %s", admit.Reason)
 		}
-		admit.Action = ActionAdmit
-		admit.Reason = fmt.Sprintf("agreement %.3f >= %.2f over %d shadow batches",
-			agree, l.pol.cfg.AdmitThreshold, batches)
 	}
 	tab, err := l.dartStore.Publish(res.Hierarchy, nn.CheckpointMeta{
 		Source:   sm.Version, // the student version the table derives from
@@ -993,7 +954,7 @@ func (l *Learner) tabularizeLocked(gated bool) (*Table, error) {
 		Loss:     loss,
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	l.dartCost.Store(&cost)
 	l.dartPublished.Add(1)
@@ -1002,194 +963,91 @@ func (l *Learner) tabularizeLocked(gated bool) (*Table, error) {
 		admit.Version = tab.Version
 		l.pol.record(admit)
 	}
-	return tab, nil
+	return tab.Version, nil
 }
 
-// logForced records a wire-forced swap/rollback in the decision log: forced
-// verbs bypass the admission gate by design (an operator outranks the
-// policy), but the log still covers every publish so the `policy` verb shows
-// the full promotion history.
-func (l *Learner) logForced(class, action string, ver uint64) {
-	if l.pol == nil {
-		return
-	}
-	l.pol.record(Decision{Class: class, Action: action, Version: ver,
-		Reason: "forced via wire verb (gate bypassed)"})
-}
-
-// SwapDart force-runs one tabularization cycle immediately (the serve
-// protocol's "swap" verb with the dart class selector), publishing a fresh
-// table from the currently published student — even an unchanged one, since
-// the reservoir the kernels fit on keeps moving. The admission gate is
-// bypassed; with the policy engine enabled the forced publish is still
-// logged. Serving picks the table up at the next inference batch.
-func (l *Learner) SwapDart() (*Table, error) {
-	if l.dartStore == nil {
-		return nil, fmt.Errorf("online: no dart tier configured")
-	}
-	l.tabMu.Lock()
-	defer l.tabMu.Unlock()
-	t, err := l.tabularizeLocked(false)
-	if err != nil {
-		return nil, err
-	}
-	l.logForced(DartClass, ActionAdmit, t.Version)
-	return t, nil
-}
-
-// rollbackDart reverts the served table to the previously published version
-// without logging a decision — the policy engine's divergence rollback logs
-// its own decision with the agreement evidence. There is no shadow to reset
-// — tables are derived artifacts — but the rolled-back source version is
-// forgotten so the next duty cycle rebuilds from the current student instead
-// of skipping as "unchanged".
-func (l *Learner) rollbackDart() (*Table, error) {
-	if l.dartStore == nil {
-		return nil, fmt.Errorf("online: no dart tier configured")
-	}
+// revertDart rolls the served table back one version. There is no shadow to
+// reset — tables are derived artifacts — but the rolled-back source version
+// is forgotten so the next duty cycle rebuilds from the current student
+// instead of skipping as "unchanged".
+func (l *Learner) revertDart() (uint64, error) {
 	l.tabMu.Lock()
 	defer l.tabMu.Unlock()
 	t, err := l.dartStore.Rollback()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	cost := t.H.Cost()
 	l.dartCost.Store(&cost)
 	l.dartSrcVer = 0
-	return t, nil
+	return t.Version, nil
 }
 
-// RollbackDart reverts the served table to the previously published version
-// (the serve protocol's "rollback" verb with the dart class selector).
-func (l *Learner) RollbackDart() (*Table, error) {
-	t, err := l.rollbackDart()
-	if err != nil {
-		return nil, err
-	}
-	l.logForced(DartClass, ActionRollback, t.Version)
-	return t, nil
-}
-
-// Swap force-publishes the current shadow as a new version immediately (the
-// serve protocol's "swap" verb). Serving picks it up at the next inference
-// batch.
-func (l *Learner) Swap() (*Model, error) {
-	l.trainMu.Lock()
-	m, err := l.publishLocked()
-	l.trainMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	l.logForced("teacher", ActionAdmit, m.Version)
-	return m, nil
-}
-
-// Rollback reverts serving to the previously published version and resets
-// the shadow (and its optimizer state) to those weights, so training
-// continues from the rolled-back point rather than republishing the bad
-// ones.
-func (l *Learner) Rollback() (*Model, error) {
-	l.trainMu.Lock()
-	m, err := l.store.Rollback()
-	if err != nil {
-		l.trainMu.Unlock()
-		return nil, err
-	}
-	if err := nn.CopyParams(l.shadow, m.Net); err != nil {
-		l.trainMu.Unlock()
-		return nil, fmt.Errorf("online: rollback: %w", err)
-	}
-	l.tr = nn.NewTrainer(l.shadow, nn.NewAdam(l.cfg.LR), l.cfg.BatchSize, l.rng)
-	l.trainMu.Unlock()
-	l.logForced("teacher", ActionRollback, m.Version)
-	return m, nil
-}
-
-// SwapStudent force-publishes the current student shadow as a new student
-// version immediately (the serve protocol's "swap" verb with the student
-// class selector), bypassing the admission gate.
-func (l *Learner) SwapStudent() (*Model, error) {
-	if l.studentStore == nil {
-		return nil, fmt.Errorf("online: no distilled-student tier configured")
-	}
-	l.trainMu.Lock()
-	m, err := l.publishStudentLocked()
-	l.trainMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	l.logForced(StudentClass, ActionAdmit, m.Version)
-	return m, nil
-}
-
-// rollbackStudent reverts the served student to the previously published
-// version and resets the student shadow (and its optimizer state) to those
-// weights, mirroring Rollback for the teacher class. No decision is logged —
-// the policy engine's divergence rollback logs its own.
-func (l *Learner) rollbackStudent() (*Model, error) {
-	if l.studentStore == nil {
-		return nil, fmt.Errorf("online: no distilled-student tier configured")
-	}
+// revertNN rolls an nn class back one version and resets its training
+// shadow to those weights and (through resetOpt) its optimizer state, so
+// training continues from the rolled-back point rather than republishing the
+// bad weights.
+func (l *Learner) revertNN(store *Store, shadow nn.Layer, resetOpt func()) (uint64, error) {
 	l.trainMu.Lock()
 	defer l.trainMu.Unlock()
-	m, err := l.studentStore.Rollback()
+	m, err := store.Rollback()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if err := nn.CopyParams(l.student, m.Net); err != nil {
-		return nil, fmt.Errorf("online: student rollback: %w", err)
+	if err := nn.CopyParams(shadow, m.Net); err != nil {
+		return 0, fmt.Errorf("online: rollback: %w", err)
 	}
-	lr := l.cfg.Distill.LR
-	if lr == 0 {
-		lr = l.cfg.LR
-	}
-	l.sopt = nn.NewAdam(lr)
-	return m, nil
+	resetOpt()
+	return m.Version, nil
 }
 
-// RollbackStudent reverts the served student to the previously published
-// version (the serve protocol's "rollback" verb with the student class
-// selector).
-func (l *Learner) RollbackStudent() (*Model, error) {
-	m, err := l.rollbackStudent()
+// Swap, SwapStudent and SwapDart force-publish one class; they are kept as
+// named forwarders to Class.Swap for callers compiled against them.
+func (l *Learner) Swap() (uint64, error)        { return l.forceSwap(TeacherClass) }
+func (l *Learner) SwapStudent() (uint64, error) { return l.forceSwap(StudentClass) }
+func (l *Learner) SwapDart() (uint64, error)    { return l.forceSwap(DartClass) }
+
+func (l *Learner) forceSwap(name string) (uint64, error) {
+	c, err := l.Class(name)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	l.logForced(StudentClass, ActionRollback, m.Version)
-	return m, nil
+	return c.Swap()
 }
 
-// Stats is a point-in-time snapshot of the learner.
+// Stats is a point-in-time snapshot of the learner. The JSON form is the
+// wire protocol's "online" object (docs/PROTOCOL.md); the per-tier fields are
+// omitted while zero, i.e. for a tier the learner does not run.
 type Stats struct {
-	Version   uint64  // currently served model version
-	Published uint64  // versions published since start
-	Sessions  int     // attached sessions
-	Ingested  uint64  // events consumed from session rings
-	Dropped   uint64  // events lost to full rings
-	Useful    uint64  // FeedbackUseful events seen
-	Late      uint64  // FeedbackLate events seen
-	Examples  uint64  // training examples assembled
-	Trained   uint64  // examples consumed by optimizer steps
-	Steps     uint64  // optimizer steps taken
-	Loss      float64 // online loss EWMA (fast horizon)
-	LossTrend float64 // fast minus slow EWMA; negative = improving
-	PerSec    float64 // feedback-event ingest throughput since start
+	Version   uint64  `json:"version"`          // currently served model version
+	Published uint64  `json:"published"`        // versions published since start
+	Sessions  int     `json:"sessions"`         // attached sessions
+	Ingested  uint64  `json:"ingested"`         // events consumed from session rings
+	Dropped   uint64  `json:"dropped"`          // events lost to full rings
+	Useful    uint64  `json:"useful"`           // FeedbackUseful events seen
+	Late      uint64  `json:"late"`             // FeedbackLate events seen
+	Examples  uint64  `json:"examples"`         // training examples assembled
+	Trained   uint64  `json:"trained"`          // examples consumed by optimizer steps
+	Steps     uint64  `json:"steps"`            // optimizer steps taken
+	Loss      float64 `json:"loss"`             // online loss EWMA (fast horizon)
+	LossTrend float64 `json:"loss_trend"`       // fast minus slow EWMA; negative = improving
+	PerSec    float64 `json:"feedback_per_sec"` // feedback-event ingest throughput since start
 
 	// Distilled-student tier; all zero when the tier is disabled.
-	StudentVersion   uint64  // currently served student version
-	StudentPublished uint64  // student versions published since start
-	Distilled        uint64  // examples consumed by distillation steps
-	DistillSteps     uint64  // distillation optimizer steps taken
-	DistillLoss      float64 // combined KD+BCE loss EWMA (fast horizon)
-	DistillTrend     float64 // fast minus slow EWMA; negative = improving
+	StudentVersion   uint64  `json:"student_version,omitempty"`   // currently served student version
+	StudentPublished uint64  `json:"student_published,omitempty"` // student versions published since start
+	Distilled        uint64  `json:"distilled,omitempty"`         // examples consumed by distillation steps
+	DistillSteps     uint64  `json:"distill_steps,omitempty"`     // distillation optimizer steps taken
+	DistillLoss      float64 `json:"distill_loss,omitempty"`      // combined KD+BCE loss EWMA (fast horizon)
+	DistillTrend     float64 `json:"distill_trend,omitempty"`     // fast minus slow EWMA; negative = improving
 
 	// Dart (tabularized) tier; all zero when the tier is disabled.
-	DartVersion   uint64  // currently served table version (0 until the first publish)
-	DartPublished uint64  // table versions published since start
-	Tabularized   uint64  // tabularization cycles run (candidates actually built)
-	DartAttempts  uint64  // duty cycles that considered work: builds + counted skips
-	DartSkips     uint64  // cycles skipped for an unchanged or below-delta student
-	TabularizeMs  float64 // cumulative wall time spent tabularizing, milliseconds
+	DartVersion   uint64  `json:"dart_version,omitempty"`   // currently served table version (0 until the first publish)
+	DartPublished uint64  `json:"dart_published,omitempty"` // table versions published since start
+	Tabularized   uint64  `json:"tabularized,omitempty"`    // tabularization cycles run (candidates actually built)
+	DartAttempts  uint64  `json:"dart_attempts,omitempty"`  // duty cycles that considered work: builds + counted skips
+	DartSkips     uint64  `json:"dart_skips,omitempty"`     // cycles skipped for an unchanged or below-delta student
+	TabularizeMs  float64 `json:"tabularize_ms,omitempty"`  // cumulative wall time spent tabularizing, milliseconds
 }
 
 // Stats snapshots the learner's counters.
@@ -1232,65 +1090,11 @@ func (l *Learner) Stats() Stats {
 		}
 	}
 	l.trainMu.Lock()
-	st.Loss = l.lossFast
-	st.LossTrend = l.lossFast - l.lossSlow
-	st.DistillLoss = l.distLossFast
-	st.DistillTrend = l.distLossFast - l.distLossSlow
+	st.Loss, st.LossTrend = l.loss.fast, l.loss.fast-l.loss.slow
+	st.DistillLoss, st.DistillTrend = l.distLoss.fast, l.distLoss.fast-l.distLoss.slow
 	l.trainMu.Unlock()
 	if el := time.Since(l.start).Seconds(); el > 0 {
 		st.PerSec = float64(st.Ingested) / el
 	}
 	return st
-}
-
-// ClassInfo describes one serving class of the versioned store — the rows
-// of the wire protocol's "classes" verb.
-type ClassInfo struct {
-	Class        string   // wire name: "teacher", "student", "dart"
-	Version      uint64   // currently served version (0 when none published yet)
-	Versions     []uint64 // versions held for rollback, oldest first
-	Published    uint64   // publishes since start
-	Latency      int      // modelled inference latency (cycles)
-	StorageBytes int      // modelled predictor storage
-}
-
-// Classes lists every serving class this learner versions, teacher first.
-func (l *Learner) Classes() []ClassInfo {
-	out := []ClassInfo{{
-		Class:        "teacher",
-		Versions:     l.store.Versions(),
-		Published:    l.published.Load(),
-		Latency:      l.cfg.Latency,
-		StorageBytes: l.cfg.StorageBytes,
-	}}
-	if m := l.store.Load(); m != nil {
-		out[0].Version = m.Version
-	}
-	if l.studentStore != nil {
-		ci := ClassInfo{
-			Class:        StudentClass,
-			Versions:     l.studentStore.Versions(),
-			Published:    l.studentPublished.Load(),
-			Latency:      l.cfg.StudentLatency,
-			StorageBytes: l.cfg.StudentStorageBytes,
-		}
-		if m := l.studentStore.Load(); m != nil {
-			ci.Version = m.Version
-		}
-		out = append(out, ci)
-	}
-	if l.dartStore != nil {
-		ci := ClassInfo{
-			Class:        DartClass,
-			Versions:     l.dartStore.Versions(),
-			Published:    l.dartPublished.Load(),
-			Latency:      l.DartLatency(),
-			StorageBytes: l.DartStorageBytes(),
-		}
-		if t := l.dartStore.Load(); t != nil {
-			ci.Version = t.Version
-		}
-		out = append(out, ci)
-	}
-	return out
 }

@@ -172,7 +172,7 @@ func TestLearnerTrainsAndSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := l.Serving(); v == nil || v.Version != 1 {
+	if v := class(t, l, TeacherClass).Store().Load(); v == nil || v.Version != 1 {
 		t.Fatalf("initial version %+v, want v1", v)
 	}
 
@@ -201,11 +201,11 @@ func TestLearnerTrainsAndSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Version < 2 {
-		t.Fatalf("swap published v%d, want ≥2", m.Version)
+	if m < 2 {
+		t.Fatalf("swap published v%d, want ≥2", m)
 	}
-	if cur := l.Serving(); cur.Version != m.Version {
-		t.Fatalf("serving v%d after swap to v%d", cur.Version, m.Version)
+	if cur := class(t, l, TeacherClass).Store().Load(); cur.Version != m {
+		t.Fatalf("serving v%d after swap to v%d", cur.Version, m)
 	}
 
 	st := l.Stats()
@@ -224,7 +224,7 @@ func TestLearnerTrainsAndSwaps(t *testing.T) {
 	if got == nil {
 		t.Fatal("no checkpoint recovered")
 	}
-	cur := l.Serving()
+	cur := class(t, l, TeacherClass).Store().Load()
 	if got.Version != cur.Version {
 		t.Fatalf("recovered v%d, serving v%d", got.Version, cur.Version)
 	}
@@ -246,30 +246,30 @@ func TestLearnerRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Rollback(); err == nil {
+	if _, err := class(t, l, TeacherClass).Rollback(); err == nil {
 		t.Fatal("rollback with a single version accepted")
 	}
 	v2, err := l.Swap()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.Version != 2 {
-		t.Fatalf("swap gave v%d, want 2", v2.Version)
+	if v2 != 2 {
+		t.Fatalf("swap gave v%d, want 2", v2)
 	}
-	back, err := l.Rollback()
+	back, err := class(t, l, TeacherClass).Rollback()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Version != 1 || l.Serving().Version != 1 {
-		t.Fatalf("rollback landed on v%d (serving v%d), want 1", back.Version, l.Serving().Version)
+	if back != 1 || class(t, l, TeacherClass).Version() != 1 {
+		t.Fatalf("rollback landed on v%d (serving v%d), want 1", back, class(t, l, TeacherClass).Version())
 	}
 	// Next publish continues the version sequence.
 	v3, err := l.Swap()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v3.Version != 3 {
-		t.Fatalf("post-rollback publish gave v%d, want 3", v3.Version)
+	if v3 != 3 {
+		t.Fatalf("post-rollback publish gave v%d, want 3", v3)
 	}
 }
 
@@ -286,7 +286,7 @@ func TestLearnerWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := l.Serving().Net.Params()
+	sp := class(t, l, TeacherClass).Store().Load().Net.Params()
 	ip := init.Params()
 	for i := range ip {
 		for j, v := range ip[i].W.Data {

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dart/internal/mat"
 	"dart/internal/nn"
 )
 
@@ -139,8 +138,9 @@ type liveGate struct {
 // Policy is the promotion policy engine. All methods are safe for
 // concurrent use; ObserveLive is the serving hot path and allocation-free.
 type Policy struct {
-	cfg PolicyConfig
-	log *decisionLog
+	cfg     PolicyConfig
+	log     *decisionLog
+	classes []string // gated classes, in the order given to NewPolicy
 
 	mu    sync.Mutex
 	admit map[string]*admitGate
@@ -163,6 +163,7 @@ func NewPolicy(cfg PolicyConfig, classes ...string) *Policy {
 	p := &Policy{
 		cfg:        cfg,
 		log:        newDecisionLog(cfg.LogCap),
+		classes:    classes,
 		admit:      make(map[string]*admitGate, len(classes)),
 		live:       make(map[string]*liveGate, len(classes)),
 		rollbackFn: make(map[string]func() (uint64, error), len(classes)),
@@ -215,6 +216,28 @@ func (p *Policy) admitVerdict(class string) (agree float64, batches int, labels 
 	}
 	g.match, g.total, g.batches = 0, 0, 0
 	return agree, batches, labels, agree >= p.cfg.AdmitThreshold
+}
+
+// decide closes the admission window of d.Class for a candidate whose
+// modelled cost d carries, and completes d with the evidence and the verdict:
+// a hold when the cost is over the class budget or the agreement under
+// AdmitThreshold, an admit otherwise. The caller records the decision — an
+// admit only once its publish succeeded and the version is known.
+func (p *Policy) decide(d Decision) (Decision, bool) {
+	var ok bool
+	d.Agreement, d.Batches, d.Labels, ok = p.admitVerdict(d.Class)
+	if fits, reason := p.budgetCheck(d.Class, d.LatencyCycles, d.StorageBytes); !fits {
+		d.Action, d.Reason = ActionHold, "budget: "+reason
+		return d, false
+	}
+	d.Action = ActionAdmit
+	op := ">="
+	if !ok {
+		d.Action, op = ActionHold, "<"
+	}
+	d.Reason = fmt.Sprintf("agreement %.3f %s %.2f over %d shadow batches",
+		d.Agreement, op, p.cfg.AdmitThreshold, d.Batches)
+	return d, ok
 }
 
 // budgetCheck compares a candidate's modelled cost against the class budget.
@@ -365,44 +388,18 @@ func (p *Policy) Stats() PolicyStats {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, class := range []string{StudentClass, DartClass} {
+	for _, class := range p.classes {
 		a, l := p.admit[class], p.live[class]
-		if a == nil && l == nil {
-			continue
+		g := GateState{
+			Class: class, PendingBatches: a.batches,
+			LiveVersion: l.ver, LiveAgreement: l.agree, LiveWindows: l.windows, Divergent: l.divergent,
 		}
-		g := GateState{Class: class}
-		if a != nil {
-			g.PendingBatches = a.batches
-			if a.total > 0 {
-				g.PendingAgreement = float64(a.match) / float64(a.total)
-			}
-		}
-		if l != nil {
-			g.LiveVersion = l.ver
-			g.LiveAgreement = l.agree
-			g.LiveWindows = l.windows
-			g.Divergent = l.divergent
+		if a.total > 0 {
+			g.PendingAgreement = float64(a.match) / float64(a.total)
 		}
 		st.Gates = append(st.Gates, g)
 	}
 	return st
-}
-
-// agreementCount compares two logit tensors label-by-label and counts how
-// many land on the same side of the decision boundary (logit 0 ≡ probability
-// 0.5) — the same agreement measure as the serve engine's A/B shadow
-// compare.
-func agreementCount(a, b *mat.Tensor) (match, total uint64) {
-	n := len(a.Data)
-	if len(b.Data) < n {
-		n = len(b.Data)
-	}
-	for i := 0; i < n; i++ {
-		if (a.Data[i] >= 0) == (b.Data[i] >= 0) {
-			match++
-		}
-	}
-	return match, uint64(n)
 }
 
 // meanCosine averages per-layer tabularization fidelity diagnostics.

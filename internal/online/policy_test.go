@@ -282,7 +282,7 @@ func TestGateAdmitsHealthyStudent(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillReservoir(l, 64)
-	v0 := l.StudentServing().Version
+	v0 := class(t, l, StudentClass).Version()
 
 	l.trainMu.Lock()
 	if err := nn.CopyParams(l.student, l.store.Load().Net); err != nil {
@@ -294,7 +294,7 @@ func TestGateAdmitsHealthyStudent(t *testing.T) {
 	}
 	l.trainMu.Unlock()
 
-	if got := l.StudentServing().Version; got != v0+1 {
+	if got := class(t, l, StudentClass).Version(); got != v0+1 {
 		t.Fatalf("healthy candidate not admitted: student v%d, want v%d", got, v0+1)
 	}
 	ds := l.Policy().Decisions()
@@ -320,7 +320,7 @@ func TestGateHoldsDegradedStudent(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillReservoir(l, 64)
-	v0 := l.StudentServing().Version
+	v0 := class(t, l, StudentClass).Version()
 
 	l.trainMu.Lock()
 	// Degrade the candidate: random logits against the teacher's.
@@ -335,7 +335,7 @@ func TestGateHoldsDegradedStudent(t *testing.T) {
 	}
 	l.trainMu.Unlock()
 
-	if got := l.StudentServing().Version; got != v0 {
+	if got := class(t, l, StudentClass).Version(); got != v0 {
 		t.Fatalf("degraded candidate published: student v%d, want v%d", got, v0)
 	}
 	st := l.Policy().Stats()
@@ -365,13 +365,13 @@ func TestGateBudgetHoldsStudent(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillReservoir(l, 64)
-	v0 := l.StudentServing().Version
+	v0 := class(t, l, StudentClass).Version()
 	l.trainMu.Lock()
 	if err := nn.CopyParams(l.student, l.store.Load().Net); err == nil {
 		l.gateStudentLocked()
 	}
 	l.trainMu.Unlock()
-	if got := l.StudentServing().Version; got != v0 {
+	if got := class(t, l, StudentClass).Version(); got != v0 {
 		t.Fatalf("over-budget candidate published: v%d", got)
 	}
 	ds := l.Policy().Decisions()
@@ -403,12 +403,12 @@ func TestGatedDartAdmitAndEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l.DartServing(); got == nil || got.Version != tab.Version {
+	if got := class(t, l, DartClass).Tables().Load(); got == nil || got.Version != tab {
 		t.Fatal("gated admit did not publish the table")
 	}
 	ds := l.Policy().Decisions()
 	last := ds[len(ds)-1]
-	if last.Action != ActionAdmit || last.Class != DartClass || last.Version != tab.Version {
+	if last.Action != ActionAdmit || last.Class != DartClass || last.Version != tab {
 		t.Fatalf("dart admit decision: %+v", last)
 	}
 	if last.Cosine <= 0 || last.Batches != 2 || last.LatencyCycles <= 0 || last.StorageBytes <= 0 {
@@ -433,7 +433,7 @@ func TestGatedDartHeldBelowThreshold(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "held") {
 		t.Fatalf("gated build returned %v, want held error", err)
 	}
-	if l.DartServing() != nil {
+	if class(t, l, DartClass).Tables().Load() != nil {
 		t.Fatal("held candidate was published")
 	}
 	st := l.Stats()
@@ -505,7 +505,7 @@ func TestMinSourceDeltaSkipsRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := l.DartServing().Version
+	v1 := class(t, l, DartClass).Version()
 
 	// Republish the student with identical parameters: a new version, but a
 	// param delta of exactly 0 — below the configured floor.
@@ -513,7 +513,7 @@ func TestMinSourceDeltaSkipsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.maybeTabularize()
-	if got := l.DartServing().Version; got != v1 {
+	if got := class(t, l, DartClass).Version(); got != v1 {
 		t.Fatalf("below-delta student rebuilt the table (v%d -> v%d)", v1, got)
 	}
 	st := l.Stats()
@@ -538,7 +538,7 @@ func TestMinSourceDeltaSkipsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.maybeTabularize()
-	if got := l.DartServing().Version; got == v1 {
+	if got := class(t, l, DartClass).Version(); got == v1 {
 		t.Fatal("over-delta student did not rebuild")
 	}
 }
@@ -617,7 +617,7 @@ func TestForcedVerbsLogDecisions(t *testing.T) {
 	if _, err := l.SwapDart(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.RollbackStudent(); err != nil {
+	if _, err := class(t, l, StudentClass).Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	ds := l.Policy().Decisions()
@@ -643,7 +643,7 @@ func TestAgreementCount(t *testing.T) {
 	b := mat.NewTensor(1, 1, 4)
 	copy(a.Data, []float64{1, -1, 0.5, -2})
 	copy(b.Data, []float64{2, -3, -0.5, -1})
-	match, total := agreementCount(a, b)
+	match, total := Agreement(a, b)
 	if match != 3 || total != 4 {
 		t.Fatalf("agreement %d/%d, want 3/4", match, total)
 	}

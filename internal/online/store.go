@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dart/internal/mat"
 	"dart/internal/nn"
 )
 
@@ -166,6 +167,16 @@ func (c *core[P]) readCheckpoint(path string) (*rev[P], error) {
 // load returns the current revision, or nil before the first publish of an
 // empty core. Lock-free; safe from any goroutine.
 func (c *core[P]) load() *rev[P] { return c.cur.Load() }
+
+// version is the current revision's number, 0 before the first publish.
+func (c *core[P]) version() uint64 {
+	if r := c.cur.Load(); r != nil {
+		return r.version
+	}
+	return 0
+}
+
+func (c *core[P]) skippedFiles() []string { return c.skipped }
 
 // publish snapshots src via the codec, assigns it the next version number,
 // checkpoints it to disk (when configured), and atomically makes it the
@@ -327,6 +338,16 @@ func (s *Store) Load() *Model { return s.model(s.c.load()) }
 
 // Class names the model class this store versions ("" = default/teacher).
 func (s *Store) Class() string { return s.c.class }
+
+// infer runs one batch through the current model; ok is false while the
+// store is empty. Forward is not reentrant: one goroutine per store.
+func (s *Store) infer(in *mat.Tensor) (*mat.Tensor, uint64, bool) {
+	r := s.c.load()
+	if r == nil {
+		return nil, 0, false
+	}
+	return r.val.Forward(in), r.version, true
+}
 
 // Fresh returns a new network of this store's architecture — the hook
 // callers use to build private inference clones of published models (a

@@ -149,13 +149,13 @@ func TestLearnerDistillsStudent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.HasStudent() {
+	if !hasClass(l, StudentClass) {
 		t.Fatal("student tier not enabled")
 	}
-	if v := l.StudentServing(); v == nil || v.Version != 1 {
+	if v := class(t, l, StudentClass).Store().Load(); v == nil || v.Version != 1 {
 		t.Fatalf("initial student %+v, want v1", v)
 	}
-	if nn.ParamCount(l.StudentServing().Net) >= nn.ParamCount(l.Serving().Net) {
+	if nn.ParamCount(class(t, l, StudentClass).Store().Load().Net) >= nn.ParamCount(class(t, l, TeacherClass).Store().Load().Net) {
 		t.Fatal("student is not smaller than the teacher")
 	}
 
@@ -186,18 +186,18 @@ func TestLearnerDistillsStudent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Version < 2 {
-		t.Fatalf("student swap published v%d, want ≥2", m.Version)
+	if m < 2 {
+		t.Fatalf("student swap published v%d, want ≥2", m)
 	}
-	if m.Meta.Class != StudentClass {
-		t.Fatalf("published class %q", m.Meta.Class)
+	if pub := class(t, l, StudentClass).Store().Load(); pub.Version != m || pub.Meta.Class != StudentClass {
+		t.Fatalf("published v%d class %q, want v%d class %q", pub.Version, pub.Meta.Class, m, StudentClass)
 	}
 	st := l.Stats()
-	if st.Distilled == 0 || st.DistillLoss == 0 || st.StudentVersion != m.Version {
+	if st.Distilled == 0 || st.DistillLoss == 0 || st.StudentVersion != m {
 		t.Fatalf("student stats did not move: %+v", st)
 	}
 	// Teacher sequence unaffected by student publishes.
-	if got := l.Serving().Version; got != 1 {
+	if got := class(t, l, TeacherClass).Version(); got != 1 {
 		t.Fatalf("teacher moved to v%d on student activity", got)
 	}
 	l.Detach("s0")
@@ -209,7 +209,7 @@ func TestLearnerDistillsStudent(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := rec.Load()
-	cur := l.StudentServing()
+	cur := class(t, l, StudentClass).Store().Load()
 	if got == nil || got.Version != cur.Version {
 		t.Fatalf("recovered student %+v, serving v%d", got, cur.Version)
 	}
@@ -227,8 +227,8 @@ func TestLearnerDistillsStudent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.StudentServing().Version != cur.Version {
-		t.Fatalf("restart student v%d, want v%d", l2.StudentServing().Version, cur.Version)
+	if class(t, l2, StudentClass).Version() != cur.Version {
+		t.Fatalf("restart student v%d, want v%d", class(t, l2, StudentClass).Version(), cur.Version)
 	}
 }
 
@@ -241,26 +241,27 @@ func TestStudentSwapRollbackCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2, err := l.SwapStudent()
-	if err != nil || v2.Version != 2 {
+	if err != nil || v2 != 2 {
 		t.Fatalf("swap: %+v, %v", v2, err)
 	}
-	if v3, err := l.SwapStudent(); err != nil || v3.Version != 3 {
+	if v3, err := l.SwapStudent(); err != nil || v3 != 3 {
 		t.Fatalf("swap: %+v, %v", v3, err)
 	}
-	back, err := l.RollbackStudent()
+	student := class(t, l, StudentClass)
+	back, err := student.Rollback()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Version != 2 || l.StudentServing().Version != 2 {
-		t.Fatalf("rollback landed on v%d", back.Version)
+	if back != 2 || student.Version() != 2 {
+		t.Fatalf("rollback landed on v%d", back)
 	}
 	// The shadow was reset to the rolled-back weights: a fresh swap
 	// republishes exactly them (no training ran in between).
-	again, err := l.SwapStudent()
-	if err != nil {
+	bp := student.Store().Load().Net.Params()
+	if _, err := l.SwapStudent(); err != nil {
 		t.Fatal(err)
 	}
-	bp, ap := back.Net.Params(), again.Net.Params()
+	ap := student.Store().Load().Net.Params()
 	for i := range bp {
 		for j, v := range bp[i].W.Data {
 			if ap[i].W.Data[j] != v {
@@ -270,11 +271,11 @@ func TestStudentSwapRollbackCycle(t *testing.T) {
 	}
 	// The teacher still holds only v1 — its rollback must fail, and the
 	// student activity must not have moved it.
-	if _, err := l.Rollback(); err == nil {
+	if _, err := class(t, l, TeacherClass).Rollback(); err == nil {
 		t.Fatal("teacher rollback succeeded with a single version")
 	}
-	if l.Serving().Version != 1 {
-		t.Fatalf("teacher moved to v%d", l.Serving().Version)
+	if class(t, l, TeacherClass).Version() != 1 {
+		t.Fatalf("teacher moved to v%d", class(t, l, TeacherClass).Version())
 	}
 }
 
@@ -306,14 +307,11 @@ func TestStudentVerbsWithoutTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.HasStudent() || l.StudentServing() != nil || l.StudentStore() != nil {
-		t.Fatal("student tier reported on a teacher-only learner")
+	if c, err := l.Class(StudentClass); err == nil || c != nil || len(l.Classes()) != 1 {
+		t.Fatalf("student tier reported on a teacher-only learner: %v, %v", c, err)
 	}
 	if _, err := l.SwapStudent(); err == nil {
 		t.Fatal("SwapStudent succeeded without a tier")
-	}
-	if _, err := l.RollbackStudent(); err == nil {
-		t.Fatal("RollbackStudent succeeded without a tier")
 	}
 }
 

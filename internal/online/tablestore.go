@@ -3,15 +3,10 @@ package online
 import (
 	"io"
 
+	"dart/internal/mat"
 	"dart/internal/nn"
 	"dart/internal/tabular"
 )
-
-// DartClass names the tabularized serving class in the versioned store
-// (checkpoint files, metadata, and the wire protocol's class selector). The
-// paper's deployment artifact is the table hierarchy, not the network —
-// this is the class production sessions are meant to pin.
-const DartClass = "dart"
 
 // DefaultTabularConfig is the dart tier's serving tabularization default,
 // used when Config.Dart is set without an explicit Config.Tabular: an LSH
@@ -90,6 +85,16 @@ func (s *TableStore) Load() *Table { return s.table(s.c.load()) }
 
 // Class names the model class this store versions.
 func (s *TableStore) Class() string { return s.c.class }
+
+// infer runs one batch through the current table; ok is false while the
+// store is empty.
+func (s *TableStore) infer(in *mat.Tensor) (*mat.Tensor, uint64, bool) {
+	r := s.c.load()
+	if r == nil {
+		return nil, 0, false
+	}
+	return r.val.QueryBatch(in), r.version, true
+}
 
 // Publish assigns h the next version number, checkpoints it to disk (when
 // configured), and atomically makes it the current version. Ownership of h

@@ -67,25 +67,6 @@ func (r *Registry) MakeOnline(name string, pred BitmapPredictor, cfg dataprep.Co
 	})
 }
 
-// MakeStudent registers name as the distilled-student model class: the same
-// shared-predictor wiring as MakeOnline, but the returned prefetchers carry
-// the student's (smaller) latency and storage model, so simulator results
-// reflect the compact predictor the paper's deployment story actually runs.
-// pred is typically the serving engine's student admission batcher, which
-// hot-swaps published student versions (with teacher fallback) underneath.
-func (r *Registry) MakeStudent(name string, pred BitmapPredictor, cfg dataprep.Config, latency, storageBytes int) {
-	r.MakeOnline(name, pred, cfg, latency, storageBytes)
-}
-
-// MakeDart registers name as the tabularized (dart) model class: shared-
-// predictor wiring over the serving engine's dart admission batcher, which
-// hot-swaps published tabular.Hierarchy versions (with student fallback
-// while no table exists) underneath, with the table's analytic latency and
-// storage model — the serving cost the paper's deployment argument rests on.
-func (r *Registry) MakeDart(name string, pred BitmapPredictor, cfg dataprep.Config, latency, storageBytes int) {
-	r.MakeOnline(name, pred, cfg, latency, storageBytes)
-}
-
 // New instantiates a fresh prefetcher by name.
 func (r *Registry) New(name string, degree int) (sim.Prefetcher, error) {
 	r.mu.RLock()

@@ -273,23 +273,30 @@ func (b *batcher) stop() {
 // batchedModel adapts a batcher to prefetch.BitmapPredictor, the hook that
 // lets each session keep a private NNPrefetcher (history ring, degree) while
 // sharing one model and one admission batcher with every other session. The
-// tenant tag routes the session's queries into its fair-share queue.
+// tenant tag routes the session's queries into its fair-share queue. The
+// model version that served each query is written to *ver, which is owned by
+// the session actor goroutine (Logits is only ever called from inside that
+// session's sim.Step). The actor reads it back after the step to tag
+// responses — the mechanism behind "sessions pick up a new version at step
+// boundaries".
 type batchedModel struct {
 	b      *batcher
 	tenant string
+	ver    *uint64
 }
 
-// Logits routes the query through the admission batcher.
+// Logits routes the query through the admission batcher and records the
+// serving version.
 func (m batchedModel) Logits(x *mat.Matrix) []float64 {
-	logits, _ := m.b.inferOne(x, m.tenant)
+	logits, v := m.b.inferOne(x, m.tenant)
+	*m.ver = v
 	return logits
 }
 
 // modelMirror is a private, lazily-refreshed parameter clone of the model
-// class published by one nn store. A batcher that needs another class's
-// inference (the student batcher's teacher fallback and A/B shadow-compare,
-// the dart batcher's student fallback) must never call Forward on the
-// published Model.Net — that instance's activation caches belong to its own
+// class published by one nn store. A batcher that needs its source class's
+// inference (the fallback while its own class is empty, the shadow-compare)
+// must never call Forward on the published Model.Net — that instance's activation caches belong to its own
 // batcher's dispatch goroutine. The mirror copies parameters on version
 // change instead; it is only ever touched from its owning batcher's dispatch
 // goroutine.
@@ -314,60 +321,4 @@ func (t *modelMirror) resolve() (nn.Layer, uint64) {
 		}
 	}
 	return t.net, m.Version
-}
-
-// studentInfer runs one batch through the student model, falling back to the
-// (mirrored) teacher when no student version is available — the tier degrades
-// to teacher-quality serving instead of failing. The reported version is the
-// student's, or the teacher's on the fallback path.
-func studentInfer(stu *online.Model, mirror *modelMirror, in *mat.Tensor) (*mat.Tensor, uint64) {
-	if stu == nil {
-		net, ver := mirror.resolve()
-		return net.Forward(in), ver
-	}
-	return stu.Net.Forward(in), stu.Version
-}
-
-// dartInfer runs one batch through the published table hierarchy, falling
-// back to the (mirrored) student while no table version exists yet — the
-// tabularizer needs streamed examples before it can build its first table,
-// so the tier degrades to student-quality serving instead of failing. The
-// reported version is the table's, or the student's on the fallback path.
-func dartInfer(tab *online.Table, mirror *modelMirror, in *mat.Tensor) (*mat.Tensor, uint64) {
-	if tab == nil {
-		net, ver := mirror.resolve()
-		return net.Forward(in), ver
-	}
-	return tab.H.QueryBatch(in), tab.Version
-}
-
-// agreement counts per-label prediction matches between two logit tensors:
-// a label "agrees" when both models land on the same side of the p = 0.5
-// decision threshold the prefetcher applies.
-func agreement(a, b *mat.Tensor) (match, total uint64) {
-	for i, v := range a.Data {
-		if (v > 0) == (b.Data[i] > 0) {
-			match++
-		}
-	}
-	return match, uint64(len(a.Data))
-}
-
-// versionedModel is batchedModel plus version observation: the model version
-// that served each query is written to *ver, which is owned by the session
-// actor goroutine (Logits is only ever called from inside that session's
-// sim.Step). The actor reads it back after the step to tag responses — the
-// mechanism behind "sessions pick up a new version at step boundaries".
-type versionedModel struct {
-	b      *batcher
-	tenant string
-	ver    *uint64
-}
-
-// Logits routes the query through the admission batcher and records the
-// serving version.
-func (m versionedModel) Logits(x *mat.Matrix) []float64 {
-	logits, v := m.b.inferOne(x, m.tenant)
-	*m.ver = v
-	return logits
 }

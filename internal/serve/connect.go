@@ -44,9 +44,6 @@ func WithTimeout(d time.Duration) Option {
 //	c, err := serve.Connect("127.0.0.1:7381")                       // binary
 //	c, err := serve.Connect(addr, serve.WithProtocol("json"),
 //	        serve.WithTimeout(time.Second))
-//
-// Deprecated wrappers Dial and NewClient remain for the old two-constructor
-// surface.
 func Connect(addr string, opts ...Option) (*Client, error) {
 	o := clientOptions{proto: "binary", batch: 64}
 	for _, opt := range opts {
@@ -68,19 +65,4 @@ func Connect(addr string, opts ...Option) (*Client, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// Dial connects to addr over TCP and negotiates proto ("json" or "binary").
-//
-// Deprecated: use Connect(addr, WithProtocol(proto)).
-func Dial(addr, proto string) (*Client, error) {
-	return Connect(addr, WithProtocol(proto))
-}
-
-// NewClient wraps an established connection speaking proto.
-//
-// Deprecated: use Connect, or newClient via Connect options; NewClient keeps
-// the pre-Connect surface alive for callers that bring their own conn.
-func NewClient(conn net.Conn, proto string) (*Client, error) {
-	return newClient(conn, clientOptions{proto: proto, batch: 64})
 }

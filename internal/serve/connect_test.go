@@ -50,16 +50,12 @@ func TestConnectOptions(t *testing.T) {
 		t.Fatal("unknown protocol accepted")
 	}
 
-	d, err := Dial(addr, "json") // deprecated wrapper
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
+	// A caller that brings its own connection negotiates the same way.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewClient(conn, "binary") // deprecated wrapper
+	n, err := newClient(conn, clientOptions{proto: "binary", batch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"dart/internal/mat"
 	"dart/internal/nn"
 	"dart/internal/online"
 	"dart/internal/tabular"
@@ -47,19 +46,6 @@ func testDartLearner(t testing.TB, dir string) *online.Learner {
 	return l
 }
 
-// waitForExamples blocks until the learner's reservoir can feed a
-// tabularization cycle.
-func waitForExamples(t *testing.T, l *online.Learner, want uint64) {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for l.Stats().Examples < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("examples never assembled: %+v", l.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestAllClassesHotSwapMidReplay is the cross-class race matrix: sessions
 // pinned to all three serving classes (teacher "online", "student", "dart")
 // stream concurrently while swap, rollback, and re-tabularize fire against
@@ -93,6 +79,7 @@ func TestAllClassesHotSwapMidReplay(t *testing.T) {
 	var dartSwaps atomic.Uint64
 	var hammerWG sync.WaitGroup
 	hammerWG.Add(1)
+	rows := l.Classes()
 	go func() {
 		defer hammerWG.Done()
 		for i := 0; ; i++ {
@@ -101,21 +88,12 @@ func TestAllClassesHotSwapMidReplay(t *testing.T) {
 				return
 			case <-time.After(4 * time.Millisecond):
 			}
-			switch i % 6 {
-			case 0:
-				l.Swap()
-			case 1:
-				l.SwapStudent()
-			case 2:
-				if _, err := l.SwapDart(); err == nil {
-					dartSwaps.Add(1)
-				}
-			case 3:
-				l.Rollback()
-			case 4:
-				l.RollbackStudent()
-			case 5:
-				l.RollbackDart()
+			// Swap every class in turn, then roll every class back in turn.
+			c := rows[i%len(rows)]
+			if i/len(rows)%2 == 1 {
+				c.Rollback()
+			} else if _, err := c.Swap(); err == nil && c.Name() == online.DartClass {
+				dartSwaps.Add(1)
 			}
 		}
 	}()
@@ -164,21 +142,14 @@ func TestAllClassesHotSwapMidReplay(t *testing.T) {
 		t.Fatalf("%d taps still attached after drain", st.Sessions)
 	}
 	l.Stop()
-	curTeacher := l.Serving().Version
-	curStudent := l.StudentServing().Version
-	curDart := l.DartServing().Version
 
 	// Restart: all three classes recover their newest good version from the
 	// shared directory.
 	l2 := testDartLearner(t, dir)
-	if got := l2.Serving(); got == nil || got.Version != curTeacher {
-		t.Fatalf("teacher recovered %+v, want v%d", got, curTeacher)
-	}
-	if got := l2.StudentServing(); got == nil || got.Version != curStudent {
-		t.Fatalf("student recovered %+v, want v%d", got, curStudent)
-	}
-	if got := l2.DartServing(); got == nil || got.Version != curDart {
-		t.Fatalf("dart recovered %+v, want v%d", got, curDart)
+	for i, c := range l2.Classes() {
+		if want := rows[i].Version(); want == 0 || c.Version() != want {
+			t.Fatalf("%s recovered v%d, want v%d", c.Name(), c.Version(), want)
+		}
 	}
 }
 
@@ -186,27 +157,10 @@ func TestAllClassesHotSwapMidReplay(t *testing.T) {
 // inference path must serve the (mirrored) student and report the student's
 // version instead of failing, and the mirror must track student publishes.
 func TestDartInferFallsBackToStudent(t *testing.T) {
-	l := testDartLearner(t, "")
-	mirror := newMirror(l.StudentStore())
-	data := onlineTestData()
-	in := mat.NewTensor(2, data.History, data.InputDim())
-	for i := range in.Data {
-		in.Data[i] = float64(i%5) / 5
-	}
-	out, ver := dartInfer(nil, mirror, in)
-	if out == nil || len(out.Data) != 2*data.OutputDim() {
-		t.Fatalf("fallback produced no logits: %+v", out)
-	}
-	if want := l.StudentServing().Version; ver != want {
-		t.Fatalf("fallback reported version %d, want student v%d", ver, want)
-	}
-	if _, err := l.SwapStudent(); err != nil {
-		t.Fatal(err)
-	}
-	_, ver = dartInfer(nil, mirror, in)
-	if want := l.StudentServing().Version; ver != want {
-		t.Fatalf("fallback reported stale version %d after swap to v%d", ver, want)
-	}
+	l := testDartLearner(t, "") // no table published yet
+	e := NewEngine(Config{Online: l})
+	defer e.Drain()
+	checkSourceFallback(t, e.classes["dart"], class(t, l, online.StudentClass))
 }
 
 // TestDartProtocolVerbs drives the dart class selector and the classes verb
@@ -221,19 +175,7 @@ func TestDartProtocolVerbs(t *testing.T) {
 	defer stopSrv()
 	br := bufio.NewReader(conn)
 
-	if rep := rpc(t, conn, br, Request{Op: "open", Session: "s1", Prefetcher: "dart", Degree: 4}); !rep.OK {
-		t.Fatalf("open dart session failed: %s", rep.Err)
-	}
-	for i, rec := range sessionTrace(5, 400) {
-		rep := rpc(t, conn, br, Request{
-			Op: "access", Session: "s1",
-			InstrID: rec.InstrID, PC: Hex64(rec.PC), Addr: Hex64(rec.Addr), IsLoad: rec.IsLoad,
-		})
-		if !rep.OK {
-			t.Fatalf("access %d failed: %s", i, rep.Err)
-		}
-	}
-	waitForExamples(t, l, 64)
+	streamForExamples(t, conn, br, l, "s1", 64)
 
 	// Before any table exists the model verb reports dart v0.
 	mo := rpc(t, conn, br, Request{Op: "model", Class: "dart"})

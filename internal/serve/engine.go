@@ -13,11 +13,13 @@
 //     producer (and, through the TCP server, to the client) instead of
 //     buffering unboundedly. In-order per-session delivery is the actor
 //     loop's FIFO order.
-//   - Sessions with a table-backed (DART) predictor do not query the model
-//     directly: they publish their prepared input to the engine's admission
-//     batcher, which coalesces concurrently-arriving queries from many
-//     sessions into one tabular.Hierarchy.QueryBatch call on the shared
-//     internal/par worker pool.
+//   - Sessions of a model class (the static DART tables, or a class of the
+//     online learner's teacher → student → dart table) do not query the
+//     model directly: they publish their prepared input to their class's
+//     admission batcher, which coalesces concurrently-arriving queries from
+//     many sessions into one batched inference call on the shared
+//     internal/par worker pool. The engine keeps one class table; every row
+//     is built by the same constructor (addClass).
 //   - Every session drives an incremental sim.Sim, so per-session statistics
 //     are bit-identical to an offline sim.Run over the same records.
 //   - Drain/Shutdown stop admission, let every inbox empty, flush the
@@ -56,28 +58,18 @@ type Config struct {
 	ModelLatency int             // modelled inference latency (cycles)
 	ModelStorage int             // modelled storage (bytes)
 
-	// Online, when non-nil, enables the "online" prefetcher: a continually
-	// fine-tuned neural model served from the learner's versioned store
-	// with zero-downtime hot swap. Online sessions are tapped — their
-	// access/feedback stream feeds the learner's training loop — and their
-	// inference goes through a second admission batcher that resolves the
-	// model version once per batch, so no batch ever mixes versions. The
-	// learner's lifecycle (Start/Stop) belongs to the caller.
-	//
-	// When the learner's distilled-student tier is enabled (its config set a
-	// Student architecture), the engine additionally starts a third batcher
-	// and registers the "student" prefetcher: sessions opened with it are
-	// served by the published student class (teacher fallback while no
-	// student version exists), tapped like online sessions, and hot-swapped
-	// on student publishes.
-	//
-	// When the learner's dart tier is enabled too (Config.Dart), a fourth
-	// batcher serves the "dart" prefetcher from the versioned table class:
-	// one batch, one tabular.Hierarchy version, hot-swapped as the
-	// tabularizer republishes (student fallback while no table exists yet).
-	// This versioned registration wins over the static Model-backed "dart"
-	// entry below — per-session class selection at open then spans all three
-	// serving classes: teacher ("online"), "student", and "dart".
+	// Online, when non-nil, serves every class of the learner's class table
+	// (online.Learner.Classes) under its prefetcher name: "online" for the
+	// continually fine-tuned teacher, plus "student" and "dart" when the
+	// learner runs those tiers. Each class gets its own admission batcher
+	// that resolves the published version once per batch — no batch ever
+	// mixes versions, a hot swap lands between batches — and degrades to
+	// its source class (student → teacher, dart → student) while it has
+	// published nothing yet. Sessions of these classes are tapped: their
+	// access/feedback stream feeds the learner's training loop, and their
+	// responses carry the version that served each access. A learner "dart"
+	// class replaces the static Model-backed one above. The learner's
+	// lifecycle (Start/Stop) belongs to the caller.
 	Online *online.Learner
 
 	// ShadowCompare enables the student tier's A/B mode: every student batch
@@ -154,12 +146,13 @@ type session struct {
 	seq   uint64
 	res   sim.Result // final result, valid after done closes
 
-	// Online-session state, nil/zero otherwise. ver is written by the
-	// versionedModel predictor and read after each step; ring receives the
-	// access/feedback event stream; pendFB stages the feedback the
-	// simulator delivers synchronously inside Step. All of it is touched
-	// only on the actor goroutine.
-	ver    *uint64
+	// Model-class session state, zero otherwise. ver is written by the
+	// batchedModel predictor inside Step and read after it (0 for the
+	// unversioned static tables); ring, set for learner classes only,
+	// receives the access/feedback event stream; pendFB stages the feedback
+	// the simulator delivers synchronously inside Step. All of it is
+	// touched only on the actor goroutine.
+	ver    uint64
 	ring   *online.Ring
 	pendFB sim.Feedback
 	hasFB  bool
@@ -184,17 +177,14 @@ func (s *session) run() {
 		}
 		st := s.step(it.rec)
 		if it.fn != nil {
-			resp := Response{
+			it.fn(Response{
 				Session:    s.id,
 				Seq:        s.seq,
 				Hit:        st.Hit,
 				Late:       st.Late,
 				Prefetches: st.Prefetches,
-			}
-			if s.ver != nil {
-				resp.Version = *s.ver
-			}
-			it.fn(resp)
+				Version:    s.ver,
+			})
 		}
 	}
 	s.res = s.sim.Result()
@@ -238,30 +228,51 @@ type shard struct {
 
 // Engine is the multi-session serving engine.
 type Engine struct {
-	cfg      Config
-	shards   []shard
-	batcher  *batcher        // nil when no static table model is configured
-	onlineB  *batcher        // nil when no online learner is configured
-	studentB *batcher        // nil unless the learner has a student tier
-	dartB    *batcher        // nil unless the learner has a dart (table) tier
-	learner  *online.Learner // == cfg.Online
+	cfg     Config
+	shards  []shard
+	classes map[string]*servingClass // model classes by prefetcher name; immutable after NewEngine
+	learner *online.Learner          // == cfg.Online
 
 	accepted atomic.Uint64
 	draining atomic.Bool
 
-	// A/B shadow-compare accumulators (student batches only).
-	abBatches atomic.Uint64
-	abLabels  atomic.Uint64
-	abAgree   atomic.Uint64
+	// ab accumulates the A/B shadow-compare of student batches against the
+	// teacher; nil unless ShadowCompare is on and a student class serves.
+	ab *abCounters
 }
 
-// NewEngine builds an engine from the config. When cfg.Model is set, the
-// admission batcher starts and the "dart" prefetcher becomes available;
-// when cfg.Online is set, a second versioned batcher starts and the
-// "online" prefetcher becomes available.
+type abCounters struct{ batches, labels, agree atomic.Uint64 }
+
+// servingClass is one row of the engine's model-class table: a prefetcher
+// name sessions can open whose inference is coalesced across sessions by the
+// row's own admission batcher.
+type servingClass struct {
+	name   string // prefetcher name the simulator reports
+	data   dataprep.Config
+	cost   func() (latency, storageBytes int) // modelled cost, read at session open
+	tapped bool                               // learner class: sessions feed training
+	b      *batcher
+}
+
+// prefetcher builds one session's private NNPrefetcher over the class's
+// shared batcher, admitted under tenant and reporting the serving version
+// of each query into *ver.
+func (c *servingClass) prefetcher(tenant string, ver *uint64, degree int) *prefetch.NNPrefetcher {
+	if degree <= 0 {
+		degree = 4
+	}
+	latency, storage := c.cost()
+	return prefetch.NewNNPrefetcher(c.name, batchedModel{b: c.b, tenant: tenant, ver: ver},
+		c.data, latency, storage, degree)
+}
+
+// NewEngine builds an engine from the config and fills its model-class
+// table: the static cfg.Model tables as an unversioned "dart" class, then
+// one class per row of cfg.Online's class table.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg, shards: make([]shard, cfg.Shards)}
+	e := &Engine{cfg: cfg, shards: make([]shard, cfg.Shards), learner: cfg.Online,
+		classes: make(map[string]*servingClass)}
 	for i := range e.shards {
 		e.shards[i].m = make(map[string]*session)
 	}
@@ -273,93 +284,88 @@ func NewEngine(cfg Config) *Engine {
 		e.cfg.Registry = cfg.Registry.Clone()
 	}
 	if cfg.Model != nil {
-		e.batcher = newBatcher(func(in *mat.Tensor) (*mat.Tensor, uint64) {
-			return cfg.Model.QueryBatch(in), 0
-		}, cfg.MaxBatch)
-		e.cfg.Registry.Register("dart", func(degree int) sim.Prefetcher {
-			return prefetch.NewNNPrefetcher("DART",
-				batchedModel{b: e.batcher},
-				cfg.Data, cfg.ModelLatency, cfg.ModelStorage, degree)
-		})
+		e.addClass("dart", &servingClass{
+			name: "DART", data: cfg.Data,
+			cost: func() (int, int) { return cfg.ModelLatency, cfg.ModelStorage },
+		}, func(in *mat.Tensor) (*mat.Tensor, uint64, bool) {
+			return cfg.Model.QueryBatch(in), 0, true
+		}, nil, nil)
 	}
-	if cfg.Online != nil {
-		e.learner = cfg.Online
-		// Promotion policy engine (nil when the learner runs ungated). The
-		// serving batchers feed it live candidate-vs-source agreement so it
-		// can roll back a published version that diverges in production.
-		pol := e.learner.Policy()
-		// One inferFn call resolves the store's current version exactly
-		// once and runs the whole batch through it: a hot swap lands
-		// between batches, never inside one. The published Model is
-		// immutable and its Forward runs only on the batcher goroutine
-		// (nn layers cache activations, so Forward is not reentrant).
-		e.onlineB = newBatcher(func(in *mat.Tensor) (*mat.Tensor, uint64) {
-			m := e.learner.Serving()
-			return m.Net.Forward(in), m.Version
-		}, cfg.MaxBatch)
-		// Generic registry entry so "online" shows up in Names() and
-		// offline comparison runs can instantiate it; live sessions get a
-		// version-observing instance wired up in Open instead.
-		e.cfg.Registry.MakeOnline("online", batchedModel{b: e.onlineB},
-			e.learner.Data(), e.learner.Latency(), e.learner.StorageBytes())
-		if e.learner.HasStudent() {
-			// The student tier's batcher: one call resolves the published
-			// student exactly once (teacher fallback through a private
-			// mirror — never the published teacher instance, which belongs
-			// to the online batcher goroutine), optionally shadow-comparing
-			// the batch against the teacher for the A/B agreement stats and
-			// the policy engine's live divergence tracking. One teacher
-			// forward feeds both consumers when both are on.
-			mirror := newMirror(e.learner.Store())
-			e.studentB = newBatcher(func(in *mat.Tensor) (*mat.Tensor, uint64) {
-				stu := e.learner.StudentServing()
-				out, ver := studentInfer(stu, mirror, in)
-				if (cfg.ShadowCompare || pol != nil) && stu != nil {
-					tnet, _ := mirror.resolve()
-					match, total := agreement(out, tnet.Forward(in))
-					if cfg.ShadowCompare {
-						e.abAgree.Add(match)
-						e.abLabels.Add(total)
-						e.abBatches.Add(1)
-					}
-					if pol != nil {
-						pol.ObserveLive(online.StudentClass, ver, match, total)
-					}
-				}
-				return out, ver
-			}, cfg.MaxBatch)
-			e.cfg.Registry.MakeStudent("student", batchedModel{b: e.studentB},
-				e.learner.Data(), e.learner.StudentLatency(), e.learner.StudentStorageBytes())
+	if e.learner == nil {
+		return e
+	}
+	// Promotion policy engine (nil when the learner runs ungated). The
+	// batchers feed it live served-vs-source agreement so it can roll back
+	// a published version that diverges in production.
+	pol := e.learner.Policy()
+	for _, c := range e.learner.Classes() {
+		// The A/B meter is defined as student-vs-teacher, so it reads the
+		// student row only; the policy engine watches every derived class.
+		ab := cfg.ShadowCompare && c.Name() == online.StudentClass
+		if ab {
+			e.ab = &abCounters{}
 		}
-		if e.learner.HasDart() {
-			// The dart tier's batcher: one call resolves the published table
-			// exactly once and runs the whole batch through
-			// Hierarchy.QueryBatch on the shared worker pool — the versioned
-			// analogue of the static cfg.Model batcher, and the class the
-			// paper actually deploys. While no table has been published yet
-			// (the tabularizer needs streamed examples first) it falls back
-			// to a private mirror of the published student. Registered last,
-			// so it shadows any static "dart" entry: with a dart-tier
-			// learner, "dart" means the hot-swappable table class.
-			mirror := newMirror(e.learner.StudentStore())
-			e.dartB = newBatcher(func(in *mat.Tensor) (*mat.Tensor, uint64) {
-				tab := e.learner.DartServing()
-				out, ver := dartInfer(tab, mirror, in)
-				// Live shadow-compare against the source (student) class,
-				// only when a table actually served: the fallback path IS
-				// the student mirror, so comparing it would always agree.
-				if pol != nil && tab != nil {
-					snet, _ := mirror.resolve()
-					match, total := agreement(out, snet.Forward(in))
-					pol.ObserveLive(online.DartClass, ver, match, total)
+		var observe func(ver, match, total uint64)
+		if c.Source() != nil && (ab || pol != nil) {
+			observe = func(ver, match, total uint64) {
+				if ab {
+					e.ab.agree.Add(match)
+					e.ab.labels.Add(total)
+					e.ab.batches.Add(1)
 				}
-				return out, ver
-			}, cfg.MaxBatch)
-			e.cfg.Registry.MakeDart("dart", batchedModel{b: e.dartB},
-				e.learner.Data(), e.learner.DartLatency(), e.learner.DartStorageBytes())
+				if pol != nil {
+					pol.ObserveLive(c.Name(), ver, match, total)
+				}
+			}
 		}
+		e.addClass(c.Prefetcher(), &servingClass{
+			name: c.Prefetcher(), data: e.learner.Data(), cost: c.Cost, tapped: true,
+		}, c.Infer, c.Source(), observe)
 	}
 	return e
+}
+
+// addClass is the one place a model class gets its admission batcher. Each
+// dispatched batch calls infer, which resolves the class's current version
+// exactly once and runs the whole batch through it: a hot swap lands between
+// batches, never inside one, and a published nn model's Forward (not
+// reentrant) only ever runs on this batcher's goroutine. While infer has
+// nothing published the batch degrades to the source class, through a private
+// mirror of its published model — never the published instance, which
+// belongs to the source's own batcher. With observe set, every batch the
+// class itself served is also run through that mirror and the per-label
+// agreement reported; the fallback path IS the mirror, so comparing it would
+// always agree. A class without a source (the teacher, the static tables)
+// must always have a version and takes no observe. The row is registered under key in the class
+// table and, for offline comparison runs and Names(), in the registry;
+// a row registered later under the same key replaces the earlier one.
+func (e *Engine) addClass(key string, c *servingClass,
+	infer func(*mat.Tensor) (*mat.Tensor, uint64, bool),
+	source *online.Class, observe func(ver, match, total uint64)) {
+	var mirror *modelMirror
+	if source != nil {
+		mirror = newMirror(source.Store())
+	}
+	c.b = newBatcher(func(in *mat.Tensor) (*mat.Tensor, uint64) {
+		out, ver, ok := infer(in)
+		if !ok {
+			net, ver := mirror.resolve()
+			return net.Forward(in), ver
+		}
+		if observe != nil {
+			net, _ := mirror.resolve()
+			match, total := online.Agreement(out, net.Forward(in))
+			observe(ver, match, total)
+		}
+		return out, ver
+	}, e.cfg.MaxBatch)
+	if old := e.classes[key]; old != nil {
+		old.b.stop()
+	}
+	e.classes[key] = c
+	e.cfg.Registry.Register(key, func(degree int) sim.Prefetcher {
+		return c.prefetcher("", new(uint64), degree)
+	})
 }
 
 // fnv32a is FNV-1a, hand-rolled because hash/fnv's New32a allocates its
@@ -422,16 +428,18 @@ func (e *Engine) Open(id, prefetcher string, degree int) error {
 // OpenSession creates a session. Every session gets a fresh prefetcher
 // instance and its own incremental simulator (per-session cache hierarchy
 // config via opt.SimCfg — the mixed-tenant replay matrix runs different
-// machines side by side in one engine). Sessions opened with a versioned
-// model class ("online", "student", "dart" with a learner) are additionally
-// tapped: their access/feedback stream feeds online training, and their
-// responses carry the model version that served each access. Model-class
-// queries are admitted under opt.Tenant's fair-share weight.
+// machines side by side in one engine). The prefetcher name selects the
+// serving class: a name in the engine's model-class table gets a private
+// NNPrefetcher over that class's batcher, with the class's modelled cost in
+// the simulator and its queries admitted under opt.Tenant's fair-share
+// weight; any other name is a rule-based prefetcher from the registry.
+// Sessions of a learner class are additionally tapped: their access/feedback
+// stream feeds online training, and their responses carry the model version
+// that served each access.
 func (e *Engine) OpenSession(id string, opt SessionOptions) error {
 	if id == "" {
 		return fmt.Errorf("serve: empty session id")
 	}
-	prefetcher, degree := opt.Prefetcher, opt.Degree
 	simCfg := e.cfg.SimCfg
 	if opt.SimCfg != nil {
 		if err := opt.SimCfg.Validate(); err != nil {
@@ -444,50 +452,22 @@ func (e *Engine) OpenSession(id string, opt SessionOptions) error {
 		inbox: make(chan item, e.cfg.QueueDepth),
 		done:  make(chan struct{}),
 	}
+	// Class resolution happens here, once per session, never per access.
+	class := e.classes[opt.Prefetcher]
 	var pf sim.Prefetcher
-	switch {
-	case e.learner != nil && (prefetcher == "online" ||
-		(prefetcher == "student" && e.studentB != nil) ||
-		(prefetcher == "dart" && e.dartB != nil)):
-		if degree <= 0 {
-			degree = 4
+	if class != nil {
+		pf = class.prefetcher(opt.Tenant, &s.ver, opt.Degree)
+		if class.tapped {
+			// The fan-out listener stages the feedback sim delivers inside
+			// Step; the actor pairs it with the access and pushes both into
+			// the learner's ring after the step.
+			pf = sim.FanOutFeedback(pf, func(fb sim.Feedback) {
+				s.pendFB, s.hasFB = fb, true
+			})
 		}
-		// Every model class gets version-observing, tapped sessions — this
-		// is per-session class selection at open: the prefetcher name picks
-		// which versioned class (teacher, student, or table hierarchy)
-		// serves this tenant, each through its own batcher and with its own
-		// modelled latency/storage in the simulator.
-		b, lat, sto := e.onlineB, e.learner.Latency(), e.learner.StorageBytes()
-		switch prefetcher {
-		case "student":
-			b, lat, sto = e.studentB, e.learner.StudentLatency(), e.learner.StudentStorageBytes()
-		case "dart":
-			b, lat, sto = e.dartB, e.learner.DartLatency(), e.learner.DartStorageBytes()
-		}
-		b.setWeight(opt.Tenant, opt.Weight)
-		s.ver = new(uint64)
-		base := prefetch.NewNNPrefetcher(prefetcher,
-			versionedModel{b: b, tenant: opt.Tenant, ver: s.ver},
-			e.learner.Data(), lat, sto, degree)
-		// The fan-out listener stages the feedback sim delivers inside
-		// Step; the actor pairs it with the access and pushes both into
-		// the learner's ring after the step.
-		pf = sim.FanOutFeedback(base, func(fb sim.Feedback) {
-			s.pendFB, s.hasFB = fb, true
-		})
-	case e.batcher != nil && prefetcher == "dart":
-		// Static table hierarchy (no versioned dart tier): same model as the
-		// registry's "dart" entry, but routed under this session's tenant.
-		if degree <= 0 {
-			degree = 4
-		}
-		e.batcher.setWeight(opt.Tenant, opt.Weight)
-		pf = prefetch.NewNNPrefetcher("DART",
-			batchedModel{b: e.batcher, tenant: opt.Tenant},
-			e.cfg.Data, e.cfg.ModelLatency, e.cfg.ModelStorage, degree)
-	default:
+	} else {
 		var err error
-		pf, err = e.cfg.Registry.New(prefetcher, degree)
+		pf, err = e.cfg.Registry.New(opt.Prefetcher, opt.Degree)
 		if err != nil {
 			return err
 		}
@@ -509,10 +489,15 @@ func (e *Engine) OpenSession(id string, opt SessionOptions) error {
 	}
 	sh.m[id] = s
 	sh.mu.Unlock()
-	if s.ver != nil {
-		// Attach after the insert won the id (no duplicate taps), before
-		// the actor starts (the ring must exist for the first step).
-		s.ring = e.learner.Attach(id)
+	// Only a session that won its id may touch shared state: a rejected
+	// open must not reset a running tenant's weight or leave a duplicate
+	// tap. Both happen before the actor starts — the weight before the
+	// tenant's first query, the ring before the first step.
+	if class != nil {
+		class.b.setWeight(opt.Tenant, opt.Weight)
+		if class.tapped {
+			s.ring = e.learner.Attach(id)
+		}
 	}
 	go s.run()
 	return nil
@@ -552,9 +537,12 @@ func (e *Engine) submitJob(s *session, j *wireJob) error {
 		s.sendMu.RUnlock()
 		return ErrSessionClosed
 	}
+	// Once sent, j belongs to the actor and then to the writer, which pools
+	// it for the next frame of any connection: read it before the send.
+	n := uint64(len(j.recs))
 	s.inbox <- item{job: j}
 	s.sendMu.RUnlock()
-	e.accepted.Add(uint64(len(j.recs)))
+	e.accepted.Add(n)
 	return nil
 }
 
@@ -617,8 +605,7 @@ func (e *Engine) Sessions() []string {
 }
 
 // Stats is a mid-stream engine snapshot. The batch counters aggregate every
-// admission batcher (static tables, the versioned online model, the student
-// tier, and the versioned dart table tier).
+// model class's admission batcher.
 type Stats struct {
 	Sessions   int
 	Accepted   uint64 // accesses admitted since start
@@ -660,14 +647,7 @@ func (e *Engine) StatsSnapshot() Stats {
 		}
 		sh.mu.RUnlock()
 	}
-	for _, b := range e.allBatchers() {
-		batches, batched, biggest := b.stats()
-		st.Batches += batches
-		st.Batched += batched
-		if biggest > st.MaxBatch {
-			st.MaxBatch = biggest
-		}
-	}
+	st.Batches, st.Batched, st.MaxBatch = e.batchStats()
 	if t := e.TenantAdmissions(); len(t) > 0 {
 		st.Tenants = t
 	}
@@ -685,15 +665,16 @@ func (e *Engine) StatsSnapshot() Stats {
 	return st
 }
 
-// allBatchers lists the engine's live admission batchers.
-func (e *Engine) allBatchers() []*batcher {
-	var bs []*batcher
-	for _, b := range []*batcher{e.batcher, e.onlineB, e.studentB, e.dartB} {
-		if b != nil {
-			bs = append(bs, b)
-		}
+// batchStats aggregates every model class's admission batcher: batches
+// dispatched, queries served through them, and the largest batch.
+func (e *Engine) batchStats() (batches, batched uint64, biggest int) {
+	for _, c := range e.classes {
+		n, q, big := c.b.stats()
+		batches += n
+		batched += q
+		biggest = max(biggest, big)
 	}
-	return bs
+	return batches, batched, biggest
 }
 
 // TenantAdmissions aggregates the per-tenant fair-share admission stats over
@@ -701,8 +682,8 @@ func (e *Engine) allBatchers() []*batcher {
 // the weight reported is the largest any batcher holds for the tenant.
 func (e *Engine) TenantAdmissions() map[string]TenantAdmission {
 	out := make(map[string]TenantAdmission)
-	for _, b := range e.allBatchers() {
-		for name, ta := range b.tenantStats() {
+	for _, c := range e.classes {
+		for name, ta := range c.b.tenantStats() {
 			agg := out[name]
 			agg.Queries += ta.Queries
 			agg.Starved += ta.Starved
@@ -721,13 +702,13 @@ func (e *Engine) TenantAdmissions() map[string]TenantAdmission {
 // abStats snapshots the shadow-compare accumulators; nil when the mode is
 // off or no student batch has been compared yet.
 func (e *Engine) abStats() *ABStats {
-	if !e.cfg.ShadowCompare || e.studentB == nil {
+	if e.ab == nil {
 		return nil
 	}
 	ab := &ABStats{
-		Batches: e.abBatches.Load(),
-		Labels:  e.abLabels.Load(),
-		Agree:   e.abAgree.Load(),
+		Batches: e.ab.batches.Load(),
+		Labels:  e.ab.labels.Load(),
+		Agree:   e.ab.agree.Load(),
 	}
 	if ab.Labels > 0 {
 		ab.Rate = float64(ab.Agree) / float64(ab.Labels)
@@ -771,8 +752,8 @@ func (e *Engine) Drain() map[string]sim.Result {
 			out[id] = res
 		}
 	}
-	for _, b := range e.allBatchers() {
-		b.stop()
+	for _, c := range e.classes {
+		c.b.stop()
 	}
 	return out
 }

@@ -178,6 +178,24 @@ func TestFairShareMatrixUnderLoad(t *testing.T) {
 	e.Drain()
 }
 
+// TestRejectedOpenKeepsTenantWeight: an open that loses — here a retry of a
+// live session id with Weight omitted — must not touch the tenant's fair-share
+// weight; only a session that won its id may set it.
+func TestRejectedOpenKeepsTenantWeight(t *testing.T) {
+	data := onlineTestData()
+	e := NewEngine(Config{Model: testHierarchy(t, data), Data: data})
+	defer e.Drain()
+	if err := e.OpenSession("s", SessionOptions{Prefetcher: "dart", Tenant: "A", Weight: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.OpenSession("s", SessionOptions{Prefetcher: "dart", Tenant: "A"}); err == nil {
+		t.Fatal("duplicate session id accepted")
+	}
+	if got := e.TenantAdmissions()["A"].Weight; got != 4 {
+		t.Fatalf("rejected open reset tenant A's weight to %d, want 4", got)
+	}
+}
+
 // TestBatcherDefaultTenant: sessions opened without a tenant share the
 // "default" fair-share queue, preserving the pre-tenant behaviour.
 func TestBatcherDefaultTenant(t *testing.T) {

@@ -81,8 +81,8 @@ func (s ReplaySpec) classVerifiable(class string) bool {
 		return false
 	}
 	if e := s.Engine; e != nil {
-		if l := e.Learner(); l != nil && class == "dart" && l.HasDart() {
-			return false
+		if c := e.classes[class]; c != nil {
+			return !c.tapped
 		}
 	}
 	return true

@@ -180,7 +180,7 @@ func TestOnlineCheckpointRoundTripThroughServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Stop() // flushes a final version when training advanced past the swap
-	served := l.Serving()
+	served := class(t, l, online.TeacherClass).Store().Load()
 
 	recovered, err := online.NewStore(onlineTestArch(onlineTestData()), dir)
 	if err != nil {

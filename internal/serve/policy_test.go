@@ -74,18 +74,7 @@ func TestPolicyVerb(t *testing.T) {
 	}
 
 	// Stream examples so a forced tabularization can run.
-	if rep := rpc(t, conn, br, Request{Op: "open", Session: "s1", Prefetcher: "dart", Degree: 4}); !rep.OK {
-		t.Fatalf("open: %s", rep.Err)
-	}
-	for i, rec := range sessionTrace(5, 400) {
-		if rep := rpc(t, conn, br, Request{
-			Op: "access", Session: "s1",
-			InstrID: rec.InstrID, PC: Hex64(rec.PC), Addr: Hex64(rec.Addr), IsLoad: rec.IsLoad,
-		}); !rep.OK {
-			t.Fatalf("access %d: %s", i, rep.Err)
-		}
-	}
-	waitForExamples(t, l, 64)
+	streamForExamples(t, conn, br, l, "s1", 64)
 	if rep := rpc(t, conn, br, Request{Op: "swap", Class: "dart"}); !rep.OK {
 		t.Fatalf("forced dart swap blocked by the gate: %s", rep.Err)
 	}
@@ -185,12 +174,19 @@ func TestPolicyRollbackUnderLoad(t *testing.T) {
 	// Once the streaming sessions fill the reservoir, publish two table
 	// versions so there is something to roll back to, then force live
 	// divergence until the policy engine reverts the dart class.
+	// served is poked once per served access — the event that can move the
+	// reservoir and the live gates — and closed when the replay is over.
+	served := make(chan struct{}, 1)
+	var responses sync.WaitGroup
+	responses.Add(sessions * n)
+	nextServed := func() bool { _, ok := <-served; return ok }
+	dart := class(t, l, online.DartClass)
 	seedDone := make(chan struct{})
 	go func() {
 		defer close(seedDone)
-		deadline := time.Now().Add(20 * time.Second)
-		for l.Stats().Examples < 64 && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
+		if !waitOnEvents(nextServed, func() bool { return l.Stats().Examples >= 64 }) {
+			t.Errorf("examples never assembled: %+v", l.Stats())
+			return
 		}
 		if _, err := l.SwapDart(); err != nil {
 			t.Errorf("dart v1: %v", err)
@@ -200,15 +196,16 @@ func TestPolicyRollbackUnderLoad(t *testing.T) {
 			t.Errorf("dart v2: %v", err)
 			return
 		}
-		// Force live divergence on whatever dart version serves: agreement
-		// ~0 over full windows until the policy engine rolls back.
-		deadline = time.Now().Add(20 * time.Second)
-		for pol.Stats().RolledBack == 0 && time.Now().Before(deadline) {
-			if tab := l.DartServing(); tab != nil {
-				pol.ObserveLive(online.DartClass, tab.Version, 0, 64*100)
+		// Force live divergence on whatever dart version serves: two
+		// back-to-back windows at agreement ~0 per served access (an organic
+		// window landing between them resets the streak, so retry) until
+		// the policy engine rolls back.
+		waitOnEvents(nextServed, func() bool {
+			for i := 0; i < 2; i++ {
+				pol.ObserveLive(online.DartClass, dart.Version(), 0, 64*100)
 			}
-			time.Sleep(time.Millisecond)
-		}
+			return pol.Stats().RolledBack > 0
+		})
 	}()
 
 	var wg sync.WaitGroup
@@ -221,6 +218,11 @@ func TestPolicyRollbackUnderLoad(t *testing.T) {
 					mu.Lock()
 					got[i].seqs = append(got[i].seqs, r.Seq)
 					mu.Unlock()
+					select {
+					case served <- struct{}{}:
+					default:
+					}
+					responses.Done()
 				})
 				if err != nil {
 					t.Errorf("%s: %v", ids[i], err)
@@ -230,6 +232,8 @@ func TestPolicyRollbackUnderLoad(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	responses.Wait() // every callback has run: nothing can send on served any more
+	close(served)
 	<-seedDone
 
 	st := pol.Stats()
@@ -238,8 +242,8 @@ func TestPolicyRollbackUnderLoad(t *testing.T) {
 	}
 	// The store reverted: two publishes, one rollback, serving the prior
 	// good version again.
-	if cur := l.DartServing(); cur == nil || cur.Version != 1 {
-		t.Fatalf("dart serving %+v after 2 publishes and a rollback, want v1", cur)
+	if dart.Version() != 1 {
+		t.Fatalf("dart serving v%d after 2 publishes and a rollback, want v1", dart.Version())
 	}
 	// A session opened after the rollback observes the reverted version on
 	// every response.

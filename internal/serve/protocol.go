@@ -131,17 +131,18 @@ type ClassReply struct {
 	StorageBytes int      `json:"storage_bytes"`
 }
 
-// classesReply converts learner class listings to the wire form.
-func classesReply(cs []online.ClassInfo) []ClassReply {
+// classesReply converts the learner's class table to the wire form.
+func classesReply(cs []*online.Class) []ClassReply {
 	out := make([]ClassReply, len(cs))
 	for i, c := range cs {
+		latency, storage := c.Cost()
 		out[i] = ClassReply{
-			Class:        c.Class,
-			Version:      c.Version,
-			Versions:     c.Versions,
-			Published:    c.Published,
-			Latency:      c.Latency,
-			StorageBytes: c.StorageBytes,
+			Class:        c.Name(),
+			Version:      c.Version(),
+			Versions:     c.Versions(),
+			Published:    c.Published(),
+			Latency:      latency,
+			StorageBytes: storage,
 		}
 	}
 	return out
@@ -192,70 +193,10 @@ func abReply(ab *ABStats) *ABReply {
 
 // OnlineReply is the wire form of the online learner's state: the served
 // model version, feedback ingest throughput, the online-loss trend, and —
-// when the distilled-student tier runs — the student class's version and
-// distillation-loss trend.
-type OnlineReply struct {
-	Version   uint64  `json:"version"`
-	Published uint64  `json:"published"`
-	Sessions  int     `json:"sessions"`
-	Ingested  uint64  `json:"ingested"`
-	Dropped   uint64  `json:"dropped"`
-	Useful    uint64  `json:"useful"`
-	Late      uint64  `json:"late"`
-	Examples  uint64  `json:"examples"`
-	Trained   uint64  `json:"trained"`
-	Steps     uint64  `json:"steps"`
-	Loss      float64 `json:"loss"`
-	LossTrend float64 `json:"loss_trend"`
-	PerSec    float64 `json:"feedback_per_sec"`
-
-	StudentVersion   uint64  `json:"student_version,omitempty"`
-	StudentPublished uint64  `json:"student_published,omitempty"`
-	Distilled        uint64  `json:"distilled,omitempty"`
-	DistillSteps     uint64  `json:"distill_steps,omitempty"`
-	DistillLoss      float64 `json:"distill_loss,omitempty"`
-	DistillTrend     float64 `json:"distill_trend,omitempty"`
-
-	DartVersion   uint64  `json:"dart_version,omitempty"`
-	DartPublished uint64  `json:"dart_published,omitempty"`
-	Tabularized   uint64  `json:"tabularized,omitempty"`
-	DartAttempts  uint64  `json:"dart_attempts,omitempty"`
-	DartSkips     uint64  `json:"dart_skips,omitempty"`
-	TabularizeMs  float64 `json:"tabularize_ms,omitempty"`
-}
-
-// onlineReply converts learner stats to the wire form.
-func onlineReply(st online.Stats) *OnlineReply {
-	return &OnlineReply{
-		Version:   st.Version,
-		Published: st.Published,
-		Sessions:  st.Sessions,
-		Ingested:  st.Ingested,
-		Dropped:   st.Dropped,
-		Useful:    st.Useful,
-		Late:      st.Late,
-		Examples:  st.Examples,
-		Trained:   st.Trained,
-		Steps:     st.Steps,
-		Loss:      st.Loss,
-		LossTrend: st.LossTrend,
-		PerSec:    st.PerSec,
-
-		StudentVersion:   st.StudentVersion,
-		StudentPublished: st.StudentPublished,
-		Distilled:        st.Distilled,
-		DistillSteps:     st.DistillSteps,
-		DistillLoss:      st.DistillLoss,
-		DistillTrend:     st.DistillTrend,
-
-		DartVersion:   st.DartVersion,
-		DartPublished: st.DartPublished,
-		Tabularized:   st.Tabularized,
-		DartAttempts:  st.DartAttempts,
-		DartSkips:     st.DartSkips,
-		TabularizeMs:  st.TabularizeMs,
-	}
-}
+// when those tiers run — the student and dart classes' versions and
+// counters. The learner's own snapshot carries the wire field names, so
+// there is one struct, not a mirrored pair to keep in step.
+type OnlineReply = online.Stats
 
 // PolicyReply is the wire form of the promotion policy engine: lifetime
 // action counters, the per-class gate states, and — on the policy verb —

@@ -388,14 +388,7 @@ func finishReport(spec ReplaySpec, traces map[string][]trace.Record,
 		}
 	}
 	if e := spec.Engine; e != nil {
-		for _, b := range e.allBatchers() {
-			batches, batched, biggest := b.stats()
-			rep.Batches += batches
-			rep.Batched += batched
-			if biggest > rep.MaxBatch {
-				rep.MaxBatch = biggest
-			}
-		}
+		rep.Batches, rep.Batched, rep.MaxBatch = e.batchStats()
 		rep.AB = e.abStats()
 		if t := e.TenantAdmissions(); len(t) > 0 {
 			rep.Tenants = t

@@ -9,87 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dart/internal/online"
 	"dart/internal/sim"
 )
-
-// checkClass validates a model-class selector against the learner's tiers.
-func checkClass(l *online.Learner, class string) error {
-	switch class {
-	case "", "teacher":
-		return nil
-	case online.StudentClass:
-		if !l.HasStudent() {
-			return fmt.Errorf("serve: no distilled-student tier configured")
-		}
-		return nil
-	case online.DartClass:
-		if !l.HasDart() {
-			return fmt.Errorf("serve: no dart (tabularized) tier configured")
-		}
-		return nil
-	default:
-		return fmt.Errorf("serve: unknown model class %q (have \"\", %q, and %q)",
-			class, online.StudentClass, online.DartClass)
-	}
-}
-
-// swapClass routes the swap verb to the selected model class and reports the
-// newly published version. For the dart class a swap is a forced
-// re-tabularization of the published student.
-func swapClass(l *online.Learner, class string) (uint64, error) {
-	if err := checkClass(l, class); err != nil {
-		return 0, err
-	}
-	switch class {
-	case online.StudentClass:
-		m, err := l.SwapStudent()
-		if err != nil {
-			return 0, err
-		}
-		return m.Version, nil
-	case online.DartClass:
-		t, err := l.SwapDart()
-		if err != nil {
-			return 0, err
-		}
-		return t.Version, nil
-	default:
-		m, err := l.Swap()
-		if err != nil {
-			return 0, err
-		}
-		return m.Version, nil
-	}
-}
-
-// rollbackClass routes the rollback verb to the selected model class and
-// reports the version serving reverted to.
-func rollbackClass(l *online.Learner, class string) (uint64, error) {
-	if err := checkClass(l, class); err != nil {
-		return 0, err
-	}
-	switch class {
-	case online.StudentClass:
-		m, err := l.RollbackStudent()
-		if err != nil {
-			return 0, err
-		}
-		return m.Version, nil
-	case online.DartClass:
-		t, err := l.RollbackDart()
-		if err != nil {
-			return 0, err
-		}
-		return t.Version, nil
-	default:
-		m, err := l.Rollback()
-		if err != nil {
-			return 0, err
-		}
-		return m.Version, nil
-	}
-}
 
 // Server speaks both wire protocols over any net.Listener (TCP or unix
 // socket), negotiating per connection: a client that opens with the
@@ -234,57 +155,13 @@ func (s *Server) control(req Request, opened map[string]struct{}) Reply {
 			Batches:  st.Batches,
 			Batched:  st.Batched,
 			MaxBatch: st.MaxBatch,
-		}
-		if st.Online != nil {
-			sr.Online = onlineReply(*st.Online)
+			Online:   st.Online,
 		}
 		sr.AB = abReply(st.AB)
 		sr.Policy = policyReply(st.Policy, nil)
 		return Reply{OK: true, Stats: sr}
-	case "model":
-		if l := s.engine.Learner(); l == nil {
-			return Reply{OK: false, Err: "serve: no online learner configured"}
-		} else if err := checkClass(l, req.Class); err != nil {
-			return errReply("", err)
-		} else {
-			return Reply{OK: true, Online: onlineReply(l.Stats())}
-		}
-	case "swap":
-		if l := s.engine.Learner(); l == nil {
-			return Reply{OK: false, Err: "serve: no online learner configured"}
-		} else if v, err := swapClass(l, req.Class); err != nil {
-			return errReply("", err)
-		} else {
-			return Reply{OK: true, Version: v, Online: onlineReply(l.Stats())}
-		}
-	case "rollback":
-		if l := s.engine.Learner(); l == nil {
-			return Reply{OK: false, Err: "serve: no online learner configured"}
-		} else if v, err := rollbackClass(l, req.Class); err != nil {
-			return errReply("", err)
-		} else {
-			return Reply{OK: true, Version: v, Online: onlineReply(l.Stats())}
-		}
-	case "classes":
-		if l := s.engine.Learner(); l == nil {
-			return Reply{OK: false, Err: "serve: no online learner configured"}
-		} else {
-			return Reply{OK: true, Classes: classesReply(l.Classes())}
-		}
-	case "policy":
-		l := s.engine.Learner()
-		if l == nil {
-			return Reply{OK: false, Err: "serve: no online learner configured"}
-		}
-		pol := l.Policy()
-		if pol == nil {
-			// Policy disabled is a valid state, not an error: the reply says
-			// so explicitly, so operators can distinguish "ungated" from
-			// "gated but quiet".
-			return Reply{OK: true, Policy: &PolicyReply{Enabled: false}}
-		}
-		st := pol.Stats()
-		return Reply{OK: true, Policy: policyReply(&st, pol.Decisions())}
+	case "model", "swap", "rollback", "classes", "policy":
+		return s.learnerVerb(req)
 	case "access", "batch":
 		// Only reachable through a binary control frame: the JSON loop
 		// intercepts access first, and binary clients must use the framed
@@ -294,6 +171,48 @@ func (s *Server) control(req Request, opened map[string]struct{}) Reply {
 	default:
 		return Reply{OK: false, Err: "serve: unknown op " + req.Op}
 	}
+}
+
+// learnerVerb executes the verbs that address the online learner. The
+// model/swap/rollback verbs resolve their class selector through the
+// learner's class table and act on the row; nothing here knows which classes
+// exist.
+func (s *Server) learnerVerb(req Request) Reply {
+	l := s.engine.Learner()
+	if l == nil {
+		return Reply{OK: false, Err: "serve: no online learner configured"}
+	}
+	rep := Reply{OK: true}
+	switch req.Op {
+	case "classes":
+		rep.Classes = classesReply(l.Classes())
+		return rep
+	case "policy":
+		// Policy disabled is a valid state, not an error: the reply says so
+		// explicitly, so operators can distinguish "ungated" from "gated
+		// but quiet".
+		rep.Policy = &PolicyReply{Enabled: false}
+		if pol := l.Policy(); pol != nil {
+			st := pol.Stats()
+			rep.Policy = policyReply(&st, pol.Decisions())
+		}
+		return rep
+	}
+	c, err := l.Class(req.Class)
+	if err == nil {
+		switch req.Op {
+		case "swap":
+			rep.Version, err = c.Swap()
+		case "rollback":
+			rep.Version, err = c.Rollback()
+		}
+	}
+	if err != nil {
+		return errReply("", err)
+	}
+	st := l.Stats()
+	rep.Online = &st
+	return rep
 }
 
 // handleJSON runs one line-delimited JSON connection: a reader loop

@@ -151,27 +151,14 @@ func TestStudentHotSwapMidReplay(t *testing.T) {
 // teacher's version instead of failing.
 func TestStudentInferFallsBackToTeacher(t *testing.T) {
 	l := testLearner(t, "") // teacher only; its v1 is published
-	mirror := newMirror(l.Store())
-	data := onlineTestData()
-	in := mat.NewTensor(2, data.History, data.InputDim())
-	for i := range in.Data {
-		in.Data[i] = float64(i%7) / 7
-	}
-	out, ver := studentInfer(nil, mirror, in)
-	if out == nil || len(out.Data) != 2*data.OutputDim() {
-		t.Fatalf("fallback produced no logits: %+v", out)
-	}
-	if want := l.Serving().Version; ver != want {
-		t.Fatalf("fallback reported version %d, want teacher v%d", ver, want)
-	}
-	// The mirror must track a teacher publish.
-	if _, err := l.Swap(); err != nil {
-		t.Fatal(err)
-	}
-	_, ver = studentInfer(nil, mirror, in)
-	if want := l.Serving().Version; ver != want {
-		t.Fatalf("fallback reported stale version %d after swap to v%d", ver, want)
-	}
+	e := NewEngine(Config{Online: l})
+	defer e.Drain()
+	// The student class always holds a version once its tier is configured,
+	// so the fallback is driven through a class that never publishes.
+	teacher := class(t, l, online.TeacherClass)
+	e.addClass("empty", &servingClass{name: "empty", data: l.Data(), cost: teacher.Cost},
+		func(*mat.Tensor) (*mat.Tensor, uint64, bool) { return nil, 0, false }, teacher, nil)
+	checkSourceFallback(t, e.classes["empty"], teacher)
 }
 
 // TestShadowCompareAgreement pins the A/B math: when student and teacher are

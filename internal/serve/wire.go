@@ -260,11 +260,7 @@ func (s *session) runJob(j *wireJob) {
 			fl |= wireLate
 		}
 		j.buf = append(j.buf, fl)
-		var ver uint64
-		if s.ver != nil {
-			ver = *s.ver
-		}
-		j.buf = binary.AppendUvarint(j.buf, ver)
+		j.buf = binary.AppendUvarint(j.buf, s.ver)
 		j.buf = binary.AppendUvarint(j.buf, uint64(len(st.Prefetches)))
 		for _, pb := range st.Prefetches {
 			j.buf = binary.AppendUvarint(j.buf, pb)

@@ -34,7 +34,7 @@ func startWireServer(t testing.TB, cfg Config) (string, *Server) {
 // simulator plus the final result against the offline run.
 func TestBinaryProtocolEndToEnd(t *testing.T) {
 	addr, _ := startWireServer(t, Config{SimCfg: smallSimCfg()})
-	c, err := Dial(addr, "binary")
+	c, err := Connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestBinaryProtocolEndToEnd(t *testing.T) {
 // kill the connection — only framing corruption does that.
 func TestBinaryUnknownSessionKeepsConnection(t *testing.T) {
 	addr, _ := startWireServer(t, Config{SimCfg: smallSimCfg()})
-	c, err := Dial(addr, "binary")
+	c, err := Connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestWireMalformedFrames(t *testing.T) {
 	})
 
 	// After every corrupted connection, the server must still serve.
-	c, err := Dial(addr, "binary")
+	c, err := Connect(addr)
 	if err != nil {
 		t.Fatalf("server no longer accepting after corrupt frames: %v", err)
 	}
@@ -427,7 +427,7 @@ func BenchmarkWireCodec(b *testing.B) {
 // → client decode, in frames of 64. ns/op and allocs/op are per access.
 func benchWireAccess(b *testing.B, proto string) {
 	addr, _ := startWireServer(b, Config{SimCfg: smallSimCfg()})
-	c, err := Dial(addr, proto)
+	c, err := Connect(addr, WithProtocol(proto))
 	if err != nil {
 		b.Fatal(err)
 	}
