@@ -1,166 +1,128 @@
-// Command dart-benchcheck is the CI perf-regression gate: it parses `go test
-// -bench` output for the parallel-engine benchmarks and compares it against
-// the baseline recorded in BENCH_par.json.
+// Command dart-benchcheck is the CI perf gate behind `make bench-ci`: it
+// parses `go test -bench -benchmem` output and checks it against one fixed
+// table of rows. Every row compares numbers measured in the same run on the
+// same host, and every bar is a constant, so the gate gives the same answer
+// on any machine — there is no baseline file, no tolerance and no flag.
+// Timing trajectories across commits are the benchmark's job (bench/README.md,
+// `bash bench/run.sh -compare`), not this gate's.
 //
-//	go test -run '^$' -bench 'BenchmarkMatMul|BenchmarkHierarchyQueryBatch' \
-//	    ./internal/mat ./internal/tabular > bench.out
-//	dart-benchcheck -baseline BENCH_par.json bench.out
+//	make bench-ci                                # runs the benchmarks, then
+//	go run ./cmd/dart-benchcheck bench-ci.out    # (or the output on stdin)
 //
-// Two kinds of checks run:
+// A row is one of:
 //
-//   - Absolute: every measured benchmark with a baseline entry must be no
-//     slower than baseline * tolerance (default 1.5x — generous, because CI
-//     hosts differ from the recording host; the gate catches gross
-//     regressions like losing the vector kernel or the worker pool, not
-//     single-digit drift).
-//   - Relative (host-independent): within the same run, ParMulInto at the
-//     largest measured size must beat the serial seed kernel by at least
-//     -min-speedup (default 2x, PR 1's acceptance bar). This holds on any
-//     host because both sides ran on it seconds apart.
+//   - zero allocs: the benchmark's allocs/op is exactly 0. These are the
+//     paths that run once per access or per batch.
+//   - a same-run ratio num/den against a constant bar: at least the bar
+//     (">="), strictly more than it (">"), or at most the bar ("<=").
 //
-// With -serve-baseline the gate also covers the online-training,
-// distilled-student, and dart-table benchmarks (feedback ingest, model swap,
-// teacher/student/dart inference, distill cycle, table swap) against the
-// "online" section of BENCH_serve.json, plus three host-independent same-run
-// checks: the student must be strictly faster than the teacher (ns/op) and
-// strictly smaller (the storage_bytes metric the infer benchmarks report),
-// and dart table inference must be strictly faster than the student — the
-// paper's core claim. -write-online flips the tool into
-// update mode: it parses those benchmarks from the input and rewrites the
-// "online" section in place — `make bench-update` uses this to refresh every
-// serving baseline in one step.
-//
-// -serve-baseline additionally gates the DARTWIRE1 binary protocol against
-// the "binary" section of the same file: BenchmarkWireCodec and
-// BenchmarkWireAccessBinary are checked for ns/op regressions like any other
-// benchmark, and their allocs/op (parsed from -benchmem output) must not
-// exceed the recorded baseline — which is zero, the tentpole's zero-alloc
-// guarantee, so a single new steady-state allocation on the binary hot path
-// fails CI. One static check needs no measurement at all: the recorded
-// binary replay throughput must beat the recorded JSON replay throughput
-// ("report".Throughput) by at least -min-wire-speedup (default 5x, the
-// binary protocol's acceptance bar; both numbers were recorded on the same
-// host by `make bench-update`). -write-binary rewrites the codec/alloc
-// fields of the "binary" section from measured benchmarks, preserving the
-// replay_* fields that `dart-serve -replay -proto binary -json` maintains.
-//
-// -serve-baseline also gates the quantized dart tables against the "quant"
-// section of the same file: BenchmarkDartInferQuant (ns/op within tolerance,
-// allocs/op at most the recorded baseline) and BenchmarkQuantRowAccum — the
-// SIMD gather-accumulate micro-kernel, whose alloc baseline is zero, so a
-// single allocation on the quantized row hot path fails CI. Two
-// host-independent same-run checks ride along: quantized dart inference must
-// be strictly faster than float dart inference, and its reported
-// storage_bytes metric must be at least -min-quant-shrink times smaller
-// (default 4x, the int8 acceptance bar) — both sides measured seconds apart
-// on the same host. -write-quant rewrites the "quant" section from measured
-// benchmarks, preserving every other key in the file.
-//
-// -serve-baseline also gates the sharding tier against the "router" section
-// of the same file: BenchmarkRouterAccess and BenchmarkDirectAccess are
-// checked for ns/op regressions, and the same-run routed-vs-direct overhead
-// ratio (both sides measured seconds apart on the same host, through the
-// same loopback wire) must stay under -max-router-overhead (default 3x) —
-// the router hop's decode → journal → re-encode must stay a constant factor,
-// not a new bottleneck. -write-router rewrites the ns fields of the "router"
-// section from measured benchmarks, preserving the replay_* fields that
-// `dart-router -replay -json` maintains.
-//
-// Exit status 0 when every check passes, 1 on regression, 2 on usage or
-// missing-data errors.
+// Exit status 0 when every row passes, 1 when a row fails, and 2 when the
+// input cannot be read or lacks a benchmark some row reads. The last case
+// fails closed: a benchmark dropped from bench-ci must not silently stop
+// gating.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 )
 
-// baseline mirrors the relevant parts of BENCH_par.json.
-type baseline struct {
-	MatMul []struct {
-		N        int                `json:"n"`
-		SerialNs float64            `json:"serial_ns"`
-		ParNs    map[string]float64 `json:"par_ns"`
-	} `json:"matmul"`
-	Tabular struct {
-		NsPerOp float64 `json:"ns_per_op"`
-	} `json:"tabular"`
+// row is one gated claim. num and den are keys of the parseBench map: a
+// benchmark name for ns/op, "<name>@allocs" for allocs/op and
+// "<name>@storage_bytes" for the storage metric. A "{n}" in both keys stands
+// for the largest size measured on both sides.
+type row struct {
+	name     string
+	num, den string // den is empty for zero-allocs rows
+	op       string // ">=", ">" or "<=" for ratios; "==" (bar 0) for zero-allocs rows
+	bar      float64
 }
 
-// onlineBaseline is the "online" section of BENCH_serve.json: the
-// online-training and distilled-student benchmarks gated alongside the
-// engine ones.
-type onlineBaseline struct {
-	FeedbackIngestNs    float64 `json:"feedback_ingest_ns"`
-	SwapNs              float64 `json:"swap_ns"`
-	TeacherInferNs      float64 `json:"teacher_infer_ns"`
-	StudentInferNs      float64 `json:"student_infer_ns"`
-	DistillCycleNs      float64 `json:"distill_cycle_ns"`
-	DartInferNs         float64 `json:"dart_infer_ns"`
-	TabularSwapNs       float64 `json:"tabular_swap_ns"`
-	TeacherStorageBytes float64 `json:"teacher_storage_bytes"`
-	StudentStorageBytes float64 `json:"student_storage_bytes"`
-	DartStorageBytes    float64 `json:"dart_storage_bytes"`
-
-	// Promotion-policy live-observation hot path: gated on ns/op like the
-	// other online benchmarks, and on allocs/op with no tolerance — the
-	// batcher calls ObserveLive on every shadow-compared batch, so a single
-	// new steady-state allocation there fails CI (same contract as the
-	// binary wire hot path).
-	PolicyDecisionNs     float64 `json:"policy_decision_ns"`
-	PolicyDecisionAllocs float64 `json:"policy_decision_allocs"`
+// zeroAllocs is the row gating name's allocs/op at exactly 0.
+func zeroAllocs(name string) row {
+	return row{name: name + "@allocs", num: name + "@allocs", op: "=="}
 }
 
-// onlineBenchNames maps the gated benchmarks to their baseline fields.
-var onlineBenchNames = map[string]func(onlineBaseline) float64{
-	"BenchmarkFeedbackIngest": func(b onlineBaseline) float64 { return b.FeedbackIngestNs },
-	"BenchmarkModelSwap":      func(b onlineBaseline) float64 { return b.SwapNs },
-	"BenchmarkTeacherInfer":   func(b onlineBaseline) float64 { return b.TeacherInferNs },
-	"BenchmarkStudentInfer":   func(b onlineBaseline) float64 { return b.StudentInferNs },
-	"BenchmarkDistillCycle":   func(b onlineBaseline) float64 { return b.DistillCycleNs },
-	"BenchmarkDartInfer":      func(b onlineBaseline) float64 { return b.DartInferNs },
-	"BenchmarkTabularSwap":    func(b onlineBaseline) float64 { return b.TabularSwapNs },
-	"BenchmarkPolicyDecision": func(b onlineBaseline) float64 { return b.PolicyDecisionNs },
+// rows is the gate, checked and printed in this order.
+var rows = []row{
+	// Per-access and per-batch hot paths: the DARTWIRE1 codec and served
+	// access, the promotion policy's ObserveLive (called on every
+	// shadow-compared batch) and the quantized row kernel inside every int8
+	// table query. One steady-state allocation fails.
+	zeroAllocs("BenchmarkWireCodec"),
+	zeroAllocs("BenchmarkWireAccessBinary"),
+	zeroAllocs("BenchmarkPolicyDecision"),
+	zeroAllocs("BenchmarkQuantRowAccum"),
+
+	// The worker pool must pay for itself over the seed's serial kernel.
+	{"speedup(par w4 vs serial, n={n})", "BenchmarkMatMul/serial/n{n}", "BenchmarkMatMul/par/n{n}/w4", ">=", 2},
+
+	// Down the serving hierarchy each tier beats the one it derives from:
+	// the student is faster and smaller than the teacher, and the tables
+	// are faster than the student — the paper's core claim.
+	{"speedup(student vs teacher infer)", "BenchmarkTeacherInfer", "BenchmarkStudentInfer", ">", 1},
+	{"shrink(student vs teacher storage_bytes)", "BenchmarkTeacherInfer@storage_bytes", "BenchmarkStudentInfer@storage_bytes", ">", 1},
+	{"speedup(dart vs student infer)", "BenchmarkStudentInfer", "BenchmarkDartInfer", ">", 1},
+
+	// int8 tables against the float tables of the same structure: faster,
+	// at least 4x smaller, and allocating no more.
+	{"speedup(quant vs float dart infer)", "BenchmarkDartInfer", "BenchmarkDartInferQuant", ">", 1},
+	{"shrink(quant vs float dart storage_bytes)", "BenchmarkDartInfer@storage_bytes", "BenchmarkDartInferQuant@storage_bytes", ">=", 4},
+	{"allocs(quant vs float dart infer)", "BenchmarkDartInferQuant@allocs", "BenchmarkDartInfer@allocs", "<=", 1},
+
+	// The binary protocol's reason to exist, and the router hop's cost
+	// contract: decode, journal, re-encode and one more hop stay a constant
+	// factor over a direct backend call through the same loopback wire.
+	{"speedup(binary vs json wire access)", "BenchmarkWireAccessJSON", "BenchmarkWireAccessBinary", ">=", 5},
+	{"overhead(routed vs direct access)", "BenchmarkRouterAccess", "BenchmarkDirectAccess", "<=", 3},
 }
 
-// binaryBaseline is the "binary" section of BENCH_serve.json: the DARTWIRE1
-// wire-protocol benchmarks and the binary replay throughput recorded next to
-// the JSON replay baseline. The replay_* fields are written by `dart-serve
-// -replay -proto binary -json`; the codec/access fields by -write-binary.
-type binaryBaseline struct {
-	ReplayThroughput float64 `json:"replay_throughput"`
-	ReplayBatch      int     `json:"replay_batch"`
-	CodecNs          float64 `json:"codec_ns"`
-	CodecAllocs      float64 `json:"codec_allocs"`
-	WireAccessNs     float64 `json:"wire_access_ns"`
-	WireAccessAllocs float64 `json:"wire_access_allocs"`
+// resolve replaces "{n}" in the row's keys with the largest n at which got
+// holds both. With no such n the row is returned unchanged, so its keys read
+// as missing.
+func (r row) resolve(got map[string]float64) row {
+	prefix, suffix, ok := strings.Cut(r.num, "{n}")
+	if !ok {
+		return r
+	}
+	best := -1
+	for key := range got {
+		if !strings.HasPrefix(key, prefix) || !strings.HasSuffix(key, suffix) || len(key) < len(prefix)+len(suffix) {
+			continue
+		}
+		n, err := strconv.Atoi(key[len(prefix) : len(key)-len(suffix)])
+		if _, both := got[strings.ReplaceAll(r.den, "{n}", strconv.Itoa(n))]; err == nil && both && n > best {
+			best = n
+		}
+	}
+	if best < 0 {
+		return r
+	}
+	at := strconv.Itoa(best)
+	r.name = strings.ReplaceAll(r.name, "{n}", at)
+	r.num = strings.ReplaceAll(r.num, "{n}", at)
+	r.den = strings.ReplaceAll(r.den, "{n}", at)
+	return r
 }
 
-// quantBaseline is the "quant" section of BENCH_serve.json: the quantized
-// dart-table benchmarks. The storage field is recorded for visibility; the
-// shrink gate itself is same-run (quant vs float storage_bytes metrics), so
-// it cannot drift with the baseline file.
-type quantBaseline struct {
-	DartInferQuantNs     float64 `json:"dart_infer_quant_ns"`
-	DartInferQuantAllocs float64 `json:"dart_infer_quant_allocs"`
-	DartQuantStorage     float64 `json:"dart_quant_storage_bytes"`
-	QuantRowNs           float64 `json:"quant_row_ns"`
-	QuantRowAllocs       float64 `json:"quant_row_allocs"`
-}
-
-// routerBaseline is the "router" section of BENCH_serve.json: the sharding
-// tier's benchmarks. The replay_* fields are written by `dart-router -replay
-// -json`; the ns fields by -write-router.
-type routerBaseline struct {
-	RouterAccessNs   float64 `json:"router_access_ns"`
-	DirectAccessNs   float64 `json:"direct_access_ns"`
-	ReplayThroughput float64 `json:"replay_throughput"`
+// pass reports whether num/den meets the bar; den is 1 for zero-allocs rows.
+// Ratios are compared cross-multiplied so a zero denominator (0 allocs on
+// both sides) is well defined.
+func (r row) pass(num, den float64) bool {
+	switch r.op {
+	case ">=":
+		return num >= r.bar*den
+	case ">":
+		return num > r.bar*den
+	case "<=":
+		return num <= r.bar*den
+	}
+	return num == r.bar*den
 }
 
 // benchLine matches e.g. "BenchmarkMatMul/par/n512/w4-8   100  11093275 ns/op".
@@ -216,580 +178,49 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 	return out, sc.Err()
 }
 
-// check is one comparison outcome.
-type check struct {
-	name     string
-	measured float64
-	limit    float64
-	ok       bool
-}
-
-// absoluteChecks compares measured numbers against baseline * tolerance.
-// Baseline entries with no measurement are reported via missing.
-func absoluteChecks(base baseline, got map[string]float64, tolerance float64) (checks []check, missing []string) {
-	add := func(name string, baseNs float64) {
-		ns, ok := got[name]
-		if !ok {
-			missing = append(missing, name)
-			return
+// check evaluates every row against the parsed results, prints one line per
+// row in table order, and returns the exit code.
+func check(got map[string]float64, out io.Writer) int {
+	failed := 0
+	var missing []string
+	for _, r := range rows {
+		r = r.resolve(got)
+		num, hasNum := got[r.num]
+		den, hasDen := 1.0, true
+		if r.den != "" {
+			den, hasDen = got[r.den]
 		}
-		limit := baseNs * tolerance
-		checks = append(checks, check{name: name, measured: ns, limit: limit, ok: ns <= limit})
-	}
-	for _, row := range base.MatMul {
-		add(fmt.Sprintf("BenchmarkMatMul/serial/n%d", row.N), row.SerialNs)
-		for _, w := range []string{"w1", "w2", "w4"} {
-			if bn, ok := row.ParNs[w]; ok {
-				add(fmt.Sprintf("BenchmarkMatMul/par/n%d/%s", row.N, w), bn)
-			}
-		}
-	}
-	if base.Tabular.NsPerOp > 0 {
-		add("BenchmarkHierarchyQueryBatch", base.Tabular.NsPerOp)
-	}
-	return checks, missing
-}
-
-// speedupCheck verifies, within the same run, that the parallel engine beats
-// the serial kernel at the largest size both were measured at.
-func speedupCheck(got map[string]float64, minSpeedup float64) (check, bool) {
-	best := -1
-	for _, n := range []int{1024, 512, 256, 128, 64} {
-		serial := fmt.Sprintf("BenchmarkMatMul/serial/n%d", n)
-		par := fmt.Sprintf("BenchmarkMatMul/par/n%d/w4", n)
-		if _, ok1 := got[serial]; ok1 {
-			if _, ok2 := got[par]; ok2 {
-				best = n
-				break
-			}
-		}
-	}
-	if best < 0 {
-		return check{}, false
-	}
-	serial := got[fmt.Sprintf("BenchmarkMatMul/serial/n%d", best)]
-	par := got[fmt.Sprintf("BenchmarkMatMul/par/n%d/w4", best)]
-	speedup := serial / par
-	return check{
-		name:     fmt.Sprintf("speedup(par w4 vs serial, n=%d)", best),
-		measured: speedup,
-		limit:    minSpeedup,
-		ok:       speedup >= minSpeedup,
-	}, true
-}
-
-// serveChecks compares the online-training benchmarks against the "online"
-// section of the serve baseline file.
-func serveChecks(servePath string, got map[string]float64, tolerance float64, out io.Writer) (checks []check, missing []string, ok bool) {
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return nil, nil, false
-	}
-	var doc struct {
-		Online *onlineBaseline `json:"online"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return nil, nil, false
-	}
-	if doc.Online == nil {
-		fmt.Fprintf(out, "benchcheck: %s has no \"online\" section (run `make bench-update`)\n", servePath)
-		return nil, nil, false
-	}
-	for name, field := range onlineBenchNames {
-		baseNs := field(*doc.Online)
-		if baseNs <= 0 {
-			missing = append(missing, name)
-			continue
-		}
-		ns, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			continue
-		}
-		limit := baseNs * tolerance
-		checks = append(checks, check{name: name, measured: ns, limit: limit, ok: ns <= limit})
-	}
-	// The policy decision allocs baseline is exact (no tolerance): 0 is the
-	// recorded value and the point of the check, like the wire hot path.
-	if allocs, measured := got["BenchmarkPolicyDecision@allocs"]; measured {
-		checks = append(checks, check{
-			name:     "BenchmarkPolicyDecision@allocs",
-			measured: allocs,
-			limit:    doc.Online.PolicyDecisionAllocs,
-			ok:       allocs <= doc.Online.PolicyDecisionAllocs,
-		})
-	} else {
-		missing = append(missing, "BenchmarkPolicyDecision@allocs")
-	}
-	sc, sMissing := studentChecks(got)
-	checks = append(checks, sc...)
-	missing = append(missing, sMissing...)
-	return checks, missing, true
-}
-
-// studentChecks are the host-independent same-run comparisons down the
-// serving hierarchy: the distilled student must be strictly faster than the
-// teacher and its reported parameter storage strictly smaller, and the
-// tabularized (dart) tables must be strictly faster than the student — the
-// paper's whole point, and each tier's reason to exist. Both sides of every
-// ratio ran seconds apart on the same host, so no tolerance applies.
-func studentChecks(got map[string]float64) (checks []check, missing []string) {
-	type rel struct {
-		name, num, den string
-	}
-	for _, r := range []rel{
-		{"speedup(student vs teacher infer, same run)", "BenchmarkTeacherInfer", "BenchmarkStudentInfer"},
-		{"shrink(student vs teacher storage_bytes)", "BenchmarkTeacherInfer@storage_bytes", "BenchmarkStudentInfer@storage_bytes"},
-		{"speedup(dart vs student infer, same run)", "BenchmarkStudentInfer", "BenchmarkDartInfer"},
-	} {
-		num, ok1 := got[r.num]
-		den, ok2 := got[r.den]
-		if !ok1 {
+		if !hasNum {
 			missing = append(missing, r.num)
 		}
-		if !ok2 {
+		if !hasDen {
 			missing = append(missing, r.den)
 		}
-		if !ok1 || !ok2 {
+		if !hasNum || !hasDen {
+			fmt.Fprintf(out, "MISS %s\n", r.name)
 			continue
 		}
-		ratio := num / den
-		checks = append(checks, check{name: r.name, measured: ratio, limit: 1, ok: ratio > 1})
-	}
-	return checks, missing
-}
-
-// binaryChecks gates the DARTWIRE1 benchmarks against the "binary" section
-// of the serve baseline file: ns/op within tolerance like any other
-// benchmark, allocs/op at most the recorded baseline with no tolerance
-// (allocation counts are deterministic, and the recorded baseline is zero —
-// the zero-alloc hot-path guarantee), plus the static recorded-throughput
-// ratio: binary replay must beat JSON replay by minWireSpeedup. Both replay
-// numbers come from the baseline file itself — `make bench-update` records
-// them on the same host minutes apart — so no fresh measurement is needed.
-func binaryChecks(servePath string, got map[string]float64, tolerance, minWireSpeedup float64, out io.Writer) (checks []check, missing []string, ok bool) {
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return nil, nil, false
-	}
-	var doc struct {
-		Binary *binaryBaseline `json:"binary"`
-		Report struct {
-			Throughput float64 `json:"Throughput"`
-		} `json:"report"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return nil, nil, false
-	}
-	if doc.Binary == nil {
-		fmt.Fprintf(out, "benchcheck: %s has no \"binary\" section (run `make bench-update`)\n", servePath)
-		return nil, nil, false
-	}
-	bin := *doc.Binary
-	addNs := func(name string, baseNs float64) {
-		if baseNs <= 0 {
-			missing = append(missing, name)
-			return
+		status := "ok  "
+		if !r.pass(num, den) {
+			status = "FAIL"
+			failed++
 		}
-		ns, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			return
-		}
-		limit := baseNs * tolerance
-		checks = append(checks, check{name: name, measured: ns, limit: limit, ok: ns <= limit})
+		fmt.Fprintf(out, "%s %-44s measured %10.4g  want %s %g\n", status, r.name, num/den, r.op, r.bar)
 	}
-	// Alloc baselines are exact: a baseline of 0 is the whole point, so 0 is
-	// a valid (and the expected) recorded value, unlike the ns fields.
-	addAllocs := func(name string, baseAllocs float64) {
-		allocs, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			return
-		}
-		checks = append(checks, check{name: name, measured: allocs, limit: baseAllocs, ok: allocs <= baseAllocs})
-	}
-	addNs("BenchmarkWireCodec", bin.CodecNs)
-	addAllocs("BenchmarkWireCodec@allocs", bin.CodecAllocs)
-	addNs("BenchmarkWireAccessBinary", bin.WireAccessNs)
-	addAllocs("BenchmarkWireAccessBinary@allocs", bin.WireAccessAllocs)
-	if bin.ReplayThroughput <= 0 || doc.Report.Throughput <= 0 {
-		fmt.Fprintf(out, "benchcheck: %s lacks recorded replay throughputs for the wire-speedup check (run `make bench-update`)\n", servePath)
-		return nil, nil, false
-	}
-	ratio := bin.ReplayThroughput / doc.Report.Throughput
-	checks = append(checks, check{
-		name:     "speedup(binary vs json replay, recorded)",
-		measured: ratio,
-		limit:    minWireSpeedup,
-		ok:       ratio >= minWireSpeedup,
-	})
-	return checks, missing, true
-}
-
-// quantChecks gates the quantized dart tables against the "quant" section of
-// the serve baseline file: ns/op within tolerance, allocs/op at most the
-// recorded baseline with no tolerance (the QuantRowAccum baseline is zero —
-// the SIMD row kernel's zero-alloc guarantee), plus the two host-independent
-// same-run ratios against the float dart row: quantized inference must be
-// strictly faster, and its storage_bytes metric at least minShrink times
-// smaller. Both sides of each ratio ran seconds apart on the same host, so
-// no tolerance applies.
-func quantChecks(servePath string, got map[string]float64, tolerance, minShrink float64, out io.Writer) (checks []check, missing []string, ok bool) {
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return nil, nil, false
-	}
-	var doc struct {
-		Quant *quantBaseline `json:"quant"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return nil, nil, false
-	}
-	if doc.Quant == nil {
-		fmt.Fprintf(out, "benchcheck: %s has no \"quant\" section (run `make bench-update`)\n", servePath)
-		return nil, nil, false
-	}
-	q := *doc.Quant
-	addNs := func(name string, baseNs float64) {
-		if baseNs <= 0 {
-			missing = append(missing, name)
-			return
-		}
-		ns, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			return
-		}
-		limit := baseNs * tolerance
-		checks = append(checks, check{name: name, measured: ns, limit: limit, ok: ns <= limit})
-	}
-	addAllocs := func(name string, baseAllocs float64) {
-		allocs, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			return
-		}
-		checks = append(checks, check{name: name, measured: allocs, limit: baseAllocs, ok: allocs <= baseAllocs})
-	}
-	addNs("BenchmarkDartInferQuant", q.DartInferQuantNs)
-	addAllocs("BenchmarkDartInferQuant@allocs", q.DartInferQuantAllocs)
-	addNs("BenchmarkQuantRowAccum", q.QuantRowNs)
-	addAllocs("BenchmarkQuantRowAccum@allocs", q.QuantRowAllocs)
-	type rel struct {
-		name, num, den string
-		limit          float64
-		strict         bool // ratio must exceed (not just meet) the limit
-	}
-	for _, r := range []rel{
-		{"speedup(quant vs float dart infer, same run)", "BenchmarkDartInfer", "BenchmarkDartInferQuant", 1, true},
-		{"shrink(quant vs float dart storage_bytes)", "BenchmarkDartInfer@storage_bytes", "BenchmarkDartInferQuant@storage_bytes", minShrink, false},
-	} {
-		num, ok1 := got[r.num]
-		den, ok2 := got[r.den]
-		if !ok1 {
-			missing = append(missing, r.num)
-		}
-		if !ok2 {
-			missing = append(missing, r.den)
-		}
-		if !ok1 || !ok2 {
-			continue
-		}
-		ratio := num / den
-		pass := ratio >= r.limit
-		if r.strict {
-			pass = ratio > r.limit
-		}
-		checks = append(checks, check{name: r.name, measured: ratio, limit: r.limit, ok: pass})
-	}
-	return checks, missing, true
-}
-
-// routerChecks gates the sharding tier against the "router" section of the
-// serve baseline file: the routed and direct access benchmarks for ns/op
-// regressions like any other benchmark, plus the host-independent same-run
-// overhead ratio — routed ns/op over direct ns/op, both measured on the same
-// host through the same loopback wire, must stay under maxOverhead. That
-// ratio is the router's cost contract: decode, journal append, re-encode and
-// one extra hop, a constant factor over a direct backend call.
-func routerChecks(servePath string, got map[string]float64, tolerance, maxOverhead float64, out io.Writer) (checks []check, missing []string, ok bool) {
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return nil, nil, false
-	}
-	var doc struct {
-		Router *routerBaseline `json:"router"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return nil, nil, false
-	}
-	if doc.Router == nil {
-		fmt.Fprintf(out, "benchcheck: %s has no \"router\" section (run `make bench-update`)\n", servePath)
-		return nil, nil, false
-	}
-	addNs := func(name string, baseNs float64) {
-		if baseNs <= 0 {
-			missing = append(missing, name)
-			return
-		}
-		ns, measured := got[name]
-		if !measured {
-			missing = append(missing, name)
-			return
-		}
-		limit := baseNs * tolerance
-		checks = append(checks, check{name: name, measured: ns, limit: limit, ok: ns <= limit})
-	}
-	addNs("BenchmarkRouterAccess", doc.Router.RouterAccessNs)
-	addNs("BenchmarkDirectAccess", doc.Router.DirectAccessNs)
-	routed, ok1 := got["BenchmarkRouterAccess"]
-	direct, ok2 := got["BenchmarkDirectAccess"]
-	if ok1 && ok2 {
-		ratio := routed / direct
-		checks = append(checks, check{
-			name:     "overhead(routed vs direct access, same run)",
-			measured: ratio,
-			limit:    maxOverhead,
-			ok:       ratio <= maxOverhead,
-		})
-	}
-	return checks, missing, true
-}
-
-// writeRouter rewrites the ns fields of the "router" section of the serve
-// baseline file from the measured benchmarks, preserving the replay_* fields
-// (owned by `dart-router -replay -json`) and every other key in the file.
-func writeRouter(servePath string, got map[string]float64, out io.Writer) int {
-	for _, name := range []string{"BenchmarkRouterAccess", "BenchmarkDirectAccess"} {
-		if _, ok := got[name]; !ok {
-			fmt.Fprintf(out, "benchcheck: input has no %s result; not updating %s\n", name, servePath)
-			return 2
-		}
-	}
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
+	switch {
+	case len(missing) > 0:
+		fmt.Fprintf(out, "benchcheck: input is missing %s (fail closed: every row must be measured)\n", strings.Join(missing, ", "))
 		return 2
+	case failed > 0:
+		fmt.Fprintf(out, "benchcheck: %d of %d rows failed\n", failed, len(rows))
+		return 1
 	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return 2
-	}
-	sec := make(map[string]json.RawMessage)
-	if prev, ok := doc["router"]; ok {
-		if err := json.Unmarshal(prev, &sec); err != nil {
-			fmt.Fprintf(out, "benchcheck: parsing %s \"router\" section: %v\n", servePath, err)
-			return 2
-		}
-	}
-	set := func(key string, v float64) {
-		b, _ := json.Marshal(v)
-		sec[key] = b
-	}
-	set("router_access_ns", got["BenchmarkRouterAccess"])
-	set("direct_access_ns", got["BenchmarkDirectAccess"])
-	updatedSec, err := json.Marshal(sec)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	doc["router"] = updatedSec
-	updated, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	if err := os.WriteFile(servePath, append(updated, '\n'), 0o644); err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "benchcheck: %s router section updated (routed %.0f ns, direct %.0f ns, overhead %.2fx)\n",
-		servePath, got["BenchmarkRouterAccess"], got["BenchmarkDirectAccess"],
-		got["BenchmarkRouterAccess"]/got["BenchmarkDirectAccess"])
+	fmt.Fprintf(out, "benchcheck: all %d rows passed\n", len(rows))
 	return 0
 }
 
-// writeBinary rewrites the codec/access fields of the "binary" section of
-// the serve baseline file from the measured benchmarks, preserving the
-// replay_* fields (owned by `dart-serve -replay -proto binary -json`) and
-// every other key in the file.
-func writeBinary(servePath string, got map[string]float64, out io.Writer) int {
-	for _, name := range []string{
-		"BenchmarkWireCodec", "BenchmarkWireCodec@allocs",
-		"BenchmarkWireAccessBinary", "BenchmarkWireAccessBinary@allocs",
-	} {
-		if _, ok := got[name]; !ok {
-			fmt.Fprintf(out, "benchcheck: input has no %s result (need -benchmem); not updating %s\n", name, servePath)
-			return 2
-		}
-	}
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return 2
-	}
-	bin := make(map[string]json.RawMessage)
-	if sec, ok := doc["binary"]; ok {
-		if err := json.Unmarshal(sec, &bin); err != nil {
-			fmt.Fprintf(out, "benchcheck: parsing %s \"binary\" section: %v\n", servePath, err)
-			return 2
-		}
-	}
-	set := func(key string, v float64) {
-		b, _ := json.Marshal(v)
-		bin[key] = b
-	}
-	set("codec_ns", got["BenchmarkWireCodec"])
-	set("codec_allocs", got["BenchmarkWireCodec@allocs"])
-	set("wire_access_ns", got["BenchmarkWireAccessBinary"])
-	set("wire_access_allocs", got["BenchmarkWireAccessBinary@allocs"])
-	sec, err := json.Marshal(bin)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	doc["binary"] = sec
-	updated, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	if err := os.WriteFile(servePath, append(updated, '\n'), 0o644); err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "benchcheck: %s binary section updated (codec %.0f ns / %.0f allocs, access %.0f ns / %.0f allocs)\n",
-		servePath, got["BenchmarkWireCodec"], got["BenchmarkWireCodec@allocs"],
-		got["BenchmarkWireAccessBinary"], got["BenchmarkWireAccessBinary@allocs"])
-	return 0
-}
-
-// writeQuant rewrites the "quant" section of the serve baseline file from the
-// measured benchmarks, preserving every other key in the file.
-func writeQuant(servePath string, got map[string]float64, out io.Writer) int {
-	for _, name := range []string{
-		"BenchmarkDartInferQuant", "BenchmarkDartInferQuant@allocs",
-		"BenchmarkDartInferQuant@storage_bytes",
-		"BenchmarkQuantRowAccum", "BenchmarkQuantRowAccum@allocs",
-	} {
-		if _, ok := got[name]; !ok {
-			fmt.Fprintf(out, "benchcheck: input has no %s result (need -benchmem); not updating %s\n", name, servePath)
-			return 2
-		}
-	}
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return 2
-	}
-	sec, err := json.Marshal(quantBaseline{
-		DartInferQuantNs:     got["BenchmarkDartInferQuant"],
-		DartInferQuantAllocs: got["BenchmarkDartInferQuant@allocs"],
-		DartQuantStorage:     got["BenchmarkDartInferQuant@storage_bytes"],
-		QuantRowNs:           got["BenchmarkQuantRowAccum"],
-		QuantRowAllocs:       got["BenchmarkQuantRowAccum@allocs"],
-	})
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	doc["quant"] = sec
-	updated, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	if err := os.WriteFile(servePath, append(updated, '\n'), 0o644); err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "benchcheck: %s quant section updated (infer %.0f ns / %.0f storage_bytes, row %.1f ns / %.0f allocs)\n",
-		servePath, got["BenchmarkDartInferQuant"], got["BenchmarkDartInferQuant@storage_bytes"],
-		got["BenchmarkQuantRowAccum"], got["BenchmarkQuantRowAccum@allocs"])
-	return 0
-}
-
-// writeOnline rewrites the "online" section of the serve baseline file from
-// the measured benchmarks, leaving every other key untouched.
-func writeOnline(servePath string, got map[string]float64, out io.Writer) int {
-	need := make([]string, 0, len(onlineBenchNames)+2)
-	for name := range onlineBenchNames {
-		need = append(need, name)
-	}
-	need = append(need, "BenchmarkTeacherInfer@storage_bytes", "BenchmarkStudentInfer@storage_bytes",
-		"BenchmarkDartInfer@storage_bytes", "BenchmarkPolicyDecision@allocs")
-	for _, name := range need {
-		if _, ok := got[name]; !ok {
-			fmt.Fprintf(out, "benchcheck: input has no %s result; not updating %s\n", name, servePath)
-			return 2
-		}
-	}
-	raw, err := os.ReadFile(servePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", servePath, err)
-		return 2
-	}
-	sec, err := json.Marshal(onlineBaseline{
-		FeedbackIngestNs:    got["BenchmarkFeedbackIngest"],
-		SwapNs:              got["BenchmarkModelSwap"],
-		TeacherInferNs:      got["BenchmarkTeacherInfer"],
-		StudentInferNs:      got["BenchmarkStudentInfer"],
-		DistillCycleNs:      got["BenchmarkDistillCycle"],
-		DartInferNs:         got["BenchmarkDartInfer"],
-		TabularSwapNs:       got["BenchmarkTabularSwap"],
-		TeacherStorageBytes: got["BenchmarkTeacherInfer@storage_bytes"],
-		StudentStorageBytes: got["BenchmarkStudentInfer@storage_bytes"],
-		DartStorageBytes:    got["BenchmarkDartInfer@storage_bytes"],
-
-		PolicyDecisionNs:     got["BenchmarkPolicyDecision"],
-		PolicyDecisionAllocs: got["BenchmarkPolicyDecision@allocs"],
-	})
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	doc["online"] = sec
-	updated, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	if err := os.WriteFile(servePath, append(updated, '\n'), 0o644); err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "benchcheck: %s online section updated (ingest %.1f ns, swap %.0f ns)\n",
-		servePath, got["BenchmarkFeedbackIngest"], got["BenchmarkModelSwap"])
-	return 0
-}
-
-// run executes the gate and returns the process exit code.
-func run(baselinePath, servePath, updateOnline, updateBinary, updateRouter, updateQuant string, tolerance, minSpeedup, minWireSpeedup, maxRouterOverhead, minQuantShrink float64, in io.Reader, out io.Writer) int {
+// run parses bench output from in and gates it.
+func run(in io.Reader, out io.Writer) int {
 	got, err := parseBench(in)
 	if err != nil {
 		fmt.Fprintf(out, "benchcheck: %v\n", err)
@@ -799,134 +230,28 @@ func run(baselinePath, servePath, updateOnline, updateBinary, updateRouter, upda
 		fmt.Fprintln(out, "benchcheck: no benchmark results in input")
 		return 2
 	}
-	if updateOnline != "" {
-		return writeOnline(updateOnline, got, out)
-	}
-	if updateBinary != "" {
-		return writeBinary(updateBinary, got, out)
-	}
-	if updateRouter != "" {
-		return writeRouter(updateRouter, got, out)
-	}
-	if updateQuant != "" {
-		return writeQuant(updateQuant, got, out)
-	}
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintf(out, "benchcheck: %v\n", err)
-		return 2
-	}
-	var base baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(out, "benchcheck: parsing %s: %v\n", baselinePath, err)
-		return 2
-	}
+	return check(got, out)
+}
 
-	checks, missing := absoluteChecks(base, got, tolerance)
-	if sc, ok := speedupCheck(got, minSpeedup); ok {
-		checks = append(checks, sc)
+// runArgs reads the bench output from the one positional path, or from
+// stdin when there is none.
+func runArgs(args []string, stdin io.Reader, out io.Writer) int {
+	switch len(args) {
+	case 0:
+		return run(stdin, out)
+	case 1:
+		f, err := os.Open(args[0])
+		if err != nil {
+			fmt.Fprintf(out, "benchcheck: %v\n", err)
+			return 2
+		}
+		defer f.Close()
+		return run(f, out)
 	}
-	if servePath != "" {
-		sChecks, sMissing, ok := serveChecks(servePath, got, tolerance, out)
-		if !ok {
-			return 2
-		}
-		if len(sMissing) > 0 {
-			// Fail closed: unlike the matmul grid (which CI may shrink),
-			// the online gate names exactly the benchmarks bench-ci runs —
-			// one going missing means the gate silently stopped gating.
-			fmt.Fprintf(out, "benchcheck: online benchmarks missing from input or baseline: %v\n", sMissing)
-			return 2
-		}
-		checks = append(checks, sChecks...)
-		qChecks, qMissing, ok := quantChecks(servePath, got, tolerance, minQuantShrink, out)
-		if !ok {
-			return 2
-		}
-		if len(qMissing) > 0 {
-			// Same fail-closed rule: the quant gate carries the int8 acceptance
-			// bars (quant beats float, >=4x shrink, zero-alloc row kernel), and
-			// a benchmark dropped from bench-ci would silently stop enforcing
-			// them.
-			fmt.Fprintf(out, "benchcheck: quant benchmarks missing from input or baseline: %v\n", qMissing)
-			return 2
-		}
-		checks = append(checks, qChecks...)
-		bChecks, bMissing, ok := binaryChecks(servePath, got, tolerance, minWireSpeedup, out)
-		if !ok {
-			return 2
-		}
-		if len(bMissing) > 0 {
-			// Same fail-closed rule: the wire gate exists to catch a single
-			// new allocation on the binary hot path, and a missing benchmark
-			// (e.g. -benchmem dropped from bench-ci) would disable it.
-			fmt.Fprintf(out, "benchcheck: wire benchmarks missing from input or baseline: %v\n", bMissing)
-			return 2
-		}
-		checks = append(checks, bChecks...)
-		rChecks, rMissing, ok := routerChecks(servePath, got, tolerance, maxRouterOverhead, out)
-		if !ok {
-			return 2
-		}
-		if len(rMissing) > 0 {
-			// Same fail-closed rule: the overhead gate is the sharding tier's
-			// cost contract, and a benchmark dropped from bench-ci would
-			// silently stop enforcing it.
-			fmt.Fprintf(out, "benchcheck: router benchmarks missing from input or baseline: %v\n", rMissing)
-			return 2
-		}
-		checks = append(checks, rChecks...)
-	}
-	if len(checks) == 0 {
-		// Fail closed: benchmark names drifting away from the baseline
-		// schema must not silently disable the gate.
-		fmt.Fprintf(out, "benchcheck: no measured benchmark matched any baseline entry (missing: %v)\n", missing)
-		return 2
-	}
-
-	fail := 0
-	for _, c := range checks {
-		status := "ok  "
-		if !c.ok {
-			status = "FAIL"
-			fail++
-		}
-		fmt.Fprintf(out, "%s %-42s measured %12.0f  limit %12.0f\n", status, c.name, c.measured, c.limit)
-	}
-	for _, name := range missing {
-		fmt.Fprintf(out, "warn %-42s baseline entry not measured\n", name)
-	}
-	if fail > 0 {
-		fmt.Fprintf(out, "benchcheck: %d regression(s) beyond %.2fx tolerance\n", fail, tolerance)
-		return 1
-	}
-	fmt.Fprintf(out, "benchcheck: %d checks passed (tolerance %.2fx)\n", len(checks), tolerance)
-	return 0
+	fmt.Fprintln(out, "usage: dart-benchcheck [bench-output-file]")
+	return 2
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_par.json", "baseline JSON file")
-	servePath := flag.String("serve-baseline", "", "also gate online benchmarks against this file's \"online\" section (e.g. BENCH_serve.json)")
-	updateOnline := flag.String("write-online", "", "update mode: rewrite this file's \"online\" section from the measured benchmarks")
-	updateBinary := flag.String("write-binary", "", "update mode: rewrite this file's \"binary\" codec/access fields from the measured benchmarks")
-	updateRouter := flag.String("write-router", "", "update mode: rewrite this file's \"router\" ns fields from the measured benchmarks")
-	updateQuant := flag.String("write-quant", "", "update mode: rewrite this file's \"quant\" section from the measured benchmarks")
-	tolerance := flag.Float64("tolerance", 1.5, "allowed slowdown vs baseline")
-	minSpeedup := flag.Float64("min-speedup", 2.0, "required same-run speedup of par w4 over serial")
-	minWireSpeedup := flag.Float64("min-wire-speedup", 5.0, "required recorded speedup of binary replay over json replay")
-	maxRouterOverhead := flag.Float64("max-router-overhead", 3.0, "allowed same-run overhead of routed access over direct access")
-	minQuantShrink := flag.Float64("min-quant-shrink", 4.0, "required same-run shrink of quantized over float dart storage_bytes")
-	flag.Parse()
-
-	in := io.Reader(os.Stdin)
-	if flag.NArg() > 0 {
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		in = f
-	}
-	os.Exit(run(*baselinePath, *servePath, *updateOnline, *updateBinary, *updateRouter, *updateQuant, *tolerance, *minSpeedup, *minWireSpeedup, *maxRouterOverhead, *minQuantShrink, in, os.Stdout))
+	os.Exit(runArgs(os.Args[1:], os.Stdin, os.Stdout))
 }

@@ -3,45 +3,107 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-const sampleBaseline = `{
-  "matmul": [
-    {"n": 64,  "serial_ns": 100000, "par_ns": {"w1": 30000, "w2": 28000, "w4": 25000, "wGOMAXPROCS": 26000}},
-    {"n": 512, "serial_ns": 70000000, "par_ns": {"w1": 12000000, "w2": 11500000, "w4": 11000000}}
-  ],
-  "tabular": {"ns_per_op": 1800000}
-}`
-
-const sampleBench = `goos: linux
+// The sample input is split into the sections `make bench-ci` appends to
+// bench-ci.out, one per `go test -bench` invocation. Every row passes on it.
+const (
+	sampleMatMul = `goos: linux
 goarch: amd64
-BenchmarkMatMul/serial/n64-1       7    101000 ns/op    0 B/op
-BenchmarkMatMul/par/n64/w1-1     40     29000 ns/op
-BenchmarkMatMul/par/n64/w2-1     40     27000 ns/op
-BenchmarkMatMul/par/n64/w4-1     40     24000 ns/op
-BenchmarkMatMul/serial/n512-1     2  69000000 ns/op
-BenchmarkMatMul/par/n512/w1-1    10  12100000 ns/op
-BenchmarkMatMul/par/n512/w2-1    10  11400000 ns/op
-BenchmarkMatMul/par/n512/w4-1    10  11200000 ns/op
-BenchmarkHierarchyQueryBatch  100   1700000 ns/op
+BenchmarkMatMul/serial/n64-2       7    101000 ns/op    0 B/op
+BenchmarkMatMul/par/n64/w1-2     40     29000 ns/op
+BenchmarkMatMul/par/n64/w4-2     40     24000 ns/op
+BenchmarkMatMul/serial/n512-2     2  69000000 ns/op
+BenchmarkMatMul/par/n512/w1-2    10  12100000 ns/op
+BenchmarkMatMul/par/n512/w4-2    10  11200000 ns/op
+BenchmarkMatMul/serial/n1024-2    1 550000000 ns/op
 PASS
 `
+	sampleOnline = `BenchmarkTeacherInfer-2  434  553897 ns/op  44032 storage_bytes  9000 B/op  300 allocs/op
+BenchmarkStudentInfer-2  712  321442 ns/op  13952 storage_bytes  6000 B/op  200 allocs/op
+BenchmarkDartInfer-2  951  249812 ns/op  7982 storage_bytes  160000 B/op  1911 allocs/op
+BenchmarkDartInferQuant-2  1500  161234 ns/op  1995 storage_bytes  84000 B/op  983 allocs/op
+BenchmarkQuantRowAccum-2  40000000  29.8 ns/op  0 B/op  0 allocs/op
+BenchmarkPolicyDecision-2  50000000  21.7 ns/op  0 B/op  0 allocs/op
+`
+	sampleWire = `BenchmarkWireCodec-2  550000  2156 ns/op  0 B/op  0 allocs/op
+BenchmarkWireAccessBinary-2  2000000  529 ns/op  0 B/op  0 allocs/op
+BenchmarkWireAccessJSON-2  150000  8101 ns/op  1969 B/op  45 allocs/op
+`
+	sampleRouter = `BenchmarkRouterAccess-2  200000  6012 ns/op  120 B/op  3 allocs/op
+BenchmarkDirectAccess-2  400000  2987 ns/op  80 B/op  2 allocs/op
+`
+	sampleBench = sampleMatMul + sampleOnline + sampleWire + sampleRouter
+)
+
+// gate runs the checker over in and returns its exit code and report.
+func gate(in string) (int, string) {
+	var out strings.Builder
+	code := run(strings.NewReader(in), &out)
+	return code, out.String()
+}
+
+// replace is strings.Replace that fails the test when old is absent, so a
+// fixture edit cannot silently become a no-op.
+func replace(t *testing.T, in, old, new string) string {
+	t.Helper()
+	if !strings.Contains(in, old) {
+		t.Fatalf("fixture has no %q", old)
+	}
+	return strings.Replace(in, old, new, 1)
+}
+
+// without drops the result lines of the named benchmarks from in.
+func without(in string, names ...string) string {
+	var kept []string
+	for _, line := range strings.SplitAfter(in, "\n") {
+		m := benchLine.FindStringSubmatch(line)
+		drop := false
+		for _, name := range names {
+			drop = drop || (m != nil && m[1] == name)
+		}
+		if !drop {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "")
+}
+
+// wantExit asserts the exit code and that the report contains every want.
+func wantExit(t *testing.T, in string, code int, want ...string) {
+	t.Helper()
+	got, out := gate(in)
+	if got != code {
+		t.Fatalf("exit %d, want %d; output:\n%s", got, code, out)
+	}
+	for _, w := range want {
+		if !strings.Contains(out, w) {
+			t.Fatalf("output lacks %q:\n%s", w, out)
+		}
+	}
+}
 
 func TestParseBench(t *testing.T) {
-	got, err := parseBench(strings.NewReader(sampleBench))
+	got, err := parseBench(strings.NewReader(sampleMatMul))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 9 {
-		t.Fatalf("parsed %d benchmarks, want 9", len(got))
+	if len(got) != 7 {
+		t.Fatalf("parsed %d benchmarks, want 7: %v", len(got), got)
 	}
 	if got["BenchmarkMatMul/par/n512/w4"] != 11200000 {
 		t.Fatalf("n512/w4 = %v", got["BenchmarkMatMul/par/n512/w4"])
 	}
+	// go test omits the -N suffix at GOMAXPROCS=1.
+	got, err = parseBench(strings.NewReader("BenchmarkHierarchyQueryBatch  100   1700000 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got["BenchmarkHierarchyQueryBatch"] != 1700000 {
-		t.Fatalf("tabular = %v", got["BenchmarkHierarchyQueryBatch"])
+		t.Fatalf("suffix-less line = %v", got)
 	}
 }
 
@@ -56,268 +118,8 @@ func TestParseBenchKeepsMinimumAcrossCounts(t *testing.T) {
 	}
 }
 
-func writeBaseline(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, []byte(sampleBaseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestGatePassesWithinTolerance(t *testing.T) {
-	var out strings.Builder
-	code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleBench), &out)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "checks passed") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestGateFailsOnRegression(t *testing.T) {
-	// n512/w4 regresses 3x beyond the baseline.
-	slow := strings.Replace(sampleBench,
-		"BenchmarkMatMul/par/n512/w4-1    10  11200000 ns/op",
-		"BenchmarkMatMul/par/n512/w4-1    10  33000000 ns/op", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL BenchmarkMatMul/par/n512/w4") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestGateFailsOnLostSpeedup(t *testing.T) {
-	// Absolute numbers fine, but par w4 no faster than serial at n=512:
-	// model a host where the engine silently fell back to the slow path
-	// while the baseline file was recorded on slower hardware.
-	in := `BenchmarkMatMul/serial/n512-1 2 10000000 ns/op
-BenchmarkMatMul/par/n512/w4-1 2 9000000 ns/op
-`
-	var out strings.Builder
-	code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(in), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "speedup") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestGateSpeedupUsesLargestCommonSize(t *testing.T) {
-	got, _ := parseBench(strings.NewReader(sampleBench))
-	c, ok := speedupCheck(got, 2.0)
-	if !ok {
-		t.Fatal("no speedup check possible")
-	}
-	if !strings.Contains(c.name, "n=512") {
-		t.Fatalf("picked %q, want n=512", c.name)
-	}
-	if !c.ok {
-		t.Fatalf("speedup %v below limit %v", c.measured, c.limit)
-	}
-}
-
-func TestGateWarnsOnMissingMeasurement(t *testing.T) {
-	// Only the n=64 grid measured: n=512 baseline rows are warnings, not
-	// failures (CI may shrink the grid), but the run still passes.
-	small := `BenchmarkMatMul/serial/n64-1 7 101000 ns/op
-BenchmarkMatMul/par/n64/w1-1 40 29000 ns/op
-BenchmarkMatMul/par/n64/w2-1 40 27000 ns/op
-BenchmarkMatMul/par/n64/w4-1 40 24000 ns/op
-BenchmarkHierarchyQueryBatch-1 100 1700000 ns/op
-`
-	var out strings.Builder
-	code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(small), &out)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "warn") {
-		t.Fatalf("no warning for missing entries:\n%s", out.String())
-	}
-}
-
-func TestGateFailsClosedWhenNothingMatches(t *testing.T) {
-	// Renamed benchmarks parse fine but match no baseline entry; the gate
-	// must error rather than pass with zero checks.
-	renamed := `BenchmarkMatMul/pool/n512/w4-1 10 11200000 ns/op
-BenchmarkSomethingElse-1 5 12345 ns/op
-`
-	var out strings.Builder
-	if code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(renamed), &out); code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "no measured benchmark matched") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestGateErrorsOnEmptyInput(t *testing.T) {
-	var out strings.Builder
-	if code := run(writeBaseline(t), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader("no benchmarks here"), &out); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-}
-
-func TestGateErrorsOnMissingBaseline(t *testing.T) {
-	var out strings.Builder
-	if code := run(filepath.Join(t.TempDir(), "nope.json"), "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleBench), &out); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-}
-
-// TestRealBaselineParses guards the actual BENCH_par.json in the repo root
-// against drifting away from the schema the gate reads.
-func TestRealBaselineParses(t *testing.T) {
-	var out strings.Builder
-	code := run("../../BENCH_par.json", "", "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleBench), &out)
-	// sampleBench numbers are far below the real baseline, so this passes
-	// unless the JSON fails to parse (exit 2).
-	if code == 2 {
-		t.Fatalf("BENCH_par.json no longer parses:\n%s", out.String())
-	}
-}
-
-const sampleServeBaseline = `{
-  "generated": "2026-07-30",
-  "online": {
-    "feedback_ingest_ns": 20, "swap_ns": 30000,
-    "teacher_infer_ns": 550000, "student_infer_ns": 320000, "distill_cycle_ns": 3000000,
-    "dart_infer_ns": 250000, "tabular_swap_ns": 5000,
-    "teacher_storage_bytes": 44032, "student_storage_bytes": 13952,
-    "dart_storage_bytes": 7982,
-    "policy_decision_ns": 22, "policy_decision_allocs": 0
-  },
-  "binary": {
-    "replay_throughput": 3900000, "replay_batch": 64,
-    "codec_ns": 2100, "codec_allocs": 0,
-    "wire_access_ns": 520, "wire_access_allocs": 0
-  },
-  "quant": {
-    "dart_infer_quant_ns": 160000, "dart_infer_quant_allocs": 980,
-    "dart_quant_storage_bytes": 1995,
-    "quant_row_ns": 30, "quant_row_allocs": 0
-  },
-  "router": {
-    "router_access_ns": 5900, "direct_access_ns": 2950,
-    "replay_throughput": 300000
-  },
-  "report": {"Throughput": 640000}
-}`
-
-const sampleOnlineBench = sampleBench + `BenchmarkFeedbackIngest-1  50000000  22.1 ns/op
-BenchmarkModelSwap-1  40000  31000 ns/op
-BenchmarkTeacherInfer-1  434  553897 ns/op  44032 storage_bytes
-BenchmarkStudentInfer-1  712  321442 ns/op  13952 storage_bytes
-BenchmarkDistillCycle-1  84  3096250 ns/op
-BenchmarkDartInfer-1  951  249812 ns/op  7982 storage_bytes
-BenchmarkDartInferQuant-1  1500  161234 ns/op  1995 storage_bytes  84000 B/op  980 allocs/op
-BenchmarkQuantRowAccum-1  40000000  29.8 ns/op  0 B/op  0 allocs/op
-BenchmarkTabularSwap-1  200000  5100 ns/op
-BenchmarkPolicyDecision-1  50000000  21.7 ns/op  0 B/op  0 allocs/op
-BenchmarkWireCodec-1  550000  2156 ns/op  0 B/op  0 allocs/op
-BenchmarkWireAccessBinary-1  2000000  529.2 ns/op  0 B/op  0 allocs/op
-BenchmarkWireAccessJSON-1  150000  8101 ns/op  1969 B/op  45 allocs/op
-BenchmarkRouterAccess-1  200000  6012 ns/op  120 B/op  3 allocs/op
-BenchmarkDirectAccess-1  400000  2987 ns/op  80 B/op  2 allocs/op
-`
-
-func writeServeBaseline(t *testing.T, content string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "serve.json")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestOnlineGatePassesWithinTolerance(t *testing.T) {
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "BenchmarkFeedbackIngest") ||
-		!strings.Contains(out.String(), "BenchmarkModelSwap") {
-		t.Fatalf("online benchmarks not checked:\n%s", out.String())
-	}
-}
-
-func TestOnlineGateFailsOnRegression(t *testing.T) {
-	slow := strings.Replace(sampleOnlineBench,
-		"BenchmarkFeedbackIngest-1  50000000  22.1 ns/op",
-		"BenchmarkFeedbackIngest-1  1000000  95.0 ns/op", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL BenchmarkFeedbackIngest") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestOnlineGateFailsClosedOnMissingBenchmark(t *testing.T) {
-	// Input has the matmul grid but neither online benchmark: the serve
-	// gate must error rather than degrade to a warning.
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleBench), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "missing") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestOnlineGateFailsClosedWithoutSection(t *testing.T) {
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, `{"report": {}}`), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "online") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestWriteOnlinePreservesOtherKeys(t *testing.T) {
-	path := writeServeBaseline(t, sampleServeBaseline)
-	var out strings.Builder
-	code := run("", "", path, "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
-	}
-	updated, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(updated)
-	for _, want := range []string{
-		`"feedback_ingest_ns": 22.1`, `"swap_ns": 31000`, `"generated"`, `"Throughput": 640000`,
-		`"policy_decision_ns": 21.7`, `"policy_decision_allocs": 0`,
-	} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("updated file missing %q:\n%s", want, s)
-		}
-	}
-	// The refreshed file must pass its own gate.
-	code = run(writeBaseline(t), path, "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 0 {
-		t.Fatalf("self-gate exit %d:\n%s", code, out.String())
-	}
-}
-
 func TestParseBenchStorageMetric(t *testing.T) {
-	got, err := parseBench(strings.NewReader(sampleOnlineBench))
+	got, err := parseBench(strings.NewReader(sampleOnline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,116 +131,8 @@ func TestParseBenchStorageMetric(t *testing.T) {
 	}
 }
 
-func TestStudentGateFailsWhenNotFaster(t *testing.T) {
-	// Student infer as slow as the teacher: absolute baselines may still
-	// pass (tolerance), but the same-run speedup check must fail.
-	slow := strings.Replace(sampleOnlineBench,
-		"BenchmarkStudentInfer-1  712  321442 ns/op  13952 storage_bytes",
-		"BenchmarkStudentInfer-1  712  560000 ns/op  13952 storage_bytes", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 2.0, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL speedup(student vs teacher infer") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestDartGateFailsWhenNotFasterThanStudent(t *testing.T) {
-	// Dart table inference as slow as the student: absolute baselines may
-	// still pass (tolerance), but the same-run dart-beats-student check —
-	// the paper's core claim — must fail.
-	slow := strings.Replace(sampleOnlineBench,
-		"BenchmarkDartInfer-1  951  249812 ns/op  7982 storage_bytes",
-		"BenchmarkDartInfer-1  951  330000 ns/op  7982 storage_bytes", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 2.0, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL speedup(dart vs student infer") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestStudentGateFailsWhenNotSmaller(t *testing.T) {
-	bloated := strings.Replace(sampleOnlineBench,
-		"BenchmarkStudentInfer-1  712  321442 ns/op  13952 storage_bytes",
-		"BenchmarkStudentInfer-1  712  321442 ns/op  44032 storage_bytes", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(bloated), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL shrink(student vs teacher storage_bytes)") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestStudentGateFailsClosedOnMissingStudentBench(t *testing.T) {
-	// The student benchmarks disappearing from the input must error, not
-	// silently stop gating the tier.
-	noStudent := strings.Replace(sampleOnlineBench,
-		"BenchmarkStudentInfer-1  712  321442 ns/op  13952 storage_bytes\n", "", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(noStudent), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-}
-
-func TestWriteOnlineRefusesPartialInput(t *testing.T) {
-	path := writeServeBaseline(t, sampleServeBaseline)
-	var out strings.Builder
-	// Missing BenchmarkModelSwap: must refuse rather than zero the baseline.
-	code := run("", "", path, "", "", "", 1.5, 2.0, 5, 3, 4,
-		strings.NewReader("BenchmarkFeedbackIngest-1 100 20 ns/op\n"), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-}
-
-func TestPolicyGateFailsOnSingleAlloc(t *testing.T) {
-	// ObserveLive runs on every shadow-compared batch: like the binary wire
-	// hot path, one allocation against the zero baseline fails with no
-	// tolerance, even with ns/op unchanged.
-	leaky := strings.Replace(sampleOnlineBench,
-		"BenchmarkPolicyDecision-1  50000000  21.7 ns/op  0 B/op  0 allocs/op",
-		"BenchmarkPolicyDecision-1  50000000  21.7 ns/op  48 B/op  1 allocs/op", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(leaky), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL BenchmarkPolicyDecision@allocs") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestPolicyGateFailsClosedOnMissingBench(t *testing.T) {
-	// BenchmarkPolicyDecision vanishing from bench-ci's input (or its
-	// -benchmem column) must error, not silently stop gating the hot path.
-	noPolicy := strings.Replace(sampleOnlineBench,
-		"BenchmarkPolicyDecision-1  50000000  21.7 ns/op  0 B/op  0 allocs/op\n", "", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(noPolicy), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "missing") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
 func TestParseBenchAllocsMetric(t *testing.T) {
-	got, err := parseBench(strings.NewReader(sampleOnlineBench))
+	got, err := parseBench(strings.NewReader(sampleWire))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,452 +154,405 @@ func TestParseBenchAllocsMetric(t *testing.T) {
 	}
 }
 
-func TestBinaryGatePassesAtBaseline(t *testing.T) {
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
+// TestGatePassesWithinTolerance: a healthy run passes with every row within
+// its bar, and the report lists the rows in table order — deterministic, so
+// two CI logs diff cleanly.
+func TestGatePassesWithinTolerance(t *testing.T) {
+	code, out := gate(sampleBench)
 	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
+		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
-	for _, want := range []string{
-		"BenchmarkWireCodec", "BenchmarkWireAccessBinary@allocs",
-		"speedup(binary vs json replay, recorded)",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("wire gate %q not checked:\n%s", want, out.String())
+	at := -1
+	for _, r := range rows {
+		name := strings.ReplaceAll(r.name, "{n}", "512")
+		i := strings.Index(out, "ok   "+name)
+		if i < 0 || i < at {
+			t.Fatalf("row %q missing or out of table order:\n%s", name, out)
 		}
+		at = i
+	}
+	if !strings.Contains(out, "all 13 rows passed") {
+		t.Fatalf("output:\n%s", out)
 	}
 }
 
-func TestBinaryGateFailsOnNsRegression(t *testing.T) {
-	// Codec 4x slower than the 2100 ns baseline: beyond 1.5x tolerance.
-	slow := strings.Replace(sampleOnlineBench,
-		"BenchmarkWireCodec-1  550000  2156 ns/op  0 B/op  0 allocs/op",
-		"BenchmarkWireCodec-1  550000  9000 ns/op  0 B/op  0 allocs/op", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL BenchmarkWireCodec") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestBinaryGateFailsOnSingleAlloc(t *testing.T) {
-	// ns/op unchanged but the hot path picked up allocations: no tolerance
-	// applies — one alloc against a zero baseline fails.
-	leaky := strings.Replace(sampleOnlineBench,
-		"BenchmarkWireAccessBinary-1  2000000  529.2 ns/op  0 B/op  0 allocs/op",
-		"BenchmarkWireAccessBinary-1  2000000  529.2 ns/op  48 B/op  1 allocs/op", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(leaky), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL BenchmarkWireAccessBinary@allocs") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestBinaryGateFailsClosedOnMissingWireBench(t *testing.T) {
-	// The wire benchmarks vanishing from the input (e.g. -benchmem dropped
-	// from bench-ci) must error, not silently stop gating allocations.
-	noWire := strings.Replace(sampleOnlineBench,
-		"BenchmarkWireCodec-1  550000  2156 ns/op  0 B/op  0 allocs/op\n", "", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(noWire), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "wire benchmarks missing") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestBinaryGateFailsClosedWithoutSection(t *testing.T) {
-	// Online section present, binary section absent: fail closed.
-	noBinary := strings.Replace(sampleServeBaseline, `"binary": {
-    "replay_throughput": 3900000, "replay_batch": 64,
-    "codec_ns": 2100, "codec_allocs": 0,
-    "wire_access_ns": 520, "wire_access_allocs": 0
-  },
-  `, "", 1)
-	if noBinary == sampleServeBaseline {
-		t.Fatal("fixture replace failed")
-	}
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, noBinary), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), `"binary"`) {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestWireSpeedupGateFailsBelowBar(t *testing.T) {
-	// Recorded binary replay only 3x the JSON replay: below the 5x bar.
-	slow := strings.Replace(sampleServeBaseline,
-		`"replay_throughput": 3900000`, `"replay_throughput": 1920000`, 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, slow), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL speedup(binary vs json replay, recorded)") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestWireSpeedupFailsClosedWithoutRecordedThroughput(t *testing.T) {
-	// A binary section written only by -write-binary (no replay run yet)
-	// lacks replay_throughput: the speedup check must error, not pass.
-	noReplay := strings.Replace(sampleServeBaseline,
-		`"replay_throughput": 3900000, "replay_batch": 64,`, "", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, noReplay), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "replay throughputs") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestWriteBinaryPreservesReplayAndOtherKeys(t *testing.T) {
-	path := writeServeBaseline(t, sampleServeBaseline)
-	var out strings.Builder
-	code := run("", "", "", path, "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
-	}
-	updated, err := os.ReadFile(path)
+// TestEveryRowAtItsBar drives each row through three cases on otherwise
+// healthy input: it passes at its bar (one step past it for a strict ">"
+// bar), fails one step past the bar the other way, and fails closed with
+// exit 2 when any benchmark it reads is missing.
+func TestEveryRowAtItsBar(t *testing.T) {
+	healthy, err := parseBench(strings.NewReader(sampleBench))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := string(updated)
-	for _, want := range []string{
-		`"codec_ns": 2156`, `"wire_access_ns": 529.2`, `"codec_allocs": 0`,
-		`"replay_throughput": 3900000`, `"replay_batch": 64`,
-		`"feedback_ingest_ns": 20`, `"Throughput": 640000`,
-	} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("updated file missing %q:\n%s", want, s)
+	clone := func() map[string]float64 {
+		m := make(map[string]float64, len(healthy))
+		for k, v := range healthy {
+			m[k] = v
 		}
+		return m
 	}
-	// The refreshed file must pass its own gate.
-	code = run(writeBaseline(t), path, "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 0 {
-		t.Fatalf("self-gate exit %d:\n%s", code, out.String())
+	exit := func(m map[string]float64) int {
+		var out strings.Builder
+		return check(m, &out)
 	}
-}
-
-func TestRouterGatePassesAtBaseline(t *testing.T) {
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
-	}
-	for _, want := range []string{
-		"BenchmarkRouterAccess", "BenchmarkDirectAccess",
-		"overhead(routed vs direct access, same run)",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("router gate %q not checked:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestRouterGateFailsOnOverhead(t *testing.T) {
-	// Routed access 4x the direct access: absolute baselines may pass under a
-	// loose tolerance, but the same-run overhead contract (3x) must fail.
-	slow := strings.Replace(sampleOnlineBench,
-		"BenchmarkRouterAccess-1  200000  6012 ns/op  120 B/op  3 allocs/op",
-		"BenchmarkRouterAccess-1  200000  12100 ns/op  120 B/op  3 allocs/op", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 5.0, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL overhead(routed vs direct access") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestRouterGateFailsClosedOnMissingBench(t *testing.T) {
-	// The router benchmarks vanishing from bench-ci's input must error, not
-	// silently stop enforcing the overhead contract.
-	noRouter := strings.Replace(sampleOnlineBench,
-		"BenchmarkRouterAccess-1  200000  6012 ns/op  120 B/op  3 allocs/op\n", "", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(noRouter), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "router benchmarks missing") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestRouterGateFailsClosedWithoutSection(t *testing.T) {
-	noSection := strings.Replace(sampleServeBaseline, `"router": {
-    "router_access_ns": 5900, "direct_access_ns": 2950,
-    "replay_throughput": 300000
-  },
-  `, "", 1)
-	if noSection == sampleServeBaseline {
-		t.Fatal("fixture replace failed")
-	}
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, noSection), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), `"router"`) {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestWriteRouterPreservesReplayAndOtherKeys(t *testing.T) {
-	path := writeServeBaseline(t, sampleServeBaseline)
-	var out strings.Builder
-	code := run("", "", "", "", path, "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
-	}
-	updated, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(updated)
-	for _, want := range []string{
-		`"router_access_ns": 6012`, `"direct_access_ns": 2987`,
-		`"replay_throughput": 300000`, `"codec_ns": 2100`, `"feedback_ingest_ns": 20`,
-	} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("updated file missing %q:\n%s", want, s)
-		}
-	}
-	// The refreshed file must pass its own gate.
-	code = run(writeBaseline(t), path, "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 0 {
-		t.Fatalf("self-gate exit %d:\n%s", code, out.String())
-	}
-}
-
-func TestWriteRouterRefusesPartialInput(t *testing.T) {
-	path := writeServeBaseline(t, sampleServeBaseline)
-	var out strings.Builder
-	// Missing BenchmarkDirectAccess: must refuse rather than gut the section.
-	code := run("", "", "", "", path, "", 1.5, 2.0, 5, 3, 4,
-		strings.NewReader("BenchmarkRouterAccess-1 100 6012 ns/op\n"), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-}
-
-func TestWriteBinaryRefusesWithoutBenchmem(t *testing.T) {
-	path := writeServeBaseline(t, sampleServeBaseline)
-	var out strings.Builder
-	// Wire benchmarks measured without -benchmem: no allocs columns, so the
-	// update must refuse rather than zero the alloc baselines.
-	in := "BenchmarkWireCodec-1 550000 2156 ns/op\nBenchmarkWireAccessBinary-1 2000000 529.2 ns/op\n"
-	code := run("", "", "", path, "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(in), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "-benchmem") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-// TestWriteRouterBadBaselineFile: every way the baseline file itself can be
-// wrong — missing, not JSON, or holding a "router" section that is not an
-// object — refuses loudly with exit 2 instead of writing anything.
-func TestWriteRouterBadBaselineFile(t *testing.T) {
-	in := "BenchmarkRouterAccess-1 100 6012 ns/op\nBenchmarkDirectAccess-1 100 2987 ns/op\n"
-	cases := []struct {
-		name, contents string
-		missing        bool
-	}{
-		{name: "missing file", missing: true},
-		{name: "not json", contents: "{nope"},
-		{name: "router not an object", contents: `{"router": 7}`},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "serve.json")
-			if !c.missing {
-				if err := os.WriteFile(path, []byte(c.contents), 0o644); err != nil {
-					t.Fatal(err)
+	for _, r := range rows {
+		r := r.resolve(healthy)
+		t.Run(r.name, func(t *testing.T) {
+			// Only num moves, toward the bar, so rows sharing a benchmark
+			// keep passing; the sample's integer denominators keep bar*den
+			// exact.
+			den := 1.0
+			if r.den != "" {
+				den = healthy[r.den]
+			}
+			edge := r.bar * den
+			pass, fail := edge, edge-1
+			switch r.op {
+			case "<=", "==":
+				fail = edge + 1
+			case ">":
+				pass, fail = edge+1, edge
+			}
+			for _, c := range []struct {
+				num  float64
+				want int
+			}{{pass, 0}, {fail, 1}} {
+				m := clone()
+				m[r.num] = c.num
+				if got := exit(m); got != c.want {
+					t.Fatalf("%s %v/%v: exit %d, want %d", r.name, c.num, den, got, c.want)
 				}
 			}
-			var out strings.Builder
-			code := run("", "", "", "", path, "", 1.5, 2.0, 5, 3, 4, strings.NewReader(in), &out)
-			if code != 2 {
-				t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
+			for _, key := range []string{r.num, r.den} {
+				if key == "" {
+					continue
+				}
+				m := clone()
+				delete(m, key)
+				if strings.HasPrefix(key, "BenchmarkMatMul/") {
+					// The {n} row falls back to smaller sizes; only an
+					// entirely unmeasured side is missing.
+					side := key[:strings.LastIndex(key, "/n")]
+					for k := range m {
+						if strings.HasPrefix(k, side+"/") {
+							delete(m, k)
+						}
+					}
+				}
+				if got := exit(m); got != 2 {
+					t.Fatalf("without %s: exit %d, want 2", key, got)
+				}
 			}
 		})
 	}
 }
 
-func TestQuantGatePassesAtBaseline(t *testing.T) {
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
-	}
-	for _, want := range []string{
-		"BenchmarkDartInferQuant", "BenchmarkQuantRowAccum@allocs",
-		"speedup(quant vs float dart infer, same run)",
-		"shrink(quant vs float dart storage_bytes)",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("quant gate %q not checked:\n%s", want, out.String())
-		}
-	}
+func TestGateFailsOnRegression(t *testing.T) {
+	// One failing row fails the run; the rest are still reported.
+	slow := replace(t, sampleBench,
+		"BenchmarkMatMul/par/n512/w4-2    10  11200000 ns/op",
+		"BenchmarkMatMul/par/n512/w4-2    10  69000000 ns/op")
+	wantExit(t, slow, 1, "FAIL speedup(par w4 vs serial, n=512)", "ok   overhead(routed vs direct access)", "1 of 13 rows failed")
 }
 
-func TestQuantGateFailsWhenNotFasterThanFloat(t *testing.T) {
-	// Quantized inference as slow as the float tables: absolute baselines may
-	// pass under a loose tolerance, but the same-run quant-beats-float check
-	// — the tentpole's acceptance bar — must fail.
-	slow := strings.Replace(sampleOnlineBench,
-		"BenchmarkDartInferQuant-1  1500  161234 ns/op  1995 storage_bytes  84000 B/op  980 allocs/op",
-		"BenchmarkDartInferQuant-1  1500  260000 ns/op  1995 storage_bytes  84000 B/op  980 allocs/op", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 2.0, 2.0, 5, 3, 4, strings.NewReader(slow), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL speedup(quant vs float dart infer") {
-		t.Fatalf("output:\n%s", out.String())
-	}
+func TestGateFailsOnLostSpeedup(t *testing.T) {
+	// par w4 barely faster than serial at n=512: the engine silently fell
+	// back to the slow path, whatever the host's absolute speed.
+	slow := replace(t, sampleBench,
+		"BenchmarkMatMul/par/n512/w4-2    10  11200000 ns/op",
+		"BenchmarkMatMul/par/n512/w4-2    10  40000000 ns/op")
+	wantExit(t, slow, 1, "FAIL speedup(par w4 vs serial")
 }
 
-func TestQuantGateFailsBelowShrink(t *testing.T) {
-	// Quantized storage only 3.2x below float (e.g. a float64 side table crept
-	// into the quantized hierarchy): below the 4x bar.
-	bloated := strings.Replace(sampleOnlineBench,
-		"161234 ns/op  1995 storage_bytes",
-		"161234 ns/op  2500 storage_bytes", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(bloated), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL shrink(quant vs float dart storage_bytes)") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestQuantGateFailsOnRowKernelAlloc(t *testing.T) {
-	// The gather-accumulate row kernel picking up a single allocation fails
-	// against its zero baseline with no tolerance, even with ns/op unchanged.
-	leaky := strings.Replace(sampleOnlineBench,
-		"BenchmarkQuantRowAccum-1  40000000  29.8 ns/op  0 B/op  0 allocs/op",
-		"BenchmarkQuantRowAccum-1  40000000  29.8 ns/op  64 B/op  1 allocs/op", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(leaky), &out)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL BenchmarkQuantRowAccum@allocs") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestQuantGateFailsClosedOnMissingBench(t *testing.T) {
-	// The quantized benchmarks vanishing from bench-ci's input must error,
-	// not silently stop enforcing the int8 acceptance bars.
-	noQuant := strings.Replace(sampleOnlineBench,
-		"BenchmarkDartInferQuant-1  1500  161234 ns/op  1995 storage_bytes  84000 B/op  980 allocs/op\n", "", 1)
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, sampleServeBaseline), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(noQuant), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "quant benchmarks missing") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestQuantGateFailsClosedWithoutSection(t *testing.T) {
-	noSection := strings.Replace(sampleServeBaseline, `"quant": {
-    "dart_infer_quant_ns": 160000, "dart_infer_quant_allocs": 980,
-    "dart_quant_storage_bytes": 1995,
-    "quant_row_ns": 30, "quant_row_allocs": 0
-  },
-  `, "", 1)
-	if noSection == sampleServeBaseline {
-		t.Fatal("fixture replace failed")
-	}
-	var out strings.Builder
-	code := run(writeBaseline(t), writeServeBaseline(t, noSection), "", "", "",
-		"", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), `"quant"`) {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestWriteQuantPreservesOtherKeys(t *testing.T) {
-	path := writeServeBaseline(t, sampleServeBaseline)
-	var out strings.Builder
-	code := run("", "", "", "", "", path, 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s", code, out.String())
-	}
-	updated, err := os.ReadFile(path)
+func TestGateSpeedupUsesLargestCommonSize(t *testing.T) {
+	// n1024 has only a serial result, so n512 is the largest common size.
+	got, err := parseBench(strings.NewReader(sampleMatMul))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := string(updated)
-	for _, want := range []string{
-		`"dart_infer_quant_ns": 161234`, `"dart_quant_storage_bytes": 1995`,
-		`"quant_row_ns": 29.8`, `"quant_row_allocs": 0`,
-		`"feedback_ingest_ns": 20`, `"codec_ns": 2100`, `"Throughput": 640000`,
-	} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("updated file missing %q:\n%s", want, s)
+	var par row
+	for _, r := range rows {
+		if strings.Contains(r.num, "{n}") {
+			par = r
 		}
 	}
-	// The refreshed file must pass its own gate.
-	code = run(writeBaseline(t), path, "", "", "", "", 1.5, 2.0, 5, 3, 4, strings.NewReader(sampleOnlineBench), &out)
-	if code != 0 {
-		t.Fatalf("self-gate exit %d:\n%s", code, out.String())
+	r := par.resolve(got)
+	if r.name != "speedup(par w4 vs serial, n=512)" || !r.pass(got[r.num], got[r.den]) {
+		t.Fatalf("resolved %+v", r)
+	}
+	if r := par.resolve(map[string]float64{"BenchmarkMatMul/serial/n64": 1}); strings.Contains(r.num+r.den, "64") {
+		t.Fatalf("resolved to a size with one side only: %+v", r)
 	}
 }
 
-func TestWriteQuantRefusesWithoutBenchmem(t *testing.T) {
-	path := writeServeBaseline(t, sampleServeBaseline)
+func TestGateFailsClosedWhenNothingMatches(t *testing.T) {
+	// Renamed benchmarks parse fine but feed no row: error, never a pass
+	// with zero rows checked.
+	renamed := "BenchmarkMatMul/pool/n512/w4-1 10 11200000 ns/op\nBenchmarkSomethingElse-1 5 12345 ns/op\n"
+	wantExit(t, renamed, 2, "MISS speedup(par w4 vs serial, n={n})", "input is missing")
+}
+
+func TestGateErrorsOnEmptyInput(t *testing.T) {
+	wantExit(t, "no benchmarks here", 2, "no benchmark results")
+}
+
+func TestGateErrorsOnMissingInput(t *testing.T) {
 	var out strings.Builder
-	// Quant benchmarks measured without -benchmem: no allocs columns, so the
-	// update must refuse rather than zero the alloc baselines.
-	in := "BenchmarkDartInferQuant-1 1500 161234 ns/op 1995 storage_bytes\nBenchmarkQuantRowAccum-1 40000000 29.8 ns/op\n"
-	code := run("", "", "", "", "", path, 1.5, 2.0, 5, 3, 4, strings.NewReader(in), &out)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; output:\n%s", code, out.String())
+	if code := runArgs([]string{filepath.Join(t.TempDir(), "nope.out")}, nil, &out); code != 2 {
+		t.Fatalf("missing file: exit %d, want 2", code)
 	}
-	if !strings.Contains(out.String(), "-benchmem") {
-		t.Fatalf("output:\n%s", out.String())
+	// The gate takes no flags: a leftover baseline flag is a usage error.
+	if code := runArgs([]string{"-baseline", "x.json", "bench-ci.out"}, nil, &out); code != 2 {
+		t.Fatalf("extra args: exit %d, want 2", code)
 	}
+	path := filepath.Join(t.TempDir(), "bench-ci.out")
+	if err := os.WriteFile(path, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := runArgs([]string{path}, nil, &out); code != 0 {
+		t.Fatalf("file input: exit %d:\n%s", code, out.String())
+	}
+	if code := runArgs(nil, strings.NewReader(sampleBench), &out); code != 0 {
+		t.Fatalf("stdin input: exit %d:\n%s", code, out.String())
+	}
+}
+
+// benchCmd is one `go test -bench` line of the Makefile's bench-ci recipe.
+type benchCmd struct {
+	re       *regexp.Regexp // top-level part of the -bench pattern
+	pkgs     []string
+	benchmem bool
+}
+
+// benchCICommands parses the bench-ci recipe of the repo's Makefile.
+func benchCICommands(t *testing.T) []benchCmd {
+	t.Helper()
+	raw, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := regexp.MustCompile(`-bench '([^']+)'`)
+	var cmds []benchCmd
+	in := false
+	for _, line := range strings.Split(strings.ReplaceAll(string(raw), "\\\n", " "), "\n") {
+		if strings.HasPrefix(line, "bench-ci:") {
+			in = true
+			continue
+		}
+		if in && !strings.HasPrefix(line, "\t") {
+			break
+		}
+		m := pattern.FindStringSubmatch(line)
+		if !in || m == nil {
+			continue
+		}
+		top, _, _ := strings.Cut(m[1], "/") // go test matches "/"-split levels
+		c := benchCmd{re: regexp.MustCompile(top), benchmem: strings.Contains(line, "-benchmem")}
+		for _, f := range strings.Fields(line) {
+			if strings.HasPrefix(f, "./") {
+				c.pkgs = append(c.pkgs, f)
+			}
+		}
+		cmds = append(cmds, c)
+	}
+	if len(cmds) == 0 {
+		t.Fatal("no `-bench '...'` lines in the Makefile's bench-ci recipe")
+	}
+	return cmds
+}
+
+// definesBench reports whether a _test.go file in pkg declares fn.
+func definesBench(t *testing.T, pkg, fn string) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("../..", pkg, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(src), "func "+fn+"(b *testing.B)") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRowsSelectedByMakefile: every benchmark a row reads is selected by a
+// bench-ci `-bench` line over a package that defines it — with -benchmem
+// where the row reads allocs/op — so dropping a benchmark from the Makefile
+// fails tier-1, not only the CI bench job.
+func TestRowsSelectedByMakefile(t *testing.T) {
+	cmds := benchCICommands(t)
+	for _, r := range rows {
+		for _, key := range []string{r.num, r.den} {
+			if key == "" {
+				continue
+			}
+			name, metric, _ := strings.Cut(key, "@")
+			fn, _, _ := strings.Cut(name, "/")
+			selected := false
+			for _, c := range cmds {
+				if !c.re.MatchString(fn) || (metric == "allocs" && !c.benchmem) {
+					continue
+				}
+				for _, pkg := range c.pkgs {
+					selected = selected || definesBench(t, pkg, fn)
+				}
+			}
+			if !selected {
+				t.Errorf("row %q reads %s, which no bench-ci line selects", r.name, key)
+			}
+		}
+	}
+}
+
+func TestOnlineGatePassesWithinTolerance(t *testing.T) {
+	// The serving hierarchy at its thinnest passing margins: each tier one
+	// nanosecond (or byte) ahead of the tier it derives from.
+	in := replace(t, sampleBench, "321442 ns/op  13952 storage_bytes", "553896 ns/op  44031 storage_bytes")
+	in = replace(t, in, "249812 ns/op  7982 storage_bytes", "553895 ns/op  7982 storage_bytes")
+	in = replace(t, in, "161234 ns/op", "553894 ns/op")
+	wantExit(t, in, 0, "ok   speedup(student vs teacher infer)", "ok   shrink(student vs teacher storage_bytes)", "ok   speedup(dart vs student infer)")
+}
+
+func TestOnlineGateFailsOnRegression(t *testing.T) {
+	// The teacher gets faster than the student: the tier has no reason left
+	// to exist, whatever either timing is on its own.
+	fast := replace(t, sampleBench, "BenchmarkTeacherInfer-2  434  553897 ns/op", "BenchmarkTeacherInfer-2  434  300000 ns/op")
+	wantExit(t, fast, 1, "FAIL speedup(student vs teacher infer)")
+}
+
+func TestOnlineGateFailsClosedOnMissingBenchmark(t *testing.T) {
+	wantExit(t, without(sampleBench, "BenchmarkTeacherInfer"), 2, "MISS speedup(student vs teacher infer)", "BenchmarkTeacherInfer@storage_bytes")
+}
+
+// TestOnlineGateFailsClosedWithoutSection: the whole online section of
+// bench-ci.out gone (its `go test` step skipped) reports every row it feeds.
+func TestOnlineGateFailsClosedWithoutSection(t *testing.T) {
+	wantExit(t, sampleMatMul+sampleWire+sampleRouter, 2,
+		"MISS BenchmarkPolicyDecision@allocs", "MISS speedup(dart vs student infer)", "MISS shrink(quant vs float dart storage_bytes)")
+}
+
+func TestStudentGateFailsWhenNotFaster(t *testing.T) {
+	slow := replace(t, sampleBench, "BenchmarkStudentInfer-2  712  321442 ns/op", "BenchmarkStudentInfer-2  712  553897 ns/op")
+	wantExit(t, slow, 1, "FAIL speedup(student vs teacher infer)")
+}
+
+func TestDartGateFailsWhenNotFasterThanStudent(t *testing.T) {
+	slow := replace(t, sampleBench, "BenchmarkDartInfer-2  951  249812 ns/op", "BenchmarkDartInfer-2  951  330000 ns/op")
+	wantExit(t, slow, 1, "FAIL speedup(dart vs student infer)")
+}
+
+func TestStudentGateFailsWhenNotSmaller(t *testing.T) {
+	bloated := replace(t, sampleBench, "321442 ns/op  13952 storage_bytes", "321442 ns/op  44032 storage_bytes")
+	wantExit(t, bloated, 1, "FAIL shrink(student vs teacher storage_bytes)")
+}
+
+func TestStudentGateFailsClosedOnMissingStudentBench(t *testing.T) {
+	wantExit(t, without(sampleBench, "BenchmarkStudentInfer"), 2, "MISS speedup(dart vs student infer)")
+}
+
+func TestPolicyGateFailsOnSingleAlloc(t *testing.T) {
+	// ObserveLive runs on every shadow-compared batch: one allocation fails
+	// even with ns/op unchanged.
+	leaky := replace(t, sampleBench, "21.7 ns/op  0 B/op  0 allocs/op", "21.7 ns/op  48 B/op  1 allocs/op")
+	wantExit(t, leaky, 1, "FAIL BenchmarkPolicyDecision@allocs")
+}
+
+func TestPolicyGateFailsClosedOnMissingBench(t *testing.T) {
+	// The allocs column vanishing (-benchmem dropped) is as missing as the
+	// benchmark itself.
+	noMem := replace(t, sampleBench, "21.7 ns/op  0 B/op  0 allocs/op", "21.7 ns/op")
+	wantExit(t, noMem, 2, "MISS BenchmarkPolicyDecision@allocs")
+}
+
+func TestBinaryGatePassesAtBaseline(t *testing.T) {
+	// JSON access exactly 5x the binary cost, at zero allocations: the wire
+	// rows pass at their bars.
+	in := replace(t, sampleBench, "BenchmarkWireAccessJSON-2  150000  8101 ns/op", "BenchmarkWireAccessJSON-2  150000  2645 ns/op")
+	wantExit(t, in, 0, "ok   BenchmarkWireCodec@allocs", "ok   BenchmarkWireAccessBinary@allocs", "ok   speedup(binary vs json wire access)")
+}
+
+func TestBinaryGateFailsOnNsRegression(t *testing.T) {
+	// Binary access slows to 4x cheaper than JSON in the same run.
+	slow := replace(t, sampleBench, "BenchmarkWireAccessBinary-2  2000000  529 ns/op", "BenchmarkWireAccessBinary-2  2000000  2026 ns/op")
+	wantExit(t, slow, 1, "FAIL speedup(binary vs json wire access)")
+}
+
+func TestBinaryGateFailsOnSingleAlloc(t *testing.T) {
+	leaky := replace(t, sampleBench, "529 ns/op  0 B/op  0 allocs/op", "529 ns/op  48 B/op  1 allocs/op")
+	wantExit(t, leaky, 1, "FAIL BenchmarkWireAccessBinary@allocs")
+}
+
+func TestBinaryGateFailsClosedOnMissingWireBench(t *testing.T) {
+	wantExit(t, without(sampleBench, "BenchmarkWireCodec"), 2, "MISS BenchmarkWireCodec@allocs", "input is missing BenchmarkWireCodec@allocs")
+}
+
+func TestBinaryGateFailsClosedWithoutSection(t *testing.T) {
+	wantExit(t, sampleMatMul+sampleOnline+sampleRouter, 2,
+		"MISS BenchmarkWireCodec@allocs", "MISS BenchmarkWireAccessBinary@allocs", "MISS speedup(binary vs json wire access)")
+}
+
+func TestWireSpeedupGateFailsBelowBar(t *testing.T) {
+	// JSON access only 3x the binary cost.
+	slow := replace(t, sampleBench, "BenchmarkWireAccessJSON-2  150000  8101 ns/op", "BenchmarkWireAccessJSON-2  150000  1587 ns/op")
+	wantExit(t, slow, 1, "FAIL speedup(binary vs json wire access)")
+}
+
+func TestWireSpeedupFailsClosedWithoutJSONBench(t *testing.T) {
+	wantExit(t, without(sampleBench, "BenchmarkWireAccessJSON"), 2, "MISS speedup(binary vs json wire access)", "BenchmarkWireAccessJSON")
+}
+
+func TestQuantGatePassesAtBaseline(t *testing.T) {
+	// Storage exactly 4x smaller and exactly as many allocations as float.
+	in := replace(t, sampleBench, "1995 storage_bytes  84000 B/op  983 allocs/op", "1995.5 storage_bytes  84000 B/op  1911 allocs/op")
+	wantExit(t, in, 0, "ok   speedup(quant vs float dart infer)", "ok   shrink(quant vs float dart storage_bytes)", "ok   allocs(quant vs float dart infer)", "ok   BenchmarkQuantRowAccum@allocs")
+}
+
+func TestQuantGateFailsWhenNotFasterThanFloat(t *testing.T) {
+	slow := replace(t, sampleBench, "BenchmarkDartInferQuant-2  1500  161234 ns/op", "BenchmarkDartInferQuant-2  1500  260000 ns/op")
+	wantExit(t, slow, 1, "FAIL speedup(quant vs float dart infer)")
+}
+
+func TestQuantGateFailsBelowShrink(t *testing.T) {
+	// Quantized storage only 3.2x below float (a float64 side table crept in).
+	bloated := replace(t, sampleBench, "161234 ns/op  1995 storage_bytes", "161234 ns/op  2500 storage_bytes")
+	wantExit(t, bloated, 1, "FAIL shrink(quant vs float dart storage_bytes)")
+}
+
+func TestQuantGateFailsOnRowKernelAlloc(t *testing.T) {
+	leaky := replace(t, sampleBench, "29.8 ns/op  0 B/op  0 allocs/op", "29.8 ns/op  64 B/op  1 allocs/op")
+	wantExit(t, leaky, 1, "FAIL BenchmarkQuantRowAccum@allocs")
+}
+
+func TestQuantGateFailsClosedOnMissingBench(t *testing.T) {
+	wantExit(t, without(sampleBench, "BenchmarkDartInferQuant"), 2, "MISS speedup(quant vs float dart infer)", "BenchmarkDartInferQuant@storage_bytes")
+}
+
+func TestQuantGateFailsClosedWithoutSection(t *testing.T) {
+	wantExit(t, without(sampleBench, "BenchmarkDartInferQuant", "BenchmarkQuantRowAccum"), 2,
+		"MISS BenchmarkQuantRowAccum@allocs", "MISS speedup(quant vs float dart infer)", "MISS allocs(quant vs float dart infer)")
+}
+
+func TestRouterGatePassesAtBaseline(t *testing.T) {
+	// Routed access exactly 3x direct.
+	in := replace(t, sampleBench, "BenchmarkRouterAccess-2  200000  6012 ns/op", "BenchmarkRouterAccess-2  200000  8961 ns/op")
+	wantExit(t, in, 0, "ok   overhead(routed vs direct access)")
+}
+
+func TestRouterGateFailsOnOverhead(t *testing.T) {
+	slow := replace(t, sampleBench, "BenchmarkRouterAccess-2  200000  6012 ns/op", "BenchmarkRouterAccess-2  200000  12100 ns/op")
+	wantExit(t, slow, 1, "FAIL overhead(routed vs direct access)")
+}
+
+func TestRouterGateFailsClosedOnMissingBench(t *testing.T) {
+	wantExit(t, without(sampleBench, "BenchmarkRouterAccess"), 2, "MISS overhead(routed vs direct access)", "input is missing BenchmarkRouterAccess")
+}
+
+func TestRouterGateFailsClosedWithoutSection(t *testing.T) {
+	wantExit(t, sampleMatMul+sampleOnline+sampleWire, 2, "MISS overhead(routed vs direct access)", "BenchmarkRouterAccess, BenchmarkDirectAccess")
 }

@@ -3,12 +3,17 @@
 //
 //	dart-doccheck -root .
 //
-// Two kinds of checks run:
+// Three kinds of checks run:
 //
 //   - Links: every relative markdown link in docs/*.md and in every
 //     README.md must resolve to a file or directory in the repo. External
 //     links (http, https, mailto) and in-page anchors are skipped; a
 //     "path#anchor" link is checked for the path part only.
+//   - doc.go pointers: every repo-relative file name in the package doc
+//     (a name ending .md, .json, .go or .txt, or a path under internal/,
+//     cmd/, docs/, bench/ or examples/) must resolve from the repo root,
+//     the same way a markdown link does; a "*" in the name must match at
+//     least one file.
 //   - Protocol coverage: every wire verb in serve.Verbs must appear
 //     backticked in docs/PROTOCOL.md. Adding a verb to the protocol without
 //     documenting it fails CI; so does renaming one in the docs only.
@@ -19,6 +24,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -94,6 +100,32 @@ func checkLinks(root, path string) ([]string, error) {
 	return broken, nil
 }
 
+// docRef matches a repo-relative file name in doc.go's prose, preceded by
+// whitespace or "(" so that dotted Go identifiers (sim.Run) never match.
+var docRef = regexp.MustCompile(`(?:^|[\s(])((?:[\w.*-]+/)*[\w*-]+\.(?:md|json|go|txt)|(?:internal|cmd|docs|bench|examples)(?:/[\w.*-]+)+)`)
+
+// checkDocGo returns one message per file name in root/doc.go that resolves
+// to nothing, and the number of names checked. A tree without doc.go has
+// nothing to check.
+func checkDocGo(root string) ([]string, int, error) {
+	raw, err := os.ReadFile(filepath.Join(root, "doc.go"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, nil
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	refs := docRef.FindAllStringSubmatch(string(raw), -1)
+	var broken []string
+	for _, m := range refs {
+		ref := strings.TrimRight(m[1], ".") // sentence-ending period
+		if matches, err := filepath.Glob(filepath.Join(root, ref)); err != nil || len(matches) == 0 {
+			broken = append(broken, fmt.Sprintf("doc.go: file %q does not resolve", ref))
+		}
+	}
+	return broken, len(refs), nil
+}
+
 // checkVerbs verifies every serve.Verbs entry appears backticked in the
 // protocol spec.
 func checkVerbs(spec string) []string {
@@ -129,6 +161,12 @@ func run(root string, out io.Writer) int {
 		links += len(mdLink.FindAllString(string(raw), -1))
 		problems = append(problems, broken...)
 	}
+	broken, refs, err := checkDocGo(root)
+	if err != nil {
+		fmt.Fprintf(out, "doccheck: %v\n", err)
+		return 2
+	}
+	problems = append(problems, broken...)
 	spec, err := os.ReadFile(filepath.Join(root, "docs", "PROTOCOL.md"))
 	if err != nil {
 		// Fail closed: the verb-coverage check existing is the point.
@@ -143,7 +181,7 @@ func run(root string, out io.Writer) int {
 		fmt.Fprintf(out, "doccheck: %d problem(s)\n", len(problems))
 		return 1
 	}
-	fmt.Fprintf(out, "doccheck: %d files, %d links, %d wire verbs ok\n", len(files), links, len(serve.Verbs))
+	fmt.Fprintf(out, "doccheck: %d files, %d links, %d doc.go file names, %d wire verbs ok\n", len(files), links, refs, len(serve.Verbs))
 	return 0
 }
 

@@ -100,6 +100,35 @@ func TestDocCheckSkipsExternalAndAnchorLinks(t *testing.T) {
 	}
 }
 
+// TestDocCheckResolvesDocGoFiles: file names in doc.go resolve from the repo
+// root like markdown links — globs included — and one that names nothing
+// fails the gate.
+func TestDocCheckResolvesDocGoFiles(t *testing.T) {
+	root := writeTree(t, "")
+	doc := "// Package x: see docs/PROTOCOL.md (and docs/*.md), internal/serve,\n" +
+		"// internal/serve/README.md and sim.Run in internal/sim.\npackage x\n"
+	if err := os.WriteFile(filepath.Join(root, "doc.go"), []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if code := run(root, &out); code != 1 {
+		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), `doc.go: file "internal/sim" does not resolve`) {
+		t.Fatalf("output:\n%s", out.String())
+	}
+	if err := os.MkdirAll(filepath.Join(root, "internal/sim"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if code := run(root, &out); code != 0 {
+		t.Fatalf("exit %d, output:\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "5 doc.go file names") {
+		t.Fatalf("output:\n%s", out.String())
+	}
+}
+
 // TestRealRepoDocs runs the gate against the actual repository so `go test`
 // catches doc rot even where CI's docs-lint step is not wired up.
 func TestRealRepoDocs(t *testing.T) {

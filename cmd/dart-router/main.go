@@ -42,6 +42,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -75,7 +76,7 @@ func main() {
 	verify := flag.Bool("verify", true, "replay: require bit-identity with the offline simulator")
 	soak := flag.Duration("soak", 0, "replay/matrix: repeat rounds until this much wall time has elapsed")
 	chaos := flag.Bool("chaos", false, "replay/matrix soak: kill one spawned backend mid-round and restart it (requires -spawn)")
-	jsonOut := flag.String("json", "", "replay: also record the routed replay in the \"router\" section of this JSON file")
+	jsonOut := flag.String("json", "", "replay: also write the routed replay report as JSON {generated, command, host, report} to this file, overwriting it")
 
 	matrix := flag.Bool("matrix", false, "replay a mixed-tenant scenario matrix through the router and exit")
 	matrixSpec := flag.String("matrix-spec", "", "matrix: tenant spec — name:key=value,...;name:... (default: the deterministic-class router matrix)")
@@ -346,7 +347,7 @@ func runRouterReplay(spec serve.ReplaySpec, sessions, n int, soak time.Duration,
 		}
 	}
 	if jsonOut != "" {
-		writeRouterJSON(jsonOut, rep)
+		writeReport(jsonOut, rep)
 	}
 }
 
@@ -395,35 +396,23 @@ func runRouterMatrix(base serve.ReplaySpec, spec string, soak time.Duration, cha
 	}
 }
 
-// writeRouterJSON records the routed replay in the "router" section of the
-// shared baseline file, preserving every other section. The overhead-gate
-// fields (router_access_ns, direct_access_ns) are owned by `dart-benchcheck
-// -write-router`; this writes only the replay fields.
-func writeRouterJSON(path string, rep serve.Report) {
-	doc := map[string]json.RawMessage{}
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &doc); err != nil {
-			fatalf("%s: %v", path, err)
-		}
+// writeReport writes the routed replay report to path as {generated,
+// command, host, report} — dart-serve -json's shape — overwriting the file.
+func writeReport(path string, rep serve.Report) {
+	doc := struct {
+		Generated string       `json:"generated"`
+		Command   string       `json:"command"`
+		Host      hostInfo     `json:"host"`
+		Report    serve.Report `json:"report"`
+	}{
+		Generated: time.Now().Format("2006-01-02"),
+		Command:   strings.Join(os.Args, " "),
+		Host: hostInfo{
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			Go:         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
+		},
+		Report: rep,
 	}
-	mustRaw := func(v any) json.RawMessage {
-		b, err := json.Marshal(v)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		return b
-	}
-	sec := map[string]json.RawMessage{}
-	if prev, ok := doc["router"]; ok {
-		if err := json.Unmarshal(prev, &sec); err != nil {
-			fatalf("%s: router section: %v", path, err)
-		}
-	}
-	sec["replay_throughput"] = mustRaw(rep.Throughput)
-	sec["replay_sessions"] = mustRaw(len(rep.Sessions))
-	sec["replay_command"] = mustRaw(strings.Join(os.Args, " "))
-	sec["replay_generated"] = mustRaw(time.Now().Format("2006-01-02"))
-	doc["router"] = mustRaw(sec)
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fatalf("%v", err)
@@ -432,6 +421,11 @@ func writeRouterJSON(path string, rep serve.Report) {
 		fatalf("%v", err)
 	}
 	fmt.Printf("router report written to %s\n", path)
+}
+
+type hostInfo struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
 }
 
 func fatalf(format string, args ...any) {

@@ -68,11 +68,11 @@ func TestParseBackends(t *testing.T) {
 }
 
 // TestRunRouterReplayEndToEnd drives the CLI's replay path against a live
-// two-backend cluster, with the "router" section written into a JSON file
-// that already holds a sibling section — which must survive untouched.
+// two-backend cluster and writes the report as JSON over a file that already
+// holds something else — which the report replaces.
 func TestRunRouterReplayEndToEnd(t *testing.T) {
 	addr, _, _ := startFront(t, 2)
-	out := filepath.Join(t.TempDir(), "bench.json")
+	out := filepath.Join(t.TempDir(), "report.json")
 	if err := os.WriteFile(out, []byte(`{"binary":{"keep":"me"}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -86,20 +86,19 @@ func TestRunRouterReplayEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Binary map[string]string `json:"binary"`
-		Router struct {
-			Throughput float64 `json:"replay_throughput"`
-			Sessions   int     `json:"replay_sessions"`
-		} `json:"router"`
+		Binary  json.RawMessage `json:"binary"`
+		Command string          `json:"command"`
+		Report  serve.Report    `json:"report"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Binary["keep"] != "me" {
-		t.Fatal("writing the router section clobbered a sibling section")
+	if doc.Binary != nil || doc.Command == "" {
+		t.Fatalf("report did not replace the file:\n%s", raw)
 	}
-	if doc.Router.Sessions != 4 || doc.Router.Throughput <= 0 {
-		t.Fatalf("router section recorded %+v", doc.Router)
+	if len(doc.Report.Sessions) != 4 || doc.Report.Throughput <= 0 || doc.Report.Merged.Accesses != 4*500 {
+		t.Fatalf("report recorded %d sessions, %v acc/s, %d accesses",
+			len(doc.Report.Sessions), doc.Report.Throughput, doc.Report.Merged.Accesses)
 	}
 }
 

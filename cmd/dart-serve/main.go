@@ -146,7 +146,7 @@ func main() {
 	batch := flag.Int("batch", 64, "replay/matrix: accesses per wire frame / pipelined burst (wire protocols only)")
 	verify := flag.Bool("verify", true, "replay: require bit-identity with the offline simulator")
 	soak := flag.Duration("soak", 0, "replay: repeat rounds until this much wall time has elapsed")
-	jsonOut := flag.String("json", "", "replay: also write the report as JSON to this file")
+	jsonOut := flag.String("json", "", "replay/matrix: also write the report as JSON {generated, command, host, report} to this file, overwriting it")
 	flag.Parse()
 
 	cfg := serve.Config{QueueDepth: *queueDepth, MaxBatch: *maxBatch}
@@ -497,7 +497,7 @@ func runReplay(spec serve.ReplaySpec, learner *online.Learner, sessions, n int, 
 		printLearner(learner)
 	}
 	if jsonOut != "" {
-		writeJSON(jsonOut, rep, spec.Proto, spec.Batch)
+		writeReport(jsonOut, rep)
 	}
 }
 
@@ -540,49 +540,22 @@ func orNone(s string) string {
 	return s
 }
 
-// writeJSON dumps the replay report with enough host context to act as a
-// serving-throughput baseline (BENCH_serve.json). The file holds several
-// independently-maintained sections, and a refresh of one must never drop
-// the others: the "online" section (bench-gate baselines from `make
-// bench-update`), the "binary" section (DARTWIRE1 replay + codec baselines),
-// and the "report" section (the JSON-wire replay baseline the binary
-// speedup gate divides against). A -proto binary run updates only the
-// replay fields of the "binary" section (dart-benchcheck -write-binary owns
-// the codec fields); any other run rewrites the report/host fields.
-func writeJSON(path string, rep serve.Report, proto string, batch int) {
-	doc := map[string]json.RawMessage{}
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &doc); err != nil {
-			fatalf("%s: %v", path, err)
-		}
-	}
-	mustRaw := func(v any) json.RawMessage {
-		b, err := json.Marshal(v)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		return b
-	}
-	if proto == "binary" {
-		bin := map[string]json.RawMessage{}
-		if sec, ok := doc["binary"]; ok {
-			if err := json.Unmarshal(sec, &bin); err != nil {
-				fatalf("%s: binary section: %v", path, err)
-			}
-		}
-		bin["replay_throughput"] = mustRaw(rep.Throughput)
-		bin["replay_batch"] = mustRaw(batch)
-		bin["replay_command"] = mustRaw(strings.Join(os.Args, " "))
-		bin["replay_generated"] = mustRaw(time.Now().Format("2006-01-02"))
-		doc["binary"] = mustRaw(bin)
-	} else {
-		doc["generated"] = mustRaw(time.Now().Format("2006-01-02"))
-		doc["command"] = mustRaw(strings.Join(os.Args, " "))
-		doc["host"] = mustRaw(hostInfo{
+// writeReport writes a replay or matrix report to path as
+// {generated, command, host, report}, overwriting the file.
+func writeReport(path string, report any) {
+	doc := struct {
+		Generated string   `json:"generated"`
+		Command   string   `json:"command"`
+		Host      hostInfo `json:"host"`
+		Report    any      `json:"report"`
+	}{
+		Generated: time.Now().Format("2006-01-02"),
+		Command:   strings.Join(os.Args, " "),
+		Host: hostInfo{
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Go:         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		})
-		doc["report"] = mustRaw(rep)
+		},
+		Report: report,
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

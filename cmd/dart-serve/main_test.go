@@ -235,44 +235,35 @@ func TestRunReplaySoakRound(t *testing.T) {
 	}, learner, 2, 400, 200*time.Millisecond, "")
 }
 
-// TestWriteJSONBothSections pins the report writer's two shapes: a binary
-// replay updates only the "binary" section (merging with what is already
-// there), and a JSON replay writes the top-level report — without either
-// clobbering the other's keys.
-func TestWriteJSONBothSections(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	seed := `{"binary":{"codec_roundtrip_ns":2156},"router":{"keep":1}}`
-	if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
+// TestWriteReportOverwrites: a replay writes {generated, command, host,
+// report} to the -json path, and the next run replaces the file instead of
+// merging into what is there.
+func TestWriteReportOverwrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := os.WriteFile(path, []byte(`{"binary":{"replay_throughput":1}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	writeJSON(path, serve.Report{Throughput: 123456}, "binary", 64)
-	writeJSON(path, serve.Report{Throughput: 654321}, "json", 1)
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Binary struct {
-			Codec      float64 `json:"codec_roundtrip_ns"`
-			Throughput float64 `json:"replay_throughput"`
-			Batch      int     `json:"replay_batch"`
-		} `json:"binary"`
-		Router struct {
-			Keep int `json:"keep"`
-		} `json:"router"`
-		Report *serve.Report `json:"report"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Binary.Throughput != 123456 || doc.Binary.Batch != 64 || doc.Binary.Codec != 2156 {
-		t.Fatalf("binary section after update: %+v", doc.Binary)
-	}
-	if doc.Router.Keep != 1 {
-		t.Fatal("updating the binary section clobbered the router section")
-	}
-	if doc.Report == nil || doc.Report.Throughput != 654321 {
-		t.Fatalf("json report not written: %+v", doc.Report)
+	for _, n := range []int{300, 200} {
+		runReplay(serve.ReplaySpec{
+			Engine: serve.NewEngine(serve.Config{}), Prefetcher: "stride", Degree: 4, Verify: true,
+		}, nil, 2, n, 0, path)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc) != 4 || doc["generated"] == nil || doc["command"] == nil || doc["host"] == nil {
+			t.Fatalf("report keys after the n=%d run:\n%s", n, raw)
+		}
+		var rep serve.Report
+		if err := json.Unmarshal(doc["report"], &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Merged.Accesses != 2*n {
+			t.Fatalf("report accounts %d accesses, want %d from the latest run", rep.Merged.Accesses, 2*n)
+		}
 	}
 }

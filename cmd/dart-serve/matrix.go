@@ -1,11 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"strings"
 	"time"
 
 	"dart/internal/serve"
@@ -49,37 +45,6 @@ func runMatrix(base serve.ReplaySpec, spec string, soak time.Duration, jsonOut s
 	}
 	fmt.Printf("matrix complete: every tenant delivered every access in order\n")
 	if jsonOut != "" {
-		writeMatrixJSON(jsonOut, rep)
+		writeReport(jsonOut, rep)
 	}
-}
-
-// writeMatrixJSON dumps the matrix report with host context, mirroring the
-// replay report's JSON shape (minus the bench-gate "online" carry-over —
-// matrix reports are not bench baselines).
-func writeMatrixJSON(path string, rep serve.MatrixReport) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	doc := struct {
-		Generated string             `json:"generated"`
-		Command   string             `json:"command"`
-		Host      hostInfo           `json:"host"`
-		Report    serve.MatrixReport `json:"report"`
-	}{
-		Generated: time.Now().Format("2006-01-02"),
-		Command:   strings.Join(os.Args, " "),
-		Host: hostInfo{
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Go:         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		},
-		Report: rep,
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("report written to %s\n", path)
 }

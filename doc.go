@@ -78,7 +78,7 @@
 // in internal/par (tunable via DART_MAX_WORKERS or par.SetMaxWorkers). Parallel kernels partition work in fixed blocks with
 // serial in-block reduction order, so results are bit-identical for any
 // worker count; see internal/par/README.md for the determinism guarantee and
-// BENCH_par.json for measured speedups.
+// bench/README.md for how performance is measured.
 //
 // Serving model: cmd/dart-serve runs internal/serve as a long-running daemon
 // (or in -replay mode for continuous-load evaluation). Sessions — one per
@@ -116,9 +116,11 @@
 // internal/serve/README.md for the engine internals,
 // internal/online/README.md for the feedback→train→publish→swap
 // lifecycle, its serving classes, and version-consistency invariants, and
-// BENCH_serve.json for the measured serving baselines (JSON and binary).
+// bench/README.md for the measured serving numbers (JSON and binary wire,
+// routed, and live learning).
 //
-// The benchmark files in this directory regenerate every table and figure of
-// the paper's evaluation section; see EXPERIMENTS.md for the index and
-// paper-vs-measured comparison.
+// The bench_*_test.go files in this directory regenerate the tables and
+// figures of the paper's evaluation section, one benchmark each (e.g.
+// BenchmarkTableV_ModelComplexity, BenchmarkFig14_IPCImprovement); there is
+// no paper-vs-measured index yet.
 package dart

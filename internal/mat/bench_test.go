@@ -40,9 +40,10 @@ func BenchmarkMulTransB128(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMul is the engine-vs-baseline grid recorded in BENCH_par.json:
-// the seed's serial kernel against ParMulInto at sizes 64..1024 and worker
-// counts 1/2/4/GOMAXPROCS.
+// BenchmarkMatMul is the engine-vs-baseline grid: the seed's serial kernel
+// against ParMulInto at sizes 64..1024 and worker counts 1/2/4/GOMAXPROCS.
+// make bench-ci requires par w4 >= 2x serial at the largest size measured
+// for both.
 func BenchmarkMatMul(b *testing.B) {
 	sizes := []int{64, 128, 256, 512, 1024}
 	workers := []int{1, 2, 4}

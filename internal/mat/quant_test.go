@@ -32,7 +32,7 @@ func TestQuantRowKernelsBitIdentical(t *testing.T) {
 		ref := make([]int32, n)
 		for i := 0; i < n; i++ {
 			q8[i] = int8(rng.Intn(256) - 128)
-			q16[i] = int16(rng.Intn(1 << 16) - (1 << 15))
+			q16[i] = int16(rng.Intn(1<<16) - (1 << 15))
 		}
 		base := make([]float64, n)
 		for i := range base {

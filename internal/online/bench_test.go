@@ -15,9 +15,8 @@ import (
 
 // BenchmarkFeedbackIngest measures the serving-side cost of the online
 // feedback path: one ring push per access (what a session actor pays) plus
-// the amortised collector drain. This is the number the CI bench gate
-// (BENCH_serve.json "online" section) holds the line on — ingest must stay
-// cheap enough to be invisible at serving throughput.
+// the amortised collector drain — ingest must stay cheap enough to be
+// invisible at serving throughput.
 func BenchmarkFeedbackIngest(b *testing.B) {
 	r := NewRing(4096)
 	ev := Event{
@@ -54,7 +53,7 @@ func modelOf(c nn.TransformerConfig) config.ModelConfig {
 
 // benchInfer measures one admission-batcher-sized forward pass of the given
 // architecture and reports its modelled parameter storage as a custom metric
-// — dart-benchcheck's serve gate reads both numbers to hold the "student
+// — dart-benchcheck's rows read both numbers to hold the "student
 // strictly faster and smaller than teacher" line.
 func benchInfer(b *testing.B, cfg nn.TransformerConfig) {
 	net := nn.NewTransformerPredictor(cfg, rand.New(rand.NewSource(5)))
@@ -81,8 +80,8 @@ func BenchmarkTeacherInfer(b *testing.B) {
 
 // BenchmarkStudentInfer is the number the deployment story rests on: the
 // distilled student must be strictly faster (ns/op) and smaller
-// (storage_bytes) than the teacher. Gated in CI against both the absolute
-// baseline and, same-run, the teacher benchmark.
+// (storage_bytes) than the teacher, gated same-run against the teacher
+// benchmark by make bench-ci.
 func BenchmarkStudentInfer(b *testing.B) {
 	_, tcfg := benchTeacherCfg()
 	benchInfer(b, nn.StudentConfig(tcfg))
@@ -176,8 +175,8 @@ func BenchmarkDartInfer(b *testing.B) {
 // BenchmarkDartInferQuant is the int8 deployment artifact's number: the
 // quantized tables must be at least as fast as the float tables same-run
 // (the integer payload is cache-smaller and the row kernels vectorize), and
-// the reported storage_bytes must come in >= 4x under the float row — both
-// gated by dart-benchcheck against the "quant" section of BENCH_serve.json.
+// the reported storage_bytes must come in >= 4x under the float row, with
+// no more allocs/op — all gated same-run by dart-benchcheck.
 func BenchmarkDartInferQuant(b *testing.B) {
 	benchDartInfer(b, 8)
 }

@@ -724,8 +724,8 @@ func benchAccess(b *testing.B, addr string) {
 
 // BenchmarkRouterAccess is the routed hot path: client → router (decode,
 // journal, re-encode) → backend and back, 64-access binary frames, ns/op per
-// access. Gated against the router section of BENCH_serve.json next to
-// BenchmarkDirectAccess, which is the same trace without the router hop.
+// access. Gated by cmd/dart-benchcheck at <= 3x BenchmarkDirectAccess in the
+// same run, which is the same trace without the router hop.
 func BenchmarkRouterAccess(b *testing.B) {
 	_, r := startCluster(b, 3, Config{HealthInterval: -1})
 	addr := startFrontEnd(b, r)

@@ -63,8 +63,8 @@ func TestForwardIsQueryBatch(t *testing.T) {
 	}
 }
 
-// BenchmarkHierarchyQueryBatch measures batched table inference throughput,
-// the tabular half of the BENCH_par.json record.
+// BenchmarkHierarchyQueryBatch measures batched table inference throughput
+// over a small tabularized model.
 func BenchmarkHierarchyQueryBatch(b *testing.B) {
 	m, x, _ := smallModelAndData(24)
 	res := Tabularize(m, x, Config{Kernel: KernelConfig{K: 16, C: 2}, Seed: 24})
