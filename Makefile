@@ -74,10 +74,12 @@ cover:
 docs-lint:
 	$(GO) run ./cmd/dart-doccheck -root .
 
-## fuzz: timed coverage-guided fuzzing of the CSV trace reader (the per-PR
-## tier replays the committed corpus as ordinary tests; nightly runs 5m)
+## fuzz: timed coverage-guided fuzzing of the CSV trace reader and the
+## -matrix-spec parser, FUZZTIME each (the per-PR tier replays the committed
+## corpora as ordinary tests; nightly runs 5m each)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanner -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzParseMatrixSpec -fuzztime $(FUZZTIME) ./internal/loadgen
 
 ## cover-update: ratchet the committed baseline up to the measured value
 cover-update:

@@ -33,69 +33,87 @@
 // backends make versioned classes meaningless across shards):
 //
 //	dart-router -spawn 3 -matrix -soak 60s -chaos
+//
+// Both modes are one internal/loadgen soak; -verify and -json apply to
+// both.
 package main
 
 import (
-	"encoding/json"
+	"cmp"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"dart/internal/loadgen"
 	"dart/internal/route"
 	"dart/internal/serve"
-	"dart/internal/trace"
 )
 
 func main() {
-	listen := flag.String("listen", "", "TCP listen address for the router front end, e.g. :7400")
-	backends := flag.String("backends", "", "comma-separated backend list: name=host:port,... (names are the stable ring identities)")
-	spawn := flag.Int("spawn", 0, "spawn this many in-process dart-serve backends on loopback ports instead of -backends")
+	if err := run(os.Args[1:]); err != nil {
+		fatalf("%v", err)
+	}
+}
 
-	pool := flag.Int("pool", 2, "pooled binary connections per backend")
-	timeout := flag.Duration("timeout", 2*time.Second, "per-call deadline on backend calls")
-	healthInterval := flag.Duration("health-interval", 250*time.Millisecond, "backend health probe cadence (<0 disables the prober)")
-	healthFails := flag.Int("health-fails", 2, "consecutive failures before a backend is ejected")
-	bound := flag.Float64("bound", 1.25, "CHWBL load-bound factor c (per-backend cap = c * sessions/alive)")
-	replicas := flag.Int("replicas", 64, "virtual ring points per backend")
+// run is the router: flag parsing, the backends, the front end, then either
+// one loadgen.Soak (-replay, -matrix) or serving until a signal.
+func run(args []string) error {
+	fs := flag.NewFlagSet("dart-router", flag.ContinueOnError)
+	listen := fs.String("listen", "", "TCP listen address for the router front end, e.g. :7400")
+	backends := fs.String("backends", "", "comma-separated backend list: name=host:port,... (names are the stable ring identities)")
+	spawn := fs.Int("spawn", 0, "spawn this many in-process dart-serve backends on loopback ports instead of -backends")
 
-	replay := flag.Bool("replay", false, "replay synthetic workloads through the router and exit")
-	sessions := flag.Int("sessions", 8, "replay: concurrent sessions")
-	n := flag.Int("n", 20000, "replay: accesses per session")
-	prefetcher := flag.String("prefetcher", "stride", "replay: prefetcher every session opens (none|bo|isb|stride)")
-	degree := flag.Int("degree", 4, "replay: prefetch degree")
-	qps := flag.Float64("qps", 0, "replay: aggregate target accesses/sec (0 = unthrottled)")
-	proto := flag.String("proto", "binary", "replay/matrix: wire transport to the router — json or binary")
-	batch := flag.Int("batch", 64, "replay/matrix: accesses per wire frame")
-	verify := flag.Bool("verify", true, "replay: require bit-identity with the offline simulator")
-	soak := flag.Duration("soak", 0, "replay/matrix: repeat rounds until this much wall time has elapsed")
-	chaos := flag.Bool("chaos", false, "replay/matrix soak: kill one spawned backend mid-round and restart it (requires -spawn)")
-	jsonOut := flag.String("json", "", "replay: also write the routed replay report as JSON {generated, command, host, report} to this file, overwriting it")
+	pool := fs.Int("pool", 2, "pooled binary connections per backend")
+	timeout := fs.Duration("timeout", 2*time.Second, "per-call deadline on backend calls")
+	healthInterval := fs.Duration("health-interval", 250*time.Millisecond, "backend health probe cadence (<0 disables the prober)")
+	healthFails := fs.Int("health-fails", 2, "consecutive failures before a backend is ejected")
+	bound := fs.Float64("bound", 1.25, "CHWBL load-bound factor c (per-backend cap = c * sessions/alive)")
+	replicas := fs.Int("replicas", 64, "virtual ring points per backend")
 
-	matrix := flag.Bool("matrix", false, "replay a mixed-tenant scenario matrix through the router and exit")
-	matrixSpec := flag.String("matrix-spec", "", "matrix: tenant spec — name:key=value,...;name:... (default: the deterministic-class router matrix)")
-	flag.Parse()
+	replay := fs.Bool("replay", false, "replay synthetic workloads through the router and exit")
+	sessions := fs.Int("sessions", 8, "replay: concurrent sessions")
+	n := fs.Int("n", 20000, "replay: accesses per session")
+	prefetcher := fs.String("prefetcher", "stride", "replay: prefetcher every session opens (none|bo|isb|stride)")
+	degree := fs.Int("degree", 4, "replay: prefetch degree")
+	qps := fs.Float64("qps", 0, "replay: aggregate target accesses/sec (0 = unthrottled)")
+	proto := fs.String("proto", "binary", "replay/matrix: wire transport to the router — json or binary")
+	batch := fs.Int("batch", 64, "replay/matrix: accesses per wire frame")
+	verify := fs.Bool("verify", true, "replay/matrix: require bit-identity with the offline simulator")
+	soak := fs.Duration("soak", 0, "replay/matrix: repeat rounds until this much wall time has elapsed")
+	chaos := fs.Bool("chaos", false, "replay/matrix soak: kill one spawned backend mid-round and restart it (requires -spawn)")
+	jsonOut := fs.String("json", "", "replay/matrix: also write the last round's report as JSON {generated, command, host, report} to this file, overwriting it")
+
+	matrix := fs.Bool("matrix", false, "replay a mixed-tenant scenario matrix through the router and exit")
+	matrixSpec := fs.String("matrix-spec", "", "matrix: tenant spec — name:key=value,...;name:... (default: the deterministic-class router matrix)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *spawn > 0 && *backends != "" {
-		fatalf("-spawn and -backends are exclusive")
+		return fmt.Errorf("-spawn and -backends are exclusive")
 	}
 	if *chaos && *spawn == 0 {
-		fatalf("-chaos needs -spawn (it must own the backend processes it kills)")
+		return fmt.Errorf("-chaos needs -spawn (it must own the backend processes it kills)")
 	}
 
 	var specs []route.BackendSpec
 	var spawned []*localBackend
+	defer func() {
+		for _, lb := range spawned {
+			lb.kill()
+		}
+	}()
 	if *spawn > 0 {
 		for i := 0; i < *spawn; i++ {
 			lb, err := spawnBackend(fmt.Sprintf("shard%d", i))
 			if err != nil {
-				fatalf("spawn: %v", err)
+				return fmt.Errorf("spawn: %w", err)
 			}
 			spawned = append(spawned, lb)
 			specs = append(specs, route.BackendSpec{Name: lb.name, Addr: lb.addr})
@@ -104,11 +122,11 @@ func main() {
 	} else {
 		var err error
 		if specs, err = parseBackends(*backends); err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	}
 	if len(specs) == 0 {
-		fatalf("need -backends or -spawn")
+		return fmt.Errorf("need -backends or -spawn")
 	}
 
 	r, err := route.NewRouter(route.Config{
@@ -124,41 +142,42 @@ func main() {
 		},
 	})
 	if err != nil {
-		fatalf("router: %v", err)
+		return fmt.Errorf("router: %w", err)
 	}
 	defer r.Close()
 
 	laddr := *listen
 	if laddr == "" {
 		if !*replay && !*matrix {
-			fatalf("need -listen, -replay, or -matrix")
+			return fmt.Errorf("need -listen, -replay, or -matrix")
 		}
 		laddr = "127.0.0.1:0" // replay modes only need a loopback front end
 	}
 	ln, err := net.Listen("tcp", laddr)
 	if err != nil {
-		fatalf("listen: %v", err)
+		return fmt.Errorf("listen: %w", err)
 	}
 	srv := route.NewServer(r)
 
 	if *replay || *matrix {
 		go srv.Serve(ln)
 		defer srv.Stop()
-		base := serve.ReplaySpec{
-			Addr:  ln.Addr().String(),
-			Proto: *proto,
-			Batch: *batch,
-		}
+		spec := loadgen.Spec{Addr: ln.Addr().String(), Proto: *proto, Batch: *batch, Verify: *verify, Log: os.Stdout}
 		if *matrix {
-			runRouterMatrix(base, *matrixSpec, *soak, chaosFor(*chaos, spawned, r))
+			tenants, err := loadgen.ParseMatrixSpec(cmp.Or(*matrixSpec, loadgen.DefaultRouterMatrixSpec))
+			if err != nil {
+				return fmt.Errorf("matrix: %w", err)
+			}
+			spec.Load = loadgen.Matrix(tenants)
 		} else {
-			base.Prefetcher = *prefetcher
-			base.Degree = *degree
-			base.QPS = *qps
-			base.Verify = *verify
-			runRouterReplay(base, *sessions, *n, *soak, chaosFor(*chaos, spawned, r), *jsonOut)
+			spec.Load = loadgen.Apps(*sessions, *n,
+				serve.SessionOptions{Prefetcher: *prefetcher, Degree: *degree}, *qps)
 		}
-		return
+		rep, err := loadgen.Soak(spec, *soak, chaosFor(*chaos, spawned, r))
+		if err == nil && *jsonOut != "" {
+			err = loadgen.WriteJSON(*jsonOut, rep)
+		}
+		return err
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -170,8 +189,9 @@ func main() {
 	}()
 	fmt.Printf("dart-router listening on %s over %d backends\n", ln.Addr(), len(specs))
 	if err := srv.Serve(ln); err != nil {
-		fatalf("serve: %v", err)
+		return fmt.Errorf("serve: %w", err)
 	}
+	return nil
 }
 
 // parseBackends parses "name=host:port,..." (bare addresses get positional
@@ -303,129 +323,6 @@ func chaosVictim(r *route.Router, spawned []*localBackend, round int) *localBack
 		}
 	}
 	return nil
-}
-
-// runRouterReplay replays synthetic traces through the router front end in
-// rounds, enforcing completeness (every access delivered in order) and, with
-// verify, bit-identity with the offline simulator — through chaos kills when
-// enabled.
-func runRouterReplay(spec serve.ReplaySpec, sessions, n int, soak time.Duration, chaos func(int, func()), jsonOut string) {
-	apps := trace.Apps()
-	deadline := time.Now().Add(soak)
-	var rep serve.Report
-	for round := 0; ; round++ {
-		traces := make(map[string][]trace.Record, sessions)
-		for i := 0; i < sessions; i++ {
-			app := apps[i%len(apps)]
-			app.Seed += int64(1000*(i/len(apps)+1) + 101*round)
-			traces[fmt.Sprintf("r%03d-core%02d-%s", round, i, app.Name)] = trace.Generate(app, n)
-		}
-		run := func() {
-			var err error
-			if rep, err = serve.Replay(spec, traces); err != nil {
-				fatalf("replay: %v", err)
-			}
-		}
-		if chaos != nil {
-			chaos(round, run)
-		} else {
-			run()
-		}
-		if rep.Merged.Accesses != sessions*n {
-			fatalf("COMPLETENESS FAILED: router accounted %d accesses, submitted %d",
-				rep.Merged.Accesses, sessions*n)
-		}
-		fmt.Print(rep)
-		if spec.Verify {
-			if !rep.Verified {
-				fatalf("VERIFY FAILED: routed results are not bit-identical to the offline simulator")
-			}
-			fmt.Println("verify: all sessions bit-identical to offline sim through the router")
-		}
-		if soak <= 0 || time.Now().After(deadline) {
-			break
-		}
-	}
-	if jsonOut != "" {
-		writeReport(jsonOut, rep)
-	}
-}
-
-// runRouterMatrix replays the mixed-tenant scenario matrix through the
-// router in rounds. Every round must be complete, and every checkable tenant
-// bit-identical (the default router spec is all-deterministic, so that is
-// every tenant).
-func runRouterMatrix(base serve.ReplaySpec, spec string, soak time.Duration, chaos func(int, func())) {
-	if spec == "" {
-		spec = serve.DefaultRouterMatrixSpec
-	}
-	tenants, err := serve.ParseMatrixSpec(spec)
-	if err != nil {
-		fatalf("matrix: %v", err)
-	}
-	base.Verify = true
-	deadline := time.Now().Add(soak)
-	for round := 0; ; round++ {
-		rt := make([]serve.TenantSpec, len(tenants))
-		copy(rt, tenants)
-		for i := range rt {
-			rt[i].Seed += int64(1000 * round)
-		}
-		base.Tenants = rt
-		var rep serve.MatrixReport
-		run := func() {
-			if rep, err = serve.ReplayMatrix(base); err != nil {
-				fatalf("matrix: %v", err)
-			}
-		}
-		if chaos != nil {
-			chaos(round, run)
-		} else {
-			run()
-		}
-		fmt.Print(rep)
-		if !rep.Complete {
-			fatalf("COMPLETENESS FAILED: a tenant's accesses were dropped or reordered")
-		}
-		if !rep.Verified {
-			fatalf("VERIFY FAILED: a checkable tenant is not bit-identical to the offline simulator")
-		}
-		if soak <= 0 || time.Now().After(deadline) {
-			break
-		}
-	}
-}
-
-// writeReport writes the routed replay report to path as {generated,
-// command, host, report} — dart-serve -json's shape — overwriting the file.
-func writeReport(path string, rep serve.Report) {
-	doc := struct {
-		Generated string       `json:"generated"`
-		Command   string       `json:"command"`
-		Host      hostInfo     `json:"host"`
-		Report    serve.Report `json:"report"`
-	}{
-		Generated: time.Now().Format("2006-01-02"),
-		Command:   strings.Join(os.Args, " "),
-		Host: hostInfo{
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Go:         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		},
-		Report: rep,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("router report written to %s\n", path)
-}
-
-type hostInfo struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Go         string `json:"go"`
 }
 
 func fatalf(format string, args ...any) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dart/internal/loadgen"
 	"dart/internal/route"
 	"dart/internal/serve"
 )
@@ -67,50 +68,66 @@ func TestParseBackends(t *testing.T) {
 	}
 }
 
-// TestRunRouterReplayEndToEnd drives the CLI's replay path against a live
-// two-backend cluster and writes the report as JSON over a file that already
-// holds something else — which the report replaces.
-func TestRunRouterReplayEndToEnd(t *testing.T) {
-	addr, _, _ := startFront(t, 2)
-	out := filepath.Join(t.TempDir(), "report.json")
-	if err := os.WriteFile(out, []byte(`{"binary":{"keep":"me"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	runRouterReplay(serve.ReplaySpec{
-		Addr: addr, Proto: "binary", Batch: 32,
-		Prefetcher: "stride", Degree: 4, Verify: true,
-	}, 4, 500, 0, nil, out)
-
-	raw, err := os.ReadFile(out)
+// readReport decodes the report of a -json file.
+func readReport(t *testing.T, path string) loadgen.Report {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Binary  json.RawMessage `json:"binary"`
-		Command string          `json:"command"`
-		Report  serve.Report    `json:"report"`
+		Binary json.RawMessage `json:"binary"`
+		Report loadgen.Report  `json:"report"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Binary != nil || doc.Command == "" {
+	if doc.Binary != nil {
 		t.Fatalf("report did not replace the file:\n%s", raw)
 	}
-	if len(doc.Report.Sessions) != 4 || doc.Report.Throughput <= 0 || doc.Report.Merged.Accesses != 4*500 {
-		t.Fatalf("report recorded %d sessions, %v acc/s, %d accesses",
-			len(doc.Report.Sessions), doc.Report.Throughput, doc.Report.Merged.Accesses)
+	return doc.Report
+}
+
+// TestRunRouterReplayEndToEnd drives the CLI's replay path against a live
+// two-backend cluster and writes the report as JSON over a file that already
+// holds something else — which the report replaces.
+func TestRunRouterReplayEndToEnd(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "report.json")
+	if err := os.WriteFile(out, []byte(`{"binary":{"keep":"me"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-spawn", "2", "-replay", "-sessions", "4", "-n", "500", "-batch", "32",
+		"-json", out}); err != nil {
+		t.Fatal(err)
+	}
+	rep := readReport(t, out)
+	if len(rep.Sessions) != 4 || rep.Throughput <= 0 || rep.Merged.Accesses != 4*500 || !rep.Verified {
+		t.Fatalf("report recorded %d sessions, %v acc/s, %d accesses, verified=%v",
+			len(rep.Sessions), rep.Throughput, rep.Merged.Accesses, rep.Verified)
 	}
 }
 
 // TestRunRouterMatrixOneRound drives the CLI's matrix path for a single
 // round (no soak): the default deterministic-class spec through a live
-// router, every tenant complete and verified. runRouterMatrix exits the
-// process on violation, so completion is the assert.
+// router, every tenant complete and verified.
 func TestRunRouterMatrixOneRound(t *testing.T) {
-	addr, _, _ := startFront(t, 2)
-	runRouterMatrix(serve.ReplaySpec{
-		Addr: addr, Proto: "binary", Batch: 32,
-	}, "", 0, nil)
+	if err := run([]string{"-spawn", "2", "-matrix", "-batch", "32"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunRouterMatrixWritesJSON: -json reaches -matrix, with one row per
+// tenant, each verified through the router.
+func TestRunRouterMatrixWritesJSON(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "matrix.json")
+	if err := run([]string{"-spawn", "2", "-matrix", "-json", out, "-matrix-spec",
+		"a:workload=chase,sessions=2,n=300,class=isb;b:workload=zipf,n=300,class=bo"}); err != nil {
+		t.Fatal(err)
+	}
+	rep := readReport(t, out)
+	if len(rep.Tenants) != 2 || !rep.Tenants[0].Verified || !rep.Tenants[1].Verified {
+		t.Fatalf("matrix report rows: %+v", rep.Tenants)
+	}
 }
 
 // TestChaosHookKillRestart exercises the chaos hook directly: it must kill
@@ -125,22 +142,40 @@ func TestChaosHookKillRestart(t *testing.T) {
 		t.Fatal("chaosFor gating is wrong")
 	}
 	hook(0, func() {}) // round 0 kills+restarts spawned[0]
-	runRouterReplay(serve.ReplaySpec{
-		Addr: addr, Proto: "binary", Batch: 32,
-		Prefetcher: "stride", Degree: 4, Verify: true,
-	}, 2, 400, 0, nil, "")
+	if _, err := loadgen.Soak(loadgen.Spec{
+		Addr: addr, Proto: "binary", Batch: 32, Verify: true,
+		Load: loadgen.Apps(2, 400, serve.SessionOptions{Prefetcher: "stride", Degree: 4}, 0),
+	}, 0, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRunRouterMatrixChaosSoak is the nightly soak in miniature: the
 // mixed-tenant matrix replays in rounds while the chaos hook kills and
-// restarts spawned backends. runRouterMatrix exits the process on any
-// dropped/reordered access or verify mismatch, so completion is the assert.
+// restarts spawned backends; any dropped or reordered access or verify
+// mismatch fails the run.
 func TestRunRouterMatrixChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak takes a few seconds")
 	}
-	addr, spawned, r := startFront(t, 3)
-	runRouterMatrix(serve.ReplaySpec{
-		Addr: addr, Proto: "binary", Batch: 32,
-	}, "", 2*time.Second, chaosFor(true, spawned, r))
+	if err := run([]string{"-spawn", "3", "-matrix", "-batch", "32", "-soak", "2s", "-chaos",
+		"-health-interval", "20ms"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunFlagErrors: bad flag combinations come back as errors, not exits.
+func TestRunFlagErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-spawn", "1", "-backends", "a=127.0.0.1:1"},
+		{"-chaos"},
+		{},
+		{"-spawn", "1"}, // no mode
+		{"-spawn", "1", "-matrix", "-matrix-spec", "a:class=stride"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run %q succeeded", args)
+		}
+	}
 }

@@ -65,11 +65,14 @@
 //	dart-serve -replay -online -prefetcher online -soak 60s
 //	dart-serve -replay -dart -prefetcher dart -soak 60s
 //
-// -soak repeats replay rounds until the duration elapses (fresh session ids
-// per round), the nightly-CI endurance mode. With a versioned-class
-// prefetcher (online, student, or dart with the dart tier on) the
-// bit-identity check is replaced by a completeness check — the model changes
-// under training by design, but zero accesses may be dropped or reordered.
+// -soak repeats rounds with fresh seeds until the duration elapses, the
+// nightly-CI endurance mode. Every round must deliver
+// every access in order; with -verify (the default) every session on a
+// deterministic class must also match the offline simulator bit-for-bit.
+// Sessions of a versioned class (online, student, or dart with the dart tier
+// on) are checked for completeness only — the model changes under training
+// by design. Both modes run through internal/loadgen, and -json writes its
+// report.
 //
 // Matrix mode replays a mixed-tenant scenario matrix: each tenant names a
 // workload-zoo scenario (pointer chase, graph walk, zipfian key-value,
@@ -81,20 +84,19 @@
 //	dart-serve -matrix -dart -soak 60s -matrix-spec \
 //	  'hot:workload=zipf,sessions=8,class=dart,weight=3;cold:workload=chase,class=online'
 //
-// Every round enforces per-tenant completeness and reports per-tenant
-// metrics, latency percentiles, and fair-share admission stats (queries,
-// starved batches, max wait).
+// Every round enforces completeness and -verify as replay does, and reports
+// per-tenant metrics, latency percentiles, and fair-share admission stats
+// (queries, starved batches, max wait).
 package main
 
 import (
-	"encoding/json"
+	"cmp"
 	"flag"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -103,6 +105,7 @@ import (
 	"dart/internal/core"
 	"dart/internal/dataprep"
 	"dart/internal/kd"
+	"dart/internal/loadgen"
 	"dart/internal/nn"
 	"dart/internal/online"
 	"dart/internal/serve"
@@ -111,43 +114,55 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", "", "TCP listen address, e.g. :7381")
-	unixSock := flag.String("unix", "", "unix socket path (alternative to -listen)")
-	pretrain := flag.Bool("pretrain", false, "train+tabularize a static DART model so sessions can open prefetcher \"dart\" without the versioned tier")
-	app := flag.String("app", "462.libquantum", "application trace used to pretrain the DART model (suffix match)")
-	trainN := flag.Int("train-n", 12000, "accesses in the DART training trace")
-	queueDepth := flag.Int("queue", 64, "per-session inbox depth (backpressure bound)")
-	maxBatch := flag.Int("max-batch", 64, "admission batcher coalescing cap")
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
-	useOnline := flag.Bool("online", false, "run the continual-learning loop; sessions can open prefetcher \"online\"")
-	ckptDir := flag.String("checkpoint-dir", "", "online: directory for versioned model checkpoints (recovered on restart)")
-	swapInterval := flag.Duration("swap-interval", 30*time.Second, "online: auto-publish cadence (<0 disables; \"swap\" verb always works)")
+// run is the daemon: flag parsing, the optional model tiers, then either
+// one loadgen.Soak (-replay, -matrix) or the wire server until a signal.
+func run(args []string) error {
+	fs := flag.NewFlagSet("dart-serve", flag.ContinueOnError)
+	listen := fs.String("listen", "", "TCP listen address, e.g. :7381")
+	unixSock := fs.String("unix", "", "unix socket path (alternative to -listen)")
+	pretrain := fs.Bool("pretrain", false, "train+tabularize a static DART model so sessions can open prefetcher \"dart\" without the versioned tier")
+	app := fs.String("app", "462.libquantum", "application trace used to pretrain the DART model (suffix match)")
+	trainN := fs.Int("train-n", 12000, "accesses in the DART training trace")
+	queueDepth := fs.Int("queue", 64, "per-session inbox depth (backpressure bound)")
+	maxBatch := fs.Int("max-batch", 64, "admission batcher coalescing cap")
 
-	useStudent := flag.Bool("student", false, "run the distilled-student tier (implies -online); sessions can open prefetcher \"student\"")
-	distillInterval := flag.Duration("distill-interval", 30*time.Second, "student: auto-publish cadence (<0 disables; \"swap\" with class \"student\" always works)")
-	shadowCompare := flag.Bool("ab", false, "student: A/B shadow-compare mode — run student batches through the teacher too and report per-label agreement")
+	useOnline := fs.Bool("online", false, "run the continual-learning loop; sessions can open prefetcher \"online\"")
+	ckptDir := fs.String("checkpoint-dir", "", "online: directory for versioned model checkpoints (recovered on restart)")
+	swapInterval := fs.Duration("swap-interval", 30*time.Second, "online: auto-publish cadence (<0 disables; \"swap\" verb always works)")
 
-	useDart := flag.Bool("dart", false, "run the versioned tabular serving class (implies -student): re-tabularize the published student on a duty cycle and hot-swap table hierarchies; sessions can open prefetcher \"dart\"")
-	tabularizeInterval := flag.Duration("tabularize-interval", 30*time.Second, "dart: auto re-tabularize cadence (<0 disables; \"swap\" with class \"dart\" always works)")
+	useStudent := fs.Bool("student", false, "run the distilled-student tier (implies -online); sessions can open prefetcher \"student\"")
+	distillInterval := fs.Duration("distill-interval", 30*time.Second, "student: auto-publish cadence (<0 disables; \"swap\" with class \"student\" always works)")
+	shadowCompare := fs.Bool("ab", false, "student: A/B shadow-compare mode — run student batches through the teacher too and report per-label agreement")
 
-	usePolicy := flag.Bool("policy", false, "gate student/dart publishes through the promotion policy engine: candidates must sustain agreement with their source class, live divergence auto-rolls-back, every decision lands in the `policy` verb log")
-	policySpec := flag.String("policy-spec", "", "promotion policy spec, key=value comma-separated (implies -policy): admit= window= diverge= windows= live= delta= log= student-latency= student-storage= dart-latency= dart-storage= kernel= k= c=")
+	useDart := fs.Bool("dart", false, "run the versioned tabular serving class (implies -student): re-tabularize the published student on a duty cycle and hot-swap table hierarchies; sessions can open prefetcher \"dart\"")
+	tabularizeInterval := fs.Duration("tabularize-interval", 30*time.Second, "dart: auto re-tabularize cadence (<0 disables; \"swap\" with class \"dart\" always works)")
 
-	matrix := flag.Bool("matrix", false, "replay a mixed-tenant scenario matrix through the engine and exit")
-	matrixSpec := flag.String("matrix-spec", "", "matrix: tenant spec — name:key=value,...;name:... (default: built-in 4-tenant workload-zoo matrix)")
+	usePolicy := fs.Bool("policy", false, "gate student/dart publishes through the promotion policy engine: candidates must sustain agreement with their source class, live divergence auto-rolls-back, every decision lands in the `policy` verb log")
+	policySpec := fs.String("policy-spec", "", "promotion policy spec, key=value comma-separated (implies -policy): admit= window= diverge= windows= live= delta= log= student-latency= student-storage= dart-latency= dart-storage= kernel= k= c=")
 
-	replay := flag.Bool("replay", false, "replay synthetic workloads through the engine and exit")
-	sessions := flag.Int("sessions", 8, "replay: concurrent sessions")
-	n := flag.Int("n", 20000, "replay: accesses per session")
-	prefetcher := flag.String("prefetcher", "stride", "replay: prefetcher every session opens (none|bo|isb|stride|dart|online|student)")
-	degree := flag.Int("degree", 4, "replay: prefetch degree")
-	qps := flag.Float64("qps", 0, "replay: aggregate target accesses/sec (0 = unthrottled)")
-	proto := flag.String("proto", "direct", "replay/matrix: transport — direct (in-process), json, or binary (DARTWIRE1 over loopback TCP)")
-	batch := flag.Int("batch", 64, "replay/matrix: accesses per wire frame / pipelined burst (wire protocols only)")
-	verify := flag.Bool("verify", true, "replay: require bit-identity with the offline simulator")
-	soak := flag.Duration("soak", 0, "replay: repeat rounds until this much wall time has elapsed")
-	jsonOut := flag.String("json", "", "replay/matrix: also write the report as JSON {generated, command, host, report} to this file, overwriting it")
-	flag.Parse()
+	matrix := fs.Bool("matrix", false, "replay a mixed-tenant scenario matrix through the engine and exit")
+	matrixSpec := fs.String("matrix-spec", "", "matrix: tenant spec — name:key=value,...;name:... (default: built-in 4-tenant workload-zoo matrix)")
+
+	replay := fs.Bool("replay", false, "replay synthetic workloads through the engine and exit")
+	sessions := fs.Int("sessions", 8, "replay: concurrent sessions")
+	n := fs.Int("n", 20000, "replay: accesses per session")
+	prefetcher := fs.String("prefetcher", "stride", "replay: prefetcher every session opens (none|bo|isb|stride|dart|online|student)")
+	degree := fs.Int("degree", 4, "replay: prefetch degree")
+	qps := fs.Float64("qps", 0, "replay: aggregate target accesses/sec (0 = unthrottled)")
+	proto := fs.String("proto", "direct", "replay/matrix: transport — direct (in-process), json, or binary (DARTWIRE1 over loopback TCP)")
+	batch := fs.Int("batch", 64, "replay/matrix: accesses per wire frame / pipelined burst (wire protocols only)")
+	verify := fs.Bool("verify", true, "replay/matrix: require bit-identity with the offline simulator for every session whose class is deterministic (versioned classes are checked for completeness only)")
+	soak := fs.Duration("soak", 0, "replay/matrix: repeat rounds until this much wall time has elapsed")
+	jsonOut := fs.String("json", "", "replay/matrix: also write the last round's report as JSON {generated, command, host, report} to this file, overwriting it")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := serve.Config{QueueDepth: *queueDepth, MaxBatch: *maxBatch}
 	var art *core.Artifacts
@@ -156,7 +171,7 @@ func main() {
 	if *pretrain || (*prefetcher == "dart" && !*useDart) {
 		spec, ok := trace.AppByName(*app)
 		if !ok {
-			fatalf("unknown application %q", *app)
+			return fmt.Errorf("unknown application %q", *app)
 		}
 		fmt.Printf("training DART on %s (%d accesses)...\n", spec.Name, *trainN)
 		var err error
@@ -170,7 +185,7 @@ func main() {
 			Seed:          1,
 		})
 		if err != nil {
-			fatalf("training failed: %v", err)
+			return fmt.Errorf("training failed: %w", err)
 		}
 		cfg.Model = art.Tables.Hierarchy
 		cfg.Data = art.Opt.Data
@@ -196,7 +211,7 @@ func main() {
 			*useStudent || *prefetcher == "student", *distillInterval,
 			*useDart, *tabularizeInterval, *usePolicy, *policySpec)
 		if err != nil {
-			fatalf("online learner: %v", err)
+			return fmt.Errorf("online learner: %w", err)
 		}
 		fmt.Printf("online learner ready (checkpoints: %s; intervals: swap %v, distill %v, tabularize %v; A/B %v)\n",
 			orNone(*ckptDir), *swapInterval, *distillInterval, *tabularizeInterval, *shadowCompare)
@@ -222,31 +237,29 @@ func main() {
 	}
 
 	engine := serve.NewEngine(cfg)
-	if *matrix {
-		if *matrixSpec == "" && !*useDart {
-			fatalf("matrix: the built-in matrix spans the online/student/dart serving classes; run with -dart, or pass -matrix-spec using classical classes only")
+	if *matrix || *replay {
+		spec := loadgen.Spec{Engine: engine, Proto: *proto, Batch: *batch, Verify: *verify, Log: os.Stdout}
+		if *matrix {
+			if *matrixSpec == "" && !*useDart {
+				return fmt.Errorf("matrix: the built-in matrix spans the online/student/dart serving classes; run with -dart, or pass -matrix-spec using classical classes only")
+			}
+			tenants, err := loadgen.ParseMatrixSpec(cmp.Or(*matrixSpec, loadgen.DefaultMatrixSpec))
+			if err != nil {
+				return fmt.Errorf("matrix: %w", err)
+			}
+			spec.Load = loadgen.Matrix(tenants)
+		} else {
+			spec.Load = loadgen.Apps(*sessions, *n,
+				serve.SessionOptions{Prefetcher: *prefetcher, Degree: *degree}, *qps)
 		}
-		runMatrix(serve.ReplaySpec{
-			Engine: engine,
-			Proto:  *proto,
-			Batch:  *batch,
-		}, *matrixSpec, *soak, *jsonOut)
+		rep, err := loadgen.Soak(spec, *soak, nil)
 		if learner != nil {
 			printLearner(learner)
 		}
-		return
-	}
-	if *replay {
-		runReplay(serve.ReplaySpec{
-			Engine:     engine,
-			Prefetcher: *prefetcher,
-			Degree:     *degree,
-			QPS:        *qps,
-			Verify:     *verify,
-			Proto:      *proto,
-			Batch:      *batch,
-		}, learner, *sessions, *n, *soak, *jsonOut)
-		return
+		if err == nil && *jsonOut != "" {
+			err = loadgen.WriteJSON(*jsonOut, rep)
+		}
+		return err
 	}
 
 	var ln net.Listener
@@ -258,10 +271,10 @@ func main() {
 	case *listen != "":
 		ln, err = net.Listen("tcp", *listen)
 	default:
-		fatalf("need -listen, -unix, or -replay")
+		return fmt.Errorf("need -listen, -unix, -replay, or -matrix")
 	}
 	if err != nil {
-		fatalf("listen: %v", err)
+		return fmt.Errorf("listen: %w", err)
 	}
 
 	srv := serve.NewServer(engine)
@@ -292,11 +305,12 @@ func main() {
 	}
 	fmt.Printf("dart-serve listening on %s (prefetchers: none bo isb stride%s)\n", ln.Addr(), extras)
 	if err := srv.Serve(ln); err != nil {
-		fatalf("serve: %v", err)
+		return fmt.Errorf("serve: %w", err)
 	}
 	// Serve returns as soon as the listener closes; the drain (and its
 	// result printout) is still in flight on the signal goroutine.
 	<-drained
+	return nil
 }
 
 // buildLearner wires the continual-learning subsystem: the architecture is
@@ -438,69 +452,6 @@ func buildLearner(art *core.Artifacts, dir string, swapInterval time.Duration, s
 	return online.NewLearner(cfg)
 }
 
-// runReplay generates one synthetic trace per session (cycling through the
-// benchmark apps with distinct seeds), replays them concurrently, and prints
-// the report. With soak > 0 it repeats rounds (fresh session ids) until the
-// deadline passes. Every round is checked for completeness: the engine must
-// account for exactly the submitted accesses, dropped-free, whatever the
-// prefetcher — the online model changes under training, but delivery must
-// not.
-func runReplay(spec serve.ReplaySpec, learner *online.Learner, sessions, n int, soak time.Duration, jsonOut string) {
-	versioned := false
-	if learner != nil {
-		for _, c := range learner.Classes() {
-			versioned = versioned || c.Prefetcher() == spec.Prefetcher
-		}
-	}
-	if versioned && spec.Verify {
-		fmt.Println("verify: versioned classes hot-swap under training; checking completeness instead of bit-identity")
-		spec.Verify = false
-	}
-	apps := trace.Apps()
-	deadline := time.Now().Add(soak)
-	var rep serve.Report
-	for round := 0; ; round++ {
-		traces := make(map[string][]trace.Record, sessions)
-		for i := 0; i < sessions; i++ {
-			spec := apps[i%len(apps)]
-			spec.Seed += int64(1000*(i/len(apps)+1) + 101*round)
-			id := fmt.Sprintf("core%02d-%s", i, spec.Name)
-			if soak > 0 {
-				id = fmt.Sprintf("r%03d-%s", round, id)
-			}
-			traces[id] = trace.Generate(spec, n)
-		}
-		var err error
-		rep, err = serve.Replay(spec, traces)
-		if err != nil {
-			fatalf("replay: %v", err)
-		}
-		if rep.Merged.Accesses != sessions*n {
-			fatalf("COMPLETENESS FAILED: engine accounted %d accesses, submitted %d",
-				rep.Merged.Accesses, sessions*n)
-		}
-		fmt.Print(rep)
-		if spec.Verify {
-			if !rep.Verified {
-				fatalf("VERIFY FAILED: served results are not bit-identical to the offline simulator")
-			}
-			fmt.Println("verify: all sessions bit-identical to offline sim")
-		} else {
-			fmt.Printf("completeness: %d sessions, %d/%d accesses delivered in order\n",
-				len(rep.Sessions), rep.Merged.Accesses, sessions*n)
-		}
-		if soak <= 0 || time.Now().After(deadline) {
-			break
-		}
-	}
-	if learner != nil {
-		printLearner(learner)
-	}
-	if jsonOut != "" {
-		writeReport(jsonOut, rep)
-	}
-}
-
 // printLearner dumps the online learner's state for log scraping.
 func printLearner(l *online.Learner) {
 	st := l.Stats()
@@ -538,41 +489,4 @@ func orNone(s string) string {
 		return "disabled"
 	}
 	return s
-}
-
-// writeReport writes a replay or matrix report to path as
-// {generated, command, host, report}, overwriting the file.
-func writeReport(path string, report any) {
-	doc := struct {
-		Generated string   `json:"generated"`
-		Command   string   `json:"command"`
-		Host      hostInfo `json:"host"`
-		Report    any      `json:"report"`
-	}{
-		Generated: time.Now().Format("2006-01-02"),
-		Command:   strings.Join(os.Args, " "),
-		Host: hostInfo{
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Go:         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		},
-		Report: report,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("report written to %s\n", path)
-}
-
-type hostInfo struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Go         string `json:"go"`
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

@@ -2,17 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"dart/internal/config"
 	"dart/internal/dataprep"
+	"dart/internal/loadgen"
 	"dart/internal/online"
-	"dart/internal/serve"
 )
 
 // classNames lists the serving classes a learner runs, in table order.
@@ -180,36 +180,39 @@ func TestPrintLearnerPolicyReport(t *testing.T) {
 	}
 }
 
-// TestRunReplayDartCompleteness drives the daemon's replay path end to end
-// on the dart class: verify flips to the completeness check (the versioned
-// table hot-swaps under training by design), the report is written as JSON,
-// and the learner summary prints without panicking.
-func TestRunReplayDartCompleteness(t *testing.T) {
-	learner, err := buildLearner(nil, "", -1, true, -1, true, -1, false, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	learner.Start()
-	defer learner.Stop()
-	e := serve.NewEngine(serve.Config{Online: learner})
-
-	out := filepath.Join(t.TempDir(), "report.json")
-	runReplay(serve.ReplaySpec{
-		Engine: e, Prefetcher: "dart", Degree: 4, Verify: true,
-	}, learner, 2, 500, 0, out)
-
-	raw, err := os.ReadFile(out)
+// readReport decodes the report of a -json file.
+func readReport(t *testing.T, path string) loadgen.Report {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Report serve.Report `json:"report"`
+		Report loadgen.Report `json:"report"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Report.Merged.Accesses != 2*500 {
-		t.Fatalf("report accounts %d accesses, want %d", doc.Report.Merged.Accesses, 2*500)
+	return doc.Report
+}
+
+// TestRunReplayDartCompleteness drives the daemon's replay path end to end
+// on the dart class: the versioned table hot-swaps under training by design,
+// so -verify checks its sessions for completeness only, the report is
+// written as JSON, and the learner summary prints without panicking.
+func TestRunReplayDartCompleteness(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "report.json")
+	if err := run([]string{"-replay", "-dart", "-prefetcher", "dart", "-sessions", "2", "-n", "500",
+		"-swap-interval", "-1ns", "-distill-interval", "-1ns", "-tabularize-interval", "-1ns",
+		"-json", out}); err != nil {
+		t.Fatal(err)
+	}
+	rep := readReport(t, out)
+	if rep.Merged.Accesses != 2*500 {
+		t.Fatalf("report accounts %d accesses, want %d", rep.Merged.Accesses, 2*500)
+	}
+	if !rep.Verified || !rep.Sessions[0].Unchecked {
+		t.Fatalf("dart sessions not marked unchecked under -verify: %+v", rep.Sessions)
 	}
 }
 
@@ -223,16 +226,11 @@ func TestOrNone(t *testing.T) {
 // TestRunReplaySoakRound: a short soak repeats rounds until the deadline and
 // still accounts every access (fresh session ids per round).
 func TestRunReplaySoakRound(t *testing.T) {
-	learner, err := buildLearner(nil, t.TempDir(), -1, true, -1, true, 50*time.Millisecond, false, "")
-	if err != nil {
+	if err := run([]string{"-replay", "-dart", "-prefetcher", "student", "-sessions", "2", "-n", "400",
+		"-checkpoint-dir", t.TempDir(), "-swap-interval", "-1ns", "-distill-interval", "-1ns",
+		"-tabularize-interval", "50ms", "-soak", "200ms"}); err != nil {
 		t.Fatal(err)
 	}
-	learner.Start()
-	defer learner.Stop()
-	e := serve.NewEngine(serve.Config{Online: learner})
-	runReplay(serve.ReplaySpec{
-		Engine: e, Prefetcher: "student", Degree: 4, Verify: true,
-	}, learner, 2, 400, 200*time.Millisecond, "")
 }
 
 // TestWriteReportOverwrites: a replay writes {generated, command, host,
@@ -243,10 +241,10 @@ func TestWriteReportOverwrites(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"binary":{"replay_throughput":1}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{300, 200} {
-		runReplay(serve.ReplaySpec{
-			Engine: serve.NewEngine(serve.Config{}), Prefetcher: "stride", Degree: 4, Verify: true,
-		}, nil, 2, n, 0, path)
+	for _, n := range []string{"300", "200"} {
+		if err := run([]string{"-replay", "-sessions", "2", "-n", n, "-json", path}); err != nil {
+			t.Fatal(err)
+		}
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -256,14 +254,27 @@ func TestWriteReportOverwrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(doc) != 4 || doc["generated"] == nil || doc["command"] == nil || doc["host"] == nil {
-			t.Fatalf("report keys after the n=%d run:\n%s", n, raw)
+			t.Fatalf("report keys after the n=%s run:\n%s", n, raw)
 		}
-		var rep serve.Report
-		if err := json.Unmarshal(doc["report"], &rep); err != nil {
-			t.Fatal(err)
+		if rep := readReport(t, path); fmt.Sprint(rep.Merged.Accesses/2) != n {
+			t.Fatalf("report accounts %d accesses, want 2x%s from the latest run", rep.Merged.Accesses, n)
 		}
-		if rep.Merged.Accesses != 2*n {
-			t.Fatalf("report accounts %d accesses, want %d from the latest run", rep.Merged.Accesses, 2*n)
+	}
+}
+
+// TestRunFlagErrors: bad flag combinations come back as errors, not exits.
+func TestRunFlagErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{},          // no mode
+		{"-matrix"}, // built-in matrix needs -dart
+		{"-matrix", "-matrix-spec", "a:workload=nope"},
+		{"-replay", "-n", "10", "-proto", "pigeon"},
+		{"-pretrain", "-app", "no-such-app"},
+		{"-online", "-policy-spec", "admit=high"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run %q succeeded", args)
 		}
 	}
 }

@@ -1,38 +1,41 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
+	"fmt"
 	"path/filepath"
 	"testing"
-
-	"dart/internal/serve"
 )
 
 // TestRunMatrixEndToEnd drives the CLI matrix path against a classical-class
-// matrix (no learner needed): report printed, completeness enforced, JSON
-// written with per-tenant admission-capable reports.
+// matrix (no learner needed) over binary framing: report printed,
+// completeness enforced, JSON written with per-tenant rows.
 func TestRunMatrixEndToEnd(t *testing.T) {
-	e := serve.NewEngine(serve.Config{})
 	out := filepath.Join(t.TempDir(), "matrix.json")
-	runMatrix(serve.ReplaySpec{Engine: e, Proto: "binary", Batch: 16, Verify: true},
-		"a:workload=chase,sessions=2,n=400,class=stride;"+
-			"b:workload=phase,n=400,class=bo,cache=twolevel", 0, out)
+	if err := run([]string{"-matrix", "-proto", "binary", "-batch", "16", "-json", out, "-matrix-spec",
+		"a:workload=chase,sessions=2,n=400,class=stride;b:workload=phase,n=400,class=bo,cache=twolevel"}); err != nil {
+		t.Fatal(err)
+	}
+	rep := readReport(t, out)
+	if !rep.Complete || len(rep.Tenants) != 2 {
+		t.Fatalf("bad matrix report: %+v", rep)
+	}
+	if rep.Merged.Accesses != 2*400+400 {
+		t.Fatalf("report accounts %d accesses, want %d", rep.Merged.Accesses, 1200)
+	}
+}
 
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Report serve.MatrixReport `json:"report"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if !doc.Report.Complete || len(doc.Report.Tenants) != 2 {
-		t.Fatalf("bad matrix report: %+v", doc.Report)
-	}
-	if doc.Report.TotalAccesses != 2*400+400 {
-		t.Fatalf("report accounts %d accesses, want %d", doc.Report.TotalAccesses, 1200)
+// TestRunMatrixHonoursVerify: -verify reaches -matrix, so a deterministic
+// tenant is re-run offline and marked bit-identical — and -verify=false
+// turns the check off.
+func TestRunMatrixHonoursVerify(t *testing.T) {
+	for _, verify := range []bool{true, false} {
+		out := filepath.Join(t.TempDir(), "matrix.json")
+		if err := run([]string{"-matrix", fmt.Sprintf("-verify=%v", verify),
+			"-matrix-spec", "batch:workload=milc,n=300,class=stride", "-json", out}); err != nil {
+			t.Fatal(err)
+		}
+		if got := readReport(t, out).Tenants[0].Verified; got != verify {
+			t.Fatalf("-verify=%v: stride tenant Verified=%v", verify, got)
+		}
 	}
 }

@@ -51,11 +51,17 @@
 //	                   across tenants, a dual-protocol wire server
 //	                   (line-JSON for debugging, DARTWIRE1 binary framing
 //	                   with a zero-alloc hot path for production — see
-//	                   docs/PROTOCOL.md), a synchronous client for both
-//	                   encodings, a QPS-paced replay driver with soak mode
-//	                   and selectable transport, and a mixed-tenant
-//	                   scenario-matrix replay (per-tenant workload, serving
-//	                   class, weight, and cache hierarchy)
+//	                   docs/PROTOCOL.md), and a synchronous client for
+//	                   both encodings
+//	internal/loadgen   the one load generator: sessions pumped through an
+//	                   in-process engine or a dialled daemon or router
+//	                   (direct, JSON or binary), every reply's sequence
+//	                   numbers checked, deterministic sessions re-run
+//	                   offline for bit-identity; QPS-paced replay of the
+//	                   benchmark apps, the mixed-tenant scenario matrix
+//	                   (per-tenant workload, serving class, weight, and
+//	                   cache hierarchy), and the soak loop behind
+//	                   dart-serve's and dart-router's -replay and -matrix
 //	internal/online    continual learning: per-session lock-free feedback
 //	                   rings, streaming example assembly, duty-cycled
 //	                   nn.Trainer fine-tuning of a shadow model, an online
@@ -81,7 +87,7 @@
 // bench/README.md for how performance is measured.
 //
 // Serving model: cmd/dart-serve runs internal/serve as a long-running daemon
-// (or in -replay mode for continuous-load evaluation). Sessions — one per
+// (or, with -replay and -matrix, as internal/loadgen's target). Sessions — one per
 // simulated core or tenant — own their prefetcher state and an incremental
 // sim.Sim; served results are bit-identical to offline sim.Run over the same
 // records, so online numbers compare directly against the paper's offline

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dart/internal/loadgen"
 	"dart/internal/prefetch"
 	"dart/internal/serve"
 	"dart/internal/sim"
@@ -136,7 +137,7 @@ func startCluster(t testing.TB, n int, cfg Config) ([]*testBackend, *Router) {
 }
 
 // startFrontEnd exposes a router on its own loopback listener and returns the
-// address clients (and serve.Replay specs) dial.
+// address clients (and loadgen specs) dial.
 func startFrontEnd(t testing.TB, r *Router) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -288,23 +289,27 @@ func TestRoutedAccessAndStats(t *testing.T) {
 	}
 }
 
+// strideSession is one unnamed-tenant stride session of the load generator.
+func strideSession(id string, recs []trace.Record) loadgen.Session {
+	return loadgen.Session{ID: id, Recs: recs, Opts: serve.SessionOptions{Prefetcher: "stride", Degree: 4}}
+}
+
 // TestRoutedReplayBitIdentical is the tentpole acceptance check in miniature:
-// serve.Replay dialing a dart-router front-end over binary framing, -verify
-// semantics on, across 3 backends.
+// the load generator dialing a dart-router front-end over binary framing,
+// -verify semantics on, across 3 backends.
 func TestRoutedReplayBitIdentical(t *testing.T) {
 	_, r := startCluster(t, 3, Config{HealthInterval: -1})
 	addr := startFrontEnd(t, r)
 
-	traces := make(map[string][]trace.Record)
+	var sessions []loadgen.Session
 	for i := 0; i < 6; i++ {
-		traces[fmt.Sprintf("replay-%d", i)] = sessionTrace(int64(100+i), 600)
+		sessions = append(sessions, strideSession(fmt.Sprintf("replay-%d", i), sessionTrace(int64(100+i), 600)))
 	}
 	cfg := smallSimCfg()
-	rep, err := serve.Replay(serve.ReplaySpec{
+	rep, err := loadgen.Run(loadgen.Spec{
 		Addr: addr, Proto: "binary", Batch: 32,
-		Prefetcher: "stride", Degree: 4,
 		Verify: true, VerifySimCfg: &cfg,
-	}, traces)
+	}, sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +331,7 @@ func TestRoutedMatrixMixedTenants(t *testing.T) {
 	_, r := startCluster(t, 3, Config{HealthInterval: -1})
 	addr := startFrontEnd(t, r)
 
-	tenants, err := serve.ParseMatrixSpec(serve.DefaultRouterMatrixSpec)
+	tenants, err := loadgen.ParseMatrixSpec(loadgen.DefaultRouterMatrixSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +339,11 @@ func TestRoutedMatrixMixedTenants(t *testing.T) {
 		tenants[i].N = 500 // keep the default scenario, shrink the soak
 	}
 	cfg := smallSimCfg()
-	rep, err := serve.ReplayMatrix(serve.ReplaySpec{
+	rep, err := loadgen.Soak(loadgen.Spec{
 		Addr: addr, Proto: "binary", Batch: 32,
 		Verify: true, VerifySimCfg: &cfg,
-		Tenants: tenants,
-	})
+		Load: loadgen.Matrix(tenants),
+	}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,16 +362,15 @@ func TestRoutedReplayJSONProto(t *testing.T) {
 	_, r := startCluster(t, 2, Config{HealthInterval: -1})
 	addr := startFrontEnd(t, r)
 
-	traces := make(map[string][]trace.Record)
+	var sessions []loadgen.Session
 	for i := 0; i < 3; i++ {
-		traces[fmt.Sprintf("jr-%d", i)] = sessionTrace(int64(400+i), 300)
+		sessions = append(sessions, strideSession(fmt.Sprintf("jr-%d", i), sessionTrace(int64(400+i), 300)))
 	}
 	cfg := smallSimCfg()
-	rep, err := serve.Replay(serve.ReplaySpec{
+	rep, err := loadgen.Run(loadgen.Spec{
 		Addr: addr, Proto: "json",
-		Prefetcher: "stride", Degree: 4,
 		Verify: true, VerifySimCfg: &cfg,
-	}, traces)
+	}, sessions)
 	if err != nil {
 		t.Fatal(err)
 	}

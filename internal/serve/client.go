@@ -94,7 +94,7 @@ func newClient(conn net.Conn, o clientOptions) (*Client, error) {
 }
 
 // BatchSize reports the preferred accesses-per-frame configured at Connect
-// (WithBatchSize; default 64). Replay drivers size their frames with it.
+// (WithBatchSize; default 64), for callers that size their frames from it.
 func (c *Client) BatchSize() int { return c.batch }
 
 // Broken reports the sticky transport failure that poisoned this client, or

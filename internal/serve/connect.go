@@ -23,8 +23,8 @@ func WithProtocol(proto string) Option {
 
 // WithBatchSize sets the client's preferred accesses-per-frame (binary) or
 // pipelined burst size (json). It does not change Client behaviour directly —
-// AccessBatch sends whatever it is given — but replay drivers and the router
-// read it back via BatchSize to size their frames. Default 64.
+// AccessBatch sends whatever it is given — but callers can read it back via
+// BatchSize to size their frames. Default 64.
 func WithBatchSize(n int) Option {
 	return func(o *clientOptions) { o.batch = n }
 }

@@ -720,6 +720,11 @@ func (e *Engine) abStats() *ABStats {
 // wire server routes the model/swap/rollback verbs through it.
 func (e *Engine) Learner() *online.Learner { return e.learner }
 
+// Config returns the engine's effective configuration: defaults filled in,
+// and the registry that also resolves its model classes — what an offline
+// re-run needs to reproduce a session bit-for-bit.
+func (e *Engine) Config() Config { return e.cfg }
+
 // Drain gracefully shuts the engine down: no new sessions are admitted,
 // every open session's inbox is closed and drained in turn, and the batcher
 // stops once the last model query has been answered. It returns the final

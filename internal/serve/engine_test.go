@@ -318,54 +318,3 @@ func TestStatsSnapshotLive(t *testing.T) {
 	wg.Wait()
 	e.Drain()
 }
-
-// TestReplayVerifiesOffline runs the replay driver end to end with
-// verification on.
-func TestReplayVerifiesOffline(t *testing.T) {
-	e := NewEngine(Config{SimCfg: smallSimCfg()})
-	traces := make(map[string][]trace.Record)
-	for i := 0; i < 8; i++ {
-		traces[fmt.Sprintf("core%d", i)] = sessionTrace(int64(i), 800)
-	}
-	rep, err := Replay(ReplaySpec{Engine: e, Prefetcher: "bo", Degree: 4, Verify: true}, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Verified {
-		t.Fatalf("replay not bit-identical to offline: %+v", rep.Sessions)
-	}
-	if rep.Merged.Accesses != 8*800 {
-		t.Fatalf("merged accesses %d, want %d", rep.Merged.Accesses, 8*800)
-	}
-	if rep.Latency.Count != 8*800 {
-		t.Fatalf("latency samples %d, want %d", rep.Latency.Count, 8*800)
-	}
-	if rep.String() == "" {
-		t.Fatal("empty report")
-	}
-	e.Drain()
-}
-
-// TestReplayThrottled checks the QPS pacing slows the run down.
-func TestReplayThrottled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	e := NewEngine(Config{SimCfg: smallSimCfg()})
-	traces := map[string][]trace.Record{
-		"a": sessionTrace(1, 200),
-		"b": sessionTrace(2, 200),
-	}
-	rep, err := Replay(ReplaySpec{Engine: e, Prefetcher: "stride", QPS: 2000}, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 400 accesses at 2000/s aggregate should take ≈0.2s.
-	if rep.WallSeconds < 0.15 {
-		t.Fatalf("throttled replay finished in %.3fs, expected ≥0.15s", rep.WallSeconds)
-	}
-	if rep.Throughput > 3000 {
-		t.Fatalf("throughput %.0f acc/s ignored the 2000/s target", rep.Throughput)
-	}
-	e.Drain()
-}

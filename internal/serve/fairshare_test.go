@@ -136,48 +136,6 @@ func TestFairShareColdTenantNotStalled(t *testing.T) {
 	}
 }
 
-// TestFairShareMatrixUnderLoad is the end-to-end starvation regression: a
-// hot tenant at 100x the cold tenants' QPS floods the shared DART admission
-// batcher, and the cold tenants must still complete every access in order
-// with a bounded admission wait. Run under -race in CI's race pass.
-func TestFairShareMatrixUnderLoad(t *testing.T) {
-	data := onlineTestData()
-	h := testHierarchy(t, data)
-	e := NewEngine(Config{
-		SimCfg: smallSimCfg(), MaxBatch: 4,
-		Model: h, Data: data, ModelLatency: 37, ModelStorage: 1 << 16,
-	})
-
-	rep, err := ReplayMatrix(ReplaySpec{Engine: e, Tenants: []TenantSpec{
-		{Name: "hot", Workload: "zipf", Class: "dart", Sessions: 12, N: 500, QPS: 50000},
-		{Name: "cold1", Workload: "chase", Class: "dart", Sessions: 1, N: 60, QPS: 500},
-		{Name: "cold2", Workload: "phase", Class: "dart", Sessions: 1, N: 60, QPS: 500},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Complete {
-		t.Fatalf("accesses dropped or reordered under load: %+v", rep)
-	}
-	for _, tr := range rep.Tenants {
-		if tr.Tenant == "hot" {
-			continue
-		}
-		if tr.Admission.Queries == 0 {
-			t.Fatalf("tenant %q recorded no admission queries", tr.Tenant)
-		}
-		if tr.Admission.MaxWaitBatches > 2 {
-			t.Fatalf("cold tenant %q waited %d batches behind the hot flood; want <= 2",
-				tr.Tenant, tr.Admission.MaxWaitBatches)
-		}
-		if tr.Admission.Starved != 0 {
-			t.Fatalf("cold tenant %q starved %d times with a single session",
-				tr.Tenant, tr.Admission.Starved)
-		}
-	}
-	e.Drain()
-}
-
 // TestRejectedOpenKeepsTenantWeight: an open that loses — here a retry of a
 // live session id with Weight omitted — must not touch the tenant's fair-share
 // weight; only a session that won its id may set it.

@@ -13,7 +13,6 @@ import (
 	"dart/internal/mat"
 	"dart/internal/nn"
 	"dart/internal/online"
-	"dart/internal/trace"
 )
 
 // onlineTestData keeps windows small so short session traces produce model
@@ -343,24 +342,4 @@ func TestOnlineVerbsWithoutLearner(t *testing.T) {
 	if rep := rpc(t, conn, br, Request{Op: "open", Session: "x", Prefetcher: "online"}); rep.OK {
 		t.Fatal("online session opened without a learner")
 	}
-}
-
-// TestOnlineDisabledBitIdentical: with no learner configured the engine is
-// byte-for-byte the PR 2 engine — replay verification must still hold.
-// (The always-on engine tests cover this too; this pins the claim next to
-// the online code that must not break it.)
-func TestOnlineDisabledBitIdentical(t *testing.T) {
-	e := NewEngine(Config{SimCfg: smallSimCfg()})
-	traces := map[string][]trace.Record{}
-	for i := 0; i < 4; i++ {
-		traces[fmt.Sprintf("c%d", i)] = sessionTrace(int64(40+i), 900)
-	}
-	rep, err := Replay(ReplaySpec{Engine: e, Prefetcher: "stride", Degree: 4, Verify: true}, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Verified {
-		t.Fatalf("replay without online training is no longer bit-identical: %+v", rep.Sessions)
-	}
-	e.Drain()
 }

@@ -38,7 +38,7 @@ func NewServer(e *Engine) *Server {
 	return &Server{engine: e, conns: make(map[net.Conn]struct{})}
 }
 
-// Engine exposes the underlying engine (replay drives it directly).
+// Engine exposes the underlying engine.
 func (s *Server) Engine() *Engine { return s.engine }
 
 // Serve accepts connections until Shutdown. It returns nil after a graceful
@@ -75,7 +75,7 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Stop stops accepting, closes live connections, and waits for their
 // handlers — but leaves the engine and its open sessions running, so a
-// caller (the wire replay driver) can serve several rounds through one
+// caller (the load generator's wire runs) can serve several rounds through one
 // engine. Shutdown is Stop plus an engine drain.
 func (s *Server) Stop() {
 	s.closed.Store(true)

@@ -127,48 +127,6 @@ func TestBinaryUnknownSessionKeepsConnection(t *testing.T) {
 	}
 }
 
-// TestReplayWireBitIdentity is the cross-protocol acceptance check: the same
-// traces replayed in-process, over JSON lines, and over DARTWIRE1 binary
-// framing must produce bit-identical per-session results — each run verified
-// against the offline simulator, and the merged results compared across
-// transports.
-func TestReplayWireBitIdentity(t *testing.T) {
-	traces := map[string][]trace.Record{
-		"a": sessionTrace(1, 700),
-		"b": sessionTrace(2, 700),
-		"c": sessionTrace(3, 700),
-	}
-	merged := map[string]sim.Result{}
-	for _, proto := range []string{"direct", "json", "binary"} {
-		e := NewEngine(Config{SimCfg: smallSimCfg()})
-		rep, err := Replay(ReplaySpec{
-			Engine:     e,
-			Prefetcher: "stride", Degree: 4, Verify: true, Proto: proto, Batch: 17,
-		}, traces)
-		if err != nil {
-			t.Fatalf("%s: %v", proto, err)
-		}
-		if !rep.Verified {
-			t.Fatalf("%s: served results are not bit-identical to the offline simulator: %+v", proto, rep.Sessions)
-		}
-		if rep.Merged.Accesses != 3*700 {
-			t.Fatalf("%s: merged %d accesses, want %d", proto, rep.Merged.Accesses, 3*700)
-		}
-		merged[proto] = rep.Merged
-		e.Drain()
-	}
-	if merged["json"] != merged["direct"] || merged["binary"] != merged["direct"] {
-		t.Fatalf("transports disagree:\ndirect %+v\njson   %+v\nbinary %+v",
-			merged["direct"], merged["json"], merged["binary"])
-	}
-
-	if _, err := Replay(ReplaySpec{
-		Engine: NewEngine(Config{SimCfg: smallSimCfg()}), Proto: "telepathy",
-	}, traces); err == nil {
-		t.Fatal("unknown replay protocol accepted")
-	}
-}
-
 // wireHandshake dials addr raw and completes the DARTWIRE1 banner exchange.
 func wireHandshake(t *testing.T, addr string) (*net.TCPConn, *bufio.Reader) {
 	t.Helper()
