@@ -74,12 +74,14 @@ cover:
 docs-lint:
 	$(GO) run ./cmd/dart-doccheck -root .
 
-## fuzz: timed coverage-guided fuzzing of the CSV trace reader and the
-## -matrix-spec parser, FUZZTIME each (the per-PR tier replays the committed
-## corpora as ordinary tests; nightly runs 5m each)
+## fuzz: timed coverage-guided fuzzing of the CSV trace reader, the
+## -matrix-spec parser and the DARTWIRE1 request decoder, FUZZTIME each (the
+## per-PR tier replays the committed corpora as ordinary tests; nightly runs
+## 5m each)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanner -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseMatrixSpec -fuzztime $(FUZZTIME) ./internal/loadgen
+	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) ./internal/serve
 
 ## cover-update: ratchet the committed baseline up to the measured value
 cover-update:

@@ -14,8 +14,8 @@
 //     cmd/, docs/, bench/ or examples/) must resolve from the repo root,
 //     the same way a markdown link does; a "*" in the name must match at
 //     least one file.
-//   - Protocol coverage: every wire verb in serve.Verbs must appear
-//     backticked in docs/PROTOCOL.md. Adding a verb to the protocol without
+//   - Protocol coverage: every verb name in the serve.Verbs table must
+//     appear backticked in docs/PROTOCOL.md. Adding a verb to the protocol without
 //     documenting it fails CI; so does renaming one in the docs only.
 //
 // Exit status 0 when every check passes, 1 on broken links or undocumented
@@ -126,13 +126,13 @@ func checkDocGo(root string) ([]string, int, error) {
 	return broken, len(refs), nil
 }
 
-// checkVerbs verifies every serve.Verbs entry appears backticked in the
-// protocol spec.
+// checkVerbs verifies every row name of the serve.Verbs table appears
+// backticked in the protocol spec.
 func checkVerbs(spec string) []string {
 	var missing []string
 	for _, verb := range serve.Verbs {
-		if !strings.Contains(spec, "`"+verb+"`") {
-			missing = append(missing, fmt.Sprintf("docs/PROTOCOL.md: wire verb `%s` is undocumented", verb))
+		if !strings.Contains(spec, "`"+verb.Name+"`") {
+			missing = append(missing, fmt.Sprintf("docs/PROTOCOL.md: wire verb `%s` is undocumented", verb.Name))
 		}
 	}
 	return missing

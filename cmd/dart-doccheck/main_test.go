@@ -19,7 +19,7 @@ func writeTree(t *testing.T, protocol string) string {
 		var b strings.Builder
 		b.WriteString("# Protocol\n\n")
 		for _, v := range serve.Verbs {
-			b.WriteString("- `" + v + "`\n")
+			b.WriteString("- `" + v.Name + "`\n")
 		}
 		spec = b.String()
 	}
@@ -68,13 +68,13 @@ func TestDocCheckFailsOnUndocumentedVerb(t *testing.T) {
 	// A spec documenting every verb except the last one.
 	var b strings.Builder
 	for _, v := range serve.Verbs[:len(serve.Verbs)-1] {
-		b.WriteString("`" + v + "` ")
+		b.WriteString("`" + v.Name + "` ")
 	}
 	var out strings.Builder
 	if code := run(writeTree(t, b.String()), &out); code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
 	}
-	last := serve.Verbs[len(serve.Verbs)-1]
+	last := serve.Verbs[len(serve.Verbs)-1].Name
 	if !strings.Contains(out.String(), "`"+last+"`") {
 		t.Fatalf("missing verb %q not reported:\n%s", last, out.String())
 	}

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -119,7 +120,7 @@ func TestRoutedCloseSessionErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown session") {
 		t.Fatalf("closing an unopened session returned %v", err)
 	}
-	if err := r.Open("once", serve.SessionOptions{Prefetcher: "stride", Degree: 4}); err != nil {
+	if err := r.OpenSession("once", serve.SessionOptions{Prefetcher: "stride", Degree: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Access("once", sessionTrace(3, 8)); err != nil {
@@ -139,7 +140,8 @@ func TestRoutedCloseSessionErrors(t *testing.T) {
 // verbs fan to all and refuse to half-apply, hot verbs in control frames
 // are rejected, and unknown ops name themselves.
 func TestControlVerbDispatch(t *testing.T) {
-	bs, r := startCluster(t, 2, Config{HealthInterval: 20 * time.Millisecond, Logf: t.Logf})
+	logf, health := watchHealth(t)
+	bs, r := startCluster(t, 2, Config{HealthInterval: 20 * time.Millisecond, Logf: logf})
 
 	// No tiers are configured on the test backends, so the forwarded verb
 	// answers with the backend's own error — proof it reached a shard.
@@ -164,31 +166,73 @@ func TestControlVerbDispatch(t *testing.T) {
 
 	// Eject one backend: read verbs must skip it and still answer.
 	bs[0].kill()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rep, err := r.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := 0
-		for _, row := range rep.Stats.Backends {
-			if row.Healthy {
-				h++
-			}
-		}
-		if h == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("prober never ejected the dead backend")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitHealth(t, health, "backend b0 ejected")
 	if rep := r.Control(serve.Request{Op: "classes"}, nil); rep.OK ||
 		!strings.Contains(rep.Err, "no online learner") {
 		t.Fatalf("classes with one ejected backend returned %+v", rep)
 	}
 	if rep := r.Control(serve.Request{Op: "model", Class: "nope"}, nil); rep.OK {
 		t.Fatal("model for an unconfigured class reported OK")
+	}
+}
+
+// TestVerbTableRoutes adds rows to a copy of serve.Verbs — new names that
+// borrow an existing verb's daemon handler — and shows that the router
+// answers each by its Route alone, with no code in this package naming them,
+// while the backends answer them through the same table.
+func TestVerbTableRoutes(t *testing.T) {
+	row := func(name, like string, route serve.Route) serve.Verb {
+		v, ok := serve.Verbs.Lookup(like)
+		if !ok {
+			t.Fatalf("no %q row in serve.Verbs", like)
+		}
+		v.Name, v.Route = name, route
+		return v
+	}
+	saved := serve.Verbs
+	// Registered before the cluster so it runs after the cluster's own
+	// cleanups have stopped every goroutine that reads the table.
+	t.Cleanup(func() { serve.Verbs = saved })
+	serve.Verbs = append(slices.Clone(saved),
+		row("census-one", "classes", serve.RouteOne),
+		row("census-all", "classes", serve.RouteAll),
+		row("census-merge", "stats", serve.RouteMerge),
+		row("census-open", "open", serve.RouteSession),
+		row("census-hot", "stats", serve.RouteHot))
+	_, r := startCluster(t, 2, Config{HealthInterval: -1})
+
+	// One: the first backend's own refusal, verbatim.
+	if rep := r.Control(serve.Request{Op: "census-one"}, nil); rep.OK ||
+		!strings.Contains(rep.Err, "no online learner") || strings.Contains(rep.Err, "route:") {
+		t.Fatalf("census-one returned %+v", rep)
+	}
+	// All: the same refusal fails the fan-out, naming the shard.
+	if rep := r.Control(serve.Request{Op: "census-all"}, nil); rep.OK ||
+		!strings.Contains(rep.Err, "route: backend b0:") {
+		t.Fatalf("census-all returned %+v", rep)
+	}
+	// Merge: every backend answered the new verb, and the rows merged.
+	rep := r.Control(serve.Request{Op: "census-merge"}, nil)
+	if !rep.OK || rep.Stats == nil || len(rep.Stats.Backends) != 2 {
+		t.Fatalf("census-merge returned %+v", rep)
+	}
+	for _, b := range rep.Stats.Backends {
+		if b.Err != "" {
+			t.Fatalf("census-merge: backend %s answered %q", b.Name, b.Err)
+		}
+	}
+	// Session: the routing table opens it, and it serves.
+	opened := map[string]struct{}{}
+	rep = r.Control(serve.Request{Op: "census-open", Session: "s", Prefetcher: "stride", Degree: 4}, opened)
+	if _, tracked := opened["s"]; !rep.OK || !tracked {
+		t.Fatalf("census-open returned %+v, opened %v", rep, opened)
+	}
+	if _, err := r.Access("s", sessionTrace(5, 8)); err != nil {
+		t.Fatal(err)
+	}
+	// Hot: refused in a control frame.
+	if rep := r.Control(serve.Request{Op: "census-hot"}, nil); rep.OK ||
+		!strings.Contains(rep.Err, "hot verb in a control frame") {
+		t.Fatalf("census-hot returned %+v", rep)
 	}
 }

@@ -9,19 +9,13 @@ import (
 
 // This file is the control-plane fan-out: the router answers the non-session
 // verbs by asking its backends and merging the replies (docs/PROTOCOL.md,
-// "Router pass-through" section, specifies the merged shapes).
+// "Routed serving" section, specifies the merged shapes).
 
 // forEach calls fn once per configured backend in config order, handing it a
 // pooled connection. Unreachable backends get fn(nil, err) so the caller can
 // report them without aborting the fan-out.
 func (r *Router) forEach(fn func(b *backend, c *serve.Client, dialErr error)) {
-	r.mu.Lock()
-	bs := make([]*backend, 0, len(r.order))
-	for _, name := range r.order {
-		bs = append(bs, r.backends[name])
-	}
-	r.mu.Unlock()
-	for _, b := range bs {
+	for _, b := range r.order {
 		c, err := r.checkout(b)
 		if err != nil {
 			r.markFailure(b, err)
@@ -33,10 +27,24 @@ func (r *Router) forEach(fn func(b *backend, c *serve.Client, dialErr error)) {
 	}
 }
 
-// Stats fans the stats verb to every backend and merges: counters sum,
-// MaxBatch takes the max, and one BackendStat row per backend reports
-// health, per-backend session ownership, and the dial/verb error if any.
+// do sends req on c and turns an ok:false reply into an error.
+func do(c *serve.Client, req serve.Request) (serve.Reply, error) {
+	rep, err := c.Do(req)
+	if err == nil && !rep.OK {
+		err = errors.New(rep.Err)
+	}
+	return rep, err
+}
+
+// Stats fans the stats verb to every backend and merges the replies.
 func (r *Router) Stats() (serve.Reply, error) {
+	return r.merge(serve.Request{Op: "stats"})
+}
+
+// merge fans req to every backend and merges the stats replies: counters
+// sum, MaxBatch takes the max, and one BackendStat row per backend reports
+// health, per-backend session ownership, and the dial/verb error if any.
+func (r *Router) merge(req serve.Request) (serve.Reply, error) {
 	owned := make(map[string]int)
 	r.mu.Lock()
 	for _, s := range r.sessions {
@@ -48,36 +56,25 @@ func (r *Router) Stats() (serve.Reply, error) {
 	r.mu.Unlock()
 
 	merged := &serve.StatsReply{}
-	r.forEach(func(b *backend, c *serve.Client, dialErr error) {
-		row := serve.BackendStat{Name: b.name, Addr: b.addr, Sessions: owned[b.name]}
-		b.mu.Lock()
-		row.Healthy = b.healthy
-		b.mu.Unlock()
-		if dialErr != nil {
-			row.Healthy = false
-			row.Err = dialErr.Error()
-			merged.Backends = append(merged.Backends, row)
-			return
+	r.forEach(func(b *backend, c *serve.Client, err error) {
+		row := serve.BackendStat{Name: b.name, Addr: b.addr, Sessions: owned[b.name],
+			Healthy: err == nil && b.isHealthy()}
+		var rep serve.Reply
+		if err == nil {
+			rep, err = do(c, req)
 		}
-		rep, err := c.Do(serve.Request{Op: "stats"})
-		if err == nil && !rep.OK {
-			err = errors.New(rep.Err)
+		if err == nil && rep.Stats == nil {
+			err = errors.New("route: stats reply carries no stats")
 		}
-		if err != nil || rep.Stats == nil {
-			if err == nil {
-				err = errors.New("route: stats reply carries no stats")
-			}
+		if err != nil {
 			row.Err = err.Error()
 			merged.Backends = append(merged.Backends, row)
 			return
 		}
-		merged.Sessions += rep.Stats.Sessions
 		merged.Accepted += rep.Stats.Accepted
 		merged.Batches += rep.Stats.Batches
 		merged.Batched += rep.Stats.Batched
-		if rep.Stats.MaxBatch > merged.MaxBatch {
-			merged.MaxBatch = rep.Stats.MaxBatch
-		}
+		merged.MaxBatch = max(merged.MaxBatch, rep.Stats.MaxBatch)
 		merged.Backends = append(merged.Backends, row)
 	})
 	// The router's own view of session count wins: backends may briefly hold
@@ -87,20 +84,12 @@ func (r *Router) Stats() (serve.Reply, error) {
 	return serve.Reply{OK: true, Stats: merged}, nil
 }
 
-// firstHealthy forwards one request to the first backend that answers it.
+// firstHealthy forwards one request to the first healthy backend that
+// answers it, passing its reply (ok or not) through verbatim.
 func (r *Router) firstHealthy(req serve.Request) (serve.Reply, error) {
-	var lastErr error
-	r.mu.Lock()
-	bs := make([]*backend, 0, len(r.order))
-	for _, name := range r.order {
-		bs = append(bs, r.backends[name])
-	}
-	r.mu.Unlock()
-	for _, b := range bs {
-		b.mu.Lock()
-		healthy := b.healthy
-		b.mu.Unlock()
-		if !healthy {
+	lastErr := errNoBackends
+	for _, b := range r.order {
+		if !b.isHealthy() {
 			continue
 		}
 		c, err := r.checkout(b)
@@ -117,32 +106,23 @@ func (r *Router) firstHealthy(req serve.Request) (serve.Reply, error) {
 		}
 		return rep, nil
 	}
-	if lastErr == nil {
-		lastErr = errNoBackends
-	}
 	return serve.Reply{}, lastErr
 }
 
-// fanAll sends one mutating control verb (swap, rollback) to every healthy
-// backend. All must succeed — a half-swapped fleet would serve different
-// versions per shard — and the merged reply carries the highest version.
+// fanAll sends one mutating verb (swap, rollback) to every healthy backend.
+// All must succeed — a half-swapped fleet would serve different versions
+// per shard — and the merged reply carries the highest version.
 func (r *Router) fanAll(req serve.Request) (serve.Reply, error) {
 	var (
 		out     serve.Reply
 		applied int
 		firstE  error
 	)
-	r.forEach(func(b *backend, c *serve.Client, dialErr error) {
-		b.mu.Lock()
-		healthy := b.healthy
-		b.mu.Unlock()
-		if dialErr != nil || !healthy {
+	r.forEach(func(b *backend, c *serve.Client, err error) {
+		if err != nil || !b.isHealthy() {
 			return
 		}
-		rep, err := c.Do(req)
-		if err == nil && !rep.OK {
-			err = errors.New(rep.Err)
-		}
+		rep, err := do(c, req)
 		if err != nil {
 			if firstE == nil {
 				firstE = fmt.Errorf("route: backend %s: %w", b.name, err)
@@ -164,61 +144,32 @@ func (r *Router) fanAll(req serve.Request) (serve.Reply, error) {
 	return out, nil
 }
 
-// Control dispatches one non-hot verb the router way: session verbs hit the
-// routing table, stats merges the fleet, read verbs forward to one healthy
-// backend, and mutating verbs fan to all. opened tracks sessions owned by
-// the calling connection for crash reclaim, exactly like serve.Server.
+// Control answers one non-hot verb by its row in serve.Verbs: session verbs
+// hit the routing table, and the others fan out as the row's Route says. A
+// verb added to serve.Verbs is routed with no edit here. opened tracks
+// sessions owned by the calling connection for crash reclaim, exactly like
+// serve.Server.
 func (r *Router) Control(req serve.Request, opened map[string]struct{}) serve.Reply {
-	fail := func(err error) serve.Reply {
-		return serve.Reply{OK: false, Session: req.Session, Err: err.Error()}
-	}
-	switch req.Op {
-	case "open":
-		err := r.Open(req.Session, serve.SessionOptions{
-			Prefetcher: req.Prefetcher,
-			Degree:     req.Degree,
-			Tenant:     req.Tenant,
-			Weight:     req.Weight,
-			SimCfg:     req.Sim,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if opened != nil {
-			opened[req.Session] = struct{}{}
-		}
-		return serve.Reply{OK: true, Session: req.Session}
-	case "close":
-		res, err := r.CloseSession(req.Session)
-		if err != nil {
-			return fail(err)
-		}
-		if opened != nil {
-			delete(opened, req.Session)
-		}
-		return serve.Reply{OK: true, Session: req.Session, Result: &res}
-	case "stats":
-		rep, err := r.Stats()
-		if err != nil {
-			return fail(err)
-		}
-		return rep
-	case "model", "classes", "policy":
-		rep, err := r.firstHealthy(serve.Request{Op: req.Op, Class: req.Class})
-		if err != nil {
-			return fail(err)
-		}
-		return rep
-	case "swap", "rollback":
-		rep, err := r.fanAll(serve.Request{Op: req.Op, Class: req.Class})
-		if err != nil {
-			return fail(err)
-		}
-		return rep
-	case "access", "batch":
-		return serve.Reply{OK: false, Session: req.Session,
-			Err: "route: hot verb in a control frame: use access/batch frames"}
-	default:
+	v, ok := serve.Verbs.Lookup(req.Op)
+	if !ok {
 		return serve.Reply{OK: false, Err: "route: unknown op " + req.Op}
 	}
+	var rep serve.Reply
+	var err error
+	switch v.Route {
+	case serve.RouteSession:
+		return v.Session(r, req, opened)
+	case serve.RouteHot:
+		err = errors.New("route: hot verb in a control frame: use access/batch frames")
+	case serve.RouteMerge:
+		rep, err = r.merge(req)
+	case serve.RouteOne:
+		rep, err = r.firstHealthy(req)
+	case serve.RouteAll:
+		rep, err = r.fanAll(req)
+	}
+	if err != nil {
+		return serve.Reply{OK: false, Session: req.Session, Err: err.Error()}
+	}
+	return rep
 }

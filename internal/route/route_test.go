@@ -104,6 +104,7 @@ func (b *testBackend) restart() {
 		if ln, err = net.Listen("tcp", b.addr); err == nil {
 			break
 		}
+		// The OS signals nothing when it releases a port, so poll.
 		time.Sleep(10 * time.Millisecond)
 	}
 	if err != nil {
@@ -134,6 +135,39 @@ func startCluster(t testing.TB, n int, cfg Config) ([]*testBackend, *Router) {
 	}
 	t.Cleanup(r.Close)
 	return bs, r
+}
+
+// watchHealth returns a Config.Logf that logs to t and forwards the router's
+// eject and readmit events, which awaitHealth waits on.
+func watchHealth(t testing.TB) (func(format string, args ...any), <-chan string) {
+	events := make(chan string, 64) // far more than the few ejects and readmits a test causes
+	return func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...)
+		t.Log(msg)
+		if strings.Contains(msg, " ejected") || strings.Contains(msg, " readmitted") {
+			select {
+			case events <- msg:
+			default: // nobody waits on a flood; never block the prober
+			}
+		}
+	}, events
+}
+
+// awaitHealth blocks until the router logs an event containing want, e.g.
+// "backend b0 ejected" or "backend b0 readmitted".
+func awaitHealth(t testing.TB, events <-chan string, want string) {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for {
+		select {
+		case msg := <-events:
+			if strings.Contains(msg, want) {
+				return
+			}
+		case <-timeout:
+			t.Fatalf("router never logged %q", want)
+		}
+	}
 }
 
 // startFrontEnd exposes a router on its own loopback listener and returns the
@@ -229,7 +263,7 @@ func TestRoutedAccessAndStats(t *testing.T) {
 	const sessions, n = 9, 300
 	for i := 0; i < sessions; i++ {
 		id := fmt.Sprintf("s%d", i)
-		err := r.Open(id, serve.SessionOptions{Prefetcher: "stride", Degree: 4, Tenant: fmt.Sprintf("t%d", i)})
+		err := r.OpenSession(id, serve.SessionOptions{Prefetcher: "stride", Degree: 4, Tenant: fmt.Sprintf("t%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,6 +464,8 @@ func TestJSONFrontEndErrors(t *testing.T) {
 	}
 
 	// Drop the connection with j1 still open: the front end must reclaim it.
+	// The reclaim runs on the front end's handler goroutine after it reads
+	// EOF and emits no event, so poll the routing table.
 	conn.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for len(r.Sessions()) != 0 {
@@ -463,7 +499,7 @@ func TestBackendDownAtDial(t *testing.T) {
 
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("s%d", i)
-		if err := r.Open(id, serve.SessionOptions{Prefetcher: "stride", Degree: 4, Tenant: id}); err != nil {
+		if err := r.OpenSession(id, serve.SessionOptions{Prefetcher: "stride", Degree: 4, Tenant: id}); err != nil {
 			t.Fatalf("open %s with a dead backend in the ring: %v", id, err)
 		}
 		if _, err := r.Access(id, sessionTrace(int64(i), 64)); err != nil {
@@ -506,7 +542,7 @@ func TestAllBackendsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	err = r.Open("s0", serve.SessionOptions{Prefetcher: "stride", Degree: 4})
+	err = r.OpenSession("s0", serve.SessionOptions{Prefetcher: "stride", Degree: 4})
 	if err == nil {
 		t.Fatal("open succeeded with every backend down")
 	}
@@ -527,7 +563,7 @@ func TestBackendDiesMidSession(t *testing.T) {
 	for i := range traces {
 		traces[i] = sessionTrace(int64(200+i), n)
 		id := fmt.Sprintf("s%d", i)
-		if err := r.Open(id, serve.SessionOptions{Prefetcher: "stride", Degree: 4, Tenant: id}); err != nil {
+		if err := r.OpenSession(id, serve.SessionOptions{Prefetcher: "stride", Degree: 4, Tenant: id}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -574,17 +610,19 @@ func TestBackendDiesMidSession(t *testing.T) {
 // rebalance that moves some of them back onto the readmitted shard, whose
 // fresh engine only knows them through journal catch-up.
 func TestHealthFlapEjectReadmit(t *testing.T) {
+	logf, health := watchHealth(t)
 	bs, r := startCluster(t, 2, Config{
 		HealthInterval: 10 * time.Millisecond,
 		HealthFails:    2,
 		Timeout:        time.Second,
+		Logf:           logf,
 	})
 	const sessions, n, batch = 6, 480, 32
 	traces := make([][]trace.Record, sessions)
 	for i := range traces {
 		traces[i] = sessionTrace(int64(300+i), n)
 		id := fmt.Sprintf("s%d", i)
-		if err := r.Open(id, serve.SessionOptions{Prefetcher: "stride", Degree: 4, Tenant: id}); err != nil {
+		if err := r.OpenSession(id, serve.SessionOptions{Prefetcher: "stride", Degree: 4, Tenant: id}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -599,36 +637,13 @@ func TestHealthFlapEjectReadmit(t *testing.T) {
 			}
 		}
 	}
-	healthyCount := func() int {
-		rep, err := r.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := 0
-		for _, row := range rep.Stats.Backends {
-			if row.Healthy {
-				h++
-			}
-		}
-		return h
-	}
-	waitHealthy := func(want int) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for healthyCount() != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("prober never converged on %d healthy backends", want)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
 
 	drive(0, n/3)
 	bs[0].kill()
-	waitHealthy(1) // prober ejects the dead shard
+	awaitHealth(t, health, "backend b0 ejected")
 	drive(n/3, 2*n/3)
 	bs[0].restart()
-	waitHealthy(2) // prober readmits it; rebalance drains sessions back
+	awaitHealth(t, health, "backend b0 readmitted") // rebalance drains sessions back
 	drive(2*n/3, n)
 
 	for i := 0; i < sessions; i++ {
@@ -670,18 +685,28 @@ func TestControlFanout(t *testing.T) {
 }
 
 // TestErrorTriage pins the two error classifications the retry loops rest
-// on: sessionGone spots the backend-side "this session does not exist here"
-// answers (and nothing else), and transportError wraps-and-unwraps so
-// errors.Is sees through it.
+// on: sessionGone spots a backend's "this session does not exist here"
+// answers — decoded off the wire by the client, over either protocol — and
+// nothing else, and transportError wraps-and-unwraps so errors.Is sees
+// through it.
 func TestErrorTriage(t *testing.T) {
-	if !sessionGone(errors.New(`serve: unknown session "s1"`)) {
-		t.Fatal("unknown-session not classified as gone")
-	}
-	if !sessionGone(errors.New("serve: session is closed")) {
-		t.Fatal("closed-session not classified as gone")
-	}
-	if sessionGone(errors.New("serve: no online learner configured")) {
-		t.Fatal("unrelated error classified as gone")
+	be := startBackend(t, "b0")
+	for _, proto := range []string{"binary", "json"} {
+		c, err := serve.Connect(be.addr, serve.WithProtocol(proto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_, accessErr := c.Access("ghost", sessionTrace(1, 1)[0])
+		_, closeErr := c.CloseSession("ghost")
+		for _, err := range []error{accessErr, closeErr} {
+			if err == nil || !sessionGone(err) {
+				t.Fatalf("%s: unknown-session answer %v not classified as gone", proto, err)
+			}
+		}
+		if err := c.Open("x", "no-such-prefetcher", 4); err == nil || sessionGone(err) {
+			t.Fatalf("%s: unrelated error %v classified as gone", proto, err)
+		}
 	}
 	te := &transportError{cause: fmt.Errorf("dial: %w", io.ErrUnexpectedEOF)}
 	if !errors.Is(te, io.ErrUnexpectedEOF) {

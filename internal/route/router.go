@@ -3,8 +3,8 @@ package route
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,12 +47,12 @@ type Config struct {
 // proportional to each session's served accesses: the right trade for replay
 // and evaluation scale, and the reason a closed session frees everything.
 type Router struct {
-	cfg  Config
-	ring *Ring
+	cfg      Config
+	ring     *Ring
+	backends map[string]*backend // by name; fixed by NewRouter
+	order    []*backend          // config order, for stable fan-out; fixed by NewRouter
 
 	mu       sync.Mutex
-	backends map[string]*backend
-	order    []string // config order, for stable fan-out
 	sessions map[string]*rsession
 	closed   bool
 
@@ -78,7 +78,6 @@ type backend struct {
 	healthy bool
 	fails   int       // consecutive probe failures
 	skipTo  time.Time // backoff: no probes before this while ejected
-	lastErr error
 
 	openMu sync.Mutex    // serialises opens/catch-ups; held only in openAt and teardown
 	opener *serve.Client // long-lived open/catch-up connection; nil until first open
@@ -169,8 +168,9 @@ func NewRouter(cfg Config) (*Router, error) {
 		if r.backends[b.Name] != nil {
 			return nil, fmt.Errorf("route: duplicate backend %q", b.Name)
 		}
-		r.backends[b.Name] = &backend{name: b.Name, addr: b.Addr, healthy: true}
-		r.order = append(r.order, b.Name)
+		be := &backend{name: b.Name, addr: b.Addr, healthy: true}
+		r.backends[b.Name] = be
+		r.order = append(r.order, be)
 		names = append(names, b.Name)
 	}
 	r.ring = NewRing(names, cfg.Replicas, cfg.BoundFactor)
@@ -201,19 +201,11 @@ func (r *Router) Close() {
 	r.mu.Unlock()
 	close(r.stop)
 	r.wg.Wait()
-	for _, b := range r.backends {
+	for _, b := range r.order {
 		b.mu.Lock()
-		for _, c := range b.pool {
-			c.Close()
-		}
-		b.pool = nil
+		b.dropPool()
 		b.mu.Unlock()
-		b.openMu.Lock()
-		if b.opener != nil {
-			b.opener.Close()
-			b.opener = nil
-		}
-		b.openMu.Unlock()
+		b.dropOpener()
 	}
 }
 
@@ -228,7 +220,7 @@ func (r *Router) checkout(b *backend) (*serve.Client, error) {
 		return c, nil
 	}
 	b.mu.Unlock()
-	return serve.Connect(b.Addr(), serve.WithTimeout(r.cfg.Timeout))
+	return serve.Connect(b.addr, serve.WithTimeout(r.cfg.Timeout))
 }
 
 // checkin returns a connection to b's pool; poisoned or surplus connections
@@ -248,7 +240,29 @@ func (r *Router) checkin(b *backend, c *serve.Client) {
 	c.Close()
 }
 
-func (b *backend) Addr() string { return b.addr }
+func (b *backend) isHealthy() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.healthy
+}
+
+// dropPool closes b's pooled connections; the caller holds b.mu.
+func (b *backend) dropPool() {
+	for _, c := range b.pool {
+		c.Close()
+	}
+	b.pool = nil
+}
+
+// dropOpener closes b's opener connection.
+func (b *backend) dropOpener() {
+	b.openMu.Lock()
+	if b.opener != nil {
+		b.opener.Close()
+		b.opener = nil
+	}
+	b.openMu.Unlock()
+}
 
 // markFailure records a transport-level failure against b. Reaching the
 // consecutive-failure threshold ejects the backend: its pool is discarded
@@ -256,24 +270,15 @@ func (b *backend) Addr() string { return b.addr }
 func (r *Router) markFailure(b *backend, err error) {
 	b.mu.Lock()
 	b.fails++
-	b.lastErr = err
 	eject := b.healthy && b.fails >= r.cfg.HealthFails
 	if eject {
 		b.healthy = false
 		b.skipTo = time.Now().Add(r.cfg.HealthInterval)
-		for _, c := range b.pool {
-			c.Close()
-		}
-		b.pool = nil
+		b.dropPool()
 	}
 	b.mu.Unlock()
 	if eject {
-		b.openMu.Lock()
-		if b.opener != nil {
-			b.opener.Close()
-			b.opener = nil
-		}
-		b.openMu.Unlock()
+		b.dropOpener()
 		r.logf("route: backend %s ejected: %v", b.name, err)
 		r.detachSessions(b.name)
 	}
@@ -284,7 +289,6 @@ func (r *Router) markFailure(b *backend, err error) {
 func (r *Router) markSuccess(b *backend) {
 	b.mu.Lock()
 	b.fails = 0
-	b.lastErr = nil
 	readmit := !b.healthy
 	b.healthy = true
 	b.mu.Unlock()
@@ -299,12 +303,8 @@ func (r *Router) markSuccess(b *backend) {
 // ring's next choice on its next access, journal first.
 func (r *Router) detachSessions(name string) {
 	r.mu.Lock()
-	var victims []*rsession
+	defer r.mu.Unlock()
 	for _, s := range r.sessions {
-		victims = append(victims, s)
-	}
-	r.mu.Unlock()
-	for _, s := range victims {
 		s.clearOwnerIf(name)
 	}
 }
@@ -314,35 +314,25 @@ func (r *Router) detachSessions(name string) {
 // current owner (frees the backend's actor), detach, and let the next access
 // reopen at the new owner with a journal catch-up.
 func (r *Router) rebalance() {
+	alive := r.alive()
 	r.mu.Lock()
-	alive := r.aliveLocked()
-	ids := make([]string, 0, len(r.sessions))
-	keys := make(map[string]string, len(r.sessions))
-	byID := make(map[string]*rsession, len(r.sessions))
-	for id, s := range r.sessions {
-		ids = append(ids, id)
-		byID[id] = s
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		keys[id] = byID[id].tenant
+	ids := slices.Sorted(maps.Keys(r.sessions))
+	ss := make([]*rsession, len(ids))
+	ringKeys := make([]string, len(ids))
+	for i, id := range ids {
+		ss[i] = r.sessions[id]
+		ringKeys[i] = ss[i].tenant
 	}
 	r.mu.Unlock()
 
-	ringKeys := make([]string, len(ids))
-	for i, id := range ids {
-		ringKeys[i] = keys[id]
-	}
 	want := r.ring.Placement(ringKeys, alive)
 	if want == nil {
 		return
 	}
 	for i, id := range ids {
-		s := byID[id]
-		target := want[i]
-		if old, moved := s.moveOwner(target); moved {
+		if old, moved := ss[i].moveOwner(want[i]); moved {
 			r.closeAt(old, id) // best-effort graceful drain at the old owner
-			r.logf("route: session %s drained from %s (rebalance -> %s)", id, old, target)
+			r.logf("route: session %s drained from %s (rebalance -> %s)", id, old, want[i])
 		}
 	}
 }
@@ -350,12 +340,7 @@ func (r *Router) rebalance() {
 // closeAt best-effort closes a session at a named backend (drain path: the
 // result is discarded — the journal already covers the history).
 func (r *Router) closeAt(name, id string) {
-	r.mu.Lock()
 	b := r.backends[name]
-	r.mu.Unlock()
-	if b == nil {
-		return
-	}
 	c, err := r.checkout(b)
 	if err != nil {
 		return
@@ -364,13 +349,11 @@ func (r *Router) closeAt(name, id string) {
 	r.checkin(b, c)
 }
 
-// aliveLocked snapshots backend health. Callers hold r.mu.
-func (r *Router) aliveLocked() map[string]bool {
-	alive := make(map[string]bool, len(r.backends))
-	for name, b := range r.backends {
-		b.mu.Lock()
-		alive[name] = b.healthy
-		b.mu.Unlock()
+// alive snapshots backend health.
+func (r *Router) alive() map[string]bool {
+	alive := make(map[string]bool, len(r.order))
+	for _, b := range r.order {
+		alive[b.name] = b.isHealthy()
 	}
 	return alive
 }
@@ -381,8 +364,8 @@ func (r *Router) aliveLocked() map[string]bool {
 // clockwise instead of letting a hot tenant sink the shard. Loads are live
 // per-backend session counts.
 func (r *Router) place(tenant string) (*backend, error) {
+	alive := r.alive()
 	r.mu.Lock()
-	alive := r.aliveLocked()
 	loads := make(map[string]int, len(r.backends))
 	total := 0
 	for _, s := range r.sessions {
@@ -396,14 +379,11 @@ func (r *Router) place(tenant string) (*backend, error) {
 	if !ok {
 		return nil, errNoBackends
 	}
-	r.mu.Lock()
-	b := r.backends[name]
-	r.mu.Unlock()
-	return b, nil
+	return r.backends[name], nil
 }
 
-// Open creates a routed session and opens it at its placed backend.
-func (r *Router) Open(id string, opt serve.SessionOptions) error {
+// OpenSession creates a routed session and opens it at its placed backend.
+func (r *Router) OpenSession(id string, opt serve.SessionOptions) error {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -425,9 +405,7 @@ func (r *Router) Open(id string, opt serve.SessionOptions) error {
 	err := r.ensureOpen(s)
 	s.mu.Unlock()
 	if err != nil {
-		r.mu.Lock()
-		delete(r.sessions, id)
-		r.mu.Unlock()
+		r.forget(id)
 	}
 	return err
 }
@@ -462,10 +440,10 @@ func (r *Router) ensureOpen(s *rsession) error {
 // sessionGone matches the backend application errors meaning the session's
 // live state no longer exists there — orphan reclaim, a restart, or a drain
 // close racing an in-flight access. All are cured by a fresh open plus
-// journal catch-up. (String matching because the errors crossed the wire.)
+// journal catch-up. The client decodes both from the wire as the serve
+// sentinels themselves.
 func sessionGone(err error) bool {
-	return strings.Contains(err.Error(), "unknown session") ||
-		strings.Contains(err.Error(), "session is closed")
+	return errors.Is(err, serve.ErrUnknownSession) || errors.Is(err, serve.ErrSessionClosed)
 }
 
 // transportError marks a backend-call failure that should eject/retry rather
@@ -532,65 +510,86 @@ func (r *Router) openAt(b *backend, s *rsession) error {
 	return nil
 }
 
-// Access routes one batch of records for a session, migrating it on backend
-// failure. The returned results alias session-owned buffers valid until the
-// session's next access (the same contract as serve.Client.AccessBatch).
-func (r *Router) Access(id string, recs []trace.Record) ([]serve.AccessResult, error) {
+// session returns the routed session named id, or the error a daemon gives
+// for an id it does not know, so clients classify both alike.
+func (r *Router) session(id string) (*rsession, error) {
 	r.mu.Lock()
 	s := r.sessions[id]
 	r.mu.Unlock()
 	if s == nil {
-		return nil, fmt.Errorf("route: unknown session %q", id)
+		return nil, serve.ErrUnknownSession
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return s, nil
+}
+
+// call runs fn on a pooled connection to s's backend, making s live there
+// first; the caller holds s.mu. It is the one retry loop of the session
+// verbs. A transport failure ejects toward the next placement: the call may
+// be half-applied at the dead backend, so it is never blind-retried there —
+// the reopen's journal catch-up rebuilds the exact pre-call state before fn
+// runs again. A backend that no longer has the session (orphan reclaim after
+// the opener connection died, a restart, or a racing drain close) gets one
+// reopen plus catch-up. Any other error from fn is the caller's.
+func (r *Router) call(s *rsession, fn func(c *serve.Client) error) error {
 	reopened := false
 	for attempt := 0; attempt <= 2*len(r.order)+2; attempt++ {
 		if err := r.ensureOpen(s); err != nil {
-			return nil, err
+			return err
 		}
 		owner := s.getOwner()
 		if owner == "" {
 			continue // detached by a concurrent ejection; re-place
 		}
-		r.mu.Lock()
 		b := r.backends[owner]
-		r.mu.Unlock()
 		c, err := r.checkout(b)
 		if err != nil {
 			r.markFailure(b, err)
 			s.clearOwnerIf(owner)
 			continue
 		}
-		res, err := c.AccessBatch(s.id, recs)
-		if err == nil {
-			out := s.copyResults(res)
-			r.checkin(b, c)
-			s.journal = append(s.journal, recs...)
-			return out, nil
-		}
-		if c.Broken() != nil {
-			// The connection died mid-call: the batch may be half-applied at
-			// the backend, so never blind-retry there — reopen fresh (at this
-			// or another backend) and let the journal rebuild the exact
-			// pre-batch state before the batch is re-sent.
-			c.Close()
+		err = fn(c)
+		broken := err != nil && c.Broken() != nil
+		r.checkin(b, c) // closes a broken connection instead of pooling it
+		switch {
+		case err == nil:
+			return nil
+		case broken:
 			r.markFailure(b, err)
 			s.clearOwnerIf(owner)
-			continue
-		}
-		r.checkin(b, c)
-		if !reopened && sessionGone(err) {
-			// The backend dropped the session (orphan reclaim after the
-			// opener connection died, a restart, or a racing drain close):
-			// reopen + catch up, once.
+		case !reopened && sessionGone(err):
 			reopened = true
 			s.clearOwnerIf(owner)
-			continue
+		default:
+			return err
 		}
+	}
+	return errNoBackends
+}
+
+// Access routes one batch of records for a session, migrating it on backend
+// failure. The returned results alias session-owned buffers valid until the
+// session's next access (the same contract as serve.Client.AccessBatch).
+func (r *Router) Access(id string, recs []trace.Record) ([]serve.AccessResult, error) {
+	s, err := r.session(id)
+	if err != nil {
 		return nil, err
 	}
-	return nil, errNoBackends
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []serve.AccessResult
+	err = r.call(s, func(c *serve.Client) error {
+		res, err := c.AccessBatch(s.id, recs)
+		if err == nil {
+			// Copy out before the client goes back to the pool.
+			out = s.copyResults(res)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.journal = append(s.journal, recs...)
+	return out, nil
 }
 
 // copyResults copies results out of a pooled client's reused buffers into
@@ -613,51 +612,22 @@ func (s *rsession) copyResults(res []serve.AccessResult) []serve.AccessResult {
 // the result always accounts the session's full history — even when its
 // backend died a moment ago.
 func (r *Router) CloseSession(id string) (sim.Result, error) {
-	r.mu.Lock()
-	s := r.sessions[id]
-	r.mu.Unlock()
-	if s == nil {
-		return sim.Result{}, fmt.Errorf("route: unknown session %q", id)
+	s, err := r.session(id)
+	if err != nil {
+		return sim.Result{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for attempt := 0; attempt <= 2*len(r.order)+2; attempt++ {
-		if err := r.ensureOpen(s); err != nil {
-			return sim.Result{}, err
-		}
-		owner := s.getOwner()
-		if owner == "" {
-			continue // detached by a concurrent ejection; re-place
-		}
-		r.mu.Lock()
-		b := r.backends[owner]
-		r.mu.Unlock()
-		c, err := r.checkout(b)
-		if err != nil {
-			r.markFailure(b, err)
-			s.clearOwnerIf(owner)
-			continue
-		}
-		res, err := c.CloseSession(s.id)
-		if err == nil {
-			r.checkin(b, c)
-			r.forget(id)
-			return res, nil
-		}
-		if c.Broken() != nil {
-			c.Close()
-			r.markFailure(b, err)
-			s.clearOwnerIf(owner)
-			continue
-		}
-		r.checkin(b, c)
-		if sessionGone(err) {
-			s.clearOwnerIf(owner)
-			continue
-		}
+	var res sim.Result
+	err = r.call(s, func(c *serve.Client) (err error) {
+		res, err = c.CloseSession(s.id)
+		return err
+	})
+	if err != nil {
 		return sim.Result{}, err
 	}
-	return sim.Result{}, errNoBackends
+	r.forget(id)
+	return res, nil
 }
 
 // forget removes a session from the routing table (journal and all).
@@ -671,12 +641,7 @@ func (r *Router) forget(id string) {
 func (r *Router) Sessions() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ids := make([]string, 0, len(r.sessions))
-	for id := range r.sessions {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return slices.Sorted(maps.Keys(r.sessions))
 }
 
 // prober health-checks every backend on the configured cadence. An ejected
@@ -692,13 +657,7 @@ func (r *Router) prober() {
 			return
 		case <-t.C:
 		}
-		r.mu.Lock()
-		bs := make([]*backend, 0, len(r.backends))
-		for _, name := range r.order {
-			bs = append(bs, r.backends[name])
-		}
-		r.mu.Unlock()
-		for _, b := range bs {
+		for _, b := range r.order {
 			b.mu.Lock()
 			skip := !b.healthy && time.Now().Before(b.skipTo)
 			b.mu.Unlock()

@@ -6,21 +6,19 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 
 	"dart/internal/serve"
 	"dart/internal/trace"
 )
 
 // Server is the router's client-facing front end. It terminates both serving
-// wire protocols exactly like a dart-serve daemon — DARTWIRE1 magic selects
-// binary framing, anything else the line-delimited JSON protocol — and
-// forwards hot verbs through the Router's sharding machinery over pooled
-// binary backend connections. Client frames are fully decoded and
-// re-encoded, never spliced through: a client's framing corruption kills
-// that client's connection only, and can never poison a pooled backend
-// connection shared with other sessions.
+// wire protocols exactly like a dart-serve daemon — it accepts and
+// negotiates through the same serve.Acceptor — and forwards hot verbs
+// through the Router's sharding machinery over pooled binary backend
+// connections. Client frames are fully decoded and re-encoded, never spliced
+// through: a client's framing corruption kills that client's connection
+// only, and can never poison a pooled backend connection shared with other
+// sessions.
 //
 // Each client connection is served synchronously (a reply is written before
 // the next request is read). Pipelining parallelism comes from connections —
@@ -28,17 +26,12 @@ import (
 // per-session driving model.
 type Server struct {
 	router *Router
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
+	conns  serve.Acceptor
 }
 
 // NewServer wraps a router.
 func NewServer(r *Router) *Server {
-	return &Server{router: r, conns: make(map[net.Conn]struct{})}
+	return &Server{router: r}
 }
 
 // Router exposes the underlying router.
@@ -47,88 +40,22 @@ func (s *Server) Router() *Router { return s.router }
 // Serve accepts connections until Stop. It returns nil after a graceful stop
 // and the accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.closed.Load() {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed.Load() {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.handle(conn)
-	}
+	return s.conns.Serve(ln, s.handleJSON, s.handleBinary)
 }
 
 // Stop stops accepting, closes live client connections, and waits for their
 // handlers. The router (and the backends) keep running.
-func (s *Server) Stop() {
-	s.closed.Store(true)
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-// handle negotiates the protocol for one client connection.
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-
-	br := bufio.NewReaderSize(conn, 1<<16)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == serve.WireMagic[0] {
-		s.handleBinary(conn, br)
-		return
-	}
-	s.handleJSON(conn, br)
-}
+func (s *Server) Stop() { s.conns.Stop() }
 
 // reclaim closes sessions a disconnected client left open — unless the
 // server is stopping, in which case they stay routed (an operator stopping
 // the router front end must not destroy backend session state).
 func (s *Server) reclaim(opened map[string]struct{}) {
-	if s.closed.Load() {
+	if s.conns.Stopped() {
 		return
 	}
 	for id := range opened {
 		s.router.CloseSession(id)
-	}
-}
-
-// accessReply converts routed results to one JSON access reply per record.
-func accessReply(id string, ar serve.AccessResult) serve.Reply {
-	pf := make([]serve.Hex64, len(ar.Prefetches))
-	for i, b := range ar.Prefetches {
-		pf[i] = serve.Hex64(b)
-	}
-	return serve.Reply{
-		OK: true, Session: id, Seq: ar.Seq,
-		Hit: ar.Hit, Late: ar.Late, Prefetch: pf, Version: ar.Version,
 	}
 }
 
@@ -138,11 +65,7 @@ func (s *Server) handleJSON(conn net.Conn, br *bufio.Reader) {
 	opened := make(map[string]struct{})
 	defer s.reclaim(opened)
 	send := func(r serve.Reply) bool {
-		b, err := json.Marshal(r)
-		if err != nil {
-			b = []byte(`{"ok":false,"error":"route: reply marshal failed"}`)
-		}
-		if _, err := w.Write(b); err != nil {
+		if _, err := w.Write(serve.MarshalReply(r)); err != nil {
 			return false
 		}
 		if err := w.WriteByte('\n'); err != nil {
@@ -166,45 +89,30 @@ func (s *Server) handleJSON(conn net.Conn, br *bufio.Reader) {
 			}
 			continue
 		}
+		var rep serve.Reply
 		if req.Op == "access" {
 			rec[0] = req.Record()
-			res, err := s.router.Access(req.Session, rec[:])
-			var rep serve.Reply
-			if err != nil {
+			if res, err := s.router.Access(req.Session, rec[:]); err != nil {
 				rep = serve.Reply{OK: false, Session: req.Session, Err: err.Error()}
 			} else {
-				rep = accessReply(req.Session, res[0])
+				rep = serve.AccessReply(req.Session, res[0])
 			}
-			if !send(rep) {
-				return
-			}
-			continue
+		} else {
+			rep = s.router.Control(req, opened)
 		}
-		if !send(s.router.Control(req, opened)) {
+		if !send(rep) {
 			return
 		}
 	}
 }
 
-// handleBinary runs one DARTWIRE1 client connection: echo the banner, then
-// serve frames. Hot frames are decoded with the exported serve codec,
-// validated here, routed, and the results re-encoded — framing corruption
-// from the client is answered with a tag-0 error frame and a hang-up,
-// exactly like a backend would, while routed failures (no healthy backend,
-// unknown session) are per-request error frames that keep the connection.
+// handleBinary runs one DARTWIRE1 client connection, reading frames after
+// the handshake. Hot frames are decoded with the serve codec, routed, and
+// the results re-encoded — framing corruption from the client is answered
+// with a tag-0 error frame and a hang-up, exactly like a backend would,
+// while routed failures (no healthy backend, unknown session) are
+// per-request error frames that keep the connection.
 func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
-	var magic [len(serve.WireMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return
-	}
-	if string(magic[:]) != serve.WireMagic {
-		fmt.Fprintf(conn, "route: bad protocol magic %q (want %q)\n", magic[:], serve.WireMagic)
-		return
-	}
-	if _, err := conn.Write([]byte(serve.WireMagic)); err != nil {
-		return
-	}
-
 	w := bufio.NewWriterSize(conn, 1<<16)
 	opened := make(map[string]struct{})
 	defer s.reclaim(opened)
@@ -218,7 +126,6 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 
 	fr := serve.NewFrameReader(br)
 	var recs []trace.Record
-	var sid []byte
 	for {
 		kind, p, err := fr.Next()
 		if err != nil {
@@ -236,36 +143,27 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 				write()
 				return
 			}
-			b, err := json.Marshal(s.router.Control(req, opened))
-			if err != nil {
-				b = []byte(`{"ok":false,"error":"route: reply marshal failed"}`)
-			}
-			buf = serve.AppendControlReply(buf[:0], b)
-			if !write() {
-				return
-			}
+			buf = serve.AppendControlReply(buf[:0], serve.MarshalReply(s.router.Control(req, opened)))
 		case serve.FrameAccess, serve.FrameBatch:
 			var tag uint64
-			var rawSid []byte
-			tag, rawSid, recs, err = serve.DecodeAccessRequest(kind, p, recs[:0])
+			var sid []byte
+			tag, sid, recs, err = serve.DecodeAccessRequest(kind, p, recs[:0])
 			if err != nil {
 				buf = serve.AppendErrorReply(buf[:0], 0, err)
 				write()
 				return // malformed frame: the stream is not trustworthy
 			}
-			sid = append(sid[:0], rawSid...)
-			res, err := s.router.Access(string(sid), recs)
-			if err != nil {
+			if res, err := s.router.Access(string(sid), recs); err != nil {
 				buf = serve.AppendErrorReply(buf[:0], tag, err)
 			} else {
 				buf = serve.AppendResultsReply(buf[:0], kind == serve.FrameBatch, tag, res)
 			}
-			if !write() {
-				return
-			}
 		default:
 			buf = serve.AppendErrorReply(buf[:0], 0, fmt.Errorf("route: unknown wire frame kind 0x%02x", kind))
 			write()
+			return
+		}
+		if !write() {
 			return
 		}
 	}

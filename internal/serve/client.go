@@ -30,7 +30,7 @@ type Client struct {
 	conn    net.Conn
 	bw      *bufio.Writer
 	binary  bool
-	rd      wireReader     // binary frame reader
+	rd      FrameReader    // binary frame reader
 	sc      *bufio.Scanner // JSON line reader
 	tag     uint64         // binary request tag (echoed by replies)
 	timeout time.Duration  // per-call connection deadline; 0 = none
@@ -74,18 +74,18 @@ func newClient(conn net.Conn, o clientOptions) (*Client, error) {
 		c.binary = true
 		c.rd.br = br
 		c.arm()
-		if _, err := c.bw.WriteString(wireMagic); err != nil {
+		if _, err := c.bw.WriteString(WireMagic); err != nil {
 			return nil, err
 		}
 		if err := c.bw.Flush(); err != nil {
 			return nil, err
 		}
-		var echo [len(wireMagic)]byte
+		var echo [len(WireMagic)]byte
 		if _, err := io.ReadFull(br, echo[:]); err != nil {
 			return nil, fmt.Errorf("serve: handshake failed: %w", err)
 		}
-		if string(echo[:]) != wireMagic {
-			return nil, fmt.Errorf("serve: bad handshake echo %q (want %q)", echo[:], wireMagic)
+		if string(echo[:]) != WireMagic {
+			return nil, fmt.Errorf("serve: bad handshake echo %q (want %q)", echo[:], WireMagic)
 		}
 	default:
 		return nil, fmt.Errorf("serve: unknown protocol %q (have \"json\" and \"binary\")", o.proto)
@@ -138,38 +138,78 @@ func (c *Client) dead() error {
 	return fmt.Errorf("serve: connection dead: %w", c.err)
 }
 
-// readLine returns the next JSON reply line. Every caller is owed a reply, so
-// end-of-stream here is never a clean EOF: it surfaces the scanner's root
-// cause (a reset, a too-long line) or io.ErrUnexpectedEOF for a silent close.
-func (c *Client) readLine() ([]byte, error) {
+// readReply reads and decodes the next JSON reply line. Every caller is
+// owed a reply, so end-of-stream here is never a clean EOF: it surfaces the
+// scanner's root cause (a reset, a too-long line) or io.ErrUnexpectedEOF for
+// a silent close.
+func (c *Client) readReply() (Reply, error) {
+	var rep Reply
 	if !c.sc.Scan() {
 		err := c.sc.Err()
 		if err == nil {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, c.fail(fmt.Errorf("serve: connection closed awaiting reply: %w", err))
+		return rep, c.fail(fmt.Errorf("serve: connection closed awaiting reply: %w", err))
 	}
-	return c.sc.Bytes(), nil
+	if err := json.Unmarshal(c.sc.Bytes(), &rep); err != nil {
+		return rep, c.fail(err)
+	}
+	return rep, nil
 }
 
-// readFrame returns the next binary reply frame, converting end-of-stream
-// into the owed-a-reply form like readLine.
-func (c *Client) readFrame() (byte, []byte, error) {
-	kind, p, err := c.rd.next()
-	if err != nil {
-		if err == io.EOF {
-			err = fmt.Errorf("serve: connection closed awaiting reply: %w", io.ErrUnexpectedEOF)
+// writeLine queues b as one JSON request line.
+func (c *Client) writeLine(b []byte) error {
+	if _, err := c.bw.Write(b); err != nil {
+		return c.fail(err)
+	}
+	if err := c.bw.WriteByte('\n'); err != nil {
+		return c.fail(err)
+	}
+	return nil
+}
+
+// exchange sends the request frame in c.buf and returns the payload of its
+// reply, whose kind must be the request's with the high bit set. An error
+// frame becomes the call's error, and end-of-stream the owed-a-reply form
+// like readReply.
+func (c *Client) exchange() ([]byte, error) {
+	if _, err := c.bw.Write(c.buf); err != nil {
+		return nil, c.fail(err)
+	}
+	if err := c.bw.Flush(); err != nil {
+		return nil, c.fail(err)
+	}
+	kind, p, err := c.rd.Next()
+	switch {
+	case err == io.EOF:
+		return nil, c.fail(fmt.Errorf("serve: connection closed awaiting reply: %w", io.ErrUnexpectedEOF))
+	case err != nil:
+		return nil, c.fail(err)
+	case kind == FrameError:
+		return nil, c.errorFrame(p)
+	case kind != c.buf[0]|0x80:
+		return nil, c.fail(fmt.Errorf("serve: unexpected reply frame kind 0x%02x", kind))
+	}
+	return p, nil
+}
+
+// remoteErr rebuilds an error a server sent as text, in an error frame or
+// an ok:false reply. The interned session errors come back as themselves,
+// so callers classify remote failures with errors.Is.
+func remoteErr(msg string) error {
+	for _, known := range []error{ErrUnknownSession, ErrSessionClosed} {
+		if msg == known.Error() {
+			return known
 		}
-		return 0, nil, c.fail(err)
 	}
-	return kind, p, nil
+	return errors.New(msg)
 }
 
-// wireErr decodes an error frame's payload into its tag and message. Tag 0
+// wireErr decodes an error frame's payload into its tag and error. Tag 0
 // marks a connection-level failure — the server hangs up after sending it.
 func wireErr(p []byte) (uint64, error) {
 	if tag, rest, err := readUvarint(p); err == nil {
-		return tag, errors.New(string(rest))
+		return tag, remoteErr(string(rest))
 	}
 	return 0, fmt.Errorf("serve: undecodable error frame %q", p)
 }
@@ -198,50 +238,24 @@ func (c *Client) Do(req Request) (Reply, error) {
 	c.arm()
 	if c.binary {
 		c.tag++
-		c.buf = beginFrame(c.buf[:0], frameControl)
-		c.buf = append(c.buf, b...)
-		c.buf = finishFrame(c.buf, 0)
-		if _, err := c.bw.Write(c.buf); err != nil {
-			return Reply{}, c.fail(err)
-		}
-		if err := c.bw.Flush(); err != nil {
-			return Reply{}, c.fail(err)
-		}
-		kind, p, err := c.readFrame()
+		c.buf = appendFrame(c.buf[:0], FrameControl, b)
+		p, err := c.exchange()
 		if err != nil {
 			return Reply{}, err
 		}
-		switch kind {
-		case frameControlReply:
-			var rep Reply
-			if err := json.Unmarshal(p, &rep); err != nil {
-				return Reply{}, c.fail(err)
-			}
-			return rep, nil
-		case frameError:
-			return Reply{}, c.errorFrame(p)
-		default:
-			return Reply{}, c.fail(fmt.Errorf("serve: unexpected reply frame kind 0x%02x", kind))
+		var rep Reply
+		if err := json.Unmarshal(p, &rep); err != nil {
+			return Reply{}, c.fail(err)
 		}
+		return rep, nil
 	}
-	if _, err := c.bw.Write(b); err != nil {
-		return Reply{}, c.fail(err)
-	}
-	if err := c.bw.WriteByte('\n'); err != nil {
-		return Reply{}, c.fail(err)
+	if err := c.writeLine(b); err != nil {
+		return Reply{}, err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return Reply{}, c.fail(err)
 	}
-	line, err := c.readLine()
-	if err != nil {
-		return Reply{}, err
-	}
-	var rep Reply
-	if err := json.Unmarshal(line, &rep); err != nil {
-		return Reply{}, c.fail(err)
-	}
-	return rep, nil
+	return c.readReply()
 }
 
 // do executes a verb and converts a protocol-level failure into an error.
@@ -251,7 +265,7 @@ func (c *Client) do(req Request) (Reply, error) {
 		return rep, err
 	}
 	if !rep.OK {
-		return rep, errors.New(rep.Err)
+		return rep, remoteErr(rep.Err)
 	}
 	return rep, nil
 }
@@ -310,29 +324,12 @@ func (c *Client) AccessBatch(id string, recs []trace.Record) ([]AccessResult, er
 	c.arm()
 	if c.binary {
 		c.tag++
-		kind := byte(frameBatch)
-		if len(recs) == 1 {
-			kind = frameAccess
-		}
-		c.buf = appendWireRequest(c.buf[:0], kind, c.tag, id, recs)
-		if _, err := c.bw.Write(c.buf); err != nil {
-			return nil, c.fail(err)
-		}
-		if err := c.bw.Flush(); err != nil {
-			return nil, c.fail(err)
-		}
-		k, p, err := c.readFrame()
+		c.buf = AppendAccessRequest(c.buf[:0], c.tag, id, recs)
+		p, err := c.exchange()
 		if err != nil {
 			return nil, err
 		}
-		switch k {
-		case frameAccessReply, frameBatchReply:
-			return c.decodeResults(k, p, len(recs))
-		case frameError:
-			return nil, c.errorFrame(p)
-		default:
-			return nil, c.fail(fmt.Errorf("serve: unexpected reply frame kind 0x%02x", k))
-		}
+		return c.decodeResults(c.buf[0] == FrameBatch, p, len(recs))
 	}
 	for i := range recs {
 		b, err := json.Marshal(Request{
@@ -343,11 +340,8 @@ func (c *Client) AccessBatch(id string, recs []trace.Record) ([]AccessResult, er
 		if err != nil {
 			return nil, err
 		}
-		if _, err := c.bw.Write(b); err != nil {
-			return nil, c.fail(err)
-		}
-		if err := c.bw.WriteByte('\n'); err != nil {
-			return nil, c.fail(err)
+		if err := c.writeLine(b); err != nil {
+			return nil, err
 		}
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -355,16 +349,12 @@ func (c *Client) AccessBatch(id string, recs []trace.Record) ([]AccessResult, er
 	}
 	c.res, c.pf = c.res[:0], c.pf[:0]
 	for range recs {
-		line, err := c.readLine()
+		rep, err := c.readReply()
 		if err != nil {
 			return nil, err
 		}
-		var rep Reply
-		if err := json.Unmarshal(line, &rep); err != nil {
-			return nil, c.fail(err)
-		}
 		if !rep.OK {
-			return nil, errors.New(rep.Err)
+			return nil, remoteErr(rep.Err)
 		}
 		start := len(c.pf)
 		for _, h := range rep.Prefetch {
@@ -381,7 +371,7 @@ func (c *Client) AccessBatch(id string, recs []trace.Record) ([]AccessResult, er
 // decodeResults parses an access or batch reply payload into the client's
 // reusable result buffers. Decode failures poison the client — a stream that
 // framed garbage is no longer trustworthy.
-func (c *Client) decodeResults(kind byte, p []byte, want int) ([]AccessResult, error) {
+func (c *Client) decodeResults(batch bool, p []byte, want int) ([]AccessResult, error) {
 	tag, p, err := readUvarint(p)
 	if err != nil {
 		return nil, c.fail(err)
@@ -394,7 +384,7 @@ func (c *Client) decodeResults(kind byte, p []byte, want int) ([]AccessResult, e
 		return nil, c.fail(err)
 	}
 	count := uint64(1)
-	if kind == frameBatchReply {
+	if batch {
 		if count, p, err = readUvarint(p); err != nil {
 			return nil, c.fail(err)
 		}

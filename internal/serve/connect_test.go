@@ -198,3 +198,49 @@ func TestClientClosePoisons(t *testing.T) {
 		t.Fatalf("post-Close call returned %v, want errClientClosed", err)
 	}
 }
+
+// TestClientDecodesSessionErrors: the interned session errors a server sends
+// come back from the client as the sentinels themselves, over both
+// protocols and both reply shapes (error frame, ok:false reply), so callers
+// classify remote failures with errors.Is.
+func TestClientDecodesSessionErrors(t *testing.T) {
+	addr, srv := startWireServer(t, Config{SimCfg: smallSimCfg()})
+	rec := trace.Record{InstrID: 1, Addr: 0x40, IsLoad: true}
+	for _, proto := range []string{"binary", "json"} {
+		c, err := Connect(addr, WithProtocol(proto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Access("ghost", rec); !errors.Is(err, ErrUnknownSession) {
+			t.Fatalf("%s: access to an unknown session returned %v", proto, err)
+		}
+		if _, err := c.CloseSession("ghost"); !errors.Is(err, ErrUnknownSession) {
+			t.Fatalf("%s: close of an unknown session returned %v", proto, err)
+		}
+		// Hold a live session in the window between Close marking it closed
+		// and removing it from the map.
+		id := "closing-" + proto
+		if err := c.Open(id, "stride", 4); err != nil {
+			t.Fatal(err)
+		}
+		s, err := srv.engine.lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.sendMu.Lock()
+		s.closed = true
+		s.sendMu.Unlock()
+		_, err = c.Access(id, rec)
+		s.sendMu.Lock()
+		s.closed = false
+		s.sendMu.Unlock()
+		if !errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("%s: access to a closing session returned %v", proto, err)
+		}
+		if err := c.Open(id+"x", "no-such-prefetcher", 4); err == nil ||
+			errors.Is(err, ErrUnknownSession) || errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("%s: unrelated failure decoded as %v", proto, err)
+		}
+	}
+}

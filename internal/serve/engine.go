@@ -110,6 +110,8 @@ func (c Config) withDefaults() Config {
 // on a miss (a client hammering a dead session id would otherwise churn
 // garbage), so the common failures are shared sentinels without the session
 // id in the message — wire replies carry the id in their own session field.
+// Their texts are stable wire identifiers: Client maps them back to these
+// values, so errors.Is classifies a remote failure like a local one.
 var (
 	ErrUnknownSession = errors.New("serve: unknown session")
 	ErrSessionClosed  = errors.New("serve: session is closed")
@@ -512,6 +514,25 @@ func (e *Engine) Submit(id string, rec trace.Record, fn func(Response)) error {
 	if err != nil {
 		return err
 	}
+	return e.enqueue(s, item{rec: rec, fn: fn}, 1)
+}
+
+// submitJob is Submit for a decoded binary frame whose session id still sits
+// in the connection's read buffer: the reply is encoded in place by the
+// actor instead of a callback.
+func (e *Engine) submitJob(sid []byte, j *wireJob) error {
+	s, err := e.lookupBytes(sid)
+	if err != nil {
+		return err
+	}
+	// Once sent, j belongs to the actor and then to the writer, which pools
+	// it for the next frame of any connection: read it before the send.
+	return e.enqueue(s, item{job: j}, uint64(len(j.recs)))
+}
+
+// enqueue sends it, carrying n accesses, to the session's actor, or returns
+// ErrSessionClosed once the actor is gone.
+func (e *Engine) enqueue(s *session, it item, n uint64) error {
 	s.sendMu.RLock()
 	if s.closed {
 		s.sendMu.RUnlock()
@@ -520,27 +541,7 @@ func (e *Engine) Submit(id string, rec trace.Record, fn func(Response)) error {
 	// The read lock is held across the (possibly blocking) send so Close
 	// cannot close the channel out from under it; the actor drains the
 	// inbox without ever taking sendMu, so the send always completes.
-	s.inbox <- item{rec: rec, fn: fn}
-	s.sendMu.RUnlock()
-	e.accepted.Add(1)
-	return nil
-}
-
-// submitJob enqueues a decoded binary frame on a session actor: Submit minus
-// the lookup and the callback — the caller already resolved the *session
-// (the connection keeps a local cache) and the reply is encoded in place by
-// the actor. Returns ErrSessionClosed if the actor is gone; the caller must
-// then drop its cached pointer.
-func (e *Engine) submitJob(s *session, j *wireJob) error {
-	s.sendMu.RLock()
-	if s.closed {
-		s.sendMu.RUnlock()
-		return ErrSessionClosed
-	}
-	// Once sent, j belongs to the actor and then to the writer, which pools
-	// it for the next frame of any connection: read it before the send.
-	n := uint64(len(j.recs))
-	s.inbox <- item{job: j}
+	s.inbox <- it
 	s.sendMu.RUnlock()
 	e.accepted.Add(n)
 	return nil

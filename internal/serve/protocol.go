@@ -48,13 +48,102 @@ func (h *Hex64) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Verbs lists every wire verb of the serving protocol, in both encodings:
-// the JSON op strings, which the binary protocol reuses for control frames,
-// plus the binary-only "batch" hot verb. docs/PROTOCOL.md must document each
-// one — cmd/dart-doccheck enforces that in CI.
-var Verbs = []string{
-	"open", "access", "batch", "close",
-	"stats", "model", "swap", "rollback", "classes", "policy",
+// Route is how a router answers a verb: the fan-out rule of its row in
+// Verbs.
+type Route uint8
+
+const (
+	RouteSession Route = iota // the router's session table: place, open or close at the owner
+	RouteHot                  // framed hot path only; refused inside a control frame
+	RouteMerge                // every backend, replies merged into one
+	RouteOne                  // the first healthy backend answers
+	RouteAll                  // every healthy backend; any failure fails the verb
+)
+
+// Verb is one row of the verb table: the op name, its router fan-out, and
+// how a daemon answers it. Session verbs are written against a
+// SessionTable, so a router answers them with the same code over its own
+// session table; every other verb is answered by the daemon's engine.
+type Verb struct {
+	Name  string
+	Route Route
+
+	session func(t SessionTable, req Request, opened map[string]struct{}) Reply
+	engine  func(e *Engine, req Request) Reply
+}
+
+// Session answers a RouteSession verb against t. opened tracks the
+// sessions owned by the calling connection, for reclaim when it drops; nil
+// tracks nothing.
+func (v Verb) Session(t SessionTable, req Request, opened map[string]struct{}) Reply {
+	return v.session(t, req, opened)
+}
+
+// SessionTable is what the session verbs act on: a daemon's engine, or a
+// router's routing table.
+type SessionTable interface {
+	OpenSession(id string, opt SessionOptions) error
+	CloseSession(id string) (sim.Result, error)
+}
+
+// VerbTable is the protocol's verb table.
+type VerbTable []Verb
+
+// Lookup returns the row for op.
+func (t VerbTable) Lookup(op string) (Verb, bool) {
+	for _, v := range t {
+		if v.Name == op {
+			return v, true
+		}
+	}
+	return Verb{}, false
+}
+
+// Verbs is every wire verb of the serving protocol, in both encodings: the
+// JSON op strings, which the binary protocol reuses for control frames, plus
+// the binary-only "batch" hot verb. Both wire servers dispatch through it —
+// a daemon by each row's handler, a router by each row's Route — so adding
+// a verb is one row here. docs/PROTOCOL.md must document each one;
+// cmd/dart-doccheck enforces that in CI.
+var Verbs = VerbTable{
+	{Name: "open", Route: RouteSession, session: openVerb},
+	{Name: "access", Route: RouteHot, engine: hotVerb},
+	{Name: "batch", Route: RouteHot, engine: hotVerb},
+	{Name: "close", Route: RouteSession, session: closeVerb},
+	{Name: "stats", Route: RouteMerge, engine: statsVerb},
+	{Name: "model", Route: RouteOne, engine: withLearner(classVerb(nil))},
+	{Name: "swap", Route: RouteAll, engine: withLearner(classVerb((*online.Class).Swap))},
+	{Name: "rollback", Route: RouteAll, engine: withLearner(classVerb((*online.Class).Rollback))},
+	{Name: "classes", Route: RouteOne, engine: withLearner(classesVerb)},
+	{Name: "policy", Route: RouteOne, engine: withLearner(policyVerb)},
+}
+
+// openVerb opens req.Session with the full SessionOptions surface.
+func openVerb(t SessionTable, req Request, opened map[string]struct{}) Reply {
+	err := t.OpenSession(req.Session, SessionOptions{
+		Prefetcher: req.Prefetcher,
+		Degree:     req.Degree,
+		Tenant:     req.Tenant,
+		Weight:     req.Weight,
+		SimCfg:     req.Sim,
+	})
+	if err != nil {
+		return errReply(req.Session, err)
+	}
+	if opened != nil {
+		opened[req.Session] = struct{}{}
+	}
+	return Reply{OK: true, Session: req.Session}
+}
+
+// closeVerb closes req.Session and returns its final simulator result.
+func closeVerb(t SessionTable, req Request, opened map[string]struct{}) Reply {
+	res, err := t.CloseSession(req.Session)
+	if err != nil {
+		return errReply(req.Session, err)
+	}
+	delete(opened, req.Session)
+	return Reply{OK: true, Session: req.Session, Result: &res}
 }
 
 // Request is one line of the client→server protocol. Op selects the action:
@@ -287,4 +376,27 @@ func policyReply(st *online.PolicyStats, log []online.Decision) *PolicyReply {
 // errReply builds a failure line.
 func errReply(session string, err error) Reply {
 	return Reply{OK: false, Err: err.Error(), Session: session}
+}
+
+// AccessReply is the JSON reply to one served access.
+func AccessReply(session string, r AccessResult) Reply {
+	pf := make([]Hex64, len(r.Prefetches))
+	for i, b := range r.Prefetches {
+		pf[i] = Hex64(b)
+	}
+	return Reply{
+		OK: true, Session: session, Seq: r.Seq,
+		Hit: r.Hit, Late: r.Late, Prefetch: pf, Version: r.Version,
+	}
+}
+
+// MarshalReply encodes a reply as JSON — a JSON-protocol line, or the
+// payload of a control-reply frame — falling back to a fixed failure reply
+// should the encoding fail.
+func MarshalReply(r Reply) []byte {
+	b, err := json.Marshal(r)
+	if err != nil {
+		return []byte(`{"ok":false,"error":"serve: reply marshal failed"}`)
+	}
+	return b
 }

@@ -18,16 +18,19 @@ import (
 // full byte-level specification lives in docs/PROTOCOL.md; the design reuses
 // the magic+length+CRC idiom of the nn checkpoint frames (nn.WriteFrame).
 //
-// The steady-state path allocates nothing per access: a pooled wireJob rides
-// the whole pipeline (connection reader → session actor → connection
-// writer), the request records are decoded into the job's reused slice, and
-// the reply frame is encoded in place into the job's reused buffer.
+// There is one encoder and one decoder per payload shape, exported so a
+// protocol front end — the router tier in internal/route — terminates client
+// connections through the same code dart-serve runs. The steady-state path
+// allocates nothing per access: a pooled wireJob rides the whole pipeline
+// (connection reader → session actor → connection writer), the request
+// records are decoded into the job's reused slice, and the reply frame is
+// encoded in place into the job's reused buffer.
 
-// wireMagic is the negotiation banner: a client opens a binary connection by
+// WireMagic is the negotiation banner: a client opens a binary connection by
 // sending these 9 bytes ("DARTWIRE" + the protocol version digit) before the
 // first frame; the server echoes them to accept. Any other first byte on a
 // fresh connection selects the line-delimited JSON protocol.
-const wireMagic = "DARTWIRE1"
+const WireMagic = "DARTWIRE1"
 
 // maxWirePayload caps the declared payload length of a single frame so a
 // corrupt or hostile header cannot trigger a huge allocation before the CRC
@@ -42,13 +45,13 @@ const wireHeaderLen = 9
 // reply 0x7f answers any request whose frame decoded but whose execution
 // failed (framing-level corruption instead kills the connection).
 const (
-	frameControl      = 0x01 // JSON Request payload: any non-hot verb
-	frameAccess       = 0x02 // one varint-packed access record
-	frameBatch        = 0x03 // count-prefixed varint-packed access records
-	frameError        = 0x7f // reply: tag uvarint + error message bytes
-	frameControlReply = 0x81 // JSON Reply payload
-	frameAccessReply  = 0x82 // tag, seq, one access result
-	frameBatchReply   = 0x83 // tag, first seq, count, access results
+	FrameControl      byte = 0x01 // JSON Request payload: any non-hot verb
+	FrameAccess       byte = 0x02 // one varint-packed access record
+	FrameBatch        byte = 0x03 // count-prefixed varint-packed access records
+	FrameError        byte = 0x7f // reply: tag uvarint + error message bytes
+	FrameControlReply byte = 0x81 // JSON Reply payload
+	FrameAccessReply  byte = 0x82 // tag, seq, one access result
+	FrameBatchReply   byte = 0x83 // tag, first seq, count, access results
 )
 
 // Access-record and result flag bits.
@@ -88,16 +91,31 @@ func finishFrame(buf []byte, start int) []byte {
 	return buf
 }
 
-// wireReader reads frames from a connection, reusing one payload buffer
-// across reads (the returned payload is valid until the next call).
-type wireReader struct {
+// appendFrame appends one complete frame of kind carrying payload verbatim.
+func appendFrame(buf []byte, kind byte, payload []byte) []byte {
+	start := len(buf)
+	buf = beginFrame(buf, kind)
+	buf = append(buf, payload...)
+	return finishFrame(buf, start)
+}
+
+// FrameReader reads and CRC-checks DARTWIRE1 frames off a buffered stream
+// positioned after the handshake banner, reusing one payload buffer across
+// reads.
+type FrameReader struct {
 	br  *bufio.Reader
 	buf []byte
 }
 
-// next reads one frame and verifies its CRC. io.EOF is returned bare only at
+// NewFrameReader wraps br (positioned after the handshake banner).
+func NewFrameReader(br *bufio.Reader) *FrameReader {
+	return &FrameReader{br: br}
+}
+
+// Next reads one frame and verifies its CRC, returning its kind and payload;
+// the payload is valid until the next call. io.EOF is returned bare only at
 // a clean frame boundary; every other failure wraps what went wrong.
-func (r *wireReader) next() (byte, []byte, error) {
+func (r *FrameReader) Next() (byte, []byte, error) {
 	var hdr [wireHeaderLen]byte
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -131,24 +149,28 @@ type wireJob struct {
 	out  chan<- *wireJob // the connection's writer channel
 	wg   *sync.WaitGroup // the connection's in-flight counter
 	tag  uint64          // request tag, echoed in the reply
-	kind byte            // reply frame kind (frameAccessReply or frameBatchReply)
+	kind byte            // request frame kind (FrameAccess or FrameBatch)
 	recs []trace.Record  // decoded request records, reused across frames
 	buf  []byte          // reply frame, encoded in place, reused across frames
 }
 
 var wireJobPool = sync.Pool{New: func() any { return new(wireJob) }}
 
-// appendWireRequest appends one complete access (single record, kind
-// frameAccess) or batch (count-prefixed, kind frameBatch) request frame.
-// Record instruction ids are delta-encoded against the previous record in
-// the frame (the first is absolute); PC and address are absolute uvarints.
-func appendWireRequest(buf []byte, kind byte, tag uint64, sid string, recs []trace.Record) []byte {
+// AppendAccessRequest appends one complete access (single record) or batch
+// request frame for sid. Record instruction ids are delta-encoded against
+// the previous record in the frame (the first is absolute); PC and address
+// are absolute uvarints.
+func AppendAccessRequest(buf []byte, tag uint64, sid string, recs []trace.Record) []byte {
+	kind := FrameBatch
+	if len(recs) == 1 {
+		kind = FrameAccess
+	}
 	start := len(buf)
 	buf = beginFrame(buf, kind)
 	buf = binary.AppendUvarint(buf, tag)
 	buf = binary.AppendUvarint(buf, uint64(len(sid)))
 	buf = append(buf, sid...)
-	if kind == frameBatch {
+	if kind == FrameBatch {
 		buf = binary.AppendUvarint(buf, uint64(len(recs)))
 	}
 	var prev uint64
@@ -166,65 +188,52 @@ func appendWireRequest(buf []byte, kind byte, tag uint64, sid string, recs []tra
 	return finishFrame(buf, start)
 }
 
-// decodeJob parses an access or batch request payload into j, returning the
-// session id — which aliases p and is only valid until the connection's next
-// frame read. Instruction-id deltas accumulate with uint64 wraparound, so
-// non-monotone ids survive a round trip exactly (just less compactly).
-func decodeJob(kind byte, p []byte, j *wireJob) ([]byte, error) {
-	j.recs = j.recs[:0]
-	tag, p, err := readUvarint(p)
-	if err != nil {
-		return nil, err
+// DecodeAccessRequest parses an access or batch request payload into its
+// tag, session id, and records, appending to recs. The session id aliases
+// the payload — copy it before the next frame read. Instruction-id deltas
+// accumulate with uint64 wraparound, so non-monotone ids survive a round
+// trip exactly (just less compactly). The payload must end exactly at the
+// last record.
+func DecodeAccessRequest(kind byte, p []byte, recs []trace.Record) (tag uint64, sid []byte, out []trace.Record, err error) {
+	if kind != FrameAccess && kind != FrameBatch {
+		return 0, nil, recs, fmt.Errorf("serve: frame kind 0x%02x is not an access request", kind)
 	}
-	j.tag = tag
+	if tag, p, err = readUvarint(p); err != nil {
+		return 0, nil, recs, err
+	}
 	n, p, err := readUvarint(p)
 	if err != nil {
-		return nil, err
+		return 0, nil, recs, err
 	}
 	if n > uint64(len(p)) {
-		return nil, fmt.Errorf("serve: wire session id length %d exceeds payload", n)
+		return 0, nil, recs, fmt.Errorf("serve: wire session id length %d exceeds payload", n)
 	}
-	sid := p[:n]
-	p = p[n:]
+	sid, p = p[:n], p[n:]
 	count := uint64(1)
-	j.kind = frameAccessReply
-	if kind == frameBatch {
-		j.kind = frameBatchReply
-		count, p, err = readUvarint(p)
-		if err != nil {
-			return nil, err
+	if kind == FrameBatch {
+		if count, p, err = readUvarint(p); err != nil {
+			return 0, nil, recs, err
 		}
 		// Each record is at least 4 bytes, so a count beyond the payload
 		// length is corruption — reject before sizing the record slice.
 		if count > uint64(len(p)) {
-			return nil, fmt.Errorf("serve: wire batch count %d exceeds payload", count)
+			return 0, nil, recs, fmt.Errorf("serve: wire batch count %d exceeds payload", count)
 		}
 	}
-	if j.recs, err = parseWireRecords(p, count, j.recs); err != nil {
-		return nil, err
-	}
-	return sid, nil
-}
-
-// parseWireRecords decodes count varint-packed access records off p into
-// recs, requiring the payload to end exactly at the last record. Instruction-
-// id deltas accumulate with uint64 wraparound (see decodeJob).
-func parseWireRecords(p []byte, count uint64, recs []trace.Record) ([]trace.Record, error) {
 	var prev uint64
-	var err error
 	for i := uint64(0); i < count; i++ {
 		var d, pc, addr uint64
 		if d, p, err = readUvarint(p); err != nil {
-			return recs, err
+			return 0, nil, recs, err
 		}
 		if pc, p, err = readUvarint(p); err != nil {
-			return recs, err
+			return 0, nil, recs, err
 		}
 		if addr, p, err = readUvarint(p); err != nil {
-			return recs, err
+			return 0, nil, recs, err
 		}
 		if len(p) == 0 {
-			return recs, fmt.Errorf("serve: wire record %d missing flags byte", i)
+			return 0, nil, recs, fmt.Errorf("serve: wire record %d missing flags byte", i)
 		}
 		fl := p[0]
 		p = p[1:]
@@ -234,9 +243,61 @@ func parseWireRecords(p []byte, count uint64, recs []trace.Record) ([]trace.Reco
 		})
 	}
 	if len(p) != 0 {
-		return recs, fmt.Errorf("serve: %d trailing bytes in wire frame", len(p))
+		return 0, nil, recs, fmt.Errorf("serve: %d trailing bytes in wire frame", len(p))
 	}
-	return recs, nil
+	return tag, sid, recs, nil
+}
+
+// beginResults begins the reply frame to an access (one result) or batch
+// request of n records, up to where the results go.
+func beginResults(buf []byte, batch bool, tag, seq uint64, n int) []byte {
+	kind := FrameAccessReply
+	if batch {
+		kind = FrameBatchReply
+	}
+	buf = beginFrame(buf, kind)
+	buf = binary.AppendUvarint(buf, tag)
+	buf = binary.AppendUvarint(buf, seq)
+	if batch {
+		buf = binary.AppendUvarint(buf, uint64(n))
+	}
+	return buf
+}
+
+// appendResult is the one per-result encoder: flags, serving version, and
+// the prefetched blocks. r.Seq is implied by the frame's first seq.
+func appendResult(buf []byte, r AccessResult) []byte {
+	var fl byte
+	if r.Hit {
+		fl |= wireHit
+	}
+	if r.Late {
+		fl |= wireLate
+	}
+	buf = append(buf, fl)
+	buf = binary.AppendUvarint(buf, r.Version)
+	buf = binary.AppendUvarint(buf, uint64(len(r.Prefetches)))
+	for _, pb := range r.Prefetches {
+		buf = binary.AppendUvarint(buf, pb)
+	}
+	return buf
+}
+
+// AppendResultsReply appends a complete access/batch reply frame carrying
+// results (an access reply when batch is false and len(results) == 1). The
+// first result's Seq seeds the frame's sequence field; results must be
+// seq-contiguous, exactly as a backend produced them.
+func AppendResultsReply(buf []byte, batch bool, tag uint64, results []AccessResult) []byte {
+	start := len(buf)
+	var seq uint64
+	if len(results) > 0 {
+		seq = results[0].Seq
+	}
+	buf = beginResults(buf, batch, tag, seq, len(results))
+	for i := range results {
+		buf = appendResult(buf, results[i])
+	}
+	return finishFrame(buf, start)
 }
 
 // runJob steps every record of one binary frame on the actor goroutine and
@@ -244,38 +305,30 @@ func parseWireRecords(p []byte, count uint64, recs []trace.Record) ([]trace.Reco
 // session.step — the same path JSON and direct accesses take — which is what
 // keeps wire results bit-identical to the other serving modes.
 func (s *session) runJob(j *wireJob) {
-	j.buf = beginFrame(j.buf[:0], j.kind)
-	j.buf = binary.AppendUvarint(j.buf, j.tag)
-	j.buf = binary.AppendUvarint(j.buf, s.seq+1)
-	if j.kind == frameBatchReply {
-		j.buf = binary.AppendUvarint(j.buf, uint64(len(j.recs)))
-	}
+	j.buf = beginResults(j.buf[:0], j.kind == FrameBatch, j.tag, s.seq+1, len(j.recs))
 	for i := range j.recs {
 		st := s.step(j.recs[i])
-		var fl byte
-		if st.Hit {
-			fl |= wireHit
-		}
-		if st.Late {
-			fl |= wireLate
-		}
-		j.buf = append(j.buf, fl)
-		j.buf = binary.AppendUvarint(j.buf, s.ver)
-		j.buf = binary.AppendUvarint(j.buf, uint64(len(st.Prefetches)))
-		for _, pb := range st.Prefetches {
-			j.buf = binary.AppendUvarint(j.buf, pb)
-		}
+		j.buf = appendResult(j.buf, AccessResult{
+			Hit: st.Hit, Late: st.Late, Version: s.ver, Prefetches: st.Prefetches,
+		})
 	}
 	j.buf = finishFrame(j.buf, 0)
 	j.out <- j
 }
 
-// appendErrorFrame appends a complete error-reply frame: the request tag
-// (0 when unattributable) followed by the error text. With the interned
-// sentinel errors this stays allocation-free on the unknown-session path.
-func appendErrorFrame(buf []byte, tag uint64, err error) []byte {
+// AppendControlReply appends a complete control-reply frame carrying the
+// JSON-encoded reply b (as produced by json.Marshal of a Reply).
+func AppendControlReply(buf []byte, b []byte) []byte {
+	return appendFrame(buf, FrameControlReply, b)
+}
+
+// AppendErrorReply appends a complete error-reply frame: the request tag (0
+// when the failure is connection-level and the server will hang up after
+// sending it) followed by the error text. With the interned sentinel errors
+// this stays allocation-free on the unknown-session path.
+func AppendErrorReply(buf []byte, tag uint64, err error) []byte {
 	start := len(buf)
-	buf = beginFrame(buf, frameError)
+	buf = beginFrame(buf, FrameError)
 	buf = binary.AppendUvarint(buf, tag)
 	buf = append(buf, err.Error()...)
 	return finishFrame(buf, start)

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"dart/internal/prefetch"
 	"dart/internal/sim"
@@ -127,6 +130,56 @@ func TestBinaryUnknownSessionKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestClosedSessionCollectable: closing a session over a binary connection
+// that stays open must release it — nothing per connection may pin a closed
+// session's simulator — and reopening the id on that connection serves the
+// new session.
+func TestClosedSessionCollectable(t *testing.T) {
+	addr, srv := startWireServer(t, Config{SimCfg: smallSimCfg()})
+	c, err := Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	recs := sessionTrace(21, 128)
+	if err := c.Open("w", "stride", 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AccessBatch("w", recs); err != nil {
+		t.Fatal(err)
+	}
+	wp := func() weak.Pointer[session] {
+		s, err := srv.engine.lookup("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(s)
+	}()
+	if _, err := c.CloseSession("w"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Fatal("a closed session stays reachable while its binary connection is open")
+	}
+
+	if err := c.Open("w", "stride", 4); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.AccessBatch("w", recs[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Seq != 1 {
+		t.Fatalf("reopened session answered seq %d, want a fresh session's 1", res[0].Seq)
+	}
+	if _, err := c.CloseSession("w"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // wireHandshake dials addr raw and completes the DARTWIRE1 banner exchange.
 func wireHandshake(t *testing.T, addr string) (*net.TCPConn, *bufio.Reader) {
 	t.Helper()
@@ -134,11 +187,11 @@ func wireHandshake(t *testing.T, addr string) (*net.TCPConn, *bufio.Reader) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte(wireMagic)); err != nil {
+	if _, err := conn.Write([]byte(WireMagic)); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	var echo [len(wireMagic)]byte
+	var echo [len(WireMagic)]byte
 	if _, err := io.ReadFull(br, echo[:]); err != nil {
 		t.Fatalf("handshake echo: %v", err)
 	}
@@ -152,13 +205,8 @@ func wireHandshake(t *testing.T, addr string) (*net.TCPConn, *bufio.Reader) {
 func TestWireMalformedFrames(t *testing.T) {
 	addr, _ := startWireServer(t, Config{SimCfg: smallSimCfg()})
 	recs := sessionTrace(11, 4)
-	valid := appendWireRequest(nil, frameBatch, 1, "s", recs)
-
-	reframe := func(kind byte, payload []byte) []byte {
-		f := beginFrame(nil, kind)
-		f = append(f, payload...)
-		return finishFrame(f, 0)
-	}
+	valid := AppendAccessRequest(nil, 1, "s", recs)
+	reframe := func(kind byte, payload []byte) []byte { return appendFrame(nil, kind, payload) }
 	cases := []struct {
 		name  string
 		bytes []byte
@@ -189,12 +237,12 @@ func TestWireMalformedFrames(t *testing.T) {
 		},
 		{
 			name:  "garbage-varint",
-			bytes: reframe(frameAccess, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}),
+			bytes: reframe(FrameAccess, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}),
 			want:  "varint",
 		},
 		{
 			name:  "batch-count-overflow",
-			bytes: reframe(frameBatch, append(appendUvarints(nil, 1, 1, 's'), appendUvarints(nil, 1<<30)...)),
+			bytes: reframe(FrameBatch, append(appendUvarints(nil, 1, 1, 's'), appendUvarints(nil, 1<<30)...)),
 			want:  "count",
 		},
 		{
@@ -204,12 +252,12 @@ func TestWireMalformedFrames(t *testing.T) {
 		},
 		{
 			name:  "trailing-bytes",
-			bytes: reframe(frameBatch, append(append([]byte(nil), valid[wireHeaderLen:]...), 0, 0, 0)),
+			bytes: reframe(FrameBatch, append(append([]byte(nil), valid[wireHeaderLen:]...), 0, 0, 0)),
 			want:  "trailing",
 		},
 		{
 			name:  "bad-control-json",
-			bytes: reframe(frameControl, []byte("not json")),
+			bytes: reframe(FrameControl, []byte("not json")),
 			want:  "bad control frame",
 		},
 	}
@@ -221,19 +269,19 @@ func TestWireMalformedFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			conn.CloseWrite() // flush truncations through to the reader
-			rd := wireReader{br: br}
-			kind, p, err := rd.next()
+			rd := NewFrameReader(br)
+			kind, p, err := rd.Next()
 			if err != nil {
 				t.Fatalf("no error frame before close: %v", err)
 			}
-			if kind != frameError {
+			if kind != FrameError {
 				t.Fatalf("reply frame kind 0x%02x, want error frame", kind)
 			}
 			if _, werr := wireErr(p); !strings.Contains(werr.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", werr, tc.want)
 			}
 			// The connection must be closed after the error frame.
-			if _, _, err := rd.next(); err != io.EOF {
+			if _, _, err := rd.Next(); err != io.EOF {
 				t.Fatalf("connection still open after corruption: %v", err)
 			}
 		})
@@ -290,21 +338,100 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		{InstrID: ^uint64(0), PC: ^uint64(0), Addr: 0, IsLoad: true},
 		{InstrID: 0, PC: 7, Addr: 64, IsLoad: false},
 	}
-	frame := appendWireRequest(nil, frameBatch, 99, "edge", recs)
-	var j wireJob
-	sid, err := decodeJob(frameBatch, frame[wireHeaderLen:], &j)
+	frame := AppendAccessRequest(nil, 99, "edge", recs)
+	if frame[0] != FrameBatch {
+		t.Fatalf("%d records framed as kind %#x", len(recs), frame[0])
+	}
+	tag, sid, got, err := DecodeAccessRequest(FrameBatch, frame[wireHeaderLen:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(sid) != "edge" || j.tag != 99 || j.kind != frameBatchReply {
-		t.Fatalf("decoded sid=%q tag=%d kind=%#x", sid, j.tag, j.kind)
+	if string(sid) != "edge" || tag != 99 {
+		t.Fatalf("decoded sid=%q tag=%d", sid, tag)
 	}
-	if len(j.recs) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(j.recs), len(recs))
+	if len(got) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
 	}
 	for i := range recs {
-		if j.recs[i] != recs[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, j.recs[i], recs[i])
+		if got[i] != recs[i] {
+			t.Fatalf("record %d: got %+v, want %+v", i, got[i], recs[i])
+		}
+	}
+}
+
+// TestWireAPIRequestRoundTrip pins the codec a protocol front end builds
+// on: AppendAccessRequest frames decode through
+// FrameReader + DecodeAccessRequest back into the same records, for both the
+// single-access and batch kinds.
+func TestWireAPIRequestRoundTrip(t *testing.T) {
+	recs := []trace.Record{
+		{InstrID: 1, PC: 0x400000, Addr: 0x10000040, IsLoad: true},
+		{InstrID: 2, PC: 0x400004, Addr: 0x10000080},
+		{InstrID: 3, PC: 0x400008, Addr: 0x100000c0, IsLoad: true},
+	}
+	for _, n := range []int{1, 3} {
+		var buf []byte
+		buf = AppendAccessRequest(buf, 7, "sess-1", recs[:n])
+		fr := NewFrameReader(bufio.NewReader(bytes.NewReader(buf)))
+		kind, payload, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantKind := FrameBatch
+		if n == 1 {
+			wantKind = FrameAccess
+		}
+		if kind != wantKind {
+			t.Fatalf("n=%d framed as kind 0x%02x, want 0x%02x", n, kind, wantKind)
+		}
+		tag, sid, got, err := DecodeAccessRequest(kind, payload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tag != 7 || string(sid) != "sess-1" || len(got) != n {
+			t.Fatalf("decoded tag=%d sid=%q n=%d, want 7 sess-1 %d", tag, sid, len(got), n)
+		}
+		for i := range got {
+			if got[i] != recs[i] {
+				t.Fatalf("record %d round-tripped as %+v, want %+v", i, got[i], recs[i])
+			}
+		}
+	}
+	// Wrong kind is rejected, not misparsed.
+	if _, _, _, err := DecodeAccessRequest(FrameControl, nil, nil); err == nil {
+		t.Fatal("control frame accepted as access request")
+	}
+}
+
+// TestWireAPIReplyFrames: the reply-side encoders a front-end uses to answer
+// clients (results, control, error) all produce frames FrameReader accepts
+// with the kinds and tags intact.
+func TestWireAPIReplyFrames(t *testing.T) {
+	results := []AccessResult{
+		{Seq: 41, Hit: true, Version: 3, Prefetches: []uint64{0x400002, 0x400003}},
+		{Seq: 42, Late: true},
+	}
+	var buf []byte
+	buf = AppendResultsReply(buf, true, 9, results)
+	buf = AppendResultsReply(buf, false, 10, results[:1])
+	buf = AppendControlReply(buf, []byte(`{"ok":true}`))
+	cause := errors.New("route: no healthy backend")
+	buf = AppendErrorReply(buf, 11, cause)
+
+	fr := NewFrameReader(bufio.NewReader(bytes.NewReader(buf)))
+	for i, want := range []byte{FrameBatchReply, FrameAccessReply, FrameControlReply, FrameError} {
+		kind, payload, err := fr.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if kind != want {
+			t.Fatalf("frame %d has kind 0x%02x, want 0x%02x", i, kind, want)
+		}
+		if kind == FrameControlReply && string(payload) != `{"ok":true}` {
+			t.Fatalf("control reply payload %q", payload)
+		}
+		if kind == FrameError && !strings.Contains(string(payload), cause.Error()) {
+			t.Fatalf("error payload %q lacks the cause", payload)
 		}
 	}
 }
@@ -321,12 +448,13 @@ func TestBinaryHotPathZeroAlloc(t *testing.T) {
 	}
 	s := &session{id: "z", sim: sim.NewSim(pf, smallSimCfg())}
 	recs := sessionTrace(5, 64)
-	frame := appendWireRequest(nil, frameBatch, 7, "z", recs)
+	frame := AppendAccessRequest(nil, 7, "z", recs)
 	payload := frame[wireHeaderLen:]
 	out := make(chan *wireJob, 1)
-	j := &wireJob{out: out}
+	j := &wireJob{out: out, kind: FrameBatch}
 	step := func() {
-		if _, err := decodeJob(frameBatch, payload, j); err != nil {
+		var err error
+		if j.tag, _, j.recs, err = DecodeAccessRequest(FrameBatch, payload, j.recs[:0]); err != nil {
 			t.Fatal(err)
 		}
 		s.runJob(j)
@@ -355,7 +483,7 @@ func TestErrorPathZeroAlloc(t *testing.T) {
 		if !errors.Is(err, ErrUnknownSession) {
 			t.Fatalf("Submit to unknown session: %v", err)
 		}
-		buf = appendErrorFrame(buf[:0], 3, err)
+		buf = AppendErrorReply(buf[:0], 3, err)
 	}
 	step() // size the frame buffer
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
@@ -369,12 +497,13 @@ func TestErrorPathZeroAlloc(t *testing.T) {
 func BenchmarkWireCodec(b *testing.B) {
 	recs := sessionTrace(3, 64)
 	var frame []byte
-	var j wireJob
+	var got []trace.Record
+	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame = appendWireRequest(frame[:0], frameBatch, uint64(i), "codec", recs)
-		if _, err := decodeJob(frameBatch, frame[wireHeaderLen:], &j); err != nil {
+		frame = AppendAccessRequest(frame[:0], uint64(i), "codec", recs)
+		if _, _, got, err = DecodeAccessRequest(FrameBatch, frame[wireHeaderLen:], got[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}
