@@ -46,9 +46,10 @@ bench-build:
 ## commits is bench/'s job (`bash bench/run.sh -compare`). -benchmem feeds
 ## the allocs rows; -count because the checker keeps the per-benchmark
 ## minimum, which filters scheduler interference at these short benchtimes.
-## The online set runs longer and more often: int8 and float dart tables are
-## within ~20% of each other, closer than 50ms samples resolve on a busy
-## host. BenchmarkDartInfer also selects BenchmarkDartInferQuant.
+## The online set runs longer and more often: int8 and float dart tables
+## share one query path and run within a few percent of each other (the
+## parity row allows int8 25% slower), closer than 50ms samples resolve on a
+## busy host. BenchmarkDartInfer also selects BenchmarkDartInferQuant.
 bench-ci:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMul' -benchtime 5x -count 3 -benchmem \
 		./internal/mat > bench-ci.out || { cat bench-ci.out; exit 1; }
@@ -75,13 +76,15 @@ docs-lint:
 	$(GO) run ./cmd/dart-doccheck -root .
 
 ## fuzz: timed coverage-guided fuzzing of the CSV trace reader, the
-## -matrix-spec parser and the DARTWIRE1 request decoder, FUZZTIME each (the
+## -matrix-spec parser, the DARTWIRE1 request decoder and the DARTTAB1 table
+## checkpoint decoder, FUZZTIME each (the
 ## per-PR tier replays the committed corpora as ordinary tests; nightly runs
 ## 5m each)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanner -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseMatrixSpec -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzTableCheckpoint -fuzztime $(FUZZTIME) ./internal/tabular
 
 ## cover-update: ratchet the committed baseline up to the measured value
 cover-update:

@@ -79,10 +79,12 @@
 //	                   model versions
 //
 // Parallelism model: every hot path — blocked matmul, batched PQ encoding
-// (pq.EncodeBatch, behind the linear table kernels), batched hierarchy
-// queries, multi-trace simulation sweeps — fans out through the worker pool
-// in internal/par (tunable via DART_MAX_WORKERS or par.SetMaxWorkers). Parallel kernels partition work in fixed blocks with
-// serial in-block reduction order, so results are bit-identical for any
+// (pq.EncodeBatch), batched hierarchy queries (one sample per task; each
+// table kernel encodes its own rows inline), multi-trace simulation sweeps —
+// fans out through the worker pool in internal/par (tunable via
+// DART_MAX_WORKERS or par.SetMaxWorkers). Parallel kernels partition work
+// in fixed blocks with serial in-block reduction order, so results are
+// bit-identical for any
 // worker count; see internal/par/README.md for the determinism guarantee and
 // bench/README.md for how performance is measured.
 //

@@ -172,9 +172,9 @@ func BenchmarkDartInfer(b *testing.B) {
 	benchDartInfer(b, 0)
 }
 
-// BenchmarkDartInferQuant is the int8 deployment artifact's number: the
-// quantized tables must be at least as fast as the float tables same-run
-// (the integer payload is cache-smaller and the row kernels vectorize), and
+// BenchmarkDartInferQuant is the int8 deployment artifact's number. The
+// int8 and float tables run the same query path, so the int8 tables may be
+// at most 25% slower than float same-run (float/int8 time >= 0.8), while
 // the reported storage_bytes must come in >= 4x under the float row, with
 // no more allocs/op — all gated same-run by dart-benchcheck.
 func BenchmarkDartInferQuant(b *testing.B) {

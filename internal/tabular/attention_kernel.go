@@ -37,18 +37,15 @@ type AttentionKernel struct {
 	cfg   KernelConfig
 
 	encQ, encK pq.Encoder // over Dk rows
-	qkTable    []float64  // [Ck][K][K]: P^Q_ci · P^K_cj
+	qk         *rowTable  // [Ck·K][K]: P^Q_ci · P^K_cj
 
 	encS, encV pq.Encoder // over length-T score rows / V columns
-	qkvTable   []float64  // [Ct][K][K]: numerator (shared) or folded softmax (per-subspace)
-	denTable   []float64  // [Ct][K]: shared-mode denominator partial sums
-	expShift   float64    // global shift keeping exp() in range
-
-	// Quantized forms of qkTable/qkvTable when DataBits is 8/16 (either both
-	// are set and the float slices are nil, or neither). denTable stays
-	// float64: it is K·C entries of reciprocal mass whose relative error
-	// would multiply every output.
-	qkQuant, qkvQuant *quantTable
+	qkv        *rowTable  // [Ct·K][K]: numerator (shared) or folded softmax (per-subspace)
+	// denTable [Ct][K] holds the shared-mode denominator partial sums. It
+	// stays float64 at every DataBits: it is K·C entries of reciprocal mass
+	// whose relative error would multiply every output.
+	denTable []float64
+	expShift float64 // global shift keeping exp() in range
 }
 
 // AttentionTrainingSet carries the kernel-fitting activations: the Q, K, V
@@ -72,7 +69,7 @@ func NewAttentionKernel(ts AttentionTrainingSet, cfg KernelConfig, mode SoftmaxM
 
 	// QK table: pairwise prototype dot products per subspace (Eq. 12).
 	ck, kk := a.encQ.C(), a.encQ.K()
-	a.qkTable = make([]float64, ck*kk*kk)
+	qk := make([]float64, ck*kk*kk)
 	for c := 0; c < ck; c++ {
 		for i := 0; i < kk; i++ {
 			pi := a.encQ.Center(c, i)
@@ -82,16 +79,13 @@ func NewAttentionKernel(ts AttentionTrainingSet, cfg KernelConfig, mode SoftmaxM
 				for v, qv := range pi {
 					dot += qv * pj[v]
 				}
-				a.qkTable[(c*kk+i)*kk+j] = dot
+				qk[(c*kk+i)*kk+j] = dot
 			}
 		}
 	}
-	if cfg.DataBits == 8 || cfg.DataBits == 16 {
-		// Quantize before fitting the secondary stage: encS must train on
-		// the score rows the quantized table will actually produce.
-		a.qkQuant = quantizeTable(a.qkTable, ck*kk, kk, cfg.DataBits)
-		a.qkTable = nil
-	}
+	// Store at the configured width before fitting the secondary stage: encS
+	// must train on the score rows the stored table will actually produce.
+	a.qk = newRowTable(qk, ck*kk, kk, cfg.DataBits)
 
 	// Approximate score rows for the training set via the QK table (the
 	// secondary quantization trains on what the query will actually see).
@@ -114,7 +108,7 @@ func NewAttentionKernel(ts AttentionTrainingSet, cfg KernelConfig, mode SoftmaxM
 				ik := ikByRow[t2]
 				var sum float64
 				for c := 0; c < ck; c++ {
-					sum += a.qkAt(c*kk+iq[c], ik[c])
+					sum += a.qk.at(c*kk+iq[c], ik[c])
 				}
 				row[t2] = sum
 			}
@@ -137,25 +131,14 @@ func NewAttentionKernel(ts AttentionTrainingSet, cfg KernelConfig, mode SoftmaxM
 	a.encV = newEncoder(cfg, t, rng)
 	a.encV.Fit(vcols)
 
-	a.buildQKVTable()
-	if cfg.DataBits == 8 || cfg.DataBits == 16 {
-		ct, ks := a.encS.C(), a.encS.K()
-		a.qkvQuant = quantizeTable(a.qkvTable, ct*ks, ks, cfg.DataBits)
-		a.qkvTable = nil
-	}
+	ct, ks := a.encS.C(), a.encS.K()
+	a.qkv = newRowTable(a.buildQKVTable(), ct*ks, ks, cfg.DataBits)
 	return a
 }
 
-// qkAt reads one QK-table cell through whichever representation is live.
-func (a *AttentionKernel) qkAt(r, j int) float64 {
-	if a.qkQuant != nil {
-		return a.qkQuant.at(r, j)
-	}
-	return a.qkTable[r*a.encQ.K()+j]
-}
-
-// buildQKVTable folds scaling and softmax into the second-stage table.
-func (a *AttentionKernel) buildQKVTable() {
+// buildQKVTable folds scaling and softmax into the second-stage table,
+// filling denTable and returning the float64 QKV entries.
+func (a *AttentionKernel) buildQKVTable() []float64 {
 	ct, k := a.encS.C(), a.encS.K()
 	sub := a.encS.SubDim()
 	scale := 1 / math.Sqrt(float64(a.Dk))
@@ -173,7 +156,7 @@ func (a *AttentionKernel) buildQKVTable() {
 	if math.IsInf(a.expShift, -1) {
 		a.expShift = 0
 	}
-	a.qkvTable = make([]float64, ct*k*k)
+	qkv := make([]float64, ct*k*k)
 	a.denTable = make([]float64, ct*k)
 	ex := make([]float64, sub)
 	for c := 0; c < ct; c++ {
@@ -195,88 +178,21 @@ func (a *AttentionKernel) buildQKVTable() {
 				if a.mode == SoftmaxPerSubspace && den > 0 {
 					dot /= den
 				}
-				a.qkvTable[(c*k+i)*k+j] = dot
+				qkv[(c*k+i)*k+j] = dot
 			}
 		}
 	}
+	return qkv
 }
 
-// Query runs the two lookup rounds for one sample: Q, K, V are T x Dk.
+// Query runs the two lookup rounds for one sample: Q, K, V are T x Dk. Every
+// per-sample index and score buffer lives in two flat scratch slices, so a
+// query allocates a constant three slices regardless of T and Dk.
 func (a *AttentionKernel) Query(q, k, v *mat.Matrix) *mat.Matrix {
 	t := a.T
 	if q.Rows != t || q.Cols != a.Dk {
 		panic(fmt.Sprintf("tabular: attention query shape %dx%d, want %dx%d", q.Rows, q.Cols, t, a.Dk))
 	}
-	if a.qkQuant != nil {
-		return a.queryQuant(q, k, v)
-	}
-	ck, kk := a.encQ.C(), a.encQ.K()
-	// Round 1: scores from the QK table (Eq. 13).
-	iq := make([]int, ck)
-	ik := make([][]int, t)
-	for r := range ik {
-		ik[r] = make([]int, ck)
-		a.encK.EncodeRow(k.Row(r), ik[r])
-	}
-	scores := mat.New(t, t)
-	for t1 := 0; t1 < t; t1++ {
-		a.encQ.EncodeRow(q.Row(t1), iq)
-		row := scores.Row(t1)
-		for t2 := 0; t2 < t; t2++ {
-			ikr := ik[t2]
-			var sum float64
-			for c := 0; c < ck; c++ {
-				sum += a.qkTable[(c*kk+iq[c])*kk+ikr[c]]
-			}
-			row[t2] = sum
-		}
-	}
-	// Round 2: encode score rows and V columns, look up the QKV table (Eq. 15).
-	ct, ks := a.encS.C(), a.encS.K()
-	ivs := make([][]int, a.Dk)
-	col := make([]float64, t)
-	for d := 0; d < a.Dk; d++ {
-		for tt := 0; tt < t; tt++ {
-			col[tt] = v.At(tt, d)
-		}
-		ivs[d] = make([]int, ct)
-		a.encV.EncodeRow(col, ivs[d])
-	}
-	out := mat.New(t, a.Dk)
-	is := make([]int, ct)
-	for t1 := 0; t1 < t; t1++ {
-		a.encS.EncodeRow(scores.Row(t1), is)
-		var den float64
-		if a.mode == SoftmaxShared {
-			for c, i := range is {
-				den += a.denTable[c*ks+i]
-			}
-			if den == 0 {
-				den = 1
-			}
-		}
-		orow := out.Row(t1)
-		for d := 0; d < a.Dk; d++ {
-			iv := ivs[d]
-			var num float64
-			for c, i := range is {
-				num += a.qkvTable[(c*ks+i)*ks+iv[c]]
-			}
-			if a.mode == SoftmaxShared {
-				num /= den
-			}
-			orow[d] = num
-		}
-	}
-	return out
-}
-
-// queryQuant runs both lookup rounds against the quantized tables. The many
-// per-sample index and score buffers of the float path collapse into two
-// flat scratch allocations, so the quantized kernel allocates a constant
-// three slices per sample regardless of T and Dk.
-func (a *AttentionKernel) queryQuant(q, k, v *mat.Matrix) *mat.Matrix {
-	t := a.T
 	ck, kk := a.encQ.C(), a.encQ.K()
 	ct, ks := a.encS.C(), a.encS.K()
 	ints := make([]int, ck+t*ck+a.Dk*ct+ct)
@@ -288,7 +204,7 @@ func (a *AttentionKernel) queryQuant(q, k, v *mat.Matrix) *mat.Matrix {
 	scores := fl[:t*t]
 	col := fl[t*t:]
 
-	// Round 1: scores from the quantized QK table (Eq. 13).
+	// Round 1: scores from the QK table (Eq. 13).
 	for r := 0; r < t; r++ {
 		a.encK.EncodeRow(k.Row(r), ik[r*ck:(r+1)*ck])
 	}
@@ -299,12 +215,12 @@ func (a *AttentionKernel) queryQuant(q, k, v *mat.Matrix) *mat.Matrix {
 			ikr := ik[t2*ck : (t2+1)*ck]
 			var sum float64
 			for c := 0; c < ck; c++ {
-				sum += a.qkQuant.at(c*kk+iq[c], ikr[c])
+				sum += a.qk.at(c*kk+iq[c], ikr[c])
 			}
 			row[t2] = sum
 		}
 	}
-	// Round 2: quantized QKV lookups with the float64 denominator (Eq. 15).
+	// Round 2: QKV lookups with the float64 denominator (Eq. 15).
 	for d := 0; d < a.Dk; d++ {
 		for tt := 0; tt < t; tt++ {
 			col[tt] = v.At(tt, d)
@@ -328,7 +244,7 @@ func (a *AttentionKernel) queryQuant(q, k, v *mat.Matrix) *mat.Matrix {
 			ivd := ivs[d*ct : (d+1)*ct]
 			var num float64
 			for c, i := range is {
-				num += a.qkvQuant.at(c*ks+i, ivd[c])
+				num += a.qkv.at(c*ks+i, ivd[c])
 			}
 			if a.mode == SoftmaxShared {
 				num /= den
@@ -345,25 +261,17 @@ func (a *AttentionKernel) queryQuant(q, k, v *mat.Matrix) *mat.Matrix {
 // table, which Eq. 19's 2K²·C·d term does not cover, is added explicitly.
 func (a *AttentionKernel) Cost() Cost {
 	k, c := a.cfg.K, a.encQ.C()
-	d, overhead := 64, 0
-	if a.qkQuant != nil {
-		d = a.qkQuant.bits
-		overhead = a.qkQuant.overheadBits() + a.qkvQuant.overheadBits()
-	}
 	return Cost{
 		LatencyCycles: AttentionLatency(k, c),
-		StorageBits:   AttentionStorageBits(a.T, a.Dk, k, c, d) + len(a.denTable)*64 + overhead,
-		Ops:           AttentionOps(a.T, a.Dk, k, c),
+		StorageBits: AttentionStorageBits(a.T, a.Dk, k, c, a.qk.bits) + len(a.denTable)*64 +
+			a.qk.overheadBits() + a.qkv.overheadBits(),
+		Ops: AttentionOps(a.T, a.Dk, k, c),
 	}
 }
 
 // TableBytes is the measured footprint of the stored tables.
 func (a *AttentionKernel) TableBytes() int {
-	b := len(a.denTable) * 8
-	if a.qkQuant != nil {
-		return b + a.qkQuant.storedBytes() + a.qkvQuant.storedBytes()
-	}
-	return b + (len(a.qkTable)+len(a.qkvTable))*8
+	return len(a.denTable)*8 + a.qk.storedBytes() + a.qkv.storedBytes()
 }
 
 // Name identifies the kernel.

@@ -18,16 +18,13 @@ import (
 type LinearKernel struct {
 	In, Out int
 	enc     pq.Encoder
-	// table[(c*K + k)*Out + o] = W_o^c · P_k^c (+ bias_o when c == 0).
-	// Prototype-major layout: one encoded index selects a contiguous
-	// Out-wide slice, so query aggregation is sequential adds (a straight
-	// copy for C == 1) instead of a K-strided gather per output dim.
-	// Exactly one of table and quant is set: DataBits 8/16 replaces the
-	// float64 table with the quantized form at construction time.
-	table []float64
-	quant *quantTable
-	cfg   KernelConfig
-	seqT  int // nominal sequence length for cost reporting
+	// tab row c*K + k holds W_o^c · P_k^c (+ bias_o when c == 0) for every
+	// output o. Prototype-major layout: one encoded index selects a
+	// contiguous Out-wide row, so query aggregation is sequential adds (a
+	// straight copy for C == 1) instead of a K-strided gather per output dim.
+	tab  *rowTable
+	cfg  KernelConfig
+	seqT int // nominal sequence length for cost reporting
 }
 
 // NewLinearKernel builds the kernel from a trained linear layer and the
@@ -47,7 +44,7 @@ func NewLinearKernel(l *nn.Linear, train *mat.Tensor, cfg KernelConfig, rng *ran
 		seqT: train.T,
 	}
 	C, K, V := enc.C(), enc.K(), enc.SubDim()
-	k.table = make([]float64, l.Out*C*K)
+	table := make([]float64, l.Out*C*K)
 	w := l.Weight.W // [Out, In]
 	for o := 0; o < l.Out; o++ {
 		wrow := w.Row(o)
@@ -62,55 +59,26 @@ func NewLinearKernel(l *nn.Linear, train *mat.Tensor, cfg KernelConfig, rng *ran
 				if c == 0 {
 					dot += l.Bias.W.Data[o] // bias folded per Eq. 10
 				}
-				k.table[(c*K+ki)*l.Out+o] = dot
+				table[(c*K+ki)*l.Out+o] = dot
 			}
 		}
 	}
-	if cfg.DataBits == 8 || cfg.DataBits == 16 {
-		// Quantize at build time, before downstream kernels fit their
-		// prototypes: later layers train on the activations this table
-		// actually produces (quantization-aware tabularization), and the
-		// fine-tuning pass has already run on the source nn.Linear.
-		k.quant = quantizeTable(k.table, C*K, l.Out, cfg.DataBits)
-		k.table = nil
-	}
+	// A quantized table is stored at build time, before downstream kernels
+	// fit their prototypes: later layers train on the activations this table
+	// actually produces (quantization-aware tabularization), and the
+	// fine-tuning pass has already run on the source nn.Linear.
+	k.tab = newRowTable(table, C*K, l.Out, cfg.DataBits)
 	return k
 }
 
 // Query maps a T x In activation to T x Out via encode + lookup + aggregate.
-// The T row encodings go through pq.EncodeBatch, the batched kernel shared
-// with every other table lookup (it stays on the calling goroutine for the
-// small T used here and fans out for large batches).
+// Rows are encoded one at a time into a stack buffer, subspace 0 writes its
+// table row straight into the output row, and the remaining subspaces add
+// theirs on top — a quantized row's scale is applied exactly once.
 func (k *LinearKernel) Query(x *mat.Matrix) *mat.Matrix {
 	if x.Cols != k.In {
 		panic(fmt.Sprintf("tabular: linear kernel query dim %d != %d", x.Cols, k.In))
 	}
-	if k.quant != nil {
-		return k.queryQuant(x)
-	}
-	C, K := k.enc.C(), k.enc.K()
-	out := mat.New(x.Rows, k.Out)
-	encoded := pq.EncodeBatch(k.enc, x)
-	for t := 0; t < x.Rows; t++ {
-		idx := encoded[t]
-		orow := out.Row(t)
-		base := idx[0] * k.Out // subspace 0: (0*K + ki)*Out
-		copy(orow, k.table[base:base+k.Out])
-		for c := 1; c < C; c++ {
-			base = (c*K + idx[c]) * k.Out
-			for o, v := range k.table[base : base+k.Out] {
-				orow[o] += v
-			}
-		}
-	}
-	return out
-}
-
-// queryQuant is the quantized fast path: rows are encoded one at a time into
-// a stack buffer (no batch-encode scratch allocations), subspace 0
-// reconstructs straight into the output row, and the remaining subspaces
-// accumulate on top — each table row's scale is applied exactly once.
-func (k *LinearKernel) queryQuant(x *mat.Matrix) *mat.Matrix {
 	C, K := k.enc.C(), k.enc.K()
 	out := mat.New(x.Rows, k.Out)
 	var ibuf [maxStackSubspaces]int
@@ -121,16 +89,16 @@ func (k *LinearKernel) queryQuant(x *mat.Matrix) *mat.Matrix {
 	for t := 0; t < x.Rows; t++ {
 		k.enc.EncodeRow(x.Row(t), idx)
 		orow := out.Row(t)
-		k.quant.dequantRow(idx[0], orow)
+		k.tab.copyRow(idx[0], orow)
 		for c := 1; c < C; c++ {
-			k.quant.accumRow(c*K+idx[c], orow)
+			k.tab.addRow(c*K+idx[c], orow)
 		}
 	}
 	return out
 }
 
-// maxStackSubspaces bounds the encoded-index buffer the quantized query path
-// keeps on the stack; serving configs use C of 1-4.
+// maxStackSubspaces bounds the encoded-index buffer the query path keeps on
+// the stack; serving configs use C of 1-4.
 const maxStackSubspaces = 16
 
 // Cost reports Eqs. 16, 18, 20 for this kernel. The storage term prices the
@@ -140,26 +108,16 @@ const maxStackSubspaces = 16
 // used.
 func (k *LinearKernel) Cost() Cost {
 	K, C := k.cfg.K, k.enc.C()
-	d, overhead := 64, 0
-	if k.quant != nil {
-		d = k.quant.bits
-		overhead = k.quant.overheadBits()
-	}
 	return Cost{
 		LatencyCycles: LinearLatency(K, C),
-		StorageBits:   LinearStorageBits(k.seqT, k.Out, K, C, d) + overhead,
+		StorageBits:   LinearStorageBits(k.seqT, k.Out, K, C, k.tab.bits) + k.tab.overheadBits(),
 		Ops:           LinearOps(k.seqT, k.Out, K, C),
 	}
 }
 
 // TableBytes is the measured footprint of the stored table (payload plus any
 // quantization metadata).
-func (k *LinearKernel) TableBytes() int {
-	if k.quant != nil {
-		return k.quant.storedBytes()
-	}
-	return len(k.table) * 8
-}
+func (k *LinearKernel) TableBytes() int { return k.tab.storedBytes() }
 
 // Name identifies the layer.
 func (k *LinearKernel) Name() string { return fmt.Sprintf("linear-kernel(%d->%d)", k.In, k.Out) }

@@ -156,55 +156,35 @@ func (MeanPoolTab) Name() string { return "meanpool" }
 
 // PosEmbedTab adds the trained positional embedding, a constant per-position
 // vector addition with no multiplications. The embedding is a stored table
-// of the deployment artifact, so it quantizes with the kernel tables: at 8
-// or 16 bits each position row carries its own affine pair and the add goes
-// through the same accumulate kernels as the lookup tables.
+// of the deployment artifact, so it is stored at the kernel tables' width:
+// one row per position, and at 8 or 16 bits each row carries its own affine
+// pair and the add goes through the same accumulate kernels as the lookups.
 type PosEmbedTab struct {
-	T, D  int
-	Emb   []float64   // [T*D], row-major; nil when quant is set
-	quant *quantTable // per-position quantized rows; nil for float64
+	T, D int
+	Emb  *rowTable // T rows of D entries
 }
 
 // NewPosEmbedTab copies a trained positional embedding, quantizing it when
 // bits is 8 or 16 (any other value keeps float64).
 func NewPosEmbedTab(p *nn.PositionalEmbedding, bits int) *PosEmbedTab {
-	t := &PosEmbedTab{
-		T: p.T, D: p.D,
-		Emb: append([]float64(nil), p.Emb.W.Data...),
-	}
-	if bits == 8 || bits == 16 {
-		t.quant = quantizeTable(t.Emb, t.T, t.D, bits)
-		t.Emb = nil
-	}
-	return t
+	emb := append([]float64(nil), p.Emb.W.Data...)
+	return &PosEmbedTab{T: p.T, D: p.D, Emb: newRowTable(emb, p.T, p.D, bits)}
 }
 
 // Query adds the embedding row-wise.
 func (p *PosEmbedTab) Query(x *mat.Matrix) *mat.Matrix {
 	out := x.Clone()
-	if p.quant != nil {
-		for t := 0; t < x.Rows && t < p.T; t++ {
-			p.quant.accumRow(t, out.Row(t))
-		}
-		return out
-	}
 	for t := 0; t < x.Rows && t < p.T; t++ {
-		row := out.Row(t)
-		for d := range row {
-			row[d] += p.Emb[t*p.D+d]
-		}
+		p.Emb.addRow(t, out.Row(t))
 	}
 	return out
 }
 
 // Cost is one parallel add plus the embedding table at the width it is
-// actually stored: the quantized payload with its per-row affine metadata,
-// or 64 bits per float64 entry.
+// actually stored: 64 bits per float64 entry, or the quantized payload with
+// its per-row affine metadata.
 func (p *PosEmbedTab) Cost() Cost {
-	if p.quant != nil {
-		return Cost{LatencyCycles: 1, StorageBits: p.T*p.D*p.quant.bits + p.quant.overheadBits()}
-	}
-	return Cost{LatencyCycles: 1, StorageBits: p.T * p.D * 64}
+	return Cost{LatencyCycles: 1, StorageBits: p.T*p.D*p.Emb.bits + p.Emb.overheadBits()}
 }
 
 // Name identifies the layer.

@@ -7,105 +7,113 @@ import (
 	"dart/internal/pq"
 )
 
-// quantTable stores a prototype-major lookup table as int8/int16 codes with a
-// per-row affine (scale, zero) pair. A "row" is the contiguous slice one
-// encoded prototype index selects — Out entries for a linear kernel, K
-// entries for the attention tables — so queries aggregate quantized rows in
-// integer form and apply each row's scale exactly once. Row reconstruction
-// goes through the mat quantized-row kernels, which are bit-identical between
-// their scalar and vector forms.
-type quantTable struct {
-	bits   int // 8 or 16
+// rowTable is a prototype-major lookup table of rows x rowLen entries stored
+// at one width. A "row" is the contiguous slice one encoded prototype index
+// selects — Out entries for a linear kernel, K entries for the attention
+// tables, D for a positional embedding — so every query reads whole rows or
+// single cells through the same methods whatever the width. At 64 bits the
+// entries are float64; at 8 or 16 bits they are integer codes with a per-row
+// affine (scale, zero) pair, and row reconstruction goes through the mat
+// quantized-row kernels, which are bit-identical between their scalar and
+// vector forms and apply each row's scale exactly once.
+type rowTable struct {
+	bits   int // 64, 16 or 8
 	rowLen int
-	q8     []int8
-	q16    []int16
-	scale  []float64 // per row
-	zero   []int32   // per row
+	f64    []float64 // bits == 64
+	q8     []int8    // bits == 8
+	q16    []int16   // bits == 16
+	scale  []float64 // per row; nil at 64 bits
+	zero   []int32   // per row; nil at 64 bits
 }
 
-// quantizeTable converts a float64 table of rows x rowLen entries to the
-// given stored width, fitting one affine pair per row.
-func quantizeTable(src []float64, rows, rowLen, bits int) *quantTable {
-	if bits != 8 && bits != 16 {
-		panic(fmt.Sprintf("tabular: unsupported quantized width %d bits (want 8 or 16)", bits))
-	}
+// newRowTable stores a float64 table of rows x rowLen entries at the given
+// width: 8 or 16 quantize with one affine pair fitted per row, and any other
+// value keeps src as float64, as KernelConfig.DataBits selects.
+func newRowTable(src []float64, rows, rowLen, bits int) *rowTable {
 	if len(src) != rows*rowLen {
-		panic(fmt.Sprintf("tabular: quantizeTable %d entries != %d rows x %d", len(src), rows, rowLen))
+		panic(fmt.Sprintf("tabular: row table %d entries != %d rows x %d", len(src), rows, rowLen))
 	}
-	qt := &quantTable{
+	if bits != 8 && bits != 16 {
+		return &rowTable{bits: 64, rowLen: rowLen, f64: src}
+	}
+	t := &rowTable{
 		bits:   bits,
 		rowLen: rowLen,
 		scale:  make([]float64, rows),
 		zero:   make([]int32, rows),
 	}
 	if bits == 8 {
-		qt.q8 = make([]int8, len(src))
+		t.q8 = make([]int8, len(src))
 	} else {
-		qt.q16 = make([]int16, len(src))
+		t.q16 = make([]int16, len(src))
 	}
 	for r := 0; r < rows; r++ {
 		row := src[r*rowLen : (r+1)*rowLen]
 		rq := pq.FitRowQuant(row, bits)
-		qt.scale[r], qt.zero[r] = rq.Scale, rq.Zero
+		t.scale[r], t.zero[r] = rq.Scale, rq.Zero
 		for j, v := range row {
 			code := rq.Quantize(v, bits)
 			if bits == 8 {
-				qt.q8[r*rowLen+j] = int8(code)
+				t.q8[r*rowLen+j] = int8(code)
 			} else {
-				qt.q16[r*rowLen+j] = int16(code)
+				t.q16[r*rowLen+j] = int16(code)
 			}
 		}
 	}
-	return qt
+	return t
 }
 
-func (qt *quantTable) rows() int { return len(qt.scale) }
-
-// dequantRow reconstructs row r into dst (len(dst) == rowLen).
-func (qt *quantTable) dequantRow(r int, dst []float64) {
-	base := r * qt.rowLen
-	if qt.bits == 8 {
-		mat.DequantRowInt8(dst, qt.q8[base:base+qt.rowLen], qt.zero[r], qt.scale[r])
-	} else {
-		mat.DequantRowInt16(dst, qt.q16[base:base+qt.rowLen], qt.zero[r], qt.scale[r])
+// copyRow writes row r into dst (len(dst) == rowLen).
+func (t *rowTable) copyRow(r int, dst []float64) {
+	lo, hi := r*t.rowLen, (r+1)*t.rowLen
+	switch t.bits {
+	case 8:
+		mat.DequantRowInt8(dst, t.q8[lo:hi], t.zero[r], t.scale[r])
+	case 16:
+		mat.DequantRowInt16(dst, t.q16[lo:hi], t.zero[r], t.scale[r])
+	default:
+		copy(dst, t.f64[lo:hi])
 	}
 }
 
-// accumRow adds row r into dst.
-func (qt *quantTable) accumRow(r int, dst []float64) {
-	base := r * qt.rowLen
-	if qt.bits == 8 {
-		mat.AccumRowInt8(dst, qt.q8[base:base+qt.rowLen], qt.zero[r], qt.scale[r])
-	} else {
-		mat.AccumRowInt16(dst, qt.q16[base:base+qt.rowLen], qt.zero[r], qt.scale[r])
+// addRow adds row r into dst.
+func (t *rowTable) addRow(r int, dst []float64) {
+	lo, hi := r*t.rowLen, (r+1)*t.rowLen
+	switch t.bits {
+	case 8:
+		mat.AccumRowInt8(dst, t.q8[lo:hi], t.zero[r], t.scale[r])
+	case 16:
+		mat.AccumRowInt16(dst, t.q16[lo:hi], t.zero[r], t.scale[r])
+	default:
+		for j, v := range t.f64[lo:hi] {
+			dst[j] += v
+		}
 	}
 }
 
-// at reconstructs the single entry (r, j) — the attention score path reads
+// at reads the single entry (r, j) — the attention score path reads
 // individual pairwise-product cells rather than whole rows.
-func (qt *quantTable) at(r, j int) float64 {
-	var code int32
-	if qt.bits == 8 {
-		code = int32(qt.q8[r*qt.rowLen+j])
-	} else {
-		code = int32(qt.q16[r*qt.rowLen+j])
+func (t *rowTable) at(r, j int) float64 {
+	i := r*t.rowLen + j
+	switch t.bits {
+	case 8:
+		return float64(int32(t.q8[i])-t.zero[r]) * t.scale[r]
+	case 16:
+		return float64(int32(t.q16[i])-t.zero[r]) * t.scale[r]
 	}
-	return float64(code-qt.zero[r]) * qt.scale[r]
+	return t.f64[i]
 }
 
-// storedBytes is the measured footprint: the integer payload plus the affine
-// metadata (float64 scale and int32 zero per row).
-func (qt *quantTable) storedBytes() int {
-	meta := len(qt.scale)*8 + len(qt.zero)*4
-	if qt.bits == 8 {
-		return len(qt.q8) + meta
-	}
-	return len(qt.q16)*2 + meta
+// storedBytes is the measured footprint: the entries at their stored width
+// plus any affine metadata (float64 scale and int32 zero per row).
+func (t *rowTable) storedBytes() int {
+	return len(t.f64)*8 + len(t.q16)*2 + len(t.q8) + len(t.scale)*8 + len(t.zero)*4
 }
 
 // overheadBits is the modelled cost of the affine metadata, added on top of
-// the paper's storage equations (which only count the d-bit entries).
-func (qt *quantTable) overheadBits() int { return len(qt.scale) * (64 + 32) }
+// the paper's storage equations (which only count the d-bit entries); 0 at
+// 64 bits.
+func (t *rowTable) overheadBits() int { return len(t.scale) * (64 + 32) }
 
 // MeasuredStorageBytes reports the bytes a layer's stored tables and
 // parameters actually occupy: lookup-table payloads, quantization metadata,
@@ -128,10 +136,7 @@ func MeasuredStorageBytes(l Layer) int {
 	case *SigmoidLUT:
 		return len(v.Entries) * 8
 	case *PosEmbedTab:
-		if v.quant != nil {
-			return v.quant.storedBytes()
-		}
-		return len(v.Emb) * 8
+		return v.Emb.storedBytes()
 	case *ResidualTab:
 		var b int
 		for _, inner := range v.Inner {
@@ -168,17 +173,11 @@ func (h *Hierarchy) DataBits() int {
 func layerDataBits(l Layer) int {
 	switch v := l.(type) {
 	case *LinearKernel:
-		if v.quant != nil {
-			return v.quant.bits
-		}
-		return 64
+		return v.tab.bits
 	case *MSAKernel:
 		return layerDataBits(v.WQ)
 	case *PosEmbedTab:
-		if v.quant != nil {
-			return v.quant.bits
-		}
-		return 64
+		return v.Emb.bits
 	case *ResidualTab:
 		for _, inner := range v.Inner {
 			if d := layerDataBits(inner); d != 0 {

@@ -342,20 +342,26 @@ func mutateEncoderDims(t *testing.T, enc any, field string, val int64) any {
 
 // TestCheckpointRejectsCorruptQuantAndEncoderState: the DARTTAB1 corruption
 // matrix for the new payloads. Quantized tables with inconsistent geometry,
-// undefined widths, or contradictory float/quant presence — and encoder
-// states with zero, negative, or indivisible dimensions — must all fail
-// LoadCheckpoint with an error, never panic or half-decode.
+// undefined widths, or contradictory float/quant presence, tables of either
+// width whose geometry disagrees with their kernel, msa blocks with a
+// missing or non-linear projection — and encoder states with zero,
+// negative, or indivisible dimensions — must all fail LoadCheckpoint with an
+// error, never panic or half-decode.
 func TestCheckpointRejectsCorruptQuantAndEncoderState(t *testing.T) {
 	h, _ := quantHierarchy(t, 8)
 	states, err := marshalLayers(h.Layers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Locate a linear kernel state and an MSA state to corrupt.
-	linIdx, msaIdx := -1, -1
+	// Locate a linear kernel, an MSA and a positional embedding state to
+	// corrupt.
+	linIdx, msaIdx, posIdx := -1, -1, -1
 	for i, st := range states {
 		if st.Kind == "linear" && linIdx < 0 {
 			linIdx = i
+		}
+		if st.Kind == "posembed" {
+			posIdx = i
 		}
 		if st.Kind == "residual" && msaIdx < 0 {
 			for _, inner := range st.Inner {
@@ -365,9 +371,20 @@ func TestCheckpointRejectsCorruptQuantAndEncoderState(t *testing.T) {
 			}
 		}
 	}
-	if linIdx < 0 || msaIdx < 0 {
-		t.Fatalf("fixture lacks linear (%d) or msa (%d) states", linIdx, msaIdx)
+	if linIdx < 0 || msaIdx < 0 || posIdx < 0 {
+		t.Fatalf("fixture lacks linear (%d), msa (%d) or posembed (%d) states", linIdx, msaIdx, posIdx)
 	}
+	msa := func(st []layerState) *layerState {
+		for i := range st[msaIdx].Inner {
+			if st[msaIdx].Inner[i].Kind == "msa" {
+				return &st[msaIdx].Inner[i]
+			}
+		}
+		return nil
+	}
+	// floats stands a float64 table one entry shorter than q's payload in
+	// for q, the shape of a float checkpoint truncated in storage.
+	floats := func(q *quantState) []float64 { return make([]float64, len(q.Q8)-1) }
 
 	// deepCopy reserializes the state list so each case mutates its own copy
 	// (layerState shares slices with the live hierarchy).
@@ -411,7 +428,32 @@ func TestCheckpointRejectsCorruptQuantAndEncoderState(t *testing.T) {
 					st[msaIdx].Inner[i].Heads[0].QKVQuant = nil
 				}
 			}
-		}, "only one"},
+		}, "exactly one"},
+		{"truncated float linear table", func(st []layerState) {
+			st[linIdx].Table, st[linIdx].Quant = floats(st[linIdx].Quant), nil
+		}, "float table"},
+		{"truncated float QK table", func(st []layerState) {
+			h := &msa(st).Heads[0]
+			h.QKTable, h.QKQuant = floats(h.QKQuant), nil
+			h.QKVTable, h.QKVQuant = make([]float64, len(h.QKVQuant.Q8)), nil
+		}, "attention QK float table"},
+		{"truncated posembed Emb", func(st []layerState) {
+			st[posIdx].Emb, st[posIdx].Quant = floats(st[posIdx].Quant), nil
+		}, "posembed float table"},
+		{"quantized table with wrong row length", func(st []layerState) {
+			// Self-consistent (twice the rows at half the length) but not
+			// the kernel's Out-wide rows.
+			q := st[linIdx].Quant
+			q.RowLen /= 2
+			q.Scale = append(append([]float64(nil), q.Scale...), q.Scale...)
+			q.Zero = append(append([]int32(nil), q.Zero...), q.Zero...)
+		}, "invalid"},
+		{"msa with nil WQ", func(st []layerState) {
+			msa(st).WQ = nil
+		}, "no WQ projection"},
+		{"msa WQ is a layernorm state", func(st []layerState) {
+			msa(st).WQ = &layerState{Kind: "layernorm", Dim: 8, Gamma: make([]float64, 8), Beta: make([]float64, 8)}
+		}, "want linear"},
 		{"encoder zero K", func(st []layerState) {
 			st[linIdx].Enc = mutateEncoderDims(t, st[linIdx].Enc, "K", 0)
 		}, "pq:"},

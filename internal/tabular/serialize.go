@@ -61,8 +61,8 @@ type attnState struct {
 	QKVQuant *quantState
 }
 
-// quantState is the serialized form of a quantTable: the integer payload at
-// its stored width plus the per-row affine metadata.
+// quantState is the serialized form of a quantized rowTable: the integer
+// payload at its stored width plus the per-row affine metadata.
 type quantState struct {
 	Bits   int
 	RowLen int
@@ -72,44 +72,53 @@ type quantState struct {
 	Zero   []int32
 }
 
-func marshalQuant(qt *quantTable) *quantState {
-	if qt == nil {
-		return nil
+// marshalTable splits a row table into its two serialized forms: the float64
+// entries of a 64-bit table, or the payload of a quantized one.
+func marshalTable(t *rowTable) ([]float64, *quantState) {
+	if t.bits == 64 {
+		return t.f64, nil
 	}
-	return &quantState{
-		Bits: qt.bits, RowLen: qt.rowLen,
-		Q8: qt.q8, Q16: qt.q16, Scale: qt.scale, Zero: qt.zero,
+	return nil, &quantState{
+		Bits: t.bits, RowLen: t.rowLen,
+		Q8: t.q8, Q16: t.q16, Scale: t.scale, Zero: t.zero,
 	}
 }
 
-// unmarshalQuant validates internal consistency before reconstructing: a
-// payload whose length disagrees with its row geometry, mismatched metadata
-// lengths, or an undefined width would otherwise surface as an index panic
-// on the first query.
-func unmarshalQuant(st *quantState) (*quantTable, error) {
+// unmarshalTable rebuilds a row table from its two serialized forms. Exactly
+// one must be present, at the kernel's own geometry of rows x rowLen and at a
+// defined width: a table that disagrees with its kernel would otherwise load
+// clean and panic on the first query.
+func unmarshalTable(what string, floats []float64, st *quantState, rows, rowLen int) (*rowTable, error) {
+	if (floats == nil) == (st == nil) {
+		return nil, fmt.Errorf("tabular: %s state needs exactly one of float table (%d entries) and quantized table", what, len(floats))
+	}
+	if rows <= 0 || rowLen <= 0 {
+		return nil, fmt.Errorf("tabular: %s table geometry %d rows x %d invalid", what, rows, rowLen)
+	}
+	want := rows * rowLen
 	if st == nil {
-		return nil, nil
-	}
-	rows := len(st.Scale)
-	if rows == 0 || st.RowLen <= 0 || len(st.Zero) != rows {
-		return nil, fmt.Errorf("tabular: quantized table rows=%d rowLen=%d zeros=%d invalid",
-			rows, st.RowLen, len(st.Zero))
-	}
-	want := rows * st.RowLen
-	switch st.Bits {
-	case 8:
-		if len(st.Q8) != want || len(st.Q16) != 0 {
-			return nil, fmt.Errorf("tabular: int8 quantized payload %d entries, want %d", len(st.Q8), want)
+		if len(floats) != want {
+			return nil, fmt.Errorf("tabular: %s float table %d entries, want %d rows x %d", what, len(floats), rows, rowLen)
 		}
-	case 16:
-		if len(st.Q16) != want || len(st.Q8) != 0 {
-			return nil, fmt.Errorf("tabular: int16 quantized payload %d entries, want %d", len(st.Q16), want)
-		}
-	default:
-		return nil, fmt.Errorf("tabular: quantized table width %d bits unsupported", st.Bits)
+		return &rowTable{bits: 64, rowLen: rowLen, f64: floats}, nil
 	}
-	return &quantTable{
-		bits: st.Bits, rowLen: st.RowLen,
+	if st.RowLen != rowLen || len(st.Scale) != rows || len(st.Zero) != rows {
+		return nil, fmt.Errorf("tabular: %s quantized table rows=%d rowLen=%d zeros=%d invalid, want %d rows x %d",
+			what, len(st.Scale), st.RowLen, len(st.Zero), rows, rowLen)
+	}
+	if st.Bits != 8 && st.Bits != 16 {
+		return nil, fmt.Errorf("tabular: %s quantized table width %d bits unsupported", what, st.Bits)
+	}
+	payload, stray := len(st.Q8), len(st.Q16)
+	if st.Bits == 16 {
+		payload, stray = stray, payload
+	}
+	if payload != want || stray != 0 {
+		return nil, fmt.Errorf("tabular: %s int%d quantized payload %d entries (+%d at the other width), want %d",
+			what, st.Bits, payload, stray, want)
+	}
+	return &rowTable{
+		bits: st.Bits, rowLen: rowLen,
 		q8: st.Q8, q16: st.Q16, scale: st.Scale, zero: st.Zero,
 	}, nil
 }
@@ -153,6 +162,19 @@ func marshalLayers(layers []Layer) ([]layerState, error) {
 	return out, nil
 }
 
+// marshalEncoders marshals each encoder in order.
+func marshalEncoders(encs ...pq.Encoder) ([]any, error) {
+	out := make([]any, len(encs))
+	for i, e := range encs {
+		st, err := pq.MarshalEncoder(e)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = st
+	}
+	return out, nil
+}
+
 func marshalLayer(l Layer) (layerState, error) {
 	switch v := l.(type) {
 	case *LinearKernel:
@@ -160,53 +182,34 @@ func marshalLayer(l Layer) (layerState, error) {
 		if err != nil {
 			return layerState{}, err
 		}
-		return layerState{
-			Kind: "linear", In: v.In, Out: v.Out, SeqT: v.seqT,
-			Cfg: v.cfg, Enc: enc, Table: v.table, Quant: marshalQuant(v.quant),
-		}, nil
+		st := layerState{Kind: "linear", In: v.In, Out: v.Out, SeqT: v.seqT, Cfg: v.cfg, Enc: enc}
+		st.Table, st.Quant = marshalTable(v.tab)
+		return st, nil
 	case *MSAKernel:
-		wq, err := marshalLayer(v.WQ)
-		if err != nil {
-			return layerState{}, err
+		st := layerState{Kind: "msa", D: v.D, H: v.H, Dh: v.Dh}
+		for _, p := range []struct {
+			dst **layerState
+			k   *LinearKernel
+		}{{&st.WQ, v.WQ}, {&st.WK, v.WK}, {&st.WV, v.WV}, {&st.WO, v.WO}} {
+			ps, err := marshalLayer(p.k)
+			if err != nil {
+				return layerState{}, err
+			}
+			*p.dst = &ps
 		}
-		wk, err := marshalLayer(v.WK)
-		if err != nil {
-			return layerState{}, err
-		}
-		wv, err := marshalLayer(v.WV)
-		if err != nil {
-			return layerState{}, err
-		}
-		wo, err := marshalLayer(v.WO)
-		if err != nil {
-			return layerState{}, err
-		}
-		st := layerState{Kind: "msa", D: v.D, H: v.H, Dh: v.Dh,
-			WQ: &wq, WK: &wk, WV: &wv, WO: &wo}
 		for _, h := range v.Heads {
-			encQ, err := pq.MarshalEncoder(h.encQ)
+			encs, err := marshalEncoders(h.encQ, h.encK, h.encS, h.encV)
 			if err != nil {
 				return layerState{}, err
 			}
-			encK, err := pq.MarshalEncoder(h.encK)
-			if err != nil {
-				return layerState{}, err
-			}
-			encS, err := pq.MarshalEncoder(h.encS)
-			if err != nil {
-				return layerState{}, err
-			}
-			encV, err := pq.MarshalEncoder(h.encV)
-			if err != nil {
-				return layerState{}, err
-			}
-			st.Heads = append(st.Heads, attnState{
+			hs := attnState{
 				T: h.T, Dk: h.Dk, Mode: h.mode, Cfg: h.cfg,
-				EncQ: encQ, EncK: encK, EncS: encS, EncV: encV,
-				QKTable: h.qkTable, QKVTable: h.qkvTable,
+				EncQ: encs[0], EncK: encs[1], EncS: encs[2], EncV: encs[3],
 				DenTable: h.denTable, ExpShift: h.expShift,
-				QKQuant: marshalQuant(h.qkQuant), QKVQuant: marshalQuant(h.qkvQuant),
-			})
+			}
+			hs.QKTable, hs.QKQuant = marshalTable(h.qk)
+			hs.QKVTable, hs.QKVQuant = marshalTable(h.qkv)
+			st.Heads = append(st.Heads, hs)
 		}
 		return st, nil
 	case *LayerNormTab:
@@ -218,7 +221,9 @@ func marshalLayer(l Layer) (layerState, error) {
 	case MeanPoolTab:
 		return layerState{Kind: "meanpool"}, nil
 	case *PosEmbedTab:
-		return layerState{Kind: "posembed", T: v.T, Dim: v.D, Emb: v.Emb, Quant: marshalQuant(v.quant)}, nil
+		st := layerState{Kind: "posembed", T: v.T, Dim: v.D}
+		st.Emb, st.Quant = marshalTable(v.Emb)
+		return st, nil
 	case *ResidualTab:
 		inner, err := marshalLayers(v.Inner)
 		if err != nil {
@@ -242,6 +247,71 @@ func unmarshalLayers(states []layerState) ([]Layer, error) {
 	return out, nil
 }
 
+// unmarshalEncoders decodes each encoder state in order.
+func unmarshalEncoders(states ...any) ([]pq.Encoder, error) {
+	out := make([]pq.Encoder, len(states))
+	for i, st := range states {
+		e, err := pq.UnmarshalEncoder(st)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = e
+	}
+	return out, nil
+}
+
+// encDim is the row width an encoder encodes.
+func encDim(e pq.Encoder) int { return e.C() * e.SubDim() }
+
+// unmarshalProjection decodes one of an msa block's linear projections.
+func unmarshalProjection(name string, st *layerState) (*LinearKernel, error) {
+	if st == nil {
+		return nil, fmt.Errorf("tabular: msa state has no %s projection", name)
+	}
+	l, err := unmarshalLayer(*st)
+	if err != nil {
+		return nil, err
+	}
+	k, ok := l.(*LinearKernel)
+	if !ok {
+		return nil, fmt.Errorf("tabular: msa %s projection is a %q layer, want linear", name, st.Kind)
+	}
+	return k, nil
+}
+
+// unmarshalHead decodes one attention head, checking that its four encoders
+// and its denominator table agree with the QK and QKV tables they index.
+func unmarshalHead(hs attnState) (*AttentionKernel, error) {
+	encs, err := unmarshalEncoders(hs.EncQ, hs.EncK, hs.EncS, hs.EncV)
+	if err != nil {
+		return nil, err
+	}
+	encQ, encK, encS, encV := encs[0], encs[1], encs[2], encs[3]
+	ck, kk, ct, ks := encQ.C(), encQ.K(), encS.C(), encS.K()
+	if encK.C() != ck || encK.K() != kk || encV.C() != ct || encV.K() != ks ||
+		encDim(encQ) != hs.Dk || encDim(encK) != hs.Dk || encDim(encS) != hs.T || encDim(encV) != hs.T ||
+		len(hs.DenTable) != ct*ks {
+		return nil, fmt.Errorf("tabular: attention head T=%d Dk=%d disagrees with its encoders or its %d-entry denominator table",
+			hs.T, hs.Dk, len(hs.DenTable))
+	}
+	qk, err := unmarshalTable("attention QK", hs.QKTable, hs.QKQuant, ck*kk, kk)
+	if err != nil {
+		return nil, err
+	}
+	qkv, err := unmarshalTable("attention QKV", hs.QKVTable, hs.QKVQuant, ct*ks, ks)
+	if err != nil {
+		return nil, err
+	}
+	if qk.bits != qkv.bits {
+		return nil, fmt.Errorf("tabular: attention head stores its QK table at %d bits and its QKV table at %d", qk.bits, qkv.bits)
+	}
+	return &AttentionKernel{
+		T: hs.T, Dk: hs.Dk, mode: hs.Mode, cfg: hs.Cfg,
+		encQ: encQ, encK: encK, encS: encS, encV: encV,
+		qk: qk, qkv: qkv, denTable: hs.DenTable, expShift: hs.ExpShift,
+	}, nil
+}
+
 func unmarshalLayer(st layerState) (Layer, error) {
 	switch st.Kind {
 	case "linear":
@@ -249,72 +319,35 @@ func unmarshalLayer(st layerState) (Layer, error) {
 		if err != nil {
 			return nil, err
 		}
-		quant, err := unmarshalQuant(st.Quant)
+		if encDim(enc) != st.In {
+			return nil, fmt.Errorf("tabular: linear kernel In=%d disagrees with its %d-dim encoder", st.In, encDim(enc))
+		}
+		tab, err := unmarshalTable("linear kernel", st.Table, st.Quant, enc.C()*enc.K(), st.Out)
 		if err != nil {
 			return nil, err
 		}
-		if (st.Table == nil) == (quant == nil) {
-			return nil, fmt.Errorf("tabular: linear kernel state needs exactly one of float table (%d entries) and quantized table", len(st.Table))
-		}
-		return &LinearKernel{
-			In: st.In, Out: st.Out, seqT: st.SeqT,
-			cfg: st.Cfg, enc: enc, table: st.Table, quant: quant,
-		}, nil
+		return &LinearKernel{In: st.In, Out: st.Out, seqT: st.SeqT, cfg: st.Cfg, enc: enc, tab: tab}, nil
 	case "msa":
-		wq, err := unmarshalLayer(*st.WQ)
-		if err != nil {
-			return nil, err
+		m := &MSAKernel{D: st.D, H: st.H, Dh: st.Dh}
+		var err error
+		for _, p := range []struct {
+			name string
+			src  *layerState
+			dst  **LinearKernel
+		}{{"WQ", st.WQ, &m.WQ}, {"WK", st.WK, &m.WK}, {"WV", st.WV, &m.WV}, {"WO", st.WO, &m.WO}} {
+			if *p.dst, err = unmarshalProjection(p.name, p.src); err != nil {
+				return nil, err
+			}
 		}
-		wk, err := unmarshalLayer(*st.WK)
-		if err != nil {
-			return nil, err
+		if len(st.Heads) != st.H {
+			return nil, fmt.Errorf("tabular: msa state has %d heads, want H=%d", len(st.Heads), st.H)
 		}
-		wv, err := unmarshalLayer(*st.WV)
-		if err != nil {
-			return nil, err
-		}
-		wo, err := unmarshalLayer(*st.WO)
-		if err != nil {
-			return nil, err
-		}
-		m := &MSAKernel{D: st.D, H: st.H, Dh: st.Dh,
-			WQ: wq.(*LinearKernel), WK: wk.(*LinearKernel),
-			WV: wv.(*LinearKernel), WO: wo.(*LinearKernel)}
 		for _, hs := range st.Heads {
-			encQ, err := pq.UnmarshalEncoder(hs.EncQ)
+			h, err := unmarshalHead(hs)
 			if err != nil {
 				return nil, err
 			}
-			encK, err := pq.UnmarshalEncoder(hs.EncK)
-			if err != nil {
-				return nil, err
-			}
-			encS, err := pq.UnmarshalEncoder(hs.EncS)
-			if err != nil {
-				return nil, err
-			}
-			encV, err := pq.UnmarshalEncoder(hs.EncV)
-			if err != nil {
-				return nil, err
-			}
-			qkQuant, err := unmarshalQuant(hs.QKQuant)
-			if err != nil {
-				return nil, err
-			}
-			qkvQuant, err := unmarshalQuant(hs.QKVQuant)
-			if err != nil {
-				return nil, err
-			}
-			if (qkQuant == nil) != (qkvQuant == nil) {
-				return nil, fmt.Errorf("tabular: attention head quantizes only one of its QK/QKV tables")
-			}
-			m.Heads = append(m.Heads, &AttentionKernel{
-				T: hs.T, Dk: hs.Dk, mode: hs.Mode, cfg: hs.Cfg,
-				encQ: encQ, encK: encK, encS: encS, encV: encV,
-				qkTable: hs.QKTable, qkvTable: hs.QKVTable,
-				denTable: hs.DenTable, expShift: hs.ExpShift,
-				qkQuant: qkQuant, qkvQuant: qkvQuant,
-			})
+			m.Heads = append(m.Heads, h)
 		}
 		return m, nil
 	case "layernorm":
@@ -326,14 +359,11 @@ func unmarshalLayer(st layerState) (Layer, error) {
 	case "meanpool":
 		return MeanPoolTab{}, nil
 	case "posembed":
-		quant, err := unmarshalQuant(st.Quant)
+		emb, err := unmarshalTable("posembed", st.Emb, st.Quant, st.T, st.Dim)
 		if err != nil {
 			return nil, err
 		}
-		if (st.Emb == nil) == (quant == nil) {
-			return nil, fmt.Errorf("tabular: posembed state needs exactly one of float embedding (%d entries) and quantized table", len(st.Emb))
-		}
-		return &PosEmbedTab{T: st.T, D: st.Dim, Emb: st.Emb, quant: quant}, nil
+		return &PosEmbedTab{T: st.T, D: st.Dim, Emb: emb}, nil
 	case "residual":
 		inner, err := unmarshalLayers(st.Inner)
 		if err != nil {

@@ -86,6 +86,9 @@ func (w *walker) walk(layers []nn.Layer, approx, exact *mat.Tensor) (*mat.Tensor
 }
 
 func (w *walker) layer(l nn.Layer, approx, exact *mat.Tensor) (*mat.Tensor, *mat.Tensor) {
+	// The native-form layers differ only in their constructor; the lookup
+	// kernels and containers walk their own way.
+	var t Layer
 	switch v := l.(type) {
 	case *nn.Linear:
 		exactOut := v.Forward(exact)
@@ -93,54 +96,29 @@ func (w *walker) layer(l nn.Layer, approx, exact *mat.Tensor) (*mat.Tensor, *mat
 		approxOut := apply(k, approx)
 		w.record(k, approxOut, exactOut)
 		return approxOut, exactOut
-
 	case *nn.MultiHeadSelfAttention:
 		return w.msa(v, approx, exact)
-
-	case *nn.LayerNorm:
-		t := NewLayerNormTab(v)
-		approxOut := apply(t, approx)
-		exactOut := v.Forward(exact)
-		w.record(t, approxOut, exactOut)
-		return approxOut, exactOut
-
-	case *nn.ReLU:
-		t := ReLUTab{}
-		approxOut := apply(t, approx)
-		exactOut := v.Forward(exact)
-		w.record(t, approxOut, exactOut)
-		return approxOut, exactOut
-
-	case *nn.Sigmoid:
-		t := NewSigmoidLUT()
-		approxOut := apply(t, approx)
-		exactOut := v.Forward(exact)
-		w.record(t, approxOut, exactOut)
-		return approxOut, exactOut
-
-	case *nn.MeanPool:
-		t := MeanPoolTab{}
-		approxOut := apply(t, approx)
-		exactOut := v.Forward(exact)
-		w.record(t, approxOut, exactOut)
-		return approxOut, exactOut
-
-	case *nn.PositionalEmbedding:
-		t := NewPosEmbedTab(v, w.cfg.Kernel.DataBits)
-		approxOut := apply(t, approx)
-		exactOut := v.Forward(exact)
-		w.record(t, approxOut, exactOut)
-		return approxOut, exactOut
-
 	case *nn.Residual:
 		return w.residual(v, approx, exact)
-
 	case *nn.Sequential:
 		return w.walk(v.Layers, approx, exact)
-
+	case *nn.LayerNorm:
+		t = NewLayerNormTab(v)
+	case *nn.ReLU:
+		t = ReLUTab{}
+	case *nn.Sigmoid:
+		t = NewSigmoidLUT()
+	case *nn.MeanPool:
+		t = MeanPoolTab{}
+	case *nn.PositionalEmbedding:
+		t = NewPosEmbedTab(v, w.cfg.Kernel.DataBits)
 	default:
 		panic(fmt.Sprintf("tabular: no kernel for layer type %T", l))
 	}
+	approxOut := apply(t, approx)
+	exactOut := l.Forward(exact)
+	w.record(t, approxOut, exactOut)
+	return approxOut, exactOut
 }
 
 // residual tabularizes the inner block and re-adds the skip connection on
@@ -175,8 +153,8 @@ func (w *walker) residual(r *nn.Residual, approx, exact *mat.Tensor) (*mat.Tenso
 	return approxOut, exactOut
 }
 
-// linearKernel optionally fine-tunes the layer against the exact outputs and
-// builds its table.
+// linearKernel optionally fine-tunes the layer to map approxIn onto the exact
+// outputs and builds its table from approxIn.
 func (w *walker) linearKernel(l *nn.Linear, approxIn, exactOut *mat.Tensor) *LinearKernel {
 	layer := l
 	if w.cfg.FineTune && w.kernels > 0 {
@@ -224,23 +202,12 @@ func (w *walker) msa(m *nn.MultiHeadSelfAttention, approx, exact *mat.Tensor) (*
 
 	// Exact MSA output as the fine-tuning target for the output projection.
 	exactOut := m.Forward(exact)
-	ko := w.linearKernelWithInput(m.WO, approxConcat, exactOut)
+	ko := w.linearKernel(m.WO, approxConcat, exactOut)
 	msak.WO = ko
 	approxOut := apply(ko, approxConcat)
 
 	w.record(msak, approxOut, exactOut)
 	return approxOut, exactOut
-}
-
-// linearKernelWithInput is linearKernel with an explicit training input
-// (the concatenated head outputs for WO).
-func (w *walker) linearKernelWithInput(l *nn.Linear, in, target *mat.Tensor) *LinearKernel {
-	layer := l
-	if w.cfg.FineTune && w.kernels > 0 {
-		layer = fineTuneLinear(l, in, target, w.cfg.FineTuneEpochs, w.cfg.FineTuneLR, w.rng)
-	}
-	w.kernels++
-	return NewLinearKernel(layer, in, w.cfg.Kernel, w.rng)
 }
 
 // sliceDims extracts feature columns [lo, hi) from every position of x.
