@@ -76,8 +76,9 @@ docs-lint:
 	$(GO) run ./cmd/dart-doccheck -root .
 
 ## fuzz: timed coverage-guided fuzzing of the CSV trace reader, the
-## -matrix-spec parser, the DARTWIRE1 request decoder and the DARTTAB1 table
-## checkpoint decoder, FUZZTIME each (the
+## -matrix-spec parser, the DARTWIRE1 request decoder, the DARTTAB1 table
+## checkpoint decoder and the DARTCKP1 model checkpoint decoder, FUZZTIME
+## each (the
 ## per-PR tier replays the committed corpora as ordinary tests; nightly runs
 ## 5m each)
 fuzz:
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseMatrixSpec -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzTableCheckpoint -fuzztime $(FUZZTIME) ./internal/tabular
+	$(GO) test -run '^$$' -fuzz FuzzModelCheckpoint -fuzztime $(FUZZTIME) ./internal/nn
 
 ## cover-update: ratchet the committed baseline up to the measured value
 cover-update:

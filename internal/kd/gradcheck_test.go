@@ -53,7 +53,7 @@ func TestLossGradientAtLambdaBoundaries(t *testing.T) {
 }
 
 // TestLossGradientThroughStudentNetwork extends the nn gradcheck harness to
-// kd.Loss: the gradient kd.Loss feeds into Layer.Backward must produce
+// kd.Loss: the gradient kd.Loss feeds into a Train Backprop must produce
 // parameter gradients matching finite differences of the end-to-end
 // distillation objective, for interior λ and both boundaries.
 func TestLossGradientThroughStudentNetwork(t *testing.T) {
@@ -78,8 +78,9 @@ func TestLossGradientThroughStudentNetwork(t *testing.T) {
 		for _, p := range student.Params() {
 			p.ZeroGrad()
 		}
-		_, grad := Loss(student.Forward(x), tl, y, tc.lambda, tc.temp)
-		student.Backward(grad)
+		logits, back := student.Train(x)
+		_, grad := Loss(logits, tl, y, tc.lambda, tc.temp)
+		back(grad)
 
 		const h = 1e-5
 		for _, p := range student.Params() {

@@ -150,9 +150,9 @@ func (d *Distiller) epoch(x, y *mat.Tensor, opt nn.Optimizer) float64 {
 		bx := x.Gather(bi)
 		by := y.Gather(bi)
 		teacherLogits := d.Teacher.Forward(bx)
-		studentLogits := d.Student.Forward(bx)
+		studentLogits, back := d.Student.Train(bx)
 		loss, grad := Loss(studentLogits, teacherLogits, by, d.Cfg.Lambda, d.Cfg.Temperature)
-		d.Student.Backward(grad)
+		back(grad)
 		opt.Step(d.Student.Params())
 		total += loss
 		batches++

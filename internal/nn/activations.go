@@ -7,40 +7,38 @@ import (
 )
 
 // ReLU is the rectified-linear activation applied elementwise.
-type ReLU struct {
-	mask []bool
-}
+type ReLU struct{}
 
 // NewReLU returns a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward zeroes negative activations and caches the pass-through mask.
+// Forward zeroes negative activations.
 func (r *ReLU) Forward(x *mat.Tensor) *mat.Tensor {
-	out := x.Clone()
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
-	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
-		if v > 0 {
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-			out.Data[i] = 0
-		}
-	}
-	return out
+	y, _ := r.Train(x)
+	return y
 }
 
-// Backward gates the incoming gradient by the cached mask.
-func (r *ReLU) Backward(grad *mat.Tensor) *mat.Tensor {
-	out := grad.Clone()
-	for i := range out.Data {
-		if !r.mask[i] {
+// Train zeroes negative activations; its Backprop gates the incoming
+// gradient by the pass-through mask.
+func (r *ReLU) Train(x *mat.Tensor) (*mat.Tensor, Backprop) {
+	out := x.Clone()
+	mask := make([]bool, len(out.Data))
+	for i, v := range out.Data {
+		if v > 0 {
+			mask[i] = true
+		} else {
 			out.Data[i] = 0
 		}
 	}
-	return out
+	return out, func(grad *mat.Tensor) *mat.Tensor {
+		out := grad.Clone()
+		for i := range out.Data {
+			if !mask[i] {
+				out.Data[i] = 0
+			}
+		}
+		return out
+	}
 }
 
 // Params returns nil; ReLU is parameter-free.
@@ -53,30 +51,31 @@ func (r *ReLU) Name() string { return "relu" }
 func SigmoidFn(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // Sigmoid is the logistic activation applied elementwise.
-type Sigmoid struct {
-	y []float64
-}
+type Sigmoid struct{}
 
 // NewSigmoid returns a Sigmoid layer.
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
-// Forward applies the logistic function and caches the outputs.
+// Forward applies the logistic function.
 func (s *Sigmoid) Forward(x *mat.Tensor) *mat.Tensor {
+	y, _ := s.Train(x)
+	return y
+}
+
+// Train applies the logistic function; its Backprop uses
+// σ'(x) = σ(x)(1-σ(x)) on the outputs.
+func (s *Sigmoid) Train(x *mat.Tensor) (*mat.Tensor, Backprop) {
 	out := x.Clone()
 	for i, v := range out.Data {
 		out.Data[i] = SigmoidFn(v)
 	}
-	s.y = append(s.y[:0], out.Data...)
-	return out
-}
-
-// Backward uses σ'(x) = σ(x)(1-σ(x)).
-func (s *Sigmoid) Backward(grad *mat.Tensor) *mat.Tensor {
-	out := grad.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s.y[i] * (1 - s.y[i])
+	return out, func(grad *mat.Tensor) *mat.Tensor {
+		g := grad.Clone()
+		for i, y := range out.Data {
+			g.Data[i] *= y * (1 - y)
+		}
+		return g
 	}
-	return out
 }
 
 // Params returns nil; Sigmoid is parameter-free.
@@ -87,46 +86,47 @@ func (s *Sigmoid) Name() string { return "sigmoid" }
 
 // MeanPool averages over the sequence dimension, mapping [N, T, D] to
 // [N, 1, D]. It feeds the classification head that emits the delta bitmap.
-type MeanPool struct {
-	t int
-}
+type MeanPool struct{}
 
 // NewMeanPool returns a MeanPool layer.
 func NewMeanPool() *MeanPool { return &MeanPool{} }
 
 // Forward averages the T positions of every sample.
 func (p *MeanPool) Forward(x *mat.Tensor) *mat.Tensor {
-	p.t = x.T
+	y, _ := p.Train(x)
+	return y
+}
+
+// Train averages the T positions of every sample; its Backprop spreads the
+// gradient uniformly back over them.
+func (p *MeanPool) Train(x *mat.Tensor) (*mat.Tensor, Backprop) {
+	T := x.T
 	out := mat.NewTensor(x.N, 1, x.D)
-	inv := 1 / float64(x.T)
+	inv := 1 / float64(T)
 	for n := 0; n < x.N; n++ {
 		s := x.Sample(n)
 		orow := out.Sample(n).Row(0)
-		for t := 0; t < x.T; t++ {
+		for t := 0; t < T; t++ {
 			row := s.Row(t)
 			for d, v := range row {
 				orow[d] += v * inv
 			}
 		}
 	}
-	return out
-}
-
-// Backward spreads the gradient uniformly back over the T positions.
-func (p *MeanPool) Backward(grad *mat.Tensor) *mat.Tensor {
-	out := mat.NewTensor(grad.N, p.t, grad.D)
-	inv := 1 / float64(p.t)
-	for n := 0; n < grad.N; n++ {
-		grow := grad.Sample(n).Row(0)
-		s := out.Sample(n)
-		for t := 0; t < p.t; t++ {
-			row := s.Row(t)
-			for d, v := range grow {
-				row[d] = v * inv
+	return out, func(grad *mat.Tensor) *mat.Tensor {
+		dx := mat.NewTensor(grad.N, T, grad.D)
+		for n := 0; n < grad.N; n++ {
+			grow := grad.Sample(n).Row(0)
+			s := dx.Sample(n)
+			for t := 0; t < T; t++ {
+				row := s.Row(t)
+				for d, v := range grow {
+					row[d] = v * inv
+				}
 			}
 		}
+		return dx
 	}
-	return out
 }
 
 // Params returns nil; MeanPool is parameter-free.

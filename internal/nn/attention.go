@@ -19,10 +19,6 @@ import (
 type MultiHeadSelfAttention struct {
 	D, Heads, Dh   int
 	WQ, WK, WV, WO *Linear
-
-	// Forward caches.
-	q, k, v *mat.Tensor
-	attn    [][]*mat.Matrix // [sample][head] softmax matrix, T x T
 }
 
 // NewMultiHeadSelfAttention constructs an MSA block over dimension d with the
@@ -45,92 +41,99 @@ func headView(m *mat.Matrix, h, dh int) *mat.Matrix {
 	return m.SliceCols(h*dh, (h+1)*dh)
 }
 
+// headScores returns head h's attention matrix softmax(Q_h·K_hᵀ/√Dh), T x T,
+// for one sample's projected queries and keys.
+func (a *MultiHeadSelfAttention) headScores(qs, ks *mat.Matrix, h int) *mat.Matrix {
+	scores := mat.MulTransB(headView(qs, h, a.Dh), headView(ks, h, a.Dh)).Scale(1 / math.Sqrt(float64(a.Dh)))
+	scores.RowSoftmax()
+	return scores
+}
+
 // Forward computes multi-head scaled dot-product self-attention.
 func (a *MultiHeadSelfAttention) Forward(x *mat.Tensor) *mat.Tensor {
-	a.q = a.WQ.Forward(x)
-	a.k = a.WK.Forward(x)
-	a.v = a.WV.Forward(x)
+	y, _ := a.Train(x)
+	return y
+}
+
+// Train computes multi-head scaled dot-product self-attention; its Backprop
+// propagates through the output projection, the per-head attention cores
+// (including the softmax Jacobian), and the Q/K/V projections.
+func (a *MultiHeadSelfAttention) Train(x *mat.Tensor) (*mat.Tensor, Backprop) {
+	q, backQ := a.WQ.Train(x)
+	k, backK := a.WK.Train(x)
+	v, backV := a.WV.Train(x)
 	n, t := x.N, x.T
-	a.attn = make([][]*mat.Matrix, n)
+	attn := make([][]*mat.Matrix, n) // [sample][head] softmax matrix, T x T
 	concat := mat.NewTensor(n, t, a.D)
-	scale := 1 / math.Sqrt(float64(a.Dh))
 	for s := 0; s < n; s++ {
-		a.attn[s] = make([]*mat.Matrix, a.Heads)
-		qs, ks, vs := a.q.Sample(s), a.k.Sample(s), a.v.Sample(s)
+		attn[s] = make([]*mat.Matrix, a.Heads)
+		qs, ks, vs := q.Sample(s), k.Sample(s), v.Sample(s)
 		out := concat.Sample(s)
 		for h := 0; h < a.Heads; h++ {
-			qh := headView(qs, h, a.Dh)
-			kh := headView(ks, h, a.Dh)
-			vh := headView(vs, h, a.Dh)
-			scores := mat.MulTransB(qh, kh).Scale(scale)
-			scores.RowSoftmax()
-			a.attn[s][h] = scores
-			oh := mat.Mul(scores, vh) // T x Dh
+			scores := a.headScores(qs, ks, h)
+			attn[s][h] = scores
+			oh := mat.Mul(scores, headView(vs, h, a.Dh)) // T x Dh
 			for i := 0; i < t; i++ {
 				copy(out.Row(i)[h*a.Dh:(h+1)*a.Dh], oh.Row(i))
 			}
 		}
 	}
-	return a.WO.Forward(concat)
-}
-
-// Backward propagates through the output projection, the per-head attention
-// cores (including the softmax Jacobian), and the Q/K/V projections.
-func (a *MultiHeadSelfAttention) Backward(grad *mat.Tensor) *mat.Tensor {
-	dConcat := a.WO.Backward(grad)
-	n, t := dConcat.N, dConcat.T
-	dq := mat.NewTensor(n, t, a.D)
-	dk := mat.NewTensor(n, t, a.D)
-	dv := mat.NewTensor(n, t, a.D)
-	scale := 1 / math.Sqrt(float64(a.Dh))
-	for s := 0; s < n; s++ {
-		qs, ks, vs := a.q.Sample(s), a.k.Sample(s), a.v.Sample(s)
-		dqs, dks, dvs := dq.Sample(s), dk.Sample(s), dv.Sample(s)
-		gs := dConcat.Sample(s)
-		for h := 0; h < a.Heads; h++ {
-			qh := headView(qs, h, a.Dh)
-			kh := headView(ks, h, a.Dh)
-			vh := headView(vs, h, a.Dh)
-			attn := a.attn[s][h]
-			// Gradient of this head's output slice.
-			goh := gs.SliceCols(h*a.Dh, (h+1)*a.Dh) // T x Dh
-			// dV = Aᵀ · dO
-			dvh := mat.MulTransA(attn, goh)
-			// dA = dO · Vᵀ
-			dA := mat.MulTransB(goh, vh) // T x T
-			// Softmax backward per row: dS = A ⊙ (dA - Σⱼ dAⱼAⱼ)
-			dS := mat.New(t, t)
-			for i := 0; i < t; i++ {
-				arow := attn.Row(i)
-				darow := dA.Row(i)
-				var dot float64
-				for j, av := range arow {
-					dot += darow[j] * av
+	y, backO := a.WO.Train(concat)
+	return y, func(grad *mat.Tensor) *mat.Tensor {
+		dConcat := backO(grad)
+		dq := mat.NewTensor(n, t, a.D)
+		dk := mat.NewTensor(n, t, a.D)
+		dv := mat.NewTensor(n, t, a.D)
+		scale := 1 / math.Sqrt(float64(a.Dh))
+		for s := 0; s < n; s++ {
+			qs, ks, vs := q.Sample(s), k.Sample(s), v.Sample(s)
+			dqs, dks, dvs := dq.Sample(s), dk.Sample(s), dv.Sample(s)
+			gs := dConcat.Sample(s)
+			for h := 0; h < a.Heads; h++ {
+				qh := headView(qs, h, a.Dh)
+				kh := headView(ks, h, a.Dh)
+				vh := headView(vs, h, a.Dh)
+				attn := attn[s][h]
+				// Gradient of this head's output slice.
+				goh := gs.SliceCols(h*a.Dh, (h+1)*a.Dh) // T x Dh
+				// dV = Aᵀ · dO
+				dvh := mat.MulTransA(attn, goh)
+				// dA = dO · Vᵀ
+				dA := mat.MulTransB(goh, vh) // T x T
+				// Softmax backward per row: dS = A ⊙ (dA - Σⱼ dAⱼAⱼ)
+				dS := mat.New(t, t)
+				for i := 0; i < t; i++ {
+					arow := attn.Row(i)
+					darow := dA.Row(i)
+					var dot float64
+					for j, av := range arow {
+						dot += darow[j] * av
+					}
+					srow := dS.Row(i)
+					for j, av := range arow {
+						srow[j] = av * (darow[j] - dot)
+					}
 				}
-				srow := dS.Row(i)
-				for j, av := range arow {
-					srow[j] = av * (darow[j] - dot)
+				dS.Scale(scale)
+				// dQ = dS · K ; dK = dSᵀ · Q
+				dqh := mat.Mul(dS, kh)
+				dkh := mat.MulTransA(dS, qh)
+				for i := 0; i < t; i++ {
+					copy(dqs.Row(i)[h*a.Dh:(h+1)*a.Dh], dqh.Row(i))
+					copy(dks.Row(i)[h*a.Dh:(h+1)*a.Dh], dkh.Row(i))
+					copy(dvs.Row(i)[h*a.Dh:(h+1)*a.Dh], dvh.Row(i))
 				}
-			}
-			dS.Scale(scale)
-			// dQ = dS · K ; dK = dSᵀ · Q
-			dqh := mat.Mul(dS, kh)
-			dkh := mat.MulTransA(dS, qh)
-			for i := 0; i < t; i++ {
-				copy(dqs.Row(i)[h*a.Dh:(h+1)*a.Dh], dqh.Row(i))
-				copy(dks.Row(i)[h*a.Dh:(h+1)*a.Dh], dkh.Row(i))
-				copy(dvs.Row(i)[h*a.Dh:(h+1)*a.Dh], dvh.Row(i))
 			}
 		}
+		gx := backQ(dq)
+		gxk := backK(dk)
+		gxv := backV(dv)
+		out := gx.Clone()
+		for i := range out.Data {
+			out.Data[i] += gxk.Data[i] + gxv.Data[i]
+		}
+		return out
 	}
-	gx := a.WQ.Backward(dq)
-	gxk := a.WK.Backward(dk)
-	gxv := a.WV.Backward(dv)
-	out := gx.Clone()
-	for i := range out.Data {
-		out.Data[i] += gxk.Data[i] + gxv.Data[i]
-	}
-	return out
 }
 
 // Params returns the parameters of the four projections.

@@ -36,8 +36,8 @@ var TableMagic = [8]byte{'D', 'A', 'R', 'T', 'T', 'A', 'B', '1'}
 // checkpointFormat is the current format revision, stamped into the metadata.
 const checkpointFormat = 1
 
-// maxCheckpointSection caps the declared meta/body lengths so a corrupt
-// header cannot trigger a multi-gigabyte allocation before the CRC check.
+// maxCheckpointSection caps the declared meta/body lengths; ReadFrame never
+// allocates more than the bytes actually present.
 const maxCheckpointSection = 1 << 30
 
 // CheckpointMeta is the header the online-learning subsystem stores alongside
@@ -128,9 +128,16 @@ func ReadFrame(r io.Reader, magic [8]byte) (CheckpointMeta, []byte, error) {
 	if metaLen > maxCheckpointSection || bodyLen > maxCheckpointSection {
 		return meta, nil, fmt.Errorf("nn: checkpoint declares implausible section sizes (meta %d, body %d): header is corrupt", metaLen, bodyLen)
 	}
-	payload := make([]byte, int(metaLen)+int(bodyLen))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return meta, nil, fmt.Errorf("nn: truncated checkpoint (want %d payload bytes): %w", len(payload), err)
+	// Read through a limit rather than into a buffer of the declared size:
+	// the buffer grows only as bytes arrive, so a corrupt header on a short
+	// file costs what the file holds, not up to 2 GiB.
+	want := int64(metaLen) + int64(bodyLen)
+	payload, err := io.ReadAll(io.LimitReader(r, want))
+	if err != nil {
+		return meta, nil, fmt.Errorf("nn: read checkpoint payload: %w", err)
+	}
+	if int64(len(payload)) != want {
+		return meta, nil, fmt.Errorf("nn: truncated checkpoint (want %d payload bytes, got %d)", want, len(payload))
 	}
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
 		return meta, nil, fmt.Errorf("nn: checkpoint CRC mismatch (stored %08x, computed %08x): file is corrupt", wantCRC, got)

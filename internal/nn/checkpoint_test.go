@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -121,6 +123,26 @@ func TestCheckpointImplausibleSizes(t *testing.T) {
 	_, err := LoadCheckpoint(bytes.NewReader(data), testModel(2))
 	if err == nil || !strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("oversized section not rejected: %v", err)
+	}
+}
+
+// TestCheckpointHugeDeclaredSizes: a header that declares two 1 GiB sections
+// followed by 10 bytes must fail as truncated without allocating the declared
+// size — the store's recovery scan reads every file in the directory.
+func TestCheckpointHugeDeclaredSizes(t *testing.T) {
+	data := make([]byte, 30)
+	copy(data, checkpointMagic[:])
+	binary.BigEndian.PutUint32(data[8:12], maxCheckpointSection)
+	binary.BigEndian.PutUint32(data[12:16], maxCheckpointSection)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(data), checkpointMagic)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated checkpoint") {
+		t.Fatalf("short payload not rejected as truncated: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("reading a 30-byte file allocated %.1f MiB", float64(grew)/(1<<20))
 	}
 }
 

@@ -34,8 +34,8 @@ func checkGradients(t *testing.T, l Layer, x *mat.Tensor, tol float64) {
 		p.ZeroGrad()
 	}
 	gradOut := mat.TensorFromSlice(y.N, y.T, y.D, append([]float64(nil), w...))
-	l.Forward(x) // refresh caches
-	dx := l.Backward(gradOut)
+	_, back := l.Train(x)
+	dx := back(gradOut)
 
 	const h = 1e-5
 	// Input gradient.

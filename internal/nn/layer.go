@@ -2,8 +2,14 @@
 // attention-based memory-access predictors of the DART paper: linear layers,
 // multi-head self-attention, layer normalization, residual blocks, an LSTM
 // (for the Voyager-class baseline), binary-cross-entropy and distillation
-// losses, and the Adam optimizer. All layers implement full backpropagation;
-// batches are rank-3 tensors of shape [N samples, T sequence positions, D features].
+// losses, and the Adam optimizer. Batches are rank-3 tensors of shape
+// [N samples, T sequence positions, D features].
+//
+// Layers hold only configuration and parameters. Forward stores nothing, so
+// a trained network can serve inference from any number of goroutines;
+// training calls Train instead, which returns the output together with a
+// Backprop closure that owns that pass's activations and runs full
+// backpropagation when handed the output gradient.
 package nn
 
 import (
@@ -26,12 +32,20 @@ func newParam(name string, rows, cols int) *Param {
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.G.Zero() }
 
-// Layer is a differentiable module. Forward must cache whatever Backward
-// needs; Backward consumes the gradient w.r.t. the layer output and returns
-// the gradient w.r.t. the layer input, accumulating parameter gradients.
+// Backprop is the backward half of one Train call: it takes the gradient
+// with respect to that call's output, accumulates the parameter gradients,
+// and returns the gradient with respect to its input. The activations it
+// needs live in its closure, not in the layer.
+type Backprop func(grad *mat.Tensor) *mat.Tensor
+
+// Layer is a differentiable module. A layer holds only its configuration and
+// parameters: Forward reads them and writes nothing, so one layer may serve
+// Forward calls from many goroutines at once. Train runs the same forward
+// pass and also returns its Backprop; the input must not be modified until
+// that Backprop has run.
 type Layer interface {
 	Forward(x *mat.Tensor) *mat.Tensor
-	Backward(grad *mat.Tensor) *mat.Tensor
+	Train(x *mat.Tensor) (*mat.Tensor, Backprop)
 	Params() []*Param
 	Name() string
 }
@@ -47,20 +61,23 @@ func NewSequential(label string, layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers, label: label}
 }
 
-// Forward runs every layer in order.
-func (s *Sequential) Forward(x *mat.Tensor) *mat.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
+// Forward runs every layer's Forward in order, so each layer's activations
+// are garbage as soon as the next layer has them.
+func (s *Sequential) Forward(x *mat.Tensor) *mat.Tensor { return s.ForwardUpTo(x, len(s.Layers)) }
 
-// Backward propagates the gradient through the layers in reverse.
-func (s *Sequential) Backward(grad *mat.Tensor) *mat.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
+// Train runs every layer in order; its Backprop propagates the gradient
+// through the layers in reverse.
+func (s *Sequential) Train(x *mat.Tensor) (*mat.Tensor, Backprop) {
+	backs := make([]Backprop, len(s.Layers))
+	for i, l := range s.Layers {
+		x, backs[i] = l.Train(x)
 	}
-	return grad
+	return x, func(grad *mat.Tensor) *mat.Tensor {
+		for i := len(backs) - 1; i >= 0; i-- {
+			grad = backs[i](grad)
+		}
+		return grad
+	}
 }
 
 // Params returns the parameters of all layers.
@@ -97,23 +114,24 @@ type Residual struct {
 func NewResidual(inner Layer) *Residual { return &Residual{Inner: inner} }
 
 // Forward computes x + inner(x).
-func (r *Residual) Forward(x *mat.Tensor) *mat.Tensor {
-	y := r.Inner.Forward(x)
+func (r *Residual) Forward(x *mat.Tensor) *mat.Tensor { return addInto(r.Inner.Forward(x), x) }
+
+// Train computes x + inner(x); its Backprop routes the gradient through the
+// inner layer and the skip path.
+func (r *Residual) Train(x *mat.Tensor) (*mat.Tensor, Backprop) {
+	y, back := r.Inner.Train(x)
+	return addInto(y, x), func(grad *mat.Tensor) *mat.Tensor {
+		return addInto(back(grad), grad)
+	}
+}
+
+// addInto returns a copy of y with x added elementwise; the shapes must match.
+func addInto(y, x *mat.Tensor) *mat.Tensor {
 	if !y.ShapeEquals(x) {
 		panic("nn: residual inner layer changed shape")
 	}
 	out := y.Clone()
 	for i, v := range x.Data {
-		out.Data[i] += v
-	}
-	return out
-}
-
-// Backward routes the gradient through the inner layer and the skip path.
-func (r *Residual) Backward(grad *mat.Tensor) *mat.Tensor {
-	inner := r.Inner.Backward(grad)
-	out := inner.Clone()
-	for i, v := range grad.Data {
 		out.Data[i] += v
 	}
 	return out

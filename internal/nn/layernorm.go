@@ -13,10 +13,6 @@ type LayerNorm struct {
 	Gamma *Param // [1, D]
 	Beta  *Param // [1, D]
 	Eps   float64
-
-	xhat   *mat.Matrix // cached normalised input, (N*T, D)
-	invStd []float64   // cached 1/√(σ²+ε) per row
-	n, t   int
 }
 
 // NewLayerNorm constructs a layer norm over dimension d with γ=1, β=0.
@@ -35,14 +31,17 @@ func NewLayerNorm(name string, d int) *LayerNorm {
 
 // Forward normalises every row of the flattened (N*T, D) view.
 func (ln *LayerNorm) Forward(x *mat.Tensor) *mat.Tensor {
+	y, _ := ln.Train(x)
+	return y
+}
+
+// Train normalises every row of the flattened (N*T, D) view; its Backprop
+// implements the standard layer-norm gradient.
+func (ln *LayerNorm) Train(x *mat.Tensor) (*mat.Tensor, Backprop) {
 	xm := x.AsMatrix()
 	rows := xm.Rows
-	ln.n, ln.t = x.N, x.T
-	ln.xhat = mat.New(rows, ln.D)
-	if cap(ln.invStd) < rows {
-		ln.invStd = make([]float64, rows)
-	}
-	ln.invStd = ln.invStd[:rows]
+	xhat := mat.New(rows, ln.D)     // normalised input
+	invStd := make([]float64, rows) // 1/√(σ²+ε) per row
 	out := mat.New(rows, ln.D)
 	g := ln.Gamma.W.Data
 	b := ln.Beta.W.Data
@@ -60,8 +59,8 @@ func (ln *LayerNorm) Forward(x *mat.Tensor) *mat.Tensor {
 		}
 		vr /= float64(ln.D)
 		inv := 1 / math.Sqrt(vr+ln.Eps)
-		ln.invStd[i] = inv
-		xh := ln.xhat.Row(i)
+		invStd[i] = inv
+		xh := xhat.Row(i)
 		orow := out.Row(i)
 		for j, v := range row {
 			h := (v - mean) * inv
@@ -69,39 +68,34 @@ func (ln *LayerNorm) Forward(x *mat.Tensor) *mat.Tensor {
 			orow[j] = g[j]*h + b[j]
 		}
 	}
-	return mat.TensorFromSlice(x.N, x.T, ln.D, out.Data)
-}
-
-// Backward implements the standard layer-norm gradient.
-func (ln *LayerNorm) Backward(grad *mat.Tensor) *mat.Tensor {
-	gm := grad.AsMatrix()
-	rows := gm.Rows
-	out := mat.New(rows, ln.D)
-	g := ln.Gamma.W.Data
-	invD := 1 / float64(ln.D)
-	for i := 0; i < rows; i++ {
-		grow := gm.Row(i)
-		xh := ln.xhat.Row(i)
-		// Parameter gradients.
-		for j, gv := range grow {
-			ln.Gamma.G.Data[j] += gv * xh[j]
-			ln.Beta.G.Data[j] += gv
+	return mat.TensorFromSlice(x.N, x.T, ln.D, out.Data), func(grad *mat.Tensor) *mat.Tensor {
+		gm := grad.AsMatrix()
+		dx := mat.New(rows, ln.D)
+		invD := 1 / float64(ln.D)
+		for i := 0; i < rows; i++ {
+			grow := gm.Row(i)
+			xh := xhat.Row(i)
+			// Parameter gradients.
+			for j, gv := range grow {
+				ln.Gamma.G.Data[j] += gv * xh[j]
+				ln.Beta.G.Data[j] += gv
+			}
+			// dxhat = grad * gamma
+			var sumDx, sumDxXh float64
+			orow := dx.Row(i)
+			for j, gv := range grow {
+				dxh := gv * g[j]
+				orow[j] = dxh
+				sumDx += dxh
+				sumDxXh += dxh * xh[j]
+			}
+			inv := invStd[i]
+			for j := range orow {
+				orow[j] = inv * (orow[j] - sumDx*invD - xh[j]*sumDxXh*invD)
+			}
 		}
-		// dxhat = grad * gamma
-		var sumDx, sumDxXh float64
-		orow := out.Row(i)
-		for j, gv := range grow {
-			dxh := gv * g[j]
-			orow[j] = dxh
-			sumDx += dxh
-			sumDxXh += dxh * xh[j]
-		}
-		inv := ln.invStd[i]
-		for j := range orow {
-			orow[j] = inv * (orow[j] - sumDx*invD - xh[j]*sumDxXh*invD)
-		}
+		return mat.TensorFromSlice(x.N, x.T, ln.D, dx.Data)
 	}
-	return mat.TensorFromSlice(ln.n, ln.t, ln.D, out.Data)
 }
 
 // Params returns γ and β.

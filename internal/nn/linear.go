@@ -15,9 +15,6 @@ type Linear struct {
 	In, Out int
 	Weight  *Param // [Out, In]
 	Bias    *Param // [1, Out]
-
-	x    *mat.Matrix // cached flattened input (N*T, In)
-	n, t int
 }
 
 // NewLinear constructs a linear layer with Kaiming-uniform initialisation.
@@ -35,29 +32,32 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 
 // Forward computes y = x Wᵀ + b on the flattened (N*T, In) view.
 func (l *Linear) Forward(x *mat.Tensor) *mat.Tensor {
+	y, _ := l.Train(x)
+	return y
+}
+
+// Train computes y = x Wᵀ + b; its Backprop accumulates dW = dYᵀX and
+// db = Σ dY rows, and returns dX = dY·W.
+func (l *Linear) Train(x *mat.Tensor) (*mat.Tensor, Backprop) {
 	if x.D != l.In {
 		panic(fmt.Sprintf("nn: linear %s expects D=%d, got %d", l.Name(), l.In, x.D))
 	}
-	l.x = x.AsMatrix().Clone()
-	l.n, l.t = x.N, x.T
-	y := mat.MulTransB(l.x, l.Weight.W) // (N*T, Out)
+	xm := x.AsMatrix()
+	y := mat.MulTransB(xm, l.Weight.W) // (N*T, Out)
 	y.AddRowVector(l.Bias.W.Data)
-	return mat.TensorFromSlice(x.N, x.T, l.Out, y.Data)
-}
-
-// Backward accumulates dW = dYᵀX, db = Σ dY rows, and returns dX = dY·W.
-func (l *Linear) Backward(grad *mat.Tensor) *mat.Tensor {
-	g := grad.AsMatrix()
-	// dW [Out, In] = gᵀ [Out, N*T] * x [N*T, In]
-	l.Weight.G.AddInPlace(mat.MulTransA(g, l.x))
-	for i := 0; i < g.Rows; i++ {
-		row := g.Row(i)
-		for j, v := range row {
-			l.Bias.G.Data[j] += v
+	return mat.TensorFromSlice(x.N, x.T, l.Out, y.Data), func(grad *mat.Tensor) *mat.Tensor {
+		g := grad.AsMatrix()
+		// dW [Out, In] = gᵀ [Out, N*T] * x [N*T, In]
+		l.Weight.G.AddInPlace(mat.MulTransA(g, xm))
+		for i := 0; i < g.Rows; i++ {
+			row := g.Row(i)
+			for j, v := range row {
+				l.Bias.G.Data[j] += v
+			}
 		}
+		dx := mat.Mul(g, l.Weight.W) // (N*T, In)
+		return mat.TensorFromSlice(x.N, x.T, l.In, dx.Data)
 	}
-	dx := mat.Mul(g, l.Weight.W) // (N*T, In)
-	return mat.TensorFromSlice(l.n, l.t, l.In, dx.Data)
 }
 
 // Params returns the weight and bias.

@@ -18,13 +18,6 @@ type LSTM struct {
 	Wx         *Param // [4H, In]
 	Wh         *Param // [4H, H]
 	B          *Param // [1, 4H]
-
-	// Forward caches, indexed [t]: gate activations and states per step.
-	x         *mat.Tensor
-	gates     []*mat.Matrix // N x 4H, post-activation (i,f,g,o)
-	cells     []*mat.Matrix // N x H, cell state c_t
-	hiddens   []*mat.Matrix // N x H, hidden state h_t
-	tanhCells []*mat.Matrix // N x H, tanh(c_t)
 }
 
 // NewLSTM builds an LSTM with Xavier-uniform weights and forget bias 1.
@@ -49,14 +42,21 @@ func tanhf(x float64) float64 { return math.Tanh(x) }
 
 // Forward runs the recurrence and returns the last hidden state [N, 1, H].
 func (l *LSTM) Forward(x *mat.Tensor) *mat.Tensor {
+	y, _ := l.Train(x)
+	return y
+}
+
+// Train runs the recurrence and returns the last hidden state [N, 1, H]; its
+// Backprop runs truncated-free BPTT over the whole sequence.
+func (l *LSTM) Train(x *mat.Tensor) (*mat.Tensor, Backprop) {
 	n, t := x.N, x.T
 	h := mat.New(n, l.Hidden)
 	c := mat.New(n, l.Hidden)
-	l.x = x.Clone()
-	l.gates = make([]*mat.Matrix, t)
-	l.cells = make([]*mat.Matrix, t)
-	l.hiddens = make([]*mat.Matrix, t)
-	l.tanhCells = make([]*mat.Matrix, t)
+	// Per-step caches, indexed [t]: gate activations and states.
+	gates := make([]*mat.Matrix, t)     // N x 4H, post-activation (i,f,g,o)
+	cells := make([]*mat.Matrix, t)     // N x H, cell state c_t
+	hiddens := make([]*mat.Matrix, t)   // N x H, hidden state h_t
+	tanhCells := make([]*mat.Matrix, t) // N x H, tanh(c_t)
 	for step := 0; step < t; step++ {
 		// xt: N x In slice of the tensor at position `step`.
 		xt := mat.New(n, l.In)
@@ -92,82 +92,78 @@ func (l *LSTM) Forward(x *mat.Tensor) *mat.Tensor {
 				nhr[j] = zr[3*H+j] * tcr[j]
 			}
 		}
-		l.gates[step] = z
-		l.cells[step] = newC
-		l.hiddens[step] = newH
-		l.tanhCells[step] = tc
+		gates[step] = z
+		cells[step] = newC
+		hiddens[step] = newH
+		tanhCells[step] = tc
 		h, c = newH, newC
 	}
 	out := mat.NewTensor(n, 1, l.Hidden)
 	for s := 0; s < n; s++ {
 		copy(out.Sample(s).Row(0), h.Row(s))
 	}
-	return out
-}
-
-// Backward runs truncated-free BPTT over the whole sequence.
-func (l *LSTM) Backward(grad *mat.Tensor) *mat.Tensor {
-	n, t := l.x.N, l.x.T
-	H := l.Hidden
-	dh := mat.New(n, H)
-	for s := 0; s < n; s++ {
-		copy(dh.Row(s), grad.Sample(s).Row(0))
-	}
-	dc := mat.New(n, H)
-	dx := mat.NewTensor(n, t, l.In)
-	for step := t - 1; step >= 0; step-- {
-		z := l.gates[step]
-		tc := l.tanhCells[step]
-		var prevC *mat.Matrix
-		if step > 0 {
-			prevC = l.cells[step-1]
-		} else {
-			prevC = mat.New(n, H)
-		}
-		dz := mat.New(n, 4*H)
+	return out, func(grad *mat.Tensor) *mat.Tensor {
+		H := l.Hidden
+		dh := mat.New(n, H)
 		for s := 0; s < n; s++ {
-			zr := z.Row(s)
-			dhr := dh.Row(s)
-			dcr := dc.Row(s)
-			tcr := tc.Row(s)
-			pcr := prevC.Row(s)
-			dzr := dz.Row(s)
-			for j := 0; j < H; j++ {
-				i, f, g, o := zr[j], zr[H+j], zr[2*H+j], zr[3*H+j]
-				dco := dcr[j] + dhr[j]*o*(1-tcr[j]*tcr[j])
-				dzr[j] = dco * g * i * (1 - i)             // d pre-i
-				dzr[H+j] = dco * pcr[j] * f * (1 - f)      // d pre-f
-				dzr[2*H+j] = dco * i * (1 - g*g)           // d pre-g
-				dzr[3*H+j] = dhr[j] * tcr[j] * o * (1 - o) // d pre-o
-				dcr[j] = dco * f                           // carries to step-1
+			copy(dh.Row(s), grad.Sample(s).Row(0))
+		}
+		dc := mat.New(n, H)
+		dx := mat.NewTensor(n, t, l.In)
+		for step := t - 1; step >= 0; step-- {
+			z := gates[step]
+			tc := tanhCells[step]
+			var prevC *mat.Matrix
+			if step > 0 {
+				prevC = cells[step-1]
+			} else {
+				prevC = mat.New(n, H)
 			}
-		}
-		// Parameter gradients.
-		xt := mat.New(n, l.In)
-		for s := 0; s < n; s++ {
-			copy(xt.Row(s), l.x.Sample(s).Row(step))
-		}
-		var hPrev *mat.Matrix
-		if step > 0 {
-			hPrev = l.hiddens[step-1]
-		} else {
-			hPrev = mat.New(n, H)
-		}
-		l.Wx.G.AddInPlace(mat.MulTransA(dz, xt))
-		l.Wh.G.AddInPlace(mat.MulTransA(dz, hPrev))
-		for s := 0; s < n; s++ {
-			for j, v := range dz.Row(s) {
-				l.B.G.Data[j] += v
+			dz := mat.New(n, 4*H)
+			for s := 0; s < n; s++ {
+				zr := z.Row(s)
+				dhr := dh.Row(s)
+				dcr := dc.Row(s)
+				tcr := tc.Row(s)
+				pcr := prevC.Row(s)
+				dzr := dz.Row(s)
+				for j := 0; j < H; j++ {
+					i, f, g, o := zr[j], zr[H+j], zr[2*H+j], zr[3*H+j]
+					dco := dcr[j] + dhr[j]*o*(1-tcr[j]*tcr[j])
+					dzr[j] = dco * g * i * (1 - i)             // d pre-i
+					dzr[H+j] = dco * pcr[j] * f * (1 - f)      // d pre-f
+					dzr[2*H+j] = dco * i * (1 - g*g)           // d pre-g
+					dzr[3*H+j] = dhr[j] * tcr[j] * o * (1 - o) // d pre-o
+					dcr[j] = dco * f                           // carries to step-1
+				}
 			}
+			// Parameter gradients.
+			xt := mat.New(n, l.In)
+			for s := 0; s < n; s++ {
+				copy(xt.Row(s), x.Sample(s).Row(step))
+			}
+			var hPrev *mat.Matrix
+			if step > 0 {
+				hPrev = hiddens[step-1]
+			} else {
+				hPrev = mat.New(n, H)
+			}
+			l.Wx.G.AddInPlace(mat.MulTransA(dz, xt))
+			l.Wh.G.AddInPlace(mat.MulTransA(dz, hPrev))
+			for s := 0; s < n; s++ {
+				for j, v := range dz.Row(s) {
+					l.B.G.Data[j] += v
+				}
+			}
+			// Input and recurrent gradients.
+			dxt := mat.Mul(dz, l.Wx.W) // N x In
+			for s := 0; s < n; s++ {
+				copy(dx.Sample(s).Row(step), dxt.Row(s))
+			}
+			dh = mat.Mul(dz, l.Wh.W) // N x H, gradient into h_{t-1}
 		}
-		// Input and recurrent gradients.
-		dxt := mat.Mul(dz, l.Wx.W) // N x In
-		for s := 0; s < n; s++ {
-			copy(dx.Sample(s).Row(step), dxt.Row(s))
-		}
-		dh = mat.Mul(dz, l.Wh.W) // N x H, gradient into h_{t-1}
+		return dx
 	}
-	return dx
 }
 
 // Params returns the LSTM parameters.

@@ -88,9 +88,11 @@ func TestAttentionRowsAreConvexCombinations(t *testing.T) {
 func TestAttentionSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := NewMultiHeadSelfAttention("msa", 6, 2, rng)
-	a.Forward(randTensor(rng, 2, 4, 6))
-	for _, perSample := range a.attn {
-		for _, m := range perSample {
+	x := randTensor(rng, 2, 4, 6)
+	q, k := a.WQ.Forward(x), a.WK.Forward(x)
+	for s := 0; s < x.N; s++ {
+		for h := 0; h < a.Heads; h++ {
+			m := a.headScores(q.Sample(s), k.Sample(s), h)
 			for i := 0; i < m.Rows; i++ {
 				var s float64
 				for _, v := range m.Row(i) {
@@ -171,9 +173,9 @@ func TestSGDReducesLoss(t *testing.T) {
 	first := -1.0
 	var last float64
 	for e := 0; e < 50; e++ {
-		logits := l.Forward(x)
+		logits, back := l.Train(x)
 		loss, grad := BCEWithLogits(logits, y)
-		l.Backward(grad)
+		back(grad)
 		opt.Step(l.Params())
 		if first < 0 {
 			first = loss

@@ -14,7 +14,6 @@ import (
 type PositionalEmbedding struct {
 	T, D int
 	Emb  *Param // [T, D]
-	n    int    // cached batch size for Backward
 }
 
 // NewPositionalEmbedding creates a learned positional embedding with small
@@ -27,10 +26,16 @@ func NewPositionalEmbedding(name string, t, d int, rng *rand.Rand) *PositionalEm
 
 // Forward adds the embedding to every sample.
 func (p *PositionalEmbedding) Forward(x *mat.Tensor) *mat.Tensor {
+	y, _ := p.Train(x)
+	return y
+}
+
+// Train adds the embedding to every sample; its Backprop passes the gradient
+// through and accumulates the embedding gradient.
+func (p *PositionalEmbedding) Train(x *mat.Tensor) (*mat.Tensor, Backprop) {
 	if x.T != p.T || x.D != p.D {
 		panic(fmt.Sprintf("nn: posembed expects [*,%d,%d], got [*,%d,%d]", p.T, p.D, x.T, x.D))
 	}
-	p.n = x.N
 	out := x.Clone()
 	for n := 0; n < x.N; n++ {
 		s := out.Sample(n)
@@ -42,22 +47,19 @@ func (p *PositionalEmbedding) Forward(x *mat.Tensor) *mat.Tensor {
 			}
 		}
 	}
-	return out
-}
-
-// Backward passes the gradient through and accumulates the embedding grad.
-func (p *PositionalEmbedding) Backward(grad *mat.Tensor) *mat.Tensor {
-	for n := 0; n < grad.N; n++ {
-		s := grad.Sample(n)
-		for t := 0; t < p.T; t++ {
-			row := s.Row(t)
-			grow := p.Emb.G.Row(t)
-			for d, v := range row {
-				grow[d] += v
+	return out, func(grad *mat.Tensor) *mat.Tensor {
+		for n := 0; n < grad.N; n++ {
+			s := grad.Sample(n)
+			for t := 0; t < p.T; t++ {
+				row := s.Row(t)
+				grow := p.Emb.G.Row(t)
+				for d, v := range row {
+					grow[d] += v
+				}
 			}
 		}
+		return grad.Clone()
 	}
-	return grad.Clone()
 }
 
 // Params returns the embedding table.

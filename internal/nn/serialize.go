@@ -30,11 +30,13 @@ func stateOf(m Layer) modelState {
 }
 
 // restoreState copies a parameter snapshot into a model of the same
-// architecture, verifying names and shapes.
+// architecture. Every name, shape and value count is verified before the
+// first value is copied, so a rejected snapshot leaves the model untouched.
 func restoreState(m Layer, st modelState) error {
 	params := m.Params()
-	if len(params) != len(st.Names) {
-		return fmt.Errorf("nn: model has %d params, snapshot has %d", len(params), len(st.Names))
+	if len(params) != len(st.Names) || len(params) != len(st.Shapes) || len(params) != len(st.Data) {
+		return fmt.Errorf("nn: model has %d params, snapshot has %d names, %d shapes, %d values",
+			len(params), len(st.Names), len(st.Shapes), len(st.Data))
 	}
 	for i, p := range params {
 		if p.Name != st.Names[i] {
@@ -44,6 +46,11 @@ func restoreState(m Layer, st modelState) error {
 			return fmt.Errorf("nn: param %q shape %dx%d != snapshot %dx%d",
 				p.Name, p.W.Rows, p.W.Cols, st.Shapes[i][0], st.Shapes[i][1])
 		}
+		if len(st.Data[i]) != len(p.W.Data) {
+			return fmt.Errorf("nn: param %q has %d values, snapshot has %d", p.Name, len(p.W.Data), len(st.Data[i]))
+		}
+	}
+	for i, p := range params {
 		copy(p.W.Data, st.Data[i])
 	}
 	return nil

@@ -37,9 +37,9 @@ func (tr *Trainer) TrainEpoch(x, y *mat.Tensor, loss LossFunc) float64 {
 		bi := idx[lo:hi]
 		bx := x.Gather(bi)
 		by := y.Gather(bi)
-		logits := tr.Model.Forward(bx)
+		logits, back := tr.Model.Train(bx)
 		l, grad := loss(logits, by)
-		tr.Model.Backward(grad)
+		back(grad)
 		tr.Opt.Step(tr.Model.Params())
 		total += l
 		batches++
@@ -48,11 +48,4 @@ func (tr *Trainer) TrainEpoch(x, y *mat.Tensor, loss LossFunc) float64 {
 		return 0
 	}
 	return total / float64(batches)
-}
-
-// Predict runs a forward pass in evaluation mode (no gradient bookkeeping is
-// avoided in this simple library, but weights are untouched) and returns the
-// logits.
-func Predict(model Layer, x *mat.Tensor) *mat.Tensor {
-	return model.Forward(x)
 }

@@ -111,9 +111,9 @@ func BenchmarkDistillCycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tl := teacher.Forward(bx)
-		sl := student.Forward(bx)
+		sl, back := student.Train(bx)
 		_, grad := kd.Loss(sl, tl, by, kdc.Lambda, kdc.Temperature)
-		student.Backward(grad)
+		back(grad)
 		opt.Step(student.Params())
 	}
 }

@@ -90,9 +90,9 @@ func (c *Class) Cost() (latency, storageBytes int) { return c.cost() }
 
 // Infer runs one batch through the currently published version and reports
 // that version; ok is false while nothing is published. One call resolves
-// the version exactly once, which is what keeps a batch on one version. A
-// published nn model's Forward is not reentrant, so Infer belongs to one
-// goroutine per class: the serving engine's dispatch loop for that class.
+// the version exactly once, which is what keeps a batch on one version. Safe
+// from any goroutine: published networks and tables store nothing on a
+// query.
 func (c *Class) Infer(in *mat.Tensor) (out *mat.Tensor, version uint64, ok bool) {
 	return c.infer(in)
 }

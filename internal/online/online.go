@@ -79,8 +79,8 @@ type Config struct {
 
 	// Dart, when true, enables the tabularized serving class — the paper's
 	// actual deployment artifact. A duty-cycled tabularizer periodically
-	// re-tabularizes the published student (tabular.Tabularize on a private
-	// parameter mirror, mirroring the distiller's pattern) over the freshest
+	// re-tabularizes the published student (tabular.Tabularize reads the
+	// published network directly, as the distiller does) over the freshest
 	// reservoir examples and publishes the resulting hierarchy as the "dart"
 	// class of the versioned store, where serving hot-swaps it between
 	// inference batches like any other class. Requires Student.
@@ -209,18 +209,15 @@ type Learner struct {
 	stepsAtPub uint64
 
 	// Distilled-student tier; all nil/zero unless cfg.Student is set.
-	// Guarded by trainMu like the teacher shadow. distTeacher is a private
-	// clone of the currently published teacher used as the frozen KD source —
-	// a published Model.Net's Forward is not reentrant, and the serving
-	// batcher owns that instance.
-	studentStore   *Store
-	student        nn.Layer // student shadow being distilled
-	sopt           nn.Optimizer
-	distTeacher    nn.Layer
-	distTeacherVer uint64
-	distLoss       lossTrend
-	lastStuPub     time.Time
-	distAtPub      uint64
+	// Guarded by trainMu like the teacher shadow. The frozen KD source is the
+	// published teacher itself: its Forward stores nothing, so distillation
+	// shares it with the serving batcher.
+	studentStore *Store
+	student      nn.Layer // student shadow being distilled
+	sopt         nn.Optimizer
+	distLoss     lossTrend
+	lastStuPub   time.Time
+	distAtPub    uint64
 
 	distSteps        atomic.Uint64
 	distilled        atomic.Uint64
@@ -228,14 +225,13 @@ type Learner struct {
 
 	// Dart (tabularized) tier; all nil/zero unless cfg.Dart is set. tabMu
 	// serialises tabularization cycles (the loop's duty cycle vs a forced
-	// SwapDart from the wire) and guards the mirror/cadence fields below;
+	// SwapDart from the wire) and guards the source/cadence fields below;
 	// lock order is tabMu before trainMu, never the reverse.
 	dartStore     *TableStore
 	tabMu         sync.Mutex
-	dartStudent   nn.Layer // private parameter mirror of the published student
-	dartMirrorVer uint64   // student version currently in the mirror
-	dartSrcVer    uint64   // student version the published table derives from
-	lastSkipVer   uint64   // student version whose skip was already counted
+	dartSrc       *Model // published student the last candidate was built from
+	dartSrcVer    uint64 // student version the published table derives from
+	lastSkipVer   uint64 // student version whose skip was already counted
 	lastTab       time.Time
 	dartCost      atomic.Pointer[tabular.Cost] // analytic cost of the published hierarchy
 	tabularized   atomic.Uint64
@@ -378,9 +374,9 @@ func NewLearner(cfg Config) (*Learner, error) {
 	return l, nil
 }
 
-// initDart wires the tabularized serving class: its table store (recovering
-// the newest good table checkpoint when one exists) and the private student
-// mirror the tabularizer reads from. No table is published at construction
+// initDart wires the tabularized serving class and its table store
+// (recovering the newest good table checkpoint when one exists); the
+// tabularizer reads the published student. No table is published at construction
 // when the store starts empty — tabularization needs streamed examples to
 // fit kernels on, so the serve side falls back to the student until the
 // first duty cycle (or a forced Swap) publishes one.
@@ -389,9 +385,9 @@ func (l *Learner) initDart() error {
 	if err != nil {
 		return fmt.Errorf("online: the dart tier re-tabularizes the published student; Config.Dart requires Config.Student")
 	}
-	l.dartStudent = l.cfg.Student()
-	if _, ok := l.dartStudent.(*nn.Sequential); !ok {
-		return fmt.Errorf("online: tabularization needs an *nn.Sequential student architecture, got %T", l.dartStudent)
+	net := student.Store().Load().Net
+	if _, ok := net.(*nn.Sequential); !ok {
+		return fmt.Errorf("online: tabularization needs an *nn.Sequential student architecture, got %T", net)
 	}
 	store, err := NewTableStore(l.cfg.Dir, DartClass)
 	if err != nil {
@@ -424,7 +420,7 @@ func (l *Learner) initDart() error {
 
 // initStudent wires the distilled-student tier: its class store (recovering
 // the newest good student checkpoint when one exists), the student shadow,
-// its own optimizer, and the private teacher clone distillation reads from.
+// and its own optimizer.
 func (l *Learner) initStudent(teacher *Class) error {
 	store, err := NewClassStore(l.cfg.Student, l.cfg.Dir, StudentClass)
 	if err != nil {
@@ -442,7 +438,6 @@ func (l *Learner) initStudent(teacher *Class) error {
 		},
 	})
 	l.student = l.cfg.Student()
-	l.distTeacher = l.cfg.New()
 	if m := store.Load(); m != nil {
 		if err := nn.CopyParams(l.student, m.Net); err != nil {
 			return fmt.Errorf("online: recovered student checkpoint: %w", err)
@@ -692,24 +687,17 @@ func (l *Learner) trainStepLocked() {
 }
 
 // distillStepLocked takes one knowledge-distillation minibatch step on the
-// student shadow: teacher logits come from a private clone of the currently
-// published teacher version (refreshed on version change — the serving
-// batcher owns the published instance, whose Forward is not reentrant), the
-// combined soft+hard loss and its gradient from kd.Loss over the same
-// reservoir the teacher fine-tunes on. Caller holds trainMu.
+// student shadow: teacher logits come from the currently published teacher
+// version, the combined soft+hard loss and its gradient from kd.Loss over the
+// same reservoir the teacher fine-tunes on. Caller holds trainMu.
 func (l *Learner) distillStepLocked() {
-	if m := l.store.Load(); m != nil && m.Version != l.distTeacherVer {
-		if err := nn.CopyParams(l.distTeacher, m.Net); err == nil {
-			l.distTeacherVer = m.Version
-		}
-	}
 	b := l.cfg.BatchSize
 	bx, by := l.sampleBatchLocked(l.rng)
-	teacherLogits := l.distTeacher.Forward(bx)
-	studentLogits := l.student.Forward(bx)
+	teacherLogits := l.store.Load().Net.Forward(bx)
+	studentLogits, back := l.student.Train(bx)
 	loss, grad := kd.Loss(studentLogits, teacherLogits, by,
 		l.cfg.Distill.Lambda, l.cfg.Distill.Temperature)
-	l.student.Backward(grad)
+	back(grad)
 	l.sopt.Step(l.student.Params())
 	l.distLoss.observe(loss)
 	l.distilled.Add(uint64(b))
@@ -769,7 +757,7 @@ func (l *Learner) sampleBatchLocked(rng *rand.Rand) (bx, by *mat.Tensor) {
 
 // gateStudentLocked advances the student candidate's admission window by one
 // shadow batch — candidate = the current student shadow, source = the
-// distillation teacher mirror — and decides admit/hold when the window
+// published teacher — and decides admit/hold when the window
 // fills. A hold re-stamps the duty-cycle cadence, so the held candidate
 // keeps distilling for a full DistillInterval before the next attempt.
 // Caller holds trainMu.
@@ -777,16 +765,8 @@ func (l *Learner) gateStudentLocked() {
 	if l.bufN < l.cfg.BatchSize {
 		return
 	}
-	// Keep the KD source mirror on the latest teacher version (it normally
-	// refreshes in distillStepLocked, but the gate can also tick while the
-	// trainer is over its duty budget).
-	if m := l.store.Load(); m != nil && m.Version != l.distTeacherVer {
-		if err := nn.CopyParams(l.distTeacher, m.Net); err == nil {
-			l.distTeacherVer = m.Version
-		}
-	}
 	bx, _ := l.sampleBatchLocked(l.evalRng)
-	match, total := Agreement(l.student.Forward(bx), l.distTeacher.Forward(bx))
+	match, total := Agreement(l.student.Forward(bx), l.store.Load().Net.Forward(bx))
 	if !l.pol.observeCandidate(StudentClass, match, total) {
 		return // window not full: more shadow batches on later ticks
 	}
@@ -827,11 +807,11 @@ func (l *Learner) maybeTabularize() {
 	unchanged := sm.Version == l.dartSrcVer
 	// Incremental re-tabularization: when the policy engine is configured
 	// with a minimum source delta, a student version whose parameters moved
-	// less than that (relative L2, cumulative since the mirrored build) is
-	// not worth the most expensive background step in the system.
+	// less than that (relative L2, cumulative since the last candidate's
+	// source) is not worth the most expensive background step in the system.
 	delta := math.Inf(1)
-	if !unchanged && l.pol != nil && l.pol.cfg.MinSourceDelta > 0 && l.dartMirrorVer != 0 {
-		delta = paramDelta(sm.Net, l.dartStudent)
+	if !unchanged && l.pol != nil && l.pol.cfg.MinSourceDelta > 0 && l.dartSrc != nil {
+		delta = paramDelta(sm.Net, l.dartSrc.Net)
 	}
 	if !unchanged && (l.pol == nil || delta >= l.pol.cfg.MinSourceDelta) {
 		_, _ = l.tabularizeLocked(l.pol != nil) // on failure serving keeps the previous table
@@ -879,11 +859,10 @@ func (l *Learner) fitSnapshot() (*mat.Tensor, float64, error) {
 }
 
 // gateDartEvidence evaluates a candidate hierarchy against its source — the
-// private student mirror it was tabularized from — over AdmitWindow shadow
+// published student it was tabularized from — over AdmitWindow shadow
 // batches drawn from the reservoir, filling the class's admission window.
-// Caller holds tabMu (which guards the mirror); trainMu is taken briefly per
-// batch to sample inputs.
-func (l *Learner) gateDartEvidence(h *tabular.Hierarchy) {
+// Caller holds tabMu; trainMu is taken briefly per batch to sample inputs.
+func (l *Learner) gateDartEvidence(h *tabular.Hierarchy, src nn.Layer) {
 	for {
 		l.trainMu.Lock()
 		if l.bufN < l.cfg.BatchSize {
@@ -892,18 +871,16 @@ func (l *Learner) gateDartEvidence(h *tabular.Hierarchy) {
 		}
 		bx, _ := l.sampleBatchLocked(l.evalRng)
 		l.trainMu.Unlock()
-		match, total := Agreement(h.QueryBatch(bx), l.dartStudent.Forward(bx))
+		match, total := Agreement(h.QueryBatch(bx), src.Forward(bx))
 		if l.pol.observeCandidate(DartClass, match, total) {
 			break
 		}
 	}
 }
 
-// tabularizeLocked runs one tabularization cycle: refresh the private
-// student mirror to the published student version (the published instance's
-// Forward belongs to the serving batcher, exactly like the distiller's
-// teacher mirror), run tabular.Tabularize over the freshest reservoir
-// examples, and publish the resulting hierarchy as the next dart version.
+// tabularizeLocked runs one tabularization cycle: run tabular.Tabularize on
+// the published student over the freshest reservoir examples, and publish
+// the resulting hierarchy as the next dart version.
 // With gated set (the policy engine owns this duty cycle), the candidate
 // must clear the admission gate — agreement with the source student over the
 // shadow-batch window, and the class budget against its analytic cost —
@@ -923,20 +900,15 @@ func (l *Learner) tabularizeLocked(gated bool) (uint64, error) {
 	// freely.
 	l.lastTab = time.Now()
 	sm := l.studentStore.Load()
-	if sm.Version != l.dartMirrorVer {
-		if err := nn.CopyParams(l.dartStudent, sm.Net); err != nil {
-			return 0, fmt.Errorf("online: student mirror: %w", err)
-		}
-		l.dartMirrorVer = sm.Version
-	}
+	l.dartSrc = sm
 	t0 := time.Now()
-	res := tabular.Tabularize(l.dartStudent.(*nn.Sequential), fit, l.cfg.Tabular)
+	res := tabular.Tabularize(sm.Net.(*nn.Sequential), fit, l.cfg.Tabular)
 	l.tabNs.Add(time.Since(t0).Nanoseconds())
 	l.tabularized.Add(1)
 	cost := res.Hierarchy.Cost()
 	var admit Decision
 	if gated {
-		l.gateDartEvidence(res.Hierarchy)
+		l.gateDartEvidence(res.Hierarchy, sm.Net)
 		var ok bool
 		admit, ok = l.pol.decide(Decision{
 			Class: DartClass, Cosine: meanCosine(res.Cosine),

@@ -384,8 +384,8 @@ func TestGateBudgetHoldsStudent(t *testing.T) {
 const cfg0StudentLatency = 9
 
 // TestGatedDartAdmitAndEvidence: a gated tabularization publishes only after
-// the candidate hierarchy clears the agreement window against the student
-// mirror it derives from, and the admit decision carries the table fidelity
+// the candidate hierarchy clears the agreement window against the published
+// student it derives from, and the admit decision carries the table fidelity
 // (cosine) and modelled cost evidence.
 func TestGatedDartAdmitAndEvidence(t *testing.T) {
 	cfg := policyLearnerConfig(t.TempDir(), PolicyConfig{

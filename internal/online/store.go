@@ -18,10 +18,9 @@ import (
 //
 // Immutability is by convention and enforced by construction: Publish deep-
 // copies the trainer's shadow into a fresh network, and nothing writes Net's
-// parameters afterwards. Net.Forward still caches activations inside its
-// layers, so inference on a Model must be serialised — the serving engine's
-// admission batcher (one dispatch goroutine) is the only caller, which also
-// guarantees that a whole batch runs against exactly one version.
+// parameters afterwards. Net.Forward stores nothing either, so the serving
+// batchers, the distiller and the tabularizer all run the published network
+// directly, from any goroutine.
 type Model struct {
 	Version uint64
 	Net     nn.Layer
@@ -276,8 +275,7 @@ func (c *core[P]) versions() []uint64 {
 // nn.Layer payloads, whose snapshot deep-copies parameters into a fresh
 // network and whose checkpoints are nn.SaveCheckpoint frames.
 type Store struct {
-	fresh func() nn.Layer // architecture factory for clones and reloads
-	c     *core[nn.Layer]
+	c *core[nn.Layer]
 
 	// Skipped lists checkpoint files that were present but rejected during
 	// NewStore recovery (corrupt, truncated, wrong architecture), with the
@@ -321,7 +319,7 @@ func NewClassStore(fresh func() nn.Layer, dir, class string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{fresh: fresh, c: c, Skipped: c.skipped}, nil
+	return &Store{c: c, Skipped: c.skipped}, nil
 }
 
 // model converts a core revision to the exported Model form.
@@ -340,7 +338,7 @@ func (s *Store) Load() *Model { return s.model(s.c.load()) }
 func (s *Store) Class() string { return s.c.class }
 
 // infer runs one batch through the current model; ok is false while the
-// store is empty. Forward is not reentrant: one goroutine per store.
+// store is empty. Safe from any goroutine.
 func (s *Store) infer(in *mat.Tensor) (*mat.Tensor, uint64, bool) {
 	r := s.c.load()
 	if r == nil {
@@ -348,12 +346,6 @@ func (s *Store) infer(in *mat.Tensor) (*mat.Tensor, uint64, bool) {
 	}
 	return r.val.Forward(in), r.version, true
 }
-
-// Fresh returns a new network of this store's architecture — the hook
-// callers use to build private inference clones of published models (a
-// published Model.Net's Forward is not reentrant, so anything outside its
-// owning batcher goroutine must copy parameters into its own instance).
-func (s *Store) Fresh() nn.Layer { return s.fresh() }
 
 // Publish deep-copies src into a fresh immutable network, assigns it the
 // next version number, checkpoints it to disk (when configured), and

@@ -4,8 +4,6 @@ import (
 	"sync"
 
 	"dart/internal/mat"
-	"dart/internal/nn"
-	"dart/internal/online"
 )
 
 // answer is one query's inference result plus the model version that
@@ -291,34 +289,4 @@ func (m batchedModel) Logits(x *mat.Matrix) []float64 {
 	logits, v := m.b.inferOne(x, m.tenant)
 	*m.ver = v
 	return logits
-}
-
-// modelMirror is a private, lazily-refreshed parameter clone of the model
-// class published by one nn store. A batcher that needs its source class's
-// inference (the fallback while its own class is empty, the shadow-compare)
-// must never call Forward on the published Model.Net — that instance's activation caches belong to its own
-// batcher's dispatch goroutine. The mirror copies parameters on version
-// change instead; it is only ever touched from its owning batcher's dispatch
-// goroutine.
-type modelMirror struct {
-	s   *online.Store
-	net nn.Layer
-	ver uint64
-}
-
-func newMirror(s *online.Store) *modelMirror {
-	return &modelMirror{s: s, net: s.Fresh()}
-}
-
-// resolve returns the mirror refreshed to the store's current published
-// model and that version number. The store must have published at least one
-// version (teacher and student stores always have, from construction).
-func (t *modelMirror) resolve() (nn.Layer, uint64) {
-	m := t.s.Load()
-	if m.Version != t.ver {
-		if err := nn.CopyParams(t.net, m.Net); err == nil {
-			t.ver = m.Version
-		}
-	}
-	return t.net, m.Version
 }

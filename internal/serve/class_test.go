@@ -74,8 +74,8 @@ func streamForExamples(t *testing.T, conn net.Conn, br *bufio.Reader, l *online.
 }
 
 // checkSourceFallback pins what a class that has published nothing serves:
-// its source class through the batcher's private mirror, reporting the
-// source's version — and tracking the source's publishes.
+// its source class's published model, reporting the source's version — and
+// tracking the source's publishes.
 func checkSourceFallback(t *testing.T, c *servingClass, source *online.Class) {
 	t.Helper()
 	x := mat.New(c.data.History, c.data.InputDim())

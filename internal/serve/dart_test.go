@@ -154,8 +154,8 @@ func TestAllClassesHotSwapMidReplay(t *testing.T) {
 }
 
 // TestDartInferFallsBackToStudent: while no table version exists, the dart
-// inference path must serve the (mirrored) student and report the student's
-// version instead of failing, and the mirror must track student publishes.
+// inference path must serve the published student and report the student's
+// version instead of failing, and must track student publishes.
 func TestDartInferFallsBackToStudent(t *testing.T) {
 	l := testDartLearner(t, "") // no table published yet
 	e := NewEngine(Config{Online: l})

@@ -73,10 +73,10 @@ type Config struct {
 	Online *online.Learner
 
 	// ShadowCompare enables the student tier's A/B mode: every student batch
-	// is also run through a private mirror of the published teacher and the
-	// per-label prediction agreement is accumulated into Stats.AB — a live
-	// fidelity meter for the distilled model, paid for only on student
-	// batches and only when enabled.
+	// is also run through the published teacher and the per-label
+	// prediction agreement is accumulated into Stats.AB — a live fidelity
+	// meter for the distilled model, paid for only on student batches and
+	// only when enabled.
 	ShadowCompare bool
 
 	// Registry resolves prefetcher names; defaults to the built-ins
@@ -330,33 +330,28 @@ func NewEngine(cfg Config) *Engine {
 // addClass is the one place a model class gets its admission batcher. Each
 // dispatched batch calls infer, which resolves the class's current version
 // exactly once and runs the whole batch through it: a hot swap lands between
-// batches, never inside one, and a published nn model's Forward (not
-// reentrant) only ever runs on this batcher's goroutine. While infer has
-// nothing published the batch degrades to the source class, through a private
-// mirror of its published model — never the published instance, which
-// belongs to the source's own batcher. With observe set, every batch the
-// class itself served is also run through that mirror and the per-label
-// agreement reported; the fallback path IS the mirror, so comparing it would
-// always agree. A class without a source (the teacher, the static tables)
-// must always have a version and takes no observe. The row is registered under key in the class
-// table and, for offline comparison runs and Names(), in the registry;
-// a row registered later under the same key replaces the earlier one.
+// batches, never inside one. While infer has nothing published the batch
+// degrades to the source class's Infer; a published nn model's Forward stores
+// nothing, so this batcher and the source's own may run it at once. With
+// observe set, every batch the class itself served is also run through the
+// source and the per-label agreement reported; the fallback path IS the
+// source, so comparing it would always agree. A class without a source (the
+// teacher, the static tables) must always have a version and takes no
+// observe. The row is registered under key in the class table and, for
+// offline comparison runs and Names(), in the registry; a row registered
+// later under the same key replaces the earlier one.
 func (e *Engine) addClass(key string, c *servingClass,
 	infer func(*mat.Tensor) (*mat.Tensor, uint64, bool),
 	source *online.Class, observe func(ver, match, total uint64)) {
-	var mirror *modelMirror
-	if source != nil {
-		mirror = newMirror(source.Store())
-	}
 	c.b = newBatcher(func(in *mat.Tensor) (*mat.Tensor, uint64) {
 		out, ver, ok := infer(in)
 		if !ok {
-			net, ver := mirror.resolve()
-			return net.Forward(in), ver
+			out, ver, _ := source.Infer(in)
+			return out, ver
 		}
 		if observe != nil {
-			net, _ := mirror.resolve()
-			match, total := online.Agreement(out, net.Forward(in))
+			src, _, _ := source.Infer(in)
+			match, total := online.Agreement(out, src)
 			observe(ver, match, total)
 		}
 		return out, ver

@@ -147,7 +147,7 @@ func TestStudentHotSwapMidReplay(t *testing.T) {
 }
 
 // TestStudentInferFallsBackToTeacher: with no student version available, the
-// student inference path must serve the (mirrored) teacher and report the
+// student inference path must serve the published teacher and report the
 // teacher's version instead of failing.
 func TestStudentInferFallsBackToTeacher(t *testing.T) {
 	l := testLearner(t, "") // teacher only; its v1 is published

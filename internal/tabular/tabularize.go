@@ -231,9 +231,9 @@ func fineTuneLinear(l *nn.Linear, in, target *mat.Tensor, epochs int, lr float64
 	copy(ft.Bias.W.Data, l.Bias.W.Data)
 	opt := nn.NewAdam(lr)
 	for e := 0; e < epochs; e++ {
-		pred := ft.Forward(in)
+		pred, back := ft.Train(in)
 		_, grad := nn.MSE(pred, target)
-		ft.Backward(grad)
+		back(grad)
 		opt.Step(ft.Params())
 	}
 	return ft
