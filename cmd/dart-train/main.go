@@ -10,12 +10,15 @@
 // With -distill the pipeline additionally distills the serving tier's
 // compact student (nn.StudentConfig of the configured architecture) from the
 // trained teacher, reporting its F1 next to the pipeline stages; -out
-// publishes both model classes — the configured network as the online
-// teacher and the compact one as the "student" class — into a versioned
-// checkpoint directory that `dart-serve -dart -online -student
-// -checkpoint-dir DIR` recovers on startup, bridging offline distillation
-// into the serving tier. (Without -dart the daemon's default architecture
-// differs and the recovery scan will skip the mismatched files.)
+// publishes three classes — the configured network as the online teacher,
+// the compact one as the "student" class, and its tabularized hierarchy as
+// the "dart" class — into a versioned checkpoint directory that
+// `dart-serve -pretrain -dart -checkpoint-dir DIR` recovers on startup,
+// bridging offline distillation into the serving tier (dart-train prints
+// that command). The shapes match because -pretrain configures the daemon's
+// architecture under the same constraints as dart-train's default -tau and
+// -storage; without -pretrain, or with other -tau/-storage values, the
+// architectures differ and the recovery scan skips the mismatched files.
 package main
 
 import (

@@ -42,8 +42,8 @@ type Class struct {
 	store      *Store      // nn payload classes; nil for table classes
 	tables     *TableStore // table payload classes; nil for nn classes
 	hist       versioned
-	published  *atomic.Uint64
-	l          *Learner // for the decision log of forced verbs
+	published  atomic.Uint64 // publishes since the learner started
+	l          *Learner      // for the decision log of forced verbs
 
 	cost    func() (latency, storageBytes int)
 	infer   func(in *mat.Tensor) (*mat.Tensor, uint64, bool)

@@ -19,6 +19,18 @@ func class(t testing.TB, l *Learner, name string) *Class {
 	return c
 }
 
+// stageOf returns the training stage of the named nn class.
+func stageOf(t testing.TB, l *Learner, name string) *stage {
+	t.Helper()
+	for _, s := range l.stages {
+		if s.class.name == name {
+			return s
+		}
+	}
+	t.Fatalf("no %q training stage", name)
+	return nil
+}
+
 func hasClass(l *Learner, name string) bool {
 	_, err := l.Class(name)
 	return err == nil

@@ -23,11 +23,11 @@ func dartLearnerConfig(dir string) Config {
 	return cfg
 }
 
-// streamExamples pushes synthetic access rounds through an attached ring
-// until the learner has assembled at least want examples.
+// streamExamples pushes synthetic access rounds through an attached ring,
+// draining it as the loop's tick would, until the learner has assembled at
+// least want examples.
 func streamExamples(t *testing.T, l *Learner, ring *Ring, want uint64) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
 	for round := int64(0); l.Stats().Examples < want; round++ {
 		for i, r := range testRecords(31+round, 400) {
 			ev := Event{Access: sim.Access{InstrID: r.InstrID, PC: r.PC, Block: r.Block()}}
@@ -35,14 +35,14 @@ func streamExamples(t *testing.T, l *Learner, ring *Ring, want uint64) {
 				ev.HasFB = true
 				ev.Feedback = sim.Feedback{Block: r.Block(), Kind: sim.FeedbackUseful}
 			}
-			for !ring.Push(ev) {
-				time.Sleep(time.Millisecond)
+			if !ring.Push(ev) {
+				t.Fatal("ring full: each round is drained before the next")
 			}
 		}
-		if time.Now().After(deadline) {
+		l.drainAll()
+		if round == 10 {
 			t.Fatalf("examples never assembled: %+v", l.Stats())
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -72,7 +72,6 @@ func TestLearnerTabularizesDart(t *testing.T) {
 	}
 
 	ring := l.Attach("s0")
-	l.Start()
 	streamExamples(t, l, ring, 64)
 
 	if v, err := l.SwapDart(); err != nil || v != 1 {
@@ -152,27 +151,23 @@ func TestLearnerTabularizesDart(t *testing.T) {
 	sameTableBatches(t, class(t, l, DartClass).Tables().Load().H, class(t, l2, DartClass).Tables().Load().H)
 }
 
-// TestDartAutoTabularizeDutyCycle: with a tiny interval, the loop publishes
-// a first table on its own, then re-publishes only after the student class
-// changes (an unchanged student is skipped, a swapped one is picked up).
+// TestDartAutoTabularizeDutyCycle: with every tick due, the duty cycle
+// publishes a first table on its own, then re-publishes only after the
+// student class changes (an unchanged student is skipped, a swapped one is
+// picked up).
 func TestDartAutoTabularizeDutyCycle(t *testing.T) {
 	cfg := dartLearnerConfig(t.TempDir())
-	cfg.TabularizeInterval = 2 * time.Millisecond
+	cfg.TabularizeInterval = time.Nanosecond
 	l, err := NewLearner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ring := l.Attach("s0")
-	l.Start()
-	defer l.Stop()
 	streamExamples(t, l, ring, 64)
 
-	deadline := time.Now().Add(15 * time.Second)
-	for l.Stats().DartVersion == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("duty cycle never published a table: %+v", l.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
+	l.maybeTabularize()
+	if l.Stats().DartVersion == 0 {
+		t.Fatalf("duty cycle never published a table: %+v", l.Stats())
 	}
 	v1 := class(t, l, DartClass).Tables().Load()
 	if v1.Meta.Source != class(t, l, StudentClass).Version() {
@@ -180,7 +175,9 @@ func TestDartAutoTabularizeDutyCycle(t *testing.T) {
 	}
 
 	// Unchanged student: the duty cycle must idle rather than republish.
-	time.Sleep(20 * time.Millisecond)
+	for i := 0; i < 10; i++ {
+		l.maybeTabularize()
+	}
 	if got := class(t, l, DartClass).Version(); got != v1.Version {
 		t.Fatalf("duty cycle republished an unchanged student (v%d -> v%d)", v1.Version, got)
 	}
@@ -189,11 +186,9 @@ func TestDartAutoTabularizeDutyCycle(t *testing.T) {
 	if _, err := l.SwapStudent(); err != nil {
 		t.Fatal(err)
 	}
-	for class(t, l, DartClass).Version() == v1.Version {
-		if time.Now().After(deadline) {
-			t.Fatalf("duty cycle never picked up the new student: %+v", l.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
+	l.maybeTabularize()
+	if class(t, l, DartClass).Version() == v1.Version {
+		t.Fatalf("duty cycle never picked up the new student: %+v", l.Stats())
 	}
 	if got := class(t, l, DartClass).Tables().Load(); got.Meta.Source != class(t, l, StudentClass).Version() {
 		t.Fatalf("re-tabularized from student v%d, want v%d", got.Meta.Source, class(t, l, StudentClass).Version())

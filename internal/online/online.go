@@ -187,8 +187,7 @@ type sessionTap struct {
 // into a serve.Engine via serve.Config.Online, then Start. All exported
 // methods are safe for concurrent use.
 type Learner struct {
-	cfg   Config
-	store *Store
+	cfg Config
 
 	// classes is the serving-class table, in pipeline order: the teacher row
 	// always, then the student and dart rows when those tiers are configured.
@@ -198,47 +197,28 @@ type Learner struct {
 	tapMu sync.Mutex
 	taps  map[string]*sessionTap
 
-	// trainMu guards the shadow model, its trainer, and the loss trend —
-	// shared between the background loop and forced Swap/Rollback calls.
-	trainMu    sync.Mutex
-	shadow     nn.Layer
-	tr         *nn.Trainer
-	rng        *rand.Rand
-	loss       lossTrend
-	lastPub    time.Time
-	stepsAtPub uint64
-
-	// Distilled-student tier; all nil/zero unless cfg.Student is set.
-	// Guarded by trainMu like the teacher shadow. The frozen KD source is the
-	// published teacher itself: its Forward stores nothing, so distillation
-	// shares it with the serving batcher.
-	studentStore *Store
-	student      nn.Layer // student shadow being distilled
-	sopt         nn.Optimizer
-	distLoss     lossTrend
-	lastStuPub   time.Time
-	distAtPub    uint64
-
-	distSteps        atomic.Uint64
-	distilled        atomic.Uint64
-	studentPublished atomic.Uint64
+	// trainMu guards the stages' shadows, optimizers and loss trends, and the
+	// training RNG — shared between the background loop and forced
+	// Swap/Rollback calls.
+	trainMu sync.Mutex
+	stages  []*stage // the trained nn classes in pipeline order; immutable slice
+	rng     *rand.Rand
 
 	// Dart (tabularized) tier; all nil/zero unless cfg.Dart is set. tabMu
 	// serialises tabularization cycles (the loop's duty cycle vs a forced
 	// SwapDart from the wire) and guards the source/cadence fields below;
 	// lock order is tabMu before trainMu, never the reverse.
-	dartStore     *TableStore
-	tabMu         sync.Mutex
-	dartSrc       *Model // published student the last candidate was built from
-	dartSrcVer    uint64 // student version the published table derives from
-	lastSkipVer   uint64 // student version whose skip was already counted
-	lastTab       time.Time
-	dartCost      atomic.Pointer[tabular.Cost] // analytic cost of the published hierarchy
-	tabularized   atomic.Uint64
-	dartPublished atomic.Uint64
-	tabAttempts   atomic.Uint64 // duty cycles that found work to consider
-	tabSkips      atomic.Uint64 // cycles skipped (unchanged or below-delta student)
-	tabNs         atomic.Int64
+	dart        *Class
+	tabMu       sync.Mutex
+	dartSrc     *Model // published student the last candidate was built from
+	dartSrcVer  uint64 // student version the published table derives from
+	lastSkipVer uint64 // student version whose skip was already counted
+	lastTab     time.Time
+	dartCost    atomic.Pointer[tabular.Cost] // analytic cost of the published hierarchy
+	tabularized atomic.Uint64
+	tabAttempts atomic.Uint64 // duty cycles that found work to consider
+	tabSkips    atomic.Uint64 // cycles skipped (unchanged or below-delta student)
+	tabNs       atomic.Int64
 
 	// Promotion policy engine; nil when Config.Policy is nil (the legacy
 	// unconditional publish path). evalRng feeds the gate's shadow-batch
@@ -261,16 +241,31 @@ type Learner struct {
 	useful        atomic.Uint64
 	late          atomic.Uint64
 	assembled     atomic.Uint64
-	trained       atomic.Uint64
-	steps         atomic.Uint64
-	published     atomic.Uint64
 
 	start   time.Time
 	trainNs atomic.Int64 // cumulative time inside optimizer steps
 
-	quit chan struct{}
-	done chan struct{}
-	once sync.Once
+	started atomic.Bool
+	quit    chan struct{}
+	done    chan struct{}
+	once    sync.Once
+}
+
+// stage is the training side of one nn class row: the teacher, fine-tuned on
+// the reservoir's labels, or a class distilled from its source row's
+// published network. Everything but the counters is guarded by trainMu.
+type stage struct {
+	class    *Class
+	shadow   nn.Layer // the network being trained; publishes snapshot it
+	opt      nn.Optimizer
+	lr       float64       // opt's learning rate; a rollback restarts opt at it
+	interval time.Duration // auto-publish cadence; <= 0 disables
+
+	loss       lossTrend
+	lastPub    time.Time
+	stepsAtPub uint64
+	steps      atomic.Uint64 // optimizer steps taken
+	examples   atomic.Uint64 // examples those steps consumed
 }
 
 // NewLearner builds a learner. When cfg.Dir holds a valid checkpoint, the
@@ -300,49 +295,30 @@ func NewLearner(cfg Config) (*Learner, error) {
 			return nil, fmt.Errorf("online: Distill.Temperature %v must be positive", cfg.Distill.Temperature)
 		}
 	}
-	store, err := NewStore(cfg.New, cfg.Dir)
+	l := &Learner{
+		cfg:  cfg,
+		taps: make(map[string]*sessionTap),
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		buf:  make([]example, cfg.BufferCap),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
+	}
+	teacher, err := l.addStage(&Class{
+		name: TeacherClass, prefetcher: "online",
+		cost: func() (int, int) { return cfg.Latency, cfg.StorageBytes },
+	}, "", cfg.New, cfg.Init, cfg.LR, cfg.SwapInterval)
 	if err != nil {
 		return nil, err
 	}
-	l := &Learner{
-		cfg:   cfg,
-		store: store,
-		taps:  make(map[string]*sessionTap),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		buf:   make([]example, cfg.BufferCap),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	teacher := l.addClass(&Class{
-		name: TeacherClass, prefetcher: "online", store: store, hist: store.c,
-		published: &l.published,
-		cost:      func() (int, int) { return cfg.Latency, cfg.StorageBytes },
-		infer:     store.infer,
-		publish:   l.locked(l.publishLocked),
-		revert: func() (uint64, error) {
-			return l.revertNN(store, l.shadow, func() {
-				l.tr = nn.NewTrainer(l.shadow, nn.NewAdam(cfg.LR), cfg.BatchSize, l.rng)
-			})
-		},
-	})
-	l.shadow = cfg.New()
-	if m := store.Load(); m != nil {
-		if err := nn.CopyParams(l.shadow, m.Net); err != nil {
-			return nil, fmt.Errorf("online: recovered checkpoint: %w", err)
-		}
-	} else {
-		if cfg.Init != nil {
-			if err := nn.CopyParams(l.shadow, cfg.Init); err != nil {
-				return nil, fmt.Errorf("online: warm start: %w", err)
-			}
-		}
-		if _, err := l.publishLocked(); err != nil {
-			return nil, err
-		}
-	}
-	l.tr = nn.NewTrainer(l.shadow, nn.NewAdam(cfg.LR), cfg.BatchSize, l.rng)
 	if cfg.Student != nil {
-		if err := l.initStudent(teacher); err != nil {
+		lr := cfg.Distill.LR
+		if lr == 0 {
+			lr = cfg.LR
+		}
+		if _, err := l.addStage(&Class{
+			name: StudentClass, prefetcher: "student", source: teacher.class,
+			cost: func() (int, int) { return cfg.StudentLatency, cfg.StudentStorageBytes },
+		}, StudentClass, cfg.Student, cfg.StudentInit, lr, cfg.DistillInterval); err != nil {
 			return nil, err
 		}
 	}
@@ -368,10 +344,46 @@ func NewLearner(cfg Config) (*Learner, error) {
 		}
 		l.evalRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed9e3779b97f4a))
 	}
-	l.lastPub = time.Now()
-	l.lastStuPub = time.Now()
 	l.start = time.Now()
 	return l, nil
+}
+
+// addStage builds one trained nn class — its row c and its store under
+// storeClass, recovering the newest good checkpoint in Dir — and appends its
+// stage. The shadow starts from the recovered weights, else from init's,
+// else from arch's initialisation, and in the last two cases is published as
+// version 1.
+func (l *Learner) addStage(c *Class, storeClass string, arch func() nn.Layer, init nn.Layer, lr float64, interval time.Duration) (*stage, error) {
+	store, err := NewClassStore(arch, l.cfg.Dir, storeClass)
+	if err != nil {
+		return nil, err
+	}
+	s := &stage{class: c, shadow: arch(), opt: nn.NewAdam(lr), lr: lr, interval: interval}
+	c.store, c.hist, c.infer = store, store.c, store.infer
+	c.publish = func() (uint64, error) {
+		l.trainMu.Lock()
+		defer l.trainMu.Unlock()
+		return s.publish()
+	}
+	c.revert = func() (uint64, error) { return l.revertStage(s) }
+	l.addClass(c)
+	l.stages = append(l.stages, s)
+	if m := store.Load(); m != nil {
+		if err := nn.CopyParams(s.shadow, m.Net); err != nil {
+			return nil, fmt.Errorf("online: recovered %s checkpoint: %w", c.name, err)
+		}
+	} else {
+		if init != nil {
+			if err := nn.CopyParams(s.shadow, init); err != nil {
+				return nil, fmt.Errorf("online: %s warm start: %w", c.name, err)
+			}
+		}
+		if _, err := s.publish(); err != nil {
+			return nil, err
+		}
+	}
+	s.lastPub = time.Now()
+	return s, nil
 }
 
 // initDart wires the tabularized serving class and its table store
@@ -393,12 +405,10 @@ func (l *Learner) initDart() error {
 	if err != nil {
 		return err
 	}
-	l.dartStore = store
-	l.addClass(&Class{
+	l.dart = l.addClass(&Class{
 		name: DartClass, prefetcher: "dart", source: student, tables: store, hist: store.c,
-		published: &l.dartPublished,
-		cost:      l.dartCostNow,
-		infer:     store.infer,
+		cost:  l.dartCostNow,
+		infer: store.infer,
 		publish: func() (uint64, error) {
 			l.tabMu.Lock()
 			defer l.tabMu.Unlock()
@@ -418,68 +428,11 @@ func (l *Learner) initDart() error {
 	return nil
 }
 
-// initStudent wires the distilled-student tier: its class store (recovering
-// the newest good student checkpoint when one exists), the student shadow,
-// and its own optimizer.
-func (l *Learner) initStudent(teacher *Class) error {
-	store, err := NewClassStore(l.cfg.Student, l.cfg.Dir, StudentClass)
-	if err != nil {
-		return err
-	}
-	l.studentStore = store
-	l.addClass(&Class{
-		name: StudentClass, prefetcher: "student", source: teacher, store: store, hist: store.c,
-		published: &l.studentPublished,
-		cost:      func() (int, int) { return l.cfg.StudentLatency, l.cfg.StudentStorageBytes },
-		infer:     store.infer,
-		publish:   l.locked(l.publishStudentLocked),
-		revert: func() (uint64, error) {
-			return l.revertNN(store, l.student, func() { l.sopt = nn.NewAdam(l.distillLR()) })
-		},
-	})
-	l.student = l.cfg.Student()
-	if m := store.Load(); m != nil {
-		if err := nn.CopyParams(l.student, m.Net); err != nil {
-			return fmt.Errorf("online: recovered student checkpoint: %w", err)
-		}
-	} else {
-		if l.cfg.StudentInit != nil {
-			if err := nn.CopyParams(l.student, l.cfg.StudentInit); err != nil {
-				return fmt.Errorf("online: student warm start: %w", err)
-			}
-		}
-		if _, err := l.publishStudentLocked(); err != nil {
-			return err
-		}
-	}
-	l.sopt = nn.NewAdam(l.distillLR())
-	return nil
-}
-
-// distillLR is the student optimizer's learning rate: Distill.LR, or the
-// teacher's when unset.
-func (l *Learner) distillLR() float64 {
-	if lr := l.cfg.Distill.LR; lr != 0 {
-		return lr
-	}
-	return l.cfg.LR
-}
-
 // addClass appends one row to the serving-class table.
 func (l *Learner) addClass(c *Class) *Class {
 	c.l = l
 	l.classes = append(l.classes, c)
 	return c
-}
-
-// locked runs a trainer-state step under trainMu, for the forced verbs that
-// arrive from outside the loop goroutine.
-func (l *Learner) locked(step func() (uint64, error)) func() (uint64, error) {
-	return func() (uint64, error) {
-		l.trainMu.Lock()
-		defer l.trainMu.Unlock()
-		return step()
-	}
 }
 
 // Data returns the input/label construction config sessions must share.
@@ -551,29 +504,35 @@ func (l *Learner) Detach(id string) {
 
 // Start launches the background collector/trainer loop.
 func (l *Learner) Start() {
+	l.started.Store(true)
 	go l.loop()
 }
 
-// Stop terminates the loop, waits for it to finish, and publishes a final
-// version when training advanced past the last published one — progress is
-// never lost on a clean shutdown. Stop is idempotent.
+// Stop terminates the loop (when Start ran), drains the stragglers still in
+// the session rings, and flushes every stage that trained past its last
+// published version — progress is never lost on a clean shutdown. Under the
+// promotion policy only stages with no source flush; a derived stage's
+// candidate was never admitted, so it is left unpublished and the decision
+// log says why. Stop is idempotent.
 func (l *Learner) Stop() {
 	l.once.Do(func() {
 		close(l.quit)
-		<-l.done
+		if l.started.Load() {
+			<-l.done
+		}
+		l.drainAll()
 		l.trainMu.Lock()
 		defer l.trainMu.Unlock()
-		if l.steps.Load() > l.stepsAtPub {
-			_, _ = l.publishLocked() // best-effort final flush
-		}
-		if l.student != nil && l.distSteps.Load() > l.distAtPub {
-			_, _ = l.publishStudentLocked()
+		for _, s := range l.stages {
+			if s.steps.Load() > s.stepsAtPub {
+				l.promoteLocked(s, true)
+			}
 		}
 	})
 }
 
 // loop is the collector/trainer: drain rings, assemble examples, take
-// duty-cycled optimizer steps, auto-publish on the swap interval.
+// duty-cycled optimizer steps, auto-publish on the stages' intervals.
 func (l *Learner) loop() {
 	defer close(l.done)
 	tick := time.NewTicker(l.cfg.Tick)
@@ -581,7 +540,6 @@ func (l *Learner) loop() {
 	for {
 		select {
 		case <-l.quit:
-			l.drainAll() // pick up stragglers so Stop's final publish sees them
 			return
 		case <-tick.C:
 			l.drainAll()
@@ -630,8 +588,9 @@ func (l *Learner) addExample(ex example) {
 	l.assembled.Add(1)
 }
 
-// maybeTrain takes one optimizer step when enough fresh examples arrived and
-// the duty-cycle budget allows it.
+// maybeTrain takes one optimizer step per stage, in pipeline order, when
+// enough fresh examples arrived and the duty-cycle budget allows it, then
+// publishes each stage whose interval is due.
 func (l *Learner) maybeTrain() {
 	if l.bufN < l.cfg.BatchSize || l.fresh == 0 {
 		return
@@ -641,101 +600,86 @@ func (l *Learner) maybeTrain() {
 		return // over budget: let serving breathe
 	}
 	l.trainMu.Lock()
+	defer l.trainMu.Unlock()
 	t0 := time.Now()
-	l.trainStepLocked()
-	if l.student != nil {
-		l.distillStepLocked()
-	}
+	l.trainLocked()
 	l.trainNs.Add(time.Since(t0).Nanoseconds())
-	auto := l.cfg.SwapInterval > 0 &&
-		time.Since(l.lastPub) >= l.cfg.SwapInterval &&
-		l.steps.Load() > l.stepsAtPub
-	if auto {
-		v, err := l.publishLocked() // on failure serving keeps the previous version
-		if err == nil && l.pol != nil {
-			// The teacher has no source class to shadow-compare against, so
-			// its publishes are ungated — but they still land in the decision
-			// log so the `policy` verb covers every class publish.
-			l.pol.record(Decision{
-				Class: TeacherClass, Action: ActionAdmit, Version: v,
-				Reason: "teacher: ungated (no source class)",
-			})
+	for _, s := range l.stages {
+		if s.interval > 0 && time.Since(s.lastPub) >= s.interval && s.steps.Load() > s.stepsAtPub {
+			l.promoteLocked(s, false)
 		}
 	}
-	if l.student != nil &&
-		l.cfg.DistillInterval > 0 &&
-		time.Since(l.lastStuPub) >= l.cfg.DistillInterval &&
-		l.distSteps.Load() > l.distAtPub {
-		if l.pol == nil {
-			_, _ = l.publishStudentLocked()
+}
+
+// trainLocked takes one minibatch step on every stage's shadow, in pipeline
+// order, each on its own minibatch drawn from the reservoir with the
+// training RNG. A stage with no source fine-tunes on the labels with
+// nn.Trainer; a derived stage distills from its source class's currently
+// published network, with the combined soft+hard loss and gradient of
+// kd.Loss. Caller holds trainMu.
+func (l *Learner) trainLocked() {
+	b := l.cfg.BatchSize
+	for _, s := range l.stages {
+		bx, by := l.sampleBatchLocked(l.rng)
+		var loss float64
+		if src := s.class.source; src == nil {
+			loss = nn.NewTrainer(s.shadow, s.opt, b, l.rng).TrainEpoch(bx, by, nn.BCEWithLogits)
 		} else {
-			l.gateStudentLocked()
+			sourceLogits := src.store.Load().Net.Forward(bx)
+			logits, back := s.shadow.Train(bx)
+			var grad *mat.Tensor
+			loss, grad = kd.Loss(logits, sourceLogits, by, l.cfg.Distill.Lambda, l.cfg.Distill.Temperature)
+			back(grad)
+			s.opt.Step(s.shadow.Params())
 		}
+		s.loss.observe(loss)
+		s.examples.Add(uint64(b))
+		s.steps.Add(1)
 	}
-	l.trainMu.Unlock()
-}
-
-// trainStepLocked samples a minibatch from the reservoir and fine-tunes the
-// shadow. Caller holds trainMu.
-func (l *Learner) trainStepLocked() {
-	b := l.cfg.BatchSize
-	bx, by := l.sampleBatchLocked(l.rng)
 	l.fresh = 0
-	l.loss.observe(l.tr.TrainEpoch(bx, by, nn.BCEWithLogits))
-	l.trained.Add(uint64(b))
-	l.steps.Add(1)
 }
 
-// distillStepLocked takes one knowledge-distillation minibatch step on the
-// student shadow: teacher logits come from the currently published teacher
-// version, the combined soft+hard loss and its gradient from kd.Loss over the
-// same reservoir the teacher fine-tunes on. Caller holds trainMu.
-func (l *Learner) distillStepLocked() {
-	b := l.cfg.BatchSize
-	bx, by := l.sampleBatchLocked(l.rng)
-	teacherLogits := l.store.Load().Net.Forward(bx)
-	studentLogits, back := l.student.Train(bx)
-	loss, grad := kd.Loss(studentLogits, teacherLogits, by,
-		l.cfg.Distill.Lambda, l.cfg.Distill.Temperature)
-	back(grad)
-	l.sopt.Step(l.student.Params())
-	l.distLoss.observe(loss)
-	l.distilled.Add(uint64(b))
-	l.distSteps.Add(1)
-}
-
-// publishLocked snapshots the shadow into the store. Caller holds trainMu
-// (or is the NewLearner constructor, before any concurrency exists).
-func (l *Learner) publishLocked() (uint64, error) {
-	m, err := l.store.Publish(l.shadow, nn.CheckpointMeta{
-		Examples: l.assembled.Load(),
-		Steps:    l.steps.Load(),
-		Loss:     l.loss.fast,
+// publish snapshots the shadow into the class store. Caller holds trainMu
+// (or is NewLearner, before any concurrency exists).
+func (s *stage) publish() (uint64, error) {
+	m, err := s.class.store.Publish(s.shadow, nn.CheckpointMeta{
+		Examples: s.examples.Load(),
+		Steps:    s.steps.Load(),
+		Loss:     s.loss.fast,
 	})
 	if err != nil {
 		return 0, err
 	}
-	l.published.Add(1)
-	l.stepsAtPub = l.steps.Load()
-	l.lastPub = time.Now()
+	s.class.published.Add(1)
+	s.stepsAtPub = s.steps.Load()
+	s.lastPub = time.Now()
 	return m.Version, nil
 }
 
-// publishStudentLocked snapshots the student shadow into the student class
-// store. Caller holds trainMu (or is the constructor).
-func (l *Learner) publishStudentLocked() (uint64, error) {
-	m, err := l.studentStore.Publish(l.student, nn.CheckpointMeta{
-		Examples: l.distilled.Load(),
-		Steps:    l.distSteps.Load(),
-		Loss:     l.distLoss.fast,
-	})
-	if err != nil {
-		return 0, err
+// promoteLocked publishes a stage's trained shadow: on its interval, or as
+// the final flush at shutdown. Without the policy engine every publish is
+// unconditional. With it, a stage with no source class to compare against
+// publishes ungated, but the decision log records it; a derived stage's
+// candidate must clear the admission gate — and at shutdown, where no
+// evidence window can run, it is not published and the log says so. Caller
+// holds trainMu.
+func (l *Learner) promoteLocked(s *stage, final bool) {
+	c := s.class
+	switch {
+	case l.pol == nil:
+		_, _ = s.publish() // on failure serving keeps the previous version
+	case c.source == nil:
+		if v, err := s.publish(); err == nil {
+			l.pol.record(Decision{Class: c.name, Action: ActionAdmit, Version: v,
+				Reason: c.name + ": ungated (no source class)"})
+		}
+	case final:
+		l.pol.record(Decision{Class: c.name, Action: ActionSkip, Reason: fmt.Sprintf(
+			"shutdown: candidate trained %d steps past v%d was not admitted; not flushed",
+			s.steps.Load()-s.stepsAtPub, c.Version())})
+	default:
+		l.gateLocked(s)
 	}
-	l.studentPublished.Add(1)
-	l.distAtPub = l.distSteps.Load()
-	l.lastStuPub = time.Now()
-	return m.Version, nil
 }
 
 // sampleBatchLocked draws one minibatch of inputs and labels from the
@@ -755,30 +699,26 @@ func (l *Learner) sampleBatchLocked(rng *rand.Rand) (bx, by *mat.Tensor) {
 	return bx, by
 }
 
-// gateStudentLocked advances the student candidate's admission window by one
-// shadow batch — candidate = the current student shadow, source = the
-// published teacher — and decides admit/hold when the window
-// fills. A hold re-stamps the duty-cycle cadence, so the held candidate
-// keeps distilling for a full DistillInterval before the next attempt.
-// Caller holds trainMu.
-func (l *Learner) gateStudentLocked() {
-	if l.bufN < l.cfg.BatchSize {
-		return
-	}
+// gateLocked advances a derived stage's admission window by one shadow
+// batch — candidate = the stage's shadow, source = its source class's
+// published network — and decides admit/hold when the window fills. A hold
+// re-stamps the stage's cadence, so the held candidate keeps training for a
+// full interval before the next attempt. Caller holds trainMu.
+func (l *Learner) gateLocked(s *stage) {
+	c := s.class
 	bx, _ := l.sampleBatchLocked(l.evalRng)
-	match, total := Agreement(l.student.Forward(bx), l.store.Load().Net.Forward(bx))
-	if !l.pol.observeCandidate(StudentClass, match, total) {
+	match, total := Agreement(s.shadow.Forward(bx), c.source.store.Load().Net.Forward(bx))
+	if !l.pol.observeCandidate(c.name, match, total) {
 		return // window not full: more shadow batches on later ticks
 	}
-	d, admit := l.pol.decide(Decision{
-		Class: StudentClass, LatencyCycles: l.cfg.StudentLatency, StorageBytes: l.cfg.StudentStorageBytes,
-	})
+	latency, storage := c.Cost()
+	d, admit := l.pol.decide(Decision{Class: c.name, LatencyCycles: latency, StorageBytes: storage})
 	if !admit {
 		l.pol.record(d)
-		l.lastStuPub = time.Now()
+		s.lastPub = time.Now()
 		return
 	}
-	v, err := l.publishStudentLocked()
+	v, err := s.publish()
 	if err != nil {
 		return // serving keeps the previous version; evidence already reset
 	}
@@ -794,7 +734,7 @@ func (l *Learner) gateStudentLocked() {
 // its duration would stall forced Swap/Rollback verbs; only the brief fit-
 // snapshot inside tabularizeLocked touches trainer state.
 func (l *Learner) maybeTabularize() {
-	if l.dartStore == nil || l.cfg.TabularizeInterval <= 0 {
+	if l.dart == nil || l.cfg.TabularizeInterval <= 0 {
 		return
 	}
 	l.tabMu.Lock()
@@ -802,7 +742,7 @@ func (l *Learner) maybeTabularize() {
 	if time.Since(l.lastTab) < l.cfg.TabularizeInterval {
 		return
 	}
-	sm := l.studentStore.Load()
+	sm := l.dart.source.store.Load()
 	// Student unchanged: the table would come out identical-ish.
 	unchanged := sm.Version == l.dartSrcVer
 	// Incremental re-tabularization: when the policy engine is configured
@@ -837,14 +777,14 @@ func (l *Learner) maybeTabularize() {
 }
 
 // fitSnapshot copies the newest DartSamples reservoir examples into a
-// kernel-fitting tensor (insertion order, deterministic) and reads the
-// distillation-loss EWMA, all under one trainMu critical section — the only
-// part of a tabularization cycle that touches trainer state.
-func (l *Learner) fitSnapshot() (*mat.Tensor, float64, error) {
+// kernel-fitting tensor (insertion order, deterministic) under one trainMu
+// critical section — the only part of a tabularization cycle that touches
+// trainer state.
+func (l *Learner) fitSnapshot() (*mat.Tensor, error) {
 	l.trainMu.Lock()
 	defer l.trainMu.Unlock()
 	if l.bufN < l.cfg.BatchSize {
-		return nil, 0, fmt.Errorf("online: not enough examples to tabularize (%d, need %d)", l.bufN, l.cfg.BatchSize)
+		return nil, fmt.Errorf("online: not enough examples to tabularize (%d, need %d)", l.bufN, l.cfg.BatchSize)
 	}
 	n := l.cfg.DartSamples
 	if n > l.bufN {
@@ -855,7 +795,7 @@ func (l *Learner) fitSnapshot() (*mat.Tensor, float64, error) {
 	for i := 0; i < n; i++ {
 		copy(fit.Sample(i).Data, l.buf[(start+i)%len(l.buf)].x)
 	}
-	return fit, l.distLoss.fast, nil
+	return fit, nil
 }
 
 // gateDartEvidence evaluates a candidate hierarchy against its source — the
@@ -887,7 +827,7 @@ func (l *Learner) gateDartEvidence(h *tabular.Hierarchy, src nn.Layer) {
 // before it publishes; a held candidate is dropped and the next interval
 // builds a fresh one. Caller holds tabMu.
 func (l *Learner) tabularizeLocked(gated bool) (uint64, error) {
-	fit, loss, err := l.fitSnapshot()
+	fit, err := l.fitSnapshot()
 	if err != nil {
 		return 0, err
 	}
@@ -899,7 +839,7 @@ func (l *Learner) tabularizeLocked(gated bool) (uint64, error) {
 	// every 2ms tick. The cheap not-enough-examples failure above retries
 	// freely.
 	l.lastTab = time.Now()
-	sm := l.studentStore.Load()
+	sm := l.dart.source.store.Load()
 	l.dartSrc = sm
 	t0 := time.Now()
 	res := tabular.Tabularize(sm.Net.(*nn.Sequential), fit, l.cfg.Tabular)
@@ -919,17 +859,17 @@ func (l *Learner) tabularizeLocked(gated bool) (uint64, error) {
 			return 0, fmt.Errorf("online: dart candidate held: %s", admit.Reason)
 		}
 	}
-	tab, err := l.dartStore.Publish(res.Hierarchy, nn.CheckpointMeta{
+	tab, err := l.dart.tables.Publish(res.Hierarchy, nn.CheckpointMeta{
 		Source:   sm.Version, // the student version the table derives from
 		Examples: uint64(fit.N),
-		Steps:    l.distSteps.Load(),
-		Loss:     loss,
+		Steps:    sm.Meta.Steps,
+		Loss:     sm.Meta.Loss,
 	})
 	if err != nil {
 		return 0, err
 	}
 	l.dartCost.Store(&cost)
-	l.dartPublished.Add(1)
+	l.dart.published.Add(1)
 	l.dartSrcVer = sm.Version
 	if gated {
 		admit.Version = tab.Version
@@ -945,7 +885,7 @@ func (l *Learner) tabularizeLocked(gated bool) (uint64, error) {
 func (l *Learner) revertDart() (uint64, error) {
 	l.tabMu.Lock()
 	defer l.tabMu.Unlock()
-	t, err := l.dartStore.Rollback()
+	t, err := l.dart.tables.Rollback()
 	if err != nil {
 		return 0, err
 	}
@@ -955,21 +895,20 @@ func (l *Learner) revertDart() (uint64, error) {
 	return t.Version, nil
 }
 
-// revertNN rolls an nn class back one version and resets its training
-// shadow to those weights and (through resetOpt) its optimizer state, so
-// training continues from the rolled-back point rather than republishing the
-// bad weights.
-func (l *Learner) revertNN(store *Store, shadow nn.Layer, resetOpt func()) (uint64, error) {
+// revertStage rolls a stage's class back one version and resets its shadow
+// to those weights and its optimizer state, so training continues from the
+// rolled-back point rather than republishing the bad weights.
+func (l *Learner) revertStage(s *stage) (uint64, error) {
 	l.trainMu.Lock()
 	defer l.trainMu.Unlock()
-	m, err := store.Rollback()
+	m, err := s.class.store.Rollback()
 	if err != nil {
 		return 0, err
 	}
-	if err := nn.CopyParams(shadow, m.Net); err != nil {
+	if err := nn.CopyParams(s.shadow, m.Net); err != nil {
 		return 0, fmt.Errorf("online: rollback: %w", err)
 	}
-	resetOpt()
+	s.opt = nn.NewAdam(s.lr)
 	return m.Version, nil
 }
 
@@ -1025,16 +964,10 @@ type Stats struct {
 // Stats snapshots the learner's counters.
 func (l *Learner) Stats() Stats {
 	st := Stats{
-		Published: l.published.Load(),
-		Ingested:  l.ingested.Load(),
-		Useful:    l.useful.Load(),
-		Late:      l.late.Load(),
-		Examples:  l.assembled.Load(),
-		Trained:   l.trained.Load(),
-		Steps:     l.steps.Load(),
-	}
-	if m := l.store.Load(); m != nil {
-		st.Version = m.Version
+		Ingested: l.ingested.Load(),
+		Useful:   l.useful.Load(),
+		Late:     l.late.Load(),
+		Examples: l.assembled.Load(),
 	}
 	st.Dropped = l.detachedDrops.Load()
 	l.tapMu.Lock()
@@ -1043,28 +976,29 @@ func (l *Learner) Stats() Stats {
 		st.Dropped += t.ring.Dropped()
 	}
 	l.tapMu.Unlock()
-	if l.studentStore != nil {
-		st.StudentPublished = l.studentPublished.Load()
-		st.Distilled = l.distilled.Load()
-		st.DistillSteps = l.distSteps.Load()
-		if m := l.studentStore.Load(); m != nil {
-			st.StudentVersion = m.Version
-		}
+	// Each stage's counters land in its tier's fields, in stage order.
+	tiers := [...]struct {
+		version, published, examples, steps *uint64
+		loss, trend                         *float64
+	}{
+		{&st.Version, &st.Published, &st.Trained, &st.Steps, &st.Loss, &st.LossTrend},
+		{&st.StudentVersion, &st.StudentPublished, &st.Distilled, &st.DistillSteps, &st.DistillLoss, &st.DistillTrend},
 	}
-	if l.dartStore != nil {
-		st.DartPublished = l.dartPublished.Load()
+	l.trainMu.Lock()
+	for i, s := range l.stages {
+		f := tiers[i]
+		*f.version, *f.published = s.class.Version(), s.class.Published()
+		*f.examples, *f.steps = s.examples.Load(), s.steps.Load()
+		*f.loss, *f.trend = s.loss.fast, s.loss.fast-s.loss.slow
+	}
+	l.trainMu.Unlock()
+	if l.dart != nil {
+		st.DartVersion, st.DartPublished = l.dart.Version(), l.dart.Published()
 		st.Tabularized = l.tabularized.Load()
 		st.DartAttempts = l.tabAttempts.Load()
 		st.DartSkips = l.tabSkips.Load()
 		st.TabularizeMs = float64(l.tabNs.Load()) / 1e6
-		if t := l.dartStore.Load(); t != nil {
-			st.DartVersion = t.Version
-		}
 	}
-	l.trainMu.Lock()
-	st.Loss, st.LossTrend = l.loss.fast, l.loss.fast-l.loss.slow
-	st.DistillLoss, st.DistillTrend = l.distLoss.fast, l.distLoss.fast-l.distLoss.slow
-	l.trainMu.Unlock()
 	if el := time.Since(l.start).Seconds(); el > 0 {
 		st.PerSec = float64(st.Ingested) / el
 	}

@@ -186,7 +186,7 @@ func TestLearnerTrainsAndSwaps(t *testing.T) {
 			ev.Feedback = sim.Feedback{Block: r.Block(), Kind: sim.FeedbackUseful}
 		}
 		for !ring.Push(ev) {
-			time.Sleep(time.Millisecond)
+			runtime.Gosched() // full ring: let the loop drain it
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -194,7 +194,7 @@ func TestLearnerTrainsAndSwaps(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no optimizer steps after 10s: %+v", l.Stats())
 		}
-		time.Sleep(5 * time.Millisecond)
+		runtime.Gosched()
 	}
 
 	m, err := l.Swap()
@@ -294,5 +294,82 @@ func TestLearnerWarmStart(t *testing.T) {
 				t.Fatalf("v1 param %q[%d] not warm-started", ip[i].Name, j)
 			}
 		}
+	}
+}
+
+// TestStopWithoutStart: Stop on a learner whose loop never ran must return
+// after its final flush instead of waiting for a loop that does not exist.
+func TestStopWithoutStart(t *testing.T) {
+	data := tinyData()
+	l, err := NewLearner(Config{
+		Data: data, New: tinyArch(data), BatchSize: 8, SwapInterval: -1, Duty: 1, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillReservoir(l, 16)
+	l.maybeTrain()
+	stopped := make(chan struct{})
+	go func() {
+		l.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop on a never-started learner did not return")
+	}
+	if got := class(t, l, TeacherClass).Version(); got != 2 {
+		t.Fatalf("final flush left the teacher at v%d, want 2", got)
+	}
+}
+
+// TestStopKeepsHeldCandidate: under the promotion policy, a student candidate
+// the gate held must not be flushed at shutdown — not into the store and not
+// into the checkpoint directory a restarted learner recovers from — and the
+// shutdown records why. The teacher's final flush is logged like its
+// auto-publishes.
+func TestStopKeepsHeldCandidate(t *testing.T) {
+	dir := t.TempDir()
+	cfg := policyLearnerConfig(dir, PolicyConfig{AdmitWindow: 1, AdmitThreshold: 1})
+	cfg.DistillInterval = time.Nanosecond
+	l, err := NewLearner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillReservoir(l, 64)
+	l.maybeTrain() // one distill step; the gate holds the candidate
+	ds := l.Policy().Decisions()
+	if len(ds) != 1 || ds[0].Class != StudentClass || ds[0].Action != ActionHold {
+		t.Fatalf("gate decisions after one tick: %+v", ds)
+	}
+	l.Start()
+	l.Stop()
+	if got := class(t, l, StudentClass).Version(); got != 1 {
+		t.Fatalf("shutdown published the held student as v%d", got)
+	}
+	ds = l.Policy().Decisions()
+	var teacher, student bool
+	for _, d := range ds[1:] {
+		switch {
+		case d.Class == TeacherClass && d.Action == ActionAdmit && d.Version == 2:
+			teacher = true
+		case d.Class == StudentClass && d.Action != ActionAdmit && d.Version == 0 && d.Reason != "":
+			student = true
+		}
+	}
+	if !teacher || !student {
+		t.Fatalf("shutdown decisions %+v, want the teacher's flush and the student's reason", ds[1:])
+	}
+
+	l2, err := NewLearner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := class(t, l2, StudentClass).Version(); got != 1 {
+		t.Fatalf("restarted learner serves student v%d, want v1", got)
+	}
+	if got := class(t, l2, TeacherClass).Version(); got != 2 {
+		t.Fatalf("restarted learner serves teacher v%d, want the flushed v2", got)
 	}
 }

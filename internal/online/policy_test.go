@@ -284,13 +284,14 @@ func TestGateAdmitsHealthyStudent(t *testing.T) {
 	fillReservoir(l, 64)
 	v0 := class(t, l, StudentClass).Version()
 
+	student := stageOf(t, l, StudentClass)
 	l.trainMu.Lock()
-	if err := nn.CopyParams(l.student, l.store.Load().Net); err != nil {
+	if err := nn.CopyParams(student.shadow, class(t, l, TeacherClass).Store().Load().Net); err != nil {
 		l.trainMu.Unlock()
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		l.gateStudentLocked()
+		l.gateLocked(student)
 	}
 	l.trainMu.Unlock()
 
@@ -322,16 +323,17 @@ func TestGateHoldsDegradedStudent(t *testing.T) {
 	fillReservoir(l, 64)
 	v0 := class(t, l, StudentClass).Version()
 
+	student := stageOf(t, l, StudentClass)
 	l.trainMu.Lock()
 	// Degrade the candidate: random logits against the teacher's.
 	rng := rand.New(rand.NewSource(4))
-	for _, p := range l.student.Params() {
+	for _, p := range student.shadow.Params() {
 		for i := range p.W.Data {
 			p.W.Data[i] = rng.NormFloat64()
 		}
 	}
 	for i := 0; i < 2; i++ {
-		l.gateStudentLocked()
+		l.gateLocked(student)
 	}
 	l.trainMu.Unlock()
 
@@ -366,9 +368,10 @@ func TestGateBudgetHoldsStudent(t *testing.T) {
 	}
 	fillReservoir(l, 64)
 	v0 := class(t, l, StudentClass).Version()
+	student := stageOf(t, l, StudentClass)
 	l.trainMu.Lock()
-	if err := nn.CopyParams(l.student, l.store.Load().Net); err == nil {
-		l.gateStudentLocked()
+	if err := nn.CopyParams(student.shadow, class(t, l, TeacherClass).Store().Load().Net); err == nil {
+		l.gateLocked(student)
 	}
 	l.trainMu.Unlock()
 	if got := class(t, l, StudentClass).Version(); got != v0 {
@@ -528,7 +531,7 @@ func TestMinSourceDeltaSkipsRebuild(t *testing.T) {
 
 	// Move the student past the floor: the next cycle rebuilds.
 	l.trainMu.Lock()
-	for _, p := range l.student.Params() {
+	for _, p := range stageOf(t, l, StudentClass).shadow.Params() {
 		for i := range p.W.Data {
 			p.W.Data[i] *= 2
 		}
@@ -568,8 +571,7 @@ func TestPolicyDisabledBitIdentity(t *testing.T) {
 
 	step := func(l *Learner) {
 		l.trainMu.Lock()
-		l.trainStepLocked()
-		l.distillStepLocked()
+		l.trainLocked()
 		l.trainMu.Unlock()
 	}
 	for i := 0; i < 4; i++ {
@@ -578,11 +580,11 @@ func TestPolicyDisabledBitIdentity(t *testing.T) {
 		// The gate burns evaluation batches between training steps; the
 		// legacy learner does nothing. Training must stay bit-identical.
 		gated.trainMu.Lock()
-		gated.gateStudentLocked()
+		gated.gateLocked(stageOf(t, gated, StudentClass))
 		gated.trainMu.Unlock()
 	}
 
-	lp, gp := legacy.shadow.Params(), gated.shadow.Params()
+	lp, gp := stageOf(t, legacy, TeacherClass).shadow.Params(), stageOf(t, gated, TeacherClass).shadow.Params()
 	for i := range lp {
 		for j := range lp[i].W.Data {
 			if lp[i].W.Data[j] != gp[i].W.Data[j] {
@@ -591,7 +593,7 @@ func TestPolicyDisabledBitIdentity(t *testing.T) {
 			}
 		}
 	}
-	ls, gs := legacy.student.Params(), gated.student.Params()
+	ls, gs := stageOf(t, legacy, StudentClass).shadow.Params(), stageOf(t, gated, StudentClass).shadow.Params()
 	for i := range ls {
 		for j := range ls[i].W.Data {
 			if ls[i].W.Data[j] != gs[i].W.Data[j] {

@@ -160,11 +160,9 @@ func TestLearnerDistillsStudent(t *testing.T) {
 	}
 
 	ring := l.Attach("s0")
-	l.Start()
-	// Stream rounds of fresh events until several distillation steps have
-	// run (a step consumes the "fresh examples" budget, so a single burst
-	// yields exactly one).
-	deadline := time.Now().Add(15 * time.Second)
+	// Stream rounds of fresh events, one tick each, until several
+	// distillation steps have run (a step consumes the "fresh examples"
+	// budget, so a single burst yields exactly one).
 	for round := int64(0); l.Stats().DistillSteps < 3; round++ {
 		for i, r := range testRecords(9+round, 500) {
 			ev := Event{Access: sim.Access{InstrID: r.InstrID, PC: r.PC, Block: r.Block()}}
@@ -172,14 +170,15 @@ func TestLearnerDistillsStudent(t *testing.T) {
 				ev.HasFB = true
 				ev.Feedback = sim.Feedback{Block: r.Block(), Kind: sim.FeedbackUseful}
 			}
-			for !ring.Push(ev) {
-				time.Sleep(time.Millisecond)
+			if !ring.Push(ev) {
+				t.Fatal("ring full: a tick drains it before the next round")
 			}
 		}
-		if time.Now().After(deadline) {
+		l.drainAll()
+		l.maybeTrain()
+		if round == 10 {
 			t.Fatalf("distillation never ran: %+v", l.Stats())
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
 	m, err := l.SwapStudent()

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"dart/internal/dataprep"
 	"dart/internal/sim"
 )
 
@@ -53,18 +52,6 @@ func (r *Registry) Clone() *Registry {
 	}
 	r.mu.RUnlock()
 	return out
-}
-
-// MakeOnline registers name as a factory for model-backed prefetchers that
-// share one live BitmapPredictor — typically the serving engine's admission
-// batcher, or an online model store that hot-swaps versions underneath.
-// Each instance is a private NNPrefetcher (its own history ring and degree),
-// so per-session state stays isolated while inference is routed through the
-// shared predictor; pred must therefore be safe for concurrent Logits calls.
-func (r *Registry) MakeOnline(name string, pred BitmapPredictor, cfg dataprep.Config, latency, storageBytes int) {
-	r.Register(name, func(degree int) sim.Prefetcher {
-		return NewNNPrefetcher(name, pred, cfg, latency, storageBytes, degree)
-	})
 }
 
 // New instantiates a fresh prefetcher by name.

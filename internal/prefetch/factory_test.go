@@ -38,13 +38,17 @@ type constModel struct{ out []float64 }
 
 func (m constModel) Logits(*mat.Matrix) []float64 { return m.out }
 
-// TestRegistryMakeOnline: instances share the predictor but keep private
-// history state (fresh NNPrefetcher per New call).
-func TestRegistryMakeOnline(t *testing.T) {
+// TestRegistryNNFactoryIsolation: a model-backed factory registered the way
+// the serving engine registers its classes hands out instances that share
+// the predictor but keep private history state (a fresh NNPrefetcher per New
+// call).
+func TestRegistryNNFactoryIsolation(t *testing.T) {
 	r := NewRegistry()
 	cfg := dataprep.Default()
 	pred := constModel{out: make([]float64, cfg.OutputDim())}
-	r.MakeOnline("online", pred, cfg, 17, 1<<12)
+	r.Register("online", func(degree int) sim.Prefetcher {
+		return NewNNPrefetcher("online", pred, cfg, 17, 1<<12, degree)
+	})
 
 	a, err := r.New("online", 4)
 	if err != nil {
@@ -55,7 +59,7 @@ func TestRegistryMakeOnline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a == b {
-		t.Fatal("MakeOnline factory returned a shared instance")
+		t.Fatal("nn factory returned a shared instance")
 	}
 	if a.Name() != "online" || a.Latency() != 17 || a.StorageBytes() != 1<<12 {
 		t.Fatalf("instance misconfigured: %q lat %d sto %d", a.Name(), a.Latency(), a.StorageBytes())
