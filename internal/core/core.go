@@ -30,7 +30,6 @@ type Options struct {
 	// Teacher structure (Step 1 pursues accuracy without constraints).
 	TeacherDModel, TeacherDFF, TeacherHeads, TeacherLayers int
 	TeacherEpochs                                          int
-	TeacherLR                                              float64
 
 	// Distillation (Step 2).
 	KD kd.Config
@@ -44,9 +43,15 @@ type Options struct {
 	// Also train an undistilled student for the Table VI comparison.
 	TrainStudentNoKD bool
 
-	TrainFrac float64
-	Seed      int64
+	Seed int64
 }
+
+// The teacher's Adam learning rate, and the share of the labelled samples
+// the pipeline trains on (the rest is the test split).
+const (
+	teacherLR = 2e-3
+	trainFrac = 0.75
+)
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
@@ -74,17 +79,11 @@ func (o Options) withDefaults() Options {
 	if o.TeacherEpochs == 0 {
 		o.TeacherEpochs = 10
 	}
-	if o.TeacherLR == 0 {
-		o.TeacherLR = 2e-3
-	}
 	if o.FineTuneEpochs == 0 {
 		o.FineTuneEpochs = 8
 	}
 	if o.FitSamples == 0 {
 		o.FitSamples = 512
-	}
-	if o.TrainFrac == 0 {
-		o.TrainFrac = 0.75
 	}
 	return o
 }
@@ -117,7 +116,7 @@ func BuildDART(recs []trace.Record, opt Options) (*Artifacts, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, test := ds.Split(opt.TrainFrac)
+	train, test := ds.Split(trainFrac)
 	art := &Artifacts{Opt: opt, Train: train, Test: test}
 
 	// Step 0: table configurator chooses the student/table structure.
@@ -135,7 +134,7 @@ func BuildDART(recs []trace.Record, opt Options) (*Artifacts, error) {
 		DOut: opt.Data.OutputDim(), Heads: opt.TeacherHeads, Layers: opt.TeacherLayers,
 	}
 	art.Teacher = nn.NewTransformerPredictor(teacherCfg, rng)
-	tr := nn.NewTrainer(art.Teacher, nn.NewAdam(opt.TeacherLR), 32, rng)
+	tr := nn.NewTrainer(art.Teacher, nn.NewAdam(teacherLR), 32, rng)
 	for e := 0; e < opt.TeacherEpochs; e++ {
 		tr.TrainEpoch(train.X, train.Y, nn.BCEWithLogits)
 	}

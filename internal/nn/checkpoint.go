@@ -101,14 +101,6 @@ func WriteFrame(w io.Writer, magic [8]byte, meta CheckpointMeta, body []byte) er
 	return nil
 }
 
-// PeekCheckpoint reads and validates a checkpoint, returning its metadata
-// without applying the parameters to a model. The CRC is verified before
-// anything is decoded.
-func PeekCheckpoint(r io.Reader) (CheckpointMeta, error) {
-	meta, _, err := readCheckpoint(r)
-	return meta, err
-}
-
 // ReadFrame validates one checkpoint frame against the expected magic and
 // returns its metadata plus the raw body bytes. The CRC is verified before
 // anything is decoded, so a truncated, bit-flipped, or garbage file (or a

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // modelState is the on-wire form of a model's parameters.
 type modelState struct {
@@ -54,24 +50,6 @@ func restoreState(m Layer, st modelState) error {
 		copy(p.W.Data, st.Data[i])
 	}
 	return nil
-}
-
-// SaveParams writes a model's parameters with encoding/gob. Only parameter
-// values are stored; the caller is responsible for reconstructing a model of
-// the same architecture before loading. For durable on-disk snapshots prefer
-// SaveCheckpoint, which adds a metadata header and CRC validation.
-func SaveParams(w io.Writer, m Layer) error {
-	return gob.NewEncoder(w).Encode(stateOf(m))
-}
-
-// LoadParams restores parameters saved by SaveParams into a model of the
-// same architecture. It verifies names and shapes.
-func LoadParams(r io.Reader, m Layer) error {
-	var st modelState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return fmt.Errorf("nn: decode params: %w", err)
-	}
-	return restoreState(m, st)
 }
 
 // CopyParams copies the parameter values of src into dst. Both models must

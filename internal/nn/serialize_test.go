@@ -16,11 +16,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	want := m.Forward(x.Clone())
 
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, m); err != nil {
+	if err := SaveCheckpoint(&buf, m, CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	m2 := NewTransformerPredictor(cfg, rand.New(rand.NewSource(99)))
-	if err := LoadParams(&buf, m2); err != nil {
+	if _, err := LoadCheckpoint(&buf, m2); err != nil {
 		t.Fatal(err)
 	}
 	got := m2.Forward(x.Clone())
@@ -29,42 +29,42 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadParamsArchitectureMismatch(t *testing.T) {
+func TestLoadCheckpointArchitectureMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := NewLinear("a", 3, 2, rng)
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, a); err != nil {
+	if err := SaveCheckpoint(&buf, a, CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong name.
 	other := NewLinear("b", 3, 2, rng)
-	if err := LoadParams(bytes.NewReader(buf.Bytes()), other); err == nil {
+	if _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), other); err == nil {
 		t.Fatal("expected name mismatch error")
 	}
 	// Wrong shape.
 	buf.Reset()
-	if err := SaveParams(&buf, a); err != nil {
+	if err := SaveCheckpoint(&buf, a, CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	shaped := NewLinear("a", 4, 2, rng)
-	if err := LoadParams(bytes.NewReader(buf.Bytes()), shaped); err == nil {
+	if _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), shaped); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 	// Wrong parameter count.
 	buf.Reset()
-	if err := SaveParams(&buf, a); err != nil {
+	if err := SaveCheckpoint(&buf, a, CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	seq := NewSequential("s", NewLinear("a", 3, 2, rng), NewLinear("c", 2, 2, rng))
-	if err := LoadParams(bytes.NewReader(buf.Bytes()), seq); err == nil {
+	if _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), seq); err == nil {
 		t.Fatal("expected count mismatch error")
 	}
 }
 
-func TestLoadParamsGarbageInput(t *testing.T) {
+func TestLoadCheckpointGarbageInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewLinear("a", 2, 2, rng)
-	if err := LoadParams(bytes.NewReader([]byte("not gob")), m); err == nil {
-		t.Fatal("expected decode error")
+	if _, err := LoadCheckpoint(bytes.NewReader([]byte("not gob")), m); err == nil {
+		t.Fatal("garbage input loaded")
 	}
 }

@@ -43,6 +43,13 @@ import (
 	"dart/internal/tabular"
 )
 
+// The example reservoir (overwrite-oldest) and each session's event ring
+// hold this many entries.
+const (
+	bufferCap = 4096
+	ringCap   = 4096
+)
+
 // Config tunes the learner. Zero values select sensible defaults.
 type Config struct {
 	Data dataprep.Config // input/label construction (must match serving sessions)
@@ -52,8 +59,6 @@ type Config struct {
 
 	BatchSize    int           // minibatch size (default 32)
 	LR           float64       // Adam learning rate (default 1e-3)
-	BufferCap    int           // example reservoir capacity (default 4096)
-	RingCap      int           // per-session event ring capacity (default 4096)
 	Duty         float64       // max fraction of wall time spent training (default 0.25)
 	Tick         time.Duration // collector cadence (default 2ms)
 	SwapInterval time.Duration // auto-publish cadence (default 30s; <0 disables auto-publish)
@@ -68,8 +73,7 @@ type Config struct {
 	// and publishes student snapshots as the "student" model class of the
 	// versioned store. Every call must produce identical shapes, with the
 	// same input/output dims as New.
-	Student     func() nn.Layer
-	StudentInit nn.Layer // optional warm start (e.g. the offline-distilled student)
+	Student func() nn.Layer
 
 	Distill         kd.Config     // λ/temperature/LR of Eq. 25 (zero value: kd.DefaultConfig)
 	DistillInterval time.Duration // student auto-publish cadence (default: SwapInterval; <0 disables)
@@ -96,13 +100,6 @@ type Config struct {
 
 	DartSamples int // kernel-fitting examples drawn from the reservoir (default 128)
 
-	// DartLatency/DartStorageBytes override the modelled cost of the dart
-	// prefetcher; when 0 the analytic Cost of the currently published
-	// hierarchy is used (falling back to the student's numbers until the
-	// first table is published).
-	DartLatency      int
-	DartStorageBytes int
-
 	// Policy, when non-nil, enables the promotion policy engine: student and
 	// dart publishes are gated on candidate-vs-source agreement and budget,
 	// live divergence auto-rolls-back, and every decision lands in the
@@ -121,12 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LR == 0 {
 		c.LR = 1e-3
-	}
-	if c.BufferCap <= 0 {
-		c.BufferCap = 4096
-	}
-	if c.RingCap <= 0 {
-		c.RingCap = 4096
 	}
 	if c.Duty <= 0 {
 		c.Duty = 0.25
@@ -299,7 +290,7 @@ func NewLearner(cfg Config) (*Learner, error) {
 		cfg:  cfg,
 		taps: make(map[string]*sessionTap),
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		buf:  make([]example, cfg.BufferCap),
+		buf:  make([]example, bufferCap),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -318,7 +309,7 @@ func NewLearner(cfg Config) (*Learner, error) {
 		if _, err := l.addStage(&Class{
 			name: StudentClass, prefetcher: "student", source: teacher.class,
 			cost: func() (int, int) { return cfg.StudentLatency, cfg.StudentStorageBytes },
-		}, StudentClass, cfg.Student, cfg.StudentInit, lr, cfg.DistillInterval); err != nil {
+		}, StudentClass, cfg.Student, nil, lr, cfg.DistillInterval); err != nil {
 			return nil, err
 		}
 	}
@@ -464,27 +455,20 @@ func (l *Learner) Class(name string) (*Class, error) {
 	return nil, fmt.Errorf("online: no %q serving class configured (have %s)", name, strings.Join(have, ", "))
 }
 
-// dartCostNow is the modelled cost of the dart prefetcher: the config
-// override when set, else the analytic cost (Sec. V-C) of the published
-// hierarchy, else the student's while no table exists yet.
+// dartCostNow is the modelled cost of the dart prefetcher: the analytic cost
+// (Sec. V-C) of the published hierarchy, or the student's while no table
+// exists yet.
 func (l *Learner) dartCostNow() (latency, storageBytes int) {
-	latency, storageBytes = l.cfg.StudentLatency, l.cfg.StudentStorageBytes
 	if c := l.dartCost.Load(); c != nil {
-		latency, storageBytes = c.LatencyCycles, c.StorageBytes()
+		return c.LatencyCycles, c.StorageBytes()
 	}
-	if l.cfg.DartLatency > 0 {
-		latency = l.cfg.DartLatency
-	}
-	if l.cfg.DartStorageBytes > 0 {
-		storageBytes = l.cfg.DartStorageBytes
-	}
-	return latency, storageBytes
+	return l.cfg.StudentLatency, l.cfg.StudentStorageBytes
 }
 
 // Attach registers a session and returns the ring its actor pushes events
 // into. The caller must Detach with the same id when the session closes.
 func (l *Learner) Attach(id string) *Ring {
-	t := &sessionTap{ring: NewRing(l.cfg.RingCap), bld: newBuilder(l.cfg.Data)}
+	t := &sessionTap{ring: NewRing(ringCap), bld: newBuilder(l.cfg.Data)}
 	l.tapMu.Lock()
 	l.taps[id] = t
 	l.tapMu.Unlock()

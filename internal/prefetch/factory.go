@@ -79,17 +79,3 @@ func (r *Registry) Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// defaultRegistry backs the package-level convenience functions.
-var defaultRegistry = NewRegistry()
-
-// Register adds a factory to the package-level registry.
-func Register(name string, f Factory) { defaultRegistry.Register(name, f) }
-
-// New instantiates from the package-level registry.
-func New(name string, degree int) (sim.Prefetcher, error) {
-	return defaultRegistry.New(name, degree)
-}
-
-// Names lists the package-level registry.
-func Names() []string { return defaultRegistry.Names() }

@@ -144,23 +144,20 @@ func (r *Router) fanAll(req serve.Request) (serve.Reply, error) {
 	return out, nil
 }
 
-// Control answers one non-hot verb by its row in serve.Verbs: session verbs
-// hit the routing table, and the others fan out as the row's Route says. A
-// verb added to serve.Verbs is routed with no edit here. opened tracks
-// sessions owned by the calling connection for crash reclaim, exactly like
-// serve.Server.
+// Control answers one control request exactly as a client connection's
+// loop does (serve.Control): session verbs hit the routing table, and the
+// others fan out through Answer. opened tracks sessions owned by the calling
+// connection for reclaim; nil tracks nothing.
 func (r *Router) Control(req serve.Request, opened map[string]struct{}) serve.Reply {
-	v, ok := serve.Verbs.Lookup(req.Op)
-	if !ok {
-		return serve.Reply{OK: false, Err: "route: unknown op " + req.Op}
-	}
+	return serve.Control(r, req, opened)
+}
+
+// Answer answers one fan-out verb as its row's Route says, so a verb added
+// to serve.Verbs is routed with no edit here.
+func (r *Router) Answer(v serve.Verb, req serve.Request) serve.Reply {
 	var rep serve.Reply
 	var err error
 	switch v.Route {
-	case serve.RouteSession:
-		return v.Session(r, req, opened)
-	case serve.RouteHot:
-		err = errors.New("route: hot verb in a control frame: use access/batch frames")
 	case serve.RouteMerge:
 		rep, err = r.merge(req)
 	case serve.RouteOne:

@@ -592,6 +592,35 @@ func (r *Router) Access(id string, recs []trace.Record) ([]serve.AccessResult, e
 	return out, nil
 }
 
+// Submit routes one access of a client's JSON connection and calls fn
+// (which may be nil) with its response before returning, so the connection
+// loop finishes it before it reads the next request.
+func (r *Router) Submit(id string, rec trace.Record, fn func(serve.Response)) error {
+	res, err := r.Access(id, []trace.Record{rec})
+	if err != nil {
+		return err
+	}
+	if fn != nil {
+		a := res[0]
+		fn(serve.Response{Session: id, Seq: a.Seq, Hit: a.Hit, Late: a.Late,
+			Prefetches: a.Prefetches, Version: a.Version})
+	}
+	return nil
+}
+
+// SubmitFrame routes one access or batch frame of a client's binary
+// connection and hands the job, reply encoded, to the connection's writer
+// before returning, so the loop finishes it before it decodes the next
+// frame.
+func (r *Router) SubmitFrame(sid []byte, j *serve.WireJob) error {
+	res, err := r.Access(string(sid), j.Records())
+	if err != nil {
+		return err
+	}
+	j.Finish(res)
+	return nil
+}
+
 // copyResults copies results out of a pooled client's reused buffers into
 // the session's own (the client goes back in the pool before the caller is
 // done with the results).

@@ -11,11 +11,12 @@ import (
 
 // Acceptor is the connection layer every wire front end shares — a daemon's
 // Server and a router's. It owns the accept loop, the set of live
-// connections, the race between Stop and a connection being accepted, and
-// the per-connection protocol negotiation: the server peeks at the first
-// byte, and a DARTWIRE1 client's banner is checked and echoed here, so each
-// handler starts at the first frame or the first JSON line. The zero value
-// is ready to use.
+// connections, the race between Stop and a connection being accepted, the
+// per-connection protocol negotiation — the server peeks at the first byte,
+// and a DARTWIRE1 client's banner is checked and echoed here — the JSON and
+// DARTWIRE1 connection loops (server.go), and the reclaim of the sessions a
+// dropped connection left open. A front end supplies only its Front. The
+// zero value is ready to use.
 type Acceptor struct {
 	mu     sync.Mutex
 	ln     net.Listener
@@ -24,15 +25,10 @@ type Acceptor struct {
 	closed atomic.Bool
 }
 
-// ConnHandler serves one negotiated connection until it ends; br buffers
-// what the client sent after the handshake. The acceptor closes conn when
-// the handler returns.
-type ConnHandler func(conn net.Conn, br *bufio.Reader)
-
-// Serve accepts connections on ln until Stop, handing each to serveJSON or,
-// after a good DARTWIRE1 handshake, to serveBinary. It returns nil after
-// Stop and the accept error otherwise.
-func (a *Acceptor) Serve(ln net.Listener, serveJSON, serveBinary ConnHandler) error {
+// Serve accepts connections on ln until Stop and serves each on f, through
+// the JSON loop or, after a good DARTWIRE1 handshake, the binary one. It
+// returns nil after Stop and the accept error otherwise.
+func (a *Acceptor) Serve(ln net.Listener, f Front) error {
 	a.mu.Lock()
 	a.ln = ln
 	a.mu.Unlock()
@@ -61,15 +57,19 @@ func (a *Acceptor) Serve(ln net.Listener, serveJSON, serveBinary ConnHandler) er
 		a.conns[conn] = struct{}{}
 		a.wg.Add(1)
 		a.mu.Unlock()
-		go a.handle(conn, serveJSON, serveBinary)
+		go a.handle(conn, f)
 	}
 }
 
 // handle negotiates the protocol for one connection: the DARTWIRE1 magic's
 // first byte selects binary framing, any other the line-delimited JSON
 // protocol. A 'D' that does not open the exact banner is answered with one
-// plain-text line — the version digit is the compatibility gate.
-func (a *Acceptor) handle(conn net.Conn, serveJSON, serveBinary ConnHandler) {
+// plain-text line — the version digit is the compatibility gate. Once the
+// loop ends, the sessions the connection left open are closed, so a front
+// cannot accumulate orphaned sessions and wedged ids — unless Stop ended
+// it: then the owner's shutdown path collects them (a daemon's Shutdown
+// returns their final results, and a router keeps them routed).
+func (a *Acceptor) handle(conn net.Conn, f Front) {
 	defer a.wg.Done()
 	defer func() {
 		a.mu.Lock()
@@ -83,22 +83,29 @@ func (a *Acceptor) handle(conn net.Conn, serveJSON, serveBinary ConnHandler) {
 	if err != nil {
 		return
 	}
-	if first[0] != WireMagic[0] {
-		serveJSON(conn, br)
+	loop := handleJSON
+	if first[0] == WireMagic[0] {
+		var magic [len(WireMagic)]byte
+		if _, err := io.ReadFull(br, magic[:]); err != nil {
+			return
+		}
+		if string(magic[:]) != WireMagic {
+			fmt.Fprintf(conn, "serve: bad protocol magic %q (want %q)\n", magic[:], WireMagic)
+			return
+		}
+		if _, err := io.WriteString(conn, WireMagic); err != nil {
+			return
+		}
+		loop = handleBinary
+	}
+	opened := make(map[string]struct{})
+	loop(f, conn, br, opened)
+	if a.closed.Load() {
 		return
 	}
-	var magic [len(WireMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return
+	for id := range opened {
+		f.CloseSession(id)
 	}
-	if string(magic[:]) != WireMagic {
-		fmt.Fprintf(conn, "serve: bad protocol magic %q (want %q)\n", magic[:], WireMagic)
-		return
-	}
-	if _, err := io.WriteString(conn, WireMagic); err != nil {
-		return
-	}
-	serveBinary(conn, br)
 }
 
 // Stop stops accepting, closes every live connection, and waits for their
@@ -115,8 +122,3 @@ func (a *Acceptor) Stop() {
 	a.mu.Unlock()
 	a.wg.Wait()
 }
-
-// Stopped reports whether Stop has begun. A handler whose connection ended
-// because of it leaves the connection's sessions to its owner's shutdown
-// path instead of reclaiming them.
-func (a *Acceptor) Stopped() bool { return a.closed.Load() }

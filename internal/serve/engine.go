@@ -44,7 +44,6 @@ import (
 
 // Config tunes the engine. Zero values select sensible defaults.
 type Config struct {
-	Shards     int // session-map shards (default 16)
 	QueueDepth int // per-session inbox capacity (default 64)
 	MaxBatch   int // admission batcher coalescing cap (default 64)
 
@@ -85,9 +84,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
@@ -135,7 +131,7 @@ type Response struct {
 type item struct {
 	rec trace.Record
 	fn  func(Response)
-	job *wireJob // when non-nil, rec/fn are unused
+	job *WireJob // when non-nil, rec/fn are unused
 }
 
 // session is the per-stream actor: private prefetcher state, an incremental
@@ -222,6 +218,9 @@ func (s *session) step(rec trace.Record) sim.Step {
 	return st
 }
 
+// sessionShards is how many slices the session map is split into.
+const sessionShards = 16
+
 // shard is one slice of the session map.
 type shard struct {
 	mu sync.RWMutex
@@ -231,7 +230,7 @@ type shard struct {
 // Engine is the multi-session serving engine.
 type Engine struct {
 	cfg     Config
-	shards  []shard
+	shards  [sessionShards]shard
 	classes map[string]*servingClass // model classes by prefetcher name; immutable after NewEngine
 	learner *online.Learner          // == cfg.Online
 
@@ -273,7 +272,7 @@ func (c *servingClass) prefetcher(tenant string, ver *uint64, degree int) *prefe
 // one class per row of cfg.Online's class table.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg, shards: make([]shard, cfg.Shards), learner: cfg.Online,
+	e := &Engine{cfg: cfg, learner: cfg.Online,
 		classes: make(map[string]*servingClass)}
 	for i := range e.shards {
 		e.shards[i].m = make(map[string]*session)
@@ -512,17 +511,17 @@ func (e *Engine) Submit(id string, rec trace.Record, fn func(Response)) error {
 	return e.enqueue(s, item{rec: rec, fn: fn}, 1)
 }
 
-// submitJob is Submit for a decoded binary frame whose session id still sits
-// in the connection's read buffer: the reply is encoded in place by the
-// actor instead of a callback.
-func (e *Engine) submitJob(sid []byte, j *wireJob) error {
-	s, err := e.lookupBytes(sid)
+// SubmitFrame is Submit for a decoded binary frame whose session id still
+// sits in the connection's read buffer: the session actor encodes the reply
+// in place (runJob) instead of calling back.
+func (f engineFront) SubmitFrame(sid []byte, j *WireJob) error {
+	s, err := f.lookupBytes(sid)
 	if err != nil {
 		return err
 	}
 	// Once sent, j belongs to the actor and then to the writer, which pools
 	// it for the next frame of any connection: read it before the send.
-	return e.enqueue(s, item{job: j}, uint64(len(j.recs)))
+	return f.enqueue(s, item{job: j}, uint64(len(j.recs)))
 }
 
 // enqueue sends it, carrying n accesses, to the session's actor, or returns

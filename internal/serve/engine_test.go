@@ -279,11 +279,11 @@ func TestStatsSnapshotLive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
+	var hammer, pumps, started sync.WaitGroup
 	stop := make(chan struct{})
-	wg.Add(1)
+	hammer.Add(1)
 	go func() {
-		defer wg.Done()
+		defer hammer.Done()
 		for {
 			select {
 			case <-stop:
@@ -293,28 +293,32 @@ func TestStatsSnapshotLive(t *testing.T) {
 			}
 		}
 	}()
+	pumps.Add(4)
+	started.Add(4)
 	for i := 0; i < 4; i++ {
-		wg.Add(1)
 		go func(i int) {
-			defer wg.Done()
-			for _, rec := range sessionTrace(int64(i), 1500) {
+			defer pumps.Done()
+			for j, rec := range sessionTrace(int64(i), 1500) {
 				e.Submit(fmt.Sprintf("s%d", i), rec, nil)
+				if j == 0 {
+					started.Done()
+				}
 			}
 		}(i)
 	}
-	time.Sleep(10 * time.Millisecond)
+	// Snapshot mid-stream, once every pump has an access in.
+	started.Wait()
 	st := e.StatsSnapshot()
 	if st.Sessions != 4 {
 		t.Fatalf("snapshot sees %d sessions, want 4", st.Sessions)
 	}
-	// Let the pumps finish, then stop the stats hammer.
-	for len(stop) == 0 {
-		if e.StatsSnapshot().Accepted >= 4*1500 {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	// Let the pumps finish, then stop the stats hammer. Submit counts an
+	// access before it returns, so every access is counted by now.
+	pumps.Wait()
+	if got := e.StatsSnapshot().Accepted; got != 4*1500 {
+		t.Fatalf("accepted %d accesses, want %d", got, 4*1500)
 	}
 	close(stop)
-	wg.Wait()
+	hammer.Wait()
 	e.Drain()
 }

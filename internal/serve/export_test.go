@@ -10,3 +10,7 @@ var (
 	BuildHierarchy   = testHierarchy
 	BuildDartLearner = testDartLearner
 )
+
+// wireJob is the pooled hot-frame job under the name the codec's
+// zero-allocation tests know it by.
+type wireJob = WireJob

@@ -48,42 +48,52 @@ func (h *Hex64) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Route is how a router answers a verb: the fan-out rule of its row in
-// Verbs.
+// Route is how a verb is answered: the connection loop refuses a hot verb
+// in a control frame and sends session verbs to the front's session table;
+// for the other routes it is a router's fan-out rule.
 type Route uint8
 
 const (
-	RouteSession Route = iota // the router's session table: place, open or close at the owner
+	RouteSession Route = iota // the front's session table: open or close (a router places at the owner)
 	RouteHot                  // framed hot path only; refused inside a control frame
 	RouteMerge                // every backend, replies merged into one
 	RouteOne                  // the first healthy backend answers
 	RouteAll                  // every healthy backend; any failure fails the verb
 )
 
-// Verb is one row of the verb table: the op name, its router fan-out, and
-// how a daemon answers it. Session verbs are written against a
-// SessionTable, so a router answers them with the same code over its own
-// session table; every other verb is answered by the daemon's engine.
+// Verb is one row of the verb table: the op name, its route, and how a
+// daemon answers it. Session verbs are written against a Front, so a router
+// answers them with the same code over its own session table; every other
+// non-hot verb is answered by the daemon's engine, or by a router's fan-out
+// (Front.Answer).
 type Verb struct {
 	Name  string
 	Route Route
 
-	session func(t SessionTable, req Request, opened map[string]struct{}) Reply
+	session func(f Front, req Request, opened map[string]struct{}) Reply
 	engine  func(e *Engine, req Request) Reply
 }
 
-// Session answers a RouteSession verb against t. opened tracks the
-// sessions owned by the calling connection, for reclaim when it drops; nil
-// tracks nothing.
-func (v Verb) Session(t SessionTable, req Request, opened map[string]struct{}) Reply {
-	return v.session(t, req, opened)
-}
-
-// SessionTable is what the session verbs act on: a daemon's engine, or a
-// router's routing table.
-type SessionTable interface {
+// Front is what a wire front end serves, and all that the connection loops
+// (Acceptor.Serve) know of it: the session table the session verbs act on
+// and reclaim closes a dropped connection's sessions through, the other
+// control verbs, and the two hot paths. A daemon's engine serves each
+// access on its session's actor; a router routes it on the connection's
+// reader goroutine, finishing one request before the loop decodes the next.
+type Front interface {
 	OpenSession(id string, opt SessionOptions) error
 	CloseSession(id string) (sim.Result, error)
+	// Answer answers a verb whose row routes neither to the session table
+	// nor to the hot path.
+	Answer(v Verb, req Request) Reply
+	// Submit serves one JSON access and calls fn (which may be nil) once
+	// with its response, or returns why it could not.
+	Submit(id string, rec trace.Record, fn func(Response)) error
+	// SubmitFrame serves a decoded access or batch frame for session sid
+	// and hands j, reply encoded, to the connection's writer, or returns
+	// why it could not, leaving j with the caller. sid aliases the read
+	// buffer and is valid only until SubmitFrame returns.
+	SubmitFrame(sid []byte, j *WireJob) error
 }
 
 // VerbTable is the protocol's verb table.
@@ -101,14 +111,14 @@ func (t VerbTable) Lookup(op string) (Verb, bool) {
 
 // Verbs is every wire verb of the serving protocol, in both encodings: the
 // JSON op strings, which the binary protocol reuses for control frames, plus
-// the binary-only "batch" hot verb. Both wire servers dispatch through it —
-// a daemon by each row's handler, a router by each row's Route — so adding
-// a verb is one row here. docs/PROTOCOL.md must document each one;
-// cmd/dart-doccheck enforces that in CI.
+// the binary-only "batch" hot verb. Every connection loop dispatches through
+// it (Control) — a daemon answers a row by its handler, a router by its
+// Route — so adding a verb is one row here. docs/PROTOCOL.md must document
+// each one; cmd/dart-doccheck enforces that in CI.
 var Verbs = VerbTable{
 	{Name: "open", Route: RouteSession, session: openVerb},
-	{Name: "access", Route: RouteHot, engine: hotVerb},
-	{Name: "batch", Route: RouteHot, engine: hotVerb},
+	{Name: "access", Route: RouteHot},
+	{Name: "batch", Route: RouteHot},
 	{Name: "close", Route: RouteSession, session: closeVerb},
 	{Name: "stats", Route: RouteMerge, engine: statsVerb},
 	{Name: "model", Route: RouteOne, engine: withLearner(classVerb(nil))},
@@ -119,8 +129,8 @@ var Verbs = VerbTable{
 }
 
 // openVerb opens req.Session with the full SessionOptions surface.
-func openVerb(t SessionTable, req Request, opened map[string]struct{}) Reply {
-	err := t.OpenSession(req.Session, SessionOptions{
+func openVerb(f Front, req Request, opened map[string]struct{}) Reply {
+	err := f.OpenSession(req.Session, SessionOptions{
 		Prefetcher: req.Prefetcher,
 		Degree:     req.Degree,
 		Tenant:     req.Tenant,
@@ -137,8 +147,8 @@ func openVerb(t SessionTable, req Request, opened map[string]struct{}) Reply {
 }
 
 // closeVerb closes req.Session and returns its final simulator result.
-func closeVerb(t SessionTable, req Request, opened map[string]struct{}) Reply {
-	res, err := t.CloseSession(req.Session)
+func closeVerb(f Front, req Request, opened map[string]struct{}) Reply {
+	res, err := f.CloseSession(req.Session)
 	if err != nil {
 		return errReply(req.Session, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"dart/internal/loadgen"
 	"dart/internal/mat"
 	"dart/internal/nn"
+	"dart/internal/prefetch"
 	"dart/internal/serve"
 	"dart/internal/sim"
 	"dart/internal/tabular"
@@ -175,12 +177,31 @@ func TestReplayClosesSessionsOnOpenError(t *testing.T) {
 	e.Drain()
 }
 
+// firstAccess is a prefetcher that signals seen on its first access.
+type firstAccess struct {
+	sim.Prefetcher
+	seen chan<- struct{}
+	once sync.Once
+}
+
+func (p *firstAccess) OnAccess(a sim.Access) []uint64 {
+	p.once.Do(func() { p.seen <- struct{}{} })
+	return p.Prefetcher.OnAccess(a)
+}
+
 // TestReplayClosesSessionsOnAccessError injects a failure mid-run by closing
 // one session out from under the load generator: the victim's next Access errors,
 // Run returns that error, and the cleanup must still close every other
 // session so the engine's session count returns to zero.
 func TestReplayClosesSessionsOnAccessError(t *testing.T) {
-	e := serve.NewEngine(serve.Config{SimCfg: serve.SmallSimCfg()})
+	// Every session's prefetcher reports its first access: by then the run
+	// has opened the session and is streaming it.
+	streaming := make(chan struct{}, 4)
+	reg := prefetch.NewRegistry()
+	reg.Register("stride", func(degree int) sim.Prefetcher {
+		return &firstAccess{Prefetcher: prefetch.NewStride(degree), seen: streaming}
+	})
+	e := serve.NewEngine(serve.Config{SimCfg: serve.SmallSimCfg(), Registry: reg})
 	traces := map[string][]trace.Record{}
 	for i := 0; i < 4; i++ {
 		traces[fmt.Sprintf("c%d", i)] = serve.SessionTrace(int64(i), 50_000)
@@ -191,12 +212,12 @@ func TestReplayClosesSessionsOnAccessError(t *testing.T) {
 		errc <- err
 	}()
 	// Wait until the run has all four sessions streaming, then yank one.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(e.Sessions()) < 4 {
-		if time.Now().After(deadline) {
-			t.Fatal("replay never opened its sessions")
+	for i := 0; i < 4; i++ {
+		select {
+		case <-streaming:
+		case <-time.After(5 * time.Second):
+			t.Fatal("replay never streamed its sessions")
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if _, err := e.Close("c1"); err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ func (s *Server) Engine() *Engine { return s.engine }
 // Serve accepts connections until Shutdown. It returns nil after a graceful
 // shutdown and the accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {
-	return s.conns.Serve(ln, s.handleJSON, s.handleBinary)
+	return s.conns.Serve(ln, engineFront{s.engine})
 }
 
 // Stop stops accepting, closes live connections, and waits for their
@@ -55,33 +55,34 @@ func (s *Server) Shutdown() map[string]sim.Result {
 	return s.engine.Drain()
 }
 
-// engineTable is a daemon's SessionTable: its engine, whose Close is the
-// table's CloseSession.
-type engineTable struct{ *Engine }
+// engineFront is a daemon's Front: its engine, serving each access on the
+// session's actor.
+type engineFront struct{ *Engine }
 
-func (t engineTable) CloseSession(id string) (sim.Result, error) { return t.Close(id) }
+func (f engineFront) CloseSession(id string) (sim.Result, error) { return f.Close(id) }
 
-// control executes one synchronous verb — everything except the access hot
-// path — by its row in Verbs. Shared by the JSON loop and binary control
-// frames, so every non-hot verb behaves identically over both protocols.
-// opened tracks sessions owned by the calling connection for crash reclaim.
-func (s *Server) control(req Request, opened map[string]struct{}) Reply {
+func (f engineFront) Answer(v Verb, req Request) Reply { return v.engine(f.Engine, req) }
+
+// Control answers one control request on f by its row in Verbs: it refuses
+// an unknown op and a hot verb itself, sends the session verbs to f's
+// session table and every other row to f.Answer. Both connection loops call
+// it, so every non-hot verb behaves identically over both protocols and on
+// both fronts. opened tracks sessions owned by the calling connection for
+// reclaim when it drops; nil tracks nothing.
+func Control(f Front, req Request, opened map[string]struct{}) Reply {
 	v, ok := Verbs.Lookup(req.Op)
 	switch {
 	case !ok:
 		return Reply{OK: false, Err: "serve: unknown op " + req.Op}
-	case v.session != nil:
-		return v.session(engineTable{s.engine}, req, opened)
+	case v.Route == RouteHot:
+		// The JSON loop intercepts access first, and binary clients must
+		// use the framed hot verbs.
+		return Reply{OK: false, Session: req.Session,
+			Err: "serve: hot verb in a control frame: use access/batch frames"}
+	case v.Route == RouteSession:
+		return v.session(f, req, opened)
 	}
-	return v.engine(s.engine, req)
-}
-
-// hotVerb answers access or batch inside a binary control frame: the JSON
-// loop intercepts access first, and binary clients must use the framed hot
-// verbs.
-func hotVerb(_ *Engine, req Request) Reply {
-	return Reply{OK: false, Session: req.Session,
-		Err: "serve: hot verb in a control frame: use access/batch frames"}
+	return f.Answer(v, req)
 }
 
 // statsVerb answers a mid-stream engine snapshot.
@@ -147,19 +148,6 @@ func policyVerb(l *online.Learner, _ Request) Reply {
 	return rep
 }
 
-// reclaim closes the sessions a dropped connection left open, so the daemon
-// cannot accumulate orphaned actors and wedged session ids — unless the
-// server itself is stopping, in which case engine.Drain collects them so
-// Shutdown can return their final results.
-func (s *Server) reclaim(opened map[string]struct{}) {
-	if s.conns.Stopped() {
-		return
-	}
-	for id := range opened {
-		s.engine.Close(id)
-	}
-}
-
 // writeLoop is a connection's writer: it writes the bytes of each queued
 // reply, flushing whenever the queue is momentarily empty so pipelined
 // bursts coalesce into few syscalls without adding batching latency, and
@@ -182,10 +170,11 @@ func writeLoop[T any](w *bufio.Writer, out <-chan T, bytes func(T) []byte, sent 
 	}
 }
 
-// handleJSON runs one line-delimited JSON connection: a reader loop
-// dispatching requests and a writer goroutine serialising replies (access
-// replies arrive concurrently from session goroutines).
-func (s *Server) handleJSON(conn net.Conn, br *bufio.Reader) {
+// handleJSON runs one line-delimited JSON connection on f: a reader loop
+// dispatching requests and a writer goroutine serialising replies (a
+// daemon's access replies arrive concurrently from session goroutines).
+// opened collects the sessions the connection opened and has not closed.
+func handleJSON(f Front, conn net.Conn, br *bufio.Reader, opened map[string]struct{}) {
 	out := make(chan []byte, 256)
 	writerDone := make(chan struct{})
 	go func() {
@@ -194,7 +183,6 @@ func (s *Server) handleJSON(conn net.Conn, br *bufio.Reader) {
 	}()
 
 	send := func(r Reply) { out <- append(MarshalReply(r), '\n') }
-	opened := make(map[string]struct{})
 	var pending sync.WaitGroup
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -210,7 +198,7 @@ func (s *Server) handleJSON(conn net.Conn, br *bufio.Reader) {
 		}
 		if req.Op == "access" {
 			pending.Add(1)
-			err := s.engine.Submit(req.Session, req.Record(), func(resp Response) {
+			err := f.Submit(req.Session, req.Record(), func(resp Response) {
 				defer pending.Done()
 				send(AccessReply(resp.Session, AccessResult{
 					Seq: resp.Seq, Hit: resp.Hit, Late: resp.Late,
@@ -223,28 +211,28 @@ func (s *Server) handleJSON(conn net.Conn, br *bufio.Reader) {
 			}
 			continue
 		}
-		send(s.control(req, opened))
+		send(Control(f, req, opened))
 	}
 	// Wait for in-flight access replies, then let the writer drain and exit.
 	pending.Wait()
 	close(out)
 	<-writerDone
-	s.reclaim(opened)
 }
 
-// handleBinary runs one DARTWIRE1 connection, reading frames after the
-// handshake. Hot-verb frames ride pooled wireJobs through the session actors
-// (zero allocations per access in steady state); control frames carry JSON
-// and share the control dispatch with the JSON protocol. Framing-level
-// corruption (bad CRC, truncation, garbage varints) is fatal to the
-// connection — the stream is no longer trustworthy — while application
-// errors (unknown session) answer with a per-frame error reply.
-func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
-	out := make(chan *wireJob, 256)
+// handleBinary runs one DARTWIRE1 connection on f, reading frames after the
+// handshake. Hot-verb frames ride pooled WireJobs through f (on a daemon,
+// through the session actors: zero allocations per access in steady
+// state); control frames carry JSON and share the control dispatch with the
+// JSON protocol. Framing-level corruption (bad CRC, truncation, garbage
+// varints) is fatal to the connection — the stream is no longer
+// trustworthy — while application errors (unknown session) answer with a
+// per-frame error reply. opened is as for handleJSON.
+func handleBinary(f Front, conn net.Conn, br *bufio.Reader, opened map[string]struct{}) {
+	out := make(chan *WireJob, 256)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		writeLoop(bufio.NewWriterSize(conn, 1<<16), out, func(j *wireJob) []byte { return j.buf }, func(j *wireJob) {
+		writeLoop(bufio.NewWriterSize(conn, 1<<16), out, func(j *WireJob) []byte { return j.buf }, func(j *WireJob) {
 			j.wg.Done()
 			j.out, j.wg = nil, nil
 			wireJobPool.Put(j)
@@ -252,15 +240,14 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 	}()
 
 	var pending sync.WaitGroup
-	opened := make(map[string]struct{})
 	// reply queues a job whose buf holds a complete reply frame.
-	reply := func(j *wireJob) {
+	reply := func(j *WireJob) {
 		pending.Add(1)
 		j.wg = &pending
 		out <- j
 	}
 	sendErr := func(tag uint64, err error) {
-		j := wireJobPool.Get().(*wireJob)
+		j := wireJobPool.Get().(*WireJob)
 		j.buf = AppendErrorReply(j.buf[:0], tag, err)
 		reply(j)
 	}
@@ -282,11 +269,11 @@ loop:
 				sendErr(0, fmt.Errorf("serve: bad control frame: %w", err))
 				break loop
 			}
-			j := wireJobPool.Get().(*wireJob)
-			j.buf = AppendControlReply(j.buf[:0], MarshalReply(s.control(req, opened)))
+			j := wireJobPool.Get().(*WireJob)
+			j.buf = AppendControlReply(j.buf[:0], MarshalReply(Control(f, req, opened)))
 			reply(j)
 		case FrameAccess, FrameBatch:
-			j := wireJobPool.Get().(*wireJob)
+			j := wireJobPool.Get().(*WireJob)
 			var sid []byte
 			j.tag, sid, j.recs, err = DecodeAccessRequest(kind, p, j.recs[:0])
 			if err != nil {
@@ -296,7 +283,7 @@ loop:
 			}
 			j.kind, j.out, j.wg = kind, out, &pending
 			pending.Add(1)
-			if err := s.engine.submitJob(sid, j); err != nil {
+			if err := f.SubmitFrame(sid, j); err != nil {
 				pending.Done()
 				tag := j.tag
 				j.out, j.wg = nil, nil
@@ -312,5 +299,4 @@ loop:
 	pending.Wait()
 	close(out)
 	<-writerDone
-	s.reclaim(opened)
 }

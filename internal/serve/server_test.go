@@ -197,10 +197,33 @@ func TestShutdownDrainsSessions(t *testing.T) {
 	}
 }
 
+// closeSpy is a daemon's Front that reports every session it closes.
+type closeSpy struct {
+	engineFront
+	closed chan<- string
+}
+
+func (f closeSpy) CloseSession(id string) (sim.Result, error) {
+	res, err := f.engineFront.CloseSession(id)
+	f.closed <- id
+	return res, err
+}
+
 // TestDisconnectReclaimsSessions: a client that drops without closing its
 // sessions must not wedge their ids — a reconnecting client can reopen them.
 func TestDisconnectReclaimsSessions(t *testing.T) {
-	conn, srv, _ := startServer(t, Config{SimCfg: smallSimCfg()})
+	e := NewEngine(Config{SimCfg: smallSimCfg()})
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "dart.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan string, 1)
+	var conns Acceptor
+	go conns.Serve(ln, closeSpy{engineFront{e}, closed})
+	conn, err := net.Dial("unix", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
 	br := bufio.NewReader(conn)
 	if rep := rpc(t, conn, br, Request{Op: "open", Session: "core01", Prefetcher: "stride"}); !rep.OK {
 		t.Fatal(rep.Err)
@@ -212,19 +235,22 @@ func TestDisconnectReclaimsSessions(t *testing.T) {
 	}
 	conn.Close() // crash without "close"
 
-	// The session id must become available again once the handler notices
-	// the disconnect and reclaims the orphan.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := srv.engine.Open("core01", "bo", 2); err == nil {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("session not reclaimed after disconnect: %v", err)
+	// The connection loop notices the disconnect and reclaims the orphan,
+	// after which the session id is available again.
+	select {
+	case id := <-closed:
+		if id != "core01" {
+			t.Fatalf("reclaimed %q, want core01", id)
 		}
-		time.Sleep(5 * time.Millisecond)
+	case <-time.After(5 * time.Second):
+		t.Fatal("session not reclaimed after disconnect")
 	}
-	if res := srv.Shutdown(); len(res) != 1 {
-		t.Fatalf("shutdown drained %d sessions, want the 1 reopened", len(res))
+	if err := e.Open("core01", "bo", 2); err != nil {
+		t.Fatalf("reclaimed id cannot be reopened: %v", err)
+	}
+	conns.Stop()
+	if res := e.Drain(); len(res) != 1 {
+		t.Fatalf("drain collected %d sessions, want the 1 reopened", len(res))
 	}
 }
 

@@ -140,13 +140,14 @@ func (r *FrameReader) Next() (byte, []byte, error) {
 	return hdr[0], p, nil
 }
 
-// wireJob is one in-flight binary hot-verb frame. The connection reader
-// decodes the request into recs, the session actor steps the records and
-// builds the complete reply frame in buf, and the connection writer writes
-// buf, signals wg, and returns the job to the pool — one pooled object rides
+// WireJob is one in-flight binary hot-verb frame. The connection loop
+// decodes the request into recs, the front serves the records and builds
+// the complete reply frame in buf — a daemon's session actor in place
+// (runJob), a router through Finish — and the connection writer writes
+// buf, signals wg, and returns the job to the pool: one pooled object rides
 // the whole pipeline, so steady-state serving allocates nothing per frame.
-type wireJob struct {
-	out  chan<- *wireJob // the connection's writer channel
+type WireJob struct {
+	out  chan<- *WireJob // the connection's writer channel
 	wg   *sync.WaitGroup // the connection's in-flight counter
 	tag  uint64          // request tag, echoed in the reply
 	kind byte            // request frame kind (FrameAccess or FrameBatch)
@@ -154,7 +155,18 @@ type wireJob struct {
 	buf  []byte          // reply frame, encoded in place, reused across frames
 }
 
-var wireJobPool = sync.Pool{New: func() any { return new(wireJob) }}
+// Records returns the frame's decoded access records, in request order.
+func (j *WireJob) Records() []trace.Record { return j.recs }
+
+// Finish encodes the reply frame carrying results, one per record, and
+// hands the job to its connection's writer; the caller must not touch j
+// afterwards.
+func (j *WireJob) Finish(results []AccessResult) {
+	j.buf = AppendResultsReply(j.buf[:0], j.kind == FrameBatch, j.tag, results)
+	j.out <- j
+}
+
+var wireJobPool = sync.Pool{New: func() any { return new(WireJob) }}
 
 // AppendAccessRequest appends one complete access (single record) or batch
 // request frame for sid. Record instruction ids are delta-encoded against
@@ -304,7 +316,7 @@ func AppendResultsReply(buf []byte, batch bool, tag uint64, results []AccessResu
 // encodes the reply frame in place. The per-record work goes through
 // session.step — the same path JSON and direct accesses take — which is what
 // keeps wire results bit-identical to the other serving modes.
-func (s *session) runJob(j *wireJob) {
+func (s *session) runJob(j *WireJob) {
 	j.buf = beginResults(j.buf[:0], j.kind == FrameBatch, j.tag, s.seq+1, len(j.recs))
 	for i := range j.recs {
 		st := s.step(j.recs[i])

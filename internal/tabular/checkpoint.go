@@ -58,10 +58,3 @@ func LoadCheckpoint(r io.Reader) (*Hierarchy, nn.CheckpointMeta, error) {
 	}
 	return &Hierarchy{Layers: layers}, meta, nil
 }
-
-// PeekCheckpoint reads and validates a table checkpoint, returning its
-// metadata without reconstructing the hierarchy.
-func PeekCheckpoint(r io.Reader) (nn.CheckpointMeta, error) {
-	meta, _, err := nn.ReadFrame(r, nn.TableMagic)
-	return meta, err
-}

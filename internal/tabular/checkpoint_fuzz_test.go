@@ -17,11 +17,15 @@ import (
 func FuzzTableCheckpoint(f *testing.F) {
 	for _, bits := range []int{0, 8, 16} {
 		h, _ := quantHierarchy(f, bits)
-		var body bytes.Buffer
-		if err := h.Save(&body); err != nil {
+		var framed bytes.Buffer
+		if err := SaveCheckpoint(&framed, h, nn.CheckpointMeta{}); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(body.Bytes())
+		_, body, err := nn.ReadFrame(&framed, nn.TableMagic)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var framed bytes.Buffer

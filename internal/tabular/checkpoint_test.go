@@ -63,21 +63,13 @@ func TestTableCheckpointRoundTrip(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	peeked, err := PeekCheckpoint(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peeked.Model != hierarchyModelName || peeked.Class != "dart" ||
-		peeked.Version != 7 || peeked.Source != 3 || peeked.Format == 0 {
-		t.Fatalf("peeked meta %+v", peeked)
-	}
-
 	got, gotMeta, err := LoadCheckpoint(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotMeta != peeked {
-		t.Fatalf("load meta %+v != peek meta %+v", gotMeta, peeked)
+	if gotMeta.Model != hierarchyModelName || gotMeta.Class != "dart" ||
+		gotMeta.Version != 7 || gotMeta.Source != 3 || gotMeta.Format == 0 {
+		t.Fatalf("load meta %+v", gotMeta)
 	}
 	sameBatches(t, h, got, probe)
 }
@@ -129,9 +121,6 @@ func TestTableCheckpointCorruption(t *testing.T) {
 				t.Fatal("corrupt table checkpoint loaded")
 			} else if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-			}
-			if _, err := PeekCheckpoint(bytes.NewReader(tc.raw)); err == nil {
-				t.Fatal("corrupt table checkpoint peeked clean")
 			}
 		})
 	}

@@ -196,7 +196,7 @@ func TestQuantizedCheckpointRoundTrip(t *testing.T) {
 	if err := SaveCheckpoint(&buf, h, nn.CheckpointMeta{Class: "dart", Version: 2}); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := PeekCheckpoint(bytes.NewReader(buf.Bytes()))
+	_, meta, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package tabular
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 
 	"dart/internal/pq"
 )
@@ -125,29 +124,6 @@ func unmarshalTable(what string, floats []float64, st *quantState, rows, rowLen 
 
 func init() {
 	gob.Register(hierarchyState{})
-}
-
-// Save writes the hierarchy with encoding/gob so a trained DART predictor
-// can be deployed without retraining.
-func (h *Hierarchy) Save(w io.Writer) error {
-	st, err := marshalLayers(h.Layers)
-	if err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(hierarchyState{Layers: st})
-}
-
-// LoadHierarchy reads a hierarchy written by Save.
-func LoadHierarchy(r io.Reader) (*Hierarchy, error) {
-	var st hierarchyState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("tabular: decode hierarchy: %w", err)
-	}
-	layers, err := unmarshalLayers(st.Layers)
-	if err != nil {
-		return nil, err
-	}
-	return &Hierarchy{Layers: layers}, nil
 }
 
 func marshalLayers(layers []Layer) ([]layerState, error) {

@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"dart/internal/mat"
+	"dart/internal/nn"
 )
 
 func TestHierarchySaveLoadRoundTrip(t *testing.T) {
 	m, x, _ := smallModelAndData(21)
 	res := Tabularize(m, x, Config{Kernel: KernelConfig{K: 16, C: 2}, FineTune: true, Seed: 7})
 	var buf bytes.Buffer
-	if err := res.Hierarchy.Save(&buf); err != nil {
+	if err := SaveCheckpoint(&buf, res.Hierarchy, nn.CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadHierarchy(&buf)
+	loaded, _, err := LoadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +39,10 @@ func TestHierarchySaveLoadLSH(t *testing.T) {
 	m, x, _ := smallModelAndData(22)
 	res := Tabularize(m, x, Config{Kernel: KernelConfig{K: 16, C: 2, Kind: EncoderLSH}, Seed: 7})
 	var buf bytes.Buffer
-	if err := res.Hierarchy.Save(&buf); err != nil {
+	if err := SaveCheckpoint(&buf, res.Hierarchy, nn.CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadHierarchy(&buf)
+	loaded, _, err := LoadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +53,8 @@ func TestHierarchySaveLoadLSH(t *testing.T) {
 	}
 }
 
-func TestLoadHierarchyGarbage(t *testing.T) {
-	if _, err := LoadHierarchy(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("expected decode error")
+func TestLoadTableCheckpointGarbage(t *testing.T) {
+	if _, _, err := LoadCheckpoint(bytes.NewReader([]byte("junk"))); err == nil {
+		t.Fatal("garbage input loaded")
 	}
 }

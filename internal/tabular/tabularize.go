@@ -14,17 +14,16 @@ type Config struct {
 	Softmax        SoftmaxMode  // attention softmax folding mode
 	FineTune       bool         // enable per-layer fine-tuning (Algorithm 1 line 8)
 	FineTuneEpochs int          // E in Algorithm 1
-	FineTuneLR     float64
 	Seed           int64
 }
+
+// fineTuneLR is the Adam learning rate of per-layer fine-tuning.
+const fineTuneLR = 1e-3
 
 // withDefaults fills unset training hyperparameters.
 func (c Config) withDefaults() Config {
 	if c.FineTuneEpochs == 0 {
 		c.FineTuneEpochs = 8
-	}
-	if c.FineTuneLR == 0 {
-		c.FineTuneLR = 1e-3
 	}
 	c.Kernel = c.Kernel.withDefaults()
 	return c
@@ -158,7 +157,7 @@ func (w *walker) residual(r *nn.Residual, approx, exact *mat.Tensor) (*mat.Tenso
 func (w *walker) linearKernel(l *nn.Linear, approxIn, exactOut *mat.Tensor) *LinearKernel {
 	layer := l
 	if w.cfg.FineTune && w.kernels > 0 {
-		layer = fineTuneLinear(l, approxIn, exactOut, w.cfg.FineTuneEpochs, w.cfg.FineTuneLR, w.rng)
+		layer = fineTuneLinear(l, approxIn, exactOut, w.cfg.FineTuneEpochs, w.rng)
 	}
 	w.kernels++
 	return NewLinearKernel(layer, approxIn, w.cfg.Kernel, w.rng)
@@ -225,11 +224,11 @@ func sliceDims(x *mat.Tensor, lo, hi int) *mat.Tensor {
 
 // fineTuneLinear trains a copy of l to map the tabularized inputs to the
 // original layer outputs (Eq. 26), distilling the layer into its table.
-func fineTuneLinear(l *nn.Linear, in, target *mat.Tensor, epochs int, lr float64, rng *rand.Rand) *nn.Linear {
+func fineTuneLinear(l *nn.Linear, in, target *mat.Tensor, epochs int, rng *rand.Rand) *nn.Linear {
 	ft := nn.NewLinear(l.Name()+".ft", l.In, l.Out, rng)
 	ft.Weight.W.CopyFrom(l.Weight.W)
 	copy(ft.Bias.W.Data, l.Bias.W.Data)
-	opt := nn.NewAdam(lr)
+	opt := nn.NewAdam(fineTuneLR)
 	for e := 0; e < epochs; e++ {
 		pred, back := ft.Train(in)
 		_, grad := nn.MSE(pred, target)
