@@ -96,11 +96,7 @@ func BenchmarkAblation_KDTemperature(b *testing.B) {
 		temp := temp
 		f1s = append(f1s, memoF1(fmt.Sprintf("kdtemp/%v", temp), func() float64 {
 			rng := rand.New(rand.NewSource(11))
-			student := nn.NewTransformerPredictor(nn.TransformerConfig{
-				T: l.art.Opt.Data.History, DIn: l.art.Opt.Data.InputDim(),
-				DModel: l.art.Chosen.Model.DA, DFF: l.art.Chosen.Model.DF,
-				DOut: l.art.Opt.Data.OutputDim(), Heads: l.art.Chosen.Model.H, Layers: l.art.Chosen.Model.L,
-			}, rng)
+			student := nn.NewTransformerPredictor(l.art.Chosen.Model.Transformer(), rng)
 			kdc := kd.DefaultConfig()
 			kdc.Temperature = temp
 			kdc.Epochs = 3

@@ -109,7 +109,6 @@ import (
 	"dart/internal/nn"
 	"dart/internal/online"
 	"dart/internal/serve"
-	"dart/internal/tabular"
 	"dart/internal/trace"
 )
 
@@ -317,14 +316,13 @@ func run(args []string) error {
 // the DART student shape, warm-started from the trained student when the
 // static model was pretrained, random otherwise; a checkpoint in dir always
 // wins (recovery). With student set, the distilled-student tier is enabled
-// on a compact architecture — by default nn.StudentConfig's halving of the
-// teacher's, but a budgeted policy spec replaces that with a config.Configure
-// latency-major search under the spec's constraints — its latency and
-// storage modelled with the same systolic-array complexity model; with dart
-// set, the duty-cycled tabularizer additionally publishes the student's
-// table hierarchy as the versioned "dart" class, on the kernel the spec (or
-// the configurator's chosen candidate) selects. With gate set, the
-// promotion policy engine gates every student/dart publish.
+// on the compact architecture config.PolicySpec.Serving derives from the
+// spec, its latency and storage modelled with the systolic-array complexity
+// model; with dart set, the duty-cycled tabularizer additionally publishes
+// the student's table hierarchy as the versioned "dart" class, on the
+// kernel Serving derives. dart-train's distillServeStudent derives its
+// tiers through the same call, so its checkpoints restore here. With gate
+// set, the promotion policy engine gates every student/dart publish.
 func buildLearner(art *core.Artifacts, dir string, swapInterval time.Duration, student bool, distillInterval time.Duration, dart bool, tabularizeInterval time.Duration, gate bool, specStr string) (*online.Learner, error) {
 	spec, err := config.ParsePolicySpec(specStr)
 	if err != nil {
@@ -339,14 +337,14 @@ func buildLearner(art *core.Artifacts, dir string, swapInterval time.Duration, s
 	latency, storage := 40, 1<<16
 	if art != nil {
 		data = art.Opt.Data
-		tcfg = nn.TransformerConfig{
-			T: data.History, DIn: data.InputDim(),
-			DModel: art.Chosen.Model.DA, DFF: art.Chosen.Model.DF,
-			DOut: data.OutputDim(), Heads: art.Chosen.Model.H, Layers: art.Chosen.Model.L,
-		}
+		tcfg = art.Chosen.Model.Transformer()
 		warm = art.Student
 		latency = config.NNLatency(art.Chosen.Model)
 		storage = config.NNStorageBits(art.Chosen.Model, 32) / 8
+	}
+	scfg, tab, err := spec.Serving(tcfg, online.DefaultTabularConfig())
+	if err != nil {
+		return nil, err
 	}
 	cfg := online.Config{
 		Data: data,
@@ -360,31 +358,8 @@ func buildLearner(art *core.Artifacts, dir string, swapInterval time.Duration, s
 		StorageBytes: storage,
 		Seed:         7,
 	}
-	// A budgeted spec replaces the fixed nn.StudentConfig halving: the
-	// configurator searches the default design space under the budget and
-	// its chosen candidate pins both the student architecture and (unless
-	// the spec overrides it) the tabularization table shape.
-	var chosen *config.Candidate
-	if spec.HasStudentBudget() || spec.HasDartBudget() {
-		cand, err := spec.ConfigureStudent(data.History, data.InputDim(), data.OutputDim())
-		if err != nil {
-			return nil, err
-		}
-		chosen = &cand
-	}
 	if student {
-		scfg := nn.StudentConfig(tcfg)
-		smodel := config.ModelConfig{
-			T: scfg.T, DI: scfg.DIn, DA: scfg.DModel, DF: scfg.DFF,
-			DO: scfg.DOut, H: scfg.Heads, L: scfg.Layers,
-		}
-		if chosen != nil {
-			smodel = chosen.Model
-			scfg = nn.TransformerConfig{
-				T: smodel.T, DIn: smodel.DI, DModel: smodel.DA, DFF: smodel.DF,
-				DOut: smodel.DO, Heads: smodel.H, Layers: smodel.L,
-			}
-		}
+		smodel := config.ModelOf(scfg)
 		cfg.Student = func() nn.Layer {
 			return nn.NewTransformerPredictor(scfg, rand.New(rand.NewSource(13)))
 		}
@@ -393,36 +368,9 @@ func buildLearner(art *core.Artifacts, dir string, swapInterval time.Duration, s
 		cfg.StudentStorageBytes = config.NNStorageBits(smodel, 32) / 8
 	}
 	if dart {
-		// Config.Tabular stays zero on the default path: the learner fills
-		// in the shared serving default (online.DefaultTabularConfig — LSH,
-		// small tables, the configuration the CI bench gate measures). A
-		// spec-driven kernel (or a configured candidate) overrides it.
 		cfg.Dart = true
 		cfg.TabularizeInterval = tabularizeInterval
-		if chosen != nil || spec.Kernel != "" || spec.K > 0 || spec.C > 0 || spec.Bits > 0 {
-			tab := online.DefaultTabularConfig()
-			if chosen != nil {
-				tab.Kernel.K, tab.Kernel.C = chosen.Table.K, chosen.Table.C
-				tab.Kernel.DataBits = chosen.Table.DataBits
-			}
-			if spec.Kernel != "" {
-				kind, err := tabular.ParseEncoderKind(spec.Kernel)
-				if err != nil {
-					return nil, err
-				}
-				tab.Kernel.Kind = kind
-			}
-			if spec.K > 0 {
-				tab.Kernel.K = spec.K
-			}
-			if spec.C > 0 {
-				tab.Kernel.C = spec.C
-			}
-			if spec.Bits > 0 {
-				tab.Kernel.DataBits = spec.Bits
-			}
-			cfg.Tabular = tab
-		}
+		cfg.Tabular = tab
 	}
 	if gate {
 		pc := online.PolicyConfig{

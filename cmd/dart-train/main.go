@@ -118,53 +118,18 @@ func main() {
 }
 
 // distillServeStudent reuses the pipeline's teacher and data split to distill
-// the serving tier's compact student, and optionally publishes both model
-// classes into a dart-serve checkpoint directory. A budgeted policy spec
-// replaces the fixed nn.StudentConfig halving with the configurator's chosen
-// architecture — the same derivation dart-serve applies, so published
-// checkpoints restore into the daemon's identically-shaped network.
+// the serving tier's compact student, and optionally publishes the teacher,
+// the student and its tabularized hierarchy into a dart-serve checkpoint
+// directory. The student architecture and table kernel come from
+// config.PolicySpec.Serving, the call dart-serve's buildLearner makes, so
+// published checkpoints restore into the daemon's identically-shaped tiers.
 func distillServeStudent(art *core.Artifacts, epochs int, out string, spec config.PolicySpec) error {
-	data := art.Opt.Data
-	tcfg := nn.TransformerConfig{
-		T: data.History, DIn: data.InputDim(),
-		DModel: art.Chosen.Model.DA, DFF: art.Chosen.Model.DF,
-		DOut: data.OutputDim(), Heads: art.Chosen.Model.H, Layers: art.Chosen.Model.L,
+	tcfg := art.Chosen.Model.Transformer()
+	scfg, tabCfg, err := spec.Serving(tcfg, online.DefaultTabularConfig())
+	if err != nil {
+		return err
 	}
-	scfg := nn.StudentConfig(tcfg)
-	smodel := config.ModelConfig{
-		T: scfg.T, DI: scfg.DIn, DA: scfg.DModel, DF: scfg.DFF,
-		DO: scfg.DOut, H: scfg.Heads, L: scfg.Layers,
-	}
-	tabCfg := online.DefaultTabularConfig()
-	if spec.HasStudentBudget() || spec.HasDartBudget() {
-		cand, err := spec.ConfigureStudent(data.History, data.InputDim(), data.OutputDim())
-		if err != nil {
-			return err
-		}
-		smodel = cand.Model
-		scfg = nn.TransformerConfig{
-			T: smodel.T, DIn: smodel.DI, DModel: smodel.DA, DFF: smodel.DF,
-			DOut: smodel.DO, Heads: smodel.H, Layers: smodel.L,
-		}
-		tabCfg.Kernel.K, tabCfg.Kernel.C = cand.Table.K, cand.Table.C
-		tabCfg.Kernel.DataBits = cand.Table.DataBits
-	}
-	if spec.Kernel != "" {
-		kind, err := tabular.ParseEncoderKind(spec.Kernel)
-		if err != nil {
-			return err
-		}
-		tabCfg.Kernel.Kind = kind
-	}
-	if spec.K > 0 {
-		tabCfg.Kernel.K = spec.K
-	}
-	if spec.C > 0 {
-		tabCfg.Kernel.C = spec.C
-	}
-	if spec.Bits > 0 {
-		tabCfg.Kernel.DataBits = spec.Bits
-	}
+	smodel := config.ModelOf(scfg)
 	// Seed 13 matches dart-serve's student factory so recovered checkpoints
 	// restore into an identically-shaped network.
 	student := nn.NewTransformerPredictor(scfg, rand.New(rand.NewSource(13)))

@@ -15,8 +15,8 @@
 //	                   matmul engine (AVX2+FMA micro-kernel on amd64)
 //	internal/par       shared worker pool behind every parallel kernel
 //	internal/nn        neural-network library (transformer, LSTM, Adam, losses)
-//	internal/pq        product quantization (k-means + LSH encoders, dot tables,
-//	                   batched encoding)
+//	internal/pq        product quantization (k-means + LSH encoders, batched
+//	                   encoding, stored-width row quantization)
 //	internal/tabular   tabularization kernels, Algorithm 1, complexity model,
 //	                   batched hierarchy queries
 //	internal/kd        multi-label knowledge distillation
@@ -24,9 +24,9 @@
 //	internal/trace     synthetic SPEC-like LLC trace generators plus the
 //	                   workload zoo: adversarial scenario generators (pointer
 //	                   chasing, random graph traversal, zipfian key-value,
-//	                   phase-shifting delta regimes) behind one seeded,
-//	                   deterministic Stream interface and a name-indexed
-//	                   workload registry
+//	                   phase-shifting delta regimes), each a seeded,
+//	                   deterministic Generate, in a name-indexed workload
+//	                   registry
 //	internal/sim       trace-driven LLC/DRAM simulator with prefetcher latency,
 //	                   an incremental stepper (sim.Sim) with online-feedback
 //	                   hooks, a configurable two-level hierarchy (private L2

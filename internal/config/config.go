@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dart/internal/nn"
 	"dart/internal/tabular"
 )
 
@@ -22,6 +23,17 @@ type ModelConfig struct {
 	DO int // output delta-bitmap size D_O
 	H  int // heads
 	L  int // transformer layers
+}
+
+// ModelOf is the ModelConfig of a transformer's architecture.
+func ModelOf(c nn.TransformerConfig) ModelConfig {
+	return ModelConfig{T: c.T, DI: c.DIn, DA: c.DModel, DF: c.DFF, DO: c.DOut, H: c.Heads, L: c.Layers}
+}
+
+// Transformer is the transformer architecture the model structure describes;
+// it inverts ModelOf.
+func (m ModelConfig) Transformer() nn.TransformerConfig {
+	return nn.TransformerConfig{T: m.T, DIn: m.DI, DModel: m.DA, DFF: m.DF, DOut: m.DO, Heads: m.H, Layers: m.L}
 }
 
 // TableConfig is the table structure in the notation of Table II, with a

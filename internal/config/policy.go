@@ -4,19 +4,22 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"dart/internal/nn"
+	"dart/internal/tabular"
 )
 
 // PolicySpec is the operator-facing schema of the promotion policy engine:
 // the admission/divergence thresholds, the per-class latency/storage budgets
-// that both drive the configurator's architecture and kernel choice and are
 // checked against modelled per-class costs at admission, and the serving
-// tabularization kernel. The daemon parses it from -policy-spec and maps it
-// onto online.PolicyConfig; this package owns the schema so the cmd layer
-// and dart-train share one parser without config importing online.
+// tiers' shape. dart-serve and dart-train parse it from -policy-spec;
+// dart-serve maps the thresholds and budgets onto online.PolicyConfig, and
+// both derive the student architecture and the dart kernel through Serving,
+// so this package owns the schema without importing online.
 //
 // All fields are optional: zero values defer to the engine's defaults (and,
-// for the budgets, leave the class unbudgeted and the architecture at the
-// daemon's fixed defaults).
+// for the budgets, leave the class unbudgeted and the student at
+// nn.StudentConfig's halving of the teacher).
 type PolicySpec struct {
 	AdmitThreshold   float64 // admit=   minimum candidate-vs-source agreement (0, 1]
 	AdmitWindow      int     // window=  shadow batches per admission window
@@ -27,9 +30,9 @@ type PolicySpec struct {
 	LogCap           int     // log=     decision-log capacity
 
 	// Per-class budgets. A non-zero student budget pair replaces the fixed
-	// nn.StudentConfig halving with a config.Configure search under these
+	// nn.StudentConfig halving with a Configure search under these
 	// constraints; a non-zero dart budget pair constrains table admission
-	// and (with Kernel/K/C unset) the configured kernel.
+	// and (with Kernel/K/C unset) the configured kernel. See Serving.
 	StudentLatency int // student-latency= cycles
 	StudentStorage int // student-storage= bytes
 	DartLatency    int // dart-latency=    cycles
@@ -182,4 +185,40 @@ func (s PolicySpec) ConfigureStudent(t, di, do int) (Candidate, error) {
 		space = narrowed
 	}
 	return Configure(cons, space)
+}
+
+// Serving derives the serving tiers the spec selects for a teacher
+// architecture. The student is nn.StudentConfig's halving of teacher or,
+// under a student or dart budget, the model of ConfigureStudent's candidate
+// at the teacher's T, DIn and DOut. The tabularization config is base, then
+// the candidate's table shape, then the spec's kernel, k, c and bits.
+// dart-serve and dart-train both derive their tiers here, so a checkpoint
+// dart-train publishes restores into the daemon's identically-shaped tiers.
+func (s PolicySpec) Serving(teacher nn.TransformerConfig, base tabular.Config) (nn.TransformerConfig, tabular.Config, error) {
+	student, tab := nn.StudentConfig(teacher), base
+	if s.HasStudentBudget() || s.HasDartBudget() {
+		cand, err := s.ConfigureStudent(teacher.T, teacher.DIn, teacher.DOut)
+		if err != nil {
+			return nn.TransformerConfig{}, tabular.Config{}, err
+		}
+		student = cand.Model.Transformer()
+		tab.Kernel.K, tab.Kernel.C, tab.Kernel.DataBits = cand.Table.K, cand.Table.C, cand.Table.DataBits
+	}
+	if s.Kernel != "" {
+		kind, err := tabular.ParseEncoderKind(s.Kernel)
+		if err != nil {
+			return nn.TransformerConfig{}, tabular.Config{}, err
+		}
+		tab.Kernel.Kind = kind
+	}
+	if s.K > 0 {
+		tab.Kernel.K = s.K
+	}
+	if s.C > 0 {
+		tab.Kernel.C = s.C
+	}
+	if s.Bits > 0 {
+		tab.Kernel.DataBits = s.Bits
+	}
+	return student, tab, nil
 }

@@ -140,11 +140,7 @@ func BuildDART(recs []trace.Record, opt Options) (*Artifacts, error) {
 	}
 
 	// Step 2: knowledge distillation into the configured student.
-	studentCfg := nn.TransformerConfig{
-		T: opt.Data.History, DIn: opt.Data.InputDim(),
-		DModel: chosen.Model.DA, DFF: chosen.Model.DF,
-		DOut: opt.Data.OutputDim(), Heads: chosen.Model.H, Layers: chosen.Model.L,
-	}
+	studentCfg := chosen.Model.Transformer()
 	art.Student = nn.NewTransformerPredictor(studentCfg, rng)
 	distiller := kd.NewDistiller(art.Teacher, art.Student, opt.KD, rng)
 	distiller.Run(train.X, train.Y)

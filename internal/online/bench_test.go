@@ -46,11 +46,6 @@ func benchTeacherCfg() (dataprep.Config, nn.TransformerConfig) {
 	}
 }
 
-// modelOf converts a transformer config to the complexity model's notation.
-func modelOf(c nn.TransformerConfig) config.ModelConfig {
-	return config.ModelConfig{T: c.T, DI: c.DIn, DA: c.DModel, DF: c.DFF, DO: c.DOut, H: c.Heads, L: c.Layers}
-}
-
 // benchInfer measures one admission-batcher-sized forward pass of the given
 // architecture and reports its modelled parameter storage as a custom metric
 // — dart-benchcheck's rows read both numbers to hold the "student
@@ -68,7 +63,7 @@ func benchInfer(b *testing.B, cfg nn.TransformerConfig) {
 	for i := 0; i < b.N; i++ {
 		net.Forward(in)
 	}
-	b.ReportMetric(float64(config.NNStorageBits(modelOf(cfg), 32)/8), "storage_bytes")
+	b.ReportMetric(float64(config.NNStorageBits(config.ModelOf(cfg), 32)/8), "storage_bytes")
 }
 
 // BenchmarkTeacherInfer is the teacher-class baseline of the student tier's

@@ -32,22 +32,3 @@ func EncodeBatch(enc Encoder, x *mat.Matrix) [][]int {
 	})
 	return out
 }
-
-// QueryBatch approximates x[i] · b for every row of x in one batched pass:
-// encode + table aggregation per row, fanned across the worker pool.
-// Results are bit-identical to calling Query row by row.
-func (t *DotTable) QueryBatch(x *mat.Matrix) []float64 {
-	if d := t.enc.C() * t.enc.SubDim(); x.Cols != d {
-		panic(fmt.Sprintf("pq: QueryBatch on %d-dim rows, table expects %d", x.Cols, d))
-	}
-	out := make([]float64, x.Rows)
-	c := t.enc.C()
-	par.For(x.Rows, encodeGrain, func(lo, hi int) {
-		idx := make([]int, c)
-		for i := lo; i < hi; i++ {
-			t.enc.EncodeRow(x.Row(i), idx)
-			out[i] = t.QueryEncoded(idx)
-		}
-	})
-	return out
-}

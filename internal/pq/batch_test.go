@@ -62,23 +62,6 @@ func TestEncodeBatchWorkerCountInvariance(t *testing.T) {
 	par.SetMaxWorkers(0)
 }
 
-func TestDotTableQueryBatchMatchesQuery(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	enc := fittedEncoder(t, "kmeans", 16, 4, 8, rng)
-	b := make([]float64, 16)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	table := NewDotTable(enc, b)
-	x := mat.New(77, 16).Randn(rng, 1)
-	got := table.QueryBatch(x)
-	for i := 0; i < x.Rows; i++ {
-		if want := table.Query(x.Row(i)); got[i] != want {
-			t.Fatalf("row %d: batch %v != serial %v", i, got[i], want)
-		}
-	}
-}
-
 func TestEncodeBatchEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	enc := fittedEncoder(t, "kmeans", 8, 2, 4, rng)

@@ -31,23 +31,6 @@ func BenchmarkEncodeLSH(b *testing.B) {
 	benchEncoder(b, NewLSHEncoder(32, 4, 128, rand.New(rand.NewSource(2))))
 }
 
-func BenchmarkDotTableQuery(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := mat.New(512, 32).Randn(rng, 1)
-	enc := NewKMeansEncoder(32, 4, 16, rng)
-	enc.Fit(x)
-	w := make([]float64, 32)
-	for i := range w {
-		w[i] = rng.NormFloat64()
-	}
-	table := NewDotTable(enc, w)
-	row := x.Row(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table.Query(row)
-	}
-}
-
 func BenchmarkKMeansFit(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	x := mat.New(512, 8).Randn(rng, 1)

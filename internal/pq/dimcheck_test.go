@@ -40,8 +40,6 @@ func mustPanic(t *testing.T, name, want string, fn func()) {
 
 func TestDimensionChecks(t *testing.T) {
 	enc := fittedKMeans(t)
-	b := make([]float64, 8)
-	table := NewDotTable(enc, b)
 	wide := mat.New(3, 9)
 	narrow := mat.New(3, 4)
 
@@ -52,12 +50,6 @@ func TestDimensionChecks(t *testing.T) {
 	}{
 		{"EncodeBatch/wide", "expects 8", func() { EncodeBatch(enc, wide) }},
 		{"EncodeBatch/narrow", "expects 8", func() { EncodeBatch(enc, narrow) }},
-		{"QueryBatch/wide", "expects 8", func() { table.QueryBatch(wide) }},
-		{"QueryBatch/narrow", "expects 8", func() { table.QueryBatch(narrow) }},
-		{"Query/short", "expects 8", func() { table.Query(make([]float64, 5)) }},
-		{"Query/long", "expects 8", func() { table.Query(make([]float64, 16)) }},
-		{"QueryEncoded/short", "2 subspaces", func() { table.QueryEncoded([]int{0}) }},
-		{"QueryEncoded/long", "2 subspaces", func() { table.QueryEncoded([]int{0, 1, 2}) }},
 		{"EncodeRow/rowLen", "expects (8, 2)", func() { enc.EncodeRow(make([]float64, 7), make([]int, 2)) }},
 		{"EncodeRow/outLen", "expects (8, 2)", func() { enc.EncodeRow(make([]float64, 8), make([]int, 3)) }},
 	}
@@ -81,19 +73,8 @@ func TestLSHEncodeRowDimensionCheck(t *testing.T) {
 // TestValidShapesUnaffected guards the checks against false positives.
 func TestValidShapesUnaffected(t *testing.T) {
 	enc := fittedKMeans(t)
-	b := make([]float64, 8)
-	for i := range b {
-		b[i] = float64(i)
-	}
-	table := NewDotTable(enc, b)
 	rng := rand.New(rand.NewSource(3))
 	x := mat.New(5, 8).Randn(rng, 1)
-	got := table.QueryBatch(x)
-	for i := 0; i < x.Rows; i++ {
-		if want := table.Query(x.Row(i)); got[i] != want {
-			t.Fatalf("row %d: batch %v != scalar %v", i, got[i], want)
-		}
-	}
 	if rows := EncodeBatch(enc, x); len(rows) != 5 || len(rows[0]) != 2 {
 		t.Fatalf("EncodeBatch shape %dx%d", len(rows), len(rows[0]))
 	}

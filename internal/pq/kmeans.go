@@ -1,7 +1,8 @@
-// Package pq implements product quantization (paper Sec. II-B): vectors are
-// split into C subspaces, K prototypes are learned per subspace (Eq. 5), dot
-// products against fixed weights are precomputed into tables (Eq. 6), and
-// queries become encode → lookup → aggregate (Eqs. 7-8).
+// Package pq implements product quantization's encoding half (paper Sec.
+// II-B): vectors are split into C subspaces, K prototypes are learned per
+// subspace (Eq. 5), and a query is encoded to one prototype index per
+// subspace (Eq. 7). The tables those indices gather from (Eqs. 6 and 8) are
+// built and queried by internal/tabular's kernels.
 //
 // Two encoders are provided: an exact nearest-prototype encoder (k-means
 // prototypes, argmin assignment) and a locality-sensitive-hashing encoder

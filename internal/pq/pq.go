@@ -1,67 +1,6 @@
 package pq
 
-import (
-	"fmt"
-
-	"dart/internal/mat"
-)
-
-// DotTable precomputes prototype dot products against a fixed weight vector b
-// (Eq. 6): Entry(c, k) = b_c · P_ck. A query then approximates aᵀb as
-// Σ_c Entry(c, g_c(a)) (Eq. 8) with no multiplications.
-type DotTable struct {
-	enc     Encoder
-	entries []float64 // [C][K]
-}
-
-// NewDotTable builds the table for weight vector b (length D) against the
-// fitted encoder's prototypes.
-func NewDotTable(enc Encoder, b []float64) *DotTable {
-	c, k, v := enc.C(), enc.K(), enc.SubDim()
-	if len(b) != c*v {
-		panic(fmt.Sprintf("pq: weight length %d != D=%d", len(b), c*v))
-	}
-	t := &DotTable{enc: enc, entries: make([]float64, c*k)}
-	for ci := 0; ci < c; ci++ {
-		bc := b[ci*v : (ci+1)*v]
-		for ki := 0; ki < k; ki++ {
-			p := enc.Center(ci, ki)
-			var dot float64
-			for j, w := range bc {
-				dot += w * p[j]
-			}
-			t.entries[ci*k+ki] = dot
-		}
-	}
-	return t
-}
-
-// Entry returns the precomputed dot product for subspace c, prototype k.
-func (t *DotTable) Entry(c, k int) float64 { return t.entries[c*t.enc.K()+k] }
-
-// Query approximates aᵀb by encoding a and aggregating table entries.
-func (t *DotTable) Query(a []float64) float64 {
-	c := t.enc.C()
-	if d := c * t.enc.SubDim(); len(a) != d {
-		panic(fmt.Sprintf("pq: Query on %d-dim vector, table expects %d", len(a), d))
-	}
-	idx := make([]int, c)
-	t.enc.EncodeRow(a, idx)
-	return t.QueryEncoded(idx)
-}
-
-// QueryEncoded aggregates with a precomputed encoding.
-func (t *DotTable) QueryEncoded(idx []int) float64 {
-	if len(idx) != t.enc.C() {
-		panic(fmt.Sprintf("pq: QueryEncoded with %d indices, table has %d subspaces", len(idx), t.enc.C()))
-	}
-	var s float64
-	k := t.enc.K()
-	for c, ki := range idx {
-		s += t.entries[c*k+ki]
-	}
-	return s
-}
+import "dart/internal/mat"
 
 // Quantize returns the quantized reconstruction of a (its nearest prototype
 // per subspace, concatenated). Useful for measuring quantization error.

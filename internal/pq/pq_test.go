@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"dart/internal/mat"
 )
@@ -101,79 +100,6 @@ func TestEncoderIndexInRange(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestDotTableApproximatesDotProduct(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	x := clusteredData(rng, 400, 8, 8)
-	enc := NewKMeansEncoder(8, 2, 16, rng)
-	enc.Fit(x)
-	b := make([]float64, 8)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	table := NewDotTable(enc, b)
-	var errSum, magSum float64
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		var exact float64
-		for j, v := range row {
-			exact += v * b[j]
-		}
-		approx := table.Query(row)
-		errSum += math.Abs(approx - exact)
-		magSum += math.Abs(exact)
-	}
-	if rel := errSum / (magSum + 1e-12); rel > 0.1 {
-		t.Fatalf("PQ relative dot-product error %v > 10%%", rel)
-	}
-}
-
-func TestDotTableExactOnPrototypePoints(t *testing.T) {
-	// If the query IS a prototype concatenation, the PQ result is exact.
-	rng := rand.New(rand.NewSource(7))
-	x := clusteredData(rng, 200, 6, 4)
-	enc := NewKMeansEncoder(6, 3, 4, rng)
-	enc.Fit(x)
-	b := []float64{1, -2, 0.5, 3, -1, 2}
-	table := NewDotTable(enc, b)
-	q := make([]float64, 6)
-	copy(q[0:2], enc.Center(0, 1))
-	copy(q[2:4], enc.Center(1, 2))
-	copy(q[4:6], enc.Center(2, 0))
-	var exact float64
-	for j, v := range q {
-		exact += v * b[j]
-	}
-	if got := table.Query(q); math.Abs(got-exact) > 1e-9 {
-		t.Fatalf("prototype query %v != exact %v", got, exact)
-	}
-}
-
-func TestDotTableLinearInWeights(t *testing.T) {
-	// Table(b1+b2) query == Table(b1) query + Table(b2) query (property).
-	rng := rand.New(rand.NewSource(8))
-	x := mat.New(100, 4).Randn(rng, 1)
-	enc := NewKMeansEncoder(4, 2, 4, rng)
-	enc.Fit(x)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		b1 := make([]float64, 4)
-		b2 := make([]float64, 4)
-		sum := make([]float64, 4)
-		for i := range b1 {
-			b1[i], b2[i] = r.NormFloat64(), r.NormFloat64()
-			sum[i] = b1[i] + b2[i]
-		}
-		q := x.Row(r.Intn(100))
-		t1 := NewDotTable(enc, b1).Query(q)
-		t2 := NewDotTable(enc, b2).Query(q)
-		ts := NewDotTable(enc, sum).Query(q)
-		return math.Abs(ts-(t1+t2)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

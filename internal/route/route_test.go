@@ -422,9 +422,16 @@ func TestRoutedReplayJSONProto(t *testing.T) {
 // connection drops.
 func TestJSONFrontEndErrors(t *testing.T) {
 	_, r := startCluster(t, 2, Config{HealthInterval: -1})
-	addr := startFrontEnd(t, r)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan string, 1)
+	var conns serve.Acceptor
+	go conns.Serve(ln, closeSpy{r, closed})
+	t.Cleanup(conns.Stop)
 
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,16 +471,30 @@ func TestJSONFrontEndErrors(t *testing.T) {
 	}
 
 	// Drop the connection with j1 still open: the front end must reclaim it.
-	// The reclaim runs on the front end's handler goroutine after it reads
-	// EOF and emits no event, so poll the routing table.
 	conn.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(r.Sessions()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("router still tracks %v after its connection dropped", r.Sessions())
+	select {
+	case id := <-closed:
+		if id != "j1" {
+			t.Fatalf("reclaimed %q, want j1", id)
 		}
-		time.Sleep(5 * time.Millisecond)
+	case <-time.After(5 * time.Second):
+		t.Fatal("session not reclaimed after its connection dropped")
 	}
+	if got := r.Sessions(); len(got) != 0 {
+		t.Fatalf("router still tracks %v after its connection dropped", got)
+	}
+}
+
+// closeSpy is the router's Front, reporting every session it closes.
+type closeSpy struct {
+	*Router
+	closed chan<- string
+}
+
+func (f closeSpy) CloseSession(id string) (sim.Result, error) {
+	res, err := f.Router.CloseSession(id)
+	f.closed <- id
+	return res, err
 }
 
 // --- failure modes -----------------------------------------------------

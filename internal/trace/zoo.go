@@ -1,59 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"math/rand"
-)
-
-// Stream is the record-iterator interface shared by Scanner (streaming CSV
-// traces) and the workload-zoo generators: Next advances, Record returns the
-// current access, Err reports the first failure (always nil for synthetic
-// generators). The serving engine's replay paths consume Streams, so a
-// generated scenario, an in-memory slice, and a CSV file on disk are
-// interchangeable workload sources.
-type Stream interface {
-	Next() bool
-	Record() Record
-	Err() error
-}
-
-// genStream adapts a step function to Stream: n records, no errors.
-type genStream struct {
-	n, i int
-	step func() Record
-	rec  Record
-}
-
-func (g *genStream) Next() bool {
-	if g.i >= g.n {
-		return false
-	}
-	g.rec = g.step()
-	g.i++
-	return true
-}
-
-func (g *genStream) Record() Record { return g.rec }
-func (g *genStream) Err() error     { return nil }
-
-// SliceStream wraps an in-memory trace as a Stream.
-func SliceStream(recs []Record) Stream {
-	i := 0
-	return &genStream{n: len(recs), step: func() Record {
-		r := recs[i]
-		i++
-		return r
-	}}
-}
-
-// Collect drains a stream into a slice, stopping at the first error.
-func Collect(s Stream) ([]Record, error) {
-	var recs []Record
-	for s.Next() {
-		recs = append(recs, s.Record())
-	}
-	return recs, s.Err()
-}
+import "math/rand"
 
 // zooBase is the footprint base address, shared with Generate so zoo and
 // SPEC-like traces occupy the same address range.
@@ -105,8 +52,8 @@ func (s PointerChaseSpec) FootprintBlocks() uint64 {
 	return uint64(s.Lists) * uint64(s.Nodes) * uint64(s.NodeBlocks)
 }
 
-// Stream returns a deterministic n-record stream of the scenario.
-func (s PointerChaseSpec) Stream(n int) Stream {
+// Generate returns n deterministic records of the scenario.
+func (s PointerChaseSpec) Generate(n int) []Record {
 	s = s.withDefaults()
 	rng := rand.New(rand.NewSource(s.Seed))
 	gap := instrGap(rng, s.InstrPerAccess)
@@ -124,7 +71,8 @@ func (s PointerChaseSpec) Stream(n int) Stream {
 
 	var instr uint64
 	cur, remain := 0, 0
-	return &genStream{n: n, step: func() Record {
+	recs := make([]Record, n)
+	for i := range recs {
 		instr += gap()
 		if remain <= 0 {
 			cur = rng.Intn(len(lists))
@@ -139,17 +87,15 @@ func (s PointerChaseSpec) Stream(n int) Stream {
 			l.blk = 0
 			l.pos = (l.pos + 1) % len(l.chain)
 		}
-		return Record{
+		recs[i] = Record{
 			InstrID: instr,
 			PC:      0x500000 + uint64(cur)*8,
 			Addr:    zooBase + block<<BlockBits,
 			IsLoad:  true, // pointer chasing is all loads
 		}
-	}}
+	}
+	return recs
 }
-
-// Generate materialises n records of the scenario.
-func (s PointerChaseSpec) Generate(n int) []Record { return mustCollect(s.Stream(n)) }
 
 // GraphSpec is the random graph traversal scenario: a random walk over a
 // seeded directed graph. Each step reads the current node's adjacency-list
@@ -196,8 +142,8 @@ func (s GraphSpec) FootprintBlocks() uint64 {
 	return uint64(s.Nodes) * uint64(s.adjBlocks()+s.PayloadBlocks)
 }
 
-// Stream returns a deterministic n-record stream of the scenario.
-func (s GraphSpec) Stream(n int) Stream {
+// Generate returns n deterministic records of the scenario.
+func (s GraphSpec) Generate(n int) []Record {
 	s = s.withDefaults()
 	rng := rand.New(rand.NewSource(s.Seed))
 	gap := instrGap(rng, s.InstrPerAccess)
@@ -215,7 +161,8 @@ func (s GraphSpec) Stream(n int) Stream {
 	var queue []uint64
 	var queuePC uint64
 	var instr uint64
-	return &genStream{n: n, step: func() Record {
+	recs := make([]Record, n)
+	for i := range recs {
 		if len(queue) == 0 {
 			// Plan the next hop.
 			if rng.Float64() < s.Restart {
@@ -236,17 +183,15 @@ func (s GraphSpec) Stream(n int) Stream {
 		block := queue[0]
 		queue = queue[1:]
 		instr += gap()
-		return Record{
+		recs[i] = Record{
 			InstrID: instr,
 			PC:      queuePC,
 			Addr:    zooBase + block<<BlockBits,
 			IsLoad:  rng.Float64() < 0.9,
 		}
-	}}
+	}
+	return recs
 }
-
-// Generate materialises n records of the scenario.
-func (s GraphSpec) Generate(n int) []Record { return mustCollect(s.Stream(n)) }
 
 // ZipfSpec is the key-value store scenario: keys drawn from a Zipf
 // distribution, each access reading the key's value as a short sequential
@@ -285,8 +230,8 @@ func (s ZipfSpec) FootprintBlocks() uint64 {
 	return uint64(s.Keys) * uint64(s.ValueBlocks)
 }
 
-// Stream returns a deterministic n-record stream of the scenario.
-func (s ZipfSpec) Stream(n int) Stream {
+// Generate returns n deterministic records of the scenario.
+func (s ZipfSpec) Generate(n int) []Record {
 	s = s.withDefaults()
 	rng := rand.New(rand.NewSource(s.Seed))
 	gap := instrGap(rng, s.InstrPerAccess)
@@ -296,7 +241,8 @@ func (s ZipfSpec) Stream(n int) Stream {
 	var instr uint64
 	var rem int
 	var base, pc uint64
-	return &genStream{n: n, step: func() Record {
+	recs := make([]Record, n)
+	for i := range recs {
 		if rem == 0 {
 			k := int(zipf.Uint64())
 			base = uint64(slot[k] * s.ValueBlocks)
@@ -306,17 +252,15 @@ func (s ZipfSpec) Stream(n int) Stream {
 		block := base + uint64(s.ValueBlocks-rem)
 		rem--
 		instr += gap()
-		return Record{
+		recs[i] = Record{
 			InstrID: instr,
 			PC:      pc,
 			Addr:    zooBase + block<<BlockBits,
 			IsLoad:  rng.Float64() < 0.8,
 		}
-	}}
+	}
+	return recs
 }
-
-// Generate materialises n records of the scenario.
-func (s ZipfSpec) Generate(n int) []Record { return mustCollect(s.Stream(n)) }
 
 // PhaseShiftSpec is the adversarial scenario built to punish a stale model:
 // the stream switches delta regimes on a fixed schedule. Each regime is a
@@ -378,8 +322,8 @@ func (s PhaseShiftSpec) FootprintBlocks() uint64 {
 	return uint64(s.Regimes) * uint64(s.Pages) * BlocksPerPage
 }
 
-// Stream returns a deterministic n-record stream of the scenario.
-func (s PhaseShiftSpec) Stream(n int) Stream {
+// Generate returns n deterministic records of the scenario.
+func (s PhaseShiftSpec) Generate(n int) []Record {
 	s = s.withDefaults()
 	rng := rand.New(rand.NewSource(s.Seed))
 	gap := instrGap(rng, s.InstrPerAccess)
@@ -396,10 +340,9 @@ func (s PhaseShiftSpec) Stream(n int) Stream {
 	}
 
 	var instr uint64
-	step := 0
-	return &genStream{n: n, step: func() Record {
-		regime := (step / s.PhaseLen) % s.Regimes
-		step++
+	recs := make([]Record, n)
+	for i := range recs {
+		regime := (i / s.PhaseLen) % s.Regimes
 		stride := s.StridePool[regime]
 		cur := cursors[regime]
 		si := rng.Intn(len(cur))
@@ -417,35 +360,22 @@ func (s PhaseShiftSpec) Stream(n int) Stream {
 		}
 		block += uint64(regime) * sliceBlocks // regime's own footprint slice
 		instr += gap()
-		return Record{
+		recs[i] = Record{
 			InstrID: instr,
 			PC:      0x530000 + uint64(regime)*16 + uint64(si)*4,
 			IsLoad:  rng.Float64() < 0.75,
 			Addr:    zooBase + block<<BlockBits,
 		}
-	}}
-}
-
-// Generate materialises n records of the scenario.
-func (s PhaseShiftSpec) Generate(n int) []Record { return mustCollect(s.Stream(n)) }
-
-// mustCollect drains a generator stream (generators never error).
-func mustCollect(s Stream) []Record {
-	recs, err := Collect(s)
-	if err != nil {
-		panic(fmt.Sprintf("trace: generator stream failed: %v", err))
 	}
 	return recs
 }
 
 // Workload is one entry of the workload zoo: a named, seed-parameterised
-// trace source. Stream and Generate are equivalent views (Generate collects
-// Stream); seed perturbs the scenario's base seed so replay drivers can
-// diversify many sessions of the same workload.
+// trace generator. Generate's seed is added to the scenario's base seed, so
+// replay drivers can diversify many sessions of the same workload.
 type Workload struct {
 	Name     string
 	Family   string // "spec", "pointer", "graph", "kv", or "phase"
-	Stream   func(seed int64, n int) Stream
 	Generate func(seed int64, n int) []Record
 }
 
@@ -458,11 +388,6 @@ func Workloads() []Workload {
 		ws = append(ws, Workload{
 			Name:   spec.Name,
 			Family: "spec",
-			Stream: func(seed int64, n int) Stream {
-				s := spec
-				s.Seed += seed
-				return SliceStream(Generate(s, n))
-			},
 			Generate: func(seed int64, n int) []Record {
 				s := spec
 				s.Seed += seed
@@ -470,45 +395,20 @@ func Workloads() []Workload {
 			},
 		})
 	}
-	ws = append(ws,
-		Workload{
-			Name: "chase", Family: "pointer",
-			Stream: func(seed int64, n int) Stream {
-				return PointerChaseSpec{Name: "chase", Seed: 7001 + seed}.Stream(n)
-			},
-			Generate: func(seed int64, n int) []Record {
-				return PointerChaseSpec{Name: "chase", Seed: 7001 + seed}.Generate(n)
-			},
-		},
-		Workload{
-			Name: "graph", Family: "graph",
-			Stream: func(seed int64, n int) Stream {
-				return GraphSpec{Name: "graph", Seed: 7002 + seed}.Stream(n)
-			},
-			Generate: func(seed int64, n int) []Record {
-				return GraphSpec{Name: "graph", Seed: 7002 + seed}.Generate(n)
-			},
-		},
-		Workload{
-			Name: "zipf", Family: "kv",
-			Stream: func(seed int64, n int) Stream {
-				return ZipfSpec{Name: "zipf", Seed: 7003 + seed}.Stream(n)
-			},
-			Generate: func(seed int64, n int) []Record {
-				return ZipfSpec{Name: "zipf", Seed: 7003 + seed}.Generate(n)
-			},
-		},
-		Workload{
-			Name: "phase", Family: "phase",
-			Stream: func(seed int64, n int) Stream {
-				return PhaseShiftSpec{Name: "phase", Seed: 7004 + seed}.Stream(n)
-			},
-			Generate: func(seed int64, n int) []Record {
-				return PhaseShiftSpec{Name: "phase", Seed: 7004 + seed}.Generate(n)
-			},
-		},
+	return append(ws,
+		Workload{Name: "chase", Family: "pointer", Generate: func(seed int64, n int) []Record {
+			return PointerChaseSpec{Name: "chase", Seed: 7001 + seed}.Generate(n)
+		}},
+		Workload{Name: "graph", Family: "graph", Generate: func(seed int64, n int) []Record {
+			return GraphSpec{Name: "graph", Seed: 7002 + seed}.Generate(n)
+		}},
+		Workload{Name: "zipf", Family: "kv", Generate: func(seed int64, n int) []Record {
+			return ZipfSpec{Name: "zipf", Seed: 7003 + seed}.Generate(n)
+		}},
+		Workload{Name: "phase", Family: "phase", Generate: func(seed int64, n int) []Record {
+			return PhaseShiftSpec{Name: "phase", Seed: 7004 + seed}.Generate(n)
+		}},
 	)
-	return ws
 }
 
 // WorkloadByName finds a workload by exact name or name suffix ("mcf",

@@ -35,33 +35,6 @@ func TestZooDeterministicBytes(t *testing.T) {
 	}
 }
 
-func TestZooStreamMatchesGenerate(t *testing.T) {
-	// Stream and Generate are two views of the same deterministic sequence,
-	// and a Stream re-collected must match byte for byte.
-	streams := map[string]func(n int) Stream{
-		"chase": PointerChaseSpec{Seed: 11}.Stream,
-		"graph": GraphSpec{Seed: 12}.Stream,
-		"zipf":  ZipfSpec{Seed: 13}.Stream,
-		"phase": PhaseShiftSpec{Seed: 14}.Stream,
-	}
-	gens := zooSpecs()
-	for name, st := range streams {
-		recs, err := Collect(st(5000))
-		if err != nil {
-			t.Fatalf("%s: stream error: %v", name, err)
-		}
-		want := gens[name](5000)
-		if len(recs) != len(want) {
-			t.Fatalf("%s: %d streamed vs %d generated", name, len(recs), len(want))
-		}
-		for i := range recs {
-			if recs[i] != want[i] {
-				t.Fatalf("%s: record %d differs", name, i)
-			}
-		}
-	}
-}
-
 func TestZooInstrIDsMonotone(t *testing.T) {
 	for name, gen := range zooSpecs() {
 		recs := gen(20_000)
@@ -221,15 +194,6 @@ func TestWorkloadRegistry(t *testing.T) {
 		if len(recs) != 100 {
 			t.Fatalf("%s: generated %d records", w.Name, len(recs))
 		}
-		st, err := Collect(w.Stream(0, 100))
-		if err != nil {
-			t.Fatalf("%s: stream error: %v", w.Name, err)
-		}
-		for i := range recs {
-			if st[i] != recs[i] {
-				t.Fatalf("%s: Stream and Generate disagree at %d", w.Name, i)
-			}
-		}
 	}
 	for _, f := range []string{"spec", "pointer", "graph", "kv", "phase"} {
 		if !families[f] {
@@ -259,22 +223,3 @@ func TestWorkloadRegistry(t *testing.T) {
 		t.Fatal("seed parameter does not perturb the workload")
 	}
 }
-
-func TestSliceStreamRoundTrip(t *testing.T) {
-	recs := Generate(AppSpec{Name: "t", Pages: 10, Seed: 3}, 500)
-	got, err := Collect(SliceStream(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("%d vs %d records", len(got), len(recs))
-	}
-	for i := range got {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-}
-
-// Scanner satisfies the Stream interface shared with the generators.
-var _ Stream = (*Scanner)(nil)
