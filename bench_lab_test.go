@@ -210,7 +210,7 @@ func (l *appLab) evalF1(h *tabular.Hierarchy) float64 {
 		}
 		x, y = x.Gather(idx), y.Gather(idx)
 	}
-	out := h.Forward(x)
+	out := h.QueryBatch(x)
 	return metrics.F1FromLogits(out.Data, y.Data)
 }
 

@@ -143,9 +143,9 @@ func distillServeStudent(art *core.Artifacts, epochs int, out string, spec confi
 	if out == "" {
 		return nil
 	}
-	tStore, err := online.NewStore(func() nn.Layer {
+	tStore, err := online.NewModelStore(func() nn.Layer {
 		return nn.NewTransformerPredictor(tcfg, rand.New(rand.NewSource(7)))
-	}, out)
+	}, out, "")
 	if err != nil {
 		return err
 	}
@@ -153,7 +153,7 @@ func distillServeStudent(art *core.Artifacts, epochs int, out string, spec confi
 	if err != nil {
 		return err
 	}
-	sStore, err := online.NewClassStore(func() nn.Layer {
+	sStore, err := online.NewModelStore(func() nn.Layer {
 		return nn.NewTransformerPredictor(scfg, rand.New(rand.NewSource(13)))
 	}, out, online.StudentClass)
 	if err != nil {

@@ -195,7 +195,7 @@ func EvaluateModelF1(m nn.Layer, ds *dataprep.Dataset) float64 {
 
 // EvaluateTableF1 computes micro-F1 of a table hierarchy on a dataset.
 func EvaluateTableF1(h *tabular.Hierarchy, ds *dataprep.Dataset) float64 {
-	out := h.Forward(ds.X)
+	out := h.QueryBatch(ds.X)
 	return metrics.F1FromLogits(out.Data, ds.Y.Data)
 }
 

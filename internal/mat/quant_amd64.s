@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // Quantized-row kernels: reconstruct (or accumulate) a float64 row from an

@@ -195,10 +195,10 @@ func BenchmarkQuantRowAccum(b *testing.B) {
 	}
 }
 
-// BenchmarkTabularSwap measures table hot-swap latency: TableStore.Publish
-// is an identity snapshot (hierarchies are immutable) plus the checkpoint-
-// free version bookkeeping and atomic pointer store — the cost sessions
-// observe when the tabularizer lands a new table.
+// BenchmarkTabularSwap measures table hot-swap latency: Publish on a
+// NewTableStore store is an identity snapshot (hierarchies are immutable)
+// plus the checkpoint-free version bookkeeping and atomic pointer store — the
+// cost sessions observe when the tabularizer lands a new table.
 func BenchmarkTabularSwap(b *testing.B) {
 	s, err := NewTableStore("", DartClass)
 	if err != nil {
@@ -217,13 +217,13 @@ func BenchmarkTabularSwap(b *testing.B) {
 	}
 }
 
-// BenchmarkModelSwap measures hot-swap latency: Publish deep-copies the
-// shadow into an immutable snapshot and atomically repoints the store (no
-// disk in the measured path — checkpointing is the daemon's async durability
-// cost, not the swap latency sessions observe).
+// BenchmarkModelSwap measures hot-swap latency: Publish on a NewModelStore
+// store deep-copies the shadow into an immutable snapshot and atomically
+// repoints the store (no disk in the measured path — checkpointing is the
+// daemon's async durability cost, not the swap latency sessions observe).
 func BenchmarkModelSwap(b *testing.B) {
 	data := tinyData()
-	s, err := NewStore(tinyArch(data), "")
+	s, err := NewModelStore(tinyArch(data), "", "")
 	if err != nil {
 		b.Fatal(err)
 	}

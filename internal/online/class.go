@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 
 	"dart/internal/mat"
+	"dart/internal/nn"
+	"dart/internal/tabular"
 )
 
 // The serving classes, in pipeline order: every stage is the previous one
@@ -21,12 +23,13 @@ const (
 	DartClass = "dart"
 )
 
-// versioned is the payload-agnostic view of a store core the class table
-// reads; both the nn Store's and the TableStore's cores satisfy it.
+// versioned is the payload-agnostic view of a Store the class table reads;
+// every Store[P] satisfies it.
 type versioned interface {
-	version() uint64
-	versions() []uint64
-	skippedFiles() []string
+	Version() uint64
+	Versions() []uint64
+	Skipped() []string
+	infer(in *mat.Tensor) (*mat.Tensor, uint64, bool)
 }
 
 // Class is one row of the learner's serving-class table: one stage of the
@@ -38,15 +41,14 @@ type versioned interface {
 type Class struct {
 	name       string
 	prefetcher string
-	source     *Class      // the nn class this one derives from and falls back to; nil for the teacher
-	store      *Store      // nn payload classes; nil for table classes
-	tables     *TableStore // table payload classes; nil for nn classes
-	hist       versioned
-	published  atomic.Uint64 // publishes since the learner started
-	l          *Learner      // for the decision log of forced verbs
+	source     *Class                     // the nn class this one derives from and falls back to; nil for the teacher
+	store      *Store[nn.Layer]           // nn payload classes; nil for table classes
+	tables     *Store[*tabular.Hierarchy] // table payload classes; nil for nn classes
+	hist       versioned                  // whichever of store and tables is set
+	published  atomic.Uint64              // publishes since the learner started
+	l          *Learner                   // for the decision log of forced verbs
 
 	cost    func() (latency, storageBytes int)
-	infer   func(in *mat.Tensor) (*mat.Tensor, uint64, bool)
 	publish func() (uint64, error) // force a fresh version, admission gate bypassed
 	revert  func() (uint64, error) // roll back one version, no decision logged
 }
@@ -64,20 +66,20 @@ func (c *Class) Source() *Class { return c.source }
 
 // Store is the versioned store of an nn class (teacher, student); nil for a
 // table class.
-func (c *Class) Store() *Store { return c.store }
+func (c *Class) Store() *Store[nn.Layer] { return c.store }
 
 // Tables is the versioned store of a table class (dart); nil for an nn class.
-func (c *Class) Tables() *TableStore { return c.tables }
+func (c *Class) Tables() *Store[*tabular.Hierarchy] { return c.tables }
 
 // Version is the currently served version, 0 while none is published (only
 // the dart class can be empty: tabularization needs streamed examples).
-func (c *Class) Version() uint64 { return c.hist.version() }
+func (c *Class) Version() uint64 { return c.hist.Version() }
 
 // Versions lists the versions held for rollback, oldest first.
-func (c *Class) Versions() []uint64 { return c.hist.versions() }
+func (c *Class) Versions() []uint64 { return c.hist.Versions() }
 
 // Skipped lists the checkpoint files recovery rejected, with the reason.
-func (c *Class) Skipped() []string { return c.hist.skippedFiles() }
+func (c *Class) Skipped() []string { return c.hist.Skipped() }
 
 // Published counts publishes since the learner started.
 func (c *Class) Published() uint64 { return c.published.Load() }
@@ -94,7 +96,7 @@ func (c *Class) Cost() (latency, storageBytes int) { return c.cost() }
 // from any goroutine: published networks and tables store nothing on a
 // query.
 func (c *Class) Infer(in *mat.Tensor) (out *mat.Tensor, version uint64, ok bool) {
-	return c.infer(in)
+	return c.hist.infer(in)
 }
 
 // Swap force-publishes a fresh version immediately (the wire protocol's

@@ -85,11 +85,7 @@ func TestLearnerTabularizesDart(t *testing.T) {
 		t.Fatalf("table source v%d, want published student v%d", tab.Meta.Source, want)
 	}
 	// The analytic cost of the published hierarchy replaces the fallback.
-	dl, ds = dart.Cost()
-	if c := tab.H.Cost(); dl != c.LatencyCycles || ds != c.StorageBytes() {
-		t.Fatalf("dart cost (%d, %d) != published hierarchy cost (%d, %d)",
-			dl, ds, c.LatencyCycles, c.StorageBytes())
-	}
+	servesTableCost(t, dart, "after the first publish")
 	st := l.Stats()
 	if st.DartVersion != 1 || st.DartPublished != 1 || st.Tabularized != 1 || st.TabularizeMs <= 0 {
 		t.Fatalf("dart stats did not move: %+v", st)
@@ -125,6 +121,7 @@ func TestLearnerTabularizesDart(t *testing.T) {
 	if back != 1 || dart.Version() != 1 {
 		t.Fatalf("rollback landed on v%d", back)
 	}
+	servesTableCost(t, dart, "after rollback")
 
 	l.Detach("s0")
 	l.Stop()
@@ -139,7 +136,7 @@ func TestLearnerTabularizesDart(t *testing.T) {
 	if got == nil || got.Version != 1 {
 		t.Fatalf("recovered %+v, want v1", got)
 	}
-	sameTableBatches(t, class(t, l, DartClass).Tables().Load().H, got.H)
+	sameTableBatches(t, class(t, l, DartClass).Tables().Load().Val, got.Val)
 
 	l2, err := NewLearner(dartLearnerConfig(dir))
 	if err != nil {
@@ -148,7 +145,23 @@ func TestLearnerTabularizesDart(t *testing.T) {
 	if class(t, l2, DartClass).Tables().Load() == nil || class(t, l2, DartClass).Version() != 1 {
 		t.Fatalf("restarted learner serves %+v, want table v1", class(t, l2, DartClass).Tables().Load())
 	}
-	sameTableBatches(t, class(t, l, DartClass).Tables().Load().H, class(t, l2, DartClass).Tables().Load().H)
+	sameTableBatches(t, class(t, l, DartClass).Tables().Load().Val, class(t, l2, DartClass).Tables().Load().Val)
+	servesTableCost(t, class(t, l2, DartClass), "after restart")
+}
+
+// servesTableCost fails unless the dart class's modelled cost is the
+// analytic cost of the table it currently serves.
+func servesTableCost(t *testing.T, dart *Class, when string) {
+	t.Helper()
+	tab := dart.Tables().Load()
+	if tab == nil {
+		t.Fatalf("%s: no table served", when)
+	}
+	dl, ds := dart.Cost()
+	if c := tab.Val.Cost(); dl != c.LatencyCycles || ds != c.StorageBytes() {
+		t.Fatalf("%s: dart cost (%d, %d) != served table v%d cost (%d, %d)",
+			when, dl, ds, tab.Version, c.LatencyCycles, c.StorageBytes())
+	}
 }
 
 // TestDartAutoTabularizeDutyCycle: with every tick due, the duty cycle
@@ -241,7 +254,7 @@ func TestDartParityWithOfflineTabularization(t *testing.T) {
 	}
 	offline := tabular.Tabularize(clone.(*nn.Sequential), fit, cfg).Hierarchy
 
-	sameTableBatches(t, published, recovered.H)
+	sameTableBatches(t, published, recovered.Val)
 	sameTableBatches(t, published, offline)
 }
 

@@ -30,12 +30,12 @@ func learnerDigest(t *testing.T, l *Learner) uint64 {
 		}
 	}
 	for _, name := range []string{TeacherClass, StudentClass} {
-		for _, p := range class(t, l, name).Store().Load().Net.Params() {
+		for _, p := range class(t, l, name).Store().Load().Val.Params() {
 			f64(p.W.Data...)
 		}
 	}
 	if tab := class(t, l, DartClass).Tables().Load(); tab != nil {
-		f64(tab.H.QueryBatch(tableProbe(5)).Data...)
+		f64(tab.Val.QueryBatch(tableProbe(5)).Data...)
 	}
 	for _, c := range l.Classes() {
 		u64(c.Version(), c.Published())

@@ -20,7 +20,7 @@
 //	                      nn.Trainer on the shadow model (duty-cycled)
 //	                              │ Publish (swap interval / forced)
 //	                              ▼
-//	                      Store: atomic.Pointer[Model] + CRC checkpoints
+//	                      Store[P]: atomic.Pointer[Published[P]] + CRC checkpoints
 //	                              │ Load (per inference batch)
 //	                              ▼
 //	                      serve admission batcher — one version per batch
@@ -112,6 +112,20 @@ type Config struct {
 	Seed int64
 }
 
+// DefaultTabularConfig is the dart tier's serving tabularization default,
+// used when Config.Dart is set without an explicit Config.Tabular: an LSH
+// encoder (the O(log K) lookup the paper's latency model assumes) with
+// small tables — the measured latency-optimal serving point, and the exact
+// configuration BenchmarkDartInfer gates ("tables strictly faster than the
+// student") in CI. dart-train's offline dart checkpoints use it too, so
+// offline-published tables behave like the daemon's duty-cycle output.
+func DefaultTabularConfig() tabular.Config {
+	return tabular.Config{
+		Kernel: tabular.KernelConfig{K: 8, C: 1, Kind: tabular.EncoderLSH},
+		Seed:   7,
+	}
+}
+
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
@@ -201,11 +215,10 @@ type Learner struct {
 	// lock order is tabMu before trainMu, never the reverse.
 	dart        *Class
 	tabMu       sync.Mutex
-	dartSrc     *Model // published student the last candidate was built from
-	dartSrcVer  uint64 // student version the published table derives from
-	lastSkipVer uint64 // student version whose skip was already counted
+	dartSrc     *Published[nn.Layer] // published student the last candidate was built from
+	dartSrcVer  uint64               // student version the published table derives from
+	lastSkipVer uint64               // student version whose skip was already counted
 	lastTab     time.Time
-	dartCost    atomic.Pointer[tabular.Cost] // analytic cost of the published hierarchy
 	tabularized atomic.Uint64
 	tabAttempts atomic.Uint64 // duty cycles that found work to consider
 	tabSkips    atomic.Uint64 // cycles skipped (unchanged or below-delta student)
@@ -345,12 +358,12 @@ func NewLearner(cfg Config) (*Learner, error) {
 // else from arch's initialisation, and in the last two cases is published as
 // version 1.
 func (l *Learner) addStage(c *Class, storeClass string, arch func() nn.Layer, init nn.Layer, lr float64, interval time.Duration) (*stage, error) {
-	store, err := NewClassStore(arch, l.cfg.Dir, storeClass)
+	store, err := NewModelStore(arch, l.cfg.Dir, storeClass)
 	if err != nil {
 		return nil, err
 	}
 	s := &stage{class: c, shadow: arch(), opt: nn.NewAdam(lr), lr: lr, interval: interval}
-	c.store, c.hist, c.infer = store, store.c, store.infer
+	c.store, c.hist = store, store
 	c.publish = func() (uint64, error) {
 		l.trainMu.Lock()
 		defer l.trainMu.Unlock()
@@ -360,7 +373,7 @@ func (l *Learner) addStage(c *Class, storeClass string, arch func() nn.Layer, in
 	l.addClass(c)
 	l.stages = append(l.stages, s)
 	if m := store.Load(); m != nil {
-		if err := nn.CopyParams(s.shadow, m.Net); err != nil {
+		if err := nn.CopyParams(s.shadow, m.Val); err != nil {
 			return nil, fmt.Errorf("online: recovered %s checkpoint: %w", c.name, err)
 		}
 	} else {
@@ -388,7 +401,7 @@ func (l *Learner) initDart() error {
 	if err != nil {
 		return fmt.Errorf("online: the dart tier re-tabularizes the published student; Config.Dart requires Config.Student")
 	}
-	net := student.Store().Load().Net
+	net := student.Store().Load().Val
 	if _, ok := net.(*nn.Sequential); !ok {
 		return fmt.Errorf("online: tabularization needs an *nn.Sequential student architecture, got %T", net)
 	}
@@ -397,9 +410,8 @@ func (l *Learner) initDart() error {
 		return err
 	}
 	l.dart = l.addClass(&Class{
-		name: DartClass, prefetcher: "dart", source: student, tables: store, hist: store.c,
-		cost:  l.dartCostNow,
-		infer: store.infer,
+		name: DartClass, prefetcher: "dart", source: student, tables: store, hist: store,
+		cost: l.dartCostNow,
 		publish: func() (uint64, error) {
 			l.tabMu.Lock()
 			defer l.tabMu.Unlock()
@@ -408,8 +420,6 @@ func (l *Learner) initDart() error {
 		revert: l.revertDart,
 	})
 	if t := store.Load(); t != nil {
-		c := t.H.Cost()
-		l.dartCost.Store(&c)
 		// The recovered table remembers which student version it derives
 		// from, so the duty cycle does not rebuild an unchanged table right
 		// after a restart.
@@ -456,10 +466,12 @@ func (l *Learner) Class(name string) (*Class, error) {
 }
 
 // dartCostNow is the modelled cost of the dart prefetcher: the analytic cost
-// (Sec. V-C) of the published hierarchy, or the student's while no table
-// exists yet.
+// (Sec. V-C) of the currently served hierarchy, or the student's while no
+// table exists yet. It is read at session open and by the classes verb,
+// never per access.
 func (l *Learner) dartCostNow() (latency, storageBytes int) {
-	if c := l.dartCost.Load(); c != nil {
+	if t := l.dart.tables.Load(); t != nil {
+		c := t.Val.Cost()
 		return c.LatencyCycles, c.StorageBytes()
 	}
 	return l.cfg.StudentLatency, l.cfg.StudentStorageBytes
@@ -609,7 +621,7 @@ func (l *Learner) trainLocked() {
 		if src := s.class.source; src == nil {
 			loss = nn.NewTrainer(s.shadow, s.opt, b, l.rng).TrainEpoch(bx, by, nn.BCEWithLogits)
 		} else {
-			sourceLogits := src.store.Load().Net.Forward(bx)
+			sourceLogits := src.store.Load().Val.Forward(bx)
 			logits, back := s.shadow.Train(bx)
 			var grad *mat.Tensor
 			loss, grad = kd.Loss(logits, sourceLogits, by, l.cfg.Distill.Lambda, l.cfg.Distill.Temperature)
@@ -691,7 +703,7 @@ func (l *Learner) sampleBatchLocked(rng *rand.Rand) (bx, by *mat.Tensor) {
 func (l *Learner) gateLocked(s *stage) {
 	c := s.class
 	bx, _ := l.sampleBatchLocked(l.evalRng)
-	match, total := Agreement(s.shadow.Forward(bx), c.source.store.Load().Net.Forward(bx))
+	match, total := Agreement(s.shadow.Forward(bx), c.source.store.Load().Val.Forward(bx))
 	if !l.pol.observeCandidate(c.name, match, total) {
 		return // window not full: more shadow batches on later ticks
 	}
@@ -735,7 +747,7 @@ func (l *Learner) maybeTabularize() {
 	// source) is not worth the most expensive background step in the system.
 	delta := math.Inf(1)
 	if !unchanged && l.pol != nil && l.pol.cfg.MinSourceDelta > 0 && l.dartSrc != nil {
-		delta = paramDelta(sm.Net, l.dartSrc.Net)
+		delta = paramDelta(sm.Val, l.dartSrc.Val)
 	}
 	if !unchanged && (l.pol == nil || delta >= l.pol.cfg.MinSourceDelta) {
 		_, _ = l.tabularizeLocked(l.pol != nil) // on failure serving keeps the previous table
@@ -826,13 +838,13 @@ func (l *Learner) tabularizeLocked(gated bool) (uint64, error) {
 	sm := l.dart.source.store.Load()
 	l.dartSrc = sm
 	t0 := time.Now()
-	res := tabular.Tabularize(sm.Net.(*nn.Sequential), fit, l.cfg.Tabular)
+	res := tabular.Tabularize(sm.Val.(*nn.Sequential), fit, l.cfg.Tabular)
 	l.tabNs.Add(time.Since(t0).Nanoseconds())
 	l.tabularized.Add(1)
 	cost := res.Hierarchy.Cost()
 	var admit Decision
 	if gated {
-		l.gateDartEvidence(res.Hierarchy, sm.Net)
+		l.gateDartEvidence(res.Hierarchy, sm.Val)
 		var ok bool
 		admit, ok = l.pol.decide(Decision{
 			Class: DartClass, Cosine: meanCosine(res.Cosine),
@@ -852,7 +864,6 @@ func (l *Learner) tabularizeLocked(gated bool) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	l.dartCost.Store(&cost)
 	l.dart.published.Add(1)
 	l.dartSrcVer = sm.Version
 	if gated {
@@ -873,8 +884,6 @@ func (l *Learner) revertDart() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	cost := t.H.Cost()
-	l.dartCost.Store(&cost)
 	l.dartSrcVer = 0
 	return t.Version, nil
 }
@@ -889,7 +898,7 @@ func (l *Learner) revertStage(s *stage) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := nn.CopyParams(s.shadow, m.Net); err != nil {
+	if err := nn.CopyParams(s.shadow, m.Val); err != nil {
 		return 0, fmt.Errorf("online: rollback: %w", err)
 	}
 	s.opt = nn.NewAdam(s.lr)

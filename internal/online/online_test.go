@@ -216,7 +216,7 @@ func TestLearnerTrainsAndSwaps(t *testing.T) {
 	l.Stop()
 
 	// The published version must round-trip through disk bit-identically.
-	reloaded, err := NewStore(tinyArch(data), dir)
+	reloaded, err := NewModelStore(tinyArch(data), dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestLearnerTrainsAndSwaps(t *testing.T) {
 	if got.Version != cur.Version {
 		t.Fatalf("recovered v%d, serving v%d", got.Version, cur.Version)
 	}
-	gp, cp := got.Net.Params(), cur.Net.Params()
+	gp, cp := got.Val.Params(), cur.Val.Params()
 	for i := range gp {
 		for j, v := range cp[i].W.Data {
 			if gp[i].W.Data[j] != v {
@@ -286,7 +286,7 @@ func TestLearnerWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := class(t, l, TeacherClass).Store().Load().Net.Params()
+	sp := class(t, l, TeacherClass).Store().Load().Val.Params()
 	ip := init.Params()
 	for i := range ip {
 		for j, v := range ip[i].W.Data {

@@ -286,7 +286,7 @@ func TestGateAdmitsHealthyStudent(t *testing.T) {
 
 	student := stageOf(t, l, StudentClass)
 	l.trainMu.Lock()
-	if err := nn.CopyParams(student.shadow, class(t, l, TeacherClass).Store().Load().Net); err != nil {
+	if err := nn.CopyParams(student.shadow, class(t, l, TeacherClass).Store().Load().Val); err != nil {
 		l.trainMu.Unlock()
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestGateBudgetHoldsStudent(t *testing.T) {
 	v0 := class(t, l, StudentClass).Version()
 	student := stageOf(t, l, StudentClass)
 	l.trainMu.Lock()
-	if err := nn.CopyParams(student.shadow, class(t, l, TeacherClass).Store().Load().Net); err == nil {
+	if err := nn.CopyParams(student.shadow, class(t, l, TeacherClass).Store().Load().Val); err == nil {
 		l.gateLocked(student)
 	}
 	l.trainMu.Unlock()

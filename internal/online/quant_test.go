@@ -140,14 +140,14 @@ func TestTableStoreSkipsMalformedEncoderDims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Skipped) != 1 || !strings.Contains(r.Skipped[0], "pq:") {
-		t.Fatalf("skipped %v, want one entry with the pq dims error", r.Skipped)
+	if len(r.Skipped()) != 1 || !strings.Contains(r.Skipped()[0], "pq:") {
+		t.Fatalf("skipped %v, want one entry with the pq dims error", r.Skipped())
 	}
 	rec := r.Load()
 	if rec == nil || rec.Version != 1 {
 		t.Fatalf("fell back to %+v, want v1", rec)
 	}
-	sameTableBatches(t, v1.H, rec.H)
+	sameTableBatches(t, v1.Val, rec.Val)
 }
 
 // TestQuantizedTableStoreRoundTrip: int8 tables survive the versioned store's
@@ -174,5 +174,5 @@ func TestQuantizedTableStoreRoundTrip(t *testing.T) {
 	if rec.Meta.DataBits != 8 {
 		t.Fatalf("recovered meta DataBits=%d, want 8", rec.Meta.DataBits)
 	}
-	sameTableBatches(t, h, rec.H)
+	sameTableBatches(t, h, rec.Val)
 }

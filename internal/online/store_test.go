@@ -10,10 +10,10 @@ import (
 )
 
 // publishN publishes n distinct versions into a fresh store at dir.
-func publishN(t *testing.T, dir string, n int) *Store {
+func publishN(t *testing.T, dir string, n int) *Store[nn.Layer] {
 	t.Helper()
 	data := tinyData()
-	s, err := NewStore(tinyArch(data), dir)
+	s, err := NewModelStore(tinyArch(data), dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +40,9 @@ func ckptFiles(t *testing.T, dir string) []string {
 	return paths
 }
 
-func reopen(t *testing.T, dir string) *Store {
+func reopen(t *testing.T, dir string) *Store[nn.Layer] {
 	t.Helper()
-	s, err := NewStore(tinyArch(tinyData()), dir)
+	s, err := NewModelStore(tinyArch(tinyData()), dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,8 @@ func TestStorePublishLoadRoundTrip(t *testing.T) {
 	}
 
 	r := reopen(t, dir)
-	if len(r.Skipped) != 0 {
-		t.Fatalf("clean reopen skipped files: %v", r.Skipped)
+	if len(r.Skipped()) != 0 {
+		t.Fatalf("clean reopen skipped files: %v", r.Skipped())
 	}
 	m := r.Load()
 	if m == nil || m.Version != 3 || m.Meta.Steps != 3 {
@@ -79,8 +79,8 @@ func TestStorePublishLoadRoundTrip(t *testing.T) {
 	if back.Version != 2 {
 		t.Fatalf("rollback after restart landed on v%d, want 2", back.Version)
 	}
-	want := s.Load().Net.Params()
-	got := m.Net.Params()
+	want := s.Load().Val.Params()
+	got := m.Val.Params()
 	for i := range want {
 		for j, v := range want[i].W.Data {
 			if got[i].W.Data[j] != v {
@@ -132,18 +132,18 @@ func TestStoreFallsBackPastCorruption(t *testing.T) {
 			tc.mangle(t, newest)
 
 			r := reopen(t, dir)
-			if len(r.Skipped) != 1 {
-				t.Fatalf("skipped %v, want exactly the corrupt file", r.Skipped)
+			if len(r.Skipped()) != 1 {
+				t.Fatalf("skipped %v, want exactly the corrupt file", r.Skipped())
 			}
-			if !strings.Contains(r.Skipped[0], tc.wantErr) {
-				t.Fatalf("skip reason %q does not mention %q", r.Skipped[0], tc.wantErr)
+			if !strings.Contains(r.Skipped()[0], tc.wantErr) {
+				t.Fatalf("skip reason %q does not mention %q", r.Skipped()[0], tc.wantErr)
 			}
 			m := r.Load()
 			if m == nil || m.Version != 2 {
 				t.Fatalf("fell back to %+v, want v2", m)
 			}
 			// The fallback version's weights are v2's, not v3's.
-			if got := m.Net.Params()[0].W.Data[0]; got != 2.0 {
+			if got := m.Val.Params()[0].W.Data[0]; got != 2.0 {
 				t.Fatalf("recovered weight %v, want v2's 2.0", got)
 			}
 		})
@@ -164,8 +164,8 @@ func TestStoreAllCorrupt(t *testing.T) {
 	if r.Load() != nil {
 		t.Fatal("store recovered a model from corrupt files")
 	}
-	if len(r.Skipped) != 2 {
-		t.Fatalf("skipped %v, want both files", r.Skipped)
+	if len(r.Skipped()) != 2 {
+		t.Fatalf("skipped %v, want both files", r.Skipped())
 	}
 	// Publishing into the recovered-empty store starts over at v1.
 	src := tinyArch(tinyData())()

@@ -46,11 +46,11 @@ func studentLearnerConfig(dir string) Config {
 func TestClassStoresShareDirWithoutCrosstalk(t *testing.T) {
 	dir := t.TempDir()
 	data := tinyData()
-	tStore, err := NewStore(tinyArch(data), dir)
+	tStore, err := NewModelStore(tinyArch(data), dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sStore, err := NewClassStore(tinyStudentArch(tinyTeacherCfg), dir, StudentClass)
+	sStore, err := NewModelStore(tinyStudentArch(tinyTeacherCfg), dir, StudentClass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +76,16 @@ func TestClassStoresShareDirWithoutCrosstalk(t *testing.T) {
 	}
 
 	// Fresh recovery in the same dir: each class sees only its own files.
-	tRec, err := NewStore(tinyArch(data), dir)
+	tRec, err := NewModelStore(tinyArch(data), dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sRec, err := NewClassStore(tinyStudentArch(tinyTeacherCfg), dir, StudentClass)
+	sRec, err := NewModelStore(tinyStudentArch(tinyTeacherCfg), dir, StudentClass)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tRec.Skipped) != 0 || len(sRec.Skipped) != 0 {
-		t.Fatalf("recovery skipped teacher %v / student %v", tRec.Skipped, sRec.Skipped)
+	if len(tRec.Skipped()) != 0 || len(sRec.Skipped()) != 0 {
+		t.Fatalf("recovery skipped teacher %v / student %v", tRec.Skipped(), sRec.Skipped())
 	}
 	if tRec.Load().Version != 3 || sRec.Load().Version != 1 {
 		t.Fatalf("recovered teacher v%d student v%d, want 3 / 1", tRec.Load().Version, sRec.Load().Version)
@@ -102,7 +102,7 @@ func TestStoreRejectsCrossClassFile(t *testing.T) {
 	// Same architecture for both classes so the parameter shapes coincide —
 	// only the class stamp can tell the files apart.
 	arch := tinyArch(tinyData())
-	sStore, err := NewClassStore(arch, dir, StudentClass)
+	sStore, err := NewModelStore(arch, dir, StudentClass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +115,15 @@ func TestStoreRejectsCrossClassFile(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	tStore, err := NewStore(arch, dir)
+	tStore, err := NewModelStore(arch, dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tStore.Load() != nil {
 		t.Fatal("teacher store served a student-class checkpoint")
 	}
-	if len(tStore.Skipped) != 1 {
-		t.Fatalf("skipped %v, want the one cross-class file", tStore.Skipped)
+	if len(tStore.Skipped()) != 1 {
+		t.Fatalf("skipped %v, want the one cross-class file", tStore.Skipped())
 	}
 }
 
@@ -132,7 +132,7 @@ func TestStoreRejectsCrossClassFile(t *testing.T) {
 func TestInvalidClassRejected(t *testing.T) {
 	// "ckpt" is reserved: it is the default class's filename prefix.
 	for _, class := range []string{"bad-name", "a b", "x/y", "dots.", "ckpt"} {
-		if _, err := NewClassStore(tinyArch(tinyData()), "", class); err == nil {
+		if _, err := NewModelStore(tinyArch(tinyData()), "", class); err == nil {
 			t.Fatalf("class %q accepted", class)
 		}
 	}
@@ -155,7 +155,7 @@ func TestLearnerDistillsStudent(t *testing.T) {
 	if v := class(t, l, StudentClass).Store().Load(); v == nil || v.Version != 1 {
 		t.Fatalf("initial student %+v, want v1", v)
 	}
-	if nn.ParamCount(class(t, l, StudentClass).Store().Load().Net) >= nn.ParamCount(class(t, l, TeacherClass).Store().Load().Net) {
+	if nn.ParamCount(class(t, l, StudentClass).Store().Load().Val) >= nn.ParamCount(class(t, l, TeacherClass).Store().Load().Val) {
 		t.Fatal("student is not smaller than the teacher")
 	}
 
@@ -203,7 +203,7 @@ func TestLearnerDistillsStudent(t *testing.T) {
 	l.Stop()
 
 	// Student class recovers across restart, bit-identically.
-	rec, err := NewClassStore(tinyStudentArch(tinyTeacherCfg), dir, StudentClass)
+	rec, err := NewModelStore(tinyStudentArch(tinyTeacherCfg), dir, StudentClass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestLearnerDistillsStudent(t *testing.T) {
 	if got == nil || got.Version != cur.Version {
 		t.Fatalf("recovered student %+v, serving v%d", got, cur.Version)
 	}
-	gp, cp := got.Net.Params(), cur.Net.Params()
+	gp, cp := got.Val.Params(), cur.Val.Params()
 	for i := range gp {
 		for j, v := range cp[i].W.Data {
 			if gp[i].W.Data[j] != v {
@@ -256,11 +256,11 @@ func TestStudentSwapRollbackCycle(t *testing.T) {
 	}
 	// The shadow was reset to the rolled-back weights: a fresh swap
 	// republishes exactly them (no training ran in between).
-	bp := student.Store().Load().Net.Params()
+	bp := student.Store().Load().Val.Params()
 	if _, err := l.SwapStudent(); err != nil {
 		t.Fatal(err)
 	}
-	ap := student.Store().Load().Net.Params()
+	ap := student.Store().Load().Val.Params()
 	for i := range bp {
 		for j, v := range bp[i].W.Data {
 			if ap[i].W.Data[j] != v {
@@ -282,7 +282,7 @@ func TestStudentSwapRollbackCycle(t *testing.T) {
 // architecture does not match the store's factory must fail cleanly and
 // leave the store on its previous version.
 func TestStorePublishRejectsShapeMismatch(t *testing.T) {
-	s, err := NewStore(tinyArch(tinyData()), "")
+	s, err := NewModelStore(tinyArch(tinyData()), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

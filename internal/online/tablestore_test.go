@@ -97,8 +97,8 @@ func TestTableStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Skipped) != 0 {
-		t.Fatalf("clean reopen skipped %v", r.Skipped)
+	if len(r.Skipped()) != 0 {
+		t.Fatalf("clean reopen skipped %v", r.Skipped())
 	}
 	rec := r.Load()
 	if rec == nil || rec.Version != 3 || rec.Meta.Source != 3 {
@@ -107,7 +107,7 @@ func TestTableStoreRoundTrip(t *testing.T) {
 	if vs := r.Versions(); len(vs) != 3 || vs[0] != 1 || vs[2] != 3 {
 		t.Fatalf("recovered history %v, want [1 2 3]", vs)
 	}
-	sameTableBatches(t, cur.H, rec.H)
+	sameTableBatches(t, cur.Val, rec.Val)
 
 	// Rollback works straight after a restart and removes the dropped file.
 	back, err := r.Rollback()
@@ -192,15 +192,15 @@ func TestTableStoreCorruptionMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(r.Skipped) != 1 || !strings.Contains(r.Skipped[0], tc.wantErr) {
-				t.Fatalf("skipped %v, want one entry mentioning %q", r.Skipped, tc.wantErr)
+			if len(r.Skipped()) != 1 || !strings.Contains(r.Skipped()[0], tc.wantErr) {
+				t.Fatalf("skipped %v, want one entry mentioning %q", r.Skipped(), tc.wantErr)
 			}
 			rec := r.Load()
 			if rec == nil || rec.Version != 1 {
 				t.Fatalf("fell back to %+v, want v1", rec)
 			}
 			// The fallback really serves v1's table, not remnants of v2's.
-			sameTableBatches(t, v1.H, rec.H)
+			sameTableBatches(t, v1.Val, rec.Val)
 		})
 	}
 }
@@ -213,7 +213,7 @@ func TestTableStoreCrossClassRename(t *testing.T) {
 	dir := t.TempDir()
 
 	// A real student-class nn checkpoint...
-	sStore, err := NewClassStore(tinyStudentArch(tinyTeacherCfg), dir, StudentClass)
+	sStore, err := NewModelStore(tinyStudentArch(tinyTeacherCfg), dir, StudentClass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +234,8 @@ func TestTableStoreCrossClassRename(t *testing.T) {
 	if d.Load() != nil {
 		t.Fatal("table store served a renamed nn checkpoint")
 	}
-	if len(d.Skipped) != 1 || !strings.Contains(d.Skipped[0], "bad magic") {
-		t.Fatalf("skipped %v, want one bad-magic entry", d.Skipped)
+	if len(d.Skipped()) != 1 || !strings.Contains(d.Skipped()[0], "bad magic") {
+		t.Fatalf("skipped %v, want one bad-magic entry", d.Skipped())
 	}
 
 	// And the reverse: a dart table renamed into the student nn namespace.
@@ -253,15 +253,15 @@ func TestTableStoreCrossClassRename(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewClassStore(tinyStudentArch(tinyTeacherCfg), dir2, StudentClass)
+	s2, err := NewModelStore(tinyStudentArch(tinyTeacherCfg), dir2, StudentClass)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.Load() != nil {
 		t.Fatal("student store served a renamed table checkpoint")
 	}
-	if len(s2.Skipped) != 1 || !strings.Contains(s2.Skipped[0], "bad magic") {
-		t.Fatalf("skipped %v, want one bad-magic entry", s2.Skipped)
+	if len(s2.Skipped()) != 1 || !strings.Contains(s2.Skipped()[0], "bad magic") {
+		t.Fatalf("skipped %v, want one bad-magic entry", s2.Skipped())
 	}
 }
 

@@ -181,18 +181,18 @@ func TestOnlineCheckpointRoundTripThroughServing(t *testing.T) {
 	l.Stop() // flushes a final version when training advanced past the swap
 	served := class(t, l, online.TeacherClass).Store().Load()
 
-	recovered, err := online.NewStore(onlineTestArch(onlineTestData()), dir)
+	recovered, err := online.NewModelStore(onlineTestArch(onlineTestData()), dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recovered.Skipped) != 0 {
-		t.Fatalf("recovery skipped %v", recovered.Skipped)
+	if len(recovered.Skipped()) != 0 {
+		t.Fatalf("recovery skipped %v", recovered.Skipped())
 	}
 	m := recovered.Load()
 	if m == nil || m.Version != served.Version {
 		t.Fatalf("recovered %+v, served v%d", m, served.Version)
 	}
-	sp, rp := served.Net.Params(), m.Net.Params()
+	sp, rp := served.Val.Params(), m.Val.Params()
 	for i := range sp {
 		for j, v := range sp[i].W.Data {
 			if rp[i].W.Data[j] != v {

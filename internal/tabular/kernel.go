@@ -148,19 +148,6 @@ func (h *Hierarchy) QueryBatch(x *mat.Tensor) *mat.Tensor {
 	return queryBatch(x, 1, h.Query)
 }
 
-// Forward is the batched inference entry point used by the pipeline and the
-// nn-compatible evaluation helpers; it is QueryBatch under the layer API.
-func (h *Hierarchy) Forward(x *mat.Tensor) *mat.Tensor { return h.QueryBatch(x) }
-
-// QueryUpTo runs a sample through the first k layers (used to compare
-// per-layer outputs against the source network, Fig. 11).
-func (h *Hierarchy) QueryUpTo(x *mat.Matrix, k int) *mat.Matrix {
-	for _, l := range h.Layers[:k] {
-		x = l.Query(x)
-	}
-	return x
-}
-
 // Cost sums the analytic complexity of every layer. Latency is the critical
 // path under the paper's fully-parallel assumption, so lookups within a layer
 // count once while layers accumulate.

@@ -73,7 +73,7 @@ func TestTabularizedOutputCorrelatesWithModel(t *testing.T) {
 		Seed:     7,
 	})
 	exact := m.Forward(x.Clone())
-	approx := res.Hierarchy.Forward(x)
+	approx := res.Hierarchy.QueryBatch(x)
 	cos := mat.CosineSimilarity(exact.AsMatrix(), approx.AsMatrix())
 	if cos < 0.7 {
 		t.Fatalf("tabularized output cosine %v < 0.7", cos)
@@ -118,7 +118,7 @@ func TestHierarchyCostPositive(t *testing.T) {
 func TestHierarchyForwardMatchesQuery(t *testing.T) {
 	m, x, _ := smallModelAndData(6)
 	res := Tabularize(m, x, Config{Kernel: KernelConfig{K: 16, C: 2}, Seed: 7})
-	batch := res.Hierarchy.Forward(x)
+	batch := res.Hierarchy.QueryBatch(x)
 	for s := 0; s < 3; s++ {
 		single := res.Hierarchy.Query(x.Sample(s))
 		if !mat.EqualApprox(single, batch.Sample(s), 1e-12) {
@@ -135,22 +135,12 @@ func TestHierarchyParallelForwardMatchesSequential(t *testing.T) {
 	if x.N < 32 {
 		t.Fatalf("test needs >= 32 samples, have %d", x.N)
 	}
-	batch := res.Hierarchy.Forward(x)
+	batch := res.Hierarchy.QueryBatch(x)
 	for s := 0; s < x.N; s++ {
 		want := res.Hierarchy.Query(x.Sample(s))
 		if !mat.EqualApprox(want, batch.Sample(s), 1e-12) {
 			t.Fatalf("parallel batch diverges at sample %d", s)
 		}
-	}
-}
-
-func TestQueryUpToPrefix(t *testing.T) {
-	m, x, _ := smallModelAndData(7)
-	res := Tabularize(m, x, Config{Kernel: KernelConfig{K: 16, C: 2}, Seed: 7})
-	full := res.Hierarchy.Query(x.Sample(0))
-	upto := res.Hierarchy.QueryUpTo(x.Sample(0), len(res.Hierarchy.Layers))
-	if !mat.EqualApprox(full, upto, 1e-12) {
-		t.Fatal("QueryUpTo(all) != Query")
 	}
 }
 
