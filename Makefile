@@ -94,4 +94,8 @@ cover-update:
 	$(GO) tool cover -func=coverage.out > coverage-func.txt
 	$(GO) run ./cmd/dart-covercheck -write -baseline COVERAGE.txt coverage-func.txt
 
-ci: vet build test race bench-build docs-lint
+## ci: the per-PR workflow's checks that need no extra tools: lint (vet +
+## gofmt), build, tests, race, the frozen benchmark's build, docs, and the
+## whole suite on the generic (purego) kernels, as the cross-compile job runs it
+ci: lint build test race bench-build docs-lint
+	$(GO) test -tags purego -short ./...

@@ -34,7 +34,7 @@ const (
 func labOptions() core.Options {
 	return core.Options{
 		Data:             dataprep.Default(),
-		Constraints:      config.Constraints{LatencyCycles: 100, StorageBytes: 1 << 20},
+		Constraints:      config.DefaultConstraints,
 		TeacherDModel:    48,
 		TeacherDFF:       96,
 		TeacherHeads:     4,

@@ -166,7 +166,7 @@ func BenchmarkTableVII_TabularizationF1(b *testing.B) {
 // BenchmarkTableVIII_Configurator regenerates the DART-S/DART/DART-L rows.
 func BenchmarkTableVIII_Configurator(b *testing.B) {
 	dp := dataprep.Default()
-	space := config.DefaultSpace(dp.History, dp.InputDim(), dp.OutputDim())
+	space := config.DefaultSpace(dp.History, dp.InputDim(), dp.OutputDim(), 64)
 	variants := []struct {
 		name    string
 		tau     int

@@ -1,7 +1,10 @@
 // Command dart-config runs the table configurator (paper Sec. VI-C): given
 // prefetcher design constraints τ (latency, cycles) and s (storage, bytes),
-// it prints the selected model/table configuration and its analytic cost,
-// reproducing the rows of Table VIII.
+// it prints the selected model/table configuration and the analytic cost of
+// the tables tabular.Tabularize builds for it (tabular.ModelCost),
+// reproducing the rows of Table VIII. The defaults are
+// config.DefaultConstraints, the budget dart-train and dart-serve -pretrain
+// build under.
 //
 // Usage:
 //
@@ -18,14 +21,14 @@ import (
 )
 
 func main() {
-	tau := flag.Int("tau", 100, "latency constraint τ in cycles")
-	storage := flag.Int("storage", 1<<20, "storage constraint s in bytes")
+	tau := flag.Int("tau", config.DefaultConstraints.LatencyCycles, "latency constraint τ in cycles")
+	storage := flag.Int("storage", config.DefaultConstraints.StorageBytes, "storage constraint s in bytes")
 	history := flag.Int("history", dataprep.Default().History, "input history length T")
 	dout := flag.Int("dout", dataprep.Default().OutputDim(), "delta bitmap width D_O")
 	flag.Parse()
 
 	dp := dataprep.Default()
-	space := config.DefaultSpace(*history, dp.InputDim(), *dout)
+	space := config.DefaultSpace(*history, dp.InputDim(), *dout, 64)
 	cand, err := config.Configure(config.Constraints{
 		LatencyCycles: *tau, StorageBytes: *storage,
 	}, space)

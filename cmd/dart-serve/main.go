@@ -10,9 +10,11 @@
 //	dart-serve -listen :7381 -pretrain -app 462.libquantum
 //
 // With -pretrain the daemon first trains and tabularizes a static DART model
-// on the named application's trace, then serves the "dart" prefetcher
-// alongside the rule-based ones; sessions share the fixed table hierarchy
-// while the admission layer coalesces their queries into batched lookups.
+// on the named application's trace under config.DefaultConstraints (the
+// dart-train default), then serves the "dart" prefetcher alongside the
+// rule-based ones, charged the latency and storage of the built tables;
+// sessions share the fixed table hierarchy while the admission layer
+// coalesces their queries into batched lookups.
 //
 // With -online the daemon additionally runs the continual-learning loop of
 // internal/online: sessions opened with prefetcher "online" are served by a
@@ -177,7 +179,7 @@ func run(args []string) error {
 		kdc := kd.DefaultConfig()
 		kdc.Epochs = 6
 		art, err = core.BuildDART(trace.Generate(spec, *trainN), core.Options{
-			Constraints:   config.Constraints{LatencyCycles: 100, StorageBytes: 1 << 20},
+			Constraints:   config.DefaultConstraints,
 			TeacherEpochs: 6,
 			KD:            kdc,
 			FineTune:      true,
@@ -188,10 +190,10 @@ func run(args []string) error {
 		}
 		cfg.Model = art.Tables.Hierarchy
 		cfg.Data = art.Opt.Data
-		cfg.ModelLatency = art.Chosen.Latency
-		cfg.ModelStorage = art.Chosen.StorageBytes
+		cost := art.Tables.Hierarchy.Cost()
+		cfg.ModelLatency, cfg.ModelStorage = cost.LatencyCycles, cost.StorageBytes()
 		fmt.Printf("model ready: F1 %.3f, latency %d cycles, storage %d B\n",
-			art.F1DART, art.Chosen.Latency, art.Chosen.StorageBytes)
+			art.F1DART, cfg.ModelLatency, cfg.ModelStorage)
 	}
 
 	var learner *online.Learner

@@ -47,8 +47,8 @@ func main() {
 	app := flag.String("app", "462.libquantum", "application (suffix match)")
 	n := flag.Int("n", 20000, "trace accesses")
 	epochs := flag.Int("epochs", 8, "teacher training epochs")
-	tau := flag.Int("tau", 100, "latency constraint τ in cycles")
-	storage := flag.Int("storage", 1<<20, "storage constraint s in bytes")
+	tau := flag.Int("tau", config.DefaultConstraints.LatencyCycles, "latency constraint τ in cycles")
+	storage := flag.Int("storage", config.DefaultConstraints.StorageBytes, "storage constraint s in bytes")
 	fineTune := flag.Bool("finetune", true, "enable layer fine-tuning")
 	traceFile := flag.String("trace", "", "load a CSV LLC trace instead of generating one")
 	distill := flag.Bool("distill", false, "also distill the serving tier's compact student from the teacher")

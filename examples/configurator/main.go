@@ -13,7 +13,7 @@ import (
 
 func main() {
 	dp := dataprep.Default()
-	space := config.DefaultSpace(dp.History, dp.InputDim(), dp.OutputDim())
+	space := config.DefaultSpace(dp.History, dp.InputDim(), dp.OutputDim(), 64)
 	fmt.Printf("design space: %d candidates\n\n", len(space))
 	fmt.Printf("%-10s %12s %12s | %-22s %10s %12s %8s\n",
 		"Variant", "τ (cycles)", "s (bytes)", "Config (L,D,H,K,C)", "Lat", "Storage", "Ops")

@@ -25,7 +25,7 @@ func main() {
 	kdc := kd.DefaultConfig()
 	kdc.Epochs = 6
 	art, err := core.BuildDART(recs, core.Options{
-		Constraints:   config.Constraints{LatencyCycles: 100, StorageBytes: 1 << 20},
+		Constraints:   config.DefaultConstraints,
 		TeacherEpochs: 6,
 		KD:            kdc,
 		FineTune:      true,

@@ -19,9 +19,9 @@ func main() {
 	recs := trace.Generate(spec, 8000)
 	fmt.Printf("trace: %d accesses of %s\n", len(recs), spec.Name)
 
-	// 2. The full pipeline under a 100-cycle / 1-MB design constraint.
+	// 2. The full pipeline under the default 82-cycle / 1.5-MiB design constraint.
 	art, err := core.BuildDART(recs, core.Options{
-		Constraints:   config.Constraints{LatencyCycles: 100, StorageBytes: 1 << 20},
+		Constraints:   config.DefaultConstraints,
 		TeacherEpochs: 5,
 		FineTune:      true,
 		Seed:          1,

@@ -1,9 +1,10 @@
 // Package config implements the paper's table configurator (Sec. VI-C): it
-// evaluates the full-model latency and storage of a tabularized predictor
-// (Eqs. 22-23, composed from the kernel equations of Sec. V-C), the
-// complexity of the source neural network under a systolic-array
-// implementation (Table V), and the latency-major greedy search that picks a
-// predictor structure satisfying the prefetcher design constraints (τ, s).
+// prices each candidate predictor structure at the latency, storage and
+// operation count of the table hierarchy tabular.Tabularize would build for
+// it (tabular.ModelCost, Eqs. 16-23 composed over the student's layer list),
+// models the complexity of the source neural network under a systolic-array
+// implementation (Table V), and runs the latency-major greedy search that
+// picks a structure satisfying the prefetcher design constraints (τ, s).
 package config
 
 import (
@@ -47,62 +48,6 @@ type TableConfig struct {
 // layerNormLatency models L_ln as a parallel reduction over D.
 func layerNormLatency(d int) int { return 2 + tabular.CeilLog2(d) }
 
-const sigmoidLatency = 1
-
-// TabularLatency is Eq. 22: the critical path of the tabularized model.
-func TabularLatency(m ModelConfig, t TableConfig) int {
-	ll := tabular.LinearLatency(t.K, t.C)
-	la := tabular.AttentionLatency(t.K, t.C)
-	lln := layerNormLatency(m.DA)
-	lat := ll + lln + ll + sigmoidLatency // input linear, final LN, output linear, sigmoid
-	lat += m.L * (2*lln + 2*ll + la + 2*ll)
-	return lat
-}
-
-// TabularStorageBits is Eq. 23: total table storage of the model. It prices
-// candidates the way the built kernels report Cost(): entries at the width
-// they are actually stored (float64 for any non-quantized request, the
-// quantized width plus per-row affine metadata for 8/16 bits), and layer
-// norms, the sigmoid LUT, and attention denominator tables always in
-// float64. The model used to charge a nominal 32 bits the float tables never
-// stored, which made every storage-budget admission decision roughly 2x
-// optimistic.
-func TabularStorageBits(m ModelConfig, t TableConfig) int {
-	d := t.DataBits
-	rowMeta := 0 // per-table quantization metadata: scale + zero per row
-	if d == 8 || d == 16 {
-		rowMeta = t.K * t.C * (64 + 32)
-	} else {
-		d = 64
-	}
-	den := t.K * t.C * 64 // attention denominator table stays float64
-	sln := tabular.LayerNormStorageBits(m.DA, 64)
-	s := 2*(tabular.LinearStorageBits(m.T, m.DA, t.K, t.C, d)+rowMeta) + // input linear
-		sln +
-		tabular.LinearStorageBits(m.T, m.DO, t.K, t.C, d) + rowMeta + // output linear
-		tabular.SigmoidStorageBits(64)
-	perLayer := 2*sln +
-		tabular.LinearStorageBits(m.T, 3*m.H*(m.DA/m.H), t.K, t.C, d) + rowMeta + // QKV projection
-		tabular.AttentionStorageBits(m.T, m.DA, t.K, t.C, d) + den + 2*rowMeta +
-		tabular.LinearStorageBits(m.T, m.DA, t.K, t.C, d) + rowMeta + // MSA output projection
-		sln +
-		tabular.LinearStorageBits(m.T, m.DF, t.K, t.C, d) + rowMeta + // FFN hidden
-		tabular.LinearStorageBits(m.T, m.DA, t.K, t.C, d) + rowMeta // FFN output
-	return s + m.L*perLayer
-}
-
-// TabularOps composes Eqs. 20-21 over the whole model.
-func TabularOps(m ModelConfig, t TableConfig) int {
-	ops := tabular.LinearOps(m.T, m.DA, t.K, t.C) + // input linear
-		tabular.LinearOps(m.T, m.DO, t.K, t.C) // output linear
-	perLayer := tabular.LinearOps(m.T, 3*m.H*(m.DA/m.H), t.K, t.C) +
-		tabular.AttentionOps(m.T, m.DA, t.K, t.C) +
-		tabular.LinearOps(m.T, m.DA, t.K, t.C) +
-		tabular.LinearOps(m.T, m.DF, t.K, t.C) +
-		tabular.LinearOps(m.T, m.DA, t.K, t.C)
-	return ops + m.L*perLayer
-}
-
 // systolic returns the latency of an (a x b)·(b x c) matrix product on a
 // systolic array: a + b + c - 2 pipeline fill plus drain.
 func systolic(a, b, c int) int { return a + b + c - 2 }
@@ -125,7 +70,7 @@ func NNLatency(m ModelConfig) int {
 	}
 	lat += lln
 	lat += systolic(1, m.DA, m.DO) // classification head (after pooling)
-	lat += sigmoidLatency
+	lat += tabular.SigmoidLatency
 	return lat
 }
 
@@ -168,7 +113,7 @@ func NNOps(m ModelConfig) int {
 // array, followed by the classification head.
 func LSTMLatency(din, hidden, t, dout int) int {
 	perStep := systolic(1, din+hidden, 4*hidden) + 4 // gates + elementwise update
-	return t*perStep + systolic(1, hidden, dout) + sigmoidLatency
+	return t*perStep + systolic(1, hidden, dout) + tabular.SigmoidLatency
 }
 
 // LSTMParams counts LSTM predictor parameters.
@@ -196,29 +141,25 @@ type Candidate struct {
 	Ops          int
 }
 
-// Evaluate fills in the cost fields of a candidate.
+// DefaultConstraints is the budget the pipeline and the CLIs configure under
+// when none is given. It selects L=1, D_A=16, H=2, K=128, C=2 from
+// DefaultSpace at the default data shape, the benchmark's frozen model: 82
+// cycles and about 1.44 MiB of float64 tables.
+var DefaultConstraints = Constraints{LatencyCycles: 82, StorageBytes: 3 << 19}
+
+// Evaluate fills in the cost fields of a candidate: the cost of the table
+// hierarchy tabular.Tabularize builds for that student and table shape.
 func Evaluate(m ModelConfig, t TableConfig) Candidate {
-	return Candidate{
-		Model:        m,
-		Table:        t,
-		Latency:      TabularLatency(m, t),
-		StorageBytes: (TabularStorageBits(m, t) + 7) / 8,
-		Ops:          TabularOps(m, t),
-	}
+	c := tabular.ModelCost(m.Transformer(), tabular.KernelConfig{K: t.K, C: t.C, DataBits: t.DataBits})
+	return Candidate{Model: m, Table: t, Latency: c.LatencyCycles, StorageBytes: c.StorageBytes(), Ops: c.Ops}
 }
 
 // DefaultSpace enumerates the predefined design list of Sec. VI-C2 for the
 // given input/output dimensions: L ∈ {1, 2}, D_A ∈ {16, 32, 64} (D_F = 4D_A),
-// H ∈ {2, 4}, K ∈ {16 … 1024}, C ∈ {1, 2, 4}, at the default float64 entry
-// width.
-func DefaultSpace(t, di, do int) []Candidate {
-	return DefaultSpaceBits(t, di, do, 64)
-}
-
-// DefaultSpaceBits is DefaultSpace at an explicit stored entry width: 8 or
-// 16 price quantized tables (including their per-row affine metadata), any
-// other value prices float64 tables.
-func DefaultSpaceBits(t, di, do, bits int) []Candidate {
+// H ∈ {2, 4}, K ∈ {16 … 1024}, C ∈ {1, 2, 4}, at the stored entry width
+// bits: 8 or 16 price quantized tables (including their per-row affine
+// metadata), any other value prices float64 tables.
+func DefaultSpace(t, di, do, bits int) []Candidate {
 	var out []Candidate
 	for _, l := range []int{1, 2} {
 		for _, da := range []int{16, 32, 64} {

@@ -1,17 +1,24 @@
 package config
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"dart/internal/mat"
+	"dart/internal/nn"
+	"dart/internal/tabular"
+)
 
 // dartModel is the paper's DART configuration (Table V): L=1, D=32, H=2.
 func dartModel() ModelConfig {
 	return ModelConfig{T: 8, DI: 10, DA: 32, DF: 128, DO: 64, H: 2, L: 1}
 }
 
-func TestTabularLatencyBallparkTableV(t *testing.T) {
+func TestEvaluateLatencyBallparkTableV(t *testing.T) {
 	// Paper Table V: DART (K=128, C=2) latency 97 cycles. Our L_ln model
 	// differs slightly from the (unstated) constant the authors used, so
 	// accept ±15%.
-	got := TabularLatency(dartModel(), TableConfig{K: 128, C: 2})
+	got := Evaluate(dartModel(), TableConfig{K: 128, C: 2}).Latency
 	if got < 82 || got > 112 {
 		t.Fatalf("DART latency %d outside 97±15%%", got)
 	}
@@ -23,27 +30,27 @@ func TestTabularStorageBallparkTableV(t *testing.T) {
 	// structure at double the entry bits: accept 2x 864.4 KB ±25% (the
 	// non-entry terms — index bits, layer norms, denominators — keep the
 	// ratio slightly under 2).
-	bits := TabularStorageBits(dartModel(), TableConfig{K: 128, C: 2})
-	kb := float64(bits) / 8 / 1024
+	bytes := Evaluate(dartModel(), TableConfig{K: 128, C: 2}).StorageBytes
+	kb := float64(bytes) / 1024
 	if kb < 1296 || kb > 2161 {
 		t.Fatalf("DART float storage %.1f KB outside 1728±25%%", kb)
 	}
 	// Quantization must recover the deployable sizes: int8 at least 4x
 	// below float (the entry payload is 8x smaller; metadata and the
 	// float64 denominator/LN terms eat part of it), int16 in between.
-	i8 := TabularStorageBits(dartModel(), TableConfig{K: 128, C: 2, DataBits: 8})
-	i16 := TabularStorageBits(dartModel(), TableConfig{K: 128, C: 2, DataBits: 16})
-	if float64(bits)/float64(i8) < 4 {
-		t.Fatalf("int8 model %d bits not >=4x below float %d", i8, bits)
+	i8 := Evaluate(dartModel(), TableConfig{K: 128, C: 2, DataBits: 8}).StorageBytes
+	i16 := Evaluate(dartModel(), TableConfig{K: 128, C: 2, DataBits: 16}).StorageBytes
+	if float64(bytes)/float64(i8) < 4 {
+		t.Fatalf("int8 model %d bytes not >=4x below float %d", i8, bytes)
 	}
-	if !(i8 < i16 && i16 < bits) {
-		t.Fatalf("width ordering violated: int8 %d, int16 %d, float %d", i8, i16, bits)
+	if !(i8 < i16 && i16 < bytes) {
+		t.Fatalf("width ordering violated: int8 %d, int16 %d, float %d", i8, i16, bytes)
 	}
 }
 
-func TestTabularOpsOrderTableV(t *testing.T) {
+func TestEvaluateOpsOrderTableV(t *testing.T) {
 	// Paper Table V: DART ops 11.0K; same order of magnitude required.
-	ops := TabularOps(dartModel(), TableConfig{K: 128, C: 2})
+	ops := Evaluate(dartModel(), TableConfig{K: 128, C: 2}).Ops
 	if ops < 3000 || ops > 40000 {
 		t.Fatalf("DART ops %d not within order of 11K", ops)
 	}
@@ -84,7 +91,7 @@ func TestDARTReductionVersusStudent(t *testing.T) {
 }
 
 func TestConfigureRespectsConstraints(t *testing.T) {
-	space := DefaultSpace(8, 10, 64)
+	space := DefaultSpace(8, 10, 64, 64)
 	for _, cons := range []Constraints{
 		{LatencyCycles: 60, StorageBytes: 48 << 10},
 		{LatencyCycles: 100, StorageBytes: 1 << 20},
@@ -140,10 +147,10 @@ func TestQuantizedSpaceUnlocksTightBudgets(t *testing.T) {
 	// pricing at tau=60 — it only ever looked feasible while the model
 	// undercounted entry width. The int8 space satisfies it.
 	cons := Constraints{LatencyCycles: 60, StorageBytes: 30 << 10}
-	if _, err := Configure(cons, DefaultSpace(8, 10, 64)); err == nil {
+	if _, err := Configure(cons, DefaultSpace(8, 10, 64, 64)); err == nil {
 		t.Fatal("30 KB at tau=60 should be infeasible with float64 tables")
 	}
-	got, err := Configure(cons, DefaultSpaceBits(8, 10, 64, 8))
+	got, err := Configure(cons, DefaultSpace(8, 10, 64, 8))
 	if err != nil {
 		t.Fatalf("int8 space should satisfy the DART-S budget: %v", err)
 	}
@@ -153,7 +160,7 @@ func TestQuantizedSpaceUnlocksTightBudgets(t *testing.T) {
 }
 
 func TestConfigureInfeasible(t *testing.T) {
-	if _, err := Configure(Constraints{LatencyCycles: 1, StorageBytes: 1}, DefaultSpace(8, 10, 64)); err == nil {
+	if _, err := Configure(Constraints{LatencyCycles: 1, StorageBytes: 1}, DefaultSpace(8, 10, 64, 64)); err == nil {
 		t.Fatal("expected infeasibility error")
 	}
 }
@@ -161,7 +168,7 @@ func TestConfigureInfeasible(t *testing.T) {
 func TestTableVIIIConstraintsProduceGrowingConfigs(t *testing.T) {
 	// Table VIII: looser constraints must yield higher-latency, larger
 	// predictors (DART-S < DART < DART-L).
-	space := DefaultSpace(8, 10, 64)
+	space := DefaultSpace(8, 10, 64, 64)
 	s, err := Configure(Constraints{LatencyCycles: 60, StorageBytes: 48 << 10}, space)
 	if err != nil {
 		t.Fatal(err)
@@ -200,13 +207,48 @@ func TestLSTMComplexity(t *testing.T) {
 	}
 }
 
-func TestEvaluateConsistent(t *testing.T) {
-	m := dartModel()
-	tc := TableConfig{K: 64, C: 2, DataBits: 32}
-	c := Evaluate(m, tc)
-	if c.Latency != TabularLatency(m, tc) ||
-		c.StorageBytes != (TabularStorageBits(m, tc)+7)/8 ||
-		c.Ops != TabularOps(m, tc) {
-		t.Fatal("Evaluate disagrees with the component functions")
+// TestDefaultConstraintsPickFrozenBuild: DefaultConstraints selects the
+// student and table shape core.BuildDART and the CLIs build by default, the
+// benchmark's frozen model. Changing the constraints or the cost model so
+// that this pick moves changes the benchmark's model.
+func TestDefaultConstraintsPickFrozenBuild(t *testing.T) {
+	got, err := Configure(DefaultConstraints, DefaultSpace(8, 10, 64, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, tc := got.Model, got.Table
+	if m.L != 1 || m.DA != 16 || m.H != 2 || tc.K != 128 || tc.C != 2 {
+		t.Fatalf("DefaultConstraints picked L=%d D=%d H=%d K=%d C=%d, want L=1 D=16 H=2 K=128 C=2",
+			m.L, m.DA, m.H, tc.K, tc.C)
+	}
+}
+
+// TestConfigureStudentWithinBudget: whatever student a dart budget selects,
+// the tables Tabularize builds for it meet that budget. Cost depends only on
+// shapes, so a random-weight student and a small random fit set suffice.
+func TestConfigureStudentWithinBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	fit := mat.NewTensor(4, 8, 37)
+	for i := range fit.Data {
+		fit.Data[i] = rng.NormFloat64()
+	}
+	for _, tau := range []int{60, 80, 100, 150} {
+		for _, s := range []int{30 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20} {
+			for _, bits := range []int{64, 8, 16} {
+				spec := PolicySpec{DartLatency: tau, DartStorage: s, Bits: bits}
+				cand, err := spec.ConfigureStudent(8, 37, 16)
+				if err != nil {
+					continue // infeasible budget: nothing is built
+				}
+				student := nn.NewTransformerPredictor(cand.Model.Transformer(), rng)
+				built := tabular.Tabularize(student, fit, tabular.Config{Kernel: tabular.KernelConfig{
+					K: cand.Table.K, C: cand.Table.C, Kind: tabular.EncoderLSH, DataBits: cand.Table.DataBits,
+				}}).Hierarchy.Cost()
+				if built.LatencyCycles > tau || built.StorageBytes() > s {
+					t.Errorf("τ=%d s=%d bits=%d: built tables cost %d cycles, %d B (priced %d cycles, %d B)",
+						tau, s, bits, built.LatencyCycles, built.StorageBytes(), cand.Latency, cand.StorageBytes)
+				}
+			}
+		}
 	}
 }

@@ -173,7 +173,7 @@ func (s PolicySpec) ConfigureStudent(t, di, do int) (Candidate, error) {
 	if bits == 0 {
 		bits = 64
 	}
-	space := DefaultSpaceBits(t, di, do, bits)
+	space := DefaultSpace(t, di, do, bits)
 	if s.K > 0 || s.C > 0 {
 		var narrowed []Candidate
 		for _, c := range space {

@@ -25,7 +25,7 @@ import (
 // approach the paper's training regime.
 type Options struct {
 	Data        dataprep.Config    // preprocessing (Sec. VI-A)
-	Constraints config.Constraints // prefetcher design constraints (τ, s)
+	Constraints config.Constraints // prefetcher design constraints (τ, s); zero means config.DefaultConstraints
 
 	// Teacher structure (Step 1 pursues accuracy without constraints).
 	TeacherDModel, TeacherDFF, TeacherHeads, TeacherLayers int
@@ -59,7 +59,7 @@ func (o Options) withDefaults() Options {
 		o.Data = dataprep.Default()
 	}
 	if o.Constraints.LatencyCycles == 0 {
-		o.Constraints = config.Constraints{LatencyCycles: 100, StorageBytes: 1 << 20}
+		o.Constraints = config.DefaultConstraints
 	}
 	if o.KD == (kd.Config{}) {
 		o.KD = kd.DefaultConfig()
@@ -120,7 +120,7 @@ func BuildDART(recs []trace.Record, opt Options) (*Artifacts, error) {
 	art := &Artifacts{Opt: opt, Train: train, Test: test}
 
 	// Step 0: table configurator chooses the student/table structure.
-	space := config.DefaultSpace(opt.Data.History, opt.Data.InputDim(), opt.Data.OutputDim())
+	space := config.DefaultSpace(opt.Data.History, opt.Data.InputDim(), opt.Data.OutputDim(), 64)
 	chosen, err := config.Configure(opt.Constraints, space)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -199,12 +199,13 @@ func EvaluateTableF1(h *tabular.Hierarchy, ds *dataprep.Dataset) float64 {
 	return metrics.F1FromLogits(out.Data, ds.Y.Data)
 }
 
-// Prefetcher wraps the tabularized predictor as an LLC prefetcher whose
-// latency and storage come from the configurator's analytic model.
+// Prefetcher wraps the tabularized predictor as an LLC prefetcher charged
+// the latency and storage of the table hierarchy it queries.
 func (a *Artifacts) Prefetcher(name string, degree int) *prefetch.NNPrefetcher {
+	cost := a.Tables.Hierarchy.Cost()
 	return prefetch.NewNNPrefetcher(name,
 		prefetch.TableModel{H: a.Tables.Hierarchy},
-		a.Opt.Data, a.Chosen.Latency, a.Chosen.StorageBytes, degree)
+		a.Opt.Data, cost.LatencyCycles, cost.StorageBytes(), degree)
 }
 
 // StudentPrefetcher wraps the (pre-tabularization) student network as a

@@ -255,18 +255,10 @@ func (a *AttentionKernel) Query(q, k, v *mat.Matrix) *mat.Matrix {
 	return out
 }
 
-// Cost reports Eqs. 17, 19, 21 for this kernel. As with the linear kernel,
-// the storage term prices the actual stored entry width (64-bit float64 or
-// the quantized width plus affine metadata); the always-float64 denominator
-// table, which Eq. 19's 2K²·C·d term does not cover, is added explicitly.
+// Cost reports Eqs. 17, 19, 21 for this kernel from its encoders' shapes and
+// the width its tables are actually stored at.
 func (a *AttentionKernel) Cost() Cost {
-	k, c := a.cfg.K, a.encQ.C()
-	return Cost{
-		LatencyCycles: AttentionLatency(k, c),
-		StorageBits: AttentionStorageBits(a.T, a.Dk, k, c, a.qk.bits) + len(a.denTable)*64 +
-			a.qk.overheadBits() + a.qkv.overheadBits(),
-		Ops: AttentionOps(a.T, a.Dk, k, c),
-	}
+	return attentionCost(a.T, a.Dk, a.encQ.K(), a.encQ.C(), a.encS.C(), a.qk.bits)
 }
 
 // TableBytes is the measured footprint of the stored tables.
@@ -306,26 +298,9 @@ func (m *MSAKernel) Query(x *mat.Matrix) *mat.Matrix {
 	return m.WO.Query(concat)
 }
 
-// Cost sums the projection and head costs; heads run in parallel so latency
-// counts a single head.
-func (m *MSAKernel) Cost() Cost {
-	c := m.WQ.Cost() // Q/K/V projections run in parallel: one latency
-	c.StorageBits += m.WK.Cost().StorageBits + m.WV.Cost().StorageBits
-	c.Ops += m.WK.Cost().Ops + m.WV.Cost().Ops
-	if len(m.Heads) > 0 {
-		hc := m.Heads[0].Cost()
-		c.LatencyCycles += hc.LatencyCycles
-		for _, h := range m.Heads {
-			c.StorageBits += h.Cost().StorageBits
-			c.Ops += h.Cost().Ops
-		}
-	}
-	oc := m.WO.Cost()
-	c.LatencyCycles += oc.LatencyCycles
-	c.StorageBits += oc.StorageBits
-	c.Ops += oc.Ops
-	return c
-}
+// Cost composes the projection and head costs; the projections and heads
+// share one shape each.
+func (m *MSAKernel) Cost() Cost { return msaCost(m.WQ.Cost(), m.Heads[0].Cost(), m.H) }
 
 // Name identifies the block.
 func (m *MSAKernel) Name() string { return fmt.Sprintf("msa-kernel(D=%d,H=%d)", m.D, m.H) }

@@ -1,5 +1,7 @@
 package tabular
 
+import "dart/internal/nn"
+
 // Cost models a kernel's inference complexity with the three quantities the
 // paper tracks (Sec. V-C): critical-path latency in cycles under full
 // parallelism, storage in bits, and residual arithmetic operations.
@@ -82,3 +84,78 @@ func LayerNormStorageBits(dim, d int) int { return 2 * dim * d }
 
 // SigmoidStorageBits is S_σ: the fixed LUT.
 func SigmoidStorageBits(d int) int { return SigmoidLUTEntries * d }
+
+// widths is the entry width newRowTable stores a DataBits request at, and
+// the affine metadata (float64 scale, int32 zero) each row of that table
+// carries on top of the entries the paper's storage equations count: 8 and
+// 16 stay quantized, anything else is float64 with no metadata.
+func widths(bits int) (entry, rowMeta int) {
+	if bits == 8 || bits == 16 {
+		return bits, 64 + 32
+	}
+	return 64, 0
+}
+
+// linearCost is Eqs. 16, 18, 20 for a linear kernel producing out features
+// over t rows from c subspaces of k prototypes, its table stored at bits.
+func linearCost(t, out, k, c, bits int) Cost {
+	d, meta := widths(bits)
+	return Cost{
+		LatencyCycles: LinearLatency(k, c),
+		StorageBits:   LinearStorageBits(t, out, k, c, d) + c*k*meta,
+		Ops:           LinearOps(t, out, k, c),
+	}
+}
+
+// attentionCost is Eqs. 17, 19, 21 for one attention head over t rows of dk
+// features, whose dk-wide Q/K encoders have ck subspaces and whose t-wide
+// score-row encoder has ct. The float64 denominator table (ct·k entries),
+// which Eq. 19's 2K²·C·d term does not cover, is added.
+func attentionCost(t, dk, k, ck, ct, bits int) Cost {
+	d, meta := widths(bits)
+	return Cost{
+		LatencyCycles: AttentionLatency(k, ck),
+		StorageBits:   AttentionStorageBits(t, dk, k, ck, d) + ct*k*64 + (ck+ct)*k*meta,
+		Ops:           AttentionOps(t, dk, k, ck),
+	}
+}
+
+// posEmbedCost is one parallel add plus a t x d positional embedding stored
+// at bits: one row per position, each with its affine metadata if quantized.
+func posEmbedCost(t, d, bits int) Cost {
+	entry, meta := widths(bits)
+	return Cost{LatencyCycles: 1, StorageBits: t*d*entry + t*meta}
+}
+
+// msaCost composes a multi-head self-attention block from the cost of one
+// of its four equal projections and one of its h heads: the Q/K/V
+// projections run in parallel, then the heads, then the output projection.
+func msaCost(proj, head Cost, h int) Cost {
+	return Cost{
+		LatencyCycles: 2*proj.LatencyCycles + head.LatencyCycles,
+		StorageBits:   4*proj.StorageBits + h*head.StorageBits,
+		Ops:           4*proj.Ops + h*head.Ops,
+	}
+}
+
+// ModelCost is the Cost of the hierarchy Tabularize builds from a student of
+// nn.NewTransformerPredictor's shape tc under kc, from shapes alone: no model
+// is built and no table fitted. It walks that layer list — input linear,
+// positional embedding, L × (residual(LN, MSA), residual(LN, FFN1, ReLU,
+// FFN2)), mean pool, and an output linear over the one pooled row — through
+// the per-kernel costs the built layers report.
+func ModelCost(tc nn.TransformerConfig, kc KernelConfig) Cost {
+	kc = kc.withDefaults()
+	t, d, k := tc.T, tc.DModel, kc.K
+	linear := func(rows, in, out int) Cost { return linearCost(rows, out, k, subspaces(kc.C, in), kc.DataBits) }
+	dk := d / tc.Heads
+	head := attentionCost(t, dk, k, subspaces(kc.C, dk), subspaces(kc.C, t), kc.DataBits)
+	ln, res := (&LayerNormTab{D: d}).Cost(), (&ResidualTab{}).Cost()
+	attn := res.Add(ln).Add(msaCost(linear(t, d, d), head, tc.Heads))
+	ffn := res.Add(ln).Add(linear(t, d, tc.DFF)).Add(ReLUTab{}.Cost()).Add(linear(t, tc.DFF, d))
+	c := linear(t, tc.DIn, d).Add(posEmbedCost(t, d, kc.DataBits))
+	for l := 0; l < tc.Layers; l++ {
+		c = c.Add(attn).Add(ffn)
+	}
+	return c.Add(MeanPoolTab{}.Cost()).Add(linear(1, d, tc.DOut))
+}

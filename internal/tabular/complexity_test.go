@@ -1,6 +1,12 @@
 package tabular
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"dart/internal/mat"
+	"dart/internal/nn"
+)
 
 func TestCeilLog2(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 16: 4, 128: 7, 1024: 10}
@@ -93,5 +99,43 @@ func TestStorageExponentialInK(t *testing.T) {
 	s2 := LinearStorageBits(8, 32, 256, 2, 32)
 	if s2 < s1*3/2 {
 		t.Fatalf("doubling K: %d -> %d, expected near-doubling", s1, s2)
+	}
+}
+
+// TestModelCostMatchesBuilt: the shape-only ModelCost the configurator
+// prices candidates with equals the Cost() of the hierarchy Tabularize
+// actually builds, exactly. Cost depends only on shapes, so random-weight
+// students and a small random fit set suffice. C=4 at D_I=10 exercises the
+// input linear's subspace reduction; bits 32 requests a width the tables
+// store as float64.
+func TestModelCostMatchesBuilt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fit := mat.NewTensor(6, 8, 10)
+	for i := range fit.Data {
+		fit.Data[i] = rng.NormFloat64()
+	}
+	layers, ds, ks, bitss := []int{1, 2}, []int{16, 32}, []int{16, 128}, []int{64, 32, 16, 8}
+	if testing.Short() {
+		layers, ds, ks, bitss = []int{1}, []int{16}, []int{16}, []int{64, 8}
+	}
+	for _, l := range layers {
+		for _, d := range ds {
+			for _, h := range []int{2, 4} {
+				tc := nn.TransformerConfig{T: 8, DIn: 10, DModel: d, DFF: 4 * d, DOut: 16, Heads: h, Layers: l}
+				student := nn.NewTransformerPredictor(tc, rng)
+				for _, k := range ks {
+					for _, c := range []int{1, 2, 4} {
+						for _, bits := range bitss {
+							kc := KernelConfig{K: k, C: c, Kind: EncoderLSH, DataBits: bits}
+							built := Tabularize(student, fit, Config{Kernel: kc, Seed: 1}).Hierarchy.Cost()
+							if got := ModelCost(tc, kc); got != built {
+								t.Errorf("L=%d D=%d H=%d K=%d C=%d bits=%d: ModelCost %+v, built %+v",
+									l, d, h, k, c, bits, got, built)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -92,20 +92,26 @@ func (c KernelConfig) withDefaults() KernelConfig {
 	return c
 }
 
-// newEncoder constructs the configured encoder for dimension d. When d is not
-// divisible by C, the subspace count is reduced to the largest divisor of d
-// that is <= C, so kernels remain usable for any layer width.
+// newEncoder constructs the configured encoder for dimension d, over
+// subspaces(cfg.C, d) subspaces.
 func newEncoder(cfg KernelConfig, d int, rng *rand.Rand) pq.Encoder {
-	c := cfg.C
-	for c > 1 && d%c != 0 {
-		c--
-	}
+	c := subspaces(cfg.C, d)
 	switch cfg.Kind {
 	case EncoderLSH:
 		return pq.NewLSHEncoder(d, c, cfg.K, rng)
 	default:
 		return pq.NewKMeansEncoder(d, c, cfg.K, rng)
 	}
+}
+
+// subspaces is the subspace count an encoder of dimension d uses under a
+// requested C: when d is not divisible by C, the largest divisor of d that is
+// <= C, so kernels remain usable for any layer width.
+func subspaces(c, d int) int {
+	for c > 1 && d%c != 0 {
+		c--
+	}
+	return c
 }
 
 // Hierarchy is the full table-based predictor: an ordered list of tabular

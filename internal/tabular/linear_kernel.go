@@ -101,18 +101,11 @@ func (k *LinearKernel) Query(x *mat.Matrix) *mat.Matrix {
 // the stack; serving configs use C of 1-4.
 const maxStackSubspaces = 16
 
-// Cost reports Eqs. 16, 18, 20 for this kernel. The storage term prices the
-// width entries are actually stored at — 64-bit float64 or the 8/16-bit
-// quantized payload plus its per-row affine metadata — rather than echoing
-// KernelConfig.DataBits, which older configs set to widths the tables never
-// used.
+// Cost reports Eqs. 16, 18, 20 for this kernel from its encoder's shape and
+// the width its table is actually stored at, never KernelConfig.DataBits
+// verbatim: older configs set widths the tables never used.
 func (k *LinearKernel) Cost() Cost {
-	K, C := k.cfg.K, k.enc.C()
-	return Cost{
-		LatencyCycles: LinearLatency(K, C),
-		StorageBits:   LinearStorageBits(k.seqT, k.Out, K, C, k.tab.bits) + k.tab.overheadBits(),
-		Ops:           LinearOps(k.seqT, k.Out, K, C),
-	}
+	return linearCost(k.seqT, k.Out, k.enc.K(), k.enc.C(), k.tab.bits)
 }
 
 // TableBytes is the measured footprint of the stored table (payload plus any

@@ -181,11 +181,8 @@ func (p *PosEmbedTab) Query(x *mat.Matrix) *mat.Matrix {
 }
 
 // Cost is one parallel add plus the embedding table at the width it is
-// actually stored: 64 bits per float64 entry, or the quantized payload with
-// its per-row affine metadata.
-func (p *PosEmbedTab) Cost() Cost {
-	return Cost{LatencyCycles: 1, StorageBits: p.T*p.D*p.Emb.bits + p.Emb.overheadBits()}
-}
+// actually stored.
+func (p *PosEmbedTab) Cost() Cost { return posEmbedCost(p.T, p.D, p.Emb.bits) }
 
 // Name identifies the layer.
 func (p *PosEmbedTab) Name() string { return fmt.Sprintf("posembed(%dx%d)", p.T, p.D) }

@@ -26,14 +26,14 @@ type rowTable struct {
 	zero   []int32   // per row; nil at 64 bits
 }
 
-// newRowTable stores a float64 table of rows x rowLen entries at the given
-// width: 8 or 16 quantize with one affine pair fitted per row, and any other
-// value keeps src as float64, as KernelConfig.DataBits selects.
+// newRowTable stores a float64 table of rows x rowLen entries at the width
+// widths gives bits: 8 or 16 quantize with one affine pair fitted per row,
+// and any other value (KernelConfig.DataBits' default 64) keeps src as float64.
 func newRowTable(src []float64, rows, rowLen, bits int) *rowTable {
 	if len(src) != rows*rowLen {
 		panic(fmt.Sprintf("tabular: row table %d entries != %d rows x %d", len(src), rows, rowLen))
 	}
-	if bits != 8 && bits != 16 {
+	if entry, _ := widths(bits); entry == 64 {
 		return &rowTable{bits: 64, rowLen: rowLen, f64: src}
 	}
 	t := &rowTable{
@@ -109,11 +109,6 @@ func (t *rowTable) at(r, j int) float64 {
 func (t *rowTable) storedBytes() int {
 	return len(t.f64)*8 + len(t.q16)*2 + len(t.q8) + len(t.scale)*8 + len(t.zero)*4
 }
-
-// overheadBits is the modelled cost of the affine metadata, added on top of
-// the paper's storage equations (which only count the d-bit entries); 0 at
-// 64 bits.
-func (t *rowTable) overheadBits() int { return len(t.scale) * (64 + 32) }
 
 // MeasuredStorageBytes reports the bytes a layer's stored tables and
 // parameters actually occupy: lookup-table payloads, quantization metadata,

@@ -454,6 +454,9 @@ func TestCheckpointRejectsCorruptQuantAndEncoderState(t *testing.T) {
 		{"msa WQ is a layernorm state", func(st []layerState) {
 			msa(st).WQ = &layerState{Kind: "layernorm", Dim: 8, Gamma: make([]float64, 8), Beta: make([]float64, 8)}
 		}, "want linear"},
+		{"msa with no heads", func(st []layerState) {
+			msa(st).H, msa(st).Heads = 0, nil
+		}, "0 heads"},
 		{"encoder zero K", func(st []layerState) {
 			st[linIdx].Enc = mutateEncoderDims(t, st[linIdx].Enc, "K", 0)
 		}, "pq:"},

@@ -315,8 +315,8 @@ func unmarshalLayer(st layerState) (Layer, error) {
 				return nil, err
 			}
 		}
-		if len(st.Heads) != st.H {
-			return nil, fmt.Errorf("tabular: msa state has %d heads, want H=%d", len(st.Heads), st.H)
+		if st.H < 1 || len(st.Heads) != st.H {
+			return nil, fmt.Errorf("tabular: msa state has %d heads, want H=%d >= 1", len(st.Heads), st.H)
 		}
 		for _, hs := range st.Heads {
 			h, err := unmarshalHead(hs)
