@@ -42,7 +42,8 @@ bench-build:
 ## check them. Every row compares numbers from this one run (par-vs-serial
 ## matmul, teacher > student > dart, int8 vs float tables, binary vs JSON
 ## wire access, routed vs direct access) or requires 0 allocs/op on a hot
-## path, so the gate gives the same answer on any host; timing across
+## path (wire codec, policy, int8 row kernel, simulator cache), so the gate
+## gives the same answer on any host; timing across
 ## commits is bench/'s job (`bash bench/run.sh -compare`). -benchmem feeds
 ## the allocs rows; -count because the checker keeps the per-benchmark
 ## minimum, which filters scheduler interference at these short benchtimes.
@@ -59,6 +60,8 @@ bench-ci:
 		-benchtime 100ms -count 3 -benchmem ./internal/serve >> bench-ci.out || { cat bench-ci.out; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterAccess|BenchmarkDirectAccess' \
 		-benchtime 100ms -count 3 -benchmem ./internal/route >> bench-ci.out || { cat bench-ci.out; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkCacheLookup|BenchmarkCacheFill' \
+		-benchtime 100ms -count 3 -benchmem ./internal/sim >> bench-ci.out || { cat bench-ci.out; exit 1; }
 	@cat bench-ci.out
 	$(GO) run ./cmd/dart-benchcheck bench-ci.out
 

@@ -52,12 +52,15 @@ func zeroAllocs(name string) row {
 var rows = []row{
 	// Per-access and per-batch hot paths: the DARTWIRE1 codec and served
 	// access, the promotion policy's ObserveLive (called on every
-	// shadow-compared batch) and the quantized row kernel inside every int8
-	// table query. One steady-state allocation fails.
+	// shadow-compared batch), the quantized row kernel inside every int8
+	// table query, and the simulator cache's hit and miss-evict paths that
+	// every simulated access takes. One steady-state allocation fails.
 	zeroAllocs("BenchmarkWireCodec"),
 	zeroAllocs("BenchmarkWireAccessBinary"),
 	zeroAllocs("BenchmarkPolicyDecision"),
 	zeroAllocs("BenchmarkQuantRowAccum"),
+	zeroAllocs("BenchmarkCacheLookup"),
+	zeroAllocs("BenchmarkCacheFill"),
 
 	// The worker pool must pay for itself over the seed's serial kernel.
 	{"speedup(par w4 vs serial, n={n})", "BenchmarkMatMul/serial/n{n}", "BenchmarkMatMul/par/n{n}/w4", ">=", 2},

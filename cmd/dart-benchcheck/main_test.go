@@ -36,7 +36,10 @@ BenchmarkWireAccessJSON-2  150000  8101 ns/op  1969 B/op  45 allocs/op
 	sampleRouter = `BenchmarkRouterAccess-2  200000  6012 ns/op  120 B/op  3 allocs/op
 BenchmarkDirectAccess-2  400000  2987 ns/op  80 B/op  2 allocs/op
 `
-	sampleBench = sampleMatMul + sampleOnline + sampleWire + sampleRouter
+	sampleSim = `BenchmarkCacheLookup-2  82370337  21.56 ns/op  0 B/op  0 allocs/op
+BenchmarkCacheFill-2  28101712  36.11 ns/op  0 B/op  0 allocs/op
+`
+	sampleBench = sampleMatMul + sampleOnline + sampleWire + sampleRouter + sampleSim
 )
 
 // gate runs the checker over in and returns its exit code and report.
@@ -171,7 +174,7 @@ func TestGatePassesWithinTolerance(t *testing.T) {
 		}
 		at = i
 	}
-	if !strings.Contains(out, "all 13 rows passed") {
+	if !strings.Contains(out, "all 15 rows passed") {
 		t.Fatalf("output:\n%s", out)
 	}
 }
@@ -253,7 +256,7 @@ func TestGateFailsOnRegression(t *testing.T) {
 	slow := replace(t, sampleBench,
 		"BenchmarkMatMul/par/n512/w4-2    10  11200000 ns/op",
 		"BenchmarkMatMul/par/n512/w4-2    10  69000000 ns/op")
-	wantExit(t, slow, 1, "FAIL speedup(par w4 vs serial, n=512)", "ok   overhead(routed vs direct access)", "1 of 13 rows failed")
+	wantExit(t, slow, 1, "FAIL speedup(par w4 vs serial, n=512)", "ok   overhead(routed vs direct access)", "1 of 15 rows failed")
 }
 
 func TestGateFailsOnLostSpeedup(t *testing.T) {
@@ -433,7 +436,7 @@ func TestOnlineGateFailsClosedOnMissingBenchmark(t *testing.T) {
 // TestOnlineGateFailsClosedWithoutSection: the whole online section of
 // bench-ci.out gone (its `go test` step skipped) reports every row it feeds.
 func TestOnlineGateFailsClosedWithoutSection(t *testing.T) {
-	wantExit(t, sampleMatMul+sampleWire+sampleRouter, 2,
+	wantExit(t, sampleMatMul+sampleWire+sampleRouter+sampleSim, 2,
 		"MISS BenchmarkPolicyDecision@allocs", "MISS speedup(dart vs student infer)", "MISS shrink(quant vs float dart storage_bytes)")
 }
 
@@ -493,7 +496,7 @@ func TestBinaryGateFailsClosedOnMissingWireBench(t *testing.T) {
 }
 
 func TestBinaryGateFailsClosedWithoutSection(t *testing.T) {
-	wantExit(t, sampleMatMul+sampleOnline+sampleRouter, 2,
+	wantExit(t, sampleMatMul+sampleOnline+sampleRouter+sampleSim, 2,
 		"MISS BenchmarkWireCodec@allocs", "MISS BenchmarkWireAccessBinary@allocs", "MISS speedup(binary vs json wire access)")
 }
 
@@ -556,5 +559,17 @@ func TestRouterGateFailsClosedOnMissingBench(t *testing.T) {
 }
 
 func TestRouterGateFailsClosedWithoutSection(t *testing.T) {
-	wantExit(t, sampleMatMul+sampleOnline+sampleWire, 2, "MISS overhead(routed vs direct access)", "BenchmarkRouterAccess, BenchmarkDirectAccess")
+	wantExit(t, sampleMatMul+sampleOnline+sampleWire+sampleSim, 2, "MISS overhead(routed vs direct access)", "BenchmarkRouterAccess, BenchmarkDirectAccess")
+}
+
+func TestSimCacheGateFailsOnSingleAlloc(t *testing.T) {
+	// Every simulated access probes and fills the cache: one allocation on
+	// the miss-evict path fails.
+	leaky := replace(t, sampleBench, "36.11 ns/op  0 B/op  0 allocs/op", "36.11 ns/op  64 B/op  1 allocs/op")
+	wantExit(t, leaky, 1, "FAIL BenchmarkCacheFill@allocs")
+}
+
+func TestSimCacheGateFailsClosedWithoutSection(t *testing.T) {
+	wantExit(t, sampleMatMul+sampleOnline+sampleWire+sampleRouter, 2,
+		"MISS BenchmarkCacheLookup@allocs", "MISS BenchmarkCacheFill@allocs")
 }

@@ -166,6 +166,36 @@ func TestWireErrors(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsBadSimGeometry: a JSON open whose "sim" config has a cache
+// shape the simulator cannot build gets an error reply, and the server keeps
+// serving: a valid open of the same id on the same connection succeeds.
+func TestOpenRejectsBadSimGeometry(t *testing.T) {
+	conn, _, stop := startServer(t, Config{SimCfg: smallSimCfg()})
+	defer stop()
+	br := bufio.NewReader(conn)
+	shapes := map[string]func(*sim.Config){
+		"15 LLC sets":        func(c *sim.Config) { c.LLCBlocks, c.LLCWays = 60, 4 },
+		"ways not dividing":  func(c *sim.Config) { c.LLCBlocks, c.LLCWays = 62, 4 },
+		"17 LLC ways":        func(c *sim.Config) { c.LLCBlocks, c.LLCWays = 17*256, 17 },
+		"oversized LLC":      func(c *sim.Config) { c.LLCBlocks = 2 * sim.MaxCacheBlocks },
+		"15 L2 sets":         func(c *sim.Config) { c.L2Blocks, c.L2Ways, c.L2HitLatency = 60, 4, 14 },
+		"17 L2 ways":         func(c *sim.Config) { c.L2Blocks, c.L2Ways, c.L2HitLatency = 17*64, 17, 14 },
+		"oversized L2":       func(c *sim.Config) { c.L2Blocks, c.L2Ways, c.L2HitLatency = 2*sim.MaxCacheBlocks, 8, 14 },
+		"L2 ways not divide": func(c *sim.Config) { c.L2Blocks, c.L2Ways, c.L2HitLatency = 100, 8, 14 },
+	}
+	for name, bad := range shapes {
+		cfg := smallSimCfg()
+		bad(&cfg)
+		if rep := rpc(t, conn, br, Request{Op: "open", Session: "g", Prefetcher: "stride", Sim: &cfg}); rep.OK || rep.Err == "" {
+			t.Errorf("%s: open replied %+v, want an error", name, rep)
+		}
+	}
+	cfg := smallSimCfg()
+	if rep := rpc(t, conn, br, Request{Op: "open", Session: "g", Prefetcher: "stride", Sim: &cfg}); !rep.OK {
+		t.Fatalf("valid open after rejected ones: %s", rep.Err)
+	}
+}
+
 // TestShutdownDrainsSessions: sessions on a still-connected client when the
 // server shuts down are drained and their results returned.
 func TestShutdownDrainsSessions(t *testing.T) {

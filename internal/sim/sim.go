@@ -127,7 +127,9 @@ func TwoLevelConfig() Config {
 	return c
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, including any cache geometry
+// NewCache would panic on, so a config from outside the process (a served
+// session's open) is checked before it builds a simulator.
 func (c Config) Validate() error {
 	if c.CoreWidth <= 0 || c.ROBSize <= 0 || c.LLCBlocks <= 0 || c.LLCWays <= 0 ||
 		c.LLCHitLatency < 0 || c.LLCMSHRs <= 0 || c.DRAMLatency <= 0 || c.PrefetchQueue <= 0 {
@@ -135,6 +137,14 @@ func (c Config) Validate() error {
 	}
 	if c.L2Blocks < 0 || (c.L2Blocks > 0 && (c.L2Ways <= 0 || c.L2HitLatency < 0)) {
 		return fmt.Errorf("sim: invalid L2 config %+v", c)
+	}
+	if err := cacheGeometry(c.LLCBlocks, c.LLCWays); err != nil {
+		return fmt.Errorf("sim: LLC: %v", err)
+	}
+	if c.L2Blocks > 0 {
+		if err := cacheGeometry(c.L2Blocks, c.L2Ways); err != nil {
+			return fmt.Errorf("sim: L2: %v", err)
+		}
 	}
 	return nil
 }
@@ -164,14 +174,6 @@ func (r Result) Accuracy() float64 {
 		return 0
 	}
 	return float64(r.PrefetchUseful) / float64(r.PrefetchIssued)
-}
-
-// MissRate is demand misses per access.
-func (r Result) MissRate() float64 {
-	if r.Accesses == 0 {
-		return 0
-	}
-	return float64(r.DemandMisses) / float64(r.Accesses)
 }
 
 // Coverage computes the fraction of baseline misses removed by prefetching.

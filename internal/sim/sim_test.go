@@ -13,13 +13,31 @@ func TestNewCacheGeometry(t *testing.T) {
 	}
 }
 
+// badGeometries are cache shapes NewCache panics on and Config.Validate
+// rejects.
+var badGeometries = []struct{ blocks, ways int }{
+	{60, 4},                   // 15 sets, not a power of two
+	{62, 4},                   // blocks not a multiple of ways
+	{17, 17},                  // one set, but more than MaxWays ways
+	{34, 17},                  // two sets of 17 ways
+	{MaxCacheBlocks * 2, 16},  // past MaxCacheBlocks
+	{0, 4}, {16, 0}, {-16, 4}, // empty or negative
+}
+
 func TestNewCachePanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewCache(60, 4) // 15 sets, not a power of two
+	for _, g := range badGeometries {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCache(%d, %d): expected panic", g.blocks, g.ways)
+				}
+			}()
+			NewCache(g.blocks, g.ways)
+		}()
+	}
+	// The limits themselves are legal.
+	NewCache(MaxWays, MaxWays)
+	NewCache(MaxCacheBlocks, MaxWays)
 }
 
 func TestCacheHitAfterInsert(t *testing.T) {
