@@ -461,7 +461,7 @@ func TestBinaryHotPathZeroAlloc(t *testing.T) {
 		<-out
 	}
 	// Warm up: size the record slice, the reply buffer, the simulator's
-	// in-flight map, and the prefetcher's tables.
+	// pending prefetch queue, and the prefetcher's tables.
 	for i := 0; i < 16; i++ {
 		step()
 	}

@@ -21,7 +21,7 @@ func BenchmarkRunBaseline(b *testing.B) {
 func BenchmarkRunWithPrefetcher(b *testing.B) {
 	recs := trace.Generate(trace.AppSpec{Name: "b", Pages: 500, Streams: 4, Seed: 1}, 10000)
 	cfg := DefaultConfig()
-	pf := nextLine{degree: 4, latency: 30}
+	pf := &nextLine{degree: 4, latency: 30}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(recs, pf, cfg)

@@ -2,11 +2,13 @@
 // ChampSim's LLC model (paper Sec. VII-A1, Table III). Traces are LLC access
 // streams (upper cache levels are implicit in the trace, exactly as in the
 // paper's methodology of extracting LLC traces with ChampSim); the simulator
-// models a set-associative LLC with LRU replacement and MSHRs, a DRAM
-// latency/bandwidth model, an out-of-order core that hides latency up to its
-// reorder window, and an LLC prefetcher with an explicit inference-latency
-// model — the mechanism that separates DART from the slow NN baselines in
-// Figs. 12-14.
+// models a set-associative LLC with LRU replacement, a DRAM latency/bandwidth
+// model, an out-of-order core that hides latency up to its reorder window,
+// and an LLC prefetcher with an explicit inference-latency model — the
+// mechanism that separates DART from the slow NN baselines in Figs. 12-14.
+// Prefetch fills wait in a queue of Config.PrefetchQueue entries; demand
+// misses fill at once, so MSHRs are not modelled (Config.LLCMSHRs, Table
+// III's row, is accepted and validated only).
 //
 // The hierarchy is configurable: by default the model is the paper's single
 // shared LLC, but setting Config.L2Blocks > 0 interposes a private L2 in

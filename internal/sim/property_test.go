@@ -78,7 +78,7 @@ func TestPrefetchCountsConsistent(t *testing.T) {
 			IrregularFrac: rng.Float64() * 0.3, Seed: seed,
 		}
 		recs := trace.Generate(spec, 2000)
-		res := Run(recs, nextLine{degree: 1 + rng.Intn(4), latency: rng.Intn(300)}, DefaultConfig())
+		res := Run(recs, &nextLine{degree: 1 + rng.Intn(4), latency: rng.Intn(300)}, DefaultConfig())
 		return res.PrefetchUseful <= res.PrefetchIssued &&
 			res.LateCovered <= res.PrefetchUseful &&
 			res.DemandHits+res.DemandMisses+res.LateCovered == res.Accesses
@@ -94,7 +94,7 @@ func TestOraclePrefetchImprovesIPC(t *testing.T) {
 	recs := seqRecords(3000, 40)
 	cfg := DefaultConfig()
 	base := Run(recs, NoPrefetcher{}, cfg)
-	oracle := Run(recs, nextLine{degree: 8, latency: 0}, cfg)
+	oracle := Run(recs, &nextLine{degree: 8, latency: 0}, cfg)
 	if oracle.IPC <= base.IPC {
 		t.Fatalf("oracle IPC %v <= baseline %v", oracle.IPC, base.IPC)
 	}

@@ -80,7 +80,7 @@ type Config struct {
 	LLCBlocks     int // LLC capacity in 64-byte blocks
 	LLCWays       int
 	LLCHitLatency int // cycles from core to LLC data (L1+L2 probes included)
-	LLCMSHRs      int // outstanding demand misses
+	LLCMSHRs      int // Table III's MSHRs: accepted and validated, not modelled
 	DRAMLatency   int // cycles for a DRAM fill
 	DRAMInterval  int // minimum cycles between DRAM fills (bandwidth)
 	PrefetchQueue int // pending prefetch capacity
@@ -196,11 +196,10 @@ func IPCImprovement(base, pf Result) float64 {
 	return pf.IPC/base.IPC - 1
 }
 
-// pendingFill is an in-flight cache fill.
+// pendingFill is an in-flight prefetch fill.
 type pendingFill struct {
-	block      uint64
-	ready      uint64 // completion cycle
-	prefetched bool
+	block uint64
+	ready uint64 // completion cycle
 }
 
 // Step reports what one simulated access did, for callers (the serving
@@ -238,9 +237,10 @@ type Sim struct {
 	firstInstr, lastInstr uint64
 	prevInstr             uint64
 
-	pending  []pendingFill
-	inFlight map[uint64]int // block -> index+1 in pending
-	pfBuf    []uint64       // backing store for Step.Prefetches, reused every Step
+	// pending is the in-flight index: admitted prefetch fills not yet
+	// installed, in issue order, each block once, at most PrefetchQueue long.
+	pending []pendingFill
+	pfBuf   []uint64 // backing store for Step.Prefetches, reused every Step
 }
 
 // NewSim builds an incremental simulator. It panics on an invalid config,
@@ -250,13 +250,12 @@ func NewSim(pf Prefetcher, cfg Config) *Sim {
 		panic(err)
 	}
 	s := &Sim{
-		cfg:      cfg,
-		pf:       pf,
-		llc:      NewCache(cfg.LLCBlocks, cfg.LLCWays),
-		res:      Result{Prefetcher: pf.Name()},
-		hide:     float64(cfg.ROBSize) / float64(cfg.CoreWidth),
-		pending:  make([]pendingFill, 0, cfg.PrefetchQueue+cfg.LLCMSHRs),
-		inFlight: make(map[uint64]int, cfg.PrefetchQueue+cfg.LLCMSHRs),
+		cfg:     cfg,
+		pf:      pf,
+		llc:     NewCache(cfg.LLCBlocks, cfg.LLCWays),
+		res:     Result{Prefetcher: pf.Name()},
+		hide:    float64(cfg.ROBSize) / float64(cfg.CoreWidth),
+		pending: make([]pendingFill, 0, cfg.PrefetchQueue),
 	}
 	s.fb, _ = pf.(FeedbackPrefetcher)
 	if cfg.L2Blocks > 0 {
@@ -286,25 +285,33 @@ func (s *Sim) fillL2(block uint64, prefetched bool) {
 	}
 }
 
-// materialize installs every fill completed by `now` into the LLC.
+// inFlight returns the index of block's fill in pending, or -1 when no fill
+// of it is on the way.
+func (s *Sim) inFlight(block uint64) int {
+	for i := range s.pending {
+		if s.pending[i].block == block {
+			return i
+		}
+	}
+	return -1
+}
+
+// materialize installs every fill completed by `now`, in issue order, and
+// compacts pending to the fills still in flight.
 func (s *Sim) materialize(now float64) {
 	w := 0
 	for _, p := range s.pending {
 		if float64(p.ready) <= now {
-			s.fillLLC(p.block, p.prefetched)
-			if !p.prefetched || s.cfg.PrefetchFillL2 {
-				s.fillL2(p.block, p.prefetched)
+			s.fillLLC(p.block, true)
+			if s.cfg.PrefetchFillL2 {
+				s.fillL2(p.block, true)
 			}
-			delete(s.inFlight, p.block)
 		} else {
 			s.pending[w] = p
 			w++
 		}
 	}
 	s.pending = s.pending[:w]
-	for i, p := range s.pending {
-		s.inFlight[p.block] = i + 1
-	}
 }
 
 func (s *Sim) dramFill(start float64) float64 {
@@ -360,8 +367,7 @@ func (s *Sim) Step(r trace.Record) Step {
 		}
 	}
 	hit, firstUse := s.llc.Lookup(block, true)
-	switch {
-	case hit:
+	if hit {
 		s.res.DemandHits++
 		if firstUse {
 			s.res.PrefetchUseful++
@@ -374,21 +380,18 @@ func (s *Sim) Step(r trace.Record) Step {
 			stall = lat - s.hide
 		}
 		s.fillL2(block, false) // data returns through the private L2
-	case s.inFlight[block] != 0:
-		// A fill (usually a prefetch) is already on the way: pay the
-		// remaining latency only.
-		p := s.pending[s.inFlight[block]-1]
-		remain := float64(p.ready) - s.cycle
+	} else if i := s.inFlight(block); i >= 0 {
+		// A prefetch fill is already on the way: pay the remaining latency
+		// only.
+		remain := float64(s.pending[i].ready) - s.cycle
 		if remain < 0 {
 			remain = 0
 		}
-		if p.prefetched {
-			s.res.LateCovered++
-			s.res.PrefetchUseful++
-			info.Late = true
-			if s.fb != nil {
-				s.fb.OnFeedback(Feedback{Block: block, Kind: FeedbackLate, Cycle: uint64(s.cycle)})
-			}
+		s.res.LateCovered++
+		s.res.PrefetchUseful++
+		info.Late = true
+		if s.fb != nil {
+			s.fb.OnFeedback(Feedback{Block: block, Kind: FeedbackLate, Cycle: uint64(s.cycle)})
 		}
 		lat := remain + float64(cfg.LLCHitLatency)
 		if lat > s.hide {
@@ -397,13 +400,8 @@ func (s *Sim) Step(r trace.Record) Step {
 		// Materialize it now as a demand line.
 		s.fillLLC(block, false)
 		s.fillL2(block, false)
-		idx := s.inFlight[block] - 1
-		s.pending = append(s.pending[:idx], s.pending[idx+1:]...)
-		delete(s.inFlight, block)
-		for i, pp := range s.pending {
-			s.inFlight[pp.block] = i + 1
-		}
-	default:
+		s.pending = append(s.pending[:i], s.pending[i+1:]...)
+	} else {
 		s.res.DemandMisses++
 		// Demand fills are prioritised by the memory controller: they
 		// pay the DRAM latency but are not queued behind prefetch fills.
@@ -435,7 +433,7 @@ func (s *Sim) Step(r trace.Record) Step {
 			s.res.PrefetchDropped++
 			continue
 		}
-		if h, _ := s.llc.Lookup(pb, false); h || s.inFlight[pb] != 0 {
+		if h, _ := s.llc.Lookup(pb, false); h || s.inFlight(pb) >= 0 {
 			continue // already resident or in flight
 		}
 		if len(s.pending) >= cfg.PrefetchQueue {
@@ -443,8 +441,7 @@ func (s *Sim) Step(r trace.Record) Step {
 			continue
 		}
 		ready := s.dramFill(issueAt)
-		s.pending = append(s.pending, pendingFill{block: pb, ready: uint64(ready), prefetched: true})
-		s.inFlight[pb] = len(s.pending)
+		s.pending = append(s.pending, pendingFill{block: pb, ready: uint64(ready)})
 		s.res.PrefetchIssued++
 		degree++
 		s.pfBuf = append(s.pfBuf, pb)

@@ -117,22 +117,26 @@ func seqRecords(n int, instrGap uint64) []trace.Record {
 	return recs
 }
 
-// nextLine is a perfect next-N-lines prefetcher for unit-stride traces.
+// nextLine is a perfect next-N-lines prefetcher for unit-stride traces. Like
+// prefetch.Stride it returns one reused buffer, so BenchmarkRunWithPrefetcher
+// times the simulator, not this prefetcher's allocations.
 type nextLine struct {
 	degree  int
 	latency int
+	buf     []uint64 // OnAccess return buffer, reused every call
 }
 
-func (p nextLine) Name() string { return "next-line" }
-func (p nextLine) OnAccess(a Access) []uint64 {
-	out := make([]uint64, p.degree)
-	for i := range out {
-		out[i] = a.Block + uint64(i+1)
+func (p *nextLine) Name() string { return "next-line" }
+func (p *nextLine) OnAccess(a Access) []uint64 {
+	out := p.buf[:0]
+	for i := 1; i <= p.degree; i++ {
+		out = append(out, a.Block+uint64(i))
 	}
+	p.buf = out
 	return out
 }
-func (p nextLine) Latency() int      { return p.latency }
-func (p nextLine) StorageBytes() int { return 0 }
+func (p *nextLine) Latency() int      { return p.latency }
+func (p *nextLine) StorageBytes() int { return 0 }
 
 // randomPrefetcher issues useless far-away prefetches.
 type randomPrefetcher struct{ n uint64 }
@@ -164,7 +168,7 @@ func TestNextLinePrefetcherCoversSequential(t *testing.T) {
 	recs := seqRecords(5000, 40)
 	cfg := DefaultConfig()
 	base := Run(recs, NoPrefetcher{}, cfg)
-	pf := Run(recs, nextLine{degree: 4, latency: 10}, cfg)
+	pf := Run(recs, &nextLine{degree: 4, latency: 10}, cfg)
 	if cov := Coverage(base, pf); cov < 0.8 {
 		t.Fatalf("next-line coverage %v < 0.8 on a pure stream", cov)
 	}
@@ -182,8 +186,8 @@ func TestPrefetcherLatencyHurts(t *testing.T) {
 	recs := seqRecords(5000, 40)
 	cfg := DefaultConfig()
 	base := Run(recs, NoPrefetcher{}, cfg)
-	fast := Run(recs, nextLine{degree: 2, latency: 0}, cfg)
-	slow := Run(recs, nextLine{degree: 2, latency: 30000}, cfg)
+	fast := Run(recs, &nextLine{degree: 2, latency: 0}, cfg)
+	slow := Run(recs, &nextLine{degree: 2, latency: 30000}, cfg)
 	impFast := IPCImprovement(base, fast)
 	impSlow := IPCImprovement(base, slow)
 	if impSlow >= impFast {
@@ -232,8 +236,8 @@ func TestCoverageBounds(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	recs := trace.Generate(trace.AppSpec{Name: "t", Pages: 200, Streams: 4, Seed: 5}, 3000)
 	cfg := DefaultConfig()
-	a := Run(recs, nextLine{degree: 2, latency: 5}, cfg)
-	b := Run(recs, nextLine{degree: 2, latency: 5}, cfg)
+	a := Run(recs, &nextLine{degree: 2, latency: 5}, cfg)
+	b := Run(recs, &nextLine{degree: 2, latency: 5}, cfg)
 	if a != b {
 		t.Fatalf("nondeterministic results:\n%+v\n%+v", a, b)
 	}
@@ -260,7 +264,7 @@ func TestLateCoverageCounted(t *testing.T) {
 	// flight when demanded: late but partially useful.
 	recs := seqRecords(2000, 4) // tight access spacing
 	cfg := DefaultConfig()
-	pf := Run(recs, nextLine{degree: 1, latency: 500}, cfg)
+	pf := Run(recs, &nextLine{degree: 1, latency: 500}, cfg)
 	if pf.LateCovered == 0 {
 		t.Fatal("expected late-covered prefetches with a slow prefetcher")
 	}
