@@ -287,3 +287,43 @@ func TestDartConfigValidation(t *testing.T) {
 		t.Fatalf("tabularization on an empty reservoir: %v", err)
 	}
 }
+
+// TestDartBuildNeverStallsNNVerbs pins that tabularization runs outside the
+// training lock: while a dart build holds its lock, the teacher's and the
+// student's Swap and Rollback and a training tick all complete.
+func TestDartBuildNeverStallsNNVerbs(t *testing.T) {
+	l, err := NewLearner(dartLearnerConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillReservoir(l, 64)
+	l.tabMu.Lock() // a build in progress
+	defer l.tabMu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		for _, name := range []string{TeacherClass, StudentClass} {
+			c := class(t, l, name)
+			if _, err := c.Swap(); err != nil {
+				done <- err
+				return
+			}
+			if _, err := c.Rollback(); err != nil {
+				done <- err
+				return
+			}
+		}
+		l.maybeTrain()
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("an nn verb or a training tick waited on the dart build's lock")
+	}
+	if st := l.Stats(); st.Steps != 1 || st.DistillSteps != 1 {
+		t.Fatalf("the training tick did not step both stages: %+v", st)
+	}
+}
