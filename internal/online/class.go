@@ -110,7 +110,8 @@ func (c *Class) Swap() (uint64, error) { return c.forced(ActionAdmit, c.publish)
 // Rollback reverts serving to the previously published version (the
 // "rollback" verb) and returns it. The nn classes also reset their shadow
 // and optimizer state to those weights, so training continues from the
-// rolled-back point rather than republishing the bad ones.
+// rolled-back point rather than republishing the bad ones; the dart class
+// forgets the student version it was built from, so it rebuilds.
 func (c *Class) Rollback() (uint64, error) { return c.forced(ActionRollback, c.revert) }
 
 func (c *Class) forced(action string, do func() (uint64, error)) (uint64, error) {

@@ -19,7 +19,7 @@ func class(t testing.TB, l *Learner, name string) *Class {
 	return c
 }
 
-// stageOf returns the training stage of the named nn class.
+// stageOf returns the stage of the named class.
 func stageOf(t testing.TB, l *Learner, name string) *stage {
 	t.Helper()
 	for _, s := range l.stages {
@@ -27,7 +27,7 @@ func stageOf(t testing.TB, l *Learner, name string) *stage {
 			return s
 		}
 	}
-	t.Fatalf("no %q training stage", name)
+	t.Fatalf("no %q stage", name)
 	return nil
 }
 

@@ -178,7 +178,7 @@ func TestDartAutoTabularizeDutyCycle(t *testing.T) {
 	ring := l.Attach("s0")
 	streamExamples(t, l, ring, 64)
 
-	l.maybeTabularize()
+	l.turns(false)
 	if l.Stats().DartVersion == 0 {
 		t.Fatalf("duty cycle never published a table: %+v", l.Stats())
 	}
@@ -189,7 +189,7 @@ func TestDartAutoTabularizeDutyCycle(t *testing.T) {
 
 	// Unchanged student: the duty cycle must idle rather than republish.
 	for i := 0; i < 10; i++ {
-		l.maybeTabularize()
+		l.turns(false)
 	}
 	if got := class(t, l, DartClass).Version(); got != v1.Version {
 		t.Fatalf("duty cycle republished an unchanged student (v%d -> v%d)", v1.Version, got)
@@ -199,7 +199,7 @@ func TestDartAutoTabularizeDutyCycle(t *testing.T) {
 	if _, err := l.SwapStudent(); err != nil {
 		t.Fatal(err)
 	}
-	l.maybeTabularize()
+	l.turns(false)
 	if class(t, l, DartClass).Version() == v1.Version {
 		t.Fatalf("duty cycle never picked up the new student: %+v", l.Stats())
 	}
@@ -297,8 +297,9 @@ func TestDartBuildNeverStallsNNVerbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillReservoir(l, 64)
-	l.tabMu.Lock() // a build in progress
-	defer l.tabMu.Unlock()
+	dart := stageOf(t, l, DartClass).mu
+	dart.Lock() // a build in progress
+	defer dart.Unlock()
 	done := make(chan error, 1)
 	go func() {
 		for _, name := range []string{TeacherClass, StudentClass} {
@@ -325,5 +326,33 @@ func TestDartBuildNeverStallsNNVerbs(t *testing.T) {
 	}
 	if st := l.Stats(); st.Steps != 1 || st.DistillSteps != 1 {
 		t.Fatalf("the training tick did not step both stages: %+v", st)
+	}
+}
+
+// TestRecoveredTableSkipsUnchangedStudent: a learner restarted over a
+// checkpoint directory whose table was built from the student it recovers
+// does not rebuild that table; its first due turn counts a skip instead.
+func TestRecoveredTableSkipsUnchangedStudent(t *testing.T) {
+	cfg := dartLearnerConfig(t.TempDir())
+	l, err := NewLearner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillReservoir(l, 64)
+	if _, err := l.SwapDart(); err != nil {
+		t.Fatal(err)
+	}
+	l.Stop()
+
+	cfg.TabularizeInterval = time.Nanosecond
+	l2, err := NewLearner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillReservoir(l2, 64)
+	l2.turns(false)
+	if st := l2.Stats(); st.DartVersion != 1 || st.Tabularized != 0 || st.DartSkips != 1 {
+		t.Fatalf("restarted learner over an unchanged student: dart v%d, %d builds, %d skips; want v1, 0, 1",
+			st.DartVersion, st.Tabularized, st.DartSkips)
 	}
 }

@@ -91,7 +91,7 @@ func TestLearnerDigest(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				fillReservoir(l, 8)
 				l.maybeTrain()
-				l.maybeTabularize()
+				l.turns(false)
 			}
 			for _, c := range l.Classes() {
 				v, err := c.Swap()

@@ -202,27 +202,13 @@ type Learner struct {
 	tapMu sync.Mutex
 	taps  map[string]*sessionTap
 
-	// trainMu guards the stages' shadows, optimizers and loss trends, and the
-	// training RNG — shared between the background loop and forced
-	// Swap/Rollback calls.
+	// trainMu guards the trained stages, the training RNG and the example
+	// reservoir — shared between the background loop and forced Swap/Rollback
+	// calls. A built stage has its own lock, taken before trainMu, never
+	// after.
 	trainMu sync.Mutex
-	stages  []*stage // the trained nn classes in pipeline order; immutable slice
+	stages  []*stage // one per class, in pipeline order; immutable slice
 	rng     *rand.Rand
-
-	// Dart (tabularized) tier; all nil/zero unless cfg.Dart is set. tabMu
-	// serialises tabularization cycles (the loop's duty cycle vs a forced
-	// SwapDart from the wire) and guards the source/cadence fields below;
-	// lock order is tabMu before trainMu, never the reverse.
-	dart        *Class
-	tabMu       sync.Mutex
-	dartSrc     *Published[nn.Layer] // published student the last candidate was built from
-	dartSrcVer  uint64               // student version the published table derives from
-	lastSkipVer uint64               // student version whose skip was already counted
-	lastTab     time.Time
-	tabularized atomic.Uint64
-	tabAttempts atomic.Uint64 // duty cycles that found work to consider
-	tabSkips    atomic.Uint64 // cycles skipped (unchanged or below-delta student)
-	tabNs       atomic.Int64
 
 	// Promotion policy engine; nil when Config.Policy is nil (the legacy
 	// unconditional publish path). evalRng feeds the gate's shadow-batch
@@ -255,22 +241,42 @@ type Learner struct {
 	once    sync.Once
 }
 
-// stage is the training side of one nn class row: the teacher, fine-tuned on
-// the reservoir's labels, or a class distilled from its source row's
-// published network. Everything but the counters is guarded by trainMu.
+// stage makes the versions of one class row. A trained stage (the teacher,
+// fine-tuned on the reservoir's labels, or the student, distilled from its
+// source's published network) steps a shadow network every tick and offers
+// snapshots of it; a built stage (dart) tabularizes each candidate from its
+// source's published network. Only that kind selects behaviour: every stage
+// shares one cadence, gate, publish, rollback and stats path.
 type stage struct {
 	class    *Class
-	shadow   nn.Layer // the network being trained; publishes snapshot it
-	opt      nn.Optimizer
-	lr       float64       // opt's learning rate; a rollback restarts opt at it
 	interval time.Duration // auto-publish cadence; <= 0 disables
 
+	// mu guards the fields up to the counters: trainMu for a trained stage,
+	// its own lock for a built one, so a build never stalls the nn verbs.
+	mu      *sync.Mutex
+	lastPub time.Time // cadence stamp: the last publish or hold, or a build's start
+
+	// Trained stages.
+	shadow     nn.Layer // the network being trained; publishes snapshot it
+	opt        nn.Optimizer
+	lr         float64 // opt's learning rate; a rollback restarts opt at it
 	loss       lossTrend
-	lastPub    time.Time
 	stepsAtPub uint64
-	steps      atomic.Uint64 // optimizer steps taken
-	examples   atomic.Uint64 // examples those steps consumed
+
+	// Built stages.
+	builtFrom *Published[nn.Layer] // source version the last candidate was built from
+	srcVer    uint64               // source version the published version derives from
+	skipVer   uint64               // source version whose skip was already counted
+
+	steps    atomic.Uint64 // candidates made: optimizer steps, or builds
+	examples atomic.Uint64 // examples the optimizer steps consumed
+	skips    atomic.Uint64 // built: due turns skipped for an unchanged or below-delta source
+	buildNs  atomic.Int64  // built: cumulative build time
 }
+
+// trained reports the stage's kind: true for a shadow stepped every tick,
+// false for candidates built from the source's published network.
+func (s *stage) trained() bool { return s.shadow != nil }
 
 // NewLearner builds a learner. When cfg.Dir holds a valid checkpoint, the
 // newest good version is recovered as both the serving model and the shadow
@@ -307,11 +313,11 @@ func NewLearner(cfg Config) (*Learner, error) {
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	teacher, err := l.addStage(&Class{
+	teacher := &Class{
 		name: TeacherClass, prefetcher: "online",
 		cost: func() (int, int) { return cfg.Latency, cfg.StorageBytes },
-	}, "", cfg.New, cfg.Init, cfg.LR, cfg.SwapInterval)
-	if err != nil {
+	}
+	if err := l.addStage(teacher, "", &stage{lr: cfg.LR, interval: cfg.SwapInterval}, cfg.New, cfg.Init); err != nil {
 		return nil, err
 	}
 	if cfg.Student != nil {
@@ -319,15 +325,19 @@ func NewLearner(cfg Config) (*Learner, error) {
 		if lr == 0 {
 			lr = cfg.LR
 		}
-		if _, err := l.addStage(&Class{
-			name: StudentClass, prefetcher: "student", source: teacher.class,
+		if err := l.addStage(&Class{
+			name: StudentClass, prefetcher: "student", source: teacher,
 			cost: func() (int, int) { return cfg.StudentLatency, cfg.StudentStorageBytes },
-		}, StudentClass, cfg.Student, nil, lr, cfg.DistillInterval); err != nil {
+		}, StudentClass, &stage{lr: lr, interval: cfg.DistillInterval}, cfg.Student, nil); err != nil {
 			return nil, err
 		}
 	}
 	if cfg.Dart {
-		if err := l.initDart(); err != nil {
+		if cfg.Student == nil {
+			return nil, fmt.Errorf("online: the dart tier re-tabularizes the published student; Config.Dart requires Config.Student")
+		}
+		if err := l.addStage(&Class{name: DartClass, prefetcher: "dart", source: l.classes[1]},
+			DartClass, &stage{interval: cfg.TabularizeInterval}, nil, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -352,88 +362,71 @@ func NewLearner(cfg Config) (*Learner, error) {
 	return l, nil
 }
 
-// addStage builds one trained nn class — its row c and its store under
-// storeClass, recovering the newest good checkpoint in Dir — and appends its
-// stage. The shadow starts from the recovered weights, else from init's,
-// else from arch's initialisation, and in the last two cases is published as
-// version 1.
-func (l *Learner) addStage(c *Class, storeClass string, arch func() nn.Layer, init nn.Layer, lr float64, interval time.Duration) (*stage, error) {
-	store, err := NewModelStore(arch, l.cfg.Dir, storeClass)
-	if err != nil {
-		return nil, err
-	}
-	s := &stage{class: c, shadow: arch(), opt: nn.NewAdam(lr), lr: lr, interval: interval}
-	c.store, c.hist = store, store
+// addStage appends one pipeline row: class c and the stage s that makes its
+// versions, over a store under storeClass that recovers the newest good
+// checkpoint in Dir. A trained stage (arch set) starts its shadow from the
+// recovered weights, else from init's, else from arch's initialisation, and
+// in the last two cases publishes it as version 1. A built stage publishes
+// nothing until its first build, which needs streamed examples to fit
+// kernels on (serving falls back to the source meanwhile); a recovered table
+// restores the source version it derives from, so an unchanged source is not
+// rebuilt right after a restart.
+func (l *Learner) addStage(c *Class, storeClass string, s *stage, arch func() nn.Layer, init nn.Layer) error {
+	s.class, c.l = c, l
 	c.publish = func() (uint64, error) {
-		l.trainMu.Lock()
-		defer l.trainMu.Unlock()
-		return s.publish()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		cand, err := l.candidate(s)
+		if err != nil {
+			return 0, err
+		}
+		return cand.publish()
 	}
 	c.revert = func() (uint64, error) { return l.revertStage(s) }
-	l.addClass(c)
+	l.classes = append(l.classes, c)
 	l.stages = append(l.stages, s)
-	if m := store.Load(); m != nil {
-		if err := nn.CopyParams(s.shadow, m.Val); err != nil {
-			return nil, fmt.Errorf("online: recovered %s checkpoint: %w", c.name, err)
-		}
-	} else {
-		if init != nil {
-			if err := nn.CopyParams(s.shadow, init); err != nil {
-				return nil, fmt.Errorf("online: %s warm start: %w", c.name, err)
-			}
-		}
-		if _, err := s.publish(); err != nil {
-			return nil, err
-		}
-	}
 	s.lastPub = time.Now()
-	return s, nil
-}
-
-// initDart wires the tabularized serving class and its table store
-// (recovering the newest good table checkpoint when one exists); the
-// tabularizer reads the published student. No table is published at construction
-// when the store starts empty — tabularization needs streamed examples to
-// fit kernels on, so the serve side falls back to the student until the
-// first duty cycle (or a forced Swap) publishes one.
-func (l *Learner) initDart() error {
-	student, err := l.Class(StudentClass)
-	if err != nil {
-		return fmt.Errorf("online: the dart tier re-tabularizes the published student; Config.Dart requires Config.Student")
+	if arch == nil {
+		net := c.source.store.Load().Val
+		if _, ok := net.(*nn.Sequential); !ok {
+			return fmt.Errorf("online: tabularization needs an *nn.Sequential %s architecture, got %T", c.source.name, net)
+		}
+		store, err := NewTableStore(l.cfg.Dir, storeClass)
+		if err != nil {
+			return err
+		}
+		c.tables, c.hist, s.mu = store, store, new(sync.Mutex)
+		c.cost = func() (int, int) {
+			if t := store.Load(); t != nil {
+				cost := t.Val.Cost()
+				return cost.LatencyCycles, cost.StorageBytes()
+			}
+			return c.source.Cost()
+		}
+		if t := store.Load(); t != nil {
+			s.srcVer = t.Meta.Source
+		}
+		return nil
 	}
-	net := student.Store().Load().Val
-	if _, ok := net.(*nn.Sequential); !ok {
-		return fmt.Errorf("online: tabularization needs an *nn.Sequential student architecture, got %T", net)
-	}
-	store, err := NewTableStore(l.cfg.Dir, DartClass)
+	store, err := NewModelStore(arch, l.cfg.Dir, storeClass)
 	if err != nil {
 		return err
 	}
-	l.dart = l.addClass(&Class{
-		name: DartClass, prefetcher: "dart", source: student, tables: store, hist: store,
-		cost: l.dartCostNow,
-		publish: func() (uint64, error) {
-			l.tabMu.Lock()
-			defer l.tabMu.Unlock()
-			return l.tabularizeLocked(false)
-		},
-		revert: l.revertDart,
-	})
-	if t := store.Load(); t != nil {
-		// The recovered table remembers which student version it derives
-		// from, so the duty cycle does not rebuild an unchanged table right
-		// after a restart.
-		l.dartSrcVer = t.Meta.Source
+	c.store, c.hist = store, store
+	s.mu, s.shadow, s.opt = &l.trainMu, arch(), nn.NewAdam(s.lr)
+	if m := store.Load(); m != nil {
+		if err := nn.CopyParams(s.shadow, m.Val); err != nil {
+			return fmt.Errorf("online: recovered %s checkpoint: %w", c.name, err)
+		}
+		return nil
 	}
-	l.lastTab = time.Now()
-	return nil
-}
-
-// addClass appends one row to the serving-class table.
-func (l *Learner) addClass(c *Class) *Class {
-	c.l = l
-	l.classes = append(l.classes, c)
-	return c
+	if init != nil {
+		if err := nn.CopyParams(s.shadow, init); err != nil {
+			return fmt.Errorf("online: %s warm start: %w", c.name, err)
+		}
+	}
+	_, err = s.publish()
+	return err
 }
 
 // Data returns the input/label construction config sessions must share.
@@ -465,18 +458,6 @@ func (l *Learner) Class(name string) (*Class, error) {
 	return nil, fmt.Errorf("online: no %q serving class configured (have %s)", name, strings.Join(have, ", "))
 }
 
-// dartCostNow is the modelled cost of the dart prefetcher: the analytic cost
-// (Sec. V-C) of the currently served hierarchy, or the student's while no
-// table exists yet. It is read at session open and by the classes verb,
-// never per access.
-func (l *Learner) dartCostNow() (latency, storageBytes int) {
-	if t := l.dart.tables.Load(); t != nil {
-		c := t.Val.Cost()
-		return c.LatencyCycles, c.StorageBytes()
-	}
-	return l.cfg.StudentLatency, l.cfg.StudentStorageBytes
-}
-
 // Attach registers a session and returns the ring its actor pushes events
 // into. The caller must Detach with the same id when the session closes.
 func (l *Learner) Attach(id string) *Ring {
@@ -505,11 +486,12 @@ func (l *Learner) Start() {
 }
 
 // Stop terminates the loop (when Start ran), drains the stragglers still in
-// the session rings, and flushes every stage that trained past its last
-// published version — progress is never lost on a clean shutdown. Under the
-// promotion policy only stages with no source flush; a derived stage's
-// candidate was never admitted, so it is left unpublished and the decision
-// log says why. Stop is idempotent.
+// the session rings, and flushes every trained stage whose shadow moved past
+// its last published version — progress is never lost on a clean shutdown.
+// Under the promotion policy only stages with no source flush; a derived
+// stage's candidate was never admitted, so it is left unpublished and the
+// decision log says why. A built stage holds no candidate between turns.
+// Stop is idempotent.
 func (l *Learner) Stop() {
 	l.once.Do(func() {
 		close(l.quit)
@@ -520,15 +502,21 @@ func (l *Learner) Stop() {
 		l.trainMu.Lock()
 		defer l.trainMu.Unlock()
 		for _, s := range l.stages {
-			if s.steps.Load() > s.stepsAtPub {
-				l.promoteLocked(s, true)
+			switch {
+			case !s.trained() || s.steps.Load() == s.stepsAtPub:
+			case l.pol != nil && s.class.source != nil:
+				l.pol.record(Decision{Class: s.class.name, Action: ActionSkip, Reason: fmt.Sprintf(
+					"shutdown: candidate trained %d steps past v%d was not admitted; not flushed",
+					s.steps.Load()-s.stepsAtPub, s.class.Version())})
+			default:
+				_, _ = l.offer(s) // on failure serving keeps the previous version
 			}
 		}
 	})
 }
 
 // loop is the collector/trainer: drain rings, assemble examples, take
-// duty-cycled optimizer steps, auto-publish on the stages' intervals.
+// duty-cycled optimizer steps, then give every stage its turn.
 func (l *Learner) loop() {
 	defer close(l.done)
 	tick := time.NewTicker(l.cfg.Tick)
@@ -540,7 +528,7 @@ func (l *Learner) loop() {
 		case <-tick.C:
 			l.drainAll()
 			l.maybeTrain()
-			l.maybeTabularize()
+			l.turns(false)
 		}
 	}
 }
@@ -584,9 +572,10 @@ func (l *Learner) addExample(ex example) {
 	l.assembled.Add(1)
 }
 
-// maybeTrain takes one optimizer step per stage, in pipeline order, when
-// enough fresh examples arrived and the duty-cycle budget allows it, then
-// publishes each stage whose interval is due.
+// maybeTrain takes one optimizer step per trained stage, in pipeline order,
+// when enough fresh examples arrived and the duty-cycle budget allows it,
+// then gives those stages their turn: a trained stage's candidate changes
+// only when it steps.
 func (l *Learner) maybeTrain() {
 	if l.bufN < l.cfg.BatchSize || l.fresh == 0 {
 		return
@@ -596,26 +585,35 @@ func (l *Learner) maybeTrain() {
 		return // over budget: let serving breathe
 	}
 	l.trainMu.Lock()
-	defer l.trainMu.Unlock()
 	t0 := time.Now()
 	l.trainLocked()
 	l.trainNs.Add(time.Since(t0).Nanoseconds())
+	l.trainMu.Unlock()
+	l.turns(true)
+}
+
+// turns gives every trained, or every built, stage its turn, in pipeline
+// order.
+func (l *Learner) turns(trained bool) {
 	for _, s := range l.stages {
-		if s.interval > 0 && time.Since(s.lastPub) >= s.interval && s.steps.Load() > s.stepsAtPub {
-			l.promoteLocked(s, false)
+		if s.trained() == trained {
+			l.turn(s)
 		}
 	}
 }
 
-// trainLocked takes one minibatch step on every stage's shadow, in pipeline
-// order, each on its own minibatch drawn from the reservoir with the
-// training RNG. A stage with no source fine-tunes on the labels with
+// trainLocked takes one minibatch step on every trained stage's shadow, in
+// pipeline order, each on its own minibatch drawn from the reservoir with
+// the training RNG. A stage with no source fine-tunes on the labels with
 // nn.Trainer; a derived stage distills from its source class's currently
 // published network, with the combined soft+hard loss and gradient of
 // kd.Loss. Caller holds trainMu.
 func (l *Learner) trainLocked() {
 	b := l.cfg.BatchSize
 	for _, s := range l.stages {
+		if !s.trained() {
+			continue
+		}
 		bx, by := l.sampleBatchLocked(l.rng)
 		var loss float64
 		if src := s.class.source; src == nil {
@@ -635,49 +633,6 @@ func (l *Learner) trainLocked() {
 	l.fresh = 0
 }
 
-// publish snapshots the shadow into the class store. Caller holds trainMu
-// (or is NewLearner, before any concurrency exists).
-func (s *stage) publish() (uint64, error) {
-	m, err := s.class.store.Publish(s.shadow, nn.CheckpointMeta{
-		Examples: s.examples.Load(),
-		Steps:    s.steps.Load(),
-		Loss:     s.loss.fast,
-	})
-	if err != nil {
-		return 0, err
-	}
-	s.class.published.Add(1)
-	s.stepsAtPub = s.steps.Load()
-	s.lastPub = time.Now()
-	return m.Version, nil
-}
-
-// promoteLocked publishes a stage's trained shadow: on its interval, or as
-// the final flush at shutdown. Without the policy engine every publish is
-// unconditional. With it, a stage with no source class to compare against
-// publishes ungated, but the decision log records it; a derived stage's
-// candidate must clear the admission gate — and at shutdown, where no
-// evidence window can run, it is not published and the log says so. Caller
-// holds trainMu.
-func (l *Learner) promoteLocked(s *stage, final bool) {
-	c := s.class
-	switch {
-	case l.pol == nil:
-		_, _ = s.publish() // on failure serving keeps the previous version
-	case c.source == nil:
-		if v, err := s.publish(); err == nil {
-			l.pol.record(Decision{Class: c.name, Action: ActionAdmit, Version: v,
-				Reason: c.name + ": ungated (no source class)"})
-		}
-	case final:
-		l.pol.record(Decision{Class: c.name, Action: ActionSkip, Reason: fmt.Sprintf(
-			"shutdown: candidate trained %d steps past v%d was not admitted; not flushed",
-			s.steps.Load()-s.stepsAtPub, c.Version())})
-	default:
-		l.gateLocked(s)
-	}
-}
-
 // sampleBatchLocked draws one minibatch of inputs and labels from the
 // reservoir. The optimizer steps draw with the training RNG; the admission
 // gate's shadow-evaluation batches draw with its dedicated evalRng — never
@@ -695,87 +650,213 @@ func (l *Learner) sampleBatchLocked(rng *rand.Rand) (bx, by *mat.Tensor) {
 	return bx, by
 }
 
-// gateLocked advances a derived stage's admission window by one shadow
-// batch — candidate = the stage's shadow, source = its source class's
-// published network — and decides admit/hold when the window fills. A hold
-// re-stamps the stage's cadence, so the held candidate keeps training for a
-// full interval before the next attempt. Caller holds trainMu.
-func (l *Learner) gateLocked(s *stage) {
-	c := s.class
-	bx, _ := l.sampleBatchLocked(l.evalRng)
-	match, total := Agreement(s.shadow.Forward(bx), c.source.store.Load().Val.Forward(bx))
-	if !l.pol.observeCandidate(c.name, match, total) {
-		return // window not full: more shadow batches on later ticks
+// turn is one stage's turn of the duty cycle: once its interval has elapsed
+// and it has something fresh, its candidate goes to offer.
+func (l *Learner) turn(s *stage) {
+	if s.interval <= 0 {
+		return
 	}
-	latency, storage := c.Cost()
-	d, admit := l.pol.decide(Decision{Class: c.name, LatencyCycles: latency, StorageBytes: storage})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if l.due(s) {
+		_, _ = l.offer(s) // on failure serving keeps the previous version
+	}
+}
+
+// due reports whether the stage's interval has elapsed with something fresh
+// to offer: for a trained stage, steps past its last publish; for a built
+// one, a source version it was not built from, which under the policy engine
+// must also have moved at least MinSourceDelta (relative L2, since the last
+// build's source) to be worth the most expensive background step in the
+// system. An idle built turn counts one skip per source version (the cadence
+// stamp stays put so a fresh source publish fires on the next tick), so
+// operators can tell an idle tabularizer from a stuck one. Caller holds s.mu.
+func (l *Learner) due(s *stage) bool {
+	if time.Since(s.lastPub) < s.interval {
+		return false
+	}
+	if s.trained() {
+		return s.steps.Load() > s.stepsAtPub
+	}
+	src := s.class.source
+	sm := src.store.Load()
+	unchanged := sm.Version == s.srcVer
+	delta := math.Inf(1)
+	if !unchanged && l.pol != nil && l.pol.cfg.MinSourceDelta > 0 && s.builtFrom != nil {
+		delta = paramDelta(sm.Val, s.builtFrom.Val)
+	}
+	if !unchanged && (l.pol == nil || delta >= l.pol.cfg.MinSourceDelta) {
+		return true
+	}
+	if sm.Version == s.skipVer {
+		return false
+	}
+	s.skips.Add(1)
+	s.skipVer = sm.Version
+	if l.pol != nil {
+		reason := fmt.Sprintf("%s v%d unchanged since last build", src.name, sm.Version)
+		if !unchanged {
+			reason = fmt.Sprintf("%s v%d param delta %.4f < %.4f: rebuild not worth it",
+				src.name, sm.Version, delta, l.pol.cfg.MinSourceDelta)
+		}
+		l.pol.record(Decision{Class: s.class.name, Action: ActionSkip, Reason: reason})
+	}
+	return false
+}
+
+// candidate is a fresh version a stage offers for publication: a trained
+// stage's shadow as it stands, or a hierarchy just built from the source's
+// published network.
+type candidate struct {
+	answer           func(bx *mat.Tensor) *mat.Tensor // its logits, for the gate
+	source           nn.Layer                         // what the gate scores it against; nil for the teacher
+	cosine           float64                          // built: mean per-layer tabularization fidelity
+	latency, storage int                              // modelled cost, checked against the class budget
+	publish          func() (uint64, error)
+}
+
+// candidate makes the stage's fresh candidate. A trained stage offers its
+// shadow. A built stage runs tabular.Tabularize on the source's published
+// network over the freshest reservoir examples; its candidate publishes as
+// the next table version, stamped with the source version it derives from.
+// Caller holds s.mu.
+func (l *Learner) candidate(s *stage) (*candidate, error) {
+	if s.trained() {
+		cand := &candidate{answer: s.shadow.Forward, publish: s.publish}
+		cand.latency, cand.storage = s.class.Cost()
+		if src := s.class.source; src != nil {
+			cand.source = src.store.Load().Val
+		}
+		return cand, nil
+	}
+	fit, err := l.fitSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	// Stamp the cadence before the expensive work, not after a successful
+	// publish: if tabularization or the checkpoint write fails (disk full,
+	// permissions), the duty cycle must wait out a full interval before
+	// retrying rather than re-running the most expensive background step on
+	// every 2ms tick. The cheap not-enough-examples failure above retries
+	// freely.
+	s.lastPub = time.Now()
+	sm := s.class.source.store.Load()
+	s.builtFrom = sm
+	t0 := time.Now()
+	res := tabular.Tabularize(sm.Val.(*nn.Sequential), fit, l.cfg.Tabular)
+	s.buildNs.Add(time.Since(t0).Nanoseconds())
+	s.steps.Add(1)
+	h := res.Hierarchy
+	cost := h.Cost()
+	return &candidate{
+		answer: h.QueryBatch, source: sm.Val, cosine: meanCosine(res.Cosine),
+		latency: cost.LatencyCycles, storage: cost.StorageBytes(),
+		publish: func() (uint64, error) {
+			tab, err := s.class.tables.Publish(h, nn.CheckpointMeta{
+				Source:   sm.Version,
+				Examples: uint64(fit.N),
+				Steps:    sm.Meta.Steps,
+				Loss:     sm.Meta.Loss,
+			})
+			if err != nil {
+				return 0, err
+			}
+			s.class.published.Add(1)
+			s.srcVer = sm.Version
+			return tab.Version, nil
+		},
+	}, nil
+}
+
+// offer publishes the stage's fresh candidate: at once without the policy
+// engine, and logged as ungated for a stage with no source to score against;
+// otherwise only once the admission gate admits it against the class's
+// agreement threshold and budget. A hold re-stamps the cadence, so the next
+// attempt waits a full interval. Caller holds s.mu.
+func (l *Learner) offer(s *stage) (uint64, error) {
+	cand, err := l.candidate(s)
+	if err != nil {
+		return 0, err
+	}
+	c := s.class
+	switch {
+	case l.pol == nil:
+		return cand.publish()
+	case c.source == nil:
+		v, err := cand.publish()
+		if err == nil {
+			l.pol.record(Decision{Class: c.name, Action: ActionAdmit, Version: v,
+				Reason: c.name + ": ungated (no source class)"})
+		}
+		return v, err
+	case !l.gate(s, cand):
+		return 0, nil // window not full: more shadow batches on later turns
+	}
+	d, admit := l.pol.decide(Decision{Class: c.name, Cosine: cand.cosine,
+		LatencyCycles: cand.latency, StorageBytes: cand.storage})
 	if !admit {
 		l.pol.record(d)
 		s.lastPub = time.Now()
-		return
+		return 0, fmt.Errorf("online: %s candidate held: %s", c.name, d.Reason)
 	}
-	v, err := s.publish()
+	v, err := cand.publish()
 	if err != nil {
-		return // serving keeps the previous version; evidence already reset
+		return 0, err // serving keeps the previous version; evidence already reset
 	}
 	d.Version = v
 	l.pol.record(d)
+	return v, nil
 }
 
-// maybeTabularize is the dart tier's duty cycle, run on the loop goroutine
-// after training: when the tabularize interval has elapsed and the published
-// student has changed since the serving table was built, re-tabularize and
-// publish. Tabularization is deliberately run outside trainMu — it is the
-// most expensive background step by far, and holding the training lock for
-// its duration would stall forced Swap/Rollback verbs; only the brief fit-
-// snapshot inside tabularizeLocked touches trainer state.
-func (l *Learner) maybeTabularize() {
-	if l.dart == nil || l.cfg.TabularizeInterval <= 0 {
-		return
-	}
-	l.tabMu.Lock()
-	defer l.tabMu.Unlock()
-	if time.Since(l.lastTab) < l.cfg.TabularizeInterval {
-		return
-	}
-	sm := l.dart.source.store.Load()
-	// Student unchanged: the table would come out identical-ish.
-	unchanged := sm.Version == l.dartSrcVer
-	// Incremental re-tabularization: when the policy engine is configured
-	// with a minimum source delta, a student version whose parameters moved
-	// less than that (relative L2, cumulative since the last candidate's
-	// source) is not worth the most expensive background step in the system.
-	delta := math.Inf(1)
-	if !unchanged && l.pol != nil && l.pol.cfg.MinSourceDelta > 0 && l.dartSrc != nil {
-		delta = paramDelta(sm.Val, l.dartSrc.Val)
-	}
-	if !unchanged && (l.pol == nil || delta >= l.pol.cfg.MinSourceDelta) {
-		_, _ = l.tabularizeLocked(l.pol != nil) // on failure serving keeps the previous table
-		return
-	}
-	// Count the skipped attempt once per idle period (the cadence stamp
-	// stays put so a fresh student publish fires on the next tick) so
-	// operators can tell an idle tabularizer from a stuck one.
-	if sm.Version == l.lastSkipVer {
-		return
-	}
-	l.tabAttempts.Add(1)
-	l.tabSkips.Add(1)
-	l.lastSkipVer = sm.Version
-	if l.pol != nil {
-		reason := fmt.Sprintf("student v%d unchanged since last build", sm.Version)
-		if !unchanged {
-			reason = fmt.Sprintf("student v%d param delta %.4f < %.4f: rebuild not worth it",
-				sm.Version, delta, l.pol.cfg.MinSourceDelta)
+// gate adds candidate-vs-source shadow batches to the stage's admission
+// window and reports whether it is full: one batch per turn for a trained
+// stage, whose candidate keeps training between turns; the whole window at
+// once for a built one, whose candidate lives for this turn only. Caller
+// holds s.mu.
+func (l *Learner) gate(s *stage, cand *candidate) bool {
+	for {
+		bx := l.evalBatch(s)
+		match, total := Agreement(cand.answer(bx), cand.source.Forward(bx))
+		if full := l.pol.observeCandidate(s.class.name, match, total); full || s.trained() {
+			return full
 		}
-		l.pol.record(Decision{Class: DartClass, Action: ActionSkip, Reason: reason})
 	}
+}
+
+// evalBatch draws one admission batch from the reservoir with evalRng. The
+// reservoir holds a batch by then: a trained stage's turn follows a training
+// step, and a build needs one. A trained stage's caller already holds
+// trainMu; a built stage takes it for the draw alone.
+func (l *Learner) evalBatch(s *stage) *mat.Tensor {
+	if !s.trained() {
+		l.trainMu.Lock()
+		defer l.trainMu.Unlock()
+	}
+	bx, _ := l.sampleBatchLocked(l.evalRng)
+	return bx
+}
+
+// publish snapshots a trained stage's shadow into the class store. Caller
+// holds trainMu (or is NewLearner, before any concurrency exists).
+func (s *stage) publish() (uint64, error) {
+	m, err := s.class.store.Publish(s.shadow, nn.CheckpointMeta{
+		Examples: s.examples.Load(),
+		Steps:    s.steps.Load(),
+		Loss:     s.loss.fast,
+	})
+	if err != nil {
+		return 0, err
+	}
+	s.class.published.Add(1)
+	s.stepsAtPub = s.steps.Load()
+	s.lastPub = time.Now()
+	return m.Version, nil
 }
 
 // fitSnapshot copies the newest DartSamples reservoir examples into a
 // kernel-fitting tensor (insertion order, deterministic) under one trainMu
-// critical section — the only part of a tabularization cycle that touches
-// trainer state.
+// critical section — with the gate's draws, the only part of a build that
+// touches trainer state.
 func (l *Learner) fitSnapshot() (*mat.Tensor, error) {
 	l.trainMu.Lock()
 	defer l.trainMu.Unlock()
@@ -794,106 +875,23 @@ func (l *Learner) fitSnapshot() (*mat.Tensor, error) {
 	return fit, nil
 }
 
-// gateDartEvidence evaluates a candidate hierarchy against its source — the
-// published student it was tabularized from — over AdmitWindow shadow
-// batches drawn from the reservoir, filling the class's admission window.
-// Caller holds tabMu; trainMu is taken briefly per batch to sample inputs.
-func (l *Learner) gateDartEvidence(h *tabular.Hierarchy, src nn.Layer) {
-	for {
-		l.trainMu.Lock()
-		if l.bufN < l.cfg.BatchSize {
-			l.trainMu.Unlock()
-			break
-		}
-		bx, _ := l.sampleBatchLocked(l.evalRng)
-		l.trainMu.Unlock()
-		match, total := Agreement(h.QueryBatch(bx), src.Forward(bx))
-		if l.pol.observeCandidate(DartClass, match, total) {
-			break
-		}
-	}
-}
-
-// tabularizeLocked runs one tabularization cycle: run tabular.Tabularize on
-// the published student over the freshest reservoir examples, and publish
-// the resulting hierarchy as the next dart version.
-// With gated set (the policy engine owns this duty cycle), the candidate
-// must clear the admission gate — agreement with the source student over the
-// shadow-batch window, and the class budget against its analytic cost —
-// before it publishes; a held candidate is dropped and the next interval
-// builds a fresh one. Caller holds tabMu.
-func (l *Learner) tabularizeLocked(gated bool) (uint64, error) {
-	fit, err := l.fitSnapshot()
-	if err != nil {
-		return 0, err
-	}
-	l.tabAttempts.Add(1)
-	// Stamp the cadence before the expensive work, not after a successful
-	// publish: if tabularization or the checkpoint write fails (disk full,
-	// permissions), the duty cycle must wait out a full interval before
-	// retrying rather than re-running the most expensive background step on
-	// every 2ms tick. The cheap not-enough-examples failure above retries
-	// freely.
-	l.lastTab = time.Now()
-	sm := l.dart.source.store.Load()
-	l.dartSrc = sm
-	t0 := time.Now()
-	res := tabular.Tabularize(sm.Val.(*nn.Sequential), fit, l.cfg.Tabular)
-	l.tabNs.Add(time.Since(t0).Nanoseconds())
-	l.tabularized.Add(1)
-	cost := res.Hierarchy.Cost()
-	var admit Decision
-	if gated {
-		l.gateDartEvidence(res.Hierarchy, sm.Val)
-		var ok bool
-		admit, ok = l.pol.decide(Decision{
-			Class: DartClass, Cosine: meanCosine(res.Cosine),
-			LatencyCycles: cost.LatencyCycles, StorageBytes: cost.StorageBytes(),
-		})
-		if !ok {
-			l.pol.record(admit)
-			return 0, fmt.Errorf("online: dart candidate held: %s", admit.Reason)
-		}
-	}
-	tab, err := l.dart.tables.Publish(res.Hierarchy, nn.CheckpointMeta{
-		Source:   sm.Version, // the student version the table derives from
-		Examples: uint64(fit.N),
-		Steps:    sm.Meta.Steps,
-		Loss:     sm.Meta.Loss,
-	})
-	if err != nil {
-		return 0, err
-	}
-	l.dart.published.Add(1)
-	l.dartSrcVer = sm.Version
-	if gated {
-		admit.Version = tab.Version
-		l.pol.record(admit)
-	}
-	return tab.Version, nil
-}
-
-// revertDart rolls the served table back one version. There is no shadow to
-// reset — tables are derived artifacts — but the rolled-back source version
-// is forgotten so the next duty cycle rebuilds from the current student
-// instead of skipping as "unchanged".
-func (l *Learner) revertDart() (uint64, error) {
-	l.tabMu.Lock()
-	defer l.tabMu.Unlock()
-	t, err := l.dart.tables.Rollback()
-	if err != nil {
-		return 0, err
-	}
-	l.dartSrcVer = 0
-	return t.Version, nil
-}
-
-// revertStage rolls a stage's class back one version and resets its shadow
-// to those weights and its optimizer state, so training continues from the
-// rolled-back point rather than republishing the bad weights.
+// revertStage rolls a stage's class back one version. A trained stage
+// resets its shadow to those weights and restarts its optimizer, so training
+// continues from the rolled-back point rather than republishing the bad
+// weights; a built stage forgets the source version it was built from, so
+// its next turn rebuilds from the current source instead of skipping it as
+// unchanged.
 func (l *Learner) revertStage(s *stage) (uint64, error) {
-	l.trainMu.Lock()
-	defer l.trainMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.trained() {
+		t, err := s.class.tables.Rollback()
+		if err != nil {
+			return 0, err
+		}
+		s.srcVer = 0
+		return t.Version, nil
+	}
 	m, err := s.class.store.Rollback()
 	if err != nil {
 		return 0, err
@@ -969,29 +967,29 @@ func (l *Learner) Stats() Stats {
 		st.Dropped += t.ring.Dropped()
 	}
 	l.tapMu.Unlock()
-	// Each stage's counters land in its tier's fields, in stage order.
+	// Each stage's counters land in its tier's fields, in stage order; a
+	// counter a tier has no field for lands in none.
+	var none uint64
+	var nonef float64
 	tiers := [...]struct {
-		version, published, examples, steps *uint64
-		loss, trend                         *float64
+		version, published, examples, steps, attempts, skips *uint64
+		loss, trend, buildMs                                 *float64
 	}{
-		{&st.Version, &st.Published, &st.Trained, &st.Steps, &st.Loss, &st.LossTrend},
-		{&st.StudentVersion, &st.StudentPublished, &st.Distilled, &st.DistillSteps, &st.DistillLoss, &st.DistillTrend},
+		{&st.Version, &st.Published, &st.Trained, &st.Steps, &none, &none, &st.Loss, &st.LossTrend, &nonef},
+		{&st.StudentVersion, &st.StudentPublished, &st.Distilled, &st.DistillSteps, &none, &none, &st.DistillLoss, &st.DistillTrend, &nonef},
+		{&st.DartVersion, &st.DartPublished, &none, &st.Tabularized, &st.DartAttempts, &st.DartSkips, &nonef, &nonef, &st.TabularizeMs},
 	}
 	l.trainMu.Lock()
 	for i, s := range l.stages {
 		f := tiers[i]
 		*f.version, *f.published = s.class.Version(), s.class.Published()
 		*f.examples, *f.steps = s.examples.Load(), s.steps.Load()
+		*f.skips = s.skips.Load()
+		*f.attempts = *f.steps + *f.skips // a due turn either builds or counts a skip
 		*f.loss, *f.trend = s.loss.fast, s.loss.fast-s.loss.slow
+		*f.buildMs = float64(s.buildNs.Load()) / 1e6
 	}
 	l.trainMu.Unlock()
-	if l.dart != nil {
-		st.DartVersion, st.DartPublished = l.dart.Version(), l.dart.Published()
-		st.Tabularized = l.tabularized.Load()
-		st.DartAttempts = l.tabAttempts.Load()
-		st.DartSkips = l.tabSkips.Load()
-		st.TabularizeMs = float64(l.tabNs.Load()) / 1e6
-	}
 	if el := time.Since(l.start).Seconds(); el > 0 {
 		st.PerSec = float64(st.Ingested) / el
 	}

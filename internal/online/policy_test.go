@@ -291,7 +291,7 @@ func TestGateAdmitsHealthyStudent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		l.gateLocked(student)
+		l.offer(student)
 	}
 	l.trainMu.Unlock()
 
@@ -333,7 +333,7 @@ func TestGateHoldsDegradedStudent(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2; i++ {
-		l.gateLocked(student)
+		l.offer(student)
 	}
 	l.trainMu.Unlock()
 
@@ -371,7 +371,7 @@ func TestGateBudgetHoldsStudent(t *testing.T) {
 	student := stageOf(t, l, StudentClass)
 	l.trainMu.Lock()
 	if err := nn.CopyParams(student.shadow, class(t, l, TeacherClass).Store().Load().Val); err == nil {
-		l.gateLocked(student)
+		l.offer(student)
 	}
 	l.trainMu.Unlock()
 	if got := class(t, l, StudentClass).Version(); got != v0 {
@@ -400,9 +400,10 @@ func TestGatedDartAdmitAndEvidence(t *testing.T) {
 	}
 	fillReservoir(l, 64)
 
-	l.tabMu.Lock()
-	tab, err := l.tabularizeLocked(true)
-	l.tabMu.Unlock()
+	dart := stageOf(t, l, DartClass)
+	dart.mu.Lock()
+	tab, err := l.offer(dart)
+	dart.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,9 +431,10 @@ func TestGatedDartHeldBelowThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillReservoir(l, 64)
-	l.tabMu.Lock()
-	_, err = l.tabularizeLocked(true)
-	l.tabMu.Unlock()
+	dart := stageOf(t, l, DartClass)
+	dart.mu.Lock()
+	_, err = l.offer(dart)
+	dart.mu.Unlock()
 	if err == nil || !strings.Contains(err.Error(), "held") {
 		t.Fatalf("gated build returned %v, want held error", err)
 	}
@@ -469,7 +471,7 @@ func TestDartAttemptsSkipsSplit(t *testing.T) {
 	// Idle duty cycles: one skip for the unchanged student version, deduped
 	// across re-checks.
 	for i := 0; i < 5; i++ {
-		l.maybeTabularize()
+		l.turns(false)
 	}
 	st = l.Stats()
 	if st.DartAttempts != 2 || st.DartSkips != 1 {
@@ -483,7 +485,7 @@ func TestDartAttemptsSkipsSplit(t *testing.T) {
 	if _, err := l.SwapStudent(); err != nil {
 		t.Fatal(err)
 	}
-	l.maybeTabularize() // rebuilds (version changed)
+	l.turns(false) // rebuilds (version changed)
 	st = l.Stats()
 	if st.DartAttempts != 3 || st.DartSkips != 1 || st.DartPublished != 2 {
 		t.Fatalf("after student bump: attempts %d skips %d published %d, want 3/1/2",
@@ -502,9 +504,10 @@ func TestMinSourceDeltaSkipsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillReservoir(l, 64)
-	l.tabMu.Lock()
-	_, err = l.tabularizeLocked(true)
-	l.tabMu.Unlock()
+	dart := stageOf(t, l, DartClass)
+	dart.mu.Lock()
+	_, err = l.offer(dart)
+	dart.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +518,7 @@ func TestMinSourceDeltaSkipsRebuild(t *testing.T) {
 	if _, err := l.SwapStudent(); err != nil {
 		t.Fatal(err)
 	}
-	l.maybeTabularize()
+	l.turns(false)
 	if got := class(t, l, DartClass).Version(); got != v1 {
 		t.Fatalf("below-delta student rebuilt the table (v%d -> v%d)", v1, got)
 	}
@@ -540,7 +543,7 @@ func TestMinSourceDeltaSkipsRebuild(t *testing.T) {
 	if _, err := l.SwapStudent(); err != nil {
 		t.Fatal(err)
 	}
-	l.maybeTabularize()
+	l.turns(false)
 	if got := class(t, l, DartClass).Version(); got == v1 {
 		t.Fatal("over-delta student did not rebuild")
 	}
@@ -580,7 +583,7 @@ func TestPolicyDisabledBitIdentity(t *testing.T) {
 		// The gate burns evaluation batches between training steps; the
 		// legacy learner does nothing. Training must stay bit-identical.
 		gated.trainMu.Lock()
-		gated.gateLocked(stageOf(t, gated, StudentClass))
+		gated.offer(stageOf(t, gated, StudentClass))
 		gated.trainMu.Unlock()
 	}
 
