@@ -39,7 +39,7 @@ func retabWith(b *testing.B, app string, kc tabular.KernelConfig, sm tabular.Sof
 // BenchmarkAblation_FineTuneTarget compares tabularization with and without
 // the paper's layer fine-tuning (the output-imitation training of Eq. 26).
 func BenchmarkAblation_FineTuneTarget(b *testing.B) {
-	kc := tabular.KernelConfig{K: 64, C: 2, DataBits: 32}
+	kc := tabular.KernelConfig{K: 64, C: 2, DataBits: 64}
 	with := retabWith(b, ablationApp, kc, tabular.SoftmaxShared, true)
 	without := retabWith(b, ablationApp, kc, tabular.SoftmaxShared, false)
 	printOnce("abl-ft", func() {
@@ -75,7 +75,7 @@ func BenchmarkAblation_Encoder(b *testing.B) {
 // folding (our default) against the per-subspace folding of the literal
 // Eq. 14.
 func BenchmarkAblation_SoftmaxMode(b *testing.B) {
-	kc := tabular.KernelConfig{K: 64, C: 2, DataBits: 32}
+	kc := tabular.KernelConfig{K: 64, C: 2, DataBits: 64}
 	shared := retabWith(b, ablationApp, kc, tabular.SoftmaxShared, false)
 	strict := retabWith(b, ablationApp, kc, tabular.SoftmaxPerSubspace, false)
 	printOnce("abl-sm", func() {

@@ -45,7 +45,7 @@ func retab(b *testing.B, app string, k, c int, ft bool) float64 {
 			fit = fit.Gather(rand.New(rand.NewSource(1)).Perm(fit.N)[:256])
 		}
 		res := tabular.Tabularize(l.art.Student, fit, tabular.Config{
-			Kernel:   tabular.KernelConfig{K: k, C: c, DataBits: 32},
+			Kernel:   tabular.KernelConfig{K: k, C: c, DataBits: 64},
 			FineTune: ft,
 			Seed:     1,
 		})
@@ -120,12 +120,12 @@ func BenchmarkFig10_LatencyStorage(b *testing.B) {
 		fmt.Printf("\n[Fig 10] latency/storage vs K (C=2) and vs C (K=128)\n")
 		fmt.Printf("%8s %12s %14s\n", "K", "Lat/cycles", "Storage/KB")
 		for _, k := range []int{16, 32, 64, 128, 256, 512, 1024} {
-			cand := config.Evaluate(m, config.TableConfig{K: k, C: 2, DataBits: 32})
+			cand := config.Evaluate(m, config.TableConfig{K: k, C: 2, DataBits: 64})
 			fmt.Printf("%8d %12d %14.1f\n", k, cand.Latency, float64(cand.StorageBytes)/1024)
 		}
 		fmt.Printf("%8s %12s %14s\n", "C", "Lat/cycles", "Storage/KB")
 		for _, c := range []int{1, 2, 4, 8} {
-			cand := config.Evaluate(m, config.TableConfig{K: 128, C: c, DataBits: 32})
+			cand := config.Evaluate(m, config.TableConfig{K: 128, C: c, DataBits: 64})
 			fmt.Printf("%8d %12d %14.1f\n", c, cand.Latency, float64(cand.StorageBytes)/1024)
 		}
 	})
@@ -137,8 +137,8 @@ func BenchmarkFig10_LatencyStorage(b *testing.B) {
 	if (l64 - l16) != (l256 - l64) {
 		b.Fatalf("latency not linear in log K: %d, %d, %d", l16, l64, l256)
 	}
-	s16 := config.Evaluate(m, config.TableConfig{K: 16, C: 2, DataBits: 32}).StorageBytes
-	s256 := config.Evaluate(m, config.TableConfig{K: 256, C: 2, DataBits: 32}).StorageBytes
+	s16 := config.Evaluate(m, config.TableConfig{K: 16, C: 2, DataBits: 64}).StorageBytes
+	s256 := config.Evaluate(m, config.TableConfig{K: 256, C: 2, DataBits: 64}).StorageBytes
 	if s256 < s16*8 {
 		b.Fatalf("storage not growing fast in K: %d -> %d", s16, s256)
 	}

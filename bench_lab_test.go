@@ -138,7 +138,7 @@ func getLab(b *testing.B, appName string) *appLab {
 	}
 	coarse := func(ft bool) *tabular.Result {
 		return tabular.Tabularize(art.Student, fit, tabular.Config{
-			Kernel:         tabular.KernelConfig{K: 16, C: 2, DataBits: 32},
+			Kernel:         tabular.KernelConfig{K: 16, C: 2, DataBits: 64},
 			FineTune:       ft,
 			FineTuneEpochs: 20,
 			Seed:           1,

@@ -59,7 +59,7 @@ func BenchmarkTableV_ModelComplexity(b *testing.B) {
 	dp := dataprep.Default()
 	teacher := config.ModelConfig{T: dp.History, DI: dp.InputDim(), DA: 256, DF: 1024, DO: dp.OutputDim(), H: 8, L: 4}
 	student := config.ModelConfig{T: dp.History, DI: dp.InputDim(), DA: 32, DF: 128, DO: dp.OutputDim(), H: 2, L: 1}
-	dart := config.Evaluate(student, config.TableConfig{K: 128, C: 2, DataBits: 32})
+	dart := config.Evaluate(student, config.TableConfig{K: 128, C: 2, DataBits: 64})
 
 	tLat, tStore, tOps := config.NNLatency(teacher), config.NNStorageBits(teacher, 32)/8, config.NNOps(teacher)
 	sLat, sStore, sOps := config.NNLatency(student), config.NNStorageBits(student, 32)/8, config.NNOps(student)
@@ -213,7 +213,7 @@ func BenchmarkTableIX_PrefetcherInventory(b *testing.B) {
 	bo := prefetch.NewBestOffset(labDegree)
 	isb := prefetch.NewISB(labDegree)
 	student := config.ModelConfig{T: dp.History, DI: dp.InputDim(), DA: 32, DF: 128, DO: dp.OutputDim(), H: 2, L: 1}
-	dart := config.Evaluate(student, config.TableConfig{K: 128, C: 2, DataBits: 32})
+	dart := config.Evaluate(student, config.TableConfig{K: 128, C: 2, DataBits: 64})
 	voyLat := config.LSTMLatency(dp.InputDim(), 32, dp.History, dp.OutputDim())
 	printOnce("tableIX", func() {
 		fmt.Printf("\n[Table IX] prefetcher inventory\n")

@@ -57,7 +57,7 @@ func BenchmarkInference_DARTTablesLSH(b *testing.B) {
 	res := tabular.Tabularize(l.art.Student, fit, tabular.Config{
 		Kernel: tabular.KernelConfig{
 			K: l.art.Chosen.Table.K, C: l.art.Chosen.Table.C,
-			Kind: tabular.EncoderLSH, DataBits: 32,
+			Kind: tabular.EncoderLSH, DataBits: 64,
 		},
 		Seed: 1,
 	})

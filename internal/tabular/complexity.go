@@ -1,6 +1,10 @@
 package tabular
 
-import "dart/internal/nn"
+import (
+	"fmt"
+
+	"dart/internal/nn"
+)
 
 // Cost models a kernel's inference complexity with the three quantities the
 // paper tracks (Sec. V-C): critical-path latency in cycles under full
@@ -88,12 +92,16 @@ func SigmoidStorageBits(d int) int { return SigmoidLUTEntries * d }
 // widths is the entry width newRowTable stores a DataBits request at, and
 // the affine metadata (float64 scale, int32 zero) each row of that table
 // carries on top of the entries the paper's storage equations count: 8 and
-// 16 stay quantized, anything else is float64 with no metadata.
+// 16 stay quantized, 64 is float64 with no metadata. No other width is
+// stored, so none is priced either: it panics, like the other shape checks.
 func widths(bits int) (entry, rowMeta int) {
-	if bits == 8 || bits == 16 {
+	switch bits {
+	case 8, 16:
 		return bits, 64 + 32
+	case 64:
+		return 64, 0
 	}
-	return 64, 0
+	panic(fmt.Sprintf("tabular: DataBits %d is not a stored width (want 8, 16 or 64)", bits))
 }
 
 // linearCost is Eqs. 16, 18, 20 for a linear kernel producing out features

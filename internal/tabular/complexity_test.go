@@ -1,7 +1,9 @@
 package tabular
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dart/internal/mat"
@@ -106,15 +108,14 @@ func TestStorageExponentialInK(t *testing.T) {
 // prices candidates with equals the Cost() of the hierarchy Tabularize
 // actually builds, exactly. Cost depends only on shapes, so random-weight
 // students and a small random fit set suffice. C=4 at D_I=10 exercises the
-// input linear's subspace reduction; bits 32 requests a width the tables
-// store as float64.
+// input linear's subspace reduction.
 func TestModelCostMatchesBuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	fit := mat.NewTensor(6, 8, 10)
 	for i := range fit.Data {
 		fit.Data[i] = rng.NormFloat64()
 	}
-	layers, ds, ks, bitss := []int{1, 2}, []int{16, 32}, []int{16, 128}, []int{64, 32, 16, 8}
+	layers, ds, ks, bitss := []int{1, 2}, []int{16, 32}, []int{16, 128}, []int{64, 16, 8}
 	if testing.Short() {
 		layers, ds, ks, bitss = []int{1}, []int{16}, []int{16}, []int{64, 8}
 	}
@@ -137,5 +138,35 @@ func TestModelCostMatchesBuilt(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestUnstoredDataBitsPanic: a width the tables cannot store is refused where
+// the width is decided, by the builder and by the configurator's pricing
+// alike, instead of being stored and priced as float64 without a word.
+func TestUnstoredDataBitsPanic(t *testing.T) {
+	tc := nn.TransformerConfig{T: 4, DIn: 6, DModel: 8, DFF: 16, DOut: 6, Heads: 2, Layers: 1}
+	rng := rand.New(rand.NewSource(1))
+	net := nn.NewTransformerPredictor(tc, rng)
+	fit := mat.NewTensor(8, 4, 6)
+	for i := range fit.Data {
+		fit.Data[i] = rng.NormFloat64()
+	}
+	kc := KernelConfig{K: 4, C: 1, DataBits: 32}
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Tabularize", func() { Tabularize(net, fit, Config{Kernel: kc, Seed: 1}) }},
+		{"ModelCost", func() { ModelCost(tc, kc) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "DataBits 32") {
+					t.Errorf("%s at DataBits 32: recovered %v, want a DataBits 32 panic", c.name, r)
+				}
+			}()
+			c.run()
+		}()
 	}
 }

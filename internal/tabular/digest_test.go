@@ -41,10 +41,10 @@ var digestCases = []digestCase{
 	{16, EncoderLSH, 2, 0xcdf9d8830c42df9, Cost{42, 24436, 570}, 3024},
 	{16, EncoderKMeans, 1, 0x5a647d6575969ea1, Cost{34, 13690, 122}, 1696},
 	{16, EncoderKMeans, 2, 0x905b1eff81ec49f4, Cost{42, 24436, 570}, 3024},
-	{32, EncoderLSH, 1, 0xdb75b9045869d9bd, Cost{34, 26746, 122}, 3328},
-	{32, EncoderLSH, 2, 0x34e9f89f52ef0e70, Cost{42, 49396, 570}, 6144},
-	{32, EncoderKMeans, 1, 0x5f22502f7595ef61, Cost{34, 26746, 122}, 3328},
-	{32, EncoderKMeans, 2, 0xf0dfe015cb2d69f, Cost{42, 49396, 570}, 6144},
+	{64, EncoderLSH, 1, 0xdb75b9045869d9bd, Cost{34, 26746, 122}, 3328},
+	{64, EncoderLSH, 2, 0x34e9f89f52ef0e70, Cost{42, 49396, 570}, 6144},
+	{64, EncoderKMeans, 1, 0x5f22502f7595ef61, Cost{34, 26746, 122}, 3328},
+	{64, EncoderKMeans, 2, 0xf0dfe015cb2d69f, Cost{42, 49396, 570}, 6144},
 }
 
 // outputDigest is the FNV-64a hash of every output's IEEE-754 bits.

@@ -72,9 +72,8 @@ type KernelConfig struct {
 	C    int         // subspaces
 	Kind EncoderKind // encoder implementation
 	// DataBits is the stored entry width d in bits: 8 or 16 build quantized
-	// tables with per-row affine (scale, zero) metadata; anything else
-	// (default 64) keeps float64 tables. Cost reporting always reflects the
-	// width actually stored, never this request verbatim.
+	// tables with per-row affine (scale, zero) metadata, and 64 (the default)
+	// keeps float64 tables. Any other width panics where it is decided.
 	DataBits int
 }
 

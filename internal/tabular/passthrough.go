@@ -165,7 +165,7 @@ type PosEmbedTab struct {
 }
 
 // NewPosEmbedTab copies a trained positional embedding, quantizing it when
-// bits is 8 or 16 (any other value keeps float64).
+// bits is 8 or 16 (64 keeps float64).
 func NewPosEmbedTab(p *nn.PositionalEmbedding, bits int) *PosEmbedTab {
 	emb := append([]float64(nil), p.Emb.W.Data...)
 	return &PosEmbedTab{T: p.T, D: p.D, Emb: newRowTable(emb, p.T, p.D, bits)}

@@ -28,7 +28,7 @@ type rowTable struct {
 
 // newRowTable stores a float64 table of rows x rowLen entries at the width
 // widths gives bits: 8 or 16 quantize with one affine pair fitted per row,
-// and any other value (KernelConfig.DataBits' default 64) keeps src as float64.
+// and 64 (KernelConfig.DataBits' default) keeps src as float64.
 func newRowTable(src []float64, rows, rowLen, bits int) *rowTable {
 	if len(src) != rows*rowLen {
 		panic(fmt.Sprintf("tabular: row table %d entries != %d rows x %d", len(src), rows, rowLen))
