@@ -160,15 +160,3 @@ func (d *Dataset) subset(idx []int) *Dataset {
 	}
 	return out
 }
-
-// PositiveRate reports the fraction of set label bits, a quick check that
-// the delta range captures the workload.
-func (d *Dataset) PositiveRate() float64 {
-	var set int
-	for _, v := range d.Y.Data {
-		if v > 0.5 {
-			set++
-		}
-	}
-	return float64(set) / float64(len(d.Y.Data))
-}

@@ -118,7 +118,7 @@ func distillationSetup(seed int64) (nn.Layer, *mat.Tensor, *mat.Tensor) {
 				sum += sm.At(tt, d)
 			}
 			if sum > 0 {
-				y.Sample(s).Set(0, d, 1)
+				y.Sample(s).Data[d] = 1
 			}
 		}
 	}

@@ -53,9 +53,6 @@ func (m *Matrix) RandUniform(rng *rand.Rand, a float64) *Matrix {
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a slice sharing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
@@ -190,18 +187,6 @@ func mulTransARange(dst, a, b *Matrix) {
 	}
 }
 
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*m.Rows+i] = v
-		}
-	}
-	return t
-}
-
 // Add returns a + b as a new matrix.
 func Add(a, b *Matrix) *Matrix {
 	c := a.Clone()
@@ -244,16 +229,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// AddScaled adds s*b into m.
-func (m *Matrix) AddScaled(b *Matrix, s float64) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("mat: AddScaled shape mismatch")
-	}
-	for i, v := range b.Data {
-		m.Data[i] += s * v
-	}
-}
-
 // AddRowVector adds vector v (length Cols) to every row of m.
 func (m *Matrix) AddRowVector(v []float64) {
 	if len(v) != m.Cols {
@@ -265,30 +240,6 @@ func (m *Matrix) AddRowVector(v []float64) {
 			row[j] += bv
 		}
 	}
-}
-
-// Apply replaces every element x with fn(x).
-func (m *Matrix) Apply(fn func(float64) float64) *Matrix {
-	for i, v := range m.Data {
-		m.Data[i] = fn(v)
-	}
-	return m
-}
-
-// Map returns a new matrix with fn applied elementwise.
-func Map(m *Matrix, fn func(float64) float64) *Matrix {
-	return m.Clone().Apply(fn)
-}
-
-// Hadamard multiplies m elementwise by b.
-func (m *Matrix) Hadamard(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("mat: Hadamard shape mismatch")
-	}
-	for i, v := range b.Data {
-		m.Data[i] *= v
-	}
-	return m
 }
 
 // RowSoftmax applies softmax independently to each row of m, in place.
@@ -327,26 +278,6 @@ func (m *Matrix) Sum() float64 {
 	return s
 }
 
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	var s float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
-// Norm returns the Frobenius norm of m.
-func (m *Matrix) Norm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // CosineSimilarity computes the cosine similarity of the flattened matrices.
 // It returns 0 when either operand is all-zero.
 func CosineSimilarity(a, b *Matrix) float64 {
@@ -364,45 +295,6 @@ func CosineSimilarity(a, b *Matrix) float64 {
 		return 0
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// EqualApprox reports whether a and b have identical shape and elementwise
-// differences no larger than tol.
-func EqualApprox(a, b *Matrix, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		if math.Abs(v-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// ConcatCols concatenates matrices horizontally; all must share Rows.
-func ConcatCols(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		panic("mat: ConcatCols of nothing")
-	}
-	rows := ms[0].Rows
-	total := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic("mat: ConcatCols row mismatch")
-		}
-		total += m.Cols
-	}
-	out := New(rows, total)
-	for i := 0; i < rows; i++ {
-		off := 0
-		orow := out.Row(i)
-		for _, m := range ms {
-			copy(orow[off:off+m.Cols], m.Row(i))
-			off += m.Cols
-		}
-	}
-	return out
 }
 
 // SliceCols returns columns [lo, hi) of m as a new matrix.

@@ -41,7 +41,7 @@ func requireClose(t *testing.T, got, want *Matrix, n int, label string) {
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape %dx%d != %dx%d", label, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
-	scale := 1 + want.MaxAbs() + math.Sqrt(float64(n))
+	scale := 1 + maxAbs(want) + math.Sqrt(float64(n))
 	for i, w := range want.Data {
 		if d := math.Abs(got.Data[i] - w); d > relTol*scale {
 			t.Fatalf("%s: element %d differs: got %v want %v (diff %g, tol %g)",

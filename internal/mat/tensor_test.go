@@ -15,7 +15,7 @@ func TestTensorShape(t *testing.T) {
 func TestSampleSharesStorage(t *testing.T) {
 	x := NewTensor(2, 2, 2)
 	s := x.Sample(1)
-	s.Set(0, 0, 9)
+	s.Data[0] = 9
 	if x.Data[4] != 9 {
 		t.Fatal("Sample does not share storage")
 	}
@@ -59,7 +59,7 @@ func TestGather(t *testing.T) {
 	if g.N != 2 {
 		t.Fatalf("Gather N = %d", g.N)
 	}
-	if !EqualApprox(g.Sample(0), x.Sample(4), 0) || !EqualApprox(g.Sample(1), x.Sample(0), 0) {
+	if !equalApprox(g.Sample(0), x.Sample(4), 0) || !equalApprox(g.Sample(1), x.Sample(0), 0) {
 		t.Fatal("Gather content mismatch")
 	}
 }

@@ -57,14 +57,3 @@ func F1FromLogits(logits, targets []float64) float64 {
 	}
 	return c.F1()
 }
-
-// F1FromProbs computes micro-F1 of probabilities against 0/1 targets with a
-// 0.5 decision threshold (used for table-based predictors whose outputs pass
-// through the sigmoid LUT).
-func F1FromProbs(probs, targets []float64) float64 {
-	var c Confusion
-	for i, p := range probs {
-		c.Update(p > 0.5, targets[i] > 0.5)
-	}
-	return c.F1()
-}

@@ -70,7 +70,11 @@ func TestF1ProbsMatchesLogits(t *testing.T) {
 		probs[i] = 1 / (1 + math.Exp(-z))
 	}
 	targets := []float64{1, 0, 0, 1}
-	if F1FromLogits(logits, targets) != F1FromProbs(probs, targets) {
+	var c Confusion
+	for i, p := range probs {
+		c.Update(p > 0.5, targets[i] > 0.5)
+	}
+	if F1FromLogits(logits, targets) != c.F1() {
 		t.Fatal("logit and probability F1 disagree")
 	}
 }

@@ -53,9 +53,6 @@ func SigmoidFn(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 // Sigmoid is the logistic activation applied elementwise.
 type Sigmoid struct{}
 
-// NewSigmoid returns a Sigmoid layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
 // Forward applies the logistic function.
 func (s *Sigmoid) Forward(x *mat.Tensor) *mat.Tensor {
 	y, _ := s.Train(x)

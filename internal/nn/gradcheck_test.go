@@ -101,7 +101,7 @@ func TestReLUGradients(t *testing.T) {
 
 func TestSigmoidGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	checkGradients(t, NewSigmoid(), randTensor(rng, 2, 2, 4), 1e-5)
+	checkGradients(t, &Sigmoid{}, randTensor(rng, 2, 2, 4), 1e-5)
 }
 
 func TestLayerNormGradients(t *testing.T) {
@@ -154,12 +154,11 @@ func TestPositionalEmbeddingBreaksPermutationInvariance(t *testing.T) {
 	swapped := x.Clone()
 	s := swapped.Sample(0)
 	for d := 0; d < 4; d++ {
-		v0, v3 := s.At(0, d), s.At(3, d)
-		s.Set(0, d, v3)
-		s.Set(3, d, v0)
+		r0, r3 := s.Row(0), s.Row(3)
+		r0[d], r3[d] = r3[d], r0[d]
 	}
 	y2 := m.Forward(swapped)
-	if mat.EqualApprox(y1.AsMatrix(), y2.AsMatrix(), 1e-9) {
+	if equalApprox(y1.AsMatrix(), y2.AsMatrix(), 1e-9) {
 		t.Fatal("model is permutation-invariant despite positional embedding")
 	}
 }
@@ -170,4 +169,18 @@ func TestTransformerEndToEndGradients(t *testing.T) {
 		T: 3, DIn: 4, DModel: 4, DFF: 8, DOut: 5, Heads: 2, Layers: 1,
 	}, rng)
 	checkGradients(t, m, randTensor(rng, 2, 3, 4), 1e-3)
+}
+
+// equalApprox reports whether a and b have identical shape and elementwise
+// differences no larger than tol.
+func equalApprox(a, b *mat.Matrix, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Abs(v-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

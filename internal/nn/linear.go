@@ -65,9 +65,3 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
 // Name reports the layer name.
 func (l *Linear) Name() string { return l.Weight.Name[:len(l.Weight.Name)-len(".weight")] }
-
-// SetWeights replaces the layer parameters (used by tabularization fine-tuning).
-func (l *Linear) SetWeights(w *mat.Matrix, b []float64) {
-	l.Weight.W.CopyFrom(w)
-	copy(l.Bias.W.Data, b)
-}

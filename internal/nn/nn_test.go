@@ -53,7 +53,7 @@ func TestAttentionRowsAreConvexCombinations(t *testing.T) {
 	setIdentity := func(l *Linear) {
 		l.Weight.W.Zero()
 		for i := 0; i < 4; i++ {
-			l.Weight.W.Set(i, i, 1)
+			l.Weight.W.Row(i)[i] = 1
 		}
 		for i := range l.Bias.W.Data {
 			l.Bias.W.Data[i] = 0
@@ -166,7 +166,7 @@ func TestSGDReducesLoss(t *testing.T) {
 	for n := 0; n < 16; n++ {
 		s := x.Sample(n).Row(0)
 		if s[0]+s[1] > 0 {
-			y.Sample(n).Set(0, 0, 1)
+			y.Sample(n).Data[0] = 1
 		}
 	}
 	opt := &SGD{LR: 0.5}
@@ -204,7 +204,7 @@ func TestAdamTrainsTransformerOnSyntheticTask(t *testing.T) {
 				sum += sm.At(tt, d)
 			}
 			if sum > 0 {
-				y.Sample(s).Set(0, d, 1)
+				y.Sample(s).Data[d] = 1
 			}
 		}
 	}
@@ -245,7 +245,7 @@ func TestLSTMPredictorTrains(t *testing.T) {
 	y := mat.NewTensor(n, 1, 1)
 	for s := 0; s < n; s++ {
 		if x.Sample(s).At(2, 0) > 0 {
-			y.Sample(s).Set(0, 0, 1)
+			y.Sample(s).Data[0] = 1
 		}
 	}
 	tr := NewTrainer(m, NewAdam(0.02), 16, rng)
@@ -295,7 +295,7 @@ func TestSequentialForwardUpTo(t *testing.T) {
 	}
 	full := s.ForwardUpTo(x.Clone(), 3)
 	direct := s.Forward(x.Clone())
-	if !mat.EqualApprox(full.AsMatrix(), direct.AsMatrix(), 1e-12) {
+	if !equalApprox(full.AsMatrix(), direct.AsMatrix(), 1e-12) {
 		t.Fatal("ForwardUpTo(len) != Forward")
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"dart/internal/mat"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -24,7 +22,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := m2.Forward(x.Clone())
-	if !mat.EqualApprox(got.AsMatrix(), want.AsMatrix(), 1e-12) {
+	if !equalApprox(got.AsMatrix(), want.AsMatrix(), 1e-12) {
 		t.Fatal("loaded model diverges from saved model")
 	}
 }

@@ -78,7 +78,7 @@ func TestKMeansEncoderRoundTrip(t *testing.T) {
 		t.Fatalf("encoder dims K=%d C=%d V=%d", enc.K(), enc.C(), enc.SubDim())
 	}
 	// Quantization error should be small on clustered data.
-	if mse := QuantizationMSE(enc, x); mse > 0.5 {
+	if mse := quantizationMSE(enc, x); mse > 0.5 {
 		t.Fatalf("k-means quantization MSE %v too high", mse)
 	}
 }
@@ -124,8 +124,8 @@ func TestLSHEncoderReasonableError(t *testing.T) {
 	exact.Fit(x)
 	lsh := NewLSHEncoder(8, 2, 16, rng)
 	lsh.Fit(x)
-	exactMSE := QuantizationMSE(exact, x)
-	lshMSE := QuantizationMSE(lsh, x)
+	exactMSE := quantizationMSE(exact, x)
+	lshMSE := quantizationMSE(lsh, x)
 	if lshMSE < exactMSE*0.5 {
 		t.Fatalf("LSH (%v) should not beat exact k-means (%v) by 2x", lshMSE, exactMSE)
 	}
@@ -165,4 +165,35 @@ func TestKMeansEncoderFewerRowsThanK(t *testing.T) {
 	enc.Fit(x) // must not panic
 	idx := make([]int, 2)
 	enc.EncodeRow(x.Row(0), idx)
+}
+
+// quantizationMSE measures the mean squared reconstruction error of the
+// encoder over the rows of x.
+func quantizationMSE(enc Encoder, x *mat.Matrix) float64 {
+	if x.Rows == 0 {
+		return 0
+	}
+	var total float64
+	for i := 0; i < x.Rows; i++ {
+		row := x.Row(i)
+		q := quantize(enc, row)
+		for j, v := range row {
+			d := v - q[j]
+			total += d * d
+		}
+	}
+	return total / float64(x.Rows*x.Cols)
+}
+
+// quantize returns the quantized reconstruction of a (its nearest prototype
+// per subspace, concatenated).
+func quantize(enc Encoder, a []float64) []float64 {
+	c, v := enc.C(), enc.SubDim()
+	out := make([]float64, c*v)
+	idx := make([]int, c)
+	enc.EncodeRow(a, idx)
+	for ci, ki := range idx {
+		copy(out[ci*v:(ci+1)*v], enc.Center(ci, ki))
+	}
+	return out
 }

@@ -73,9 +73,3 @@ func (q RowQuant) Quantize(v float64, bits int) int32 {
 	}
 	return int32(x)
 }
-
-// Dequantize maps a stored integer back to float64: (q - zero) * scale.
-// This is the serving-side reconstruction; one multiply, one rounding.
-func (q RowQuant) Dequantize(v int32) float64 {
-	return float64(v-q.Zero) * q.Scale
-}

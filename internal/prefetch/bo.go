@@ -140,6 +140,3 @@ func (b *BestOffset) adopt(idx int) {
 	}
 	b.round = 0
 }
-
-// ActiveOffset exposes the current offset (for tests).
-func (b *BestOffset) ActiveOffset() int64 { return b.active }

@@ -24,7 +24,7 @@ func TestBOLearnsStride(t *testing.T) {
 	for _, a := range strideAccesses(3000, 3) {
 		bo.OnAccess(a)
 	}
-	if got := bo.ActiveOffset(); got != 3 {
+	if got := bo.active; got != 3 {
 		t.Fatalf("BO adopted offset %d, want 3", got)
 	}
 }
@@ -40,7 +40,7 @@ func TestBOLearnsNegativeStride(t *testing.T) {
 	for _, a := range accs {
 		bo.OnAccess(a)
 	}
-	if got := bo.ActiveOffset(); got != -2 {
+	if got := bo.active; got != -2 {
 		t.Fatalf("BO adopted offset %d, want -2", got)
 	}
 }
@@ -181,8 +181,8 @@ func TestBOScoreResetOnAdoption(t *testing.T) {
 	for _, a := range strideAccesses(3000, 5) {
 		bo.OnAccess(a)
 	}
-	if bo.ActiveOffset() != 5 {
-		t.Fatalf("offset %d, want 5", bo.ActiveOffset())
+	if bo.active != 5 {
+		t.Fatalf("offset %d, want 5", bo.active)
 	}
 	for _, s := range bo.scores {
 		if s >= bo.ScoreMax {

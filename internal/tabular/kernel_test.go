@@ -85,7 +85,7 @@ func TestLinearKernelExactOnPrototypeInputs(t *testing.T) {
 	copy(q.Row(0), k.enc.Center(0, 0))
 	got := k.Query(q)
 	want := l.Forward(mat.TensorFromSlice(1, 1, 4, append([]float64(nil), q.Data...)))
-	if !mat.EqualApprox(got, want.Sample(0), 1e-9) {
+	if !equalApprox(got, want.Sample(0), 1e-9) {
 		t.Fatalf("prototype input not exact: %v vs %v", got.Data, want.Sample(0).Data)
 	}
 }
@@ -180,7 +180,7 @@ func TestAttentionKernelModesDiffer(t *testing.T) {
 	strict := NewAttentionKernel(ts, KernelConfig{K: 8, C: 2}, SoftmaxPerSubspace, rand.New(rand.NewSource(1)))
 	a := shared.Query(ts.Q.Sample(0), ts.K.Sample(0), ts.V.Sample(0))
 	b := strict.Query(ts.Q.Sample(0), ts.K.Sample(0), ts.V.Sample(0))
-	if mat.EqualApprox(a, b, 1e-12) {
+	if equalApprox(a, b, 1e-12) {
 		t.Fatal("softmax modes produced identical outputs; folding is not happening")
 	}
 }
@@ -212,7 +212,7 @@ func TestLayerNormTabMatchesNN(t *testing.T) {
 	want := ln.Forward(x.Clone())
 	for s := 0; s < 4; s++ {
 		got := tab.Query(x.Sample(s))
-		if !mat.EqualApprox(got, want.Sample(s), 1e-9) {
+		if !equalApprox(got, want.Sample(s), 1e-9) {
 			t.Fatalf("layernorm tab mismatch on sample %d", s)
 		}
 	}
@@ -224,7 +224,7 @@ func TestMeanPoolTabMatchesNN(t *testing.T) {
 	want := nn.NewMeanPool().Forward(x.Clone())
 	for s := 0; s < 3; s++ {
 		got := MeanPoolTab{}.Query(x.Sample(s))
-		if !mat.EqualApprox(got, want.Sample(s), 1e-12) {
+		if !equalApprox(got, want.Sample(s), 1e-12) {
 			t.Fatalf("meanpool tab mismatch on sample %d", s)
 		}
 	}
@@ -235,7 +235,7 @@ func TestResidualTabIdentityInner(t *testing.T) {
 	r := &ResidualTab{Inner: []Layer{ReLUTab{}}}
 	got := r.Query(x)
 	want := mat.FromSlice(2, 2, []float64{2, 4, 6, 8})
-	if !mat.EqualApprox(got, want, 0) {
+	if !equalApprox(got, want, 0) {
 		t.Fatalf("residual = %v", got.Data)
 	}
 }
@@ -277,4 +277,18 @@ func TestParseEncoderKindRoundTrip(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown encoder kind") {
 		t.Fatalf("unknown kind error: %v", err)
 	}
+}
+
+// equalApprox reports whether a and b have identical shape and elementwise
+// differences no larger than tol.
+func equalApprox(a, b *mat.Matrix, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Abs(v-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"dart/internal/mat"
 	"dart/internal/nn"
 )
 
@@ -25,7 +24,7 @@ func TestHierarchySaveLoadRoundTrip(t *testing.T) {
 	for s := 0; s < 4; s++ {
 		want := res.Hierarchy.Query(x.Sample(s))
 		got := loaded.Query(x.Sample(s))
-		if !mat.EqualApprox(got, want, 1e-12) {
+		if !equalApprox(got, want, 1e-12) {
 			t.Fatalf("loaded hierarchy diverges on sample %d", s)
 		}
 	}
@@ -48,7 +47,7 @@ func TestHierarchySaveLoadLSH(t *testing.T) {
 	}
 	want := res.Hierarchy.Query(x.Sample(0))
 	got := loaded.Query(x.Sample(0))
-	if !mat.EqualApprox(got, want, 1e-12) {
+	if !equalApprox(got, want, 1e-12) {
 		t.Fatal("LSH hierarchy diverges after round trip")
 	}
 }

@@ -24,7 +24,7 @@ func smallModelAndData(seed int64) (*nn.Sequential, *mat.Tensor, *mat.Tensor) {
 				sum += sm.At(tt, d)
 			}
 			if sum > 0 {
-				y.Sample(s).Set(0, d, 1)
+				y.Sample(s).Data[d] = 1
 			}
 		}
 	}
@@ -121,7 +121,7 @@ func TestHierarchyForwardMatchesQuery(t *testing.T) {
 	batch := res.Hierarchy.QueryBatch(x)
 	for s := 0; s < 3; s++ {
 		single := res.Hierarchy.Query(x.Sample(s))
-		if !mat.EqualApprox(single, batch.Sample(s), 1e-12) {
+		if !equalApprox(single, batch.Sample(s), 1e-12) {
 			t.Fatalf("batch/single mismatch at sample %d", s)
 		}
 	}
@@ -138,7 +138,7 @@ func TestHierarchyParallelForwardMatchesSequential(t *testing.T) {
 	batch := res.Hierarchy.QueryBatch(x)
 	for s := 0; s < x.N; s++ {
 		want := res.Hierarchy.Query(x.Sample(s))
-		if !mat.EqualApprox(want, batch.Sample(s), 1e-12) {
+		if !equalApprox(want, batch.Sample(s), 1e-12) {
 			t.Fatalf("parallel batch diverges at sample %d", s)
 		}
 	}

@@ -46,12 +46,6 @@ func (s PointerChaseSpec) withDefaults() PointerChaseSpec {
 	return s
 }
 
-// FootprintBlocks is the total block footprint of the scenario.
-func (s PointerChaseSpec) FootprintBlocks() uint64 {
-	s = s.withDefaults()
-	return uint64(s.Lists) * uint64(s.Nodes) * uint64(s.NodeBlocks)
-}
-
 // Generate returns n deterministic records of the scenario.
 func (s PointerChaseSpec) Generate(n int) []Record {
 	s = s.withDefaults()
@@ -135,13 +129,6 @@ const edgesPerBlock = 8
 // adjBlocks is the adjacency-list block span of one node.
 func (s GraphSpec) adjBlocks() int { return (s.Degree + edgesPerBlock - 1) / edgesPerBlock }
 
-// FootprintBlocks is the total block footprint: adjacency region followed by
-// the payload region.
-func (s GraphSpec) FootprintBlocks() uint64 {
-	s = s.withDefaults()
-	return uint64(s.Nodes) * uint64(s.adjBlocks()+s.PayloadBlocks)
-}
-
 // Generate returns n deterministic records of the scenario.
 func (s GraphSpec) Generate(n int) []Record {
 	s = s.withDefaults()
@@ -222,12 +209,6 @@ func (s ZipfSpec) withDefaults() ZipfSpec {
 		s.PCs = 8
 	}
 	return s
-}
-
-// FootprintBlocks is the total block footprint of the scenario.
-func (s ZipfSpec) FootprintBlocks() uint64 {
-	s = s.withDefaults()
-	return uint64(s.Keys) * uint64(s.ValueBlocks)
 }
 
 // Generate returns n deterministic records of the scenario.
@@ -314,12 +295,6 @@ func (s PhaseShiftSpec) withDefaults() PhaseShiftSpec {
 func (s PhaseShiftSpec) Stride(r int) int64 {
 	s = s.withDefaults()
 	return s.StridePool[r%s.Regimes]
-}
-
-// FootprintBlocks is the total block footprint across every regime slice.
-func (s PhaseShiftSpec) FootprintBlocks() uint64 {
-	s = s.withDefaults()
-	return uint64(s.Regimes) * uint64(s.Pages) * BlocksPerPage
 }
 
 // Generate returns n deterministic records of the scenario.

@@ -52,10 +52,10 @@ func TestZooFootprintBounds(t *testing.T) {
 		footprint uint64
 	}
 	cases := map[string]bounded{
-		"chase": {PointerChaseSpec{Seed: 11}.Generate, PointerChaseSpec{Seed: 11}.FootprintBlocks()},
-		"graph": {GraphSpec{Seed: 12}.Generate, GraphSpec{Seed: 12}.FootprintBlocks()},
-		"zipf":  {ZipfSpec{Seed: 13}.Generate, ZipfSpec{Seed: 13}.FootprintBlocks()},
-		"phase": {PhaseShiftSpec{Seed: 14}.Generate, PhaseShiftSpec{Seed: 14}.FootprintBlocks()},
+		"chase": {PointerChaseSpec{Seed: 11}.Generate, PointerChaseSpec{Seed: 11}.footprintBlocks()},
+		"graph": {GraphSpec{Seed: 12}.Generate, GraphSpec{Seed: 12}.footprintBlocks()},
+		"zipf":  {ZipfSpec{Seed: 13}.Generate, ZipfSpec{Seed: 13}.footprintBlocks()},
+		"phase": {PhaseShiftSpec{Seed: 14}.Generate, PhaseShiftSpec{Seed: 14}.footprintBlocks()},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -99,8 +99,8 @@ func TestGraphDeltaStructure(t *testing.T) {
 		if s.Deltas < 256 {
 			t.Fatalf("n=%d: only %d distinct deltas", n, s.Deltas)
 		}
-		if uint64(s.Addresses) > spec.FootprintBlocks() {
-			t.Fatalf("n=%d: %d blocks exceeds footprint %d", n, s.Addresses, spec.FootprintBlocks())
+		if uint64(s.Addresses) > spec.footprintBlocks() {
+			t.Fatalf("n=%d: %d blocks exceeds footprint %d", n, s.Addresses, spec.footprintBlocks())
 		}
 	}
 }
@@ -222,4 +222,29 @@ func TestWorkloadRegistry(t *testing.T) {
 	if same {
 		t.Fatal("seed parameter does not perturb the workload")
 	}
+}
+
+// footprintBlocks is the total block footprint of the scenario.
+func (s PointerChaseSpec) footprintBlocks() uint64 {
+	s = s.withDefaults()
+	return uint64(s.Lists) * uint64(s.Nodes) * uint64(s.NodeBlocks)
+}
+
+// footprintBlocks is the total block footprint: adjacency region followed by
+// the payload region.
+func (s GraphSpec) footprintBlocks() uint64 {
+	s = s.withDefaults()
+	return uint64(s.Nodes) * uint64(s.adjBlocks()+s.PayloadBlocks)
+}
+
+// footprintBlocks is the total block footprint of the scenario.
+func (s ZipfSpec) footprintBlocks() uint64 {
+	s = s.withDefaults()
+	return uint64(s.Keys) * uint64(s.ValueBlocks)
+}
+
+// footprintBlocks is the total block footprint across every regime slice.
+func (s PhaseShiftSpec) footprintBlocks() uint64 {
+	s = s.withDefaults()
+	return uint64(s.Regimes) * uint64(s.Pages) * BlocksPerPage
 }
