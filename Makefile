@@ -50,7 +50,8 @@ bench-build:
 ## The online set runs longer and more often: int8 and float dart tables
 ## share one query path and run within a few percent of each other (the
 ## parity row allows int8 25% slower), closer than 50ms samples resolve on a
-## busy host. BenchmarkDartInfer also selects BenchmarkDartInferQuant.
+## busy host. BenchmarkDartInfer also selects BenchmarkDartInferQuant and
+## BenchmarkDartInferParity, the one loop that times both widths for that row.
 bench-ci:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMul' -benchtime 5x -count 3 -benchmem \
 		./internal/mat > bench-ci.out || { cat bench-ci.out; exit 1; }

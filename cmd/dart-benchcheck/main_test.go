@@ -26,6 +26,7 @@ PASS
 BenchmarkStudentInfer-2  712  321442 ns/op  13952 storage_bytes  6000 B/op  200 allocs/op
 BenchmarkDartInfer-2  951  249812 ns/op  7982 storage_bytes  160000 B/op  1911 allocs/op
 BenchmarkDartInferQuant-2  1500  161234 ns/op  1995 storage_bytes  84000 B/op  983 allocs/op
+BenchmarkDartInferParity-2  600  411046 ns/op  249812 float_ns  161234 int8_ns
 BenchmarkQuantRowAccum-2  40000000  29.8 ns/op  0 B/op  0 allocs/op
 BenchmarkPolicyDecision-2  50000000  21.7 ns/op  0 B/op  0 allocs/op
 `
@@ -94,8 +95,14 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 7 {
-		t.Fatalf("parsed %d benchmarks, want 7: %v", len(got), got)
+	names := 0
+	for key := range got {
+		if !strings.Contains(key, "@") {
+			names++
+		}
+	}
+	if names != 7 {
+		t.Fatalf("parsed %d benchmarks, want 7: %v", names, got)
 	}
 	if got["BenchmarkMatMul/par/n512/w4"] != 11200000 {
 		t.Fatalf("n512/w4 = %v", got["BenchmarkMatMul/par/n512/w4"])
@@ -519,7 +526,7 @@ func TestQuantGatePassesAtBaseline(t *testing.T) {
 // The int8 tables need not beat float, but more than 25% slower fails the
 // parity row.
 func TestQuantGateFailsWhenNotFasterThanFloat(t *testing.T) {
-	slow := replace(t, sampleBench, "BenchmarkDartInferQuant-2  1500  161234 ns/op", "BenchmarkDartInferQuant-2  1500  320000 ns/op")
+	slow := replace(t, sampleBench, "249812 float_ns  161234 int8_ns", "249812 float_ns  320000 int8_ns")
 	wantExit(t, slow, 1, "FAIL parity(quant vs float dart infer)")
 }
 
@@ -535,11 +542,11 @@ func TestQuantGateFailsOnRowKernelAlloc(t *testing.T) {
 }
 
 func TestQuantGateFailsClosedOnMissingBench(t *testing.T) {
-	wantExit(t, without(sampleBench, "BenchmarkDartInferQuant"), 2, "MISS parity(quant vs float dart infer)", "BenchmarkDartInferQuant@storage_bytes")
+	wantExit(t, without(sampleBench, "BenchmarkDartInferQuant", "BenchmarkDartInferParity"), 2, "MISS parity(quant vs float dart infer)", "BenchmarkDartInferQuant@storage_bytes")
 }
 
 func TestQuantGateFailsClosedWithoutSection(t *testing.T) {
-	wantExit(t, without(sampleBench, "BenchmarkDartInferQuant", "BenchmarkQuantRowAccum"), 2,
+	wantExit(t, without(sampleBench, "BenchmarkDartInferQuant", "BenchmarkDartInferParity", "BenchmarkQuantRowAccum"), 2,
 		"MISS BenchmarkQuantRowAccum@allocs", "MISS parity(quant vs float dart infer)", "MISS allocs(quant vs float dart infer)")
 }
 

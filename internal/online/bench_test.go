@@ -3,6 +3,7 @@ package online
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"dart/internal/config"
 	"dart/internal/dataprep"
@@ -138,11 +139,8 @@ func servingHierarchyBits(b *testing.B, bits int) *tabular.Hierarchy {
 	return res.Hierarchy
 }
 
-// benchDartInfer measures one admission-batcher-sized QueryBatch through the
-// tabularized student at the given stored width, reporting the table's
-// analytic storage as the storage_bytes metric.
-func benchDartInfer(b *testing.B, bits int) {
-	h := servingHierarchyBits(b, bits)
+// dartBatch is one admission-batcher-sized query batch.
+func dartBatch() *mat.Tensor {
 	data, _ := benchTeacherCfg()
 	const batch = 16
 	in := mat.NewTensor(batch, data.History, data.InputDim())
@@ -150,6 +148,15 @@ func benchDartInfer(b *testing.B, bits int) {
 	for i := range in.Data {
 		in.Data[i] = rng.NormFloat64()
 	}
+	return in
+}
+
+// benchDartInfer measures one admission-batcher-sized QueryBatch through the
+// tabularized student at the given stored width, reporting the table's
+// analytic storage as the storage_bytes metric.
+func benchDartInfer(b *testing.B, bits int) {
+	h := servingHierarchyBits(b, bits)
+	in := dartBatch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -167,13 +174,35 @@ func BenchmarkDartInfer(b *testing.B) {
 	benchDartInfer(b, 0)
 }
 
-// BenchmarkDartInferQuant is the int8 deployment artifact's number. The
-// int8 and float tables run the same query path, so the int8 tables may be
-// at most 25% slower than float same-run (float/int8 time >= 0.8), while
-// the reported storage_bytes must come in >= 4x under the float row, with
-// no more allocs/op — all gated same-run by dart-benchcheck.
+// BenchmarkDartInferQuant is the int8 deployment artifact's number: its
+// reported storage_bytes must come in >= 4x under the float row, with no
+// more allocs/op — gated same-run by dart-benchcheck.
 func BenchmarkDartInferQuant(b *testing.B) {
 	benchDartInfer(b, 8)
+}
+
+// BenchmarkDartInferParity times the float and the int8 hierarchy of the two
+// benchmarks above in one loop, alternating which width queries first, and
+// reports each width's mean time per batch as the float_ns and int8_ns
+// metrics. The int8 and float tables run the same query path, so the int8
+// tables may be at most 25% slower (float_ns/int8_ns >= 0.8). Separate
+// benchmarks under -count time every float run before every int8 run, so
+// host load could land on one side only; here it lands on both alike.
+func BenchmarkDartInferParity(b *testing.B) {
+	hs := [2]*tabular.Hierarchy{servingHierarchyBits(b, 0), servingHierarchyBits(b, 8)}
+	in := dartBatch()
+	var ns [2]time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range hs {
+			k := (i + j) % 2
+			t0 := time.Now()
+			hs[k].QueryBatch(in)
+			ns[k] += time.Since(t0)
+		}
+	}
+	b.ReportMetric(float64(ns[0].Nanoseconds())/float64(b.N), "float_ns")
+	b.ReportMetric(float64(ns[1].Nanoseconds())/float64(b.N), "int8_ns")
 }
 
 // BenchmarkQuantRowAccum gates the dequantize-free hot path itself: one
