@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"dart/internal/prefetch"
 	"dart/internal/serve"
 	"dart/internal/sim"
 	"dart/internal/trace"
@@ -149,10 +151,26 @@ func TestAppsLoad(t *testing.T) {
 	}
 }
 
+// firstAccess prefetches nothing and closes stepped when a session of it
+// steps its first access; by then the session is open.
+type firstAccess struct {
+	sim.NoPrefetcher
+	once    *sync.Once
+	stepped chan struct{}
+}
+
+func (f firstAccess) OnAccess(sim.Access) []uint64 {
+	f.once.Do(func() { close(f.stepped) })
+	return nil
+}
+
 // TestSoakFailures: a round that loses accesses or disagrees with the offline
 // simulator ends the soak with an error naming the session.
 func TestSoakFailures(t *testing.T) {
-	e := serve.NewEngine(serve.Config{SimCfg: smallSimCfg()})
+	stepped, once := make(chan struct{}), new(sync.Once)
+	reg := prefetch.NewRegistry()
+	reg.Register("first", func(int) sim.Prefetcher { return firstAccess{once: once, stepped: stepped} })
+	e := serve.NewEngine(serve.Config{SimCfg: smallSimCfg(), Registry: reg})
 	defer e.Drain()
 	tiny := smallSimCfg()
 	tiny.LLCBlocks = 256
@@ -165,12 +183,10 @@ func TestSoakFailures(t *testing.T) {
 		// The hook closes the session out from under the round, so its
 		// accesses stop being delivered.
 		name: "incomplete round",
-		spec: Spec{Engine: e, Load: Matrix([]TenantSpec{{Name: "t", Workload: "chase", N: 1 << 20}})},
+		spec: Spec{Engine: e, Load: Matrix([]TenantSpec{{Name: "t", Workload: "chase", Class: "first", N: 1 << 20}})},
 		hook: func(_ int, run func()) {
 			go func() {
-				for len(e.Sessions()) == 0 {
-					time.Sleep(time.Millisecond)
-				}
+				<-stepped
 				e.Close("t/0")
 			}()
 			run()
