@@ -1,6 +1,7 @@
 package online
 
 import (
+	"encoding/json"
 	"sync"
 	"time"
 )
@@ -9,34 +10,47 @@ import (
 // held at the gate, a published version rolled back on live divergence, or a
 // duty cycle skipped before a candidate was even built. Every decision
 // carries the evidence it was made on, so an operator reading the `policy`
-// verb can reconstruct why the serving classes look the way they do.
+// verb can reconstruct why the serving classes look the way they do. Its
+// JSON form is the wire's decision-log line.
 type Decision struct {
-	Seq    uint64    // monotonically increasing across all classes
-	Time   time.Time // when the decision was taken
-	Class  string    // "teacher", "student", "dart"
-	Action string    // "admit", "hold", "rollback", "skip"
+	Seq    uint64    `json:"seq"`    // monotonically increasing across all classes
+	Time   time.Time `json:"time"`   // when the decision was taken
+	Class  string    `json:"class"`  // "teacher", "student", "dart"
+	Action string    `json:"action"` // "admit", "hold", "rollback", "skip"
 	// Version is the class version the decision concerns: the published
 	// version for admits, the version rolled back *to* for rollbacks, and 0
 	// for held or skipped candidates (they never became a version).
-	Version uint64
-	Reason  string // human-readable grounds, e.g. "agreement 0.42 < 0.70 over 8 batches"
+	Version uint64 `json:"version,omitempty"`
+	Reason  string `json:"reason"` // human-readable grounds, e.g. "agreement 0.42 < 0.70 over 8 batches"
 
 	// Agreement evidence: the candidate-vs-source (admit/hold) or live
 	// served-vs-source (rollback) agreement fraction, with the window size
 	// it was measured over. Zero for skips and ungated (forced or teacher)
 	// admits, where no shadow comparison ran.
-	Agreement float64 // fraction of labels on the same side of the decision boundary
-	Batches   int     // shadow batches (admission) or live windows (rollback) measured
-	Labels    uint64  // labels compared across the window
+	Agreement float64 `json:"agreement,omitempty"` // fraction of labels on the same side of the decision boundary
+	Batches   int     `json:"batches,omitempty"`   // shadow batches (admission) or live windows (rollback) measured
+	Labels    uint64  `json:"labels,omitempty"`    // labels compared across the window
 
 	// Cosine is the mean per-layer tabularization fidelity of the candidate
 	// hierarchy (tabular.Result.Cosine); dart decisions only.
-	Cosine float64
+	Cosine float64 `json:"cosine,omitempty"`
 
 	// Modelled per-class cost of the candidate at decision time, checked
 	// against the configured budget (admission only).
-	LatencyCycles int
-	StorageBytes  int
+	LatencyCycles int `json:"latency_cycles,omitempty"`
+	StorageBytes  int `json:"storage_bytes,omitempty"`
+}
+
+// MarshalJSON writes Time in UTC at millisecond precision (RFC 3339). The
+// overriding fields come before the embedded rest, which keeps seq and time
+// first in the object.
+func (d Decision) MarshalJSON() ([]byte, error) {
+	type fields Decision
+	return json.Marshal(struct {
+		Seq  uint64 `json:"seq"`
+		Time string `json:"time"`
+		fields
+	}{d.Seq, d.Time.UTC().Format("2006-01-02T15:04:05.000Z07:00"), fields(d)})
 }
 
 // decisionLog is a bounded append-only ring of decisions. The cap bounds

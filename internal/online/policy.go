@@ -356,25 +356,26 @@ func (p *Policy) record(d Decision) Decision {
 // Decisions returns the retained decision log, oldest first.
 func (p *Policy) Decisions() []Decision { return p.log.snapshot() }
 
-// GateState is one class's point-in-time gate status.
+// GateState is one class's point-in-time gate status. Its JSON form is the
+// wire's gate row of the policy and stats verbs.
 type GateState struct {
-	Class            string
-	PendingBatches   int     // admission shadow batches accumulated so far
-	PendingAgreement float64 // agreement over the open admission window
-	LiveVersion      uint64  // version the live window is accumulating for
-	LiveAgreement    float64 // agreement of the last completed live window
-	LiveWindows      uint64  // completed live windows
-	Divergent        int     // consecutive divergent live windows
+	Class            string  `json:"class"`
+	PendingBatches   int     `json:"pending_batches"`        // admission shadow batches accumulated so far
+	PendingAgreement float64 `json:"pending_agreement"`      // agreement over the open admission window
+	LiveVersion      uint64  `json:"live_version,omitempty"` // version the live window is accumulating for
+	LiveAgreement    float64 `json:"live_agreement"`         // agreement of the last completed live window
+	LiveWindows      uint64  `json:"live_windows"`           // completed live windows
+	Divergent        int     `json:"divergent"`              // consecutive divergent live windows
 }
 
-// PolicyStats is the `stats` verb summary of the engine.
+// PolicyStats is the `stats` verb summary of the engine, in its wire form.
 type PolicyStats struct {
-	Admitted   uint64
-	Held       uint64
-	RolledBack uint64
-	Skipped    uint64
-	Decisions  uint64 // decisions ever recorded (the log may have evicted early ones)
-	Gates      []GateState
+	Admitted   uint64      `json:"admitted"`
+	Held       uint64      `json:"held"`
+	RolledBack uint64      `json:"rolled_back"`
+	Skipped    uint64      `json:"skipped"`
+	Decisions  uint64      `json:"decisions"` // decisions ever recorded (the log may have evicted early ones)
+	Gates      []GateState `json:"gates,omitempty"`
 }
 
 // Stats snapshots the engine's counters and per-class gate states.

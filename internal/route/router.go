@@ -601,9 +601,7 @@ func (r *Router) Submit(id string, rec trace.Record, fn func(serve.Response)) er
 		return err
 	}
 	if fn != nil {
-		a := res[0]
-		fn(serve.Response{Session: id, Seq: a.Seq, Hit: a.Hit, Late: a.Late,
-			Prefetches: a.Prefetches, Version: a.Version})
+		fn(serve.Response{Session: id, AccessResult: res[0]})
 	}
 	return nil
 }

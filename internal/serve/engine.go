@@ -113,17 +113,15 @@ var (
 	ErrSessionClosed  = errors.New("serve: session is closed")
 )
 
-// Response is what one served access produced.
+// Response is what one served access produced: its session and the result
+// every protocol reports. Seq counts per session from 1; Version is the
+// online model version that served the access (0: not an online session, or
+// no model query yet). Prefetches lists the block addresses issued (post
+// admission) and aliases a buffer the session reuses on its next access:
+// callbacks must consume or copy it before returning.
 type Response struct {
 	Session string
-	Seq     uint64 // per-session sequence number, starting at 1
-	Hit     bool
-	Late    bool
-	// Prefetches lists the block addresses issued (post admission). It
-	// aliases a buffer the session reuses on its next access: callbacks
-	// must consume or copy it before returning.
-	Prefetches []uint64
-	Version    uint64 // online model version that served this access (0: not an online session, or no model query yet)
+	AccessResult
 }
 
 // item is one queued access plus its completion callback — or, from the
@@ -173,16 +171,9 @@ func (s *session) run() {
 			s.runJob(it.job)
 			continue
 		}
-		st := s.step(it.rec)
+		r := s.step(it.rec)
 		if it.fn != nil {
-			it.fn(Response{
-				Session:    s.id,
-				Seq:        s.seq,
-				Hit:        st.Hit,
-				Late:       st.Late,
-				Prefetches: st.Prefetches,
-				Version:    s.ver,
-			})
+			it.fn(Response{Session: s.id, AccessResult: r})
 		}
 	}
 	s.res = s.sim.Result()
@@ -193,7 +184,7 @@ func (s *session) run() {
 // and the periodic stats snapshot. Every serving path — direct, JSON, and
 // binary frames — funnels through here, which is what keeps their results
 // bit-identical.
-func (s *session) step(rec trace.Record) sim.Step {
+func (s *session) step(rec trace.Record) AccessResult {
 	st := s.sim.Step(rec)
 	s.seq++
 	if s.ring != nil {
@@ -215,7 +206,7 @@ func (s *session) step(rec trace.Record) sim.Step {
 		s.snap = s.sim.Result()
 		s.snapMu.Unlock()
 	}
-	return st
+	return AccessResult{Seq: s.seq, Hit: st.Hit, Late: st.Late, Version: s.ver, Prefetches: st.Prefetches}
 }
 
 // sessionShards is how many slices the session map is split into.
@@ -618,10 +609,10 @@ type Stats struct {
 // distilled student and its teacher land on the same side of the prediction
 // threshold, per label, across every compared batch.
 type ABStats struct {
-	Batches uint64  // student batches shadow-compared
-	Labels  uint64  // per-label comparisons
-	Agree   uint64  // comparisons where student == teacher
-	Rate    float64 // Agree / Labels (0 when nothing compared yet)
+	Batches uint64  `json:"batches"`    // student batches shadow-compared
+	Labels  uint64  `json:"labels"`     // per-label comparisons
+	Agree   uint64  `json:"agree"`      // comparisons where student == teacher
+	Rate    float64 `json:"agree_rate"` // Agree / Labels (0 when nothing compared yet)
 }
 
 // StatsSnapshot gathers per-session snapshots without stopping the actors.

@@ -88,7 +88,7 @@ func TestPolicyVerb(t *testing.T) {
 		!strings.Contains(d.Reason, "forced") {
 		t.Fatalf("forced decision line: %+v", d)
 	}
-	if d.Seq != 1 || d.Time == "" {
+	if d.Seq != 1 || d.Time.IsZero() {
 		t.Fatalf("decision line missing seq/time: %+v", d)
 	}
 	if rep.Policy.Admitted != 1 {

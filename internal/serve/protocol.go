@@ -258,7 +258,7 @@ type StatsReply struct {
 	Batched  uint64       `json:"batched"`
 	MaxBatch int          `json:"max_batch"`
 	Online   *OnlineReply `json:"online,omitempty"`
-	AB       *ABReply     `json:"ab,omitempty"`
+	AB       *ABStats     `json:"ab,omitempty"`
 	Policy   *PolicyReply `json:"policy,omitempty"`
 
 	Backends []BackendStat `json:"backends,omitempty"`
@@ -274,22 +274,6 @@ type BackendStat struct {
 	Err      string `json:"error,omitempty"`
 }
 
-// ABReply is the wire form of the student tier's shadow-compare digest.
-type ABReply struct {
-	Batches   uint64  `json:"batches"`
-	Labels    uint64  `json:"labels"`
-	Agree     uint64  `json:"agree"`
-	AgreeRate float64 `json:"agree_rate"`
-}
-
-// abReply converts engine A/B stats to the wire form.
-func abReply(ab *ABStats) *ABReply {
-	if ab == nil {
-		return nil
-	}
-	return &ABReply{Batches: ab.Batches, Labels: ab.Labels, Agree: ab.Agree, AgreeRate: ab.Rate}
-}
-
 // OnlineReply is the wire form of the online learner's state: the served
 // model version, feedback ingest throughput, the online-loss trend, and —
 // when those tiers run — the student and dart classes' versions and
@@ -297,90 +281,15 @@ func abReply(ab *ABStats) *ABReply {
 // there is one struct, not a mirrored pair to keep in step.
 type OnlineReply = online.Stats
 
-// PolicyReply is the wire form of the promotion policy engine: lifetime
-// action counters, the per-class gate states, and — on the policy verb —
+// PolicyReply is the wire form of the promotion policy engine: whether it
+// is on, its counters and per-class gate states, and — on the policy verb —
 // the retained decision log, oldest first. The stats verb carries the
-// counters and gates only.
+// counters and gates only. Like OnlineReply it embeds the engine's own
+// snapshot, which carries the wire field names.
 type PolicyReply struct {
-	Enabled    bool           `json:"enabled"`
-	Admitted   uint64         `json:"admitted"`
-	Held       uint64         `json:"held"`
-	RolledBack uint64         `json:"rolled_back"`
-	Skipped    uint64         `json:"skipped"`
-	Decisions  uint64         `json:"decisions"`
-	Gates      []GateReply    `json:"gates,omitempty"`
-	Log        []DecisionLine `json:"log,omitempty"`
-}
-
-// GateReply is one class's gate state in a policy reply.
-type GateReply struct {
-	Class            string  `json:"class"`
-	PendingBatches   int     `json:"pending_batches"`
-	PendingAgreement float64 `json:"pending_agreement"`
-	LiveVersion      uint64  `json:"live_version,omitempty"`
-	LiveAgreement    float64 `json:"live_agreement"`
-	LiveWindows      uint64  `json:"live_windows"`
-	Divergent        int     `json:"divergent"`
-}
-
-// DecisionLine is one decision-log entry on the wire, evidence included.
-type DecisionLine struct {
-	Seq       uint64  `json:"seq"`
-	Time      string  `json:"time"` // RFC 3339, millisecond precision
-	Class     string  `json:"class"`
-	Action    string  `json:"action"`
-	Version   uint64  `json:"version,omitempty"`
-	Reason    string  `json:"reason"`
-	Agreement float64 `json:"agreement,omitempty"`
-	Batches   int     `json:"batches,omitempty"`
-	Labels    uint64  `json:"labels,omitempty"`
-	Cosine    float64 `json:"cosine,omitempty"`
-	Latency   int     `json:"latency_cycles,omitempty"`
-	Storage   int     `json:"storage_bytes,omitempty"`
-}
-
-// policyReply converts engine policy stats (and, when non-nil, the decision
-// log) to the wire form.
-func policyReply(st *online.PolicyStats, log []online.Decision) *PolicyReply {
-	if st == nil {
-		return nil
-	}
-	pr := &PolicyReply{
-		Enabled:    true,
-		Admitted:   st.Admitted,
-		Held:       st.Held,
-		RolledBack: st.RolledBack,
-		Skipped:    st.Skipped,
-		Decisions:  st.Decisions,
-	}
-	for _, g := range st.Gates {
-		pr.Gates = append(pr.Gates, GateReply{
-			Class:            g.Class,
-			PendingBatches:   g.PendingBatches,
-			PendingAgreement: g.PendingAgreement,
-			LiveVersion:      g.LiveVersion,
-			LiveAgreement:    g.LiveAgreement,
-			LiveWindows:      g.LiveWindows,
-			Divergent:        g.Divergent,
-		})
-	}
-	for _, d := range log {
-		pr.Log = append(pr.Log, DecisionLine{
-			Seq:       d.Seq,
-			Time:      d.Time.UTC().Format("2006-01-02T15:04:05.000Z07:00"),
-			Class:     d.Class,
-			Action:    d.Action,
-			Version:   d.Version,
-			Reason:    d.Reason,
-			Agreement: d.Agreement,
-			Batches:   d.Batches,
-			Labels:    d.Labels,
-			Cosine:    d.Cosine,
-			Latency:   d.LatencyCycles,
-			Storage:   d.StorageBytes,
-		})
-	}
-	return pr
+	Enabled bool `json:"enabled"`
+	online.PolicyStats
+	Log []online.Decision `json:"log,omitempty"`
 }
 
 // errReply builds a failure line.

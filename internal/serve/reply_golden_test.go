@@ -52,12 +52,12 @@ func goldenReplies(t *testing.T) []struct {
 		name string
 		rep  Reply
 	}{
-		{"policy gated", Reply{OK: true, Policy: policyReply(&st, goldenDecisions())}},
+		{"policy gated", Reply{OK: true, Policy: &PolicyReply{Enabled: true, PolicyStats: st, Log: goldenDecisions()}}},
 		{"policy ungated", policyVerb(testLearner(t, ""), Request{Op: "policy"})},
 		{"stats", Reply{OK: true, Stats: &StatsReply{
 			Sessions: 2, Accepted: 1000, Batches: 40, Batched: 640, MaxBatch: 16,
-			AB:     abReply(ab),
-			Policy: policyReply(&st, nil),
+			AB:     ab,
+			Policy: &PolicyReply{Enabled: true, PolicyStats: st},
 		}}},
 		{"access", AccessReply("s1", AccessResult{
 			Seq: 42, Hit: true, Late: true, Version: 3,

@@ -88,16 +88,19 @@ func Control(f Front, req Request, opened map[string]struct{}) Reply {
 // statsVerb answers a mid-stream engine snapshot.
 func statsVerb(e *Engine, _ Request) Reply {
 	st := e.StatsSnapshot()
-	return Reply{OK: true, Stats: &StatsReply{
+	rep := Reply{OK: true, Stats: &StatsReply{
 		Sessions: st.Sessions,
 		Accepted: st.Accepted,
 		Batches:  st.Batches,
 		Batched:  st.Batched,
 		MaxBatch: st.MaxBatch,
 		Online:   st.Online,
-		AB:       abReply(st.AB),
-		Policy:   policyReply(st.Policy, nil),
+		AB:       st.AB,
 	}}
+	if st.Policy != nil {
+		rep.Stats.Policy = &PolicyReply{Enabled: true, PolicyStats: *st.Policy}
+	}
+	return rep
 }
 
 // withLearner adapts a verb that addresses the online learner: a daemon
@@ -140,12 +143,10 @@ func classesVerb(l *online.Learner, _ Request) Reply {
 // disabled is a valid state, not an error: the reply says so explicitly, so
 // operators can distinguish "ungated" from "gated but quiet".
 func policyVerb(l *online.Learner, _ Request) Reply {
-	rep := Reply{OK: true, Policy: &PolicyReply{Enabled: false}}
 	if pol := l.Policy(); pol != nil {
-		st := pol.Stats()
-		rep.Policy = policyReply(&st, pol.Decisions())
+		return Reply{OK: true, Policy: &PolicyReply{Enabled: true, PolicyStats: pol.Stats(), Log: pol.Decisions()}}
 	}
-	return rep
+	return Reply{OK: true, Policy: &PolicyReply{}}
 }
 
 // writeLoop is a connection's writer: it writes the bytes of each queued
@@ -200,10 +201,7 @@ func handleJSON(f Front, conn net.Conn, br *bufio.Reader, opened map[string]stru
 			pending.Add(1)
 			err := f.Submit(req.Session, req.Record(), func(resp Response) {
 				defer pending.Done()
-				send(AccessReply(resp.Session, AccessResult{
-					Seq: resp.Seq, Hit: resp.Hit, Late: resp.Late,
-					Version: resp.Version, Prefetches: resp.Prefetches,
-				}))
+				send(AccessReply(resp.Session, resp.AccessResult))
 			})
 			if err != nil {
 				pending.Done()

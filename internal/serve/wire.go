@@ -319,10 +319,7 @@ func AppendResultsReply(buf []byte, batch bool, tag uint64, results []AccessResu
 func (s *session) runJob(j *WireJob) {
 	j.buf = beginResults(j.buf[:0], j.kind == FrameBatch, j.tag, s.seq+1, len(j.recs))
 	for i := range j.recs {
-		st := s.step(j.recs[i])
-		j.buf = appendResult(j.buf, AccessResult{
-			Hit: st.Hit, Late: st.Late, Version: s.ver, Prefetches: st.Prefetches,
-		})
+		j.buf = appendResult(j.buf, s.step(j.recs[i]))
 	}
 	j.buf = finishFrame(j.buf, 0)
 	j.out <- j
