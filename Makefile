@@ -80,14 +80,16 @@ docs-lint:
 	$(GO) run ./cmd/dart-doccheck -root .
 
 ## fuzz: timed coverage-guided fuzzing of the CSV trace reader, the
-## -matrix-spec parser, the DARTWIRE1 request decoder, the DARTTAB1 table
-## checkpoint decoder, the DARTCKP1 model checkpoint decoder and the
-## -policy-spec parser, FUZZTIME each (the per-PR tier replays the committed
-## corpora as ordinary tests; nightly runs 5m each)
+## -matrix-spec parser, the DARTWIRE1 request decoder, the JSON control
+## verbs answered by an in-process engine, the DARTTAB1 table checkpoint
+## decoder, the DARTCKP1 model checkpoint decoder and the -policy-spec
+## parser, FUZZTIME each (the per-PR tier replays the committed corpora and
+## seeds as ordinary tests; nightly runs 5m each)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanner -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseMatrixSpec -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzControl -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzTableCheckpoint -fuzztime $(FUZZTIME) ./internal/tabular
 	$(GO) test -run '^$$' -fuzz FuzzModelCheckpoint -fuzztime $(FUZZTIME) ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzParsePolicySpec -fuzztime $(FUZZTIME) ./internal/config

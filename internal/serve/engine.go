@@ -422,7 +422,8 @@ func (e *Engine) Open(id, prefetcher string, degree int) error {
 // weight; any other name is a rule-based prefetcher from the registry.
 // Sessions of a learner class are additionally tapped: their access/feedback
 // stream feeds online training, and their responses carry the model version
-// that served each access.
+// that served each access. A degree above the session machine's MaxDegree is
+// an error: the simulator would drop every candidate past it.
 func (e *Engine) OpenSession(id string, opt SessionOptions) error {
 	if id == "" {
 		return fmt.Errorf("serve: empty session id")
@@ -433,6 +434,9 @@ func (e *Engine) OpenSession(id string, opt SessionOptions) error {
 			return err
 		}
 		simCfg = *opt.SimCfg
+	}
+	if opt.Degree > simCfg.MaxDegree {
+		return fmt.Errorf("serve: degree %d exceeds the session machine's MaxDegree %d", opt.Degree, simCfg.MaxDegree)
 	}
 	s := &session{
 		id:    id,

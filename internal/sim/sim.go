@@ -127,13 +127,30 @@ func TwoLevelConfig() Config {
 	return c
 }
 
+const (
+	// MaxPrefetchQueue bounds Config.PrefetchQueue: NewSim allocates the
+	// queue up front, so the bound keeps a client-supplied config from
+	// asking for an impossible allocation. 64x the Table III queue.
+	MaxPrefetchQueue = 4096
+	// MaxPrefetchDegree bounds Config.MaxDegree, the prefetches one
+	// trigger may issue. 8x the Table III degree.
+	MaxPrefetchDegree = 64
+)
+
 // Validate reports configuration errors, including any cache geometry
-// NewCache would panic on, so a config from outside the process (a served
+// NewCache would panic on and any size past MaxPrefetchQueue or
+// MaxPrefetchDegree, so a config from outside the process (a served
 // session's open) is checked before it builds a simulator.
 func (c Config) Validate() error {
 	if c.CoreWidth <= 0 || c.ROBSize <= 0 || c.LLCBlocks <= 0 || c.LLCWays <= 0 ||
 		c.LLCHitLatency < 0 || c.LLCMSHRs <= 0 || c.DRAMLatency <= 0 || c.PrefetchQueue <= 0 {
 		return fmt.Errorf("sim: invalid config %+v", c)
+	}
+	if c.PrefetchQueue > MaxPrefetchQueue {
+		return fmt.Errorf("sim: PrefetchQueue %d exceeds the maximum of %d", c.PrefetchQueue, MaxPrefetchQueue)
+	}
+	if c.MaxDegree < 0 || c.MaxDegree > MaxPrefetchDegree {
+		return fmt.Errorf("sim: MaxDegree %d outside [0, %d]", c.MaxDegree, MaxPrefetchDegree)
 	}
 	if c.L2Blocks < 0 || (c.L2Blocks > 0 && (c.L2Ways <= 0 || c.L2HitLatency < 0)) {
 		return fmt.Errorf("sim: invalid L2 config %+v", c)

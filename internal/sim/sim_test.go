@@ -278,3 +278,31 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal("empty config should fail")
 	}
 }
+
+// TestValidateBoundsPrefetchSizes: a prefetch queue or degree past its
+// maximum is an error, not a NewSim that asks for an impossible allocation;
+// the maxima themselves build.
+func TestValidateBoundsPrefetchSizes(t *testing.T) {
+	for _, c := range []struct {
+		queue, degree int
+		ok            bool
+	}{
+		{MaxPrefetchQueue, MaxPrefetchDegree, true},
+		{1, 0, true},
+		{MaxPrefetchQueue + 1, 8, false},
+		{1 << 60, 8, false},
+		{64, MaxPrefetchDegree + 1, false},
+		{64, 1 << 40, false},
+		{64, -1, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.PrefetchQueue, cfg.MaxDegree = c.queue, c.degree
+		err := cfg.Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("PrefetchQueue %d MaxDegree %d: Validate = %v, want ok=%v", c.queue, c.degree, err, c.ok)
+		}
+		if err == nil {
+			NewSim(NoPrefetcher{}, cfg)
+		}
+	}
+}
