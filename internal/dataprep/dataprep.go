@@ -76,6 +76,14 @@ func (c Config) SegmentBlock(block uint64, dst []float64) {
 	}
 }
 
+// InputRow writes one access's model input features into row (length
+// InputDim): the block address's segments, then the normalised PC feature,
+// the PC's low 16 bits scaled to [0, 1].
+func (c Config) InputRow(block, pc uint64, row []float64) {
+	c.SegmentBlock(block, row[:c.Segments])
+	row[c.Segments] = float64(pc&0xFFFF) / 65535.0
+}
+
 // Dataset is a prepared training/evaluation set.
 type Dataset struct {
 	Cfg    Config
@@ -108,10 +116,7 @@ func Build(recs []trace.Record, cfg Config) (*Dataset, error) {
 		sm := ds.X.Sample(s)
 		for t := 0; t < cfg.History; t++ {
 			r := recs[s+t]
-			row := sm.Row(t)
-			cfg.SegmentBlock(r.Block(), row[:cfg.Segments])
-			// Normalised PC feature: low bits of the PC, hashed to [0, 1].
-			row[cfg.Segments] = float64(r.PC&0xFFFF) / 65535.0
+			cfg.InputRow(r.Block(), r.PC, sm.Row(t))
 		}
 		curBlock := recs[cur].Block()
 		ds.Blocks[s] = curBlock

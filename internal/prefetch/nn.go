@@ -108,9 +108,7 @@ func (p *NNPrefetcher) BuildInput(a sim.Access) (*mat.Matrix, bool) {
 		return nil, false
 	}
 	for t, h := range p.hist {
-		row := p.x.Row(t)
-		p.cfg.SegmentBlock(h.block, row[:p.cfg.Segments])
-		row[p.cfg.Segments] = float64(h.pc&0xFFFF) / 65535.0
+		p.cfg.InputRow(h.block, h.pc, p.x.Row(t))
 	}
 	return p.x, true
 }
