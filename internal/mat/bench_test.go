@@ -41,7 +41,7 @@ func BenchmarkMulTransB128(b *testing.B) {
 }
 
 // BenchmarkMatMul is the engine-vs-baseline grid: the seed's serial kernel
-// against ParMulInto at sizes 64..1024 and worker counts 1/2/4/GOMAXPROCS.
+// against parMulInto at sizes 64..1024 and worker counts 1/2/4/GOMAXPROCS.
 // make bench-ci requires par w4 >= 2x serial at the largest size measured
 // for both.
 func BenchmarkMatMul(b *testing.B) {
@@ -66,7 +66,7 @@ func BenchmarkMatMul(b *testing.B) {
 				defer par.SetMaxWorkers(0)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ParMulInto(dst, x, y)
+					parMulInto(dst, x, y)
 				}
 			})
 		}

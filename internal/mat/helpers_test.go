@@ -36,3 +36,21 @@ func maxAbs(m *Matrix) float64 {
 	}
 	return s
 }
+
+// parMulInto computes dst = a * b on the parallel blocked engine regardless
+// of operand size, forcing the engine MulInto uses only above its size
+// cutoff. dst must not alias a or b.
+func parMulInto(dst, a, b *Matrix) {
+	checkMulInto(dst, a, b)
+	dst.Zero()
+	dotEngine(dst, a, transposeData(b), b.Cols)
+}
+
+// sum returns the sum of all elements.
+func sum(m *Matrix) float64 {
+	var s float64
+	for _, v := range m.Data {
+		s += v
+	}
+	return s
+}

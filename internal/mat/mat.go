@@ -269,15 +269,6 @@ func (m *Matrix) RowSoftmax() *Matrix {
 	return m
 }
 
-// Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
-}
-
 // CosineSimilarity computes the cosine similarity of the flattened matrices.
 // It returns 0 when either operand is all-zero.
 func CosineSimilarity(a, b *Matrix) float64 {

@@ -188,7 +188,7 @@ func TestSliceCols(t *testing.T) {
 
 func TestNormAndSum(t *testing.T) {
 	m := FromSlice(1, 2, []float64{3, 4})
-	if got := m.Sum(); got != 7 {
+	if got := sum(m); got != 7 {
 		t.Fatalf("Sum = %v", got)
 	}
 }

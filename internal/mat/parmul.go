@@ -21,16 +21,6 @@ const (
 	panelCols = 64 // bt rows per cache panel, kept hot across a group span
 )
 
-// ParMulInto computes dst = a * b on the parallel blocked engine regardless
-// of operand size. dst must not alias a or b. MulInto dispatches here above
-// a size cutoff; call ParMulInto directly to force the engine for small
-// operands (useful for benchmarking and equivalence tests).
-func ParMulInto(dst, a, b *Matrix) {
-	checkMulInto(dst, a, b)
-	dst.Zero()
-	dotEngine(dst, a, transposeData(b), b.Cols)
-}
-
 // checkMulInto validates dst = a * b shapes (shared with MulInto).
 func checkMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {

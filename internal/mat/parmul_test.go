@@ -68,8 +68,8 @@ func TestParMulIntoMatchesSerialReference(t *testing.T) {
 			want := New(m, p)
 			mulRange(want, a, b, 0, m)
 			got := New(m, p)
-			ParMulInto(got, a, b)
-			requireClose(t, got, want, n, fmt.Sprintf("ParMulInto %dx%dx%d zf=%v", m, n, p, zf))
+			parMulInto(got, a, b)
+			requireClose(t, got, want, n, fmt.Sprintf("parMulInto %dx%dx%d zf=%v", m, n, p, zf))
 		}
 	}
 }
@@ -83,12 +83,12 @@ func TestParMulIntoBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		var serial *Matrix
 		withWorkers(1, func() {
 			serial = New(m, p)
-			ParMulInto(serial, a, b)
+			parMulInto(serial, a, b)
 		})
 		for _, w := range []int{2, 3, 4, 8} {
 			withWorkers(w, func() {
 				got := New(m, p)
-				ParMulInto(got, a, b)
+				parMulInto(got, a, b)
 				for i := range got.Data {
 					if got.Data[i] != serial.Data[i] {
 						t.Fatalf("shape %v: w=%d element %d = %v, serial = %v (must be bit-identical)",
@@ -102,17 +102,17 @@ func TestParMulIntoBitIdenticalAcrossWorkerCounts(t *testing.T) {
 
 func TestMulIntoLargePathIsEngine(t *testing.T) {
 	// Above the cutoff MulInto must take the exact same code path as
-	// ParMulInto, bit for bit.
+	// parMulInto, bit for bit.
 	rng := rand.New(rand.NewSource(11))
 	a := randomMatrix(rng, 80, 80, 0)
 	b := randomMatrix(rng, 80, 80, 0)
 	viaMul := New(80, 80)
 	MulInto(viaMul, a, b)
 	viaPar := New(80, 80)
-	ParMulInto(viaPar, a, b)
+	parMulInto(viaPar, a, b)
 	for i := range viaMul.Data {
 		if viaMul.Data[i] != viaPar.Data[i] {
-			t.Fatalf("element %d: MulInto %v != ParMulInto %v", i, viaMul.Data[i], viaPar.Data[i])
+			t.Fatalf("element %d: MulInto %v != parMulInto %v", i, viaMul.Data[i], viaPar.Data[i])
 		}
 	}
 }
@@ -181,10 +181,10 @@ func TestMulTransABitIdenticalAcrossWorkerCounts(t *testing.T) {
 
 func TestParMulIntoDegenerate(t *testing.T) {
 	// Zero-sized operands must not panic and must produce empty results.
-	ParMulInto(New(0, 5), New(0, 3), New(3, 5))
-	ParMulInto(New(4, 0), New(4, 2), New(2, 0))
+	parMulInto(New(0, 5), New(0, 3), New(3, 5))
+	parMulInto(New(4, 0), New(4, 2), New(2, 0))
 	got := New(3, 3)
-	ParMulInto(got, New(3, 0), New(0, 3))
+	parMulInto(got, New(3, 0), New(0, 3))
 	for i, v := range got.Data {
 		if v != 0 {
 			t.Fatalf("k=0 product element %d = %v, want 0", i, v)
@@ -199,7 +199,7 @@ func TestParMulIntoConcurrentCallers(t *testing.T) {
 	a := randomMatrix(rng, 96, 64, 0)
 	b := randomMatrix(rng, 64, 48, 0)
 	want := New(96, 48)
-	ParMulInto(want, a, b)
+	parMulInto(want, a, b)
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -207,7 +207,7 @@ func TestParMulIntoConcurrentCallers(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < 8; it++ {
 				got := New(96, 48)
-				ParMulInto(got, a, b)
+				parMulInto(got, a, b)
 				for i := range got.Data {
 					if got.Data[i] != want.Data[i] {
 						t.Errorf("concurrent result diverged at %d", i)
