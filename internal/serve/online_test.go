@@ -13,6 +13,7 @@ import (
 	"dart/internal/mat"
 	"dart/internal/nn"
 	"dart/internal/online"
+	"dart/internal/sim"
 )
 
 // onlineTestData keeps windows small so short session traces produce model
@@ -155,6 +156,48 @@ func TestOnlineHotSwapMidReplay(t *testing.T) {
 	// Drain (via Close) must have detached every tap from the learner.
 	if st := l.Stats(); st.Sessions != 0 {
 		t.Fatalf("%d taps still attached after drain", st.Sessions)
+	}
+}
+
+// TestTapCountsSessionOutcomes: every prefetch outcome a tapped session's
+// simulator counts reaches the learner's counters — late hits and first uses
+// in the LLC, and first uses in the private L2 that the LLC never sees. The
+// learner is never started, so nothing drains the ring until Stop.
+func TestTapCountsSessionOutcomes(t *testing.T) {
+	twoLevel := sim.TwoLevelConfig()
+	twoLevel.PrefetchFillL2 = true
+	for _, tc := range []struct {
+		name string
+		cfg  sim.Config
+	}{{"default", sim.DefaultConfig()}, {"two-level+pf-l2", twoLevel}} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := testLearner(t, t.TempDir())
+			e := NewEngine(Config{SimCfg: tc.cfg, Online: l})
+			if err := e.Open("s", "online", 4); err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range sessionTrace(5, 3000) {
+				if _, err := e.Access("s", rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Stop()
+			res, err := e.Close("s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := l.Stats()
+			if st.Dropped != 0 {
+				t.Fatalf("%d events dropped: the ring overflowed and the counts are partial", st.Dropped)
+			}
+			if st.Useful == 0 || st.Late == 0 {
+				t.Fatalf("useful %d, late %d: an outcome kind went unexercised", st.Useful, st.Late)
+			}
+			if st.Late != uint64(res.LateCovered) || st.Useful+st.Late != uint64(res.PrefetchUseful) {
+				t.Fatalf("learner saw useful %d + late %d, simulator counted useful %d (late %d)",
+					st.Useful, st.Late, res.PrefetchUseful, res.LateCovered)
+			}
+		})
 	}
 }
 
