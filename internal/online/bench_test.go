@@ -20,11 +20,7 @@ import (
 // invisible at serving throughput.
 func BenchmarkFeedbackIngest(b *testing.B) {
 	r := NewRing(4096)
-	ev := Event{
-		Access:   sim.Access{InstrID: 1, PC: 0x400000, Block: 1 << 14},
-		HasFB:    true,
-		Feedback: sim.Feedback{Block: 1 << 14, Kind: sim.FeedbackUseful},
-	}
+	ev := Event{Access: sim.Access{InstrID: 1, PC: 0x400000, Block: 1 << 14}, Useful: true}
 	drop := func(Event) {}
 	b.ReportAllocs()
 	b.ResetTimer()

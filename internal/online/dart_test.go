@@ -32,8 +32,7 @@ func streamExamples(t *testing.T, l *Learner, ring *Ring, want uint64) {
 		for i, r := range testRecords(31+round, 400) {
 			ev := Event{Access: sim.Access{InstrID: r.InstrID, PC: r.PC, Block: r.Block()}}
 			if i%4 == 0 {
-				ev.HasFB = true
-				ev.Feedback = sim.Feedback{Block: r.Block(), Kind: sim.FeedbackUseful}
+				ev.Useful = true
 			}
 			if !ring.Push(ev) {
 				t.Fatal("ring full: each round is drained before the next")

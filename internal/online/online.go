@@ -1,6 +1,6 @@
 // Package online closes the feedback→train→publish→swap loop around the
 // serving engine: a background continual-learning subsystem that turns the
-// prefetch-outcome feedback of live serve sessions into training minibatches,
+// demand-access stream of live serve sessions into training minibatches,
 // fine-tunes a shadow copy of the neural predictor with nn.Trainer at a
 // bounded duty cycle, and publishes immutable versioned snapshots that the
 // engine's admission batcher hot-swaps between inference batches.
@@ -39,7 +39,6 @@ import (
 	"dart/internal/kd"
 	"dart/internal/mat"
 	"dart/internal/nn"
-	"dart/internal/sim"
 	"dart/internal/tabular"
 )
 
@@ -549,12 +548,11 @@ func (l *Learner) drainAll() {
 	for _, t := range taps {
 		t.ring.Drain(func(ev Event) {
 			l.ingested.Add(1)
-			if ev.HasFB {
-				if ev.Feedback.Kind == sim.FeedbackUseful {
-					l.useful.Add(1)
-				} else {
-					l.late.Add(1)
-				}
+			if ev.Useful {
+				l.useful.Add(1)
+			}
+			if ev.Late {
+				l.late.Add(1)
 			}
 			t.bld.observe(ev.Access, l.addExample)
 		})
@@ -926,14 +924,14 @@ type Stats struct {
 	Sessions  int     `json:"sessions"`         // attached sessions
 	Ingested  uint64  `json:"ingested"`         // events consumed from session rings
 	Dropped   uint64  `json:"dropped"`          // events lost to full rings
-	Useful    uint64  `json:"useful"`           // FeedbackUseful events seen
-	Late      uint64  `json:"late"`             // FeedbackLate events seen
+	Useful    uint64  `json:"useful"`           // tapped accesses that first used a prefetched line
+	Late      uint64  `json:"late"`             // tapped accesses covered by an in-flight prefetch
 	Examples  uint64  `json:"examples"`         // training examples assembled
 	Trained   uint64  `json:"trained"`          // examples consumed by optimizer steps
 	Steps     uint64  `json:"steps"`            // optimizer steps taken
 	Loss      float64 `json:"loss"`             // online loss EWMA (fast horizon)
 	LossTrend float64 `json:"loss_trend"`       // fast minus slow EWMA; negative = improving
-	PerSec    float64 `json:"feedback_per_sec"` // feedback-event ingest throughput since start
+	PerSec    float64 `json:"feedback_per_sec"` // tapped-event ingest throughput since start
 
 	// Distilled-student tier; all zero when the tier is disabled.
 	StudentVersion   uint64  `json:"student_version,omitempty"`   // currently served student version

@@ -182,8 +182,7 @@ func TestLearnerTrainsAndSwaps(t *testing.T) {
 	for i, r := range recs {
 		ev := Event{Access: sim.Access{InstrID: r.InstrID, PC: r.PC, Block: r.Block()}}
 		if i%3 == 0 {
-			ev.HasFB = true
-			ev.Feedback = sim.Feedback{Block: r.Block(), Kind: sim.FeedbackUseful}
+			ev.Useful = true
 		}
 		for !ring.Push(ev) {
 			runtime.Gosched() // full ring: let the loop drain it

@@ -7,14 +7,11 @@ import (
 )
 
 // Event is one serving-side observation delivered to the learner: the demand
-// access a session just simulated plus, when the simulator reported one, the
-// prefetch-outcome feedback that preceded it (sim delivers OnFeedback
-// immediately before the OnAccess that observed the outcome, so the pair
-// arrives in trace order).
+// access a session just simulated and the prefetch outcome that access
+// observed, copied from its sim.Step (at most one of Useful and Late).
 type Event struct {
-	Access   sim.Access
-	HasFB    bool
-	Feedback sim.Feedback
+	Access       sim.Access
+	Useful, Late bool
 }
 
 // Ring is a bounded single-producer single-consumer lock-free event queue.

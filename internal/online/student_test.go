@@ -167,8 +167,7 @@ func TestLearnerDistillsStudent(t *testing.T) {
 		for i, r := range testRecords(9+round, 500) {
 			ev := Event{Access: sim.Access{InstrID: r.InstrID, PC: r.PC, Block: r.Block()}}
 			if i%3 == 0 {
-				ev.HasFB = true
-				ev.Feedback = sim.Feedback{Block: r.Block(), Kind: sim.FeedbackUseful}
+				ev.Useful = true
 			}
 			if !ring.Push(ev) {
 				t.Fatal("ring full: a tick drains it before the next round")

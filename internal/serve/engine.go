@@ -65,7 +65,7 @@ type Config struct {
 	// mixes versions, a hot swap lands between batches — and degrades to
 	// its source class (student → teacher, dart → student) while it has
 	// published nothing yet. Sessions of these classes are tapped: their
-	// access/feedback stream feeds the learner's training loop, and their
+	// access/outcome stream feeds the learner's training loop, and their
 	// responses carry the version that served each access. A learner "dart"
 	// class replaces the static Model-backed one above. The learner's
 	// lifecycle (Start/Stop) belongs to the caller.
@@ -145,13 +145,10 @@ type session struct {
 	// Model-class session state, zero otherwise. ver is written by the
 	// batchedModel predictor inside Step and read after it (0 for the
 	// unversioned static tables); ring, set for learner classes only,
-	// receives the access/feedback event stream; pendFB stages the feedback
-	// the simulator delivers synchronously inside Step. All of it is
-	// touched only on the actor goroutine.
-	ver    uint64
-	ring   *online.Ring
-	pendFB sim.Feedback
-	hasFB  bool
+	// receives each access with its prefetch outcome. Both are touched only
+	// on the actor goroutine.
+	ver  uint64
+	ring *online.Ring
 
 	// sendMu guards the inbox against close-while-sending: Submit sends
 	// under the read lock (many producers, possibly blocking on a full
@@ -188,18 +185,13 @@ func (s *session) step(rec trace.Record) AccessResult {
 	st := s.sim.Step(rec)
 	s.seq++
 	if s.ring != nil {
-		// Tap the access (and the outcome feedback sim delivered
-		// inside this Step, if any) into the learner's ring. Push is
-		// lock-free and lossy: training never backpressures serving.
-		ev := online.Event{Access: sim.Access{
-			InstrID: rec.InstrID, PC: rec.PC,
-			Block: rec.Block(), Hit: st.Hit,
-		}}
-		if s.hasFB {
-			ev.HasFB, ev.Feedback = true, s.pendFB
-			s.hasFB = false
-		}
-		s.ring.Push(ev)
+		// Tap the access and its prefetch outcome into the learner's
+		// ring. Push is lock-free and lossy: training never
+		// backpressures serving.
+		s.ring.Push(online.Event{
+			Access: sim.Access{InstrID: rec.InstrID, PC: rec.PC, Block: rec.Block(), Hit: st.Hit},
+			Useful: st.Useful, Late: st.Late,
+		})
 	}
 	if s.seq%256 == 0 {
 		s.snapMu.Lock()
@@ -420,7 +412,7 @@ func (e *Engine) Open(id, prefetcher string, degree int) error {
 // NNPrefetcher over that class's batcher, with the class's modelled cost in
 // the simulator and its queries admitted under opt.Tenant's fair-share
 // weight; any other name is a rule-based prefetcher from the registry.
-// Sessions of a learner class are additionally tapped: their access/feedback
+// Sessions of a learner class are additionally tapped: their access/outcome
 // stream feeds online training, and their responses carry the model version
 // that served each access. A degree above the session machine's MaxDegree is
 // an error: the simulator would drop every candidate past it.
@@ -448,14 +440,6 @@ func (e *Engine) OpenSession(id string, opt SessionOptions) error {
 	var pf sim.Prefetcher
 	if class != nil {
 		pf = class.prefetcher(opt.Tenant, &s.ver, opt.Degree)
-		if class.tapped {
-			// The fan-out listener stages the feedback sim delivers inside
-			// Step; the actor pairs it with the access and pushes both into
-			// the learner's ring after the step.
-			pf = sim.FanOutFeedback(pf, func(fb sim.Feedback) {
-				s.pendFB, s.hasFB = fb, true
-			})
-		}
 	} else {
 		var err error
 		pf, err = e.cfg.Registry.New(opt.Prefetcher, opt.Degree)

@@ -275,7 +275,7 @@ type BackendStat struct {
 }
 
 // OnlineReply is the wire form of the online learner's state: the served
-// model version, feedback ingest throughput, the online-loss trend, and —
+// model version, event ingest throughput, the online-loss trend, and —
 // when those tiers run — the student and dart classes' versions and
 // counters. The learner's own snapshot carries the wire field names, so
 // there is one struct, not a mirrored pair to keep in step.

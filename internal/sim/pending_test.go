@@ -19,18 +19,12 @@ import (
 // still in flight on streaming traces, so late hits happen. The
 // never-demanded blocks all map to set 0 of both caches and are offered
 // again eight calls later, when many have been evicted, so evicted prefetches
-// are admitted again and pollution is counted. Every feedback event is
-// folded into sum.
+// are admitted again and pollution is counted.
 type adversary struct {
 	latency int
 	n       uint64
 	prev    []uint64 // last call's new candidates
 	buf     []uint64 // the slice OnAccess returns, reused
-	sum     hash.Hash64
-}
-
-func newAdversary(latency int) *adversary {
-	return &adversary{latency: latency, sum: fnv.New64a()}
 }
 
 func (p *adversary) Name() string { return "adversary" }
@@ -59,20 +53,13 @@ func (p *adversary) OnAccess(a Access) []uint64 {
 // 0 of the default LLC (8192 sets) and of the two-level L2 (1024 sets).
 func conflict(n, i uint64) uint64 { return 1<<40 + (n*8+i)<<13 }
 
-func (p *adversary) OnFeedback(fb Feedback) {
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[0:], fb.Block)
-	binary.LittleEndian.PutUint64(b[8:], uint64(fb.Kind))
-	p.sum.Write(b[:])
-}
-
 func (p *adversary) Latency() int      { return p.latency }
 func (p *adversary) StorageBytes() int { return 0 }
 
 // pendingGolden is one recorded run of the adversary: the configuration, the
 // trace, and the exact Result, plus an FNV-64a digest of every Step report
-// (hit, late, stall bits, issued blocks) and of every feedback event's block
-// and kind in order.
+// (hit, late, stall bits, issued blocks) and of every prefetch outcome's
+// block and kind (0 useful, 1 late) in order.
 type pendingGolden struct {
 	cfg, trace    string
 	queue         int
@@ -82,7 +69,7 @@ type pendingGolden struct {
 
 // pendingGoldens were recorded at commit b6b3bf7, whose simulator also kept a
 // block -> index map of the pending queue; the feedback digests were
-// re-recorded when they stopped hashing the event cycle.
+// re-recorded when they stopped hashing the outcome's cycle.
 var pendingGoldens = []pendingGolden{
 	{"default", "seq", 4, 0xe3ea30ebebfd6c69, 0x617d5768060bf5e4, Result{Prefetcher: "adversary", Instructions: 11997, Cycles: 150929, IPC: 0.0794877061399731, Accesses: 3000, L2Hits: 0, DemandHits: 0, DemandMisses: 1, LateCovered: 2999, PrefetchIssued: 3003, PrefetchUseful: 2999, PrefetchDropped: 86926, Pollution: 0, L2Pollution: 0}},
 	{"default", "mixed", 4, 0xb48d62a99c6a8573, 0x19003b49ecb82d1c, Result{Prefetcher: "adversary", Instructions: 61361, Cycles: 408290.25, IPC: 0.15028769361991867, Accesses: 3000, L2Hits: 0, DemandHits: 308, DemandMisses: 2053, LateCovered: 639, PrefetchIssued: 3541, PrefetchUseful: 907, PrefetchDropped: 104073, Pollution: 4, L2Pollution: 0}},
@@ -112,19 +99,27 @@ var pendingConfigs = map[string]func() Config{
 }
 
 // runAdversary replays recs with a fresh adversary and returns the Result,
-// the Step and feedback digests, and whether the pending queue ever held
+// the Step and outcome digests, and whether the pending queue ever held
 // PrefetchQueue fills.
 func runAdversary(recs []trace.Record, cfg Config) (res Result, steps, fbacks uint64, fullQueue bool) {
-	pf := newAdversary(30)
-	s := NewSim(pf, cfg)
-	h := fnv.New64a()
+	s := NewSim(&adversary{latency: 30}, cfg)
+	h, fb := fnv.New64a(), fnv.New64a()
 	var b [8]byte
-	word := func(v uint64) {
+	put := func(h hash.Hash64, v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
+	word := func(v uint64) { put(h, v) }
 	for _, r := range recs {
 		st := s.Step(r)
+		if st.Useful || st.Late {
+			put(fb, r.Block())
+			if st.Late {
+				put(fb, 1)
+			} else {
+				put(fb, 0)
+			}
+		}
 		flags := uint64(0)
 		if st.Hit {
 			flags |= 1
@@ -140,7 +135,7 @@ func runAdversary(recs []trace.Record, cfg Config) (res Result, steps, fbacks ui
 		}
 		fullQueue = fullQueue || len(s.pending) == cfg.PrefetchQueue
 	}
-	return s.Result(), h.Sum64(), pf.sum.Sum64(), fullQueue
+	return s.Result(), h.Sum64(), fb.Sum64(), fullQueue
 }
 
 // TestFillsInstallInIssueOrder: fills that complete by the same cycle
@@ -161,7 +156,7 @@ func TestFillsInstallInIssueOrder(t *testing.T) {
 
 // TestPendingQueueGolden pins the simulator's in-flight bookkeeping — fill
 // order, drops at MaxDegree and at a full PrefetchQueue, late hits and the
-// feedback they raise — on one-level and two-level machines with a small and
+// outcomes Step reports — on one-level and two-level machines with a small and
 // the default prefetch queue. Each run must also reach every edge it pins:
 // late hits happen and the queue fills to capacity.
 func TestPendingQueueGolden(t *testing.T) {

@@ -26,38 +26,6 @@ type Prefetcher interface {
 	StorageBytes() int
 }
 
-// FeedbackKind classifies a prefetch-outcome event.
-type FeedbackKind int
-
-const (
-	// FeedbackUseful: a demand access hit a line a prefetch had already
-	// installed — the prediction was fully timely.
-	FeedbackUseful FeedbackKind = iota
-	// FeedbackLate: a demand access arrived while the prefetch fill was
-	// still in flight — the prediction was correct but late.
-	FeedbackLate
-)
-
-// Feedback is the outcome signal the simulator reports back to prefetchers
-// that opt in via FeedbackPrefetcher: which block the event concerns, how the
-// prefetch fared, and the cycle it happened. Online predictors use it to
-// update their training units while serving (accuracy-driven throttling,
-// table refresh, reinforcement of confirmed deltas).
-type Feedback struct {
-	Block uint64
-	Kind  FeedbackKind
-	Cycle uint64
-}
-
-// FeedbackPrefetcher is implemented by prefetchers that want prefetch-outcome
-// feedback. The simulator calls OnFeedback synchronously, immediately before
-// the OnAccess that observed the outcome, so an online learner sees the
-// signal in trace order.
-type FeedbackPrefetcher interface {
-	Prefetcher
-	OnFeedback(Feedback)
-}
-
 // NoPrefetcher is the baseline.
 type NoPrefetcher struct{}
 
@@ -222,10 +190,16 @@ type pendingFill struct {
 // Step reports what one simulated access did, for callers (the serving
 // engine, online trainers) that need per-access visibility rather than the
 // aggregate Result.
+//
+// Useful and Late are the prefetch outcome this access observed, at most one
+// of them: Useful on the first demand use of a line a prefetch had already
+// installed, in the LLC or (PrefetchFillL2) the private L2; Late when the
+// access arrived while the line's prefetch fill was still in flight.
 type Step struct {
-	Hit   bool    // demand hit (line was resident)
-	Late  bool    // covered by an in-flight prefetch
-	Stall float64 // cycles the core stalled on this access
+	Hit    bool    // demand hit (line was resident)
+	Useful bool    // first demand use of a prefetched line
+	Late   bool    // covered by an in-flight prefetch
+	Stall  float64 // cycles the core stalled on this access
 
 	// Prefetches lists the block addresses issued this step (post
 	// admission). It aliases a buffer owned by the Sim and reused on the
@@ -241,7 +215,6 @@ type Step struct {
 type Sim struct {
 	cfg Config
 	pf  Prefetcher
-	fb  FeedbackPrefetcher // non-nil when pf wants outcome feedback
 
 	llc      *Cache
 	l2       *Cache // private L2 in front of the LLC; nil in single-level mode
@@ -274,7 +247,6 @@ func NewSim(pf Prefetcher, cfg Config) *Sim {
 		hide:    float64(cfg.ROBSize) / float64(cfg.CoreWidth),
 		pending: make([]pendingFill, 0, cfg.PrefetchQueue),
 	}
-	s.fb, _ = pf.(FeedbackPrefetcher)
 	if cfg.L2Blocks > 0 {
 		s.l2 = NewCache(cfg.L2Blocks, cfg.L2Ways)
 	}
@@ -370,9 +342,7 @@ func (s *Sim) Step(r trace.Record) Step {
 				// not later miscounted as pollution.
 				s.res.PrefetchUseful++
 				s.llc.MarkUsed(block)
-				if s.fb != nil {
-					s.fb.OnFeedback(Feedback{Block: block, Kind: FeedbackUseful, Cycle: uint64(s.cycle)})
-				}
+				info.Useful = true
 			}
 			if lat := float64(cfg.L2HitLatency); lat > s.hide {
 				stall = lat - s.hide
@@ -388,9 +358,7 @@ func (s *Sim) Step(r trace.Record) Step {
 		s.res.DemandHits++
 		if firstUse {
 			s.res.PrefetchUseful++
-			if s.fb != nil {
-				s.fb.OnFeedback(Feedback{Block: block, Kind: FeedbackUseful, Cycle: uint64(s.cycle)})
-			}
+			info.Useful = true
 		}
 		lat := float64(cfg.LLCHitLatency)
 		if lat > s.hide {
@@ -407,9 +375,6 @@ func (s *Sim) Step(r trace.Record) Step {
 		s.res.LateCovered++
 		s.res.PrefetchUseful++
 		info.Late = true
-		if s.fb != nil {
-			s.fb.OnFeedback(Feedback{Block: block, Kind: FeedbackLate, Cycle: uint64(s.cycle)})
-		}
 		lat := remain + float64(cfg.LLCHitLatency)
 		if lat > s.hide {
 			stall = lat - s.hide

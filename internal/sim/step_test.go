@@ -101,61 +101,34 @@ func TestMidStreamResultSnapshot(t *testing.T) {
 	}
 }
 
-// feedbackRecorder wraps a prefetcher and records outcome feedback.
-type feedbackRecorder struct {
-	Prefetcher
-	events []Feedback
-}
-
-func (f *feedbackRecorder) OnFeedback(fb Feedback) { f.events = append(f.events, fb) }
-
-// TestFeedbackMatchesCounters: the online-training hook must fire exactly
-// once per useful/late prefetch, in trace order.
+// TestFeedbackMatchesCounters: each Step reports at most one outcome, and
+// the outcomes it reports add up to the useful/late prefetch counters.
 func TestFeedbackMatchesCounters(t *testing.T) {
 	recs := testTrace(5, 8000)
 	cfg := DefaultConfig()
 	cfg.LLCBlocks = 4096
-	rec := &feedbackRecorder{Prefetcher: &steppedStride{degree: 3}}
-	s := NewSim(rec, cfg)
-	for _, r := range recs {
-		s.Step(r)
-	}
-	res := s.Result()
+	s := NewSim(&steppedStride{degree: 3}, cfg)
 	var useful, late int
-	var prevCycle uint64
-	for _, e := range rec.events {
-		switch e.Kind {
-		case FeedbackUseful:
+	for _, r := range recs {
+		st := s.Step(r)
+		if st.Useful && st.Late {
+			t.Fatalf("access %d reported both a useful and a late prefetch", r.InstrID)
+		}
+		if st.Useful {
 			useful++
-		case FeedbackLate:
+		}
+		if st.Late {
 			late++
 		}
-		if e.Cycle < prevCycle {
-			t.Fatalf("feedback out of order: cycle %d after %d", e.Cycle, prevCycle)
-		}
-		prevCycle = e.Cycle
 	}
+	res := s.Result()
 	if late != res.LateCovered {
-		t.Fatalf("late feedback %d != LateCovered %d", late, res.LateCovered)
+		t.Fatalf("late steps %d != LateCovered %d", late, res.LateCovered)
 	}
 	if useful+late != res.PrefetchUseful {
-		t.Fatalf("feedback events %d != PrefetchUseful %d", useful+late, res.PrefetchUseful)
+		t.Fatalf("outcome steps %d != PrefetchUseful %d", useful+late, res.PrefetchUseful)
 	}
 	if res.PrefetchUseful == 0 {
-		t.Fatal("test trace produced no useful prefetches; feedback untested")
-	}
-}
-
-// TestFeedbackDoesNotChangeResult: opting into feedback (without acting on
-// it) must leave the simulation bit-identical.
-func TestFeedbackDoesNotChangeResult(t *testing.T) {
-	recs := testTrace(11, 6000)
-	cfg := DefaultConfig()
-	cfg.LLCBlocks = 4096
-	plain := Run(recs, &steppedStride{degree: 3}, cfg)
-	wrapped := Run(recs, &feedbackRecorder{Prefetcher: &steppedStride{degree: 3}}, cfg)
-	wrapped.Prefetcher = plain.Prefetcher
-	if plain != wrapped {
-		t.Fatalf("feedback observer changed the result:\n got %+v\nwant %+v", wrapped, plain)
+		t.Fatal("test trace produced no useful prefetches; outcomes untested")
 	}
 }
