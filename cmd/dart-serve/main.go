@@ -317,7 +317,8 @@ func run(args []string) error {
 // buildLearner wires the continual-learning subsystem: the architecture is
 // the DART student shape, warm-started from the trained student when the
 // static model was pretrained, random otherwise; a checkpoint in dir always
-// wins (recovery). With student set, the distilled-student tier is enabled
+// wins (recovery). The teacher's latency and storage are modelled from its
+// architecture with the systolic-array complexity model. With student set, the distilled-student tier is enabled
 // on the compact architecture config.PolicySpec.Serving derives from the
 // spec, its latency and storage modelled with the systolic-array complexity
 // model; with dart set, the duty-cycled tabularizer additionally publishes
@@ -336,14 +337,12 @@ func buildLearner(art *core.Artifacts, dir string, swapInterval time.Duration, s
 		DModel: 32, DFF: 64, DOut: data.OutputDim(), Heads: 2, Layers: 1,
 	}
 	var warm nn.Layer
-	latency, storage := 40, 1<<16
 	if art != nil {
 		data = art.Opt.Data
 		tcfg = art.Chosen.Model.Transformer()
 		warm = art.Student
-		latency = config.NNLatency(art.Chosen.Model)
-		storage = config.NNStorageBits(art.Chosen.Model, 32) / 8
 	}
+	tmodel := config.ModelOf(tcfg)
 	scfg, tab, err := spec.Serving(tcfg, online.DefaultTabularConfig())
 	if err != nil {
 		return nil, err
@@ -356,8 +355,8 @@ func buildLearner(art *core.Artifacts, dir string, swapInterval time.Duration, s
 		Init:         warm,
 		Dir:          dir,
 		SwapInterval: swapInterval,
-		Latency:      latency,
-		StorageBytes: storage,
+		Latency:      config.NNLatency(tmodel),
+		StorageBytes: config.NNStorageBits(tmodel, 32) / 8,
 		Seed:         7,
 	}
 	if student {

@@ -12,6 +12,7 @@ import (
 	"dart/internal/config"
 	"dart/internal/dataprep"
 	"dart/internal/loadgen"
+	"dart/internal/nn"
 	"dart/internal/online"
 )
 
@@ -75,6 +76,30 @@ func TestBuildLearnerTiers(t *testing.T) {
 	if class(t, again, online.TeacherClass).Version() != class(t, full, online.TeacherClass).Version() ||
 		class(t, again, online.StudentClass).Version() != class(t, full, online.StudentClass).Version() {
 		t.Fatal("restart did not recover the published classes")
+	}
+}
+
+// TestBuildLearnerTeacherCost: without a pretrained model the online
+// teacher is still charged the modelled cost of its architecture, so it
+// stays dearer than the student distilled from it.
+func TestBuildLearnerTeacherCost(t *testing.T) {
+	l, err := buildLearner(nil, "", -1, true, -1, false, -1, false, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := dataprep.Default()
+	m := config.ModelOf(nn.TransformerConfig{
+		T: data.History, DIn: data.InputDim(),
+		DModel: 32, DFF: 64, DOut: data.OutputDim(), Heads: 2, Layers: 1,
+	})
+	latency, storage := class(t, l, online.TeacherClass).Cost()
+	if want, wantB := config.NNLatency(m), config.NNStorageBits(m, 32)/8; latency != want || storage != wantB {
+		t.Fatalf("teacher charged %d cycles / %d B, want its model's %d cycles / %d B", latency, storage, want, wantB)
+	}
+	sLatency, sStorage := class(t, l, online.StudentClass).Cost()
+	if latency <= sLatency || storage <= sStorage {
+		t.Fatalf("teacher costs %d cycles / %d B, not above its student's %d cycles / %d B",
+			latency, storage, sLatency, sStorage)
 	}
 }
 
