@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -306,6 +308,18 @@ func TestRoutedAccessAndStats(t *testing.T) {
 	}
 	if placed != sessions {
 		t.Fatalf("backend rows account for %d sessions, want %d", placed, sessions)
+	}
+	// A healthy row's wire form carries exactly these keys (docs/PROTOCOL.md).
+	raw, err := json.Marshal(rep.Stats.Backends[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := slices.Sorted(maps.Keys(keys)), []string{"addr", "healthy", "name", "sessions"}; !slices.Equal(got, want) {
+		t.Fatalf("backend row keys %v, want %v", got, want)
 	}
 
 	for i := 0; i < sessions; i++ {

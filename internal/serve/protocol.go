@@ -270,7 +270,6 @@ type BackendStat struct {
 	Addr     string `json:"addr"`
 	Healthy  bool   `json:"healthy"`
 	Sessions int    `json:"sessions"` // router sessions currently owned by this backend
-	Tenants  int    `json:"tenants"`  // tenants the ring currently assigns to it
 	Err      string `json:"error,omitempty"`
 }
 
