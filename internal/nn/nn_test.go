@@ -158,35 +158,6 @@ func TestMSELoss(t *testing.T) {
 	}
 }
 
-func TestSGDReducesLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	l := NewLinear("lin", 3, 1, rng)
-	x := randTensor(rng, 16, 1, 3)
-	y := mat.NewTensor(16, 1, 1)
-	for n := 0; n < 16; n++ {
-		s := x.Sample(n).Row(0)
-		if s[0]+s[1] > 0 {
-			y.Sample(n).Data[0] = 1
-		}
-	}
-	opt := &SGD{LR: 0.5}
-	first := -1.0
-	var last float64
-	for e := 0; e < 50; e++ {
-		logits, back := l.Train(x)
-		loss, grad := BCEWithLogits(logits, y)
-		back(grad)
-		opt.Step(l.Params())
-		if first < 0 {
-			first = loss
-		}
-		last = loss
-	}
-	if last >= first {
-		t.Fatalf("SGD failed to reduce loss: %v -> %v", first, last)
-	}
-}
-
 func TestAdamTrainsTransformerOnSyntheticTask(t *testing.T) {
 	// The model must learn "label j is set iff mean of feature j over the
 	// sequence is positive" — exercising attention, FFN, pooling, and head.

@@ -11,29 +11,6 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// SGD is plain stochastic gradient descent with optional gradient clipping.
-type SGD struct {
-	LR   float64
-	Clip float64 // max |g| per element; 0 disables
-}
-
-// Step applies one SGD update and zeroes the gradients.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		for i, g := range p.G.Data {
-			if o.Clip > 0 {
-				if g > o.Clip {
-					g = o.Clip
-				} else if g < -o.Clip {
-					g = -o.Clip
-				}
-			}
-			p.W.Data[i] -= o.LR * g
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements the Adam optimizer with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
