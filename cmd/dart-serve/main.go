@@ -317,11 +317,11 @@ func run(args []string) error {
 // buildLearner wires the continual-learning subsystem: the architecture is
 // the DART student shape, warm-started from the trained student when the
 // static model was pretrained, random otherwise; a checkpoint in dir always
-// wins (recovery). The teacher's latency and storage are modelled from its
-// architecture with the systolic-array complexity model. With student set, the distilled-student tier is enabled
-// on the compact architecture config.PolicySpec.Serving derives from the
-// spec, its latency and storage modelled with the systolic-array complexity
-// model; with dart set, the duty-cycled tabularizer additionally publishes
+// wins (recovery). Its latency and storage are modelled from its
+// architecture with the systolic-array complexity model. With student set,
+// the distilled-student tier is enabled on the compact architecture
+// config.PolicySpec.Serving derives from the spec, modelled the same way;
+// with dart set, the duty-cycled tabularizer additionally publishes
 // the student's table hierarchy as the versioned "dart" class, on the
 // kernel Serving derives. dart-train's distillServeStudent derives its
 // tiers through the same call, so its checkpoints restore here. With gate
