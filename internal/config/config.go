@@ -77,6 +77,7 @@ func NNLatency(m ModelConfig) int {
 // NNParams counts scalar parameters of the model.
 func NNParams(m ModelConfig) int {
 	p := m.DI*m.DA + m.DA            // input projection
+	p += m.T * m.DA                  // positional embedding
 	perLayer := 4*(m.DA*m.DA+m.DA) + // QKV + output projections
 		2*m.DA + // LN1
 		m.DA*m.DF + m.DF + m.DF*m.DA + m.DA + // FFN

@@ -252,3 +252,26 @@ func TestConfigureStudentWithinBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestNNParamsMatchesBuilt pins the analytic parameter count to the network
+// nn builds for every model shape of DefaultSpace.
+func TestNNParamsMatchesBuilt(t *testing.T) {
+	seen := map[ModelConfig]bool{}
+	for _, c := range DefaultSpace(8, 10, 64, 64) {
+		m := c.Model
+		if seen[m] {
+			continue
+		}
+		seen[m] = true
+		built := 0
+		for _, p := range nn.NewTransformerPredictor(m.Transformer(), rand.New(rand.NewSource(1))).Params() {
+			built += len(p.W.Data)
+		}
+		if got := NNParams(m); got != built {
+			t.Errorf("%+v: NNParams = %d, built network has %d", m, got, built)
+		}
+	}
+	if len(seen) != 12 {
+		t.Fatalf("DefaultSpace has %d model shapes, want 12", len(seen))
+	}
+}
