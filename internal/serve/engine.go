@@ -17,8 +17,8 @@
 //     online learner's teacher → student → dart table) do not query the
 //     model directly: they publish their prepared input to their class's
 //     admission batcher, which coalesces concurrently-arriving queries from
-//     many sessions into one batched inference call on the shared
-//     internal/par worker pool. The engine keeps one class table; every row
+//     many sessions into one batched inference call whose kernels fan
+//     out through internal/par. The engine keeps one class table; every row
 //     is built by the same constructor (addClass).
 //   - Every session drives an incremental sim.Sim, so per-session statistics
 //     are bit-identical to an offline sim.Run over the same records.
@@ -156,9 +156,6 @@ type session struct {
 	// never touches sendMu, so a blocked producer always drains.
 	sendMu sync.RWMutex
 	closed bool
-
-	snapMu sync.Mutex // guards snap for mid-stream stats
-	snap   sim.Result
 }
 
 func (s *session) run() {
@@ -177,8 +174,8 @@ func (s *session) run() {
 }
 
 // step advances the session's simulator by one record and performs the
-// per-access actor bookkeeping: the sequence number, the learner ring tap,
-// and the periodic stats snapshot. Every serving path — direct, JSON, and
+// per-access actor bookkeeping: the sequence number and the learner ring
+// tap. Every serving path — direct, JSON, and
 // binary frames — funnels through here, which is what keeps their results
 // bit-identical.
 func (s *session) step(rec trace.Record) AccessResult {
@@ -192,11 +189,6 @@ func (s *session) step(rec trace.Record) AccessResult {
 			Access: sim.Access{InstrID: rec.InstrID, PC: rec.PC, Block: rec.Block(), Hit: st.Hit},
 			Useful: st.Useful, Late: st.Late,
 		})
-	}
-	if s.seq%256 == 0 {
-		s.snapMu.Lock()
-		s.snap = s.sim.Result()
-		s.snapMu.Unlock()
 	}
 	return AccessResult{Seq: s.seq, Hit: st.Hit, Late: st.Late, Version: s.ver, Prefetches: st.Prefetches}
 }
@@ -581,16 +573,15 @@ func (e *Engine) Sessions() []string {
 // Stats is a mid-stream engine snapshot. The batch counters aggregate every
 // model class's admission batcher.
 type Stats struct {
-	Sessions   int
-	Accepted   uint64 // accesses admitted since start
-	Batches    uint64 // model batches dispatched
-	Batched    uint64 // model queries served through batches
-	MaxBatch   int    // largest batch dispatched so far
-	PerSession map[string]sim.Result
-	Tenants    map[string]TenantAdmission // fair-share admission view, all batchers
-	Online     *online.Stats              // nil unless the engine has a learner
-	AB         *ABStats                   // nil unless shadow-compare is enabled
-	Policy     *online.PolicyStats        // nil unless the promotion policy engine is on
+	Sessions int
+	Accepted uint64                     // accesses admitted since start
+	Batches  uint64                     // model batches dispatched
+	Batched  uint64                     // model queries served through batches
+	MaxBatch int                        // largest batch dispatched so far
+	Tenants  map[string]TenantAdmission // fair-share admission view, all batchers
+	Online   *online.Stats              // nil unless the engine has a learner
+	AB       *ABStats                   // nil unless shadow-compare is enabled
+	Policy   *online.PolicyStats        // nil unless the promotion policy engine is on
 }
 
 // ABStats is the student tier's A/B shadow-compare digest: how often the
@@ -603,22 +594,13 @@ type ABStats struct {
 	Rate    float64 `json:"agree_rate"` // Agree / Labels (0 when nothing compared yet)
 }
 
-// StatsSnapshot gathers per-session snapshots without stopping the actors.
-// Session results lag by up to the snapshot interval (256 accesses).
+// StatsSnapshot gathers the engine's counters without stopping the actors.
 func (e *Engine) StatsSnapshot() Stats {
-	st := Stats{
-		Accepted:   e.accepted.Load(),
-		PerSession: make(map[string]sim.Result),
-	}
+	st := Stats{Accepted: e.accepted.Load()}
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.RLock()
-		for id, s := range sh.m {
-			st.Sessions++
-			s.snapMu.Lock()
-			st.PerSession[id] = s.snap
-			s.snapMu.Unlock()
-		}
+		st.Sessions += len(sh.m)
 		sh.mu.RUnlock()
 	}
 	st.Batches, st.Batched, st.MaxBatch = e.batchStats()
