@@ -13,7 +13,7 @@
 //
 //	internal/mat       dense matrix/tensor substrate with a parallel blocked
 //	                   matmul engine (AVX2+FMA micro-kernel on amd64)
-//	internal/par       shared worker pool behind every parallel kernel
+//	internal/par       fork-join helper behind every parallel kernel
 //	internal/nn        neural-network library (transformer, LSTM, Adam, losses)
 //	internal/pq        product quantization (k-means + LSH encoders, batched
 //	                   encoding, stored-width row quantization)
@@ -81,10 +81,9 @@
 // Parallelism model: every hot path — blocked matmul, batched PQ encoding
 // (pq.EncodeBatch), batched hierarchy queries (one sample per task; each
 // table kernel encodes its own rows inline), multi-trace simulation sweeps —
-// fans out through the worker pool in internal/par (tunable via
-// DART_MAX_WORKERS or par.SetMaxWorkers). Parallel kernels partition work
-// in fixed blocks with serial in-block reduction order, so results are
-// bit-identical for any
+// fans out through par.For in internal/par (capped by DART_MAX_WORKERS or
+// par.SetMaxWorkers). Parallel kernels partition work in fixed blocks with
+// serial in-block reduction order, so results are bit-identical for any
 // worker count; see internal/par/README.md for the determinism guarantee and
 // bench/README.md for how performance is measured.
 //

@@ -9,8 +9,8 @@ import (
 // The parallel matmul engine computes dst[i][j] += a.Row(i) · bt.Row(j),
 // where bt holds the right-hand operand with its columns laid out as rows so
 // both operands stream contiguously. Work is split over groups of tileRows
-// output rows anchored at absolute offsets (rows [0,4), [4,8), ...): the
-// worker pool hands each worker a contiguous span of whole groups, every
+// output rows anchored at absolute offsets (rows [0,4), [4,8), ...): par.For
+// hands each goroutine a contiguous span of whole groups, every
 // group's reduction runs serially in ascending-k order, and a fixed-width
 // register tile (4x2 scalar, or the AVX2+FMA micro-kernel on amd64) computes
 // the dot products. Because a group's output depends only on its inputs and

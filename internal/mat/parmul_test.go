@@ -10,7 +10,7 @@ import (
 	"dart/internal/par"
 )
 
-// withWorkers runs fn with the pool capped at w workers.
+// withWorkers runs fn with par capped at w workers.
 func withWorkers(w int, fn func()) {
 	par.SetMaxWorkers(w)
 	defer par.SetMaxWorkers(0)

@@ -1,21 +1,17 @@
-// Package par is the shared goroutine worker pool behind every parallel
-// kernel in this repository: blocked matrix multiplication (internal/mat),
-// batched PQ encoding (internal/pq), batched table queries (internal/tabular),
-// and the multi-trace simulation driver (internal/sim, internal/core).
+// Package par is the fork-join helper behind every parallel kernel in this
+// repository: blocked matrix multiplication (internal/mat), batched PQ
+// encoding (internal/pq), batched table queries (internal/tabular), and the
+// multi-trace simulation driver (internal/sim).
 //
-// The pool holds a set of long-lived worker goroutines fed from a single
-// task queue. For splits an index range into one contiguous chunk per
-// worker; chunk boundaries depend only on the range length and the worker
-// count, never on scheduling, so a caller that partitions its work in
-// fixed-size blocks (as internal/mat does) produces bit-identical results
-// for any worker count. The calling goroutine always executes the final
-// chunk itself and then helps drain the task queue while it waits, so every
-// goroutine blocked on the pool is also serving it — nested For/Do calls
-// cannot deadlock even when all workers are busy.
+// For splits an index range into one contiguous chunk per worker. Chunk
+// boundaries depend only on the range length and the worker count, never on
+// scheduling, so a caller that partitions its work in fixed-size blocks (as
+// internal/mat does) gets bit-identical results for any worker count. A
+// region starts a goroutine per chunk but the last, which the caller runs,
+// and waits for them; a nested For starts its own, so it cannot deadlock.
 //
-// The worker cap defaults to GOMAXPROCS and can be tuned with SetMaxWorkers
-// or the DART_MAX_WORKERS environment variable (read once at startup;
-// SetMaxWorkers overrides it).
+// The worker cap defaults to GOMAXPROCS; SetMaxWorkers or the
+// DART_MAX_WORKERS environment variable (read once at startup) override it.
 package par
 
 import (
@@ -26,8 +22,7 @@ import (
 	"sync/atomic"
 )
 
-// hardCap bounds the worker count so a misconfigured override cannot spawn
-// an unbounded number of goroutines.
+// hardCap bounds the goroutines one region may start.
 const hardCap = 256
 
 // maxWorkers holds the configured cap; 0 selects GOMAXPROCS at call time.
@@ -61,76 +56,13 @@ func MaxWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// queue feeds the persistent workers. The buffer gives bursty callers room
-// before the inline-execution fallback kicks in.
-var queue = make(chan func(), 4*hardCap)
-
-var (
-	spawnMu sync.Mutex
-	spawned int
-)
-
-// ensureWorkers grows the persistent pool to at least n goroutines. Workers
-// are never torn down; idle workers block on the queue and cost only their
-// (small) stacks.
-func ensureWorkers(n int) {
-	if n > hardCap {
-		n = hardCap
-	}
-	spawnMu.Lock()
-	for spawned < n {
-		spawned++
-		go func() {
-			for f := range queue {
-				f()
-			}
-		}()
-	}
-	spawnMu.Unlock()
-}
-
-// submit hands fn to the pool, running it inline when the queue is full so
-// a worker that itself calls For/Do can never deadlock the pool.
-func submit(fn func()) {
-	select {
-	case queue <- fn:
-	default:
-		fn()
-	}
-}
-
-// waitHelping blocks until done closes, executing queued pool tasks while it
-// waits. Every For/Do waiter helps drain the queue, so a task is never stuck
-// behind a blocked worker: any goroutine waiting on the pool is also serving
-// it. This is what makes arbitrarily nested For/Do calls deadlock-free.
-func waitHelping(done <-chan struct{}) {
-	for {
-		// Prefer returning once our own chunks are finished: without this
-		// check the random choice below could steal an unrelated long task
-		// after done has already closed, delaying a finished region.
-		select {
-		case <-done:
-			return
-		default:
-		}
-		select {
-		case <-done:
-			return
-		case f := <-queue:
-			f()
-		}
-	}
-}
-
 // For executes body over [0, n), split into one contiguous chunk per worker.
 // grain is the minimum chunk size (in items); ranges shorter than 2*grain
 // run inline. The partition is a pure function of (n, grain, MaxWorkers()):
 // even division into w chunks with the remainder spread over the leading
 // chunks, so every chunk holds at least n/w >= grain items. body must be
-// safe to call concurrently on disjoint ranges and must not panic.
-//
-// The caller runs the last chunk on its own goroutine, then helps execute
-// queued pool work until every chunk has finished.
+// safe to call concurrently on disjoint ranges and must not panic. Chunks
+// 0..w-2 run on new goroutines; the caller runs the last, then waits.
 func For(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -146,10 +78,8 @@ func For(n, grain int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	ensureWorkers(w - 1)
-	var remaining atomic.Int64
-	remaining.Store(int64(w - 1))
-	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
 	base, rem := n/w, n%w
 	lo := 0
 	for c := 0; c < w-1; c++ {
@@ -157,26 +87,12 @@ func For(n, grain int, body func(lo, hi int)) {
 		if c < rem {
 			hi++
 		}
-		cl, ch := lo, hi
-		submit(func() {
-			body(cl, ch)
-			if remaining.Add(-1) == 0 {
-				close(done)
-			}
-		})
+		go func(lo, hi int) {
+			defer wg.Done()
+			body(lo, hi)
+		}(lo, hi)
 		lo = hi
 	}
 	body(lo, n)
-	waitHelping(done)
-}
-
-// Do runs the given functions concurrently on the pool and waits for all of
-// them. It is For over the function list, so it shares the worker cap, the
-// deterministic partition, and the help-while-waiting guarantee.
-func Do(fns ...func()) {
-	For(len(fns), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fns[i]()
-		}
-	})
+	wg.Wait()
 }

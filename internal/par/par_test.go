@@ -9,7 +9,7 @@ import (
 
 // withWorkers runs fn under a temporary worker cap, restoring the previous
 // cap afterwards.
-func withWorkers(t *testing.T, n int, fn func()) {
+func withWorkers(t testing.TB, n int, fn func()) {
 	t.Helper()
 	prev := int(maxWorkers.Load())
 	SetMaxWorkers(n)
@@ -106,26 +106,11 @@ func TestSetMaxWorkersBounds(t *testing.T) {
 	}
 }
 
-func TestDoRunsAllFunctions(t *testing.T) {
-	withWorkers(t, 4, func() {
-		var sum atomic.Int64
-		fns := make([]func(), 17)
-		for i := range fns {
-			v := int64(i + 1)
-			fns[i] = func() { sum.Add(v) }
-		}
-		Do(fns...)
-		if sum.Load() != 17*18/2 {
-			t.Fatalf("Do sum = %d, want %d", sum.Load(), 17*18/2)
-		}
-	})
-}
-
-// TestNestedForDoesNotDeadlock exercises the worst case for a shared pool:
-// every worker is busy with an outer chunk whose body fans out again (three
-// levels deep). Progress relies on waiters helping to drain the queue; run
-// standalone (-run TestNestedForDoesNotDeadlock -count=1) this test hangs if
-// that guarantee is broken, because no idle workers from other tests exist.
+// TestNestedForDoesNotDeadlock fans out three levels deep: every outer
+// chunk's body starts its own region, whose chunks start regions again. Each
+// region waits only on goroutines it started itself, so nesting cannot
+// deadlock; a For that queued chunks on a bounded set of workers would hang
+// here once every worker blocked in an inner wait.
 func TestNestedForDoesNotDeadlock(t *testing.T) {
 	withWorkers(t, 4, func() {
 		var total atomic.Int64
@@ -148,7 +133,7 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 	})
 }
 
-// TestPoolRaceHammer drives the pool from many goroutines at once, with the
+// TestPoolRaceHammer drives For from many goroutines at once, with the
 // worker cap churning underneath, to give the race detector something to
 // chew on. Run with -race (the CI `race` target does).
 func TestPoolRaceHammer(t *testing.T) {
@@ -172,11 +157,9 @@ func TestPoolRaceHammer(t *testing.T) {
 						total.Add(1)
 					}
 				})
-				Do(
-					func() { total.Add(1) },
-					func() { total.Add(1) },
-					func() { total.Add(1) },
-				)
+				For(3, 1, func(lo, hi int) {
+					total.Add(int64(hi - lo))
+				})
 			}
 		}(g)
 	}
@@ -185,4 +168,39 @@ func TestPoolRaceHammer(t *testing.T) {
 	if total.Load() != want {
 		t.Fatalf("hammer total = %d, want %d", total.Load(), want)
 	}
+}
+
+// BenchmarkFor times one parallel region at a cap of two workers, the
+// serving host's GOMAXPROCS: "two-chunk" is the bare fork-join cost of an
+// empty two-chunk region, and "15-item" is a fan-in batch's QueryBatch shape
+// (16 samples, the first run before the region) with a few microseconds of
+// arithmetic per item.
+func BenchmarkFor(b *testing.B) {
+	withWorkers(b, 2, func() {
+		b.Run("two-chunk", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				For(2, 1, func(lo, hi int) {})
+			}
+		})
+		b.Run("15-item", func(b *testing.B) {
+			src := make([]float64, 4096)
+			for i := range src {
+				src[i] = float64(i%7) * 0.5
+			}
+			out := make([]float64, 15)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				For(len(out), 1, func(lo, hi int) {
+					for j := lo; j < hi; j++ {
+						var s float64
+						for _, v := range src {
+							s += v * float64(j+1)
+						}
+						out[j] = s
+					}
+				})
+			}
+		})
+	})
 }

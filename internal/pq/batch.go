@@ -13,7 +13,7 @@ const encodeGrain = 16
 
 // EncodeBatch encodes every row of x with enc, returning one index slice per
 // row (all backed by a single allocation). Rows are independent, so the
-// batch fans out across the shared worker pool; each row's encoding is
+// batch fans out through par.For; each row's encoding is
 // exactly what EncodeRow produces, for any worker count.
 func EncodeBatch(enc Encoder, x *mat.Matrix) [][]int {
 	c := enc.C()

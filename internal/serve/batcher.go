@@ -53,8 +53,8 @@ type tenantQueue struct {
 // batcher is the admission layer for model inference: sessions publish their
 // prepared inputs and block on the reply; the dispatch loop coalesces
 // concurrently-arriving queries into one inferFn call (tabular QueryBatch
-// for DART tables, a versioned nn forward pass for the online model) on the
-// shared worker pool.
+// for DART tables, a versioned nn forward pass for the online model), whose
+// kernels fan out through par.For.
 //
 // Admission is weighted round-robin across tenants, not FIFO across
 // sessions: each tenant keeps its own FIFO queue, and every assembled batch

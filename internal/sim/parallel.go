@@ -15,7 +15,7 @@ type Job struct {
 	Cfg  Config
 }
 
-// RunMany executes the jobs concurrently on the shared worker pool and
+// RunMany executes the jobs concurrently through par.For and
 // returns results in job order. Each job runs the exact sequential Run, so
 // the result slice is bit-identical to looping over Run serially, for any
 // worker count.

@@ -436,8 +436,8 @@ func (s *Sim) Step(r trace.Record) Step {
 
 // Result snapshots the aggregate statistics so far. It derives the
 // instruction count, pollution, and IPC from the current state, so it can be
-// called mid-stream (the serving engine's stats endpoint) as well as at the
-// end of a trace; after the final Step it equals what Run returns.
+// called mid-stream as well as at the end of a trace; after the final Step
+// it equals what Run returns.
 func (s *Sim) Result() Result {
 	res := s.res
 	res.Pollution = s.llc.EvictedUnusedPrefetches

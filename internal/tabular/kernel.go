@@ -127,7 +127,7 @@ func (h *Hierarchy) Query(x *mat.Matrix) *mat.Matrix {
 	return x
 }
 
-// queryBatch fans an independent per-sample query across the worker pool:
+// queryBatch fans an independent per-sample query out through par.For:
 // sample 0 sizes the output tensor, the remaining samples run in parallel.
 // Each sample's output is exactly what q produces, for any worker count.
 func queryBatch(x *mat.Tensor, grain int, q func(*mat.Matrix) *mat.Matrix) *mat.Tensor {
@@ -148,7 +148,7 @@ func queryBatch(x *mat.Tensor, grain int, q func(*mat.Matrix) *mat.Matrix) *mat.
 // QueryBatch evaluates a batch tensor sample-by-sample and returns the
 // stacked outputs. The per-sample queries are independent table lookups —
 // the embarrassingly parallel structure the paper exploits — so the batch
-// fans out across the shared worker pool.
+// fans out through par.For.
 func (h *Hierarchy) QueryBatch(x *mat.Tensor) *mat.Tensor {
 	return queryBatch(x, 1, h.Query)
 }

@@ -71,7 +71,7 @@ func (w *walker) record(l Layer, approx, exact *mat.Tensor) {
 }
 
 // apply runs one tabular layer over a batch, fanning the independent
-// per-sample queries across the worker pool.
+// per-sample queries out through par.For.
 func apply(l Layer, x *mat.Tensor) *mat.Tensor {
 	return queryBatch(x, 4, l.Query)
 }
