@@ -62,7 +62,8 @@ var rows = []row{
 	zeroAllocs("BenchmarkCacheLookup"),
 	zeroAllocs("BenchmarkCacheFill"),
 
-	// The worker pool must pay for itself over the seed's serial kernel.
+	// The parallel blocked matmul engine, at a cap of four workers, must pay
+	// for itself over the seed's serial kernel.
 	{"speedup(par w4 vs serial, n={n})", "BenchmarkMatMul/serial/n{n}", "BenchmarkMatMul/par/n{n}/w4", ">=", 2},
 
 	// Down the serving hierarchy each tier beats the one it derives from:
