@@ -170,8 +170,8 @@ func TestPoolRaceHammer(t *testing.T) {
 	}
 }
 
-// BenchmarkFor times one parallel region at a cap of two workers, the
-// serving host's GOMAXPROCS: "two-chunk" is the bare fork-join cost of an
+// BenchmarkFor times one parallel region at a cap of two workers, as on a
+// two-core host: "two-chunk" is the bare fork-join cost of an
 // empty two-chunk region, and "15-item" is a fan-in batch's QueryBatch shape
 // (16 samples, the first run before the region) with a few microseconds of
 // arithmetic per item.

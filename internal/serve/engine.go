@@ -175,9 +175,8 @@ func (s *session) run() {
 
 // step advances the session's simulator by one record and performs the
 // per-access actor bookkeeping: the sequence number and the learner ring
-// tap. Every serving path — direct, JSON, and
-// binary frames — funnels through here, which is what keeps their results
-// bit-identical.
+// tap. Every serving path — direct, JSON, and binary frames — funnels
+// through here, which is what keeps their results bit-identical.
 func (s *session) step(rec trace.Record) AccessResult {
 	st := s.sim.Step(rec)
 	s.seq++
