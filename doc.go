@@ -40,8 +40,8 @@
 //	                   a name-indexed factory registry
 //	internal/config    table configurator and NN complexity models
 //	internal/core      the end-to-end DART pipeline and evaluation sweeps
-//	internal/serve     online multi-session serving engine: sharded session
-//	                   map, per-session actors with bounded inboxes and
+//	internal/serve     online multi-session serving engine: one session map
+//	                   under one lock, per-session actors with bounded inboxes and
 //	                   backpressure, one table of model classes (the static
 //	                   tables plus every row of the learner's class table)
 //	                   each given its admission batcher by one constructor —

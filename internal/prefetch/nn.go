@@ -49,7 +49,8 @@ type NNPrefetcher struct {
 	degree    int
 	threshold float64 // logit threshold; 0 corresponds to p > 0.5
 
-	hist []histEntry // ring of the last T accesses
+	hist []histEntry // ring of the last History accesses, access i in slot i % History
+	n    int         // accesses recorded
 	x    *mat.Matrix // reusable input buffer
 }
 
@@ -67,6 +68,7 @@ func NewNNPrefetcher(name string, pred BitmapPredictor, cfg dataprep.Config, lat
 		latency: latency,
 		storage: storageBytes,
 		degree:  degree,
+		hist:    make([]histEntry, cfg.History),
 		x:       mat.New(cfg.History, cfg.InputDim()),
 	}
 }
@@ -100,14 +102,13 @@ func (p *NNPrefetcher) OnAccess(a sim.Access) []uint64 {
 // BuildInput call, so callers that defer the predictor query must finish
 // with it before feeding this prefetcher another access.
 func (p *NNPrefetcher) BuildInput(a sim.Access) (*mat.Matrix, bool) {
-	p.hist = append(p.hist, histEntry{block: a.Block, pc: a.PC})
-	if len(p.hist) > p.cfg.History {
-		p.hist = p.hist[1:]
-	}
-	if len(p.hist) < p.cfg.History {
+	p.hist[p.n%len(p.hist)] = histEntry{block: a.Block, pc: a.PC}
+	p.n++
+	if p.n < len(p.hist) {
 		return nil, false
 	}
-	for t, h := range p.hist {
+	for t := range p.hist {
+		h := p.hist[(p.n+t)%len(p.hist)]
 		p.cfg.InputRow(h.block, h.pc, p.x.Row(t))
 	}
 	return p.x, true

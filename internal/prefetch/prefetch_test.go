@@ -143,6 +143,41 @@ func TestNNPrefetcherWarmup(t *testing.T) {
 	}
 }
 
+// TestNNPrefetcherBuildInputNoAlloc: a warm history ring allocates nothing
+// over 8 calls, and the input it builds holds the last History accesses
+// oldest first.
+func TestNNPrefetcherBuildInputNoAlloc(t *testing.T) {
+	cfg := dataprep.Default()
+	p := NewNNPrefetcher("test", perfectNextDelta{cfg.OutputDim()}, cfg, 0, 0, 4)
+	acc := strideAccesses(64, 3)
+	i := 0
+	next := func() (*mat.Matrix, bool) {
+		x, ok := p.BuildInput(acc[i])
+		i++
+		return x, ok
+	}
+	for i < cfg.History {
+		next()
+	}
+	if n := testing.AllocsPerRun(4, func() {
+		for k := 0; k < 8; k++ {
+			next()
+		}
+	}); n != 0 {
+		t.Fatalf("8 warm BuildInput calls allocate %v times", n)
+	}
+	x, ok := next()
+	want := make([]float64, cfg.InputDim())
+	for r, a := range acc[i-cfg.History : i] {
+		cfg.InputRow(a.Block, a.PC, want)
+		for j, v := range x.Row(r) {
+			if !ok || v != want[j] {
+				t.Fatalf("row %d col %d = %v, want %v", r, j, v, want[j])
+			}
+		}
+	}
+}
+
 func TestNNPrefetcherDegreeCap(t *testing.T) {
 	cfg := dataprep.Default()
 	all := allPositive{cfg.OutputDim()}

@@ -58,6 +58,19 @@ func TestOpenRejectsOversizedInputs(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesDefaultDegreePastMaxDegree: an omitted degree is the
+// default 4, checked against the machine's MaxDegree like an explicit one.
+func TestOpenRefusesDefaultDegreePastMaxDegree(t *testing.T) {
+	cfg := smallSimCfg()
+	cfg.MaxDegree = 2
+	e := NewEngine(Config{SimCfg: cfg})
+	defer e.Drain()
+	err := e.OpenSession("s", SessionOptions{Prefetcher: "stride"})
+	if err == nil || err.Error() != "serve: degree 4 exceeds the session machine's MaxDegree 2" {
+		t.Fatalf("open with degree omitted on a MaxDegree 2 machine: %v", err)
+	}
+}
+
 // FuzzControl answers arbitrary bytes, decoded as one JSON request, through
 // Control on an in-process engine serving a static table class, follows the
 // request with a few accesses on its session, and closes every session it

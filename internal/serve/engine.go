@@ -5,9 +5,9 @@
 //
 // Architecture (see README.md for the wire protocol):
 //
-//   - Sessions live in a sharded map (hash of the session id picks the
-//     shard), so opening/looking up sessions under heavy concurrency never
-//     funnels through a global lock.
+//   - Sessions live in one map under one RWMutex. Wire clients look their
+//     session up once per frame and session actors never touch the map, so
+//     the lock stays off the per-access path.
 //   - Each session is an actor: a goroutine draining a bounded inbox.
 //     Enqueueing into a full inbox blocks — backpressure propagates to the
 //     producer (and, through the TCP server, to the client) instead of
@@ -192,24 +192,17 @@ func (s *session) step(rec trace.Record) AccessResult {
 	return AccessResult{Seq: s.seq, Hit: st.Hit, Late: st.Late, Version: s.ver, Prefetches: st.Prefetches}
 }
 
-// sessionShards is how many slices the session map is split into.
-const sessionShards = 16
-
-// shard is one slice of the session map.
-type shard struct {
-	mu sync.RWMutex
-	m  map[string]*session
-}
-
 // Engine is the multi-session serving engine.
 type Engine struct {
 	cfg     Config
-	shards  [sessionShards]shard
 	classes map[string]*servingClass // model classes by prefetcher name; immutable after NewEngine
 	learner *online.Learner          // == cfg.Online
 
+	mu       sync.RWMutex
+	sessions map[string]*session // guarded by mu
+	draining bool                // guarded by mu: Drain has begun, opens fail
+
 	accepted atomic.Uint64
-	draining atomic.Bool
 
 	// ab accumulates the A/B shadow-compare of student batches against the
 	// teacher; nil unless ShadowCompare is on and a student class serves.
@@ -233,9 +226,6 @@ type servingClass struct {
 // shared batcher, admitted under tenant and reporting the serving version
 // of each query into *ver.
 func (c *servingClass) prefetcher(tenant string, ver *uint64, degree int) *prefetch.NNPrefetcher {
-	if degree <= 0 {
-		degree = 4
-	}
 	latency, storage := c.cost()
 	return prefetch.NewNNPrefetcher(c.name, batchedModel{b: c.b, tenant: tenant, ver: ver},
 		c.data, latency, storage, degree)
@@ -247,18 +237,18 @@ func (c *servingClass) prefetcher(tenant string, ver *uint64, degree int) *prefe
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{cfg: cfg, learner: cfg.Online,
-		classes: make(map[string]*servingClass)}
-	for i := range e.shards {
-		e.shards[i].m = make(map[string]*session)
-	}
-	if cfg.Model != nil || cfg.Online != nil {
-		// Register model prefetchers on a private clone: the caller's
-		// registry must not be wired to this engine's batchers (two
-		// engines sharing a registry would otherwise cross-route each
-		// other's queries).
-		e.cfg.Registry = cfg.Registry.Clone()
-	}
+		classes:  make(map[string]*servingClass),
+		sessions: make(map[string]*session)}
 	if cfg.Model != nil {
+		// The registry's "dart" is the offline reference for a static-table
+		// session: the same tables queried inline, never through the
+		// batcher. It goes on a private clone so the caller's registry is
+		// never changed.
+		e.cfg.Registry = cfg.Registry.Clone()
+		e.cfg.Registry.Register("dart", func(degree int) sim.Prefetcher {
+			return prefetch.NewNNPrefetcher("DART", prefetch.TableModel{H: cfg.Model},
+				cfg.Data, cfg.ModelLatency, cfg.ModelStorage, degree)
+		})
 		e.addClass("dart", &servingClass{
 			name: "DART", data: cfg.Data,
 			cost: func() (int, int) { return cfg.ModelLatency, cfg.ModelStorage },
@@ -310,9 +300,8 @@ func NewEngine(cfg Config) *Engine {
 // source and the per-label agreement reported; the fallback path IS the
 // source, so comparing it would always agree. A class without a source (the
 // teacher, the static tables) must always have a version and takes no
-// observe. The row is registered under key in the class table and, for
-// offline comparison runs and Names(), in the registry; a row registered
-// later under the same key replaces the earlier one.
+// observe. The row is registered under key in the class table; a row
+// registered later under the same key replaces the earlier one.
 func (e *Engine) addClass(key string, c *servingClass,
 	infer func(*mat.Tensor) (*mat.Tensor, uint64, bool),
 	source *online.Class, observe func(ver, match, total uint64)) {
@@ -333,33 +322,13 @@ func (e *Engine) addClass(key string, c *servingClass,
 		old.b.stop()
 	}
 	e.classes[key] = c
-	e.cfg.Registry.Register(key, func(degree int) sim.Prefetcher {
-		return c.prefetcher("", new(uint64), degree)
-	})
-}
-
-// fnv32a is FNV-1a, hand-rolled because hash/fnv's New32a allocates its
-// state object on every call, and generic so the binary wire path can hash
-// session ids still sitting in the read buffer without a string conversion.
-func fnv32a[T ~string | ~[]byte](s T) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-// shardFor hashes a session id onto its shard.
-func (e *Engine) shardFor(id string) *shard {
-	return &e.shards[fnv32a(id)%uint32(len(e.shards))]
 }
 
 // lookup returns the live session or ErrUnknownSession.
 func (e *Engine) lookup(id string) (*session, error) {
-	sh := e.shardFor(id)
-	sh.mu.RLock()
-	s := sh.m[id]
-	sh.mu.RUnlock()
+	e.mu.RLock()
+	s := e.sessions[id]
+	e.mu.RUnlock()
 	if s == nil {
 		return nil, ErrUnknownSession
 	}
@@ -369,10 +338,9 @@ func (e *Engine) lookup(id string) (*session, error) {
 // lookupBytes is lookup for a session id still in a wire buffer: the
 // m[string(b)] map read compiles to a no-allocation lookup.
 func (e *Engine) lookupBytes(id []byte) (*session, error) {
-	sh := &e.shards[fnv32a(id)%uint32(len(e.shards))]
-	sh.mu.RLock()
-	s := sh.m[string(id)]
-	sh.mu.RUnlock()
+	e.mu.RLock()
+	s := e.sessions[string(id)]
+	e.mu.RUnlock()
 	if s == nil {
 		return nil, ErrUnknownSession
 	}
@@ -405,8 +373,9 @@ func (e *Engine) Open(id, prefetcher string, degree int) error {
 // weight; any other name is a rule-based prefetcher from the registry.
 // Sessions of a learner class are additionally tapped: their access/outcome
 // stream feeds online training, and their responses carry the model version
-// that served each access. A degree above the session machine's MaxDegree is
-// an error: the simulator would drop every candidate past it.
+// that served each access. A degree ≤ 0 selects 4. A degree above the session
+// machine's MaxDegree is an error: the simulator would drop every candidate
+// past it.
 func (e *Engine) OpenSession(id string, opt SessionOptions) error {
 	if id == "" {
 		return fmt.Errorf("serve: empty session id")
@@ -417,6 +386,9 @@ func (e *Engine) OpenSession(id string, opt SessionOptions) error {
 			return err
 		}
 		simCfg = *opt.SimCfg
+	}
+	if opt.Degree <= 0 {
+		opt.Degree = 4
 	}
 	if opt.Degree > simCfg.MaxDegree {
 		return fmt.Errorf("serve: degree %d exceeds the session machine's MaxDegree %d", opt.Degree, simCfg.MaxDegree)
@@ -439,22 +411,19 @@ func (e *Engine) OpenSession(id string, opt SessionOptions) error {
 		}
 	}
 	s.sim = sim.NewSim(pf, simCfg)
-	sh := e.shardFor(id)
-	sh.mu.Lock()
-	// The draining check lives inside the shard lock: Drain sets the flag
-	// and then snapshots the shards (taking this lock), so an Open that
-	// slipped in before the flag either errors here or has already
-	// inserted its session where Drain's close loop will find it.
-	if e.draining.Load() {
-		sh.mu.Unlock()
+	e.mu.Lock()
+	// Drain sets draining under this lock, so an open either sees it and
+	// fails or has already inserted its session where Drain will find it.
+	if e.draining {
+		e.mu.Unlock()
 		return fmt.Errorf("serve: engine is draining")
 	}
-	if _, exists := sh.m[id]; exists {
-		sh.mu.Unlock()
+	if _, exists := e.sessions[id]; exists {
+		e.mu.Unlock()
 		return fmt.Errorf("serve: session %q already open", id)
 	}
-	sh.m[id] = s
-	sh.mu.Unlock()
+	e.sessions[id] = s
+	e.mu.Unlock()
 	// Only a session that won its id may touch shared state: a rejected
 	// open must not reset a running tenant's weight or leave a duplicate
 	// tap. Both happen before the actor starts — the weight before the
@@ -547,24 +516,20 @@ func (e *Engine) Close(id string) (sim.Result, error) {
 		e.learner.Detach(id)
 	}
 
-	sh := e.shardFor(id)
-	sh.mu.Lock()
-	delete(sh.m, id)
-	sh.mu.Unlock()
+	e.mu.Lock()
+	delete(e.sessions, id)
+	e.mu.Unlock()
 	return s.res, nil
 }
 
 // Sessions lists the open session ids, sorted.
 func (e *Engine) Sessions() []string {
-	var ids []string
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.RLock()
-		for id := range sh.m {
-			ids = append(ids, id)
-		}
-		sh.mu.RUnlock()
+	e.mu.RLock()
+	ids := make([]string, 0, len(e.sessions))
+	for id := range e.sessions {
+		ids = append(ids, id)
 	}
+	e.mu.RUnlock()
 	sort.Strings(ids)
 	return ids
 }
@@ -595,13 +560,9 @@ type ABStats struct {
 
 // StatsSnapshot gathers the engine's counters without stopping the actors.
 func (e *Engine) StatsSnapshot() Stats {
-	st := Stats{Accepted: e.accepted.Load()}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.RLock()
-		st.Sessions += len(sh.m)
-		sh.mu.RUnlock()
-	}
+	e.mu.RLock()
+	st := Stats{Sessions: len(e.sessions), Accepted: e.accepted.Load()}
+	e.mu.RUnlock()
 	st.Batches, st.Batched, st.MaxBatch = e.batchStats()
 	if t := e.TenantAdmissions(); len(t) > 0 {
 		st.Tenants = t
@@ -675,9 +636,11 @@ func (e *Engine) abStats() *ABStats {
 // wire server routes the model/swap/rollback verbs through it.
 func (e *Engine) Learner() *online.Learner { return e.learner }
 
-// Config returns the engine's effective configuration: defaults filled in,
-// and the registry that also resolves its model classes — what an offline
-// re-run needs to reproduce a session bit-for-bit.
+// Config returns the engine's effective configuration with defaults filled
+// in: what an offline sim.Run needs to reproduce a session bit for bit. With
+// Model set, the registry's "dart" queries those tables inline, never through
+// the engine's batcher. Learner classes are not in the registry: they
+// hot-swap under training and have no offline reference.
 func (e *Engine) Config() Config { return e.cfg }
 
 // Drain gracefully shuts the engine down: no new sessions are admitted,
@@ -685,12 +648,13 @@ func (e *Engine) Config() Config { return e.cfg }
 // stops once the last model query has been answered. It returns the final
 // result of every session that was still open, keyed by session id.
 func (e *Engine) Drain() map[string]sim.Result {
-	e.draining.Store(true)
+	e.mu.Lock()
+	e.draining = true
+	e.mu.Unlock()
 	out := make(map[string]sim.Result)
-	// Loop until the map is empty: an Open racing the flag store may have
-	// inserted a session after this goroutine's first snapshot, but no new
-	// session can appear once a snapshot (which takes every shard lock)
-	// has observed the draining flag set — so the loop terminates.
+	// No session is added once draining is set, so the loop ends when the
+	// map is empty; it repeats only for sessions a concurrent Close still
+	// holds.
 	for {
 		ids := e.Sessions()
 		if len(ids) == 0 {

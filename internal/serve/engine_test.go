@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -321,4 +324,118 @@ func TestStatsSnapshotLive(t *testing.T) {
 	close(stop)
 	hammer.Wait()
 	e.Drain()
+}
+
+// TestDrainRacesOpensAndCloses: goroutines open, feed and close sessions
+// while Drain runs. Every open that succeeded ends either in Drain's result
+// or in its own goroutine's Close, never both; once one open has seen the
+// engine draining, every later open fails the same way; nothing stays open.
+func TestDrainRacesOpensAndCloses(t *testing.T) {
+	e := NewEngine(Config{SimCfg: smallSimCfg(), QueueDepth: 4})
+	recs := sessionTrace(1, 32)
+	var (
+		mu       sync.Mutex
+		opened   = make(map[string]bool)
+		selfDone = make(map[string]bool) // closed by its own goroutine
+		sawDrain atomic.Bool
+		wg       sync.WaitGroup
+	)
+	busy := make(chan struct{}, 64) // one token per successful open
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				id := fmt.Sprintf("w%d-%d", w, i)
+				late := sawDrain.Load()
+				if err := e.Open(id, "stride", 2); err != nil {
+					if err.Error() != "serve: engine is draining" {
+						t.Errorf("open %s: %v", id, err)
+					}
+					sawDrain.Store(true)
+					return
+				}
+				if late {
+					t.Errorf("open %s succeeded after an open saw the engine draining", id)
+				}
+				mu.Lock()
+				opened[id] = true
+				mu.Unlock()
+				select {
+				case busy <- struct{}{}:
+				default:
+				}
+				for _, rec := range recs {
+					if err := e.Submit(id, rec, nil); err != nil {
+						if !errors.Is(err, ErrSessionClosed) && !errors.Is(err, ErrUnknownSession) {
+							t.Errorf("submit %s: %v", id, err)
+						}
+						break
+					}
+				}
+				if _, err := e.Close(id); err == nil {
+					mu.Lock()
+					selfDone[id] = true
+					mu.Unlock()
+				} else if !errors.Is(err, ErrUnknownSession) && !strings.Contains(err.Error(), "already closing") {
+					t.Errorf("close %s: %v", id, err)
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 16; i++ {
+		<-busy
+	}
+	drained := e.Drain()
+	wg.Wait()
+	if err := e.Open("after", "stride", 2); err == nil || err.Error() != "serve: engine is draining" {
+		t.Fatalf("open after Drain: %v", err)
+	}
+	for id := range drained {
+		if !opened[id] || selfDone[id] {
+			t.Errorf("drained %s: opened %v, closed by its goroutine %v", id, opened[id], selfDone[id])
+		}
+	}
+	for id := range opened {
+		if _, ok := drained[id]; ok == selfDone[id] {
+			t.Errorf("session %s: drained %v, closed by its goroutine %v", id, ok, selfDone[id])
+		}
+	}
+	if ids := e.Sessions(); len(ids) != 0 {
+		t.Fatalf("sessions left after Drain: %v", ids)
+	}
+}
+
+// TestOfflineDartReferenceSkipsBatcher: Config's registry builds the static
+// "dart" reference over the tables themselves, so an offline run sends no
+// query through the engine's batcher and still matches the served session.
+func TestOfflineDartReferenceSkipsBatcher(t *testing.T) {
+	data := dataprep.Default()
+	e := NewEngine(Config{SimCfg: smallSimCfg(), Model: testHierarchy(t, data),
+		Data: data, ModelLatency: 37, ModelStorage: 1 << 16})
+	defer e.Drain()
+	recs := sessionTrace(3, 300)
+	pf, err := e.Config().Registry.New("dart", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Run(recs, pf, e.Config().SimCfg)
+	if b := e.StatsSnapshot().Batched; b != 0 {
+		t.Fatalf("offline reference sent %d queries through the batcher", b)
+	}
+	if err := e.Open("d", "dart", 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := e.Submit("d", rec, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := e.Close("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("served dart session diverged from the table reference:\n got %+v\nwant %+v", got, want)
+	}
 }
